@@ -3,7 +3,7 @@
 Runs the :mod:`repro.cluster` coordinator over a worker-count sweep for
 **both proc-mode transports** (TCP loopback and shared-memory rings),
 same cells, UEs, slots and seed throughout, measuring the slot rate
-through the slowest worker and the count-weighted p50/p99 per-slot step
+through the slowest worker and the bucket-merged p50/p99 per-slot step
 time, and *asserting* the scale-out contract: aggregate scheduled-bytes
 and fault-log digests byte-identical at every worker count and on every
 transport.

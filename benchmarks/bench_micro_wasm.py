@@ -113,9 +113,9 @@ def test_plugin_call_telemetry_on(benchmark):
     result = benchmark(plugin.schedule, 52, ues, 1)
     assert result.grants
     fuel = OBS.registry.histogram("waran_plugin_fuel_used").snapshot(plugin="pf-obs-on")
-    instr = OBS.registry.histogram("waran_plugin_instructions").snapshot(plugin="pf-obs-on")
-    assert fuel["count"] == instr["count"] > 0
-    assert fuel["mean"] == instr["mean"]  # fuel burns 1 per retired instruction
+    assert fuel["count"] > 0
+    # fuel burns 1 per retired instruction: the series is both counts
+    assert fuel["mean"] == result.fuel_used
 
 
 @pytest.mark.benchmark(group="micro-wasm")

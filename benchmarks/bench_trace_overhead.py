@@ -1,6 +1,6 @@
-"""Tracing overhead - the disabled path must stay within noise.
+"""Telemetry overhead - off must mean off, and on must stay on a budget.
 
-Two contracts, both gated by ``WARAN_PERF_GATE`` /
+Three contracts, all gated by ``WARAN_PERF_GATE`` /
 ``WARAN_PERF_GATE_TOLERANCE`` (the same knobs as the plugin-call perf
 gate in :mod:`benchmarks.conftest`):
 
@@ -14,9 +14,15 @@ gate in :mod:`benchmarks.conftest`):
    stitching, attribution) must stay within the gate tolerance of the
    identical untraced run - tracing is a diagnostic you can afford to
    leave on.
+3. **Plugin-call telemetry budget**: ``PluginHost.call`` with the whole
+   bundle on (spans, registry series, flight record) over the same call
+   with it off.  ``run_worker`` always enables telemetry, so this
+   overhead is inside every slot the paper's Fig. 5d claim is judged on;
+   the gate keeps it from silently growing back.
 """
 
 import os
+import statistics
 import time
 from dataclasses import replace
 
@@ -31,6 +37,13 @@ TOLERANCE = float(os.environ.get("WARAN_PERF_GATE_TOLERANCE", "1.25"))
 #: disabled span() call budget per site; generous for a pure-Python
 #: interpreter on a shared runner, tightened/loosened by the gate knob
 DISABLED_SITE_BUDGET_US = 1.0
+
+#: obs-on ``PluginHost.call`` may cost this much more than obs-off, as a
+#: share of the obs-off call, on the cheapest real scheduling call (rr,
+#: three UEs - the larger the call, the smaller the share).  Measured
+#: 0.06-0.18 with bound handles and bucket histograms on a noisy 2-core
+#: container; the per-observation registry path before them read 0.24-0.39
+CALL_OVERHEAD_BUDGET = 0.20
 
 
 def _gate_off() -> bool:
@@ -94,4 +107,66 @@ def test_traced_cluster_within_gate_tolerance(benchmark):
         assert ratio <= TOLERANCE, (
             f"trace=True costs x{ratio:.2f} over the untraced run "
             f"(gate x{TOLERANCE:.2f})"
+        )
+
+
+@pytest.mark.benchmark(group="trace-overhead")
+def test_plugin_call_telemetry_overhead(benchmark):
+    from repro.abi import wire
+    from repro.abi.host import PluginHost
+    from repro.plugins import plugin_wasm
+    from repro.sched import UeSchedInfo
+
+    payload = wire.pack_sched_input(
+        0, 52, [UeSchedInfo(i + 1, 20, 12, 50_000, 1e6) for i in range(3)]
+    )
+    raw = plugin_wasm("rr")
+    hosts = {
+        False: PluginHost(raw, name="overhead-off"),
+        True: PluginHost(raw, name="overhead-on"),
+    }
+    calls, rounds = 200, 9
+
+    def timed(enabled: bool) -> float:
+        host = hosts[enabled]
+        (obs.enable if enabled else obs.disable)()
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            host.call(payload)
+        return time.perf_counter() - t0
+
+    def measure() -> tuple[float, float]:
+        was_enabled = obs.OBS.enabled
+        try:
+            for enabled in hosts:  # scratch alloc + handle binding, untimed
+                timed(enabled)
+            ratios, off_us = [], []
+            for r in range(rounds):
+                # alternate who goes first so a drifting host hits both alike
+                first = bool(r % 2)
+                t = {first: timed(first)}
+                t[not first] = timed(not first)
+                ratios.append(t[True] / t[False])
+                off_us.append(t[False] / calls * 1e6)
+            return statistics.median(ratios), statistics.median(off_us)
+        finally:
+            (obs.enable if was_enabled else obs.disable)()
+
+    ratio, off_us = benchmark.pedantic(measure, rounds=1, iterations=1)
+    overhead = ratio - 1.0
+    print(
+        f"\nplugin call: obs off {off_us:.1f}us, obs on x{ratio:.3f} "
+        f"(+{overhead * off_us:.1f}us)"
+    )
+    reg = obs.OBS.registry
+    assert reg.histogram("waran_plugin_call_us").count(plugin="overhead-off") == 0
+    assert reg.histogram("waran_plugin_call_us").count(plugin="overhead-on") >= (
+        calls * rounds
+    )
+    if not _gate_off():
+        budget = CALL_OVERHEAD_BUDGET * TOLERANCE
+        assert overhead <= budget, (
+            f"telemetry adds {overhead:.0%} to PluginHost.call "
+            f"(budget {budget:.0%} of the obs-off call): the per-call "
+            "telemetry path has grown"
         )

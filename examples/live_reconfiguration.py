@@ -79,7 +79,7 @@ def main() -> None:
     gnb.run(slots)
     rates = rates_since(gnb, marks)
     print(f"  plugin healthy again ({runtime.scheduler_kind}); "
-          f"exec calls recorded: {runtime.exec_time.count}")
+          f"exec calls recorded: {runtime.exec_us.count}")
     print("  rates: " + "  ".join(f"UE{u}={rates[u]:5.2f}Mb/s" for u in (1, 2, 3)))
 
 

@@ -64,7 +64,7 @@ def main() -> None:
     for sid, name, _plugin, rate, _subs in MVNOS:
         runtime = gnb.slices[sid]
         achieved = runtime.meter.average_bps(DURATION_S)
-        p99 = runtime.exec_p99.value if runtime.exec_p99.count else float("nan")
+        p99 = runtime.exec_us.quantile(0.99) if runtime.exec_us.count else float("nan")
         print(f"{name:16s} {rate / 1e6:8.1f} Mb {achieved / 1e6:8.1f} Mb "
               f"{p99:9.0f} us")
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from repro.abi import wire
 from repro.abi.hostfuncs import make_env
 from repro.abi.sanitizer import sanitize_plugin
-from repro.obs import OBS
+from repro.obs import OBS, BoundMetrics, MetricsRegistry
 from repro.obs.flight import CallRecord
 from repro.sched.types import UeGrant, UeSchedInfo
 from repro.wasm import Instance, decode_module
@@ -85,6 +85,41 @@ class HostLimits:
     max_output_bytes: int = 1 << 16
 
 
+class _CallMetrics:
+    """The per-call series of one plugin name, bound once per registry."""
+
+    __slots__ = (
+        "calls", "call_us", "fuel_used", "frames",
+        "call_depth_peak", "value_stack_peak", "memory_pages",
+    )
+
+    def __init__(self, reg: MetricsRegistry, plugin: str):
+        self.calls = reg.counter(
+            "waran_plugin_calls_total", "plugin invocations by outcome"
+        ).labels_by("outcome", plugin=plugin)
+        self.call_us = reg.histogram(
+            "waran_plugin_call_us", "end-to-end plugin call time (us)"
+        ).labels(plugin=plugin)
+        # fuel is decremented exactly once per executed instruction, so
+        # this is also the instructions-retired count
+        self.fuel_used = reg.histogram(
+            "waran_plugin_fuel_used", "fuel consumed per call"
+        ).labels(plugin=plugin)
+        self.frames = reg.histogram(
+            "waran_wasm_frames", "function frames entered per call"
+        ).labels(plugin=plugin)
+        self.call_depth_peak = reg.histogram(
+            "waran_wasm_call_depth_peak", "peak call depth per call"
+        ).labels(plugin=plugin)
+        self.value_stack_peak = reg.histogram(
+            "waran_wasm_value_stack_peak",
+            "peak operand-stack height per call (static bound)",
+        ).labels(plugin=plugin)
+        self.memory_pages = reg.gauge(
+            "waran_plugin_memory_pages", "linear memory size (64KiB pages)"
+        ).labels(plugin=plugin)
+
+
 class PluginHost:
     """Loads and runs one Wasm plugin with Extism-style byte-buffer calls."""
 
@@ -123,6 +158,7 @@ class PluginHost:
         #: number of times the host had to call the plugin's ``alloc``
         #: (first call, scratch growth, or after a swap/load)
         self.scratch_allocs = 0
+        self._metrics = BoundMetrics(_CallMetrics)
         self._load(wasm_bytes)
 
     # ----- lifecycle ---------------------------------------------------------
@@ -509,36 +545,17 @@ class PluginHost:
                 index=injection.index,
                 outcome=outcome,
             )
-        reg.counter(
-            "waran_plugin_calls_total", "plugin invocations by outcome"
-        ).inc(plugin=name, outcome=outcome)
-        reg.histogram(
-            "waran_plugin_call_us", "end-to-end plugin call time (us)"
-        ).observe(elapsed_us, plugin=name)
+        metrics = self._metrics.get(reg, name)
+        metrics.calls[outcome].inc()
+        metrics.call_us.observe(elapsed_us)
         if fuel_used is not None:
-            reg.histogram(
-                "waran_plugin_fuel_used", "fuel consumed per call"
-            ).observe(fuel_used, plugin=name)
-            # fuel is decremented exactly once per executed instruction,
-            # so the fuel delta *is* the instructions-retired count
-            reg.histogram(
-                "waran_plugin_instructions", "Wasm instructions retired per call"
-            ).observe(fuel_used, plugin=name)
+            metrics.fuel_used.observe(fuel_used)
         if stats is not None:
-            reg.histogram(
-                "waran_wasm_frames", "function frames entered per call"
-            ).observe(stats.frames, plugin=name)
-            reg.histogram(
-                "waran_wasm_call_depth_peak", "peak call depth per call"
-            ).observe(stats.max_call_depth, plugin=name)
-            reg.histogram(
-                "waran_wasm_value_stack_peak",
-                "peak operand-stack height per call (static bound)",
-            ).observe(stats.max_value_stack, plugin=name)
+            metrics.frames.observe(stats.frames)
+            metrics.call_depth_peak.observe(stats.max_call_depth)
+            metrics.value_stack_peak.observe(stats.max_value_stack)
         if self.instance is not None and self.instance.memory is not None:
-            reg.gauge(
-                "waran_plugin_memory_pages", "linear memory size (64KiB pages)"
-            ).set(self.instance.memory.size_pages, plugin=name)
+            metrics.memory_pages.set(self.instance.memory.size_pages)
         chaos_attrs = (
             {"chaos": injection.to_json()} if injection is not None else {}
         )

@@ -30,6 +30,7 @@ from repro.cluster.worker import _worker_entry, run_worker, unpack_control
 from repro.e2 import vendors
 from repro.e2.batch import E2BatchError, iter_batch_frame
 from repro.e2.comm import CommChannel
+from repro.metrics import LogHistogram
 from repro.netio.batching import (
     BatchError,
     batch_spans,
@@ -536,17 +537,12 @@ class ClusterCoordinator:
             report.cell_slot_rate = (
                 spec.slots * spec.cells / report.max_worker_seconds
             )
-        qn = p50w = p99w = 0
+        slot_us = LogHistogram()
         for r in results:
-            snap = r.get("slot_us", {})
-            count = snap.get("count", 0)
-            if count and "p50" in snap:
-                qn += count
-                p50w += snap["p50"] * count
-                p99w += snap["p99"] * count
-        if qn:
-            report.p50_slot_us = p50w / qn
-            report.p99_slot_us = p99w / qn
+            slot_us.merge(LogHistogram.from_snapshot(r.get("slot_us", {})))
+        if slot_us.count:
+            report.p50_slot_us = slot_us.quantile(0.5)
+            report.p99_slot_us = slot_us.quantile(0.99)
         for r in results:
             report.bytes_by_cell.update(
                 {name: int(n) for name, n in r["delivered_bytes"].items()}

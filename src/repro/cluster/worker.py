@@ -180,7 +180,7 @@ def _run_worker_body(
     slot_hist = registry.histogram(
         "waran_cluster_slot_us",
         "per-slot shard step time (all hosted cells), by worker (us)",
-    )
+    ).labels(worker=label)
     budget = spec.budget_us or None
     miss_counter = registry.counter(
         "waran_cluster_deadline_miss_total",
@@ -205,7 +205,7 @@ def _run_worker_body(
                     cell.node.step()
                     if schedule is not None or spec.scenario is not None:
                         step_operator_loop(cell, slot, spec.release_after)
-                slot_hist.observe((time.perf_counter() - s0) * 1e6, worker=label)
+                slot_hist.observe((time.perf_counter() - s0) * 1e6)
                 if (slot + 1) % spec.flush_every == 0:
                     # one WBR3 frame per slot range: E2 entries, the
                     # progress heartbeat (its header names the range even
@@ -283,7 +283,7 @@ def _run_worker_body(
             cell.node.channel.dropped for cell in cells
         ),
         "uplink": stats,
-        "slot_us": slot_hist.snapshot(worker=label),
+        "slot_us": slot_hist.snapshot(),
         "metrics": registry.to_json(),
     }
     if spec.trace:

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 
 from repro.abi import SchedulerPlugin
-from repro.metrics import ReservoirQuantile, StreamingQuantile
+from repro.metrics import ReservoirQuantile
 from repro.plugins import plugin_wasm
 from repro.sched import UeSchedInfo
 
@@ -82,14 +82,10 @@ def measure_plugin(
     plugin = SchedulerPlugin.load(plugin_wasm(plugin_name), name=plugin_name)
     plugin.host.limits.fuel = fuel
     ues = make_ues(n_ues)
-    p50 = StreamingQuantile(0.5)
-    p99 = StreamingQuantile(0.99)
     exact = ReservoirQuantile(capacity=calls)
     total = 0.0
     for slot in range(calls):
         call = plugin.schedule(52, ues, slot)
-        p50.add(call.elapsed_us)
-        p99.add(call.elapsed_us)
         exact.add(call.elapsed_us)
         total += call.elapsed_us
     return Cell(

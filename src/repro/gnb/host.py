@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 from repro.abi.host import PluginError, SchedulerPlugin
 from repro.channel.models import ChannelModel
 from repro.gnb.fault import FaultAction, FaultPolicy
-from repro.metrics import Accumulator, RateMeter, StreamingQuantile
-from repro.obs import OBS
+from repro.metrics import LogHistogram, RateMeter
+from repro.obs import OBS, BoundMetrics, MetricsRegistry
 from repro.phy.numerology import CarrierConfig
 from repro.phy.tbs import transport_block_size_bits
 from repro.rt.dispatcher import DeadlineDispatcher, RtDecision, RtPolicy, RtRequest
@@ -45,6 +45,23 @@ class UeContext:
         return self.neighbor_channel.step(slot) if self.neighbor_channel else 0
 
 
+def _bind_slice_exec(reg: MetricsRegistry, slice_name: str):
+    return reg.histogram(
+        "waran_gnb_slice_exec_us",
+        "per-slot plugin scheduling time by slice (us)",
+    ).labels(slice=slice_name)
+
+
+def _bind_slice_delivered(reg: MetricsRegistry, slice_name: str):
+    return reg.counter(
+        "waran_gnb_delivered_bytes_total", "bytes delivered to UEs by slice"
+    ).labels(slice=slice_name)
+
+
+def _bind_slots_total(reg: MetricsRegistry):
+    return reg.counter("waran_gnb_slots_total", "slots scheduled").labels()
+
+
 class SliceRuntime:
     """One slice (MVNO) attached to the gNB.
 
@@ -69,9 +86,12 @@ class SliceRuntime:
         self.plugin: SchedulerPlugin | None = None
         self.native: IntraSliceScheduler | None = None
         self.meter = RateMeter()
-        self.exec_time = Accumulator()
-        self.exec_p50 = StreamingQuantile(0.5)
-        self.exec_p99 = StreamingQuantile(0.99)
+        #: plugin scheduling time per slot (us), telemetry on or off
+        self.exec_us = LogHistogram()
+        # the two registry series bind separately: a native slice never
+        # opens an exec series, an idle one never opens a delivered one
+        self._exec_series = BoundMetrics(_bind_slice_exec)
+        self._delivered_series = BoundMetrics(_bind_slice_delivered)
         #: last known-good plugin state (taken on the success path when the
         #: gNB's ``checkpoint_every`` cadence is enabled)
         self.last_checkpoint = None
@@ -138,6 +158,7 @@ class GnbHost:
         self.ues: dict[int, UeContext] = {}
         self.slot = 0
         self.total_delivered_bytes = 0
+        self._slots_total = BoundMetrics(_bind_slots_total)
 
     # ----- topology -------------------------------------------------------------
 
@@ -173,7 +194,7 @@ class GnbHost:
         with OBS.tracer.span("gnb.step", slot=self.slot):
             executed = self._step_slot()
         if OBS.enabled:
-            OBS.registry.counter("waran_gnb_slots_total", "slots scheduled").inc()
+            self._slots_total.get(OBS.registry).inc()
         return executed
 
     def _step_slot(self) -> dict[int, list[UeGrant]]:
@@ -254,10 +275,9 @@ class GnbHost:
                 delivered = ue.buffer.drain(tbs_bytes)
                 self.total_delivered_bytes += delivered
                 if OBS.enabled and delivered:
-                    OBS.registry.counter(
-                        "waran_gnb_delivered_bytes_total",
-                        "bytes delivered to UEs by slice",
-                    ).inc(delivered, slice=runtime.name)
+                    runtime._delivered_series.get(
+                        OBS.registry, runtime.name
+                    ).inc(delivered)
                 ue.meter.add(now, delivered)
                 runtime.meter.add(now, delivered)
                 if self.inter_slice is not None:
@@ -340,14 +360,11 @@ class GnbHost:
                 if runtime.successes % self.checkpoint_every == 0:
                     runtime.last_checkpoint = runtime.plugin.host.checkpoint()
                     runtime.checkpoints_taken += 1
-            runtime.exec_time.add(call.elapsed_us)
-            runtime.exec_p50.add(call.elapsed_us)
-            runtime.exec_p99.add(call.elapsed_us)
+            runtime.exec_us.add(call.elapsed_us)
             if OBS.enabled:
-                OBS.registry.histogram(
-                    "waran_gnb_slice_exec_us",
-                    "per-slot plugin scheduling time by slice (us)",
-                ).observe(call.elapsed_us, slice=runtime.name)
+                runtime._exec_series.get(OBS.registry, runtime.name).observe(
+                    call.elapsed_us
+                )
                 slot_us = self.carrier.slot_duration_s * 1e6
                 if call.elapsed_us > slot_us:
                     OBS.events.emit(

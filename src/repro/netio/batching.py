@@ -352,15 +352,13 @@ class BatchSender:
         tracer = OBS.tracer
         traced = tracer.enabled
         ctx = tracer.current() if traced else None
-        enabled = OBS.enabled
-        wait_hist = (
-            OBS.registry.histogram(
+        wait_hist = None
+        if OBS.enabled and self._queue:
+            # one flush drains many payloads: resolve the series once
+            wait_hist = OBS.registry.histogram(
                 "waran_uplink_queue_wait_us",
                 "batch-queue wait from enqueue to flush (us)",
-            )
-            if enabled
-            else None
-        )
+            ).labels()
         flushed = 0
         bytes_before = self.bytes_sent
         blob_bytes = 0  # kept out of the span attr: blob size tracks

@@ -5,7 +5,8 @@ runtime, the WACC compiler, the benchmarks and the CLI, replacing the
 ad-hoc ``perf_counter`` timing each of them used to hand-roll:
 
 - :mod:`repro.obs.registry` - process-wide **metrics** (counters, gauges,
-  histograms with streaming p50/p99) with JSON and Prometheus exposition;
+  exactly-mergeable bucket histograms with p50/p99; bound handles for
+  hot sites) with JSON and Prometheus exposition;
 - :mod:`repro.obs.tracing` - **spans** (context manager + decorator,
   parent/child nesting) over the hot path: ``plugin.call`` with
   encode/invoke/decode children, ``gnb.step`` per slot, RIC xApp
@@ -41,7 +42,13 @@ from repro.obs.merge import (
     merge_snapshots,
     snapshot_to_prometheus,
 )
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.registry import (
+    BoundMetrics,
+    Counter,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+)
 from repro.obs.traceexport import (
     TraceExportError,
     chrome_trace,
@@ -125,6 +132,7 @@ __all__ = [
     "disable",
     "reset",
     "MetricsRegistry",
+    "BoundMetrics",
     "Counter",
     "Gauge",
     "Histogram",

@@ -17,9 +17,11 @@ from dataclasses import dataclass, field
 from typing import Any
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CallRecord:
-    """One captured host→plugin invocation."""
+    """One captured host→plugin invocation (treat as read-only: it is not
+    frozen only because a frozen dataclass pays ``object.__setattr__`` per
+    field on every recorded call)."""
 
     seq: int
     plugin: str
@@ -120,7 +122,7 @@ class FlightRecorder:
             fuel_used=fuel_used,
             instructions=instructions,
             error=error,
-            attrs=dict(attrs),
+            attrs=attrs,
             module_sha=module_sha,
         )
         self._records.append(rec)

@@ -20,12 +20,14 @@ Merge semantics per metric kind:
   given per metric name via ``gauge_modes``;
   :data:`DEFAULT_GAUGE_MODES` carries the known non-summable gauges and
   is what the cluster coordinator passes;
-- **histogram** - ``count``/``sum``/``min``/``max`` merge exactly and the
-  mean is recomputed; ``p50``/``p99`` cannot be reconstructed from
-  snapshots, so the merge carries the *count-weighted average* of the
-  per-process quantiles - a documented approximation that is exact when
-  the shards are statistically identical (the sharded-cell case) and
-  close otherwise.  ``stddev`` is dropped for the same reason.
+- **histogram** - series with the same label set merge *exactly*: bucket
+  counts, ``count`` and the sums add, ``min``/``max`` combine, and
+  ``mean``/``stddev``/``p50``/``p99`` are recomputed from the merged
+  buckets by the same code a live registry uses - merging shard
+  snapshots equals the snapshot of one registry fed the union of their
+  observations.  A series snapshotted without ``buckets`` (written
+  before they existed) still merges its count/sum/min/max, but the
+  merged series then carries no quantiles, stddev or buckets.
 
 The merged document stays loadable by everything that reads
 ``to_json()`` output, and :func:`snapshot_to_prometheus` renders it in
@@ -35,6 +37,8 @@ the Prometheus text exposition for scraping.
 from __future__ import annotations
 
 from typing import Any, Iterable
+
+from repro.metrics import LogHistogram
 
 LabelKey = tuple[tuple[str, str], ...]
 
@@ -72,37 +76,28 @@ def _merge_scalar(
             into[key] = value
 
 
-def _merge_histogram(into: dict[LabelKey, dict], series: Iterable[dict]) -> None:
+def _merge_histogram(
+    into: dict[LabelKey, tuple[LogHistogram, bool]], series: Iterable[dict]
+) -> None:
     for entry in series:
         key = _key(entry.get("labels", {}))
-        count = int(entry.get("count", 0))
-        acc = into.setdefault(
-            key, {"count": 0, "sum": 0.0, "_p50w": 0.0, "_p99w": 0.0, "_qn": 0}
+        hist, bucketed = into.get(key) or (LogHistogram(), True)
+        hist.merge(LogHistogram.from_snapshot(entry))
+        into[key] = (
+            hist,
+            bucketed and ("buckets" in entry or not entry.get("count")),
         )
-        acc["count"] += count
-        acc["sum"] += float(entry.get("sum", 0.0))
-        if count == 0:
-            continue
-        if "min" in entry:
-            acc["min"] = min(acc.get("min", entry["min"]), entry["min"])
-        if "max" in entry:
-            acc["max"] = max(acc.get("max", entry["max"]), entry["max"])
-        if "p50" in entry:
-            acc["_p50w"] += entry["p50"] * count
-            acc["_p99w"] += entry.get("p99", entry["p50"]) * count
-            acc["_qn"] += count
 
 
-def _finish_histogram(acc: dict) -> dict[str, float]:
-    out: dict[str, float] = {"count": acc["count"], "sum": acc["sum"]}
-    if acc["count"]:
-        out["mean"] = acc["sum"] / acc["count"]
-        for bound in ("min", "max"):
-            if bound in acc:
-                out[bound] = acc[bound]
-        if acc["_qn"]:
-            out["p50"] = acc["_p50w"] / acc["_qn"]
-            out["p99"] = acc["_p99w"] / acc["_qn"]
+def _finish_histogram(hist: LogHistogram, bucketed: bool) -> dict[str, float]:
+    if bucketed:
+        return hist.snapshot()
+    out: dict[str, float] = {"count": hist.count, "sum": hist.total}
+    if hist.count:
+        out["mean"] = hist.mean
+        if hist.minimum <= hist.maximum:
+            out["min"] = hist.minimum
+            out["max"] = hist.maximum
     return out
 
 
@@ -127,7 +122,7 @@ def merge_snapshots(
     kinds: dict[str, str] = {}
     helps: dict[str, str] = {}
     scalars: dict[str, dict[LabelKey, float]] = {}
-    histograms: dict[str, dict[LabelKey, dict]] = {}
+    histograms: dict[str, dict[LabelKey, tuple[LogHistogram, bool]]] = {}
 
     for doc in snapshots:
         metrics = doc.get("metrics", doc) if isinstance(doc, dict) else doc
@@ -159,8 +154,8 @@ def merge_snapshots(
         kind = kinds[name]
         if kind == "histogram":
             series = [
-                {"labels": dict(key), **_finish_histogram(acc)}
-                for key, acc in sorted(histograms.get(name, {}).items())
+                {"labels": dict(key), **_finish_histogram(*merged)}
+                for key, merged in sorted(histograms.get(name, {}).items())
             ]
         else:
             series = [

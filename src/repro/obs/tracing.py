@@ -105,12 +105,26 @@ class TraceContext:
             return None
 
 
+class _SpanStack(list):
+    """One thread's active spans, innermost last; knows its thread."""
+
+    __slots__ = ("thread_id",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.thread_id = threading.get_ident()
+
+
 class Span:
-    """One timed interval; records its parent (local or remote) at open time."""
+    """One timed interval; records its parent (local or remote) at open time.
+
+    A span is entered on the thread that created it (``with
+    tracer.span(...)``): it looks its thread's stack up once, at creation.
+    """
 
     __slots__ = (
         "tracer", "name", "trace_id", "span_id", "parent_id", "attrs",
-        "start_ns", "end_ns", "status", "thread_id", "children_us",
+        "start_ns", "end_ns", "status", "thread_id", "children_us", "_stack",
     )
 
     def __init__(
@@ -123,7 +137,7 @@ class Span:
         self.tracer = tracer
         self.name = name
         self.span_id = tracer._next_id()
-        stack = tracer._stack()
+        stack = self._stack = tracer._stack()
         if parent is not None:
             # explicitly propagated (possibly from another process)
             self.trace_id = parent.trace_id
@@ -170,8 +184,9 @@ class Span:
         return best, best_us
 
     def __enter__(self) -> "Span":
-        self.tracer._stack().append(self)
-        self.thread_id = threading.get_ident()
+        stack = self._stack
+        stack.append(self)
+        self.thread_id = stack.thread_id
         self.start_ns = time.perf_counter_ns()
         return self
 
@@ -180,7 +195,7 @@ class Span:
         if exc_type is not None:
             self.status = "error"
             self.attrs.setdefault("error", f"{exc_type.__name__}: {exc}")
-        stack = self.tracer._stack()
+        stack = self._stack
         if stack and stack[-1] is self:
             stack.pop()
         if stack and stack[-1].span_id == self.parent_id:
@@ -238,10 +253,10 @@ class Tracer:
     def _next_id(self) -> int:
         return (self._id_hi << 32) | (next(self._ids) & 0xFFFF_FFFF)
 
-    def _stack(self) -> list[Span]:
+    def _stack(self) -> _SpanStack:
         stack = getattr(self._tls, "stack", None)
         if stack is None:
-            stack = self._tls.stack = []
+            stack = self._tls.stack = _SpanStack()
         return stack
 
     def current(self) -> TraceContext | None:

@@ -11,7 +11,7 @@ from repro.abi.host import HostLimits, PluginError, PluginHost
 from repro.chaos.supervisor import CircuitOpenError, Supervisor
 from repro.e2 import messages
 from repro.netio.bus import NetworkError
-from repro.obs import OBS
+from repro.obs import OBS, BoundMetrics, MetricsRegistry
 from repro.e2.comm import CommChannel
 from repro.ric import wire
 from repro.wasm.instance import HostFunc
@@ -33,6 +33,25 @@ XAPP_REQUIRED_EXPORTS = {
 }
 
 
+def _bind_xapp_calls(reg: MetricsRegistry, xapp: str):
+    return reg.counter(
+        "waran_ric_xapp_calls_total", "successful xApp dispatches"
+    ).labels(xapp=xapp)
+
+
+def _bind_xapp_actions(reg: MetricsRegistry, xapp: str):
+    return reg.counter(
+        "waran_ric_xapp_actions_total", "actions emitted by xApps"
+    ).labels(xapp=xapp)
+
+
+def _bind_indications(reg: MetricsRegistry):
+    return reg.counter(
+        "waran_ric_indications_total",
+        "KPM indications received, by originating node",
+    ).labels_by("node")
+
+
 @dataclass
 class XappRuntime:
     """One hosted xApp: the plugin, its subscriptions, and stats."""
@@ -43,6 +62,15 @@ class XappRuntime:
     calls: int = 0
     faults: int = 0
     actions_emitted: int = 0
+    # bound separately: the actions series opens on the first action
+    _calls_series: BoundMetrics = field(
+        default_factory=lambda: BoundMetrics(_bind_xapp_calls),
+        repr=False, compare=False,
+    )
+    _actions_series: BoundMetrics = field(
+        default_factory=lambda: BoundMetrics(_bind_xapp_actions),
+        repr=False, compare=False,
+    )
 
 
 @dataclass
@@ -90,6 +118,7 @@ class NearRtRic:
         self.controls_sent: list[dict[str, Any]] = []
         self.acks: list[dict[str, Any]] = []
         self.xapp_log: list[tuple[str, int, int]] = []
+        self._indications_series = BoundMetrics(_bind_indications)
 
     # ----- xApp hosting -----------------------------------------------------
 
@@ -240,10 +269,7 @@ class NearRtRic:
                     self.indications_by_node.get(source, 0) + 1
                 )
                 if OBS.enabled:
-                    OBS.registry.counter(
-                        "waran_ric_indications_total",
-                        "KPM indications received, by originating node",
-                    ).inc(node=source)
+                    self._indications_series.get(OBS.registry)[source].inc()
                 executed.extend(self._handle_indication(source, message))
         return executed
 
@@ -318,13 +344,12 @@ class NearRtRic:
                 runtime.calls += 1
                 runtime.actions_emitted += len(actions)
                 if OBS.enabled:
-                    OBS.registry.counter(
-                        "waran_ric_xapp_calls_total", "successful xApp dispatches"
-                    ).inc(xapp=runtime.name)
+                    reg = OBS.registry
+                    runtime._calls_series.get(reg, runtime.name).inc()
                     if actions:
-                        OBS.registry.counter(
-                            "waran_ric_xapp_actions_total", "actions emitted by xApps"
-                        ).inc(len(actions), xapp=runtime.name)
+                        runtime._actions_series.get(reg, runtime.name).inc(
+                            len(actions)
+                        )
                 for action in actions:
                     self._execute_action(source, action)
                     executed.append(action)

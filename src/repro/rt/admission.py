@@ -30,7 +30,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.chaos.supervisor import BreakerState, CircuitBreaker
-from repro.obs import OBS
+from repro.obs import OBS, BoundMetrics, MetricsRegistry
 
 
 class Verdict(enum.Enum):
@@ -44,6 +44,18 @@ class Verdict(enum.Enum):
     @property
     def dispatches(self) -> bool:
         return self in (Verdict.ADMIT, Verdict.PROBE, Verdict.DEMOTE)
+
+
+def _bind_verdicts(reg: MetricsRegistry, plugin: str):
+    return reg.counter(
+        "waran_rt_verdicts_total", "admission verdicts by plugin"
+    ).labels_by("verdict", plugin=plugin)
+
+
+def _bind_fuel_p99(reg: MetricsRegistry, plugin: str):
+    return reg.gauge(
+        "waran_rt_fuel_p99", "windowed per-call fuel p99 by plugin"
+    ).labels(plugin=plugin)
 
 
 @dataclass
@@ -60,9 +72,18 @@ class PluginAdmissionState:
     quarantines: int = 0
     readmissions: int = 0
     last_verdict: str = ""
+    _verdict_series: BoundMetrics = field(
+        default_factory=lambda: BoundMetrics(_bind_verdicts),
+        repr=False, compare=False,
+    )
+    # bound apart from the verdicts: the gauge opens on the first sample
+    _fuel_p99_series: BoundMetrics = field(
+        default_factory=lambda: BoundMetrics(_bind_fuel_p99),
+        repr=False, compare=False,
+    )
 
     def fuel_p99(self) -> int | None:
-        """p99 over the sample window (exact order statistic, not P²)."""
+        """p99 over the sample window (an exact order statistic)."""
         if not self.window:
             return None
         ordered = sorted(self.window)
@@ -178,12 +199,9 @@ class AdmissionController:
                     reason=reason,
                 )
         if OBS.enabled:
-            OBS.registry.counter(
-                "waran_rt_verdicts_total", "admission verdicts by plugin"
-            ).inc(plugin=st.key, verdict=verdict.value)
+            reg = OBS.registry
+            st._verdict_series.get(reg, st.key)[verdict.value].inc()
             p99 = st.fuel_p99()
             if p99 is not None:
-                OBS.registry.gauge(
-                    "waran_rt_fuel_p99", "windowed per-call fuel p99 by plugin"
-                ).set(p99, plugin=st.key)
+                st._fuel_p99_series.get(reg, st.key).set(p99)
         return verdict, reason

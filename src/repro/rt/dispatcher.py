@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.obs import OBS
+from repro.obs import OBS, BoundMetrics, MetricsRegistry
 from repro.rt.admission import AdmissionController, Verdict
 from repro.rt.lanes import DEFAULT_LANES, LaneSpec, format_lanes, parse_lanes, plan_lanes
 
@@ -103,6 +103,20 @@ class RtPolicy:
         return replace(policy, **updates)
 
 
+def _bind_observed_rate(reg: MetricsRegistry):
+    return reg.gauge(
+        "waran_rt_observed_fuel_per_us",
+        "EWMA of observed fuel per wall-clock us (reporting only)",
+    ).labels()
+
+
+def _bind_degraded(reg: MetricsRegistry):
+    return reg.counter(
+        "waran_rt_degraded_total",
+        "dispatches degraded to the native fallback scheduler",
+    ).labels_by("plugin", "verdict")
+
+
 class FuelCalibrator:
     """Observes the wall-clock fuel/us rate; reporting only, never policy.
 
@@ -117,6 +131,7 @@ class FuelCalibrator:
         self.alpha = alpha
         self.rate: float | None = None
         self.samples = 0
+        self._rate_gauge = BoundMetrics(_bind_observed_rate)
 
     def observe(self, fuel_used: int | None, elapsed_us: float) -> None:
         if not fuel_used or elapsed_us <= 0:
@@ -129,10 +144,7 @@ class FuelCalibrator:
         )
         self.samples += 1
         if OBS.enabled:
-            OBS.registry.gauge(
-                "waran_rt_observed_fuel_per_us",
-                "EWMA of observed fuel per wall-clock us (reporting only)",
-            ).set(round(self.rate, 3))
+            self._rate_gauge.get(OBS.registry).set(round(self.rate, 3))
 
     def suggest_rate(self) -> float | None:
         """The rate an operator would pin as ``fuel_per_us`` (or None)."""
@@ -205,6 +217,7 @@ class DeadlineDispatcher:
         self.calibrator = FuelCalibrator()
         self.counters = RtCounters()
         self._slot_fuel = 0
+        self._degraded_series = BoundMetrics(_bind_degraded)
         self._lane_of = {lane.name: lane for lane in policy.lanes}
         self._floor_lane = min(
             policy.lanes, key=lambda l: (-l.priority, l.name)
@@ -303,10 +316,9 @@ class DeadlineDispatcher:
             else:
                 self.counters.degraded += 1
                 if OBS.enabled:
-                    OBS.registry.counter(
-                        "waran_rt_degraded_total",
-                        "dispatches degraded to the native fallback scheduler",
-                    ).inc(plugin=decision.key, verdict=decision.verdict.value)
+                    self._degraded_series.get(OBS.registry)[
+                        decision.key, decision.verdict.value
+                    ].inc()
         # dispatch order: lane priority first, then slice id
         decisions.sort(key=lambda d: (self._lane(d.lane).priority, d.sid))
         return decisions

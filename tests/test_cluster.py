@@ -141,7 +141,7 @@ class TestInlineCluster:
         assert metrics["waran_cluster_ingested_messages_total"]["series"][0][
             "value"
         ] == report.indications_seen
-        # worker histograms merged count-weighted into one exposition
+        # worker histograms merge (exactly, by bucket) into one exposition
         slot_us = metrics["waran_cluster_slot_us"]["series"]
         assert sum(e["count"] for e in slot_us) == QUICK.slots * QUICK.workers
         # the RIC's own metrics ride along in the coordinator snapshot

@@ -9,11 +9,27 @@ from hypothesis import strategies as st
 
 from repro.metrics import (
     Accumulator,
+    LogHistogram,
     RateMeter,
     ReservoirQuantile,
-    StreamingQuantile,
     TimeSeries,
 )
+from repro.metrics.accumulators import bucket_bounds, bucket_index
+
+#: a bucket's midpoint is within 1/32 of every value the bucket holds
+REL = 0.032
+
+
+def _exact(values, q):
+    oracle = ReservoirQuantile(capacity=len(values))
+    oracle.extend(values)
+    return oracle.quantile(q)
+
+
+def _hist(values):
+    hist = LogHistogram()
+    hist.extend(values)
+    return hist
 
 
 class TestAccumulator:
@@ -130,45 +146,163 @@ class TestAccumulatorMerge:
 
 
 class TestStreamingQuantile:
+    """Quantiles over a stream without storing it - :class:`LogHistogram`
+    (log-linear buckets) where the P-squared estimator used to be."""
+
     def test_rejects_bad_quantile(self):
         with pytest.raises(ValueError):
-            StreamingQuantile(1.5)
+            _hist([1.0]).quantile(1.5)
 
     def test_small_sample_exact(self):
-        q = StreamingQuantile(0.5)
-        for v in [5.0, 1.0, 3.0]:
-            q.add(v)
-        assert q.value == 3.0
+        # min/max clamp the bucket midpoint: one distinct value is exact
+        assert _hist([3.0]).quantile(0.5) == 3.0
+        assert _hist([0.7] * 3).quantile(0.99) == 0.7
+        ends = _hist([5.0, 1.0, 3.0])
+        assert ends.quantile(0.5) == pytest.approx(3.0, rel=REL)
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            StreamingQuantile(0.5).value
+            LogHistogram().quantile(0.5)
 
     @pytest.mark.parametrize("target", [0.5, 0.9, 0.99])
     def test_uniform_stream_accuracy(self, target):
         rng = random.Random(42)
-        est = StreamingQuantile(target)
-        exact = ReservoirQuantile(capacity=200_000)
-        for _ in range(20_000):
-            v = rng.random()
-            est.add(v)
-            exact.add(v)
-        assert est.value == pytest.approx(exact.quantile(target), abs=0.02)
+        values = [rng.random() for _ in range(20_000)]
+        assert _hist(values).quantile(target) == pytest.approx(
+            _exact(values, target), rel=REL
+        )
 
     def test_exponential_tail(self):
         rng = random.Random(7)
-        est = StreamingQuantile(0.99)
         values = [rng.expovariate(1.0) for _ in range(50_000)]
-        for v in values:
-            est.add(v)
-        exact = sorted(values)[int(0.99 * len(values))]
-        assert est.value == pytest.approx(exact, rel=0.1)
+        assert _hist(values).quantile(0.99) == pytest.approx(
+            _exact(values, 0.99), rel=REL
+        )
 
     def test_monotone_under_sorted_input(self):
-        est = StreamingQuantile(0.5)
-        for i in range(1000):
-            est.add(float(i))
-        assert est.value == pytest.approx(500, rel=0.05)
+        hist = _hist(float(i) for i in range(1000))
+        assert hist.quantile(0.5) == pytest.approx(499.5, rel=REL)
+
+
+def _streams():
+    rng = random.Random(12)
+    return {
+        "lognormal_us": [rng.lognormvariate(5.0, 0.8) for _ in range(8000)],
+        "bimodal": [
+            rng.gauss(120.0, 4.0) if rng.random() < 0.7 else rng.gauss(9000.0, 300.0)
+            for _ in range(8000)
+        ],
+        "constant": [417.25] * 500,
+        "fuel_ints": [rng.randrange(300, 40_000) for _ in range(8000)],
+        "sub_microsecond": [rng.uniform(2e-8, 9e-7) for _ in range(8000)],
+        "five_samples": [12.0, 900.0, 13.5, 7.0, 88.0],
+    }
+
+
+class TestLogHistogram:
+    @pytest.mark.parametrize("name", sorted(_streams()))
+    @pytest.mark.parametrize("q", [0.5, 0.99])
+    def test_quantile_within_bound_of_exact(self, name, q):
+        values = _streams()[name]
+        assert _hist(values).quantile(q) == pytest.approx(
+            _exact(values, q), rel=REL
+        )
+
+    def test_summary_statistics(self):
+        values = _streams()["lognormal_us"]
+        hist, acc = _hist(values), Accumulator()
+        acc.extend(values)
+        assert hist.count == acc.count
+        assert hist.total == pytest.approx(acc.total)
+        assert hist.mean == pytest.approx(acc.mean)
+        assert (hist.minimum, hist.maximum) == (acc.minimum, acc.maximum)
+        assert hist.stddev == pytest.approx(acc.stddev, rel=1e-9)
+
+    def test_zero_and_negative_land_in_defined_buckets(self):
+        assert bucket_index(0.0) == 0 and bucket_index(-0.0) == 0
+        assert bucket_bounds(0) == (0.0, 0.0)
+        assert bucket_index(-2.5) == -bucket_index(2.5)
+        low, high = bucket_bounds(bucket_index(-2.5))
+        assert low < -2.5 <= high
+        hist = _hist([-4.0, -4.0, 0.0, 0.0, 0.0, 6.0])
+        assert hist.buckets == {
+            bucket_index(-4.0): 2, 0: 3, bucket_index(6.0): 1,
+        }
+        assert hist.quantile(0.0) == -4.0  # clamped to the observed minimum
+        assert hist.quantile(0.5) == 0.0
+        assert hist.quantile(1.0) == 6.0
+
+    @given(
+        st.floats(
+            min_value=-1e300, max_value=1e300, allow_nan=False,
+            allow_subnormal=False,  # too few mantissa bits left for 16 cuts
+        )
+    )
+    def test_bucket_contains_its_value(self, value):
+        low, high = bucket_bounds(bucket_index(value))
+        if value > 0:
+            assert low <= value < high and high - low <= low / 16
+        elif value < 0:
+            assert low < value <= high
+        else:
+            assert low == high == 0.0
+
+    @given(
+        st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+        st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+    )
+    def test_index_order_is_value_order(self, a, b):
+        if a <= b:
+            assert bucket_index(a) <= bucket_index(b)
+
+    def test_smallest_and_largest_doubles_index(self):
+        assert bucket_index(5e-324) >= 1
+        assert bucket_index(1.7976931348623157e308) > bucket_index(5e-324)
+
+    def test_buckets_stay_sparse(self):
+        rng = random.Random(3)
+        hist = _hist(rng.uniform(200.0, 260.0) for _ in range(20_000))
+        assert len(hist.buckets) <= 8  # 200..260 spans under half an octave
+
+    def test_arrival_order_does_not_matter(self):
+        values = _streams()["bimodal"]
+        shuffled = list(values)
+        random.Random(1).shuffle(shuffled)
+        a, b = _hist(values).snapshot(), _hist(shuffled).snapshot()
+        for key in ("count", "min", "max", "p50", "p99", "buckets"):
+            assert a[key] == b[key]
+
+    @given(
+        st.lists(st.floats(-1e9, 1e9), max_size=80),
+        st.lists(st.floats(-1e9, 1e9), max_size=80),
+    )
+    def test_merge_equals_histogram_of_the_union(self, left, right):
+        merged, whole = _hist(left), _hist(left + right)
+        merged.merge(_hist(right))
+        assert merged.count == whole.count
+        assert merged.buckets == whole.buckets
+        assert (merged.minimum, merged.maximum) == (whole.minimum, whole.maximum)
+        assert merged.total == pytest.approx(whole.total, rel=1e-9, abs=1e-6)
+        for q in (0.5, 0.99):
+            if whole.count:
+                assert merged.quantile(q) == whole.quantile(q)
+
+    def test_snapshot_round_trip(self):
+        hist = _hist(_streams()["fuel_ints"])
+        snap = hist.snapshot()
+        again = LogHistogram.from_snapshot(snap).snapshot()
+        assert again["buckets"] == snap["buckets"]
+        for key in ("count", "sum", "min", "max", "p50", "p99"):
+            assert again[key] == snap[key]
+        assert again["stddev"] == pytest.approx(snap["stddev"], rel=1e-9)
+        assert LogHistogram().snapshot() == {"count": 0, "sum": 0.0}
+
+    def test_inconsistent_snapshot_is_rejected_at_read(self):
+        bad = LogHistogram.from_snapshot(
+            {"count": 5, "sum": 5.0, "min": 1.0, "max": 1.0, "buckets": [[1, 2]]}
+        )
+        with pytest.raises(ValueError):
+            bad.quantile(0.99)
 
 
 class TestReservoirQuantile:

@@ -265,9 +265,11 @@ class TestPluginHostTelemetry:
         plugin.schedule(52, _ues(), slot=0)
         reg = telemetry.registry
         fuel = reg.histogram("waran_plugin_fuel_used").snapshot(plugin="pf")
-        instr = reg.histogram("waran_plugin_instructions").snapshot(plugin="pf")
         assert fuel["count"] == 1 and fuel["sum"] > 0
-        assert instr["sum"] == fuel["sum"]
+        # fuel burns 1 per retired instruction: one series carries both
+        (rec,) = telemetry.flight.last(1)
+        assert rec.instructions == fuel["sum"]
+        assert reg.get("waran_plugin_instructions") is None
         frames = reg.histogram("waran_wasm_frames").snapshot(plugin="pf")
         assert frames["count"] == 1 and frames["sum"] >= 1
         stack = reg.histogram("waran_wasm_value_stack_peak").snapshot(plugin="pf")

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.obs import MetricsRegistry, MergeError, merge_snapshots
 from repro.obs.merge import snapshot_to_prometheus
@@ -52,13 +54,90 @@ class TestMergeHistograms:
         assert entry["min"] == 1.0
         assert entry["max"] == 11.0
 
-    def test_quantiles_count_weighted(self):
+    def test_quantiles_exact(self):
         s0 = snap(lambda r: [r.histogram("h").observe(10.0) for _ in range(3)])
         s1 = snap(lambda r: r.histogram("h").observe(20.0))
         merged = merge_snapshots([s0, s1])
         entry = merged["h"]["series"][0]
-        # 3 samples at p50=10, 1 at p50=20 -> weighted 12.5
-        assert entry["p50"] == pytest.approx(12.5)
+        # the median of (10, 10, 10, 20) is 10 - count-weighting the two
+        # per-shard medians said 12.5
+        whole = snap(
+            lambda r: [r.histogram("h").observe(v) for v in (10.0, 10.0, 10.0, 20.0)]
+        )["h"]["series"][0]
+        assert entry["p50"] == whole["p50"] == pytest.approx(10.0, rel=0.032)
+        assert entry["p99"] == whole["p99"]
+        assert entry["buckets"] == whole["buckets"]
+
+    def test_skewed_shards_match_single_registry(self):
+        """One worker holds the whole tail: the case count-weighting got
+        wrong by the width of the distribution."""
+        fast = [100.0 + i for i in range(200)]
+        slow = [5000.0 + 10 * i for i in range(10)]
+
+        def feed(values):
+            return lambda r: [r.histogram("h").observe(v, cell="c") for v in values]
+
+        merged = merge_snapshots([snap(feed(fast)), snap(feed(slow))])
+        whole = snap(feed(fast + slow))
+        got, want = merged["h"]["series"][0], whole["h"]["series"][0]
+        for key in ("count", "min", "max", "buckets", "p50", "p99", "mean"):
+            assert got[key] == want[key]
+        assert got["stddev"] == pytest.approx(want["stddev"], rel=1e-9)
+
+    @given(
+        st.lists(
+            st.floats(min_value=-1e9, max_value=1e9, allow_nan=False),
+            min_size=1, max_size=120,
+        ),
+        st.integers(min_value=1, max_value=5),
+        st.randoms(use_true_random=False),
+    )
+    def test_any_sharding_equals_single_registry(self, values, k, rng):
+        """merge(shards) == the snapshot of one registry fed the union."""
+        shards = [MetricsRegistry() for _ in range(k)]
+        whole = MetricsRegistry()
+        for v in values:
+            rng.choice(shards).histogram("h", "help").observe(v, plugin="p")
+            whole.histogram("h", "help").observe(v, plugin="p")
+        merged = merge_snapshots([r.to_json() for r in shards])
+        got = merged["h"]["series"][0]
+        want = whole.to_json()["h"]["series"][0]
+        for key in ("labels", "count", "min", "max", "buckets", "p50", "p99"):
+            assert got[key] == want[key]
+        assert got["sum"] == pytest.approx(want["sum"], rel=1e-9, abs=1e-6)
+
+    def test_merge_is_associative(self):
+        docs = [
+            snap(lambda r, lo=lo: [
+                r.histogram("h").observe(float(v)) for v in range(lo, lo + 40)
+            ])
+            for lo in (1, 30, 500)
+        ]
+        once = merge_snapshots(docs)["h"]["series"][0]
+        staged = merge_snapshots(
+            [merge_snapshots(docs[:2]), docs[2]]
+        )["h"]["series"][0]
+        for key in ("count", "sum", "min", "max", "buckets", "p50", "p99"):
+            assert once[key] == staged[key]
+
+    def test_bucketless_legacy_series_merges_without_quantiles(self):
+        """A snapshot written before buckets existed still contributes
+        count/sum/min/max; the merged series then claims no percentile."""
+        legacy = {
+            "h": {
+                "type": "histogram", "help": "",
+                "series": [{
+                    "labels": {}, "count": 2, "sum": 30.0, "mean": 15.0,
+                    "min": 10.0, "max": 20.0, "p50": 15.0, "p99": 20.0,
+                }],
+            }
+        }
+        fresh = snap(lambda r: r.histogram("h").observe(40.0))
+        entry = merge_snapshots([legacy, fresh])["h"]["series"][0]
+        assert entry == {
+            "labels": {}, "count": 3, "sum": 70.0,
+            "mean": pytest.approx(70.0 / 3), "min": 10.0, "max": 40.0,
+        }
 
     def test_empty_series_survive(self):
         s0 = snap(lambda r: r.histogram("h"))
@@ -66,7 +145,7 @@ class TestMergeHistograms:
         assert merged["h"]["series"] == []
 
     def test_identical_shards_exact(self):
-        """The sharded-cell case: same distribution -> quantiles exact."""
+        """The sharded-cell case: same distribution -> same median."""
         def build(r):
             for v in (1.0, 2.0, 3.0):
                 r.histogram("h").observe(v)
@@ -74,7 +153,7 @@ class TestMergeHistograms:
         merged = merge_snapshots([snap(build), snap(build)])
         entry = merged["h"]["series"][0]
         single = snap(build)["h"]["series"][0]
-        assert entry["p50"] == pytest.approx(single["p50"])
+        assert entry["p50"] == single["p50"]
 
 
 class TestMergeInputs:

@@ -40,6 +40,7 @@ def measure_engine(engine: str) -> dict:
         # "@cal" keeps these samples out of the plugin histograms the
         # obs perf gate compares (legacy-engine calls would skew them)
         host = PluginHost(plugin_wasm(name), name=f"{name}@cal", engine=engine)
+        host.promote()  # the aot row is the compiled rate, not the warm-up
         fuel_total, us_total = 0, 0.0
         for n_ues in UE_COUNTS:
             payload = wire.pack_sched_input(0, 32, make_ues(n_ues))

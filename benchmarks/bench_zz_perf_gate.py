@@ -24,6 +24,7 @@ from benchmarks.conftest import (
     perf_gate_violations,
     replay_gate_violations,
     rt_gate_violations,
+    tier_up_gate_violations,
 )
 
 
@@ -47,6 +48,21 @@ def test_aot_tier_holds_its_speedup(benchmark):
     """
     violations = benchmark.pedantic(aot_gate_violations, rounds=1, iterations=1)
     assert not violations, "aot tier perf gate:\n" + "\n".join(violations)
+
+
+@pytest.mark.benchmark(group="perf-gate")
+def test_tier_up_is_compiled_when_hot_and_cheap_when_cold(benchmark):
+    """The default engine's bargain, both sides (ratios, same session).
+
+    Hot: a default-engine ``PluginHost.call`` on ``pf`` that promoted by
+    burning fuel runs within 15% of a host promoted up front and >=1.8x a
+    pinned-threaded host.  Cold: a default-engine ``SchedulerPlugin.load``
+    of a never-seen variant costs within 15% of ``engine="threaded"``.
+    """
+    violations = benchmark.pedantic(
+        tier_up_gate_violations, rounds=1, iterations=1
+    )
+    assert not violations, "tier-up perf gate:\n" + "\n".join(violations)
 
 
 @pytest.mark.benchmark(group="perf-gate")

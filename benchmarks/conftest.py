@@ -294,6 +294,111 @@ def aot_gate_violations() -> list[str]:
     return violations
 
 
+#: tier-up acceptance: a heat-promoted default-engine host runs within this
+#: factor of a host promoted up front, a never-seen binary loads within it
+#: of ``engine="threaded"`` ...
+TIER_UP_PARITY_CEIL = 1.15
+#: ... and the promoted host is at least this much faster than threaded
+TIER_UP_SPEEDUP_FLOOR = 1.8
+
+
+def tier_up_report(calls: int = 150, loads: int = 24) -> dict:
+    """Time the two sides of the tier-up bargain, interleaved in-process.
+
+    *Hot*: ``PluginHost.call`` on ``pf`` for a default-engine host that
+    promoted by burning fuel, a host promoted up front, and a pinned
+    threaded host.  *Cold*: ``SchedulerPlugin.load`` of never-seen
+    variants (same code, new custom section) under the default engine
+    and under ``engine="threaded"``.  Medians of interleaved samples.
+    """
+    import time
+    from statistics import median
+
+    from benchmarks.ledger.workloads import cold_variant
+    from repro.abi import SchedulerPlugin, wire
+    from repro.abi.host import PluginHost
+    from repro.experiments.fig5d import make_ues
+    from repro.plugins import plugin_wasm
+    from repro.wasm import codecache
+
+    def variant(wasm: bytes, tag: str) -> bytes:
+        return cold_variant(wasm, "tierup.gate", tag)
+
+    now = time.perf_counter_ns
+    payloads = [wire.pack_sched_input(s, 52, make_ues(24)) for s in range(calls)]
+    wasm = plugin_wasm("pf")
+    codecache.clear()
+    earned = PluginHost(wasm, name="gate-earned")
+    warmup = 0
+    while earned.tier != "aot":
+        earned.call(payloads[warmup % calls])
+        warmup += 1
+    hosts = {
+        "earned": earned,
+        "upfront": PluginHost(variant(wasm, "upfront"), name="gate-upfront"),
+        "threaded": PluginHost(wasm, name="gate-threaded", engine="threaded"),
+    }
+    hosts["upfront"].promote()
+    call_ns: dict[str, list[int]] = {name: [] for name in hosts}
+    for payload in payloads:
+        for name, host in hosts.items():
+            t0 = now()
+            host.call(payload)
+            call_ns[name].append(now() - t0)
+    load_ns: dict[str, list[int]] = {"default": [], "threaded": []}
+    for i in range(loads):
+        for name, engine in (("default", None), ("threaded", "threaded")):
+            cold = variant(wasm, f"{name}.{i}")
+            t0 = now()
+            SchedulerPlugin.load(cold, engine=engine)
+            load_ns[name].append(now() - t0)
+    codecache.clear()
+    return {
+        "warmup_calls": warmup,
+        "tiers": {name: host.tier for name, host in hosts.items()},
+        "call_us": {n: median(v) / 1000.0 for n, v in call_ns.items()},
+        "load_cold_us": {n: median(v) / 1000.0 for n, v in load_ns.items()},
+    }
+
+
+def tier_up_gate_violations() -> list[str]:
+    """Gate the tier-up bargain: compiled when hot, threaded's cost when cold.
+
+    Ratio-based (every side measured interleaved in this session), so it
+    holds on shared runners; ``WARAN_PERF_GATE[_TOLERANCE]`` apply as usual.
+    """
+    if os.environ.get(GATE_ENV, "").lower() in ("off", "0", "false"):
+        return []
+    tolerance = float(os.environ.get(GATE_TOLERANCE_ENV, "1.25"))
+    live = tier_up_report()
+    violations = []
+    if live["tiers"] != {"earned": "aot", "upfront": "aot", "threaded": "threaded"}:
+        violations.append(f"hosts ended on the wrong tiers: {live['tiers']}")
+    call_us, load_us = live["call_us"], live["load_cold_us"]
+    parity = call_us["earned"] / call_us["upfront"]
+    if parity > TIER_UP_PARITY_CEIL * tolerance:
+        violations.append(
+            f"heat-promoted pf call is {parity:.2f}x a host promoted up front "
+            f"({call_us['earned']:.0f} vs {call_us['upfront']:.0f} us; "
+            f"ceiling {TIER_UP_PARITY_CEIL}x, tolerance x{tolerance})"
+        )
+    speedup = call_us["threaded"] / call_us["earned"]
+    if speedup < TIER_UP_SPEEDUP_FLOOR / tolerance:
+        violations.append(
+            f"heat-promoted pf call is only {speedup:.2f}x a pinned-threaded "
+            f"host ({call_us['earned']:.0f} vs {call_us['threaded']:.0f} us; "
+            f"floor {TIER_UP_SPEEDUP_FLOOR}x, tolerance x{tolerance})"
+        )
+    cold = load_us["default"] / load_us["threaded"]
+    if cold > TIER_UP_PARITY_CEIL * tolerance:
+        violations.append(
+            f"default-engine cold load is {cold:.2f}x engine='threaded' "
+            f"({load_us['default']:.0f} vs {load_us['threaded']:.0f} us; "
+            f"ceiling {TIER_UP_PARITY_CEIL}x, tolerance x{tolerance})"
+        )
+    return violations
+
+
 def rt_gate_violations() -> list[str]:
     """Gate the rt tier: live flash-crowd miss reduction vs floor+baseline.
 

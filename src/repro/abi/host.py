@@ -8,6 +8,10 @@ operations the paper's design needs:
   a plugin fault can never take the host down (§5D);
 - **hot swap** - replace the plugin binary between calls without touching
   the host (§5C's live scheduler change);
+- **tier-up** - under the default engine a binary starts on threaded code
+  (cheap cold load, Fig. 5b) and is rebound to compiled code between two
+  calls once it has burnt its compile cost in fuel (Fig. 5d's steady
+  state) - see :meth:`PluginHost.promote`;
 - **timing** - every call is measured end-to-end *including serialization*,
   matching how §5E measures execution time.
 
@@ -29,10 +33,23 @@ from repro.abi.sanitizer import sanitize_plugin
 from repro.obs import OBS, BoundMetrics, MetricsRegistry
 from repro.obs.flight import CallRecord
 from repro.sched.types import UeGrant, UeSchedInfo
-from repro.wasm import Instance, decode_module
+from repro.wasm import Instance, codecache, decode_module
 from repro.wasm.instance import HostFunc, InstanceState, Store
 from repro.wasm.interpreter import ExecStats
+from repro.wasm.threaded import resolve_engine
 from repro.wasm.traps import LinkError, Trap, WasmError
+
+#: Tier-up threshold: a module is compiled to aot bodies once its
+#: instances have burnt this much fuel per static instruction.  Derived
+#: from the slot-cost ledger (``dense_cell``, PR 11 baseline), not tuned:
+#: emitting + ``compile()``-ing the fueled variant costs ~14 us per static
+#: instruction (7.0 ms / 492 for ``rr``); threaded code retires 4.59
+#: fuel/us and aot 11.1, so compiled code saves 1/4.59 - 1/11.1 = 0.128 us
+#: per fuel unit; break-even is 14 / 0.128 = ~110 fuel per static
+#: instruction, rounded up to a power of two.  (``rr``: 63 k fuel, about
+#: 20 dense calls; a cold variant living 5 calls burns ~5 k and never
+#: gets there.)
+PROMOTE_FUEL_PER_INSTR = 128
 
 
 class PluginError(RuntimeError):
@@ -139,6 +156,9 @@ class PluginHost:
     ):
         self.name = name
         self.limits = limits or HostLimits()
+        #: True while an ``engine="aot"`` host still runs threaded code
+        #: (see :meth:`promote`); explicit threaded/legacy hosts: never
+        self._warming = False
         self._sanitize = sanitize
         self._extra_hostfuncs = extra_hostfuncs
         self._log_sink = log_sink
@@ -174,9 +194,20 @@ class PluginHost:
         try:
             module = decode_module(wasm_bytes)
             env = make_env(log_sink=self._log_sink, extra=self._extra_hostfuncs)
+            # engine "aot" at this layer means "compiled once the binary has
+            # earned it": bytes whose aot bodies are already cached (a warm
+            # swap, a restore, another cell's copy) start compiled, anything
+            # else starts on threaded code at threaded's cold-load cost and
+            # heats up call by call
+            engine = resolve_engine(self._engine)
+            warming = engine == "aot" and not codecache.is_cached(module, "aot")
             self.instance = Instance(
-                module, imports={"env": env}, store=Store(), engine=self._engine
+                module,
+                imports={"env": env},
+                store=Store(),
+                engine="threaded" if warming else engine,
             )
+            self._warming = warming
         except WasmError as exc:
             if OBS.enabled:
                 OBS.events.emit(
@@ -185,9 +216,74 @@ class PluginHost:
             raise PluginError(f"cannot load plugin {self.name}: {exc}", "load") from exc
         self.wasm_bytes = wasm_bytes
         self.module_sha = hashlib.sha256(wasm_bytes).hexdigest()
+        self._static_instrs = sum(len(code.body) for code in module.codes)
         # a new instance invalidates any pointer the old one handed out
         self._scratch_ptr: int | None = None
         self._scratch_cap = 0
+
+    # ----- tier-up -----------------------------------------------------------
+
+    @property
+    def tier(self) -> str:
+        """The engine the live instance is running on right now."""
+        assert self.instance is not None
+        return self.instance.engine
+
+    def promote(self) -> None:
+        """Switch the live instance to compiled (aot) code, between calls.
+
+        The one promotion path: :meth:`call` takes it when the binary's
+        heat crosses the threshold (or another instance of the same bytes
+        already paid for the compile); differential and replay harnesses
+        call it up front to pin the compiled tier.  Idempotent, and a
+        no-op on hosts whose engine is explicitly threaded or legacy.
+        Only the fuel variant this host runs is compiled, once per
+        process - the bodies are shared through the codecache.
+        """
+        if not self._warming:
+            return
+        instance = self.instance
+        assert instance is not None
+        start = time.perf_counter_ns()
+        fueled = self.limits.fuel is not None
+        for body in instance.retier("aot"):
+            body.compile(fueled)
+        self._warming = False
+        if OBS.enabled:
+            promote_us = (time.perf_counter_ns() - start) / 1000.0
+            OBS.events.emit(
+                "plugin.promote",
+                source=self.name,
+                module_sha=self.module_sha,
+                heat=codecache.heat(instance.module),
+                static_instrs=self._static_instrs,
+                compile_us=promote_us,
+            )
+            OBS.registry.counter(
+                "waran_plugin_promotions_total",
+                "live instances switched from threaded to compiled code",
+            ).inc(plugin=self.name)
+            OBS.registry.histogram(
+                "waran_wasm_promote_us",
+                "time to compile (or fetch) aot bodies and rebind an instance (us)",
+            ).observe(promote_us)
+
+    def _heat_up(self, fuel_used: int | None) -> None:
+        """Charge one finished call to the binary's heat; promote when due.
+
+        Fuel is the clock: deterministic, engine-identical and proportional
+        to the time threaded code burns.  A call with no fuel reading (an
+        unmetered host) is charged the module's static instruction count.
+        """
+        module = self.instance.module
+        heat = codecache.add_heat(
+            module, self._static_instrs if fuel_used is None else fuel_used
+        )
+        if (
+            heat >= PROMOTE_FUEL_PER_INSTR * self._static_instrs
+            or codecache.is_cached(module, "aot")
+        ):
+            self.promote()
 
     def swap(self, wasm_bytes: bytes) -> int:
         """Replace the plugin binary (hot swap).  Returns the new generation.
@@ -424,6 +520,10 @@ class PluginHost:
                 obs, entry, input_bytes, output, outcome, elapsed_us,
                 fuel_used, stats, error, trap_code, injection, rt_doc, pre,
             )
+        if self._warming:
+            # after the timing and the telemetry of the call: a compile
+            # never shows up in a plugin latency series
+            self._heat_up(fuel_used)
         if error is not None:
             raise error
         return PluginCallResult(output, elapsed_us, fuel_used)

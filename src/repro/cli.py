@@ -764,7 +764,7 @@ def _cmd_fuzz(args) -> int:
 
     from repro.fuzz import check_case, load_case, run_campaign
     from repro.fuzz.corpus import corpus_paths
-    from repro.wasm.threaded import ENGINES
+    from repro.wasm.threaded import DEFAULT_ENGINE, ENGINES
 
     if args.replay:
         import os
@@ -780,7 +780,7 @@ def _cmd_fuzz(args) -> int:
         problems: list[str] = []
         for path in paths:
             case = load_case(path)
-            engines = ENGINES if case.mode == "diff" else ("threaded",)
+            engines = ENGINES if case.mode == "diff" else (DEFAULT_ENGINE,)
             for engine in engines:
                 problems.extend(
                     f"[{engine}] {p}" for p in check_case(case, engine)
@@ -846,6 +846,8 @@ def _cmd_fuzz(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.wasm.threaded import DEFAULT_ENGINE
+
     parser = argparse.ArgumentParser(prog="waran", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -936,7 +938,7 @@ def main(argv: list[str] | None = None) -> int:
         "--engine",
         choices=["legacy", "threaded", "aot"],
         default=None,
-        help="Wasm engine (default: REPRO_WASM_ENGINE or threaded)",
+        help=f"Wasm engine (default: REPRO_WASM_ENGINE or {DEFAULT_ENGINE})",
     )
     p.add_argument(
         "--log", metavar="PATH", help="write the fault/event log to a file"
@@ -1006,7 +1008,7 @@ def main(argv: list[str] | None = None) -> int:
         "--engine",
         choices=["legacy", "threaded", "aot"],
         default=None,
-        help="Wasm engine (default: REPRO_WASM_ENGINE or threaded)",
+        help=f"Wasm engine (default: REPRO_WASM_ENGINE or {DEFAULT_ENGINE})",
     )
     p.add_argument(
         "--baseline", action="store_true",
@@ -1094,7 +1096,7 @@ def main(argv: list[str] | None = None) -> int:
         "--engine",
         choices=["legacy", "threaded", "aot"],
         default=None,
-        help="Wasm engine (default: REPRO_WASM_ENGINE or threaded)",
+        help=f"Wasm engine (default: REPRO_WASM_ENGINE or {DEFAULT_ENGINE})",
     )
     p.add_argument(
         "--chaos",
@@ -1168,7 +1170,7 @@ def main(argv: list[str] | None = None) -> int:
         "--engine",
         choices=["legacy", "threaded", "aot"],
         default=None,
-        help="Wasm engine (default: REPRO_WASM_ENGINE or threaded)",
+        help=f"Wasm engine (default: REPRO_WASM_ENGINE or {DEFAULT_ENGINE})",
     )
     p.add_argument(
         "--mode",
@@ -1320,9 +1322,9 @@ def main(argv: list[str] | None = None) -> int:
         "on any fidelity mismatch.",
     )
     p.add_argument("corpus", help=".wrc corpus to replay")
-    p.add_argument("--engines", default="threaded",
+    p.add_argument("--engines", default=DEFAULT_ENGINE,
                    help="comma-separated engine list, or 'all' "
-                   "(default: threaded)")
+                   f"(default: {DEFAULT_ENGINE})")
     p.add_argument("--json", metavar="FILE",
                    help="write the full waran-bench-replay/1 report here")
     p.add_argument("--verbose", action="store_true",

@@ -192,11 +192,12 @@ def render_cell_log(cell: CellShard, spec: ClusterSpec, engine: str, schedule) -
 
     No timestamps, no worker ids, no process-dependent values - the
     coordinator concatenates these in cell order and digests the result,
-    which must match across runs *and* across worker counts.
+    which must match across runs, across worker counts *and* across
+    engines: ``engine`` is accepted for the callers that pass it but is
+    deliberately not part of the text (faults, fuel and rt decisions are
+    engine-identical, so naming it made the digest differ for no reason).
     """
-    lines = [
-        f"[{cell.name}] seed={spec.seed} slots={spec.slots} engine={engine}"
-    ]
+    lines = [f"[{cell.name}] seed={spec.seed} slots={spec.slots}"]
     if schedule is not None:
         prefix = f"plugin:{cell.name}/"
         lines.extend(

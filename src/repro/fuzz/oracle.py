@@ -12,7 +12,11 @@ must agree observation-for-observation:
    uninterrupted run;
 5. **cross-engine restore**: snapshots cross the engine boundary in both
    directions along the ladder (legacy→threaded, threaded→legacy,
-   aot→threaded, legacy→aot) and the tail is re-run.
+   aot→threaded, legacy→aot) and the tail is re-run;
+6. **tier-up**: a threaded instance runs to the split, is rebound to aot
+   bodies in place (:meth:`~repro.wasm.instance.Instance.retier`, what
+   :meth:`repro.abi.host.PluginHost.promote` does between two calls)
+   and runs the tail - the whole trace must match legacy.
 
 Compared per call: result value (bit-exact for floats), trap code, fuel
 consumed, and :class:`~repro.wasm.interpreter.ExecStats`.  Compared at the
@@ -102,13 +106,16 @@ def run_trace(
     fuel: int = DEFAULT_FUEL,
     capture_at: int | None = None,
     restore_from: InstanceState | None = None,
+    retier_at: int | None = None,
 ) -> Trace:
     """Decode, instantiate and run a call plan under one engine.
 
     ``capture_at=k`` snapshots state just before call ``k``;
     ``restore_from`` writes a snapshot into the fresh instance before any
-    calls (the restore-and-replay leg).  Instantiation failures are
-    recorded, not raised — every engine must fail identically.
+    calls (the restore-and-replay leg); ``retier_at=k`` rebinds the live
+    instance to aot bodies just before call ``k`` (the tier-up leg).
+    Instantiation failures are recorded, not raised — every engine must
+    fail identically.
     """
     trace = Trace(engine=engine)
     module = decode_module(wasm)
@@ -122,6 +129,8 @@ def run_trace(
     for i, (name, args) in enumerate(calls):
         if capture_at is not None and i == capture_at:
             trace.checkpoint = instance.capture_state()
+        if retier_at is not None and i == retier_at:
+            instance.retier("aot")
         trace.outcomes.append(_call_outcome(instance, name, args, fuel))
     trace.final = canon_state(instance.capture_state())
     return trace
@@ -163,7 +172,7 @@ def differential(wasm: bytes, calls: CallPlan, fuel: int = DEFAULT_FUEL) -> Diff
     legs["threaded"] = threaded
     legs["aot"] = aot
 
-    # -- legs 1-3: full-plan agreement (legacy is the reference) -------------
+    # -- full-plan agreement (legacy is the reference) -----------------------
     if legacy.instantiate_error or threaded.instantiate_error or aot.instantiate_error:
         if (
             legacy.instantiate_error != threaded.instantiate_error
@@ -176,16 +185,20 @@ def differential(wasm: bytes, calls: CallPlan, fuel: int = DEFAULT_FUEL) -> Diff
                 f"{aot.instantiate_error!r}"
             )
         return DiffResult(True, None, legs, calls, fuel)
-    for other in (threaded, aot):
+    legs["tier-up"] = run_trace(
+        wasm, calls, "threaded", fuel, capture_at=split, retier_at=split
+    )
+    for leg_name in ("threaded", "aot", "tier-up"):
+        other = legs[leg_name]
         for i, (a, b) in enumerate(zip(legacy.outcomes, other.outcomes)):
             if a != b:
                 return fail(
-                    f"call {i} ({calls[i][0]}): legacy={a} {other.engine}={b}"
+                    f"call {i} ({calls[i][0]}): legacy={a} {leg_name}={b}"
                 )
         if legacy.final != other.final:
             return fail(
                 f"final state divergence: legacy={legacy.final} "
-                f"{other.engine}={other.final}"
+                f"{leg_name}={other.final}"
             )
         if (legacy.checkpoint is None) != (other.checkpoint is None):
             return fail("checkpoint taken in one engine only")
@@ -195,7 +208,7 @@ def differential(wasm: bytes, calls: CallPlan, fuel: int = DEFAULT_FUEL) -> Diff
             return fail(
                 f"checkpoint state divergence at call {split}: "
                 f"legacy={canon_state(legacy.checkpoint)} "
-                f"{other.engine}={canon_state(other.checkpoint)}"
+                f"{leg_name}={canon_state(other.checkpoint)}"
             )
 
     # -- restore-and-replay the tail, incl. cross-engine hops ----------------

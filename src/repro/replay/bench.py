@@ -89,7 +89,7 @@ def make_stream_host(
             f"{stream.module_sha[:12]}..."
         )
     try:
-        return PluginHost(
+        host = PluginHost(
             wasm,
             name=f"{stream.plugin}@replay",
             limits=HostLimits(
@@ -104,6 +104,15 @@ def make_stream_host(
         )
     except (PluginError, WasmError) as exc:
         raise ReplayError(f"cannot stage {stream.plugin}: {exc}") from exc
+    # a replay measures (and verifies) the engine it names: an aot host
+    # would otherwise spend a short stream heating up on threaded code
+    host.promote()
+    wanted = resolve_engine(engine)
+    if host.tier != wanted:
+        raise ReplayError(
+            f"stream {stream.plugin} staged on {host.tier}, not {wanted}"
+        )
+    return host
 
 
 @contextmanager

@@ -37,7 +37,12 @@ Lowering rules
 Compiled code is instance-independent (everything per-call arrives via
 the ``frame`` argument), so AOT artifacts are shared through
 :mod:`repro.wasm.codecache` exactly like threaded code, keyed by
-``(sha256, "aot")``.  Engine selection: ``REPRO_WASM_ENGINE=aot``.
+``(sha256, "aot")``.  An artifact compiles its metered and unmetered
+variants separately, each on first use (:class:`AotCode`): emitting and
+``compile()``-ing is where this tier's cold cost goes, and a host runs
+only one of the two.  Engine selection: ``REPRO_WASM_ENGINE=aot`` (the
+default; :class:`repro.abi.host.PluginHost` tiers up to it from threaded
+code, ``Instance(engine="aot")`` binds it directly).
 """
 
 from __future__ import annotations
@@ -214,8 +219,16 @@ def _unop_expr(opcode: int, a: str) -> str | None:
 # ---------------------------------------------------------------------------
 
 
-class _Unstructurable(Exception):
-    """Structured emission bailed out; caller retries in dispatch mode."""
+def _max_nesting(body) -> int:
+    """Deepest static ``block``/``loop``/``if`` nesting of a function body."""
+    depth = peak = 0
+    for opcode, _imm in body:
+        if opcode in (op.BLOCK, op.LOOP, op.IF):
+            depth += 1
+            peak = max(peak, depth)
+        elif opcode == op.END:
+            depth = max(depth - 1, 0)
+    return peak
 
 
 class _Ctx:
@@ -308,16 +321,6 @@ class _Emitter:
                     targets.add(res[0])
                 targets.add(default[0])
         return targets
-
-    def _max_nesting(self) -> int:
-        depth = peak = 0
-        for opcode, _imm in self.body:
-            if opcode in (op.BLOCK, op.LOOP, op.IF):
-                depth += 1
-                peak = max(peak, depth)
-            elif opcode == op.END:
-                depth = max(depth - 1, 0)
-        return peak
 
     # ----- straight-line instructions (shared by both modes) ---------------
 
@@ -467,8 +470,6 @@ class _Emitter:
     # ----- structured mode --------------------------------------------------
 
     def emit_structured(self) -> None:
-        if self._max_nesting() > _MAX_STRUCTURED_DEPTH:
-            raise _Unstructurable("nesting too deep for structured lowering")
         n = len(self.body)
         self.ctxs: list[_Ctx] = [
             _Ctx(0, False, False, -1, 0, self.result_arity)
@@ -875,84 +876,99 @@ class _Emitter:
 
 
 class AotCode:
-    """One function body compiled to Python source, in two fuel variants.
+    """One function body lowered to Python source, compiled on first use.
 
     ``run(frame, args)`` is the unmetered function, ``run_fueled`` the
-    metered one (selected by :func:`execute_aot` on ``store.fuel``);
-    ``source``/``source_fueled`` keep the generated text for
-    ``repro disasm --aot``.  ``local_defaults``/``max_stack`` mirror the
-    other engines so :class:`~repro.wasm.interpreter.ExecStats` stays
-    bit-identical.
+    metered one; each stays ``None`` until :func:`execute_aot` (which
+    selects on ``store.fuel``) first needs it, so a host that always
+    meters never pays ``compile()`` for the unmetered variant - emitting
+    and compiling one variant is about half of what lowering a function
+    costs.  The generated text is not retained: ``source`` /
+    ``source_fueled`` re-run the emitter on demand (``repro disasm
+    --aot``).  ``local_defaults``/``max_stack`` mirror the other engines
+    so :class:`~repro.wasm.interpreter.ExecStats` stays bit-identical.
     """
 
     __slots__ = (
-        "run", "run_fueled", "source", "source_fueled",
-        "local_defaults", "max_stack", "n_instrs", "mode",
+        "run", "run_fueled", "local_defaults", "max_stack", "n_instrs",
+        "mode", "_module", "_code", "_functype", "_name",
     )
 
-    def __init__(self, run, run_fueled, source, source_fueled,
-                 local_defaults, max_stack, n_instrs, mode):
-        self.run = run
-        self.run_fueled = run_fueled
-        self.source = source
-        self.source_fueled = source_fueled
-        self.local_defaults = local_defaults
-        self.max_stack = max_stack
-        self.n_instrs = n_instrs
-        self.mode = mode
+    def __init__(self, module: Module, code: Code, functype: FuncType,
+                 name: str = "fn"):
+        prep = prepared_for(code)
+        self.run = None
+        self.run_fueled = None
+        self.local_defaults = prep.local_defaults
+        self.max_stack = prep.max_stack
+        self.n_instrs = len(code.body)
+        #: "structured", or "dispatch" when the body nests deeper than
+        #: nested Python blocks can express (or CPython refuses the
+        #: structured text at compile time)
+        self.mode = (
+            "dispatch"
+            if _dispatch_forced()
+            or _max_nesting(code.body) > _MAX_STRUCTURED_DEPTH
+            else "structured"
+        )
+        self._module = module
+        self._code = code
+        self._functype = functype
+        self._name = name
+
+    def _emit(self, fueled: bool) -> tuple[str, dict]:
+        """Source text of one fuel variant plus the namespace it runs in."""
+        emitter = _Emitter(
+            self._module, self._code, self._functype, fueled,
+            self.mode == "dispatch",
+        )
+        source = emitter.build()
+        ns = dict(_HELPERS)
+        for type_index, ft in emitter.sigs.items():
+            ns[f"_sig{type_index}"] = ft
+        ns.update(emitter.consts)
+        return source, ns
+
+    def compile(self, fueled: bool):
+        """Compile (once) and return the ``fueled`` / unmetered variant."""
+        fn = self.run_fueled if fueled else self.run
+        if fn is not None:
+            return fn
+        try:
+            source, ns = self._emit(fueled)
+            exec(compile(source, f"<aot:{self._name}>", "exec"), ns)
+        except (SyntaxError, RecursionError):
+            if self.mode == "dispatch":
+                raise
+            # too deep for CPython's nested-block limits after all: the
+            # flat label loop is semantically identical, always compilable
+            self.mode = "dispatch"
+            return self.compile(fueled)
+        fn = ns["_wfn"]
+        if fueled:
+            self.run_fueled = fn
+        else:
+            self.run = fn
+        return fn
+
+    @property
+    def source(self) -> str:
+        """The generated unmetered Python source (regenerated per access)."""
+        return self._emit(False)[0]
+
+    @property
+    def source_fueled(self) -> str:
+        return self._emit(True)[0]
 
     def listing(self) -> list[str]:
         """The generated (unmetered) Python source, line by line."""
         return [f"  {line}" for line in self.source.splitlines()]
 
 
-def _compile_variant(module: Module, code: Code, functype: FuncType,
-                     fueled: bool, dispatch: bool, name: str):
-    emitter = _Emitter(module, code, functype, fueled, dispatch)
-    source = emitter.build()
-    ns = dict(_HELPERS)
-    for type_index, ft in emitter.sigs.items():
-        ns[f"_sig{type_index}"] = ft
-    ns.update(emitter.consts)
-    exec(compile(source, f"<aot:{name}>", "exec"), ns)
-    return ns.pop("_wfn"), source
-
-
 def compile_aot(module: Module, code: Code, functype: FuncType,
                 name: str = "fn") -> AotCode:
-    """Lower one validated function body to compiled Python source."""
-    prep = prepared_for(code)
-    if not _dispatch_forced():
-        try:
-            run, source = _compile_variant(
-                module, code, functype, False, False, name
-            )
-            run_fueled, source_fueled = _compile_variant(
-                module, code, functype, True, False, name
-            )
-            return AotCode(
-                run, run_fueled, source, source_fueled,
-                prep.local_defaults, prep.max_stack, len(code.body),
-                "structured",
-            )
-        except (_Unstructurable, SyntaxError, RecursionError):
-            pass  # irreducible/too deep for nested Python blocks
-    return compile_aot_dispatch(module, code, functype, name, prep)
-
-
-def compile_aot_dispatch(module: Module, code: Code, functype: FuncType,
-                         name: str = "fn", prep=None) -> AotCode:
-    """Compile via the label-dispatch fallback unconditionally."""
-    if prep is None:
-        prep = prepared_for(code)
-    run, source = _compile_variant(module, code, functype, False, True, name)
-    run_fueled, source_fueled = _compile_variant(
-        module, code, functype, True, True, name
-    )
-    return AotCode(
-        run, run_fueled, source, source_fueled,
-        prep.local_defaults, prep.max_stack, len(code.body), "dispatch",
-    )
+    """Lower one validated function body; variants compile on first use."""
+    return AotCode(module, code, functype, name)
 
 
 def aot_for(module: Module, code: Code, functype: FuncType) -> AotCode:
@@ -990,11 +1006,12 @@ def execute_aot(store, instance, acode: AotCode, args: list,
 
     frame = _Frame(instance, store, depth)
     if store.fuel is None:
-        return acode.run(frame, args)
+        return (acode.run or acode.compile(False))(frame, args)
 
     frame.fuel = store.fuel
+    run_fueled = acode.run_fueled or acode.compile(True)
     try:
-        return acode.run_fueled(frame, args)
+        return run_fueled(frame, args)
     finally:
         store.fuel = frame.fuel
 

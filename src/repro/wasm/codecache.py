@@ -25,6 +25,13 @@ a new key.  Hit/miss/eviction counters are exported through
 ``waran_wasm_codecache_{hits,misses,evictions}_total{engine=...}``
 (visible in ``repro obs``); the cache itself always works,
 telemetry-enabled or not.
+
+The cache also keeps each module's **heat**: the fuel its instances have
+burnt so far, summed per content hash (:func:`add_heat`).  It is the
+clock :class:`repro.abi.host.PluginHost` reads to decide when a binary
+has earned its aot compile; it lives here because it is per-binary,
+process-wide state with the same lifetime as the bodies - bounded by the
+same cap in least-recently-charged order, dropped by :func:`clear`.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ from repro.wasm.threaded import ENGINES, threaded_for
 DEFAULT_CAP = 256
 
 _CACHE: OrderedDict[tuple[str, str], list] = OrderedDict()
+_HEAT: OrderedDict[str, int] = OrderedDict()
 _LOCK = Lock()
 
 
@@ -130,6 +138,33 @@ def compiled_bodies(module: Module, engine: str) -> list:
     return bodies
 
 
+def is_cached(module: Module, engine: str) -> bool:
+    """Are ``engine`` bodies of these bytes cached?  A pure peek: no LRU
+    touch, no hit/miss count."""
+    return (module.content_hash, engine) in _CACHE
+
+
+def add_heat(module: Module, fuel: int) -> int:
+    """Charge ``fuel`` to the heat of ``module``'s bytes; returns the total."""
+    content_hash = module.content_hash
+    with _LOCK:
+        total = _HEAT.get(content_hash)
+        if total is None:
+            total = 0
+            cap = capacity()
+            while cap and len(_HEAT) >= cap:
+                _HEAT.popitem(last=False)
+        else:
+            _HEAT.move_to_end(content_hash)
+        _HEAT[content_hash] = total = total + fuel
+    return total
+
+
+def heat(module: Module) -> int:
+    """Fuel charged so far to ``module``'s bytes (0 when never charged)."""
+    return _HEAT.get(module.content_hash, 0)
+
+
 def stats() -> dict[str, float]:
     """Current hit/miss/eviction counters (all engines) plus cache size."""
     hits = OBS.registry.counter("waran_wasm_codecache_hits_total")
@@ -150,6 +185,7 @@ def stats() -> dict[str, float]:
 
 
 def clear() -> None:
-    """Drop every cached compilation (tests / memory pressure)."""
+    """Drop every cached compilation and all heat (tests / memory pressure)."""
     with _LOCK:
         _CACHE.clear()
+        _HEAT.clear()

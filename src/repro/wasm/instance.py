@@ -162,8 +162,9 @@ class Instance:
         if validate:
             validate_module(module)
         self.module = module
-        #: which interpreter compiles and runs this instance's functions:
-        #: explicit arg > ``REPRO_WASM_ENGINE`` env > ``"threaded"``
+        #: which engine compiles and runs this instance's functions:
+        #: explicit arg > ``REPRO_WASM_ENGINE`` env > ``DEFAULT_ENGINE``
+        #: (:meth:`retier` changes it on a live instance)
         self.engine = resolve_engine(engine)
         self.store = store if store is not None else Store()
         imports = imports or {}
@@ -266,6 +267,27 @@ class Instance:
 
         if module.start is not None:
             self.invoke_index(module.start, [], 0)
+
+    def retier(self, engine: str) -> list:
+        """Rebind this instance's functions to ``engine``'s bodies in place
+        and return those bodies.
+
+        Fuel, traps and :class:`~repro.wasm.interpreter.ExecStats` are
+        bit-identical across engines and :meth:`invoke_addr` dispatches
+        per function on the class of ``prepared``, so switching between
+        two calls is semantically invisible: no state moves, nothing on
+        a stack needs replacing.
+        """
+        from repro.wasm.codecache import compiled_bodies
+
+        engine = resolve_engine(engine)
+        bodies = compiled_bodies(self.module, engine)
+        funcs = self.store.funcs
+        own_addrs = self.func_addrs[self.module.num_imported_funcs:]
+        for addr, body in zip(own_addrs, bodies):
+            funcs[addr].prepared = body
+        self.engine = engine
+        return bodies
 
     # ----- state snapshot (checkpoint/restore) -------------------------
 

@@ -29,9 +29,13 @@ covers a group whose interior is a branch target, and an instruction that
 can trap is only fused in the *final* position of its group so the fuel
 charged at trap time matches the legacy engine to the unit.
 
-Engine selection: ``REPRO_WASM_ENGINE=legacy|threaded`` (default
-``threaded``), overridable per :class:`~repro.wasm.instance.Instance`
-via its ``engine=`` argument for differential testing.
+Engine selection: ``REPRO_WASM_ENGINE=legacy|threaded|aot`` (default
+:data:`DEFAULT_ENGINE`), overridable per
+:class:`~repro.wasm.instance.Instance` via its ``engine=`` argument for
+differential testing.  At this layer every engine is pure; the plugin
+host (:class:`repro.abi.host.PluginHost`) reads ``aot`` as "threaded
+until the binary has earned its compile" - threaded code is the cold
+tier of the default engine.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from repro.wasm.wtypes import FuncType
 # ---------------------------------------------------------------------------
 
 ENGINES = ("threaded", "legacy", "aot")
-DEFAULT_ENGINE = "threaded"
+DEFAULT_ENGINE = "aot"
 
 
 def resolve_engine(engine: str | None = None) -> str:

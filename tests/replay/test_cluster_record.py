@@ -24,6 +24,7 @@ from repro.replay import (
     reduce_corpus,
     replay_corpus,
 )
+from repro.wasm import codecache
 from repro.wasm.threaded import ENGINES
 
 SLOTS = 60
@@ -71,6 +72,16 @@ class TestMerge:
             "cluster", seed=0, slots=SLOTS, workers=1, cells=CELLS, ues=8
         )
         assert dumps_corpus(solo) == dumps_corpus(cluster_corpus)
+
+    def test_corpus_invariant_under_where_the_run_tiers_up(self, cluster_corpus):
+        # under the default engine a run that starts with a cold codecache
+        # switches each plugin to compiled code at its own slot; the
+        # recorded call streams must not be able to tell
+        codecache.clear()
+        cold = record_workload(
+            "cluster", seed=0, slots=SLOTS, workers=4, cells=CELLS, ues=8
+        )
+        assert dumps_corpus(cold) == dumps_corpus(cluster_corpus)
 
     def test_proc_record_matches_inline(self, cluster_corpus):
         """The wire round trip (flight_to_wire -> result frame ->

@@ -13,7 +13,8 @@ import pytest
 
 from repro import obs
 from repro.cluster import ClusterSpec, metro_spec, run_cluster
-from repro.wasm.threaded import ENGINES
+from repro.wasm import codecache
+from repro.wasm.threaded import DEFAULT_ENGINE, ENGINES
 
 BASE = ClusterSpec(
     workers=2, cells=4, ues=8, slots=40, mode="inline", timeout_s=120.0
@@ -47,11 +48,35 @@ class TestWorkerCountInvariance:
         }
         assert results[1] == results[2] == results[4]
 
+    def test_default_engine_promotes_yet_digests_are_worker_count_invariant(self):
+        # the default engine tiers up: which slot each cell's plugins
+        # switch to compiled code at depends on what shares its process
+        # (heat is per binary, process-wide) - and must not matter
+        results, promoted = {}, {}
+        for w in (1, 2, 4):
+            codecache.clear()  # every run starts cold and earns its compile
+            report = run_cluster(replace(BASE, workers=w, engine=DEFAULT_ENGINE))
+            results[w] = _digests(report)
+            series = report.metrics["waran_plugin_promotions_total"]["series"]
+            promoted[w] = sum(s["value"] for s in series)
+        assert results[1] == results[2] == results[4]
+        assert all(n > 0 for n in promoted.values()), promoted
+
     def test_shm_proc_digests_identical_across_worker_counts(self):
         spec = replace(PROC, mode="proc", transport="shm")
         one = _digests(run_cluster(replace(spec, workers=1)))
         four = _digests(run_cluster(replace(spec, workers=4)))
         assert one == four
+
+
+class TestEngineInvariance:
+    def test_digests_identical_across_all_engines(self):
+        # fault_digest included: the cell log does not name the engine
+        results = {
+            engine: _digests(run_cluster(replace(BASE, engine=engine)))
+            for engine in ENGINES
+        }
+        assert results["legacy"] == results["threaded"] == results["aot"]
 
 
 class TestTransportInvariance:

@@ -7,7 +7,10 @@ must agree on *everything* observable: output bytes, error kind, spec
 trap code, fuel consumed, and :class:`ExecStats` counters.
 
 This is the acceptance gate for the compiled tiers being bit-identical
-in semantics, not just "close enough".
+in semantics, not just "close enough".  At the host layer ``aot`` is a
+tier a binary earns by burning fuel, so the aot leg pins it with
+``host.promote()`` up front, and a second sweep promotes after every
+possible call index: a promotion between two calls must be invisible.
 """
 
 import pytest
@@ -18,10 +21,14 @@ from repro.abi.host import PluginError, PluginHost
 from repro.experiments.fig5d import make_ues
 from repro.plugins import available_plugins, plugin_wasm
 from repro.sched.types import UeSchedInfo
+from repro.wasm.codecache import clear as cache_clear
 from repro.wasm.instance import HostFunc
 from repro.wasm.wtypes import FuncType, ValType
 
 FUEL = 2_000_000  # default host budget; bounds fault_spin deterministically
+#: budget of the promote-after-every-call sweep: still far above any
+#: well-behaved call, keeps the 6 x fault_spin runs short
+SWEEP_FUEL = 100_000
 
 I32, I64 = ValType.I32, ValType.I64
 
@@ -57,8 +64,18 @@ def telemetry():
     obs.disable()
 
 
-def observe(name: str, engine: str, payloads: list[bytes]):
-    """Run one plugin over payloads; return everything observable."""
+def observe(
+    name: str,
+    engine: str,
+    payloads: list[bytes],
+    promote_after: int = 0,
+    fuel: int = FUEL,
+):
+    """Run one plugin over payloads; return everything observable.
+
+    An ``aot`` host is promoted once ``promote_after`` calls have run
+    (0 = up front: the pure compiled leg); other engines never promote.
+    """
     host = PluginHost(
         plugin_wasm(name),
         name=f"{name}-{engine}",
@@ -66,10 +83,14 @@ def observe(name: str, engine: str, payloads: list[bytes]):
         extra_hostfuncs=xapp_stubs(),  # xApps import publish/poll/get_param
         engine=engine,
     )
-    host.limits.fuel = FUEL
+    host.limits.fuel = fuel
     entry = "on_indication" if name.startswith("xapp") else "run"
     trace = []
-    for payload in payloads:
+    for i, payload in enumerate(payloads):
+        if engine == "aot" and i == promote_after:
+            host.promote()
+            # the leg must not silently degrade to threaded code
+            assert host.tier == "aot"
         try:
             result = host.call(payload, entry=entry)
             outcome = ("ok", result.output, result.fuel_used)
@@ -111,6 +132,21 @@ def test_plugin_identical_across_engines(name):
     # sanity: the suite saw at least one successful call or a real fault,
     # never silent no-ops
     assert any(t[0] in ("ok", "trap", "fuel", "abi") for t in legacy)
+
+
+@pytest.mark.parametrize("name", sorted(available_plugins()))
+def test_promotion_is_invisible(name):
+    """Promote after call k, for every k: same bytes, error kind, trap
+    code, fuel and ExecStats as the legacy trace."""
+    payloads = payloads_for()
+    legacy = observe(name, "legacy", payloads, fuel=SWEEP_FUEL)
+    for k in range(len(payloads) + 1):
+        # a cold codecache, so the host really starts on threaded code and
+        # the switch happens where the test puts it (or earlier, when the
+        # plugin burns its way over the threshold by itself: fault_spin)
+        cache_clear()
+        trace = observe(name, "aot", payloads, promote_after=k, fuel=SWEEP_FUEL)
+        assert trace == legacy, f"{name}: promotion after call {k} is visible"
 
 
 def test_scratch_region_reused_across_calls():

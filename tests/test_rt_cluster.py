@@ -113,10 +113,8 @@ class TestEngineMatrixCluster:
     def test_scenario_digest_per_engine(self, engine):
         report = run_cluster(replace(RT_SPEC, engine=engine))
         baseline = run_cluster(replace(RT_SPEC, engine="threaded"))
-        # physics and rt decisions are engine-identical; the cell-log
-        # header names the engine by design, so normalise just that token
+        # physics, faults and rt decisions are engine-identical, and the
+        # cell log no longer names the engine: the digests match outright
         assert report.bytes_digest == baseline.bytes_digest
-        normalized = report.fault_log.replace(f"engine={engine}", "engine=*")
-        assert normalized == baseline.fault_log.replace(
-            "engine=threaded", "engine=*"
-        )
+        assert report.fault_log == baseline.fault_log
+        assert report.fault_digest == baseline.fault_digest

@@ -299,6 +299,21 @@ def test_dump_aot_shows_wasm_and_python():
     assert "FuelExhausted" not in text
 
 
+def test_variants_compile_lazily_on_first_use():
+    raw = assemble(LOOP_SUM)
+    cache_clear()
+    inst = Instance(decode_module(raw), engine="aot")
+    acode = inst.store.funcs[inst.func_addrs[0]].prepared
+    # instantiation lowers nothing: no source retained, no function built
+    assert acode.run is None and acode.run_fueled is None
+    assert inst.call("sum", 10, fuel=10_000) == 45
+    assert acode.run is None and acode.run_fueled is not None
+    fueled = acode.run_fueled
+    assert inst.call("sum", 10, fuel=None) == 45
+    assert acode.run is not None and acode.run_fueled is fueled
+    assert acode.compile(True) is fueled  # idempotent
+
+
 def test_generated_source_has_no_fuel_in_unfueled_variant():
     raw = assemble(FIB)
     module = decode_module(raw)
@@ -380,10 +395,17 @@ def test_fig5b_hot_swap_keeps_hit_rate(engine):
         hits = OBS.registry.counter("waran_wasm_codecache_hits_total")
         misses = OBS.registry.counter("waran_wasm_codecache_misses_total")
         h0, m0 = hits.value(engine=engine), misses.value(engine=engine)
-        plugin = SchedulerPlugin.load(plugin_wasm("mt"), name=f"swap-{engine}")
         binaries = [plugin_wasm("pf"), plugin_wasm("rr"), plugin_wasm("mt")]
+        if engine == "aot":
+            # at the host layer compiled bodies are earned, not loaded:
+            # promote each binary once (the three aot misses) so the swaps
+            # below are the warm swaps of a hot binary
+            for wasm in binaries:
+                SchedulerPlugin.load(wasm, name="warm-aot").host.promote()
+        plugin = SchedulerPlugin.load(plugin_wasm("mt"), name=f"swap-{engine}")
         for i in range(30):  # ten full MT -> PF -> RR swap cycles
             plugin.swap(binaries[i % 3])
+            assert plugin.host.tier == engine
         dh = hits.value(engine=engine) - h0
         dm = misses.value(engine=engine) - m0
         assert dh + dm > 0
@@ -409,3 +431,4 @@ def test_oracle_runs_aot_legs():
     assert "restore-aot" in result.legs
     assert "restore-aot-to-threaded" in result.legs
     assert "restore-legacy-to-aot" in result.legs
+    assert "tier-up" in result.legs

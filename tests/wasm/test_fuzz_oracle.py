@@ -1,7 +1,8 @@
-"""Differential-oracle tests: the four legs agree on everything observable.
+"""Differential-oracle tests: every leg agrees on everything observable.
 
 The fast tests sweep a few dozen seeds through the full oracle (legacy,
-threaded, checkpoint/restore round-trip, cross-engine restore).  The
+threaded, aot, checkpoint/restore round-trip, cross-engine restore,
+in-place tier-up).  The
 ``slow``-marked campaign is the nightly workhorse — a thousand-module
 sweep that tier-1 skips.
 """
@@ -70,6 +71,17 @@ class TestRunTrace:
         globals_ = dict(trace.checkpoint.globals)
         assert globals_[0] == 2
         assert trace.outcomes[2][:2] == ("ok", ("i", 2))
+
+    def test_tier_up_leg_switches_engine_in_place(self):
+        wasm = assemble(WAT_STATEFUL)
+        calls = [("f0", (7,)), ("f0", (9,)), ("f1", ()), ("f0", (1,))]
+        legacy = run_trace(wasm, calls, "legacy")
+        tiered = run_trace(wasm, calls, "threaded", retier_at=2)
+        assert tiered.outcomes == legacy.outcomes
+        assert tiered.final == legacy.final
+        result = differential(wasm, calls)
+        assert result.ok, result.reason
+        assert result.legs["tier-up"].outcomes == legacy.outcomes
 
     def test_restore_reproduces_tail(self):
         wasm = assemble(WAT_STATEFUL)

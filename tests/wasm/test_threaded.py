@@ -16,7 +16,12 @@ from repro.wasm import Instance, decode_module
 from repro.wasm.codecache import clear as cache_clear
 from repro.wasm.codecache import compiled_bodies
 from repro.wasm.interpreter import ExecStats
-from repro.wasm.threaded import ThreadedCode, dump_threaded, resolve_engine
+from repro.wasm.threaded import (
+    DEFAULT_ENGINE,
+    ThreadedCode,
+    dump_threaded,
+    resolve_engine,
+)
 from repro.wasm.traps import Trap
 from repro.wasm.wat import assemble
 
@@ -289,7 +294,8 @@ def test_exec_stats_identical_across_engines():
 
 def test_resolve_engine_precedence(monkeypatch):
     monkeypatch.delenv("REPRO_WASM_ENGINE", raising=False)
-    assert resolve_engine() == "threaded"
+    assert DEFAULT_ENGINE == "aot"
+    assert resolve_engine() == DEFAULT_ENGINE
     monkeypatch.setenv("REPRO_WASM_ENGINE", "legacy")
     assert resolve_engine() == "legacy"
     assert resolve_engine("threaded") == "threaded"  # explicit arg wins

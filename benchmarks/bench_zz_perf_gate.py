@@ -93,13 +93,11 @@ def test_replay_corpora_stay_faithful_and_fast(benchmark):
 
 
 @pytest.mark.benchmark(group="perf-gate")
-def test_cluster_scale_out_holds_its_speedup(benchmark):
-    """The shm cluster must keep its scale-out win on real cores.
+def test_cluster_digests_stay_invariant(benchmark):
+    """The cluster sweep must compute the same thing at every worker count.
 
-    Digest invariance is judged unconditionally (machine-independent);
-    the >=2x shm 1->4-worker speedup floor, the <=1.5x p99 tail ceiling
-    and the committed-baseline comparison only engage on >=4-core hosts.
-    ``WARAN_PERF_GATE[_TOLERANCE]`` applies as usual.
+    Digest invariance is machine-independent, so it is judged on every
+    host (``WARAN_PERF_GATE=off`` skips it like the other gates).
     """
     violations = benchmark.pedantic(
         cluster_gate_violations, rounds=1, iterations=1

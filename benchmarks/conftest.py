@@ -58,21 +58,14 @@ REPLAY_LIVE: dict = {}
 #: engine, the measured fuel->wall-clock exchange rate vs the pinned one
 FUEL_CAL_LIVE: dict = {}
 
-#: live cluster scale-out results (``bench_cluster.py``): cpu count,
-#: per-transport 1->N speedup and p99 ratio, digest-invariance verdict
+#: live cluster scale-out verdict (``bench_cluster.py``): whether the
+#: aggregate digests stayed invariant across the worker-count sweep
 CLUSTER_LIVE: dict = {}
 
 #: floor for the rt tier: enforced flash crowd must cut the deadline-miss
 #: rate by at least this factor vs the observe-only baseline (fuel-defined
 #: misses, so the ratio is exact and machine-independent)
 RT_MISS_REDUCTION_FLOOR = 10.0
-
-#: cluster scale-out acceptance (enforced only on >=4-core hosts, where
-#: real parallelism exists): shm must reach this 1->4-worker speedup ...
-CLUSTER_SHM_SPEEDUP_FLOOR = 2.0
-#: ... and scaling out must not balloon tail latency: 4-worker p99 stays
-#: within this factor of the 1-worker p99
-CLUSTER_P99_RATIO_CEIL = 1.5
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -543,56 +536,19 @@ def perf_gate_violations() -> list[str]:
 
 
 def cluster_gate_violations() -> list[str]:
-    """Gate the scale-out tier: invariance always, speedup on real cores.
+    """Gate the scale-out tier on digest invariance.
 
-    Digest invariance is machine-independent and judged unconditionally.
-    The shm speedup floor, the p99 tail ceiling and the baseline
-    comparison only engage on hosts with >=4 cores - a single-core
-    runner can verify *what* the sweep computed, not how fast it went.
-    ``bench_cluster.py`` stashes the previously committed baseline in
-    ``CLUSTER_LIVE["baseline"]`` before overwriting the JSON, so the
-    regression check really compares against the committed numbers.
+    Invariance is machine-independent, so it is judged on every host;
+    how fast the sweep went depends on the host's cores and is recorded
+    in ``BENCH_cluster.json``, not gated.
     """
     if os.environ.get(GATE_ENV, "").lower() in ("off", "0", "false"):
         return []
     if not CLUSTER_LIVE:
         return []  # cluster bench not run this session
-    violations = []
     if not CLUSTER_LIVE.get("digests_invariant"):
-        violations.append(
-            "cluster aggregate digests diverged across worker counts "
-            "or transports"
-        )
-    if CLUSTER_LIVE.get("cpu_count", 1) < 4:
-        return violations
-    tolerance = float(os.environ.get(GATE_TOLERANCE_ENV, "1.25"))
-    transports = CLUSTER_LIVE.get("transports", {})
-    shm_speedup = transports.get("shm", {}).get("speedup", 0.0)
-    if shm_speedup < CLUSTER_SHM_SPEEDUP_FLOOR / tolerance:
-        violations.append(
-            f"shm 1->4-worker speedup is x{shm_speedup:.2f}, below the "
-            f"x{CLUSTER_SHM_SPEEDUP_FLOOR} floor (tolerance x{tolerance})"
-        )
-    for transport, live in sorted(transports.items()):
-        ratio = live.get("p99_ratio", 0.0)
-        if ratio > CLUSTER_P99_RATIO_CEIL * tolerance:
-            violations.append(
-                f"{transport} 4-worker p99 is x{ratio:.2f} the 1-worker p99 "
-                f"(ceiling x{CLUSTER_P99_RATIO_CEIL}, tolerance x{tolerance})"
-            )
-    baseline = CLUSTER_LIVE.get("baseline") or {}
-    if baseline.get("cpu_count", 1) >= 4:
-        base = (
-            baseline.get("transports", {})
-            .get("shm", {})
-            .get("speedup_1_to_max")
-        )
-        if base and shm_speedup < base / tolerance:
-            violations.append(
-                f"shm speedup regressed: x{shm_speedup:.2f} vs committed "
-                f"x{base:.2f} (> x{tolerance})"
-            )
-    return violations
+        return ["cluster aggregate digests diverged across worker counts"]
+    return []
 
 
 def print_table(title: str, headers: list[str], rows: list[tuple]) -> None:

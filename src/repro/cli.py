@@ -309,7 +309,6 @@ def _cmd_scale(args) -> int:
         engine=args.engine,
         chaos=args.chaos,
         mode=args.mode,
-        transport=args.transport,
         timeout_s=args.timeout,
         rt=args.rt,
         scenario=args.scenario,
@@ -380,7 +379,6 @@ def _cmd_trace(args) -> int:
         seed=args.seed,
         engine=args.engine,
         mode=args.mode,
-        transport=args.transport,
         timeout_s=args.timeout,
         trace=True,
         budget_us=args.budget_us,
@@ -845,11 +843,46 @@ def _cmd_fuzz(args) -> int:
     return 0 if report.ok else 1
 
 
+def _cluster_shape_parser() -> argparse.ArgumentParser:
+    """The cluster-shape flags ``scale`` and ``trace`` share.
+
+    A fresh parser per command: ``set_defaults`` on a subcommand rewrites
+    the defaults of the parent's action objects, so a shared instance
+    would leak one command's ``--slots`` default into the other.
+    """
+    shape = argparse.ArgumentParser(add_help=False)
+    shape.add_argument("--workers", type=int, default=2)
+    shape.add_argument("--cells", type=int, default=4)
+    shape.add_argument(
+        "--ues", type=int, default=32, help="total UE population"
+    )
+    shape.add_argument("--slots", type=int, default=400)
+    shape.add_argument("--seed", type=int, default=0)
+    shape.add_argument(
+        "--mode",
+        choices=["proc", "inline"],
+        default="proc",
+        help="proc = worker processes over TCP loopback, "
+        "inline = sequential in-process",
+    )
+    shape.add_argument("--timeout", type=float, default=600.0,
+                       help="per-run worker deadline (seconds)")
+    return shape
+
+
 def main(argv: list[str] | None = None) -> int:
-    from repro.wasm.threaded import DEFAULT_ENGINE
+    from repro.wasm.threaded import DEFAULT_ENGINE, ENGINES
 
     parser = argparse.ArgumentParser(prog="waran", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+
+    engine_opt = argparse.ArgumentParser(add_help=False)
+    engine_opt.add_argument(
+        "--engine",
+        choices=ENGINES,
+        default=None,
+        help=f"Wasm engine (default: REPRO_WASM_ENGINE or {DEFAULT_ENGINE})",
+    )
 
     p = sub.add_parser("compile", help="compile WACC source to Wasm")
     p.add_argument("source")
@@ -925,6 +958,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser(
         "chaos",
+        parents=[engine_opt],
         help="seeded fault-injection soak of the full gNB+RIC system",
         description="Runs the ChaosRunner soak harness: a gNB with three "
         "plugin-scheduled slices, an E2 node agent and a near-RT RIC under "
@@ -934,12 +968,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--slots", type=int, default=10_000)
-    p.add_argument(
-        "--engine",
-        choices=["legacy", "threaded", "aot"],
-        default=None,
-        help=f"Wasm engine (default: REPRO_WASM_ENGINE or {DEFAULT_ENGINE})",
-    )
     p.add_argument(
         "--log", metavar="PATH", help="write the fault/event log to a file"
     )
@@ -957,6 +985,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser(
         "rt",
+        parents=[engine_opt],
         help="real-time dispatch: deadline budgets, lanes, admission",
         description="Runs one of the rt stress scenarios (flash_crowd, "
         "handover, mixed_sla) through the deadline-aware dispatcher: "
@@ -1003,12 +1032,6 @@ def main(argv: list[str] | None = None) -> int:
         "--policy", metavar="SPEC", default=None,
         help="full RtPolicy string (overrides the scenario default; "
         "individual flags still apply on top)",
-    )
-    p.add_argument(
-        "--engine",
-        choices=["legacy", "threaded", "aot"],
-        default=None,
-        help=f"Wasm engine (default: REPRO_WASM_ENGINE or {DEFAULT_ENGINE})",
     )
     p.add_argument(
         "--baseline", action="store_true",
@@ -1080,6 +1103,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser(
         "scale",
+        parents=[_cluster_shape_parser(), engine_opt],
         help="multi-process scale-out: sharded gNB workers + one RIC",
         description="Spawns N shared-nothing cell-worker processes, each "
         "hosting a shard of the cells with its own Wasm plugins (and chaos "
@@ -1087,33 +1111,10 @@ def main(argv: list[str] | None = None) -> int:
         "near-RT RIC over the batched E2 uplink.  Aggregate scheduled-bytes "
         "and fault-log digests are invariant across runs and worker counts.",
     )
-    p.add_argument("--workers", type=int, default=2)
-    p.add_argument("--cells", type=int, default=4)
-    p.add_argument("--ues", type=int, default=32, help="total UE population")
-    p.add_argument("--slots", type=int, default=400)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--engine",
-        choices=["legacy", "threaded", "aot"],
-        default=None,
-        help=f"Wasm engine (default: REPRO_WASM_ENGINE or {DEFAULT_ENGINE})",
-    )
     p.add_argument(
         "--chaos",
         metavar="SPEC",
         help="REPRO_CHAOS-style fault spec, e.g. seed=1,trap=0.01",
-    )
-    p.add_argument(
-        "--mode",
-        choices=["proc", "inline"],
-        default="proc",
-        help="proc = worker processes, inline = sequential in-process",
-    )
-    p.add_argument(
-        "--transport",
-        choices=["tcp", "shm"],
-        default="tcp",
-        help="proc-mode wire: localhost sockets or shared-memory rings",
     )
     p.add_argument(
         "--sweep",
@@ -1131,8 +1132,6 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="print the merged cross-process metrics as Prometheus text",
     )
-    p.add_argument("--timeout", type=float, default=600.0,
-                   help="per-run worker deadline (seconds)")
     p.add_argument(
         "--rt", metavar="POLICY", default=None,
         help='rt dispatch policy string (or "on" for defaults); the '
@@ -1153,6 +1152,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser(
         "trace",
+        parents=[_cluster_shape_parser(), engine_opt],
         help="trace a cluster run and attribute its per-slot latency",
         description="Runs the scale-out cluster with distributed tracing "
         "on: every worker slot becomes a span, trace context rides the "
@@ -1160,29 +1160,6 @@ def main(argv: list[str] | None = None) -> int:
         "trace.  Prints the latency-attribution table (which segment owns "
         "the p99, exact decomposition of the p99 slot, critical path, "
         "deadline misses) and can export a Chrome/Perfetto trace file.",
-    )
-    p.add_argument("--workers", type=int, default=2)
-    p.add_argument("--cells", type=int, default=4)
-    p.add_argument("--ues", type=int, default=32, help="total UE population")
-    p.add_argument("--slots", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--engine",
-        choices=["legacy", "threaded", "aot"],
-        default=None,
-        help=f"Wasm engine (default: REPRO_WASM_ENGINE or {DEFAULT_ENGINE})",
-    )
-    p.add_argument(
-        "--mode",
-        choices=["proc", "inline"],
-        default="proc",
-        help="proc = worker processes, inline = sequential in-process",
-    )
-    p.add_argument(
-        "--transport",
-        choices=["tcp", "shm"],
-        default="tcp",
-        help="proc-mode wire: localhost sockets or shared-memory rings",
     )
     p.add_argument(
         "--budget-us",
@@ -1209,9 +1186,7 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="print only the structural trace digest (CI determinism check)",
     )
-    p.add_argument("--timeout", type=float, default=600.0,
-                   help="per-run worker deadline (seconds)")
-    p.set_defaults(fn=_cmd_trace)
+    p.set_defaults(fn=_cmd_trace, slots=200)
 
     p = sub.add_parser(
         "fuzz",
@@ -1251,6 +1226,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser(
         "record",
+        parents=[engine_opt],
         help="capture a live workload as a standalone replay corpus",
         description="Runs an existing deterministic workload (chaos soak, "
         "rt stress scenario, the Fig-5b hot-swap experiment or a "
@@ -1265,8 +1241,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--slots", type=int, default=None,
                    help="override the workload's slot count")
-    p.add_argument("--engine", choices=["legacy", "threaded", "aot"],
-                   default=None)
     p.add_argument("--rt", metavar="POLICY",
                    help="rt dispatch policy string ('on' for defaults)")
     p.add_argument("--phase-duration", type=float, default=0.4,
@@ -1290,6 +1264,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser(
         "reduce",
+        parents=[engine_opt],
         help="shrink a recorded replay corpus while it stays faithful",
         description="Dedupes calls by (module, input-shape, trap/fuel "
         "equivalence class), keeps a few representatives per class, "
@@ -1304,8 +1279,6 @@ def main(argv: list[str] | None = None) -> int:
                    help="skip the module-body shrinking pass")
     p.add_argument("--max-checks", type=int, default=120,
                    help="shrinker predicate evaluations per module")
-    p.add_argument("--engine", choices=["legacy", "threaded", "aot"],
-                   default=None, help="engine used for verification replays")
     p.add_argument("-o", "--output", metavar="FILE",
                    help="output path (default <input>.min.wrc)")
     p.add_argument("--json", action="store_true",

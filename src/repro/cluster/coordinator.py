@@ -186,9 +186,9 @@ class ClusterCoordinator:
         self._frames_ingested = 0
         self._messages_ingested = 0
         self._ingest_failures = 0
-        #: last slot each worker's WBR3 range headers reported complete
+        #: last slot each worker's frame headers reported complete
         self._progress: dict[int, int] = {}
-        #: span docs streamed home inside WBR3 frames, per worker
+        #: span docs streamed home inside uplink frames, per worker
         self._streamed: dict[int, list[dict]] = {}
         #: the reserved root trace context every worker parents under
         self._root_ctx: TraceContext | None = None
@@ -219,29 +219,33 @@ class ClusterCoordinator:
 
         The ingest span parents under the *producing worker slot's* trace
         context carried in the frame header, so the coordinator's demux
-        work appears inside that slot's cross-process span tree.  A
-        ``WBR3`` range header additionally updates the worker's progress
-        watermark (its heartbeat) and collects any streamed span docs.
+        work appears inside that slot's cross-process span tree.  The
+        header also updates the worker's progress watermark (its
+        heartbeat), and any streamed span docs are collected.
         """
         self._frames_ingested += 1
-        info = range_info(data)
-        if info is not None:
-            prev = self._progress.get(info.worker, -1)
-            if info.slot_hi >= info.slot_lo and info.slot_hi > prev:
-                self._progress[info.worker] = info.slot_hi
-            if self.spec.trace and info.spans_len:
-                try:
-                    self._streamed.setdefault(info.worker, []).extend(
-                        batch_spans(data)
-                    )
-                except (BatchError, ValueError):
-                    self._ingest_failures += 1
+        try:
+            info = range_info(data)
+        except BatchError:
+            self._ingest_failures += 1
+            return
+        prev = self._progress.get(info.worker, -1)
+        if info.slot_hi >= info.slot_lo and info.slot_hi > prev:
+            self._progress[info.worker] = info.slot_hi
+        if self.spec.trace and info.spans_len:
+            try:
+                self._streamed.setdefault(info.worker, []).extend(
+                    batch_spans(data)
+                )
+            except BatchError:
+                self._ingest_failures += 1
         messages = 0
         # span-blob bytes stay out of the attr: the blob compresses float
         # timings, so its length would wobble the structural trace digest
-        demux_bytes = len(data) - (info.spans_len if info else 0)
         with obs.OBS.tracer.span(
-            "coord.ingest", parent=batch_trace(data), bytes=demux_bytes
+            "coord.ingest",
+            parent=batch_trace(data),
+            bytes=len(data) - info.spans_len,
         ) as span:
             try:
                 for node, payload in iter_batch_frame(data):
@@ -311,28 +315,14 @@ class ClusterCoordinator:
         return snapshots
 
     def _run_proc(self) -> list[dict]:
-        """Workers run as real processes; frames stream in as they arrive.
-
-        ``spec.transport`` picks the wire: localhost TCP, or
-        shared-memory rings (workers join the coordinator's shm session
-        by key, the way they'd join a TCP network by port).
-        """
+        """Workers run as real processes dialling back over TCP loopback;
+        frames stream in as they arrive."""
         import multiprocessing as mp
 
         ctx = mp.get_context("spawn")
         parent_doc = self._root_ctx.to_json() if self._root_ctx else None
-        if self.spec.transport == "shm":
-            from repro.netio.shm import ShmNetwork
-
-            net = ShmNetwork()
-            conninfo: tuple[str, Any] = ("shm", net.session)
-        else:
-            net = TcpNetwork()
-            conninfo = ("tcp", 0)
-        with net:
+        with TcpNetwork() as net:
             coord_endpoint = net.endpoint(COORD)
-            if conninfo[0] == "tcp":
-                conninfo = ("tcp", coord_endpoint.port)  # type: ignore[attr-defined]
             self._build_ric()
             with obs.OBS.tracer.span(
                 "coord.spawn", workers=self.spec.workers
@@ -345,7 +335,7 @@ class ClusterCoordinator:
                         args=(
                             self.spec.to_json(),
                             worker_id,
-                            conninfo,
+                            coord_endpoint.port,  # type: ignore[attr-defined]
                             parent_doc,
                         ),
                         daemon=True,
@@ -420,11 +410,6 @@ class ClusterCoordinator:
                 elif doc.get("t") == "result":
                     self._results[int(doc["worker"])] = doc
                     pending.discard(int(doc["worker"]))
-                elif doc.get("t") == "progress":
-                    worker = int(doc["worker"])
-                    slot = int(doc["slot"])
-                    if slot > self._progress.get(worker, -1):
-                        self._progress[worker] = slot
                 elif doc.get("t") == "error":
                     worker = int(doc.get("worker", -1))
                     failure.append(
@@ -609,7 +594,7 @@ class ClusterCoordinator:
         collections = [("coord", coord_spans)]
         for r in results:
             worker = int(r["worker"])
-            # spans streamed home in WBR3 range frames, then whatever was
+            # spans streamed home in the uplink frames, then whatever was
             # still unfinished when the worker built its result
             spans = self._streamed.get(worker, []) + r.get("spans", [])
             collections.append(

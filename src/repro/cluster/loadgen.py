@@ -26,15 +26,13 @@ METRO_UES = 256
 def metro_spec(
     workers: int = 4,
     slots: int = 200,
-    transport: str = "shm",
     mode: str = "proc",
 ) -> ClusterSpec:
     """The 64-cell "metro" spec: the largest supported deployment shape.
 
-    Defaults to shared-memory transport - at this cell count the uplink
-    frame rate is what separates the backends - with a generous deadline
-    so CI-class machines finish.  Digest invariance applies unchanged:
-    a metro run at any worker count must agree with ``workers=1``.
+    Comes with a generous deadline so CI-class machines finish.  Digest
+    invariance applies unchanged: a metro run at any worker count must
+    agree with ``workers=1``.
     """
     return ClusterSpec(
         workers=workers,
@@ -42,7 +40,6 @@ def metro_spec(
         ues=METRO_UES,
         slots=slots,
         mode=mode,
-        transport=transport,
         timeout_s=1800.0,
     )
 

@@ -55,7 +55,8 @@ class ClusterSpec:
     #: releases it (chaos runs only)
     release_after: int = 20
     checkpoint_every: int = 25
-    mode: str = "proc"  # "proc" = worker processes, "inline" = same process
+    #: "proc" = worker processes over TCP loopback, "inline" = same process
+    mode: str = "proc"
     timeout_s: float = 600.0
     #: distributed tracing: workers ship their span collections home and
     #: the report carries a stitched cross-process trace + attribution
@@ -76,9 +77,6 @@ class ClusterSpec:
     #: the coordinator raises :class:`WorkerFailed` (0 = only the overall
     #: ``timeout_s`` applies).  Workers heartbeat at the flush cadence.
     liveness_timeout_s: float = 0.0
-    #: proc-mode wire: "tcp" (localhost sockets) or "shm" (shared-memory
-    #: rings, :class:`repro.netio.shm.ShmNetwork`); inline mode ignores it
-    transport: str = "tcp"
     #: corpus capture: each worker swaps in a capture-mode flight
     #: recorder and ships its full call stream home in the result frame
     #: (``repro record`` merges them per worker into one replay corpus)
@@ -95,8 +93,6 @@ class ClusterSpec:
             raise ValueError("kpm_period and flush_every must be positive")
         if self.mode not in ("proc", "inline"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.transport not in ("tcp", "shm"):
-            raise ValueError(f"unknown transport {self.transport!r}")
         if self.budget_us < 0:
             raise ValueError("budget_us must be non-negative")
         if self.liveness_timeout_s < 0:

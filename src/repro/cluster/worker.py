@@ -3,7 +3,7 @@
 A worker derives its shard from ``(spec, worker_id)``, steps every hosted
 cell slot-synchronously, and coalesces all cells' KPM indications into
 the shared batched uplink.  Every ``spec.flush_every`` slots it emits one
-``WBR3`` slot-range frame (see :mod:`repro.netio.batching`) carrying the
+slot-range frame (see :mod:`repro.netio.batching`) carrying the
 range's E2 entries, the ``[slot_lo, slot_hi]`` progress header that
 doubles as the liveness heartbeat, and - when tracing - the span
 documents finished during the range (drained from the tracer, so traces
@@ -54,7 +54,7 @@ from repro.cluster.shard import (
 from repro.cluster.spec import COORD, ClusterSpec
 from repro.e2 import vendors
 from repro.netio.batching import BatchSender, encode_span_blob
-from repro.netio.bus import Endpoint
+from repro.netio.bus import Endpoint, TcpNetwork
 from repro.obs.tracing import TraceContext
 
 CLUSTER_MAGIC = 0x31534C43  # 'CLS1' little-endian
@@ -207,7 +207,7 @@ def _run_worker_body(
                         step_operator_loop(cell, slot, spec.release_after)
                 slot_hist.observe((time.perf_counter() - s0) * 1e6)
                 if (slot + 1) % spec.flush_every == 0:
-                    # one WBR3 frame per slot range: E2 entries, the
+                    # one frame per slot range: E2 entries, the
                     # progress heartbeat (its header names the range even
                     # when no entries queued), and the spans finished so
                     # far - no separate per-flush control message
@@ -313,30 +313,14 @@ def _run_worker_body(
 def _worker_entry(
     spec_doc: dict,
     worker_id: int,
-    conninfo: tuple[str, Any],
+    coord_port: int,
     trace_parent: dict | None = None,
 ) -> None:
-    """Process entry point: connect back to the coordinator and run.
-
-    ``conninfo`` selects the wire: ``("tcp", port)`` joins the
-    coordinator's TCP network via its port, ``("shm", session)`` joins
-    its shared-memory session (the session key plays the role the port
-    plays for TCP).
-    """
+    """Process entry point: connect back to the coordinator and run."""
     spec = ClusterSpec.from_json(spec_doc)
     parent = TraceContext.from_json(trace_parent)
-    transport, key = conninfo
-    if transport == "shm":
-        from repro.netio.shm import ShmNetwork
-
-        net = ShmNetwork(session=key)
-    else:
-        from repro.netio.bus import TcpNetwork
-
-        net = TcpNetwork()
-    with net:
-        if transport != "shm":
-            net.register_peer(COORD, key)
+    with TcpNetwork() as net:
+        net.register_peer(COORD, coord_port)
         endpoint = net.endpoint(f"worker{worker_id}")
         endpoint.send(
             COORD, pack_control({"t": "hello", "worker": worker_id})

@@ -8,25 +8,13 @@ few slots, so the coordinator receives a handful of coalesced frames per
 flush interval regardless of how many cells the worker runs.
 
 Each batch entry carries its originating node so the coordinator can
-demultiplex the frame back into per-node messages for the RIC.  Two
-entry layouts exist, and the *frame magic* of the containing batch is
-authoritative for which one is in use (no payload sniffing - vendor
-payloads may be encrypted bytes that could mimic any marker)::
+demultiplex the frame back into per-node messages for the RIC::
 
-    v1 (inside 'WBAT' frames):
-        u16 node_len | node (utf-8) | vendor-encoded payload
-    v2 (inside 'WBT2' frames):
-        u16 node_len | node (utf-8) | u8 flags
-        | [16-byte trace context if flags & 1] | payload
+    u16 node_len | node (utf-8) | vendor-encoded payload
 
-v2 exists for distributed tracing: the producing slot span's
-:class:`~repro.obs.tracing.TraceContext` rides *per entry* (on top of
-the per-frame context in the ``WBT2`` batch header), so indications
-batched across several slots still attribute to the exact slot that
-produced them.  Traced entries only ever travel in traced frames - both
-the channel below and :class:`~repro.netio.batching.BatchSender` key off
-the same process-wide tracer-enabled flag - and untraced runs put bytes
-on the wire identical to before this format existed.
+The payload is opaque (vendor payloads may be encrypted bytes), so the
+entry has no flags and nothing is ever sniffed out of it; trace context
+rides the frame header (:mod:`repro.netio.batching`), not the entries.
 """
 
 from __future__ import annotations
@@ -36,88 +24,43 @@ from typing import Any, Iterator
 
 from repro.e2 import messages
 from repro.e2.vendors import VendorProfile
-from repro.netio.batching import BatchSender, is_traced_batch, unpack_batch
+from repro.netio.batching import BatchSender, unpack_batch
 from repro.obs import OBS
-from repro.obs.tracing import TraceContext
 
-_FLAG_TRACE = 0x01
+_NODE_LEN = struct.Struct("<H")
 
 
 class E2BatchError(ValueError):
     """Malformed batched-uplink entry."""
 
 
-def encode_batch_entry(
-    node: str,
-    payload: bytes,
-    ctx: TraceContext | None = None,
-    traced: bool = False,
-) -> bytes:
-    """Prefix a vendor-encoded message with its originating node id.
-
-    ``traced`` (implied by a non-``None`` ``ctx``) selects the v2 layout;
-    the caller must then ship the entry in a traced (``WBT2``) frame.
-    """
+def encode_batch_entry(node: str, payload: bytes) -> bytes:
+    """Prefix a vendor-encoded message with its originating node id."""
     raw = node.encode("utf-8")
     if len(raw) > 0xFFFF:
         raise E2BatchError("node id too long")
-    head = struct.pack("<H", len(raw)) + raw
-    if ctx is not None:
-        return head + bytes((_FLAG_TRACE,)) + ctx.pack() + payload
-    if traced:
-        return head + b"\x00" + payload
-    return head + payload
+    return _NODE_LEN.pack(len(raw)) + raw + payload
 
 
-def decode_batch_entry_ex(
-    entry: bytes, traced: bool = False
-) -> tuple[str, bytes, TraceContext | None]:
-    """Split one batch entry into ``(node, payload, trace-context)``.
-
-    ``traced`` says which layout the entry uses - pass the containing
-    frame's :func:`~repro.netio.batching.is_traced_batch`.
-    """
-    if len(entry) < 2:
-        raise E2BatchError("short batch entry")
-    (node_len,) = struct.unpack_from("<H", entry, 0)
-    if 2 + node_len > len(entry):
-        raise E2BatchError("node id overruns entry")
-    node = entry[2 : 2 + node_len].decode("utf-8")
-    rest = entry[2 + node_len :]
-    if not traced:
-        return node, rest, None
-    if not rest:
-        raise E2BatchError("traced entry missing flags byte")
-    flags, rest = rest[0], rest[1:]
-    ctx = None
-    if flags & _FLAG_TRACE:
-        if len(rest) < TraceContext.WIRE_LEN:
-            raise E2BatchError("entry trace context truncated")
-        ctx = TraceContext.unpack(rest[: TraceContext.WIRE_LEN])
-        rest = rest[TraceContext.WIRE_LEN :]
-    return node, rest, ctx
-
-
-def decode_batch_entry(entry: bytes, traced: bool = False) -> tuple[str, bytes]:
+def decode_batch_entry(entry: bytes) -> tuple[str, bytes]:
     """Split one batch entry back into ``(node, payload)``."""
-    node, payload, _ctx = decode_batch_entry_ex(entry, traced=traced)
-    return node, payload
+    if len(entry) < _NODE_LEN.size:
+        raise E2BatchError("short batch entry")
+    (node_len,) = _NODE_LEN.unpack_from(entry, 0)
+    end = _NODE_LEN.size + node_len
+    if end > len(entry):
+        raise E2BatchError("node id overruns entry")
+    try:
+        node = entry[_NODE_LEN.size : end].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise E2BatchError(f"node id is not utf-8: {exc}") from exc
+    return node, entry[end:]
 
 
 def iter_batch_frame(frame: bytes) -> Iterator[tuple[str, bytes]]:
     """Yield every ``(node, payload)`` in one received batch frame."""
-    traced = is_traced_batch(frame)
     for entry in unpack_batch(frame):
-        yield decode_batch_entry(entry, traced=traced)
-
-
-def iter_batch_frame_ex(
-    frame: bytes,
-) -> Iterator[tuple[str, bytes, TraceContext | None]]:
-    """Yield every ``(node, payload, trace-context)`` in one batch frame."""
-    traced = is_traced_batch(frame)
-    for entry in unpack_batch(frame):
-        yield decode_batch_entry_ex(entry, traced=traced)
+        yield decode_batch_entry(entry)
 
 
 class BatchedUplinkChannel:
@@ -131,8 +74,7 @@ class BatchedUplinkChannel:
     see exactly which cell's telemetry was shed.
 
     When tracing is live, the vendor encode is timed as an ``e2.encode``
-    span and the active slot span's context is stamped into the entry, so
-    the coordinator can attribute each indication to its producing slot.
+    span.
 
     The uplink is one-directional by design (shared-nothing workers);
     ``poll`` always returns nothing.
@@ -156,12 +98,9 @@ class BatchedUplinkChannel:
         if tracer.enabled:
             with tracer.span("e2.encode", node=self.source):
                 payload = self.profile.encode(message)
-            entry = encode_batch_entry(
-                self.source, payload, ctx=tracer.current(), traced=True
-            )
         else:
-            entry = encode_batch_entry(self.source, self.profile.encode(message))
-        if self.sender.offer(entry):
+            payload = self.profile.encode(message)
+        if self.sender.offer(encode_batch_entry(self.source, payload)):
             self.sent += 1
         else:
             self.dropped += 1

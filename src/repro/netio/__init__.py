@@ -1,19 +1,16 @@
 """Message transport for RIC <-> E2-node communication.
 
 §4B of the paper lets operators pick the wire technology (ZeroMQ, Kafka,
-raw SCTP...).  This package provides three interchangeable transports
-behind one endpoint interface so communication plugins can wrap any of
-them:
+raw SCTP...).  This package provides two interchangeable transports
+behind one endpoint interface so communication plugins can wrap either:
 
 - :class:`InProcNetwork` - zero-copy in-process queues (the default for
   simulations and tests);
 - :class:`TcpNetwork` - real localhost TCP sockets with length-prefixed
-  framing, for runs that want actual bytes on a wire;
-- :class:`ShmNetwork` - shared-memory SPSC ring buffers
-  (:mod:`multiprocessing.shared_memory`), for multi-process runs where
-  the transport must stay off the critical path.
+  framing, for multi-process runs and anything that wants actual bytes
+  on a wire.
 
-All deliver ``(source, payload: bytes)`` datagram-style messages between
+Both deliver ``(source, payload: bytes)`` datagram-style messages between
 named endpoints.
 """
 
@@ -24,22 +21,17 @@ from repro.netio.batching import (
     batch_spans,
     batch_trace,
     is_batch,
-    is_traced_batch,
-    pack_batch,
     pack_range_batch,
     range_info,
     unpack_batch,
 )
 from repro.netio.bus import Endpoint, InProcNetwork, NetworkError, TcpNetwork
 from repro.netio.framing import FrameError, read_frame, write_frame
-from repro.netio.shm import ShmNetwork, ShmRing
 
 __all__ = [
     "Endpoint",
     "InProcNetwork",
     "TcpNetwork",
-    "ShmNetwork",
-    "ShmRing",
     "NetworkError",
     "read_frame",
     "write_frame",
@@ -48,10 +40,8 @@ __all__ = [
     "BatchSender",
     "RangeInfo",
     "is_batch",
-    "is_traced_batch",
     "batch_trace",
     "batch_spans",
-    "pack_batch",
     "pack_range_batch",
     "range_info",
     "unpack_batch",

@@ -2,35 +2,32 @@
 
 The cluster's E2 uplink coalesces many per-slot indications into one
 transport frame instead of paying per-message framing and syscall costs.
-The wire format is transport-agnostic (it rides *inside* the existing
-length-prefixed frame of :mod:`repro.netio.framing`).  Three header
-variants share the format::
+Instead of per-slot lockstep control messages, one **slot-range frame**
+carries everything a worker produced for a contiguous slot range.  The
+format is transport-agnostic (it rides *inside* the length-prefixed
+frame of :mod:`repro.netio.framing`), little-endian throughout::
 
-    u32 magic 'WBAT' | u32 count | count * (u32 len | payload)
-    u32 magic 'WBT2' | u32 count | u64 trace_id | u64 span_id | entries...
     u32 magic 'WBR3' | u32 count | u32 slot_lo | u32 slot_hi | u32 worker
                      | u32 flags | u32 spans_len
-                     | [16B trace ctx when flags&1]
+                     | [16B trace context when flags & 1]
                      | [spans_len bytes of zlib'd span JSON]
-                     | entries...
+                     | count * (u32 len | payload)
 
-``WBT2`` is the distributed-tracing variant: the 16-byte
+The header names the producing worker and ``[slot_lo, slot_hi]`` and so
+doubles as the liveness/progress heartbeat: a frame with ``count == 0``
+is still meaningful.  Both optional fields are zero-length when tracing
+is off.  ``flags`` bit0 says the 16-byte
 :class:`~repro.obs.tracing.TraceContext` of the span that *flushed* the
-batch (the worker's active slot span) rides in the header, so the
+frame (the worker's active slot span) follows the header, so the
 receiver can parent its ingest span under the producing slot - that is
 how a coordinator's demultiplex work shows up inside the worker slot's
-span tree.  Receivers accept both variants; senders emit ``WBT2`` only
-when tracing is live, so untraced runs stay byte-identical to before.
+span tree.  The span blob holds the span documents finished during the
+range (drained from the worker tracer, so traces stream home instead of
+riding the final result message).  The payloads are opaque here; the
+cluster fills them with the entries of :mod:`repro.e2.batch`.
 
-``WBR3`` is the slot-range variant the cluster uses: instead of per-slot
-lockstep control messages, one frame carries everything a worker
-produced for a contiguous slot range - the E2 entries, the producing
-worker id and ``[slot_lo, slot_hi]`` (doubling as the liveness/progress
-heartbeat, so a frame with ``count == 0`` is still meaningful), and
-optionally the span documents finished during the range (drained from
-the worker tracer so traces stream home instead of riding the final
-result message).  ``flags`` bit0 mirrors the WBT2 convention: the trace
-context is present and the E2 entries use the traced (v2) layout.
+Everything a malformed frame can provoke in this module is a
+:class:`BatchError`.
 
 Backpressure is explicit, not implicit: :class:`BatchSender` owns a
 *bounded* queue.  When the queue is full, :meth:`BatchSender.offer`
@@ -56,18 +53,29 @@ from repro.netio.framing import MAX_FRAME
 from repro.obs import OBS
 from repro.obs.tracing import TraceContext
 
-BATCH_MAGIC = 0x54414257  # 'WBAT' little-endian
-BATCH_MAGIC_TRACED = 0x32544257  # 'WBT2' little-endian
 RANGE_MAGIC = 0x33524257  # 'WBR3' little-endian
+_MAGIC_BYTES = RANGE_MAGIC.to_bytes(4, "little")
 
-_HEADER = struct.Struct("<II")
-_RANGE_HEADER = struct.Struct("<IIIIIII")  # magic count lo hi worker flags spans
+_HEADER = struct.Struct("<IIIIIII")  # magic count lo hi worker flags spans
 _ENTRY_LEN = struct.Struct("<I")
 
-_RANGE_FLAG_TRACED = 0x1
+_FLAG_TRACED = 0x1
 
-#: room the outer frame header needs inside MAX_FRAME
-_FRAME_SLACK = 1024
+#: bytes of MAX_FRAME a batch frame may use; the rest is room for the
+#: outer transport frame header
+_FRAME_BUDGET = MAX_FRAME - 1024
+
+
+def _entries_offset(traced: bool, spans_len: int = 0) -> int:
+    """Where the entries start: past header, trace context and span blob."""
+    return (
+        _HEADER.size + (TraceContext.WIRE_LEN if traced else 0) + spans_len
+    )
+
+
+#: the largest payload :meth:`BatchSender.offer` admits: one that fits
+#: alone in a traced frame, so every admitted payload can be flushed
+MAX_PAYLOAD = _FRAME_BUDGET - _entries_offset(traced=True) - _ENTRY_LEN.size
 
 
 class BatchError(ValueError):
@@ -76,7 +84,7 @@ class BatchError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class RangeInfo:
-    """Decoded ``WBR3`` header: which worker covered which slots."""
+    """Decoded frame header: which worker covered which slots."""
 
     count: int
     slot_lo: int
@@ -85,75 +93,36 @@ class RangeInfo:
     traced: bool
     spans_len: int
 
+    @property
+    def entries_offset(self) -> int:
+        return _entries_offset(self.traced, self.spans_len)
+
 
 def is_batch(data: bytes) -> bool:
-    """True iff ``data`` starts with any batch magic."""
-    if len(data) < 8:
-        return False
-    magic = _HEADER.unpack_from(data, 0)[0]
-    return magic in (BATCH_MAGIC, BATCH_MAGIC_TRACED, RANGE_MAGIC)
+    """True iff ``data`` starts with the batch magic."""
+    return data[:4] == _MAGIC_BYTES
 
 
-def _range_header(data: bytes) -> RangeInfo:
-    if len(data) < _RANGE_HEADER.size:
-        raise BatchError("short range batch frame")
-    _, count, lo, hi, worker, flags, spans_len = _RANGE_HEADER.unpack_from(
+def range_info(data: bytes) -> RangeInfo:
+    """Decode the frame header, checking it fits inside ``data``."""
+    if len(data) < _HEADER.size:
+        raise BatchError("short batch frame")
+    magic, count, lo, hi, worker, flags, spans_len = _HEADER.unpack_from(
         data, 0
     )
-    return RangeInfo(
+    if magic != RANGE_MAGIC:
+        raise BatchError(f"bad batch magic 0x{magic:08x}")
+    info = RangeInfo(
         count=count,
         slot_lo=lo,
         slot_hi=hi,
         worker=worker,
-        traced=bool(flags & _RANGE_FLAG_TRACED),
+        traced=bool(flags & _FLAG_TRACED),
         spans_len=spans_len,
     )
-
-
-def _entries_offset(data: bytes) -> tuple[int, int]:
-    """``(count, offset-of-first-entry)`` for any header variant."""
-    if len(data) < 8:
-        raise BatchError("short batch frame")
-    magic, count = _HEADER.unpack_from(data, 0)
-    if magic == BATCH_MAGIC:
-        return count, 8
-    if magic == BATCH_MAGIC_TRACED:
-        if len(data) < 8 + TraceContext.WIRE_LEN:
-            raise BatchError("traced batch frame missing context")
-        return count, 8 + TraceContext.WIRE_LEN
-    if magic == RANGE_MAGIC:
-        info = _range_header(data)
-        offset = _RANGE_HEADER.size
-        if info.traced:
-            offset += TraceContext.WIRE_LEN
-        offset += info.spans_len
-        if len(data) < offset:
-            raise BatchError("range batch header overruns frame")
-        return count, offset
-    raise BatchError(f"bad batch magic 0x{magic:08x}")
-
-
-def pack_batch(
-    payloads: list[bytes],
-    ctx: TraceContext | None = None,
-    traced: bool = False,
-) -> bytes:
-    """Coalesce payloads into one batch frame body.
-
-    ``ctx`` (or ``traced=True`` with no specific context - an all-zero
-    context is written) selects the ``WBT2`` header.  The magic is
-    authoritative for receivers: payload layers key *their* traced entry
-    layouts off :func:`is_traced_batch`, never off payload sniffing.
-    """
-    if ctx is None and not traced:
-        parts = [_HEADER.pack(BATCH_MAGIC, len(payloads))]
-    else:
-        wire = ctx.pack() if ctx is not None else b"\x00" * TraceContext.WIRE_LEN
-        parts = [_HEADER.pack(BATCH_MAGIC_TRACED, len(payloads)), wire]
-    for payload in payloads:
-        parts.append(_ENTRY_LEN.pack(len(payload)))
-        parts.append(payload)
-    return b"".join(parts)
+    if len(data) < info.entries_offset:
+        raise BatchError("batch header overruns frame")
+    return info
 
 
 def pack_range_batch(
@@ -162,32 +131,24 @@ def pack_range_batch(
     slot_hi: int,
     worker: int,
     ctx: TraceContext | None = None,
-    traced: bool = False,
     spans_blob: bytes = b"",
 ) -> bytes:
     """Coalesce a slot range's payloads (and span blob) into one frame.
 
-    ``traced`` (or a concrete ``ctx``) sets flags bit0, meaning the
-    trace context is present *and* the entries use the traced (v2)
-    layout - the magic+flags stay authoritative for receivers, exactly
-    like the WBAT/WBT2 split.  An empty ``payloads`` list is legal: the
-    frame still carries the range header, serving as the worker's
-    progress heartbeat.
+    A ``ctx`` sets flags bit0 and rides behind the header.  An empty
+    ``payloads`` list is legal: the frame still carries the range
+    header, serving as the worker's progress heartbeat.
     """
-    if spans_blob and len(spans_blob) > MAX_FRAME // 2:
+    if len(spans_blob) > MAX_FRAME // 2:
         raise BatchError(f"span blob too large: {len(spans_blob)}")
-    is_traced = traced or ctx is not None
-    flags = _RANGE_FLAG_TRACED if is_traced else 0
     parts = [
-        _RANGE_HEADER.pack(
-            RANGE_MAGIC, len(payloads), slot_lo, slot_hi, worker, flags,
-            len(spans_blob),
+        _HEADER.pack(
+            RANGE_MAGIC, len(payloads), slot_lo, slot_hi, worker,
+            _FLAG_TRACED if ctx is not None else 0, len(spans_blob),
         )
     ]
-    if is_traced:
-        parts.append(
-            ctx.pack() if ctx is not None else b"\x00" * TraceContext.WIRE_LEN
-        )
+    if ctx is not None:
+        parts.append(ctx.pack())
     if spans_blob:
         parts.append(spans_blob)
     for payload in payloads:
@@ -196,15 +157,8 @@ def pack_range_batch(
     return b"".join(parts)
 
 
-def range_info(data: bytes) -> RangeInfo | None:
-    """Decoded range header when ``data`` is a ``WBR3`` frame, else None."""
-    if len(data) >= 8 and _HEADER.unpack_from(data, 0)[0] == RANGE_MAGIC:
-        return _range_header(data)
-    return None
-
-
 def encode_span_blob(spans: list[dict]) -> bytes:
-    """Compress span export docs for the WBR3 spans field."""
+    """Compress span export docs for the frame's spans field."""
     if not spans:
         return b""
     return zlib.compress(
@@ -215,54 +169,36 @@ def encode_span_blob(spans: list[dict]) -> bytes:
 
 
 def batch_spans(data: bytes) -> list[dict]:
-    """Span docs streamed inside a ``WBR3`` frame (empty for other frames)."""
+    """Span docs streamed inside the frame (empty when it has no blob)."""
     info = range_info(data)
-    if info is None or info.spans_len == 0:
+    if info.spans_len == 0:
         return []
-    offset = _RANGE_HEADER.size + (
-        TraceContext.WIRE_LEN if info.traced else 0
-    )
-    blob = data[offset : offset + info.spans_len]
-    if len(blob) != info.spans_len:
-        raise BatchError("span blob overruns frame")
-    return json.loads(zlib.decompress(blob).decode("utf-8"))
-
-
-def is_traced_batch(data: bytes) -> bool:
-    """True iff the frame's entries use the traced (v2) layouts."""
-    if len(data) < 8:
-        return False
-    magic = _HEADER.unpack_from(data, 0)[0]
-    if magic == BATCH_MAGIC_TRACED:
-        return True
-    if magic == RANGE_MAGIC:
-        return _range_header(data).traced
-    return False
+    end = info.entries_offset
+    try:
+        blob = zlib.decompress(data[end - info.spans_len : end])
+        docs = json.loads(blob.decode("utf-8"))
+    except (zlib.error, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise BatchError(f"corrupt span blob: {exc}") from exc
+    if not isinstance(docs, list):
+        raise BatchError("span blob is not a list of span documents")
+    return docs
 
 
 def batch_trace(data: bytes) -> TraceContext | None:
     """The producing span's context carried by a traced frame, if any."""
-    if len(data) < 8:
+    if not range_info(data).traced:
         return None
-    magic = _HEADER.unpack_from(data, 0)[0]
-    ctx = None
-    if magic == BATCH_MAGIC_TRACED and len(data) >= 8 + TraceContext.WIRE_LEN:
-        ctx = TraceContext.unpack(data[8:])
-    elif magic == RANGE_MAGIC:
-        info = _range_header(data)
-        offset = _RANGE_HEADER.size
-        if info.traced and len(data) >= offset + TraceContext.WIRE_LEN:
-            ctx = TraceContext.unpack(data[offset:])
-    if ctx is not None and (ctx.trace_id or ctx.span_id):
-        return ctx
-    return None
+    return TraceContext.unpack(
+        data[_HEADER.size : _HEADER.size + TraceContext.WIRE_LEN]
+    )
 
 
 def unpack_batch(data: bytes) -> list[bytes]:
-    """Split a batch frame body (either variant) back into its payloads."""
-    count, offset = _entries_offset(data)
+    """Split a batch frame body back into its payloads."""
+    info = range_info(data)
+    offset = info.entries_offset
     payloads = []
-    for _ in range(count):
+    for _ in range(info.count):
         if offset + 4 > len(data):
             raise BatchError("batch entry header overruns frame")
         (length,) = _ENTRY_LEN.unpack_from(data, offset)
@@ -284,9 +220,6 @@ class BatchSender:
     as fit under ``MAX_FRAME`` and sends them.  The producer decides the
     flush cadence (the cluster workers flush every N slots).
     """
-
-    #: per-variant worst-case header bytes an entry adds inside a frame
-    _ENTRY_OVERHEAD = 4 + TraceContext.WIRE_LEN
 
     def __init__(
         self,
@@ -316,7 +249,7 @@ class BatchSender:
     def offer(self, payload: bytes) -> bool:
         """Enqueue one payload; False (and a drop count) on backpressure."""
         self.offered += 1
-        if len(payload) + 16 > MAX_FRAME - _FRAME_SLACK:
+        if len(payload) > MAX_PAYLOAD:
             self.dropped_oversize += 1
             self.dropped += 1
             return False
@@ -328,30 +261,27 @@ class BatchSender:
 
     def flush(
         self,
-        slot_range: tuple[int, int] | None = None,
+        slot_range: tuple[int, int],
         worker: int = 0,
         spans_blob: bytes = b"",
     ) -> int:
         """Send everything queued; returns the number of messages flushed.
 
-        Without ``slot_range`` this is the legacy behaviour: WBAT/WBT2
-        frames, nothing on the wire when the queue is empty.  With
-        ``slot_range=(lo, hi)`` the flush emits ``WBR3`` slot-range
-        frames instead - at least one even when the queue is empty (the
-        range header doubles as the progress heartbeat) - and the first
-        frame carries ``spans_blob`` (see :func:`encode_span_blob`).
+        Emits slot-range frames for ``slot_range=(lo, hi)`` - at least
+        one even when the queue is empty (the range header doubles as
+        the progress heartbeat) - and the first frame carries
+        ``spans_blob`` (see :func:`encode_span_blob`), alone if it would
+        crowd out the first payload.  Every later frame has room for at
+        least one payload, because ``offer`` admits nothing larger than
+        :data:`MAX_PAYLOAD`.
 
         When tracing is live, the active span's context (the worker's
-        slot span) is stamped into each frame's traced header and the
-        whole flush is timed as an ``uplink.flush`` span; per-payload
-        queue wait is observed into ``waran_uplink_queue_wait_us``.
+        slot span) is stamped into each frame header and the whole flush
+        is timed as an ``uplink.flush`` span; per-payload queue wait is
+        observed into ``waran_uplink_queue_wait_us``.
         """
-        ranged = slot_range is not None
-        if not self._queue and not ranged:
-            return 0
         tracer = OBS.tracer
-        traced = tracer.enabled
-        ctx = tracer.current() if traced else None
+        ctx = tracer.current() if tracer.enabled else None
         wait_hist = None
         if OBS.enabled and self._queue:
             # one flush drains many payloads: resolve the series once
@@ -366,47 +296,37 @@ class BatchSender:
         # trace digest wobble run-to-run
         with tracer.span("uplink.flush", dest=self.dest) as span:
             now = time.perf_counter_ns()
-            first = True
+            blob = spans_blob
             while True:
-                blob = spans_blob if (first and ranged) else b""
                 batch: list[bytes] = []
-                size = (
-                    (_RANGE_HEADER.size if ranged else 8)
-                    + (TraceContext.WIRE_LEN if traced else 0)
-                    + len(blob)
+                room = _FRAME_BUDGET - _entries_offset(
+                    ctx is not None, len(blob)
                 )
                 while (
                     self._queue
                     and len(batch) < self.max_batch
-                    and size + 4 + len(self._queue[0][0])
-                    <= MAX_FRAME - _FRAME_SLACK
+                    and _ENTRY_LEN.size + len(self._queue[0][0]) <= room
                 ):
                     payload, enq_ns = self._queue.pop(0)
                     if wait_hist is not None:
                         wait_hist.observe((now - enq_ns) / 1000.0)
-                    size += 4 + len(payload)
+                    room -= _ENTRY_LEN.size + len(payload)
                     batch.append(payload)
-                if ranged:
-                    frame = pack_range_batch(
-                        batch,
-                        slot_range[0],
-                        slot_range[1],
-                        worker,
-                        ctx=ctx,
-                        traced=traced,
-                        spans_blob=blob,
-                    )
-                elif not batch:
-                    break
-                else:
-                    frame = pack_batch(batch, ctx=ctx, traced=traced)
+                frame = pack_range_batch(
+                    batch,
+                    slot_range[0],
+                    slot_range[1],
+                    worker,
+                    ctx=ctx,
+                    spans_blob=blob,
+                )
                 self.endpoint.send(self.dest, frame)
                 self.batches_sent += 1
                 self.messages_sent += len(batch)
                 self.bytes_sent += len(frame)
                 blob_bytes += len(blob)
                 flushed += len(batch)
-                first = False
+                blob = b""
                 if not self._queue:
                     break
             span.set(

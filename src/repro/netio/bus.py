@@ -82,7 +82,7 @@ class _InProcEndpoint(Endpoint):
             return None
 
     def close(self) -> None:
-        """Unregister, so peers get ``NetworkError`` like on TCP/shm."""
+        """Unregister, so peers get ``NetworkError`` like on TCP."""
         self._network._forget(self.name)
 
 

@@ -22,7 +22,11 @@ from repro.e2.batch import (
     encode_batch_entry,
     iter_batch_frame,
 )
-from repro.netio.batching import BatchSender, pack_batch
+from repro.netio.batching import (
+    BatchSender,
+    encode_span_blob,
+    pack_range_batch,
+)
 from repro.netio.bus import InProcNetwork
 
 #: small enough for CI, big enough to cross several KPM/flush periods
@@ -80,8 +84,9 @@ class TestE2Batch:
         assert decode_batch_entry(entry) == ("cell3", b"\x01\x02\x03")
 
     def test_iter_batch_frame(self):
-        frame = pack_batch(
-            [encode_batch_entry("a", b"x"), encode_batch_entry("b", b"y")]
+        frame = pack_range_batch(
+            [encode_batch_entry("a", b"x"), encode_batch_entry("b", b"y")],
+            0, 3, worker=0,
         )
         assert list(iter_batch_frame(frame)) == [("a", b"x"), ("b", b"y")]
 
@@ -90,6 +95,8 @@ class TestE2Batch:
             decode_batch_entry(b"\x05\x00ab")  # node id overruns
         with pytest.raises(E2BatchError):
             decode_batch_entry(b"\x01")
+        with pytest.raises(E2BatchError):
+            decode_batch_entry(b"\x02\x00\xff\xfe")  # node id is not utf-8
 
     def test_uplink_channel_counts_backpressure(self):
         from repro.e2 import vendors
@@ -105,6 +112,57 @@ class TestE2Batch:
         assert channel.sent == 2
         assert channel.dropped == 3
         assert channel.poll() == []  # one-directional uplink
+
+
+class TestIngest:
+    """The coordinator's demux survives damaged frames (its drain thread
+    must never die on input from the wire)."""
+
+    ENTRIES = [
+        encode_batch_entry("cell0", b"kpm0"),
+        encode_batch_entry("cell1", b"kpm1"),
+    ]
+
+    def coordinator(self):
+        from repro.cluster.coordinator import ClusterCoordinator
+
+        coord = ClusterCoordinator(replace(QUICK, trace=True))
+        coord._build_ric()
+        return coord
+
+    def test_corrupt_span_blob_counts_but_entries_still_ingest(self):
+        blob = encode_span_blob([{"name": "worker.slot", "slot": 3}])
+        frame = bytearray(
+            pack_range_batch(self.ENTRIES, 0, 3, worker=1, spans_blob=blob)
+        )
+        frame[28 + len(blob) // 2] ^= 0xFF  # inside the deflate stream
+        coord = self.coordinator()
+        coord._ingest_frame(bytes(frame))
+        assert coord._ingest_failures == 1
+        assert coord._messages_ingested == 2
+        assert coord._progress == {1: 3}  # the header still heartbeats
+        assert coord._streamed.get(1, []) == []
+
+    def test_intact_frame_ingests_clean(self):
+        blob = encode_span_blob([{"name": "worker.slot", "slot": 3}])
+        coord = self.coordinator()
+        coord._ingest_frame(
+            pack_range_batch(self.ENTRIES, 0, 3, worker=1, spans_blob=blob)
+        )
+        assert coord._ingest_failures == 0
+        assert coord._messages_ingested == 2
+        assert coord._streamed[1] == [{"name": "worker.slot", "slot": 3}]
+
+    def test_damaged_header_or_entries_count_as_failures(self):
+        frame = pack_range_batch(self.ENTRIES, 0, 3, worker=1)
+        coord = self.coordinator()
+        coord._ingest_frame(frame[:20])  # magic but no whole header
+        coord._ingest_frame(frame[:-2])  # last entry overruns
+        coord._ingest_frame(
+            pack_range_batch([encode_batch_entry("ghost", b"x")], 4, 7, 1)
+        )
+        assert coord._ingest_failures == 3
+        assert coord._messages_ingested == 0
 
 
 class TestInlineCluster:
@@ -238,3 +296,52 @@ class TestScaleCli:
 
         assert main(["scale", "--workers", "0"]) == 1
         assert "error" in capsys.readouterr().err
+
+    #: the cluster-shape and engine flags scale and trace share
+    SHARED = {"--workers", "--cells", "--ues", "--slots", "--seed", "--mode",
+              "--timeout", "--engine"}
+
+    @pytest.mark.parametrize(
+        "command, own",
+        [
+            ("scale", {"--chaos", "--sweep", "--verify-determinism", "--json",
+                       "--metrics", "--rt", "--scenario",
+                       "--liveness-timeout"}),
+            ("trace", {"--budget-us", "--out", "--json", "--tree",
+                       "--digest-only"}),
+        ],
+    )
+    def test_help_lists_the_shared_and_own_flags(self, command, own, capsys):
+        import re
+
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        assert flags == self.SHARED | own | {"--help"}
+
+    @pytest.mark.parametrize("command", ["scale", "trace"])
+    def test_transport_flag_is_an_error_not_a_noop(self, command, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--mode", "inline", "--transport", "tcp"])
+        assert exit_info.value.code == 2
+        assert "--transport" in capsys.readouterr().err
+
+    def test_per_command_slot_defaults_survive_the_shared_parent(
+        self, monkeypatch
+    ):
+        from repro import cli
+
+        seen = {}
+        monkeypatch.setattr(
+            cli, "_cmd_scale", lambda args: seen.update(scale=args.slots) or 0
+        )
+        monkeypatch.setattr(
+            cli, "_cmd_trace", lambda args: seen.update(trace=args.slots) or 0
+        )
+        assert cli.main(["scale"]) == 0 and cli.main(["trace"]) == 0
+        assert seen == {"scale": 400, "trace": 200}

@@ -1,10 +1,10 @@
 """Scaling determinism: aggregates are invariant under deployment shape.
 
 The paper's scale-out claim only holds if *how* you run the sweep -
-worker count, wire transport, Wasm engine tier, process vs inline -
+worker count, Wasm engine tier, worker processes over TCP vs inline -
 never changes *what* the sweep computes.  These tests pin that
 invariance: byte-identical scheduled-bytes and fault-log digests across
-1/2/4 workers, across inline/tcp/shm, and across all three engines.
+1/2/4 workers, across inline/tcp, and across all three engines.
 """
 
 from dataclasses import replace
@@ -62,8 +62,8 @@ class TestWorkerCountInvariance:
         assert results[1] == results[2] == results[4]
         assert all(n > 0 for n in promoted.values()), promoted
 
-    def test_shm_proc_digests_identical_across_worker_counts(self):
-        spec = replace(PROC, mode="proc", transport="shm")
+    def test_tcp_digests_same_across_worker_counts(self):
+        spec = replace(PROC, mode="proc")
         one = _digests(run_cluster(replace(spec, workers=1)))
         four = _digests(run_cluster(replace(spec, workers=4)))
         assert one == four
@@ -80,14 +80,13 @@ class TestEngineInvariance:
 
 
 class TestTransportInvariance:
-    @pytest.mark.parametrize("transport", ("tcp", "shm"))
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_proc_transport_matches_inline(self, transport, engine):
+    @pytest.mark.parametrize(
+        "engine", ENGINES, ids=[f"{engine}-tcp" for engine in ENGINES]
+    )
+    def test_proc_transport_matches_inline(self, engine):
         spec = replace(PROC, engine=engine)
         inline = _digests(run_cluster(spec))
-        proc = _digests(
-            run_cluster(replace(spec, mode="proc", transport=transport))
-        )
+        proc = _digests(run_cluster(replace(spec, mode="proc")))
         assert proc == inline
 
 
@@ -96,7 +95,7 @@ class TestMetro:
         spec = metro_spec()
         spec.validate()
         assert spec.cells == 64
-        assert spec.mode == "proc" and spec.transport == "shm"
+        assert spec.mode == "proc"
         # every worker gets a non-empty shard at the default worker count
         assert all(spec.cells_for_worker(w) for w in range(spec.workers))
         assert sum(spec.ues_for_cell(g) for g in range(spec.cells)) == spec.ues
@@ -115,12 +114,9 @@ class TestObservabilityInvariance:
         captured = _digests(run_cluster(replace(BASE, capture=True)))
         assert plain == traced == captured
 
-    def test_chaos_digests_invariant_across_shm_worker_counts(self):
+    def test_chaos_digests_same_across_tcp_workers(self):
         spec = replace(
-            PROC,
-            mode="proc",
-            transport="shm",
-            chaos="seed=5,trap=0.05,fuel_cut=0.02",
+            PROC, mode="proc", chaos="seed=5,trap=0.05,fuel_cut=0.02"
         )
         two = run_cluster(spec)
         assert two.fault_log, "chaos spec must actually inject faults"

@@ -1,11 +1,10 @@
-"""Transport-backend conformance: one contract, three implementations.
+"""Transport-backend conformance: one contract, two implementations.
 
 Every behaviour the cluster relies on - ordering, binary safety, peer
 lifecycle, backpressure accounting, shutdown - must hold identically on
-the inline queue bus, the TCP socket bus, and the shared-memory ring
-bus, or scaling sweeps would change semantics when they change
-``--transport``.  Each test runs against all three via the ``net``
-fixture.
+the inline queue bus and the TCP socket bus, or scaling sweeps would
+change semantics when they change ``--mode``.  Each test runs against
+both via the ``net`` fixture.
 """
 
 import pytest
@@ -14,19 +13,14 @@ from repro.netio import (
     BatchSender,
     InProcNetwork,
     NetworkError,
-    ShmNetwork,
     TcpNetwork,
 )
 
-BACKENDS = ("inline", "tcp", "shm")
+BACKENDS = ("inline", "tcp")
 
 
 def _make_network(backend: str):
-    if backend == "inline":
-        return InProcNetwork()
-    if backend == "tcp":
-        return TcpNetwork()
-    return ShmNetwork(ring_bytes=1 << 20)
+    return InProcNetwork() if backend == "inline" else TcpNetwork()
 
 
 @pytest.fixture(params=BACKENDS)
@@ -114,13 +108,13 @@ class TestNaming:
             net.endpoint("a")
 
     def test_source_name_travels_verbatim(self, net):
-        # exotic names exceed shm's segment-label charset; the wire
-        # form must still deliver the original
-        longname = "worker-" + "x" * 40
-        a = net.endpoint(longname)
         b = net.endpoint("b")
-        a.send("b", b"payload")
-        assert b.recv(timeout=5.0) == (longname, b"payload")
+        for name in ("worker-" + "x" * 40, "cell/7:\u03b1 \u2603", "a b\tc\n"):
+            a = net.endpoint(name)
+            a.send("b", b"payload")
+            assert b.recv(timeout=5.0) == (name, b"payload")
+            b.send(name, b"back")  # and it is addressable under that name
+            assert a.recv(timeout=5.0) == ("b", b"back")
 
 
 class TestPeerLifecycle:
@@ -209,7 +203,7 @@ class TestBatchSenderBackpressure:
         sender = BatchSender(a, "b", max_queue=8)
         for i in range(12):
             sender.offer(bytes([i]))
-        assert sender.flush() == 8
+        assert sender.flush(slot_range=(0, 3)) == 8
         frames = []
         while True:
             item = b.recv(timeout=1.0)

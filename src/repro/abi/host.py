@@ -34,6 +34,7 @@ from repro.obs import OBS, BoundMetrics, MetricsRegistry
 from repro.obs.flight import CallRecord
 from repro.sched.types import UeGrant, UeSchedInfo
 from repro.wasm import Instance, codecache, decode_module
+from repro.wasm.aot import AotCode
 from repro.wasm.instance import HostFunc, InstanceState, Store
 from repro.wasm.interpreter import ExecStats
 from repro.wasm.threaded import resolve_engine
@@ -247,7 +248,9 @@ class PluginHost:
         start = time.perf_counter_ns()
         fueled = self.limits.fuel is not None
         for body in instance.retier("aot"):
-            body.compile(fueled)
+            # a function too deep to structure keeps its threaded body
+            if body.__class__ is AotCode:
+                body.compile(fueled)
         self._warming = False
         if OBS.enabled:
             promote_us = (time.perf_counter_ns() - start) / 1000.0
@@ -433,12 +436,16 @@ class PluginHost:
         error: PluginError | None = None
         trap_code: str | None = None
         output: bytes | None = None
+        # an injected trap/abi/oversize replaces the call: no Wasm runs,
+        # so there is no fuel reading and nothing to charge to heat
+        ran_wasm = False
         start = time.perf_counter_ns()
         root = tracer.span("plugin.call", plugin=self.name, entry=entry)
         with root:
             try:
                 if injection is not None:
                     self._raise_injected(injection)
+                ran_wasm = True
                 with tracer.span("plugin.encode"):
                     # the input staging region is persistent: the plugin's
                     # `alloc` is only consulted on the first call and when
@@ -490,7 +497,7 @@ class PluginHost:
                 error.__cause__ = exc
         elapsed_us = (time.perf_counter_ns() - start) / 1000.0
         fuel_used = None
-        if fuel is not None and instance.store.fuel is not None:
+        if ran_wasm and fuel is not None and instance.store.fuel is not None:
             fuel_used = fuel - instance.store.fuel
         if (
             error is None
@@ -520,7 +527,7 @@ class PluginHost:
                 obs, entry, input_bytes, output, outcome, elapsed_us,
                 fuel_used, stats, error, trap_code, injection, rt_doc, pre,
             )
-        if self._warming:
+        if self._warming and ran_wasm:
             # after the timing and the telemetry of the call: a compile
             # never shows up in a plugin latency series
             self._heat_up(fuel_used)

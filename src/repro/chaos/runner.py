@@ -25,7 +25,6 @@ The run asserts the system invariants from §6A:
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 
 from repro.abi.host import HostLimits, SchedulerPlugin
@@ -36,7 +35,7 @@ from repro.chaos.transport import ChaosEndpoint
 from repro.e2 import vendors
 from repro.e2.comm import CommChannel, GuardedChannel
 from repro.e2.node import E2NodeAgent
-from repro.gnb.fault import FaultPolicy
+from repro.gnb.fault import FaultPolicy, OperatorLadder
 from repro.gnb.host import GnbHost, SliceRuntime, UeContext
 from repro.netio import InProcNetwork
 from repro.ric.host import NearRtRic
@@ -196,9 +195,7 @@ class ChaosRunner:
         report = SoakReport(
             self.seed, self.slots, resolve_engine(self.engine)
         )
-        events: list[str] = []
-        quarantined_at: dict[int, int] = {}
-        released_at: dict[int, int] = {}
+        ops = OperatorLadder()
 
         for slot in range(self.slots):
             try:
@@ -218,36 +215,22 @@ class ChaosRunner:
                         f"slot={slot} slice={sid} not scheduled"
                     )
 
-            # operator loop: release quarantined slices after release_after
-            for sid in sorted(fault_policy.quarantined):
-                quarantined_at.setdefault(sid, slot)
-                if slot - quarantined_at[sid] >= self.release_after:
-                    restored = gnb.release_slice(sid)
-                    del quarantined_at[sid]
-                    released_at[sid] = slot
-                    report.releases += 1
-                    events.append(
-                        f"slot={slot} release slice={sid} restored={restored}"
-                    )
+            ops.step(gnb, slot, self.release_after)
 
             # invariant 3: a released slice must respond within the bound -
             # either a success clears its probation counter or the ladder
-            # re-escalates it; staying silent is the violation
-            for sid, at in sorted(released_at.items()):
-                if fault_policy.consecutive.get(sid, 0) == 0:
-                    report.recoveries += 1
-                    events.append(f"slot={slot} recovered slice={sid}")
-                    del released_at[sid]
-                elif fault_policy.is_quarantined(sid) or fault_policy.is_disconnected(sid):
-                    events.append(f"slot={slot} reescalated slice={sid}")
-                    del released_at[sid]
-                elif slot - at > self.recovery_bound:
+            # re-escalates it (both handled by the step above); staying
+            # silent is the violation
+            for sid, at in sorted(ops.released_at.items()):
+                if slot - at > self.recovery_bound:
                     report.violations.append(
                         f"slot={slot} slice={sid} silent for "
                         f"{slot - at} slots after release"
                     )
-                    del released_at[sid]
+                    del ops.released_at[sid]
 
+        report.releases = ops.releases
+        report.recoveries = ops.recoveries
         gnb.finish_meters()
         report.injection_counts = schedule.counts()
         report.faults = len(fault_policy.events)
@@ -256,7 +239,7 @@ class ChaosRunner:
             report.restores += runtime.restores
             report.checkpoints += runtime.checkpoints_taken
         report.log = self._render_log(
-            report, schedule, gnb, node, ric, endpoints, events
+            report, schedule, gnb, node, ric, endpoints, ops.events
         )
         return report
 
@@ -274,20 +257,11 @@ class ChaosRunner:
         lines.append("[injections]")
         lines.extend(i.describe() for i in schedule.injected)
         lines.append("[faults]")
-        lines.extend(
-            f"slot={e.slot} slice={e.slice_id} kind={e.kind} "
-            f"action={e.action.value} detail={e.detail}"
-            for e in gnb.fault_policy.events
-        )
+        lines.extend(e.describe() for e in gnb.fault_policy.events)
         lines.append("[events]")
         lines.extend(events)
         if gnb.rt is not None:
-            lines.append("[rt]")
-            lines.extend(gnb.rt.events)
-            lines.append(
-                f"[rt counters] "
-                f"{json.dumps(gnb.rt.counters.to_json(), sort_keys=True)}"
-            )
+            lines.extend(gnb.rt.log_lines())
         lines.append("[breakers]")
         for supervisor, side in ((ric.supervisor, "ric"), (node.supervisor, "gnb")):
             for peer, breaker in sorted(supervisor.breakers().items()):

@@ -15,7 +15,6 @@ byte-identical no matter how the cells are sharded.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from repro.abi.host import HostLimits, SchedulerPlugin
@@ -24,7 +23,7 @@ from repro.cluster.spec import COORD, ClusterSpec, cell_name, stable_seed
 from repro.e2.batch import BatchedUplinkChannel
 from repro.e2.node import E2NodeAgent
 from repro.e2.vendors import VendorProfile
-from repro.gnb.fault import FaultPolicy
+from repro.gnb.fault import FaultPolicy, OperatorLadder
 from repro.gnb.host import GnbHost, SliceRuntime, UeContext
 from repro.netio.batching import BatchSender
 from repro.sched.inter import TargetRateInterSlice
@@ -44,9 +43,7 @@ class CellShard:
     node: E2NodeAgent
     #: scenario mobility driver (handover cells only); stepped every slot
     stepper: object | None = None
-    quarantined_at: dict[int, int] = field(default_factory=dict)
-    released_at: dict[int, int] = field(default_factory=dict)
-    ops_events: list[str] = field(default_factory=list)
+    ops: OperatorLadder = field(default_factory=OperatorLadder)
 
 
 def _rt_policy(spec: ClusterSpec):
@@ -162,29 +159,9 @@ def _build_scenario_cell(
 
 
 def step_operator_loop(cell: CellShard, slot: int, release_after: int) -> None:
-    """The per-cell quarantine/release ladder (deterministic per cell).
-
-    Mirrors the chaos soak's operator: a quarantined slice is released
-    after ``release_after`` slots (restoring its last checkpoint when one
-    exists); recovery and re-escalation are recorded as fault-log events.
-    """
-    policy = cell.gnb.fault_policy
-    for sid in sorted(policy.quarantined):
-        cell.quarantined_at.setdefault(sid, slot)
-        if slot - cell.quarantined_at[sid] >= release_after:
-            restored = cell.gnb.release_slice(sid)
-            del cell.quarantined_at[sid]
-            cell.released_at[sid] = slot
-            cell.ops_events.append(
-                f"slot={slot} release slice={sid} restored={restored}"
-            )
-    for sid in sorted(cell.released_at):
-        if policy.consecutive.get(sid, 0) == 0:
-            cell.ops_events.append(f"slot={slot} recovered slice={sid}")
-            del cell.released_at[sid]
-        elif policy.is_quarantined(sid) or policy.is_disconnected(sid):
-            cell.ops_events.append(f"slot={slot} reescalated slice={sid}")
-            del cell.released_at[sid]
+    """One slot of the cell's quarantine/release ladder (the chaos soak's
+    operator); its actions are recorded as fault-log events."""
+    cell.ops.step(cell.gnb, slot, release_after)
 
 
 def render_cell_log(cell: CellShard, spec: ClusterSpec, engine: str, schedule) -> str:
@@ -205,21 +182,12 @@ def render_cell_log(cell: CellShard, spec: ClusterSpec, engine: str, schedule) -
             for i in schedule.injected
             if i.site.startswith(prefix)
         )
-    lines.extend(
-        f"slot={e.slot} slice={e.slice_id} kind={e.kind} "
-        f"action={e.action.value} detail={e.detail}"
-        for e in cell.gnb.fault_policy.events
-    )
-    lines.extend(cell.ops_events)
+    lines.extend(e.describe() for e in cell.gnb.fault_policy.events)
+    lines.extend(cell.ops.events)
     if cell.gnb.rt is not None:
         # rt decisions are pure functions of (spec, seed, slot), so the
         # admission log and counters belong in the digested cell log
-        lines.append("[rt]")
-        lines.extend(cell.gnb.rt.events)
-        lines.append(
-            f"[rt counters] "
-            f"{json.dumps(cell.gnb.rt.counters.to_json(), sort_keys=True)}"
-        )
+        lines.extend(cell.gnb.rt.log_lines())
     if cell.stepper is not None:
         lines.append("[mobility]")
         lines.extend(cell.stepper.events)

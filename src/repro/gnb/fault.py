@@ -42,6 +42,13 @@ class FaultEvent:
     action: FaultAction
     detail: str
 
+    def describe(self) -> str:
+        """The event's line in every digested fault log."""
+        return (
+            f"slot={self.slot} slice={self.slice_id} kind={self.kind} "
+            f"action={self.action.value} detail={self.detail}"
+        )
+
 
 @dataclass
 class FaultPolicy:
@@ -118,3 +125,45 @@ class FaultPolicy:
         self.quarantined.discard(slice_id)
         if OBS.enabled:
             OBS.events.emit("gnb.release", source=f"slice:{slice_id}")
+
+
+@dataclass
+class OperatorLadder:
+    """The operator's quarantine/release loop over one gNB (deterministic).
+
+    A quarantined slice is released ``release_after`` slots after it was
+    first seen parked (restoring its last checkpoint when one exists); a
+    released slice leaves ``released_at`` when a successful call clears
+    its probation (recovered) or the escalation ladder takes it again
+    (reescalated).  Whatever stays in ``released_at`` is still silent -
+    the chaos soak bounds how long that may last.
+    """
+
+    quarantined_at: dict[int, int] = field(default_factory=dict)
+    released_at: dict[int, int] = field(default_factory=dict)
+    #: fault-log lines, in the order the operator acted
+    events: list[str] = field(default_factory=list)
+    releases: int = 0
+    recoveries: int = 0
+
+    def step(self, gnb, slot: int, release_after: int) -> None:
+        """One slot of the loop, after ``gnb`` (a GnbHost) has stepped."""
+        policy = gnb.fault_policy
+        for sid in sorted(policy.quarantined):
+            self.quarantined_at.setdefault(sid, slot)
+            if slot - self.quarantined_at[sid] >= release_after:
+                restored = gnb.release_slice(sid)
+                del self.quarantined_at[sid]
+                self.released_at[sid] = slot
+                self.releases += 1
+                self.events.append(
+                    f"slot={slot} release slice={sid} restored={restored}"
+                )
+        for sid in sorted(self.released_at):
+            if policy.consecutive.get(sid, 0) == 0:
+                self.recoveries += 1
+                self.events.append(f"slot={slot} recovered slice={sid}")
+                del self.released_at[sid]
+            elif policy.is_quarantined(sid) or policy.is_disconnected(sid):
+                self.events.append(f"slot={slot} reescalated slice={sid}")
+                del self.released_at[sid]

@@ -47,6 +47,7 @@ import json
 import struct
 import time
 import zlib
+from collections import deque
 
 from repro.netio.bus import Endpoint
 from repro.netio.framing import MAX_FRAME
@@ -234,7 +235,7 @@ class BatchSender:
         self.dest = dest
         self.max_queue = max_queue
         self.max_batch = max_batch
-        self._queue: list[tuple[bytes, int]] = []  # (payload, enqueue_ns)
+        self._queue: deque[tuple[bytes, int]] = deque()  # (payload, enqueue_ns)
         self.offered = 0
         self.dropped = 0
         self.dropped_oversize = 0
@@ -307,7 +308,7 @@ class BatchSender:
                     and len(batch) < self.max_batch
                     and _ENTRY_LEN.size + len(self._queue[0][0]) <= room
                 ):
-                    payload, enq_ns = self._queue.pop(0)
+                    payload, enq_ns = self._queue.popleft()
                     if wait_hist is not None:
                         wait_hist.observe((now - enq_ns) / 1000.0)
                     room -= _ENTRY_LEN.size + len(payload)

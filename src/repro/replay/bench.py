@@ -152,9 +152,6 @@ class StreamReplayer:
         host = self.host
         instance = host.instance
         assert instance is not None
-        # pin per-call fuel accounting: a fault raised before any Wasm ran
-        # must report fuel=None, not a neighbouring call's leftovers
-        instance.store.fuel = None
         try:
             if call.alloc:
                 host.reset_scratch()

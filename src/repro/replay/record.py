@@ -168,13 +168,6 @@ def build_corpus(
                 output_record_bytes=pre.get("orb", 8),
                 max_output_bytes=pre.get("max_out", 1 << 16),
             )
-        chaos = rec.attrs.get("chaos")
-        fuel_used = rec.fuel_used
-        if chaos is not None and chaos.get("kind") in ("trap", "abi", "oversize"):
-            # these injections raise before any Wasm runs, so the live
-            # fuel count just echoes the previous call's leftover budget;
-            # a standalone replay deterministically reports None
-            fuel_used = None
         stream.calls.append(
             ReplayCall(
                 seq=rec.seq,
@@ -182,10 +175,10 @@ def build_corpus(
                 input_bytes=rec.input_bytes,
                 outcome=rec.outcome,
                 output_bytes=rec.output_bytes,
-                fuel_used=fuel_used,
+                fuel_used=rec.fuel_used,
                 globals_pre=[list(pair) for pair in pre.get("globals", [])],
                 alloc=bool(pre.get("alloc", False)),
-                chaos=chaos,
+                chaos=rec.attrs.get("chaos"),
                 rt=rec.attrs.get("rt"),
             )
         )

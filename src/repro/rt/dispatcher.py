@@ -20,6 +20,7 @@ and rate suggestions.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, replace
 
 from repro.obs import OBS, BoundMetrics, MetricsRegistry
@@ -226,6 +227,14 @@ class DeadlineDispatcher:
     @property
     def events(self) -> list[str]:
         return self.admission.events
+
+    def log_lines(self) -> list[str]:
+        """The ``[rt]`` block of a digested fault log: events, then counters."""
+        return [
+            "[rt]",
+            *self.events,
+            f"[rt counters] {json.dumps(self.counters.to_json(), sort_keys=True)}",
+        ]
 
     # ----- planning -----------------------------------------------------------
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 from repro.abi.host import HostLimits, SchedulerPlugin
 from repro.channel.models import MarkovCqiChannel
 from repro.cluster.spec import stable_seed
-from repro.gnb.fault import FaultPolicy
+from repro.gnb.fault import FaultPolicy, OperatorLadder
 from repro.gnb.host import GnbHost, SliceRuntime, UeContext
 from repro.rt.dispatcher import RtPolicy
 from repro.sched.inter import TargetRateInterSlice
@@ -271,30 +271,7 @@ class _CellRun:
     cell_id: int
     gnb: GnbHost
     stepper: MobilityStepper | None
-    quarantined_at: dict[int, int] = field(default_factory=dict)
-    released_at: dict[int, int] = field(default_factory=dict)
-    ops_events: list[str] = field(default_factory=list)
-
-
-def step_scenario_ops(cell, slot: int, release_after: int) -> None:
-    """The quarantine/release ladder, identical to the cluster shard's."""
-    policy = cell.gnb.fault_policy
-    for sid in sorted(policy.quarantined):
-        cell.quarantined_at.setdefault(sid, slot)
-        if slot - cell.quarantined_at[sid] >= release_after:
-            restored = cell.gnb.release_slice(sid)
-            del cell.quarantined_at[sid]
-            cell.released_at[sid] = slot
-            cell.ops_events.append(
-                f"slot={slot} release slice={sid} restored={restored}"
-            )
-    for sid in sorted(cell.released_at):
-        if policy.consecutive.get(sid, 0) == 0:
-            cell.ops_events.append(f"slot={slot} recovered slice={sid}")
-            del cell.released_at[sid]
-        elif policy.is_quarantined(sid) or policy.is_disconnected(sid):
-            cell.ops_events.append(f"slot={slot} reescalated slice={sid}")
-            del cell.released_at[sid]
+    ops: OperatorLadder = field(default_factory=OperatorLadder)
 
 
 @dataclass
@@ -374,13 +351,13 @@ def run_scenario(
             if cell.stepper is not None:
                 cell.stepper.step(slot)
             cell.gnb.step()
-            step_scenario_ops(cell, slot, release_after)
+            cell.ops.step(cell.gnb, slot, release_after)
     for cell in cells:
         cell.gnb.finish_meters()
 
     return build_report(
         name, seed, slots, policy, engine,
-        [(c.gnb, c.stepper, c.ops_events) for c in cells],
+        [(c.gnb, c.stepper, c.ops.events) for c in cells],
     )
 
 
@@ -436,11 +413,7 @@ def build_report(
         lines.append(f"[admission cell{i}]")
         lines.extend(rt.events)
         lines.append(f"[faults cell{i}]")
-        lines.extend(
-            f"slot={e.slot} slice={e.slice_id} kind={e.kind} "
-            f"action={e.action.value} detail={e.detail}"
-            for e in gnb.fault_policy.events
-        )
+        lines.extend(e.describe() for e in gnb.fault_policy.events)
         lines.extend(ops_events)
         if stepper is not None:
             handovers += stepper.handovers

@@ -20,11 +20,13 @@ Lowering rules
   wrapped in ``while True:``; ``br`` to a loop lowers to ``continue``,
   ``br`` to a block lowers to ``break``, and multi-level branches thread
   a ``_br`` label variable through the loop epilogues.
-- **Label-dispatch fallback.**  Bodies the structured emitter cannot
-  express as nested Python (pathological nesting depth beyond CPython's
-  block limits, or when forced via ``REPRO_WASM_AOT_DISPATCH=1``) fall
-  back to a flat basic-block loop: ``while True: if _pc == A: ...`` —
-  semantically identical, always compilable.
+- **Too deep to structure: the function keeps its threaded body.**
+  CPython caps statically nested blocks, so a body nested past
+  ``_MAX_STRUCTURED_DEPTH`` is not compiled at all: :func:`aot_for`
+  hands back its :func:`~repro.wasm.threaded.threaded_for` lowering.  A
+  func table may therefore mix tiers; calls cross them through
+  ``Instance.invoke_addr``, which dispatches per function on the class
+  of ``prepared`` (the property tier-up already relies on).
 - **Fuel is still charged per original instruction.**  Charges for pure
   instructions (locals, constants, non-trapping arithmetic) are batched
   at compile time and flushed *before* every instruction whose effect is
@@ -47,8 +49,6 @@ code, ``Instance(engine="aot")`` binds it directly).
 
 from __future__ import annotations
 
-import os
-
 from repro.wasm import opcodes as op
 from repro.wasm.interpreter import (
     BINOPS,
@@ -70,22 +70,21 @@ from repro.wasm.threaded import (
     _const_value,
     _Frame,
     _mn,
+    ThreadedCode,
+    threaded_for,
 )
 from repro.wasm.traps import FuelExhausted, StackExhausted, Trap
 from repro.wasm.wtypes import FuncType
 
-#: nesting depth beyond which the structured emitter bails out to the
-#: label-dispatch form (CPython < 3.11 rejects > 20 statically nested
-#: blocks; the dispatch form nests exactly one loop regardless of input)
+#: nesting depth beyond which a function is not compiled and keeps its
+#: threaded body.  The emitter nests one Python block per branch-targeted
+#: construct plus one ``try`` when fueled, and CPython rejects more than
+#: 20 statically nested blocks (measured on 3.11: refused from Wasm depth
+#: 21 unfueled / 20 fueled), so depth <= 16 always compiles.
 _MAX_STRUCTURED_DEPTH = 16
 
 _M32 = str(MASK32)
 _M64 = str(MASK64)
-
-
-def _dispatch_forced() -> bool:
-    value = os.environ.get("REPRO_WASM_AOT_DISPATCH", "")
-    return value.strip().lower() not in ("", "0", "false", "off")
 
 
 # ---------------------------------------------------------------------------
@@ -254,15 +253,14 @@ class _Emitter:
     """Emits one function body as Python source (one fuel variant)."""
 
     def __init__(self, module: Module, code: Code, functype: FuncType,
-                 fueled: bool, dispatch: bool):
+                 fueled: bool):
         self.module = module
         self.code = code
         self.body = code.body
         self.functype = functype
         self.fueled = fueled
-        self.dispatch = dispatch
         self.result_arity = len(functype.results)
-        self.heights, self.branches, self.jump_targets = _analyze(
+        self.heights, self.branches, _jump_targets = _analyze(
             module, code, self.result_arity
         )
         self.control = control_map_for(code)
@@ -322,7 +320,7 @@ class _Emitter:
                 targets.add(default[0])
         return targets
 
-    # ----- straight-line instructions (shared by both modes) ---------------
+    # ----- straight-line instructions ---------------------------------------
 
     def emit_simple(self, pc: int) -> bool:
         """Emit a non-control instruction; returns False for control ops."""
@@ -467,7 +465,7 @@ class _Emitter:
         if nr:
             self.w(f"s{h - 1 - np_} = _r[0]")
 
-    # ----- structured mode --------------------------------------------------
+    # ----- control flow ------------------------------------------------------
 
     def emit_structured(self) -> None:
         n = len(self.body)
@@ -699,141 +697,11 @@ class _Emitter:
             self.w("pass")
         self.indent -= 1
 
-    # ----- dispatch (label-loop) mode ---------------------------------------
-
-    def emit_dispatch(self) -> None:
-        n = len(self.body)
-        # an END can be reachable only via jump (the false path of a no-else
-        # `if`, or the then-arm's jump over a dead else-arm) while its linear
-        # height is None; its arrival height is its construct's exit height
-        self._arrivals: dict[int, int] = {}
-        for start_pc, (end_pc, _else_pc) in self.control.items():
-            hs = self.heights[start_pc]
-            if hs is None:
-                continue
-            c_op, c_imm = self.body[start_pc]
-            entry = hs - 1 if c_op == op.IF else hs
-            self._arrivals[end_pc] = entry + (0 if c_imm is None else 1)
-        self._arrivals[n - 1] = self.result_arity
-        leaders = sorted(
-            pc for pc in ({0} | self.jump_targets)
-            if pc < n
-            and (self.heights[pc] is not None or pc in self._arrivals)
-        )
-        leader_set = set(leaders)
-        self.w("_pc = 0")
-        self.w("while True:")
-        self.indent += 1
-        first = True
-        for li, leader in enumerate(leaders):
-            self.w(f"{'if' if first else 'elif'} _pc == {leader}:")
-            first = False
-            self.indent += 1
-            mark = len(self.lines)
-            self._emit_dispatch_run(leader, leader_set, n)
-            if len(self.lines) == mark:  # pragma: no cover - defensive
-                self.w("pass")
-            self.indent -= 1
-        self.w("else:")
-        self.w('    raise AssertionError("aot dispatch reached a dead pc")')
-        self.indent -= 1
-
-    def _emit_dispatch_run(self, start: int, leaders: set[int], n: int) -> None:
-        """Emit one basic-block run: from a leader to the next transfer."""
-        pc = start
-        while True:
-            if pc > start and pc in leaders:
-                self.flush(0)
-                self.w(f"_pc = {pc}")
-                self.w("continue")
-                return
-            opcode, imm = self.body[pc]
-            h = self.heights[pc]
-            if h is None:
-                if pc == start and pc in self._arrivals:
-                    h = self._arrivals[pc]
-                else:
-                    # unreachable tail of the block; nothing past here runs
-                    return
-            if opcode in (op.BLOCK, op.LOOP):
-                self.charge()
-            elif opcode == op.END:
-                if pc == n - 1:
-                    self.flush(1)
-                    self._emit_return(h)
-                    return
-                self.charge()
-            elif opcode == op.ELSE:
-                # falling out of a then-arm: charged like the legacy jump,
-                # landing on the matching END (which itself charges)
-                self.flush(1)
-                self.w(f"_pc = {self.branches[pc]}")
-                self.w("continue")
-                return
-            elif opcode == op.IF:
-                self.flush(1)
-                false_target = self.branches[pc]
-                self.w(f"if not s{h - 1}:")
-                self.w(f"    _pc = {false_target}")
-                self.w("    continue")
-            elif opcode == op.BR:
-                target, arity, dest_h = self.branches[pc]
-                self.flush(1)
-                self._emit_dispatch_jump(target, arity, dest_h, h, n)
-                return
-            elif opcode == op.BR_IF:
-                target, arity, dest_h = self.branches[pc]
-                self.flush(1)
-                self.w(f"if s{h - 1}:")
-                self.indent += 1
-                self._emit_dispatch_jump(target, arity, dest_h, h - 1, n)
-                self.indent -= 1
-            elif opcode == op.BR_TABLE:
-                per_target, default_res, _hh = self.branches[pc]
-                self.flush(1)
-                if per_target:
-                    for k, res in enumerate(per_target):
-                        self.w(f"{'if' if k == 0 else 'elif'} s{h - 1} == {k}:")
-                        self.indent += 1
-                        self._emit_dispatch_jump(res[0], res[1], res[2], h - 1, n)
-                        self.indent -= 1
-                    self.w("else:")
-                    self.indent += 1
-                    self._emit_dispatch_jump(
-                        default_res[0], default_res[1], default_res[2], h - 1, n
-                    )
-                    self.indent -= 1
-                else:
-                    self._emit_dispatch_jump(
-                        default_res[0], default_res[1], default_res[2], h - 1, n
-                    )
-                return
-            elif opcode == op.RETURN:
-                self.flush(1)
-                self._emit_return(h)
-                return
-            else:
-                self.emit_simple(pc)
-            pc += 1
-
-    def _emit_dispatch_jump(self, target: int, arity: int, dest_h: int,
-                            src_h: int, n: int) -> None:
-        if arity and dest_h != src_h - 1:
-            self.w(f"s{dest_h} = s{src_h - 1}")
-        if target >= n:
-            self._emit_return(dest_h + arity if arity else src_h)
-            return
-        self.w(f"_pc = {target}")
-        self.w("continue")
-
     # ----- assembly ---------------------------------------------------------
 
     def build(self) -> str:
         """Emit the body and assemble the full ``def`` source text."""
-        if self.dispatch:
-            self.emit_dispatch()
-        else:
-            self.emit_structured()
+        self.emit_structured()
         body = self.lines
         if not body:
             body = ["return []"]
@@ -891,7 +759,7 @@ class AotCode:
 
     __slots__ = (
         "run", "run_fueled", "local_defaults", "max_stack", "n_instrs",
-        "mode", "_module", "_code", "_functype", "_name",
+        "_module", "_code", "_functype", "_name",
     )
 
     def __init__(self, module: Module, code: Code, functype: FuncType,
@@ -902,15 +770,6 @@ class AotCode:
         self.local_defaults = prep.local_defaults
         self.max_stack = prep.max_stack
         self.n_instrs = len(code.body)
-        #: "structured", or "dispatch" when the body nests deeper than
-        #: nested Python blocks can express (or CPython refuses the
-        #: structured text at compile time)
-        self.mode = (
-            "dispatch"
-            if _dispatch_forced()
-            or _max_nesting(code.body) > _MAX_STRUCTURED_DEPTH
-            else "structured"
-        )
         self._module = module
         self._code = code
         self._functype = functype
@@ -918,10 +777,7 @@ class AotCode:
 
     def _emit(self, fueled: bool) -> tuple[str, dict]:
         """Source text of one fuel variant plus the namespace it runs in."""
-        emitter = _Emitter(
-            self._module, self._code, self._functype, fueled,
-            self.mode == "dispatch",
-        )
+        emitter = _Emitter(self._module, self._code, self._functype, fueled)
         source = emitter.build()
         ns = dict(_HELPERS)
         for type_index, ft in emitter.sigs.items():
@@ -934,16 +790,8 @@ class AotCode:
         fn = self.run_fueled if fueled else self.run
         if fn is not None:
             return fn
-        try:
-            source, ns = self._emit(fueled)
-            exec(compile(source, f"<aot:{self._name}>", "exec"), ns)
-        except (SyntaxError, RecursionError):
-            if self.mode == "dispatch":
-                raise
-            # too deep for CPython's nested-block limits after all: the
-            # flat label loop is semantically identical, always compilable
-            self.mode = "dispatch"
-            return self.compile(fueled)
+        source, ns = self._emit(fueled)
+        exec(compile(source, f"<aot:{self._name}>", "exec"), ns)
         fn = ns["_wfn"]
         if fueled:
             self.run_fueled = fn
@@ -960,10 +808,6 @@ class AotCode:
     def source_fueled(self) -> str:
         return self._emit(True)[0]
 
-    def listing(self) -> list[str]:
-        """The generated (unmetered) Python source, line by line."""
-        return [f"  {line}" for line in self.source.splitlines()]
-
 
 def compile_aot(module: Module, code: Code, functype: FuncType,
                 name: str = "fn") -> AotCode:
@@ -971,11 +815,20 @@ def compile_aot(module: Module, code: Code, functype: FuncType,
     return AotCode(module, code, functype, name)
 
 
-def aot_for(module: Module, code: Code, functype: FuncType) -> AotCode:
-    """Memoized :func:`compile_aot` (cached on the ``Code`` object)."""
+def aot_for(module: Module, code: Code,
+            functype: FuncType) -> AotCode | ThreadedCode:
+    """The body engine ``aot`` runs for ``code``, memoized on the ``Code``.
+
+    An :class:`AotCode`, except for a function nested past
+    ``_MAX_STRUCTURED_DEPTH``: nested Python cannot express it, so it
+    keeps its threaded body.
+    """
     cached = getattr(code, "_aot", None)
     if cached is None:
-        cached = compile_aot(module, code, functype)
+        if _max_nesting(code.body) > _MAX_STRUCTURED_DEPTH:
+            cached = threaded_for(module, code, functype)
+        else:
+            cached = compile_aot(module, code, functype)
         object.__setattr__(code, "_aot", cached)
     return cached
 
@@ -1026,7 +879,8 @@ def dump_aot(module_or_bytes, fueled: bool = False) -> str:
 
     Each function prints its original instruction sequence (mnemonics, as
     in ``repro disasm``) followed by the Python the AOT tier generated
-    for it, so a lowering bug is diagnosable by eye.
+    for it, so a lowering bug is diagnosable by eye.  A function too deep
+    to structure says so and prints the threaded code it keeps instead.
     """
     from repro.wasm.decoder import decode_module
     from repro.wasm.validator import validate_module
@@ -1047,20 +901,29 @@ def dump_aot(module_or_bytes, fueled: bool = False) -> str:
     for i, code in enumerate(module.codes):
         func_index = n_imported + i
         functype = module.func_type(func_index)
-        acode = aot_for(module, code, functype)
+        body = aot_for(module, code, functype)
+        compiled = body.__class__ is AotCode
         names = "".join(
             f' (export "{n}")' for n in exports_by_index.get(func_index, [])
         )
+        tier = "compiled" if compiled else (
+            f"keeps its threaded body (block nesting "
+            f"{_max_nesting(code.body)} > {_MAX_STRUCTURED_DEPTH})"
+        )
         lines.append(
-            f"func {func_index}{names}: {acode.n_instrs} wasm instrs, "
-            f"aot mode={acode.mode}"
+            f"func {func_index}{names}: {body.n_instrs} wasm instrs, {tier}"
         )
         lines.append("  ;; wasm body")
         for pc in range(len(code.body)):
             lines.append(f"  {pc:04d}  {_mn(code.body, pc)}")
-        lines.append(
-            "  ;; generated python (%s)" % ("fueled" if fueled else "unfueled")
-        )
-        source = acode.source_fueled if fueled else acode.source
-        lines.extend(f"  {line}" for line in source.splitlines())
+        if compiled:
+            lines.append(
+                "  ;; generated python (%s)"
+                % ("fueled" if fueled else "unfueled")
+            )
+            source = body.source_fueled if fueled else body.source
+            lines.extend(f"  {line}" for line in source.splitlines())
+        else:
+            lines.append("  ;; threaded code")
+            lines.extend(body.listing())
     return "\n".join(lines)

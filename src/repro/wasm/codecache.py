@@ -1,9 +1,10 @@
 """Process-wide compiled-code cache keyed by module content hash.
 
 Lowering a function body (to legacy tagged tuples, threaded closures, or
-AOT-generated Python) is pure per-``Code`` work, so it is shareable
-across every :class:`~repro.wasm.instance.Instance` of the *same bytes*
-— not just the same :class:`~repro.wasm.module.Module` object.  That
+AOT-generated Python; engine ``aot`` keeps the threaded closures of a
+function too deep to compile, see :func:`repro.wasm.aot.aot_for`) is pure
+per-``Code`` work, so it is shareable across every
+:class:`~repro.wasm.instance.Instance` of the *same bytes* — not just the same :class:`~repro.wasm.module.Module` object.  That
 matters for the paper's hot-swap story (Fig. 5b): a live swap decodes a
 fresh module from the plugin ``.wc`` bytes, and multi-UE coexistence
 (Fig. 5a) instantiates the same plugin once per cell.  With this cache
@@ -16,8 +17,7 @@ built by hand (no hash) still get per-``Module`` memoization via the
 :mod:`repro.wasm.threaded` / :mod:`repro.wasm.aot` — they just don't
 dedupe across decodes.
 
-The cache is bounded: at most ``REPRO_WASM_CODECACHE_CAP`` entries
-(default 256; ``0`` or a negative value disables the bound), evicted in
+The cache is bounded: at most :data:`CAPACITY` entries, evicted in
 least-recently-used order.  Long fuzz campaigns and plugin-churn soaks
 would otherwise grow it without limit — every distinct module binary is
 a new key.  Hit/miss/eviction counters are exported through
@@ -36,7 +36,6 @@ same cap in least-recently-charged order, dropped by :func:`clear`.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from threading import Lock
 
@@ -46,23 +45,12 @@ from repro.wasm.interpreter import prepared_for
 from repro.wasm.module import Module
 from repro.wasm.threaded import ENGINES, threaded_for
 
-DEFAULT_CAP = 256
+#: entries held per table (bodies, heat) before LRU eviction
+CAPACITY = 256
 
 _CACHE: OrderedDict[tuple[str, str], list] = OrderedDict()
 _HEAT: OrderedDict[str, int] = OrderedDict()
 _LOCK = Lock()
-
-
-def capacity() -> int:
-    """The configured entry cap; ``0`` means unbounded."""
-    raw = os.environ.get("REPRO_WASM_CODECACHE_CAP", "").strip()
-    if not raw:
-        return DEFAULT_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        return DEFAULT_CAP
-    return max(cap, 0)
 
 
 def _lower_all(module: Module, engine: str) -> list:
@@ -116,14 +104,12 @@ def compiled_bodies(module: Module, engine: str) -> list:
         engine,
     )
     bodies = _lower_all(module, engine)
-    cap = capacity()
     evicted: list[tuple[str, str]] = []
     with _LOCK:
         _CACHE[key] = bodies
         _CACHE.move_to_end(key)
-        if cap:
-            while len(_CACHE) > cap:
-                evicted.append(_CACHE.popitem(last=False)[0])
+        while len(_CACHE) > CAPACITY:
+            evicted.append(_CACHE.popitem(last=False)[0])
         if OBS.enabled:
             OBS.registry.gauge(
                 "waran_wasm_codecache_entries",
@@ -151,8 +137,7 @@ def add_heat(module: Module, fuel: int) -> int:
         total = _HEAT.get(content_hash)
         if total is None:
             total = 0
-            cap = capacity()
-            while cap and len(_HEAT) >= cap:
+            while len(_HEAT) >= CAPACITY:
                 _HEAT.popitem(last=False)
         else:
             _HEAT.move_to_end(content_hash)
@@ -176,7 +161,7 @@ def stats() -> dict[str, float]:
     total = total_hits + total_misses
     return {
         "entries": float(len(_CACHE)),
-        "capacity": float(capacity()),
+        "capacity": float(CAPACITY),
         "hits": total_hits,
         "misses": total_misses,
         "evictions": total_evictions,

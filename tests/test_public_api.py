@@ -1,6 +1,8 @@
 """Public API surface checks: docs and exports stay honest."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +49,52 @@ class TestExports:
         import repro
 
         assert repro.__version__
+
+
+#: every environment variable ``src/repro`` may read.  Each one is an
+#: option the tests, the oracle and the ledger have to cover: a new knob
+#: needs two existing callers that want different values (else it is a
+#: constant), and then a line here.
+ENV_ALLOWED = {"REPRO_WASM_ENGINE", "REPRO_CHAOS", "REPRO_TEST_WORKER_DIE"}
+
+
+def _env_reads(tree: ast.AST):
+    """The variable name at each environment access in ``tree``; ``None``
+    where it is not a string literal (a dynamic key, ``dict(os.environ)``)."""
+    parents = {
+        child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)
+    }
+    for node in ast.walk(tree):
+        name = getattr(node, "attr", None) or getattr(node, "id", None)
+        if name not in ("environ", "environb", "getenv", "getenvb"):
+            continue
+        parent = parents[node]
+        key = None
+        if isinstance(parent, ast.Subscript) and parent.value is node:
+            key = parent.slice  # os.environ["X"]
+        elif isinstance(parent, ast.Call) and parent.func is node:
+            key = parent.args[0] if parent.args else None  # os.getenv("X")
+        elif isinstance(parent, ast.Attribute) and parent.value is node:
+            call = parents.get(parent)  # os.environ.get("X") / .pop / ...
+            if isinstance(call, ast.Call) and call.func is parent and call.args:
+                key = call.args[0]
+        literal = isinstance(key, ast.Constant) and isinstance(key.value, str)
+        yield key.value if literal else None
+
+
+class TestOptionSurface:
+    def test_src_reads_only_allow_listed_environment_variables(self):
+        import repro
+
+        root = Path(repro.__file__).parent
+        reads = {
+            (str(path.relative_to(root)), name)
+            for path in sorted(root.rglob("*.py"))
+            for name in _env_reads(ast.parse(path.read_text(encoding="utf-8")))
+        }
+        stray = sorted(r for r in reads if r[1] not in ENV_ALLOWED)
+        assert not stray, f"environment reads outside the allow-list: {stray}"
+        assert {name for _path, name in reads} == ENV_ALLOWED, "stale allow-list"
 
 
 class TestReadmeQuickstart:

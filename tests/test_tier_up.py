@@ -29,7 +29,7 @@ from repro.abi.host import (
     PluginError,
     PluginHost,
 )
-from repro.chaos.schedule import ChaosInjection
+from repro.chaos.schedule import ChaosInjection, OneShotChaos
 from repro.experiments.fig5d import make_ues
 from repro.obs import OBS
 from repro.plugins import plugin_wasm
@@ -136,6 +136,26 @@ class TestHeatPolicy:
         assert event.fields["compile_us"] > 0
         assert OBS.registry.histogram("waran_wasm_promote_us").labels().count == 1
 
+    @pytest.mark.parametrize("kind", ["trap", "abi", "oversize"])
+    def test_injected_fault_that_ran_no_wasm_reads_no_fuel(self, kind):
+        # these injections replace the call; the fuel the previous call
+        # left in the store must not be read as this call's consumption
+        host = PluginHost(plugin_wasm("rr"), name="rr-inj")
+        assert host.call(SMALL).fuel_used > 0
+        module = host.instance.module
+        heat = codecache.heat(module)
+        series = OBS.registry.histogram("waran_plugin_fuel_used").labels(
+            plugin="rr-inj"
+        )
+        assert series.count == 1
+        host.chaos = OneShotChaos(ChaosInjection(kind, "rr-inj", 2))
+        with pytest.raises(PluginError):
+            host.call(SMALL)
+        (record,) = OBS.flight.last(1)
+        assert record.outcome != "ok" and record.fuel_used is None
+        assert series.count == 1
+        assert codecache.heat(module) == heat
+
     def test_hosts_of_the_same_bytes_share_heat(self):
         wasm = plugin_wasm("pf")
         a = PluginHost(wasm, name="pf-a")
@@ -203,7 +223,7 @@ class TestHeatPolicy:
     def test_clear_and_lru_eviction_drop_heat(self, monkeypatch):
         wasm = plugin_wasm("mt")
         modules = []
-        monkeypatch.setenv("REPRO_WASM_CODECACHE_CAP", "2")
+        monkeypatch.setattr(codecache, "CAPACITY", 2)
         for n in range(3):
             host = PluginHost(variant(wasm, f"lru{n}"), name=f"lru{n}")
             host.call(SMALL)

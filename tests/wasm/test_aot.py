@@ -2,26 +2,35 @@
 
 The three-way differential suite in ``tests/test_engine_differential.py``
 and the fuzz oracle cover whole plugins and generated modules; these
-tests pin the compiler itself: structured vs label-dispatch lowering,
-fuel identity at every possible exhaustion point, trap codes, the engine
+tests pin the compiler itself: structured lowering, the per-function
+threaded fallback for bodies too deep to structure, fuel identity at every possible exhaustion point, trap codes, the engine
 switch, checkpoint/restore on AOT instances, the dump listing, and the
 bounded LRU code cache.
 """
 
 import os
+from pathlib import Path
 
 import pytest
 
 from repro import obs
 from repro.obs import OBS
-from repro.wasm import Instance, decode_module
-from repro.wasm.aot import AotCode, aot_for, compile_aot, dump_aot
-from repro.wasm.codecache import capacity as cache_capacity
+from repro.wasm import Instance, codecache, decode_module
+from repro.fuzz.corpus import load_case
+from repro.fuzz.oracle import differential
+from repro.wasm.aot import (
+    _MAX_STRUCTURED_DEPTH,
+    AotCode,
+    _max_nesting,
+    aot_for,
+    compile_aot,
+    dump_aot,
+)
 from repro.wasm.codecache import clear as cache_clear
 from repro.wasm.codecache import compiled_bodies
 from repro.wasm.codecache import stats as cache_stats
 from repro.wasm.interpreter import ExecStats
-from repro.wasm.threaded import ENGINES, resolve_engine
+from repro.wasm.threaded import ENGINES, ThreadedCode, resolve_engine
 from repro.wasm.traps import Trap
 from repro.wasm.wat import assemble
 
@@ -168,7 +177,7 @@ def test_float_bit_patterns_match():
 
 
 # ---------------------------------------------------------------------------
-# structured vs label-dispatch lowering
+# one emitter; a function too deep to structure keeps its threaded body
 # ---------------------------------------------------------------------------
 
 
@@ -176,39 +185,102 @@ def test_structured_mode_is_default_for_reducible_code():
     raw = assemble(LOOP_SUM)
     module = decode_module(raw)
     acode = compile_aot(module, module.codes[0], module.func_type(0))
-    assert acode.mode == "structured"
     assert "while True:" in acode.source
     assert "_pc" not in acode.source
 
 
-def test_deep_nesting_falls_back_to_dispatch():
-    # 24 nested blocks: CPython rejects >20 statically nested blocks, so
-    # the structured emitter must bail out to the label-dispatch loop
-    depth = 24
-    src = ("(module (func (export \"f\") (param i32) (result i32) "
-           + "(block " * depth
-           + f"(br_if {depth - 1} (local.get 0))"
-           + ")" * depth
-           + " (i32.const 5)))")
-    raw = assemble(src)
-    module = decode_module(raw)
-    acode = compile_aot(module, module.codes[0], module.func_type(0))
-    assert acode.mode == "dispatch"
-    assert "_pc = 0" in acode.source
-    inst = Instance(decode_module(raw), engine="aot")
-    assert inst.call("f", 0) == 5
-    assert inst.call("f", 1) == 5
+#: 18 nested branch-targeted blocks ($deep) between shallow siblings that
+#: call it ($run) and are called by it ($leaf); also a tests/wasm/corpus
+#: case, so the every-engine replay covers the mixed table too
+DEEP_CASE = load_case(
+    Path(__file__).parent / "corpus" / "deep-nesting-mixed-tiers.json"
+)
 
 
-def test_dispatch_mode_forced_by_env_matches(monkeypatch):
-    monkeypatch.setenv("REPRO_WASM_AOT_DISPATCH", "1")
-    raw = assemble(LOOP_SUM)
-    module = decode_module(raw)
-    acode = compile_aot(module, module.codes[0], module.func_type(0))
-    assert acode.mode == "dispatch"
-    assert_identical(LOOP_SUM, "sum", 25)
-    for budget in range(40):
-        assert_identical(LOOP_SUM, "sum", 3, fuel=budget)
+def test_deep_function_keeps_threaded_body_between_compiled_siblings():
+    module = decode_module(DEEP_CASE.wasm)
+    assert [_max_nesting(code.body) for code in module.codes] == [1, 19, 0, 0]
+    assert _max_nesting(module.codes[1].body) > _MAX_STRUCTURED_DEPTH
+    inst = Instance(module, engine="aot")
+    classes = [
+        inst.store.funcs[addr].prepared.__class__ for addr in inst.func_addrs
+    ]
+    assert classes == [AotCode, ThreadedCode, AotCode, AotCode]
+    # the same lowering whichever way the body is reached
+    assert aot_for(module, module.codes[1], module.func_type(1)) is (
+        inst.store.funcs[inst.func_addrs[1]].prepared
+    )
+
+
+def test_mixed_tier_table_matches_legacy_at_every_budget():
+    instances = [
+        Instance(decode_module(DEEP_CASE.wasm), engine=e)
+        for e in ("legacy", "threaded", "aot")
+    ]
+
+    def run_all(name, args, fuel, snaps=None):
+        """(kind, value | trap code, fuel left, ExecStats) once per engine."""
+        got = []
+        for k, inst in enumerate(instances):
+            if snaps is not None:
+                inst.restore_state(snaps[k])
+            got.append(call_outcome(inst, name, *args, fuel=fuel))
+        assert got[1] == got[0] and got[2] == got[0], (name, args, fuel, got)
+        return got[0]
+
+    for name, args in DEEP_CASE.calls:
+        snaps = [inst.capture_state() for inst in instances]
+        full = run_all(name, args, DEEP_CASE.fuel)
+        # every budget from 0 until the call gets as far as it does with
+        # a full one (strided past 500: two calls recurse ~150 frames deep)
+        budget = 0
+        while run_all(name, args, budget, snaps)[:2] != full[:2]:
+            budget += 1 if budget < 500 else 197
+        assert 0 < budget <= DEEP_CASE.fuel
+        run_all(name, args, DEEP_CASE.fuel, snaps)
+    # every oracle leg (checkpoint/restore, cross-engine, tier-up) as well
+    result = differential(DEEP_CASE.wasm, DEEP_CASE.calls, DEEP_CASE.fuel)
+    assert result.ok, result
+
+
+def test_plugin_host_promotes_a_mixed_tier_binary():
+    from repro.abi.host import PluginHost
+
+    cache_clear()  # cold: the host starts on threaded code
+    host = PluginHost(DEEP_CASE.wasm, name="deep", sanitize=False)
+    assert host.tier == "threaded"
+    host.promote()
+    assert host.tier == "aot"
+    funcs = host.instance.store.funcs
+    deep, run = (
+        funcs[host.instance.func_addrs[i]].prepared for i in (1, 2)
+    )
+    assert deep.__class__ is ThreadedCode
+    assert run.__class__ is AotCode and run.run_fueled is not None
+    assert host.instance.call("run", 3, fuel=DEEP_CASE.fuel) == 377
+
+
+def test_every_shipped_plugin_function_is_compiled():
+    from repro.plugins import available_plugins, plugin_wasm
+
+    names = available_plugins()
+    assert {"rr", "pf", "mt", "xapp_sla", "fault_spin"} <= set(names)
+    for name in names:
+        module = decode_module(plugin_wasm(name))
+        bodies = compiled_bodies(module, "aot")
+        assert bodies and all(b.__class__ is AotCode for b in bodies), name
+
+
+def test_disasm_aot_names_the_function_that_stayed_threaded(tmp_path, capsys):
+    from repro.cli import main
+
+    path = tmp_path / "deep.wasm"
+    path.write_bytes(DEEP_CASE.wasm)
+    assert main(["disasm", "--aot", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert 'func 1 (export "deep"): 136 wasm instrs, keeps its threaded body' in out
+    assert "(block nesting 19 > 16)" in out
+    assert 'func 2 (export "run")' in out and ", compiled" in out
 
 
 def test_identical_exec_stats_vs_both_engines():
@@ -342,8 +414,8 @@ def test_codecache_shares_aot_across_decodes():
 
 
 def test_codecache_lru_eviction_and_counters(monkeypatch):
-    monkeypatch.setenv("REPRO_WASM_CODECACHE_CAP", "2")
-    assert cache_capacity() == 2
+    monkeypatch.setattr(codecache, "CAPACITY", 2)
+    assert cache_stats()["capacity"] == 2.0
     cache_clear()
     obs.enable()
     try:
@@ -366,20 +438,6 @@ def test_codecache_lru_eviction_and_counters(monkeypatch):
     finally:
         obs.disable()
         cache_clear()
-
-
-def test_codecache_cap_zero_is_unbounded(monkeypatch):
-    monkeypatch.setenv("REPRO_WASM_CODECACHE_CAP", "0")
-    assert cache_capacity() == 0
-    cache_clear()
-    raws = [
-        assemble(f'(module (func (export "f") (result i32) (i32.const {k})))')
-        for k in range(5)
-    ]
-    for raw in raws:
-        compiled_bodies(decode_module(raw), "aot")
-    assert cache_stats()["entries"] == 5.0
-    cache_clear()
 
 
 @pytest.mark.parametrize("engine", ["threaded", "aot"])

@@ -11,11 +11,14 @@ read *back from the registry snapshot* - no bench-private quantile
 estimators.
 
 Honesty note: the paper measures wasmtime-JIT'd plugins on an i7; we
-measure a pure-Python interpreter.  What must (and does) hold is the
-shape - time grows with UE count, the per-call cost is stable enough to
-schedule every slot, and single-UE calls sit well under the slot deadline.
-The absolute 20-UE p99 exceeds 1000 us here; EXPERIMENTS.md quantifies the
-interpreter-vs-JIT factor this implies.
+measure Wasm compiled to Python source (the default ``aot`` engine, which
+a plugin host reaches by tier-up after a few threaded calls).  On that
+engine the paper's claim holds outright - every p99 bar sits inside the
+slot on an idle host - but p99 moves +/-50% with host load, so the bench
+*asserts* the load-robust half (time grows with UE count; every p50
+inside the slot; p50 at 20 UEs under half of it) and *reports* the p99
+verdict.  The slot-cost ledger rows ``abi.schedule_p50_us``/``_p99_us``
+are the host-speed-normalised record of the same call.
 """
 
 import pytest
@@ -89,14 +92,20 @@ def test_fig5d_quantile_table(benchmark):
             for p, n, p50, p99, mean in result.rows()
         ],
     )
-    # shape criteria that survive the interpreter substitution.  p50 is the
-    # robust statistic here: on a loaded CI box, OS preemption injects
-    # multi-millisecond outliers into p99 regardless of the workload.
-    assert result.grows_with_ues()
-    single_ue = [c for c in result.cells if c.n_ues == 1]
-    assert all(c.p50_us < result.slot_duration_us for c in single_ue), (
-        "single-UE p50 must sit inside the slot even on the interpreter"
+    # the paper's Fig. 5d statement, reported: on a loaded CI box OS
+    # preemption injects multi-millisecond outliers into p99 regardless of
+    # the workload, so the asserts below use p50
+    print(
+        f"every p99 inside the {result.slot_duration_us:.0f} us slot: "
+        f"{result.all_within_deadline()}"
     )
-    assert all(c.p99_us < 10 * result.slot_duration_us for c in single_ue), (
-        "single-UE p99 should stay within an order of magnitude of the slot"
+    assert result.grows_with_ues()
+    slot_us = result.slot_duration_us
+    over = [c for c in result.cells if c.p50_us >= slot_us]
+    assert not over, f"p50 outside the slot: {over}"
+    busiest = [c for c in result.cells if c.n_ues == max(UE_COUNTS)]
+    slow = [c for c in busiest if c.p50_us >= slot_us / 2]
+    assert not slow, (
+        f"p50 at {max(UE_COUNTS)} UEs must leave half the slot free on the "
+        f"default engine: {slow}"
     )

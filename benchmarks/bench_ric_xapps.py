@@ -6,6 +6,8 @@ the design implies - per-indication xApp execution (vs the near-RT 10 ms -
 trip over both transports.
 """
 
+import time
+
 import pytest
 
 from repro.e2 import CommChannel, vendors
@@ -64,17 +66,28 @@ def test_e2_closed_loop_roundtrip(benchmark, transport):
         ric.load_xapp("sla", plugin_wasm("xapp_sla"), (MSG_SLICE_KPI,))
         ric.connect("gnb1", period_slots=1)  # indication every slot
         timeout = 5.0 if transport == "tcp" else 0.0
+        # the subscription crosses a socket too: let it land before the
+        # first round, which under --benchmark-disable is the only one
+        deadline = time.monotonic() + timeout
+        while not node.subscriptions and time.monotonic() < deadline:
+            node.handle_messages()
+            time.sleep(0.001)
 
         def loop_once():
             gnb.step()
             node.step()
             if transport == "tcp":
-                # block until the indication crosses the socket
-                deadline_msgs = ric.channel.poll(timeout=timeout)
-                for source, message in deadline_msgs:
-                    if message["msg"] == "ric_indication":
-                        ric.indications_seen += 1
-                        ric._handle_indication(source, message)
+                # block until the indication crosses the socket; on the
+                # first round the handshake responses cross it first
+                seen = ric.indications_seen
+                while ric.indications_seen == seen:
+                    arrived = ric.channel.poll(timeout=timeout)
+                    if not arrived:
+                        break  # timed out: the assert below reports it
+                    for source, message in arrived:
+                        if message["msg"] == "ric_indication":
+                            ric.indications_seen += 1
+                            ric._handle_indication(source, message)
             else:
                 ric.step()
 

@@ -1,8 +1,8 @@
 """Telemetry overhead - off must mean off, and on must stay on a budget.
 
-Three contracts, all gated by ``WARAN_PERF_GATE`` /
-``WARAN_PERF_GATE_TOLERANCE`` (the same knobs as the plugin-call perf
-gate in :mod:`benchmarks.conftest`):
+Three contracts.  Each is a ratio, or a sub-microsecond budget, whose two
+sides are timed in this same process, so they hold on shared runners
+with the fixed x2 headroom of :data:`TOLERANCE`:
 
 1. **Disabled-site cost**: ``tracer.span()`` on a disabled tracer is one
    branch returning the shared null span.  Per instrumented site that
@@ -11,17 +11,19 @@ gate in :mod:`benchmarks.conftest`):
    *untraced* run - the observability layer's core promise is that off
    means off.
 2. **Trace-feature cost**: a ``trace=True`` cluster run (span shipping,
-   stitching, attribution) must stay within the gate tolerance of the
+   stitching, attribution) must stay within the tolerance of the
    identical untraced run - tracing is a diagnostic you can afford to
    leave on.
 3. **Plugin-call telemetry budget**: ``PluginHost.call`` with the whole
    bundle on (spans, registry series, flight record) over the same call
    with it off.  ``run_worker`` always enables telemetry, so this
    overhead is inside every slot the paper's Fig. 5d claim is judged on;
-   the gate keeps it from silently growing back.
+   the bound keeps it from silently growing back.
+
+The absolute cost of each is a slot-cost ledger row (``obs.span_disabled_us``,
+``obs.slot_overhead_ratio``, ``obs.call_overhead_us``).
 """
 
-import os
 import statistics
 import time
 from dataclasses import replace
@@ -31,11 +33,11 @@ import pytest
 from repro import obs
 from repro.obs.tracing import Tracer
 
-GATE_ENV = "WARAN_PERF_GATE"
-TOLERANCE = float(os.environ.get("WARAN_PERF_GATE_TOLERANCE", "1.25"))
+#: headroom on every bound below for a shared 2-core runner, where
+#: identical code drifts by tens of percent between back-to-back runs
+TOLERANCE = 2.0
 
-#: disabled span() call budget per site; generous for a pure-Python
-#: interpreter on a shared runner, tightened/loosened by the gate knob
+#: disabled span() call budget per site, before :data:`TOLERANCE`
 DISABLED_SITE_BUDGET_US = 1.0
 
 #: obs-on ``PluginHost.call`` may cost this much more than obs-off, as a
@@ -44,10 +46,6 @@ DISABLED_SITE_BUDGET_US = 1.0
 #: 0.06-0.18 with bound handles and bucket histograms on a noisy 2-core
 #: container; the per-observation registry path before them read 0.24-0.39
 CALL_OVERHEAD_BUDGET = 0.20
-
-
-def _gate_off() -> bool:
-    return os.environ.get(GATE_ENV, "").lower() in ("off", "0", "false")
 
 
 @pytest.mark.benchmark(group="trace-overhead")
@@ -66,12 +64,11 @@ def test_disabled_span_site_cost(benchmark):
     per_site_us = elapsed / n * 1e6
     print(f"\ndisabled span site: {per_site_us:.3f}us/site")
     assert not tracer.finished(), "disabled tracer must record nothing"
-    if not _gate_off():
-        budget = DISABLED_SITE_BUDGET_US * TOLERANCE
-        assert per_site_us <= budget, (
-            f"disabled tracer.span() costs {per_site_us:.3f}us/site "
-            f"(> {budget:.2f}us): the off-path is no longer one branch"
-        )
+    budget = DISABLED_SITE_BUDGET_US * TOLERANCE
+    assert per_site_us <= budget, (
+        f"disabled tracer.span() costs {per_site_us:.3f}us/site "
+        f"(> {budget:.2f}us): the off-path is no longer one branch"
+    )
 
 
 @pytest.mark.benchmark(group="trace-overhead")
@@ -103,11 +100,10 @@ def test_traced_cluster_within_gate_tolerance(benchmark):
         f"\ncluster run: plain {t_plain:.2f}s, traced {t_traced:.2f}s "
         f"(x{ratio:.2f})"
     )
-    if not _gate_off():
-        assert ratio <= TOLERANCE, (
-            f"trace=True costs x{ratio:.2f} over the untraced run "
-            f"(gate x{TOLERANCE:.2f})"
-        )
+    assert ratio <= TOLERANCE, (
+        f"trace=True costs x{ratio:.2f} over the untraced run "
+        f"(bound x{TOLERANCE:.2f})"
+    )
 
 
 @pytest.mark.benchmark(group="trace-overhead")
@@ -163,10 +159,9 @@ def test_plugin_call_telemetry_overhead(benchmark):
     assert reg.histogram("waran_plugin_call_us").count(plugin="overhead-on") >= (
         calls * rounds
     )
-    if not _gate_off():
-        budget = CALL_OVERHEAD_BUDGET * TOLERANCE
-        assert overhead <= budget, (
-            f"telemetry adds {overhead:.0%} to PluginHost.call "
-            f"(budget {budget:.0%} of the obs-off call): the per-call "
-            "telemetry path has grown"
-        )
+    budget = CALL_OVERHEAD_BUDGET * TOLERANCE
+    assert overhead <= budget, (
+        f"telemetry adds {overhead:.0%} to PluginHost.call "
+        f"(budget {budget:.0%} of the obs-off call): the per-call "
+        "telemetry path has grown"
+    )

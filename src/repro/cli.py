@@ -181,7 +181,8 @@ def _cmd_fig5d(args) -> int:
     for plugin, n_ues, p50, p99, mean in result.rows():
         print(f"{plugin:6s} {n_ues:4d} {p50:8.1f} {p99:8.1f} {mean:8.1f}")
     print(f"slot duration: {result.slot_duration_us:.0f} us; "
-          f"grows with UEs: {result.grows_with_ues()}")
+          f"grows with UEs: {result.grows_with_ues()}; "
+          f"every p99 inside the slot: {result.all_within_deadline()}")
     return 0
 
 

@@ -5,11 +5,13 @@ with 1, 10 and 20 connected UEs, *including* the host-side serialization
 and deserialization overhead, and report the 50th and 99th percentiles
 against the 1000 us slot duration.
 
-Expected shape: p99 well under the slot duration for every plugin and UE
-count; time grows with the number of UEs.  Absolute numbers here are a
-pure-Python interpreter's, not a JIT's - the claim that survives the
-substitution is the *shape* and the slack to the deadline, which
-EXPERIMENTS.md discusses.
+Expected shape: p99 under the slot duration for every plugin and UE
+count (:meth:`Fig5dResult.all_within_deadline`); time grows with the
+number of UEs.  Absolute numbers here are those of Wasm compiled to Python
+source (the default ``aot`` engine, reached by tier-up), not a native
+JIT's: the claim holds with less slack than the paper's, and only for
+the plugin call - EXPERIMENTS.md has the table and what a whole slot
+costs.
 """
 
 from __future__ import annotations

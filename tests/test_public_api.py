@@ -82,19 +82,31 @@ def _env_reads(tree: ast.AST):
         yield key.value if literal else None
 
 
+def _tree_env_reads(root: Path) -> set[tuple[str, str | None]]:
+    """``(file, variable)`` for every environment access under ``root``."""
+    return {
+        (str(path.relative_to(root)), name)
+        for path in sorted(root.rglob("*.py"))
+        for name in _env_reads(ast.parse(path.read_text(encoding="utf-8")))
+    }
+
+
 class TestOptionSurface:
     def test_src_reads_only_allow_listed_environment_variables(self):
         import repro
 
-        root = Path(repro.__file__).parent
-        reads = {
-            (str(path.relative_to(root)), name)
-            for path in sorted(root.rglob("*.py"))
-            for name in _env_reads(ast.parse(path.read_text(encoding="utf-8")))
-        }
+        reads = _tree_env_reads(Path(repro.__file__).parent)
         stray = sorted(r for r in reads if r[1] not in ENV_ALLOWED)
         assert not stray, f"environment reads outside the allow-list: {stray}"
         assert {name for _path, name in reads} == ENV_ALLOWED, "stale allow-list"
+
+    def test_benchmarks_read_no_environment_variable(self):
+        """A bench measures the tree it is given; a bound that an
+        environment variable can widen or switch off gates nothing."""
+        benchmarks = Path(__file__).resolve().parent.parent / "benchmarks"
+        assert list(benchmarks.glob("bench_*.py")), benchmarks
+        reads = _tree_env_reads(benchmarks)
+        assert not reads, f"benchmarks/ reads the environment: {sorted(reads, key=str)}"
 
 
 class TestReadmeQuickstart:

@@ -21,24 +21,23 @@ state, run the plugin, unpack and validate the grants.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import struct
 import time
 from dataclasses import dataclass, field
 
 from repro.abi import wire
-from repro.abi.hostfuncs import make_env
-from repro.abi.sanitizer import sanitize_plugin
+from repro.abi.hostfuncs import ALLOWED_IMPORTS, make_env
+from repro.abi.sanitizer import SanitizerError, check_module
 from repro.obs import OBS, BoundMetrics, MetricsRegistry
 from repro.obs.flight import CallRecord
 from repro.sched.types import UeGrant, UeSchedInfo
-from repro.wasm import Instance, codecache, decode_module
+from repro.wasm import Instance, Module, codecache, load_module
 from repro.wasm.aot import AotCode
 from repro.wasm.instance import HostFunc, InstanceState, Store
 from repro.wasm.interpreter import ExecStats
 from repro.wasm.threaded import resolve_engine
-from repro.wasm.traps import LinkError, Trap, WasmError
+from repro.wasm.traps import Trap, WasmError
 
 #: Tier-up threshold: a module is compiled to aot bodies once its
 #: instances have burnt this much fuel per static instruction.  Derived
@@ -164,7 +163,9 @@ class PluginHost:
         self._extra_hostfuncs = extra_hostfuncs
         self._log_sink = log_sink
         self.output_record_bytes = output_record_bytes
-        self._allowed_imports = allowed_imports
+        self._allowed_imports = (
+            ALLOWED_IMPORTS if allowed_imports is None else allowed_imports
+        )
         self._required_exports = required_exports
         self._engine = engine
         #: optional fault injector (``draw_plugin(site)``); explicit arg >
@@ -185,39 +186,64 @@ class PluginHost:
     # ----- lifecycle ---------------------------------------------------------
 
     def _load(self, wasm_bytes: bytes) -> None:
-        if self._sanitize:
-            kwargs = {}
-            if self._allowed_imports is not None:
-                kwargs["allowed_imports"] = self._allowed_imports
-            if self._required_exports is not None:
-                kwargs["required_exports"] = self._required_exports
-            sanitize_plugin(wasm_bytes, **kwargs)
+        """First load and swap: *load* the binary, then *instantiate* it.
+
+        Nothing on ``self`` changes unless both halves succeed, and every
+        refused binary leaves a ``plugin.load ok=False`` event behind.
+        """
         try:
-            module = decode_module(wasm_bytes)
-            env = make_env(log_sink=self._log_sink, extra=self._extra_hostfuncs)
-            # engine "aot" at this layer means "compiled once the binary has
-            # earned it": bytes whose aot bodies are already cached (a warm
-            # swap, a restore, another cell's copy) start compiled, anything
-            # else starts on threaded code at threaded's cold-load cost and
-            # heats up call by call
-            engine = resolve_engine(self._engine)
-            warming = engine == "aot" and not codecache.is_cached(module, "aot")
-            self.instance = Instance(
-                module,
-                imports={"env": env},
-                store=Store(),
-                engine="threaded" if warming else engine,
-            )
-            self._warming = warming
-        except WasmError as exc:
+            module = self._load_module(wasm_bytes)
+            self._instantiate(module)
+        except (SanitizerError, WasmError) as exc:
             if OBS.enabled:
                 OBS.events.emit(
                     "plugin.load", source=self.name, detail=str(exc), ok=False
                 )
+            if isinstance(exc, SanitizerError):
+                raise
             raise PluginError(f"cannot load plugin {self.name}: {exc}", "load") from exc
         self.wasm_bytes = wasm_bytes
-        self.module_sha = hashlib.sha256(wasm_bytes).hexdigest()
+        self.module_sha = module.content_hash
         self._static_instrs = sum(len(code.body) for code in module.codes)
+
+    def _load_module(self, wasm_bytes: bytes) -> Module:
+        """*Load*: the one decode, validate, hash and policy check of a binary."""
+        try:
+            module = load_module(wasm_bytes)
+        except WasmError as exc:
+            if self._sanitize:  # what ``sanitize_plugin`` says of these bytes
+                raise SanitizerError(f"plugin failed validation: {exc}") from exc
+            raise
+        if self._sanitize:
+            check_module(
+                module,
+                self._allowed_imports,
+                required_exports=self._required_exports,
+            )
+        return module
+
+    def _instantiate(self, module: Module) -> None:
+        """*Instantiate*: a fresh live instance of an already-checked module.
+
+        Raises :class:`WasmError` for a link error or a trap in ``start``.
+        """
+        env = make_env(log_sink=self._log_sink, extra=self._extra_hostfuncs)
+        # engine "aot" at this layer means "compiled once the binary has
+        # earned it": bytes whose aot bodies are already cached (a warm
+        # swap, a restore, another cell's copy) start compiled, anything
+        # else starts on threaded code at threaded's cold-load cost and
+        # heats up call by call
+        engine = resolve_engine(self._engine)
+        warming = engine == "aot" and not codecache.is_cached(module, "aot")
+        self.instance = Instance(
+            module,
+            imports={"env": env},
+            # a start function runs here, on the per-call budget
+            store=Store(fuel=self.limits.fuel),
+            validate=False,  # every module reaching here passed _load_module
+            engine="threaded" if warming else engine,
+        )
+        self._warming = warming
         # a new instance invalidates any pointer the old one handed out
         self._scratch_ptr: int | None = None
         self._scratch_cap = 0
@@ -339,26 +365,27 @@ class PluginHost:
         return snapshot
 
     def restore(self, snapshot: PluginCheckpoint) -> None:
-        """Rebuild a fresh instance, then restore a checkpoint's state into it.
+        """Build a fresh instance, then restore a checkpoint's state into it.
 
-        The new instance starts from the pristine binary (dropping whatever
-        corruption the live one accumulated), after which the checkpoint's
-        linear memory and mutable globals are written back - a restored
-        plugin continues exactly where the snapshot left it.
+        The new instance starts pristine (dropping whatever corruption the
+        live one accumulated) from the module the host is already running -
+        nothing is decoded, validated or policy-checked again - after which
+        the checkpoint's linear memory and mutable globals are written
+        back: a restored plugin continues exactly where the snapshot left it.
         """
         if snapshot.module_sha256 != self.module_sha:
             raise PluginError(
                 f"{self.name}: checkpoint was taken from a different binary",
                 "load",
             )
-        self._load(self.wasm_bytes)
-        instance = self.instance
-        assert instance is not None
+        assert self.instance is not None
         try:
-            instance.restore_state(
+            # the live module already passed decode, validation and policy
+            self._instantiate(self.instance.module)
+            self.instance.restore_state(
                 InstanceState(memory=snapshot.memory, globals=snapshot.globals)
             )
-        except LinkError as exc:
+        except WasmError as exc:
             raise PluginError(f"{self.name}: {exc}", "load") from exc
         self._scratch_ptr = snapshot.scratch_ptr
         self._scratch_cap = snapshot.scratch_cap

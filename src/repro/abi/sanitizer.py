@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.abi.hostfuncs import ALLOWED_IMPORTS
-from repro.wasm import decode_module, validate_module
+from repro.wasm import load_module
 from repro.wasm.module import Module
 from repro.wasm.traps import WasmError
 from repro.wasm.wtypes import ValType
@@ -56,11 +56,23 @@ def sanitize_plugin(
     Returns a :class:`SanitizeReport` describing what was checked.
     """
     try:
-        module = decode_module(wasm_bytes)
-        validate_module(module)
+        module = load_module(wasm_bytes)
     except WasmError as exc:
         raise SanitizerError(f"plugin failed validation: {exc}") from exc
+    return check_module(module, allowed_imports, max_memory_pages, required_exports)
 
+
+def check_module(
+    module: Module,
+    allowed_imports: frozenset[str] = ALLOWED_IMPORTS,
+    max_memory_pages: int = MAX_MEMORY_PAGES,
+    required_exports: dict | None = None,
+) -> SanitizeReport:
+    """Policy-check a module that is already decoded and validated.
+
+    The half of :func:`sanitize_plugin` a host runs on the module it is
+    about to instantiate, so a binary is decoded and validated once.
+    """
     report = SanitizeReport()
     report.n_funcs = module.total_funcs
     report.n_exports = len(module.exports)

@@ -59,13 +59,13 @@ def _cmd_sanitize(args) -> int:
 
 
 def _cmd_wat(args) -> int:
-    from repro.wasm import decode_module, validate_module
+    from repro.wasm import load_module
     from repro.wasm.wat import WatError, assemble
 
     source = open(args.source, encoding="utf-8").read()
     try:
         raw = assemble(source)
-        validate_module(decode_module(raw))
+        load_module(raw)
     except (WatError, Exception) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

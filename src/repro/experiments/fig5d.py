@@ -20,7 +20,6 @@ import random
 from dataclasses import dataclass
 
 from repro.abi import SchedulerPlugin
-from repro.metrics import ReservoirQuantile
 from repro.plugins import plugin_wasm
 from repro.sched import UeSchedInfo
 
@@ -84,20 +83,25 @@ def measure_plugin(
     plugin = SchedulerPlugin.load(plugin_wasm(plugin_name), name=plugin_name)
     plugin.host.limits.fuel = fuel
     ues = make_ues(n_ues)
-    exact = ReservoirQuantile(capacity=calls)
-    total = 0.0
-    for slot in range(calls):
-        call = plugin.schedule(52, ues, slot)
-        exact.add(call.elapsed_us)
-        total += call.elapsed_us
+    samples = sorted(
+        plugin.schedule(52, ues, slot).elapsed_us for slot in range(calls)
+    )
     return Cell(
         plugin_name,
         n_ues,
-        exact.quantile(0.5),
-        exact.quantile(0.99),
-        total / calls,
+        _quantile(samples, 0.5),
+        _quantile(samples, 0.99),
+        sum(samples) / calls,
         calls,
     )
+
+
+def _quantile(ordered: list[float], q: float) -> float:
+    """Exact quantile of a sorted sample (linear interpolation)."""
+    rank = q * (len(ordered) - 1)
+    low = int(rank)
+    high = min(low + 1, len(ordered) - 1)
+    return ordered[low] + (ordered[high] - ordered[low]) * (rank - low)
 
 
 def run_fig5d(

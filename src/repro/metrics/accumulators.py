@@ -1,80 +1,14 @@
 """Statistical accumulators.
 
-:class:`Accumulator` collects count/sum/mean/variance/min/max in one pass
-(Welford's algorithm for numerical stability).  :class:`LogHistogram` is a
-fixed log-linear bucket histogram: O(1) integer-increment adds, any
+:class:`LogHistogram` is a fixed log-linear bucket histogram that also
+keeps count/sum/mean/stddev/min/max: O(1) integer-increment adds, any
 quantile within 3.2% of exact, and shards that merge exactly - the
 distribution behind every :mod:`repro.obs` histogram series.
-:class:`ReservoirQuantile` keeps an exact sample (optionally
-reservoir-subsampled) and is used both by tests to bound the histogram's
-error and by the benches when exactness matters more than memory.
 """
 
 from __future__ import annotations
 
 import math
-import random
-
-
-class Accumulator:
-    """One-pass count / mean / variance / min / max."""
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.mean = 0.0
-        self._m2 = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-
-    def extend(self, values) -> None:
-        for value in values:
-            self.add(value)
-
-    @property
-    def variance(self) -> float:
-        """Population variance (0 for fewer than 2 samples)."""
-        return self._m2 / self.count if self.count > 1 else 0.0
-
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
-
-    def merge(self, other: "Accumulator") -> "Accumulator":
-        """Combine two accumulators (parallel Welford merge)."""
-        merged = Accumulator()
-        merged.count = self.count + other.count
-        if merged.count == 0:
-            return merged
-        merged.total = self.total + other.total
-        delta = other.mean - self.mean
-        merged.mean = self.mean + delta * other.count / merged.count
-        merged._m2 = (
-            self._m2
-            + other._m2
-            + delta * delta * self.count * other.count / merged.count
-        )
-        merged.minimum = min(self.minimum, other.minimum)
-        merged.maximum = max(self.maximum, other.maximum)
-        return merged
-
-    def __repr__(self) -> str:
-        return (
-            f"Accumulator(n={self.count}, mean={self.mean:.6g}, "
-            f"min={self.minimum:.6g}, max={self.maximum:.6g})"
-        )
-
 
 #: sub-buckets per octave: bucket width is 1/16 of its octave's base, so
 #: a bucket's midpoint is within 1/32 = 3.125% of any value it holds
@@ -251,43 +185,3 @@ class LogHistogram:
             f"LogHistogram(n={self.count}, mean={self.mean:.6g}, "
             f"min={self.minimum:.6g}, max={self.maximum:.6g})"
         )
-
-
-class ReservoirQuantile:
-    """Exact (or reservoir-subsampled) quantile computation.
-
-    Stores up to ``capacity`` samples; beyond that, applies Vitter's
-    reservoir sampling so the stored set stays uniform over the stream.
-    """
-
-    def __init__(self, capacity: int = 100_000, seed: int | None = 0):
-        self.capacity = capacity
-        self.samples: list[float] = []
-        self.count = 0
-        self._rng = random.Random(seed)
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        if len(self.samples) < self.capacity:
-            self.samples.append(value)
-        else:
-            j = self._rng.randrange(self.count)
-            if j < self.capacity:
-                self.samples[j] = value
-
-    def extend(self, values) -> None:
-        for value in values:
-            self.add(value)
-
-    def quantile(self, q: float) -> float:
-        """Linear-interpolated quantile of the stored samples."""
-        if not self.samples:
-            raise ValueError("no samples")
-        data = sorted(self.samples)
-        if len(data) == 1:
-            return data[0]
-        rank = q * (len(data) - 1)
-        low = int(math.floor(rank))
-        high = min(low + 1, len(data) - 1)
-        frac = rank - low
-        return data[low] * (1 - frac) + data[high] * frac

@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterator
 
 from repro.metrics import LogHistogram
+from repro.obs.merge import snapshot_to_prometheus
 
 LabelKey = tuple[tuple[str, str], ...]
 
@@ -36,17 +37,6 @@ def _label_key(labels: dict[str, str]) -> LabelKey:
     if len(pairs) > 1:
         pairs.sort()
     return tuple(pairs)
-
-
-def _label_text(key: LabelKey) -> str:
-    if not key:
-        return ""
-    inner = ",".join(f'{k}="{_escape(v)}"' for k, v in key)
-    return "{" + inner + "}"
-
-
-def _escape(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
 class CounterChild:
@@ -265,27 +255,7 @@ class MetricsRegistry:
 
     def to_prometheus(self) -> str:
         """Prometheus text exposition (histograms as summaries)."""
-        lines: list[str] = []
-        for name in sorted(self._metrics):
-            metric = self._metrics[name]
-            if metric.help:
-                lines.append(f"# HELP {name} {metric.help}")
-            kind = "summary" if isinstance(metric, Histogram) else metric.kind
-            lines.append(f"# TYPE {name} {kind}")
-            for key, child in metric.series():
-                if isinstance(metric, Histogram):
-                    snap = child.snapshot()
-                    for q, qlabel in (("p50", "0.5"), ("p99", "0.99")):
-                        if q in snap:
-                            qkey = tuple(sorted(key + (("quantile", qlabel),)))
-                            lines.append(
-                                f"{name}{_label_text(qkey)} {snap[q]:g}"
-                            )
-                    lines.append(f"{name}_sum{_label_text(key)} {snap['sum']:g}")
-                    lines.append(f"{name}_count{_label_text(key)} {snap['count']:g}")
-                else:
-                    lines.append(f"{name}{_label_text(key)} {child.value:g}")
-        return "\n".join(lines) + ("\n" if lines else "")
+        return snapshot_to_prometheus(self.to_json())
 
 
 class BoundMetrics:

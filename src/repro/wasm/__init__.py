@@ -15,6 +15,7 @@ Public entry points:
 
 - :func:`decode_module` - bytes -> :class:`Module`
 - :func:`validate_module` - raise :class:`ValidationError` on bad modules
+- :func:`load_module` - both, once: bytes -> checked :class:`Module`
 - :class:`Instance` - instantiate and call exports
 - :class:`Store` - runtime state shared by instances
 - :func:`repro.wasm.wat.assemble` - WAT text -> wasm bytes
@@ -24,6 +25,7 @@ from repro.wasm.decoder import decode_module
 from repro.wasm.encoder import encode_module
 from repro.wasm.instance import HostFunc, Instance, InstanceState, Store
 from repro.wasm.interpreter import ExecStats
+from repro.wasm.loader import load_module
 from repro.wasm.module import Module
 from repro.wasm.traps import (
     FuelExhausted,
@@ -38,6 +40,7 @@ __all__ = [
     "decode_module",
     "encode_module",
     "validate_module",
+    "load_module",
     "Module",
     "Instance",
     "InstanceState",

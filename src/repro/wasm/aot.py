@@ -61,6 +61,7 @@ from repro.wasm.interpreter import (
     f32_round,
     prepared_for,
 )
+from repro.wasm.loader import load_module
 from repro.wasm.module import Code, Module
 from repro.wasm.threaded import (
     _CONST_OPS,
@@ -882,14 +883,7 @@ def dump_aot(module_or_bytes, fueled: bool = False) -> str:
     for it, so a lowering bug is diagnosable by eye.  A function too deep
     to structure says so and prints the threaded code it keeps instead.
     """
-    from repro.wasm.decoder import decode_module
-    from repro.wasm.validator import validate_module
-
-    if isinstance(module_or_bytes, (bytes, bytearray)):
-        module = decode_module(bytes(module_or_bytes))
-    else:
-        module = module_or_bytes
-    validate_module(module)
+    module = load_module(module_or_bytes)
 
     exports_by_index: dict[int, list[str]] = {}
     for export in module.exports:

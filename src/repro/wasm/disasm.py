@@ -10,7 +10,7 @@ module (checked by round-trip tests).
 from __future__ import annotations
 
 from repro.wasm import opcodes as op
-from repro.wasm.decoder import decode_module
+from repro.wasm.loader import load_module
 from repro.wasm.module import Module
 from repro.wasm.wtypes import ValType
 
@@ -79,10 +79,8 @@ def _format_instr(instr, indent: int) -> tuple[str, int]:
 
 def disassemble(module_or_bytes) -> str:
     """Disassemble a module (or raw bytes) to WAT-style text."""
-    if isinstance(module_or_bytes, (bytes, bytearray)):
-        module = decode_module(bytes(module_or_bytes))
-    else:
-        module = module_or_bytes
+    # an invalid module must still disassemble: that is how one is debugged
+    module = load_module(module_or_bytes, validate=False)
     assert isinstance(module, Module)
 
     lines = ["(module"]

@@ -54,6 +54,7 @@ from repro.wasm.interpreter import (
     f32_round,
     prepared_for,
 )
+from repro.wasm.loader import load_module
 from repro.wasm.module import Code, Module
 from repro.wasm.traps import FuelExhausted, StackExhausted, Trap
 from repro.wasm.wtypes import FuncType
@@ -1031,14 +1032,7 @@ def execute_threaded(store, instance, tcode: ThreadedCode, args: list,
 
 def dump_threaded(module_or_bytes) -> str:
     """Human-readable lowered code for every function of a module."""
-    from repro.wasm.decoder import decode_module
-    from repro.wasm.validator import validate_module
-
-    if isinstance(module_or_bytes, (bytes, bytearray)):
-        module = decode_module(bytes(module_or_bytes))
-    else:
-        module = module_or_bytes
-    validate_module(module)
+    module = load_module(module_or_bytes)
 
     exports_by_index = {}
     for export in module.exports:

@@ -2,18 +2,14 @@
 
 import math
 import random
+import statistics
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.metrics import (
-    Accumulator,
-    LogHistogram,
-    RateMeter,
-    ReservoirQuantile,
-    TimeSeries,
-)
+from repro.metrics import LogHistogram, RateMeter, TimeSeries
 from repro.metrics.accumulators import bucket_bounds, bucket_index
 
 #: a bucket's midpoint is within 1/32 of every value the bucket holds
@@ -21,9 +17,12 @@ REL = 0.032
 
 
 def _exact(values, q):
-    oracle = ReservoirQuantile(capacity=len(values))
-    oracle.extend(values)
-    return oracle.quantile(q)
+    """The order statistic at rank ``q * (n - 1)``, linearly interpolated."""
+    data = sorted(values)
+    rank = q * (len(data) - 1)
+    low = int(rank)
+    high = min(low + 1, len(data) - 1)
+    return data[low] + (data[high] - data[low]) * (rank - low)
 
 
 def _hist(values):
@@ -32,79 +31,85 @@ def _hist(values):
     return hist
 
 
+def _variance_slack(values) -> float:
+    """Rounding bound of ``sumsq / n - mean**2``: n ulps of the largest square."""
+    return 4 * len(values) * sys.float_info.epsilon * max(v * v for v in values)
+
+
 class TestAccumulator:
+    """The accumulator half of :class:`LogHistogram` - count / sum / mean /
+    variance / min / max in one pass - against :mod:`statistics`."""
+
     def test_basic_stats(self):
-        acc = Accumulator()
-        acc.extend([1.0, 2.0, 3.0, 4.0])
+        acc = _hist([1.0, 2.0, 3.0, 4.0])
         assert acc.count == 4
         assert acc.mean == 2.5
         assert acc.minimum == 1.0
         assert acc.maximum == 4.0
         assert acc.total == 10.0
-        assert acc.variance == pytest.approx(1.25)
+        assert acc.stddev**2 == pytest.approx(1.25)
 
     def test_single_sample(self):
-        acc = Accumulator()
-        acc.add(7.0)
+        acc = _hist([7.0])
         assert acc.mean == 7.0
-        assert acc.variance == 0.0
         assert acc.stddev == 0.0
 
     def test_merge_equals_sequential(self):
-        values = [random.Random(1).gauss(10, 3) for _ in range(500)]
-        a, b, whole = Accumulator(), Accumulator(), Accumulator()
-        a.extend(values[:200])
-        b.extend(values[200:])
-        whole.extend(values)
-        merged = a.merge(b)
-        assert merged.count == whole.count
-        assert merged.mean == pytest.approx(whole.mean)
-        assert merged.variance == pytest.approx(whole.variance)
-        assert merged.minimum == whole.minimum
-        assert merged.maximum == whole.maximum
+        rng = random.Random(1)
+        values = [rng.gauss(10, 3) for _ in range(500)]
+        merged = _hist(values[:200])
+        merged.merge(_hist(values[200:]))
+        assert merged.count == len(values)
+        assert merged.mean == pytest.approx(statistics.fmean(values))
+        assert merged.stddev == pytest.approx(statistics.pstdev(values))
+        assert merged.minimum == min(values)
+        assert merged.maximum == max(values)
 
     def test_merge_with_empty(self):
-        a = Accumulator()
-        a.extend([1.0, 2.0])
-        merged = a.merge(Accumulator())
+        merged = _hist([1.0, 2.0])
+        merged.merge(LogHistogram())
         assert merged.count == 2
         assert merged.mean == 1.5
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=50))
     def test_welford_matches_naive(self, values):
-        acc = Accumulator()
-        acc.extend(values)
-        mean = sum(values) / len(values)
-        var = sum((v - mean) ** 2 for v in values) / len(values)
-        assert acc.mean == pytest.approx(mean, rel=1e-9, abs=1e-6)
-        assert acc.variance == pytest.approx(var, rel=1e-6, abs=1e-6)
+        # the one-pass sum-of-squares form against the two-pass definition
+        acc = _hist(values)
+        assert acc.mean == pytest.approx(
+            statistics.fmean(values), rel=1e-9, abs=1e-6
+        )
+        assert acc.stddev**2 == pytest.approx(
+            statistics.pvariance(values),
+            rel=1e-6,
+            abs=max(1e-6, _variance_slack(values)),
+        )
 
 
 class TestAccumulatorMerge:
-    """Parallel Welford merge vs a single pass over the concatenation."""
+    """Merging two shards vs a single pass over the concatenation."""
 
     @staticmethod
     def _check(left: list, right: list) -> None:
-        a, b, whole = Accumulator(), Accumulator(), Accumulator()
-        a.extend(left)
-        b.extend(right)
-        whole.extend(left + right)
-        merged = a.merge(b)
+        merged, whole = _hist(left), _hist(left + right)
+        merged.merge(_hist(right))
         assert merged.count == whole.count
         assert merged.total == pytest.approx(whole.total, rel=1e-12, abs=1e-9)
         if whole.count:
             assert merged.mean == pytest.approx(whole.mean, rel=1e-9, abs=1e-9)
-            assert merged.variance == pytest.approx(
-                whole.variance, rel=1e-6, abs=1e-9
+            assert merged.stddev**2 == pytest.approx(
+                whole.stddev**2,
+                rel=1e-6,
+                abs=max(1e-9, _variance_slack(left + right)),
             )
             assert merged.minimum == whole.minimum
             assert merged.maximum == whole.maximum
 
     def test_empty_with_empty(self):
-        merged = Accumulator().merge(Accumulator())
+        merged = LogHistogram()
+        merged.merge(LogHistogram())
         assert merged.count == 0
         assert merged.total == 0.0
-        assert merged.variance == 0.0
+        assert merged.stddev == 0.0
         assert merged.minimum == math.inf and merged.maximum == -math.inf
 
     def test_one_sided_left(self):
@@ -121,21 +126,20 @@ class TestAccumulatorMerge:
         self._check([rng.gauss(0, 1)], [rng.gauss(5, 2) for _ in range(999)])
 
     def test_merge_does_not_mutate_inputs(self):
-        a, b = Accumulator(), Accumulator()
-        a.extend([1.0, 2.0])
-        b.extend([10.0])
-        before = (a.count, a.mean, b.count, b.mean)
+        # merge folds into its receiver; the shard passed in is left alone
+        a, b = _hist([1.0, 2.0]), _hist([10.0])
+        before = b.snapshot()
         a.merge(b)
-        assert (a.count, a.mean, b.count, b.mean) == before
+        assert b.snapshot() == before
 
     def test_merge_is_commutative(self):
-        a, b = Accumulator(), Accumulator()
-        a.extend([1.0, 2.0, 3.0])
-        b.extend([100.0, 200.0])
-        ab, ba = a.merge(b), b.merge(a)
+        ab, ba = _hist([1.0, 2.0, 3.0]), _hist([100.0, 200.0])
+        ab.merge(_hist([100.0, 200.0]))
+        ba.merge(_hist([1.0, 2.0, 3.0]))
         assert ab.count == ba.count
+        assert ab.buckets == ba.buckets
         assert ab.mean == pytest.approx(ba.mean)
-        assert ab.variance == pytest.approx(ba.variance)
+        assert ab.stddev == pytest.approx(ba.stddev)
 
     @given(
         st.lists(st.floats(-1e6, 1e6), max_size=60),
@@ -210,13 +214,12 @@ class TestLogHistogram:
 
     def test_summary_statistics(self):
         values = _streams()["lognormal_us"]
-        hist, acc = _hist(values), Accumulator()
-        acc.extend(values)
-        assert hist.count == acc.count
-        assert hist.total == pytest.approx(acc.total)
-        assert hist.mean == pytest.approx(acc.mean)
-        assert (hist.minimum, hist.maximum) == (acc.minimum, acc.maximum)
-        assert hist.stddev == pytest.approx(acc.stddev, rel=1e-9)
+        hist = _hist(values)
+        assert hist.count == len(values)
+        assert hist.total == pytest.approx(math.fsum(values))
+        assert hist.mean == pytest.approx(statistics.fmean(values))
+        assert (hist.minimum, hist.maximum) == (min(values), max(values))
+        assert hist.stddev == pytest.approx(statistics.pstdev(values), rel=1e-9)
 
     def test_zero_and_negative_land_in_defined_buckets(self):
         assert bucket_index(0.0) == 0 and bucket_index(-0.0) == 0
@@ -303,30 +306,6 @@ class TestLogHistogram:
         )
         with pytest.raises(ValueError):
             bad.quantile(0.99)
-
-
-class TestReservoirQuantile:
-    def test_exact_below_capacity(self):
-        r = ReservoirQuantile(capacity=100)
-        r.extend(range(11))
-        assert r.quantile(0.5) == 5.0
-        assert r.quantile(0.0) == 0.0
-        assert r.quantile(1.0) == 10.0
-
-    def test_interpolation(self):
-        r = ReservoirQuantile()
-        r.extend([0.0, 10.0])
-        assert r.quantile(0.25) == 2.5
-
-    def test_subsampling_stays_unbiased(self):
-        r = ReservoirQuantile(capacity=500, seed=3)
-        for i in range(50_000):
-            r.add(float(i % 1000))
-        assert r.quantile(0.5) == pytest.approx(500, abs=60)
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            ReservoirQuantile().quantile(0.5)
 
 
 class TestRateMeter:

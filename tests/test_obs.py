@@ -113,6 +113,40 @@ class TestRegistry:
         text = reg.to_prometheus()
         assert 'name="we\\"ird\\\\x"' in text
 
+    def test_one_prometheus_renderer(self):
+        """The registry method *is* ``snapshot_to_prometheus`` of its own
+        snapshot; the bytes are pinned over every family kind and every
+        escape (quote, backslash, newline) a label value can need."""
+        from repro.obs import snapshot_to_prometheus
+
+        reg = MetricsRegistry()
+        weird = 'a"b\\c\nd'
+        reg.counter("calls_total", "total calls").inc(3, plugin=weird)
+        reg.gauge("pages", "memory pages").set(2, plugin=weird)
+        h = reg.histogram("lat_us", "latency")
+        for v in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0):
+            h.observe(v, plugin=weird, zone="z")
+        reg.histogram("idle_us").labels(plugin="p")  # bound, never observed
+        esc = r'plugin="a\"b\\c\nd"'
+        assert reg.to_prometheus() == (
+            "# HELP calls_total total calls\n"
+            "# TYPE calls_total counter\n"
+            f"calls_total{{{esc}}} 3\n"
+            "# TYPE idle_us summary\n"
+            'idle_us_sum{plugin="p"} 0\n'
+            'idle_us_count{plugin="p"} 0\n'
+            "# HELP lat_us latency\n"
+            "# TYPE lat_us summary\n"
+            f'lat_us{{{esc},quantile="0.5",zone="z"}} 3.59375\n'
+            f'lat_us{{{esc},quantile="0.99",zone="z"}} 5.95625\n'
+            f'lat_us_sum{{{esc},zone="z"}} 21\n'
+            f'lat_us_count{{{esc},zone="z"}} 6\n'
+            "# HELP pages memory pages\n"
+            "# TYPE pages gauge\n"
+            f"pages{{{esc}}} 2\n"
+        )
+        assert reg.to_prometheus() == snapshot_to_prometheus(reg.to_json())
+
 
 # ---------------------------------------------------------------------------
 # tracing

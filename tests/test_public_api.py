@@ -109,6 +109,60 @@ class TestOptionSurface:
         assert not reads, f"benchmarks/ reads the environment: {sorted(reads, key=str)}"
 
 
+#: the files under ``src/repro`` that may call ``decode_module`` or
+#: ``validate_module`` themselves.  Everyone else takes a ``Module`` or
+#: calls ``repro.wasm.load_module``: a private decode -> validate preamble
+#: in front of a plugin load is a millisecond per swap.
+DECODE_VALIDATE_ALLOWED = {
+    "wasm/loader.py",  # load_module: the one place bytes become a checked Module
+    "wasm/instance.py",  # Instance(validate=True), the safe default
+    # the differential fuzzer decodes mutants it expects to be invalid,
+    # validates candidates it built itself, and shrinks on the Module
+    "fuzz/corpus.py",
+    "fuzz/gen.py",
+    "fuzz/mutate.py",
+    "fuzz/oracle.py",
+    "fuzz/shrink.py",
+    "replay/bench.py",  # stub_hostfuncs reads a corpus binary's import section
+}
+
+
+def _decode_validate_callers(root: Path) -> set[str]:
+    """Files under ``root`` with a ``decode_module`` / ``validate_module`` call."""
+    callers = set()
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = node.func if isinstance(node, ast.Call) else None
+            name = getattr(func, "attr", None) or getattr(func, "id", None)
+            if name in ("decode_module", "validate_module"):
+                callers.add(path.relative_to(root).as_posix())
+    return callers
+
+
+class TestOneLoadPath:
+    def test_only_allow_listed_files_decode_or_validate(self):
+        import repro
+
+        callers = _decode_validate_callers(Path(repro.__file__).parent)
+        stray = sorted(callers - DECODE_VALIDATE_ALLOWED)
+        assert not stray, f"decode/validate calls outside the allow-list: {stray}"
+        assert callers == DECODE_VALIDATE_ALLOWED, "stale allow-list"
+
+    def test_the_guard_sees_a_new_preamble(self, tmp_path):
+        (tmp_path / "abi").mkdir()
+        (tmp_path / "abi" / "host.py").write_text(
+            "from repro.wasm import decode_module\n"
+            "def _load(raw):\n"
+            "    return decode_module(raw)\n"
+        )
+        (tmp_path / "abi" / "takes_a_module.py").write_text(
+            "from repro.wasm import decode_module, load_module\n"
+            "def _load(raw):\n"
+            "    return load_module(raw)\n"
+        )
+        assert _decode_validate_callers(tmp_path) == {"abi/host.py"}
+
+
 class TestReadmeQuickstart:
     def test_quickstart_snippet_runs(self):
         """The exact code from README.md's quickstart section."""

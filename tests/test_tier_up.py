@@ -29,6 +29,7 @@ from repro.abi.host import (
     PluginError,
     PluginHost,
 )
+from repro.abi.sanitizer import SanitizerError
 from repro.chaos.schedule import ChaosInjection, OneShotChaos
 from repro.experiments.fig5d import make_ues
 from repro.obs import OBS
@@ -296,20 +297,56 @@ class TestHeatPolicy:
         assert promotions("rr-idem") == 1
         assert all(x is y for x, y in zip(compiled, bodies(host)))
 
+    #: one binary per stage of a load that can refuse it (with
+    #: ``sanitize=False`` and, where the policy is what refuses, with it on)
+    BAD_SWAPS = {
+        "undecodable": (b"not wasm at all", False),
+        "invalid-body": (assemble("(module (func (result i32)))"), False),
+        "policy": (  # valid, links, but exports neither alloc nor run
+            assemble('(module (memory (export "memory") 1 2))'), True,
+        ),
+        "link": (  # decodes, but instantiation fails at link time
+            assemble('(module (import "env" "no_such_capability" (func)))'), False,
+        ),
+        "trapping-start": (
+            assemble("(module (func $boom (unreachable)) (start $boom))"), False,
+        ),
+    }
+
+    @staticmethod
+    def _swap_state(host: PluginHost) -> tuple:
+        """Everything a swap replaces."""
+        return (
+            host.instance, host.generation, host.module_sha, host.wasm_bytes,
+            host._scratch_ptr, host._scratch_cap, host._warming,
+        )
+
     def test_failed_swap_leaves_the_tier_state_alone(self):
-        # decodes, but instantiation fails at link time
-        bad = assemble('(module (import "env" "no_such_capability" (func)))')
-        cold = PluginHost(plugin_wasm("rr"), name="rr-cold", sanitize=False)
-        hot = PluginHost(plugin_wasm("pf"), name="pf-hot", sanitize=False)
-        hot.promote()
-        for host in (cold, hot):
-            with pytest.raises(PluginError):
-                host.swap(bad)
-        assert (cold.tier, hot.tier) == ("threaded", "aot")
-        hot.call(DENSE[0])
-        assert promotions("pf-hot") == 1  # no second, spurious promotion
-        cold.promote()  # still warming: the failed load did not cancel it
-        assert cold.tier == "aot"
+        for stage, (bad, sanitize) in self.BAD_SWAPS.items():
+            codecache.clear()  # every stage starts cold, like every test
+            cold = PluginHost(
+                plugin_wasm("rr"), name=f"rr-cold-{stage}", sanitize=sanitize
+            )
+            hot = PluginHost(
+                plugin_wasm("pf"), name=f"pf-hot-{stage}", sanitize=sanitize
+            )
+            hot.promote()
+            for host in (cold, hot):
+                # a twin that is never swapped says what the old plugin answers
+                twin = PluginHost(host.wasm_bytes, name="twin")
+                # the first call establishes the scratch region
+                assert host.call(DENSE[0]).output == twin.call(DENSE[0]).output
+                before = self._swap_state(host)
+                with pytest.raises((PluginError, SanitizerError)):
+                    host.swap(bad)
+                assert self._swap_state(host) == before, stage
+                assert host._scratch_ptr is not None
+                assert host.call(DENSE[1]).output == twin.call(DENSE[1]).output
+            assert (cold.tier, hot.tier) == ("threaded", "aot"), stage
+            # no second, spurious promotion
+            assert promotions(f"pf-hot-{stage}") == 1, stage
+            cold.promote()  # still warming: the failed load did not cancel it
+            assert cold.tier == "aot", stage
 
     def test_env_engine_is_honoured(self, monkeypatch):
         monkeypatch.setenv("REPRO_WASM_ENGINE", "threaded")

@@ -4,8 +4,8 @@
 operations the paper's design needs:
 
 - **load** with pre-deployment sanitization;
-- **call** with a fuel budget and a soft deadline, catching every trap so
-  a plugin fault can never take the host down (§5D);
+- **call** with a fuel budget, catching every trap so a plugin fault can
+  never take the host down (§5D);
 - **hot swap** - replace the plugin binary between calls without touching
   the host (§5C's live scheduler change);
 - **tier-up** - under the default engine a binary starts on threaded code
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from repro.abi import wire
 from repro.abi.hostfuncs import ALLOWED_IMPORTS, make_env
 from repro.abi.sanitizer import SanitizerError, check_module
-from repro.obs import OBS, BoundMetrics, MetricsRegistry
+from repro.obs import NULL_SPAN, OBS, BoundMetrics, MetricsRegistry
 from repro.obs.flight import CallRecord
 from repro.sched.types import UeGrant, UeSchedInfo
 from repro.wasm import Instance, Module, codecache, load_module
@@ -58,6 +58,9 @@ class PluginError(RuntimeError):
     def __init__(self, message: str, kind: str = "error"):
         super().__init__(message)
         self.kind = kind  # 'trap' | 'fuel' | 'abi' | 'deadline' | 'load'
+        #: the faulted call's :class:`PluginCallResult` (``outcome == kind``,
+        #: ``output is None``); ``None`` when no call was made (load errors)
+        self.result: PluginCallResult | None = None
 
 
 @dataclass(frozen=True)
@@ -86,11 +89,19 @@ class PluginCheckpoint:
 
 @dataclass
 class PluginCallResult:
-    """Outcome of one plugin invocation."""
+    """The one report of a plugin invocation, clean or faulted.
 
-    output: bytes
+    :meth:`PluginHost.call` returns it for a clean call and raises a
+    :class:`PluginError` carrying it as ``.result`` for a faulted one;
+    telemetry, the flight recorder and the replay harness all read this
+    object.
+    """
+
+    output: bytes | None  # None iff the call faulted
     elapsed_us: float
-    fuel_used: int | None
+    fuel_used: int | None  # None when no Wasm ran (or the host is unmetered)
+    outcome: str = "ok"  # 'ok' | 'trap' | 'fuel' | 'abi' | 'deadline'
+    trap_code: str | None = None
 
 
 @dataclass
@@ -98,7 +109,6 @@ class HostLimits:
     """Per-call resource policy."""
 
     fuel: int | None = 2_000_000
-    deadline_us: float | None = None  # checked after the call (soft deadline)
     max_output_bytes: int = 1 << 16
 
 
@@ -406,14 +416,16 @@ class PluginHost:
         self,
         input_bytes: bytes,
         entry: str = "run",
-        fuel: int | None | str = "unset",
+        fuel: int | None = None,
         rt: dict | None = None,
     ) -> PluginCallResult:
         """One byte-buffer call: alloc, copy in, run, copy out.
 
-        Raises :class:`PluginError` for traps, fuel/deadline exhaustion and
-        ABI violations.  The elapsed time covers the full round trip
-        (serialization overhead included), mirroring §5E's methodology.
+        Raises :class:`PluginError` for traps, fuel exhaustion and ABI
+        violations; the error's ``.result`` is the faulted call's report
+        (real ``elapsed_us`` / ``fuel_used``, ``output`` ``None``).  The
+        elapsed time covers the full round trip (serialization overhead
+        included), mirroring §5E's methodology.
 
         ``fuel`` is the rt layer's per-call budget: when it undercuts the
         host's own ``limits.fuel`` the call is *budgeted* - running out of
@@ -424,16 +436,16 @@ class PluginHost:
         :meth:`replay` reproduces degraded slots bit-exactly.
 
         When telemetry is enabled (:func:`repro.obs.enable`) every call
-        emits a ``plugin.call`` span with ``encode``/``invoke``/``decode``
-        children, feeds the metrics registry (latency, fuel, instruction
-        and interpreter counters), appends a replayable record to the
-        flight recorder, and logs a structured event for every fault.
+        emits one ``plugin.call`` span whose ``children_us`` split the
+        round trip into ``plugin.encode`` / ``plugin.invoke`` /
+        ``plugin.decode``, feeds the metrics registry (latency, fuel,
+        instruction and interpreter counters), appends a replayable record
+        to the flight recorder, and logs a structured event for every fault.
         """
         instance = self.instance
         assert instance is not None
         obs = OBS
         enabled = obs.enabled
-        tracer = obs.tracer
         # corpus-capture mode: snapshot the pre-call state a standalone
         # replay must reconstruct (mutable globals drive stateful plugins
         # like rr's rotation pointer; the alloc flag decides whether this
@@ -441,63 +453,56 @@ class PluginHost:
         pre = None
         if enabled and obs.flight.capture:
             pre = self._capture_precall(len(input_bytes))
-        budget_fuel = fuel
-        fuel = self.limits.fuel
-        budgeted = False
-        if budget_fuel != "unset" and budget_fuel is not None:
-            if fuel is None or budget_fuel < fuel:
-                fuel = int(budget_fuel)
-                budgeted = True
+        limit = self.limits.fuel
+        budgeted = fuel is not None and (limit is None or fuel < limit)
+        fuel = int(fuel) if budgeted else limit
         injection = None
         if self.chaos is not None:
             injection = self.chaos.draw_plugin(self.name)
             if injection is not None:
                 fuel = self._apply_chaos_pre(injection, fuel)
-        stats: ExecStats | None = None
-        if enabled:
-            stats = instance.store.stats
-            if stats is None:
-                stats = instance.store.stats = ExecStats()
-            else:
-                stats.reset()
+        # off means off: a call made with telemetry disabled detaches the
+        # frame accounting an earlier telemetry-on call attached
+        stats = instance.store.stats = ExecStats() if enabled else None
         error: PluginError | None = None
         trap_code: str | None = None
         output: bytes | None = None
         # an injected trap/abi/oversize replaces the call: no Wasm runs,
         # so there is no fuel reading and nothing to charge to heat
         ran_wasm = False
+        encoded_ns = invoked_ns = 0
         start = time.perf_counter_ns()
-        root = tracer.span("plugin.call", plugin=self.name, entry=entry)
+        root = obs.tracer.span("plugin.call", plugin=self.name, entry=entry)
         with root:
             try:
                 if injection is not None:
                     self._raise_injected(injection)
                 ran_wasm = True
-                with tracer.span("plugin.encode"):
-                    # the input staging region is persistent: the plugin's
-                    # `alloc` is only consulted on the first call and when
-                    # the input outgrows the scratch capacity - it never
-                    # shrinks, so back-to-back calls reuse one region
-                    in_len = len(input_bytes)
-                    if self._scratch_ptr is not None and in_len <= self._scratch_cap:
-                        in_ptr = self._scratch_ptr
-                        entry_fuel = fuel
-                    else:
-                        in_ptr = instance.call("alloc", in_len, fuel=fuel)
-                        if in_ptr is None or in_ptr < 0:
-                            raise PluginError(
-                                f"{self.name}: alloc returned bad pointer {in_ptr}",
-                                "abi",
-                            )
-                        self._scratch_ptr = in_ptr
-                        self._scratch_cap = max(self._scratch_cap, in_len)
-                        self.scratch_allocs += 1
-                        entry_fuel = "unset"
-                    instance.memory.write(in_ptr, input_bytes)
-                with tracer.span("plugin.invoke"):
-                    out_ptr = instance.call(entry, in_ptr, in_len, fuel=entry_fuel)
-                with tracer.span("plugin.decode"):
-                    output = self._read_output(out_ptr)
+                # one budget for the whole call: `alloc` (when it runs)
+                # and the entry function draw on the same store fuel
+                instance.store.fuel = fuel
+                # the input staging region is persistent: the plugin's
+                # `alloc` is only consulted on the first call and when
+                # the input outgrows the scratch capacity - it never
+                # shrinks, so back-to-back calls reuse one region
+                in_len = len(input_bytes)
+                if self._scratch_ptr is not None and in_len <= self._scratch_cap:
+                    in_ptr = self._scratch_ptr
+                else:
+                    in_ptr = instance.call("alloc", in_len)
+                    if in_ptr is None or in_ptr < 0:
+                        raise PluginError(
+                            f"{self.name}: alloc returned bad pointer {in_ptr}",
+                            "abi",
+                        )
+                    self._scratch_ptr = in_ptr
+                    self._scratch_cap = max(self._scratch_cap, in_len)
+                    self.scratch_allocs += 1
+                instance.memory.write(in_ptr, input_bytes)
+                encoded_ns = time.perf_counter_ns()
+                out_ptr = instance.call(entry, in_ptr, in_len)
+                invoked_ns = time.perf_counter_ns()
+                output = self._read_output(out_ptr)
             except PluginError as exc:
                 error = exc
             except Trap as exc:
@@ -524,26 +529,36 @@ class PluginHost:
                 error.__cause__ = exc
         elapsed_us = (time.perf_counter_ns() - start) / 1000.0
         fuel_used = None
-        if ran_wasm and fuel is not None and instance.store.fuel is not None:
+        if ran_wasm and fuel is not None:
             fuel_used = fuel - instance.store.fuel
-        if (
-            error is None
-            and self.limits.deadline_us is not None
-            and elapsed_us > self.limits.deadline_us
-        ):
-            error = PluginError(
-                f"{self.name}: call took {elapsed_us:.1f}us, deadline "
-                f"{self.limits.deadline_us}us", "deadline",
-            )
         if injection is not None and injection.kind == "deadline" and error is None:
             # message kept time-free so chaos fault logs stay reproducible
             error = PluginError(
                 f"{self.name}: chaos: injected deadline blowout", "deadline"
             )
             output = None
+        result = PluginCallResult(
+            output,
+            elapsed_us,
+            fuel_used,
+            "ok" if error is None else error.kind,
+            trap_code,
+        )
+        if root is not NULL_SPAN:
+            root.set(outcome=result.outcome)
+            if error is not None:
+                root.status = "error"
+            # a phase the call never finished runs to the end of the span:
+            # the time up to a trap is booked under the phase it cut short
+            end_ns = root.end_ns
+            encoded_ns = encoded_ns or end_ns
+            invoked_ns = invoked_ns or end_ns
+            root.children_us = {
+                "plugin.encode": (encoded_ns - root.start_ns) / 1000.0,
+                "plugin.invoke": (invoked_ns - encoded_ns) / 1000.0,
+                "plugin.decode": (end_ns - invoked_ns) / 1000.0,
+            }
         if enabled:
-            outcome = "ok" if error is None else error.kind
-            root.set(outcome=outcome)
             rt_doc = dict(rt) if rt is not None else None
             if budgeted:
                 # record the *effective* enforced budget so replay
@@ -551,16 +566,17 @@ class PluginHost:
                 rt_doc = dict(rt_doc or {})
                 rt_doc["fuel"] = fuel
             self._record_telemetry(
-                obs, entry, input_bytes, output, outcome, elapsed_us,
-                fuel_used, stats, error, trap_code, injection, rt_doc, pre,
+                obs, entry, input_bytes, result, error, stats, injection,
+                rt_doc, pre,
             )
         if self._warming and ran_wasm:
             # after the timing and the telemetry of the call: a compile
             # never shows up in a plugin latency series
             self._heat_up(fuel_used)
         if error is not None:
+            error.result = result
             raise error
-        return PluginCallResult(output, elapsed_us, fuel_used)
+        return result
 
     # ----- chaos injection (runtime + ABI layers) ----------------------------
 
@@ -653,13 +669,9 @@ class PluginHost:
         obs,
         entry: str,
         input_bytes: bytes,
-        output: bytes | None,
-        outcome: str,
-        elapsed_us: float,
-        fuel_used: int | None,
-        stats: ExecStats | None,
+        result: PluginCallResult,
         error: PluginError | None,
-        trap_code: str | None,
+        stats: ExecStats,
         injection=None,
         rt_doc: dict | None = None,
         pre: dict | None = None,
@@ -677,64 +689,82 @@ class PluginHost:
                 source=name,
                 fault_kind=injection.kind,
                 index=injection.index,
-                outcome=outcome,
+                outcome=result.outcome,
             )
         metrics = self._metrics.get(reg, name)
-        metrics.calls[outcome].inc()
-        metrics.call_us.observe(elapsed_us)
-        if fuel_used is not None:
-            metrics.fuel_used.observe(fuel_used)
-        if stats is not None:
-            metrics.frames.observe(stats.frames)
-            metrics.call_depth_peak.observe(stats.max_call_depth)
-            metrics.value_stack_peak.observe(stats.max_value_stack)
+        metrics.calls[result.outcome].inc()
+        metrics.call_us.observe(result.elapsed_us)
+        if result.fuel_used is not None:
+            metrics.fuel_used.observe(result.fuel_used)
+        metrics.frames.observe(stats.frames)
+        metrics.call_depth_peak.observe(stats.max_call_depth)
+        metrics.value_stack_peak.observe(stats.max_value_stack)
         if self.instance is not None and self.instance.memory is not None:
             metrics.memory_pages.set(self.instance.memory.size_pages)
-        chaos_attrs = (
-            {"chaos": injection.to_json()} if injection is not None else {}
-        )
+        attrs = {"chaos": injection.to_json()} if injection is not None else {}
         if rt_doc is not None:
-            chaos_attrs["rt"] = rt_doc
+            attrs["rt"] = rt_doc
         if pre is not None:
-            chaos_attrs["pre"] = pre
+            attrs["pre"] = pre
             obs.flight.register_module(self.module_sha, self.wasm_bytes)
         obs.flight.record(
-            plugin=name,
-            entry=entry,
-            generation=self.generation,
-            input_bytes=input_bytes,
-            output_bytes=output,
-            outcome=outcome,
-            elapsed_us=elapsed_us,
-            fuel_used=fuel_used,
-            instructions=fuel_used,
+            name,
+            entry,
+            self.generation,
+            input_bytes,
+            result,
             error=str(error) if error is not None else "",
             module_sha=self.module_sha,
-            **chaos_attrs,
+            **attrs,
         )
         if error is not None:
             fields = {"entry": entry, "detail": str(error)}
-            if trap_code is not None:
-                fields["trap_code"] = trap_code
+            if result.trap_code is not None:
+                fields["trap_code"] = result.trap_code
             obs.events.emit(f"plugin.{error.kind}", source=name, **fields)
 
-    def replay(self, record: CallRecord, fresh: bool = True) -> PluginCallResult:
+    def reissue(
+        self,
+        input_bytes: bytes,
+        entry: str,
+        chaos_doc: dict | None,
+        rt_doc: dict | None,
+    ) -> PluginCallResult:
+        """Call again as recorded: the one re-issue step of every replay.
+
+        The recorded chaos injection (if any) fires exactly once and no
+        ambient chaos - not even ``REPRO_CHAOS`` - does; the recorded rt
+        decision re-applies its effective per-call fuel budget.  Raises
+        like :meth:`call`.
+        """
+        from repro.chaos.schedule import ChaosInjection, OneShotChaos
+
+        self.chaos = OneShotChaos(
+            ChaosInjection.from_json(chaos_doc) if chaos_doc is not None else None
+        )
+        return self.call(
+            input_bytes,
+            entry=entry,
+            fuel=rt_doc.get("fuel") if rt_doc else None,
+            rt=rt_doc,
+        )
+
+    def replay(self, record: CallRecord) -> PluginCallResult:
         """Re-execute a flight-recorder capture for deterministic debugging.
 
-        With ``fresh=True`` (the default) the call runs against a brand-new
-        instance built from this host's current binary, so a deterministic
-        plugin reproduces the captured output byte-for-byte regardless of
-        any linear-memory state the live instance has accumulated since.
-        With ``fresh=False`` the live instance is used (useful to probe
-        state-dependent behaviour, at the cost of determinism).
+        The call runs against a brand-new instance built from this host's
+        current binary, so a deterministic plugin reproduces the captured
+        output byte-for-byte regardless of any linear-memory state the live
+        instance has accumulated since.  (To probe state-dependent
+        behaviour on the live instance, just :meth:`call` it again with
+        ``record.input_bytes``.)
 
-        If the captured call carried a chaos injection (``attrs["chaos"]``)
-        the fresh replay re-applies that exact injection, so a
+        A captured chaos injection (``attrs["chaos"]``) and rt decision
+        (``attrs["rt"]``) are re-applied by :meth:`reissue`, so a
         chaos-provoked trap or fuel cut reproduces its trap code and fuel
-        count deterministically.  Likewise an rt decision (``attrs["rt"]``)
-        re-applies the recorded per-call fuel budget, so a slot degraded
-        by fuel-cut preemption replays bit-exactly - including under
-        ``REPRO_CHAOS`` deadline faults, where both attachments compose.
+        count, and a slot degraded by fuel-cut preemption replays
+        bit-exactly - including under ``REPRO_CHAOS`` deadline faults,
+        where both attachments compose.
         """
         if record.generation != self.generation:
             if OBS.enabled:
@@ -744,21 +774,6 @@ class PluginHost:
                     recorded=record.generation,
                     current=self.generation,
                 )
-        rt_doc = record.attrs.get("rt")
-        rt_fuel = rt_doc.get("fuel") if rt_doc else None
-        if not fresh:
-            return self.call(
-                record.input_bytes,
-                entry=record.entry,
-                fuel="unset" if rt_fuel is None else rt_fuel,
-                rt=rt_doc,
-            )
-        from repro.chaos.schedule import ChaosInjection, OneShotChaos
-
-        chaos_doc = record.attrs.get("chaos")
-        chaos = OneShotChaos(
-            ChaosInjection.from_json(chaos_doc) if chaos_doc is not None else None
-        )
         clone = PluginHost(
             self.wasm_bytes,
             name=f"{self.name}@replay",
@@ -768,13 +783,12 @@ class PluginHost:
             log_sink=self._log_sink,
             output_record_bytes=self.output_record_bytes,
             engine=self._engine,
-            chaos=chaos,
         )
-        return clone.call(
+        return clone.reissue(
             record.input_bytes,
-            entry=record.entry,
-            fuel="unset" if rt_fuel is None else rt_fuel,
-            rt=rt_doc,
+            record.entry,
+            record.attrs.get("chaos"),
+            record.attrs.get("rt"),
         )
 
     def _read_output(self, out_ptr) -> bytes:
@@ -841,7 +855,7 @@ class SchedulerPlugin:
         allocated_prbs: int,
         ues: list[UeSchedInfo],
         slot: int,
-        fuel: int | None | str = "unset",
+        fuel: int | None = None,
         rt: dict | None = None,
     ) -> SchedulerCall:
         """Run the plugin's intra-slice scheduler for one slot.

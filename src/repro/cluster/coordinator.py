@@ -100,9 +100,9 @@ class ClusterReport:
     trace_digest: str = ""
     attribution: dict[str, Any] = field(default_factory=dict)
     deadline_misses: list[dict] = field(default_factory=list)
-    #: with ``spec.capture``: one wire-form flight capture per worker
-    #: (worker-id order) for :func:`repro.replay.record.flight_from_wire`
-    flights: list[dict] = field(default_factory=list, repr=False)
+    #: with ``spec.capture``: one base64 ``.wrc`` corpus per worker
+    #: (worker-id order), merged by :func:`repro.replay.record_workload`
+    flights: list[str] = field(default_factory=list, repr=False)
 
     @property
     def bytes_digest(self) -> str:

@@ -21,8 +21,8 @@ frame to the coordinator carrying:
   slot becomes a ``worker.slot`` span (children: ``gnb.step``,
   ``e2.encode``, ``uplink.flush``, ``net.send``, ...) parented under the
   coordinator's reserved root,
-- with ``spec.capture``: the full-fidelity flight-recorder call stream
-  (``repro record`` merges the per-worker streams into one corpus).
+- with ``spec.capture``: its captured call streams as one base64 ``.wrc``
+  corpus (``repro record`` merges the per-worker streams into one).
 
 With a ``spec.budget_us`` latency budget, slots that overrun it emit a
 live ``trace.deadline_miss`` event naming the *guilty segment* - the
@@ -37,6 +37,7 @@ distinguished by magic::
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import struct
@@ -77,11 +78,11 @@ def _span_capacity(spec: ClusterSpec, cells: int) -> int:
     """Ring-buffer size that keeps a whole traced run (slot spans and
     their per-cell children) instead of silently evicting the early slots.
 
-    Each slot emits the slot span, one gnb.step per cell, a 4-span
-    plugin group per scheduled UE (call/invoke/encode/decode) and the
-    periodic flush/encode pair; 24 per cell-slot covers the densest
-    schedules with slack."""
-    per_slot = 24 * max(1, cells) + 8
+    Each slot emits the slot span, one gnb.step per cell, one plugin.call
+    per scheduled slice (its phases are timestamps on that span) and the
+    periodic flush/encode pair: 5 per cell-slot on the default cells, so
+    8 leaves slack."""
+    per_slot = 8 * max(1, cells) + 8
     return max(4096, spec.slots * per_slot)
 
 
@@ -297,7 +298,8 @@ def _run_worker_body(
         if run_ctx is not None:
             result["trace"] = run_ctx.to_json()
     if spec.capture:
-        from repro.replay.record import flight_to_wire
+        from repro.replay.corpus import dumps_corpus
+        from repro.replay.record import build_corpus
 
         recorder = obs.OBS.flight
         records = recorder.records()
@@ -306,7 +308,9 @@ def _run_worker_body(
                 f"worker {worker_id} flight recorder overflowed while "
                 "capturing; shorten the run"
             )
-        result["flight"] = flight_to_wire(recorder)
+        result["flight"] = base64.b64encode(
+            dumps_corpus(build_corpus(records, recorder.modules, {}))
+        ).decode("ascii")
     return result
 
 

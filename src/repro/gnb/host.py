@@ -320,7 +320,7 @@ class GnbHost:
             # native fallback serves the slice, the plugin is not called
             use_plugin = False
         if use_plugin:
-            fuel = "unset"
+            fuel = None
             rt_attrs = None
             if decision is not None and decision.fuel_budget is not None:
                 fuel = decision.fuel_budget

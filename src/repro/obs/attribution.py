@@ -18,7 +18,8 @@ span-document list the cluster run produces (see
   the 99th percentile - its rows sum to that slot's measured time, which
   is what makes the attribution table trustworthy;
 - **critical path**: from that worst slot, the chain of most-expensive
-  children (following cross-process edges), each with its share;
+  children (following cross-process edges), each with its share; the
+  deepest span's costliest ``children_us`` phase is the final hop;
 - **deadline misses**: slot spans that overran ``budget_us``, each named
   with its guilty segment - the offline analog of the live
   ``trace.deadline_miss`` events the worker emits, feeding the future
@@ -262,6 +263,15 @@ def attribute_slots(
             }
         )
         kids = children.get(hop["span_id"], ())
+        phases = hop.get("children_us")
+        if not kids and phases:
+            # the deepest span document: its costliest phase is the last
+            # hop (a plugin.call's phases are timestamps, not spans)
+            name, us = max(phases.items(), key=lambda kv: kv[1])
+            critical_path.append(
+                {"name": name, "service": hop.get("service", "main"),
+                 "us": round(us, 1)}
+            )
         hop = max(kids, key=lambda d: d["elapsed_us"]) if kids else None
 
     doc: dict[str, Any] = {

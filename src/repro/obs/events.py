@@ -4,7 +4,7 @@ Where metrics aggregate and spans time, events *narrate*: each
 :class:`Event` is one discrete occurrence with a kind, a source, and
 free-form fields.  The host stack emits them at every point where the
 paper's fault-tolerance story has something to say - a plugin trap
-(with the spec-level trap code), a blown soft deadline, a hot swap, a
+(with the spec-level trap code), a blown fuel budget, a hot swap, a
 quarantine/disconnect decision - so a post-mortem can be read straight
 off the log instead of reconstructed from counters.
 """

@@ -3,10 +3,11 @@
 In the spirit of Wasm-R3 (record-reduce-replay, PAPERS.md): every call
 through :class:`repro.abi.host.PluginHost` can be captured as a
 :class:`CallRecord` - entry point, exact input bytes, output bytes, fuel
-and instruction counts, and the outcome (``ok`` or the fault kind).  The
-recorder keeps the last N records in a ring buffer, cheap enough to leave
-on in production; ``PluginHost.replay(record)`` re-executes a captured
-call against a fresh instance for deterministic debugging.
+(one unit per retired instruction), and the outcome (``ok`` or the fault
+kind).  The recorder keeps the last N records in a ring buffer, cheap
+enough to leave on in production; ``PluginHost.replay(record)``
+re-executes a captured call against a fresh instance for deterministic
+debugging.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ class CallRecord:
     outcome: str  # 'ok' | 'trap' | 'fuel' | 'abi' | 'deadline'
     elapsed_us: float
     fuel_used: int | None
-    instructions: int | None
     error: str = ""
     attrs: dict[str, Any] = field(default_factory=dict)
     #: sha256 of the module binary that served this call (corpus key);
@@ -63,7 +63,6 @@ class CallRecord:
             "outcome": self.outcome,
             "elapsed_us": self.elapsed_us,
             "fuel_used": self.fuel_used,
-            "instructions": self.instructions,
             "error": self.error,
             **({"module_sha": self.module_sha} if self.module_sha else {}),
             **({"attrs": self.attrs} if self.attrs else {}),
@@ -101,26 +100,24 @@ class FlightRecorder:
         entry: str,
         generation: int,
         input_bytes: bytes,
-        output_bytes: bytes | None,
-        outcome: str,
-        elapsed_us: float,
-        fuel_used: int | None = None,
-        instructions: int | None = None,
+        result,
         error: str = "",
         module_sha: str = "",
         **attrs: Any,
     ) -> CallRecord:
+        """Append one call; ``result`` is its
+        :class:`~repro.abi.host.PluginCallResult`."""
+        output = result.output
         rec = CallRecord(
             seq=next(self._seq),
             plugin=plugin,
             entry=entry,
             generation=generation,
             input_bytes=bytes(input_bytes),
-            output_bytes=bytes(output_bytes) if output_bytes is not None else None,
-            outcome=outcome,
-            elapsed_us=elapsed_us,
-            fuel_used=fuel_used,
-            instructions=instructions,
+            output_bytes=bytes(output) if output is not None else None,
+            outcome=result.outcome,
+            elapsed_us=result.elapsed_us,
+            fuel_used=result.fuel_used,
             error=error,
             attrs=attrs,
             module_sha=module_sha,

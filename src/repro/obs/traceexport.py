@@ -13,7 +13,8 @@ Chrome's ``chrome://tracing`` and Perfetto load directly:
 - every service (process) becomes one ``pid`` with a ``process_name``
   metadata event, every recorded thread one ``tid`` - so the
   coordinator, each worker, and each pump thread get their own swimlane;
-- span/trace ids, status and attributes ride in ``args``.
+- span/trace ids, status, attributes and the per-child time split
+  (``children_us``) ride in ``args``.
 
 Clock caveat: span timestamps are ``time.perf_counter_ns`` values, whose
 epoch is *per process*.  Within one process the timeline is exact; across
@@ -104,6 +105,8 @@ def chrome_trace(span_docs: list[dict[str, Any]]) -> dict[str, Any]:
         if doc.get("parent_id") is not None:
             args["parent_id"] = doc["parent_id"]
         args.update(doc.get("attrs", {}))
+        if doc.get("children_us"):
+            args["children_us"] = doc["children_us"]
         events.append(
             {
                 "name": doc["name"],

@@ -2,8 +2,8 @@
 
 A :class:`Span` is a named, monotonic-clock interval with attributes and a
 parent link; spans opened while another span is active become its children,
-so one plugin call produces a tree (``plugin.call`` → ``encode`` /
-``invoke`` / ``decode``).  The API is the usual pair:
+so one slot produces a tree (``worker.slot`` → ``gnb.step`` →
+``plugin.call``).  The API is the usual pair:
 
 - context manager: ``with tracer.span("plugin.call", plugin="pf"): ...``
 - decorator: ``@traced("wacc.compile")``
@@ -27,6 +27,9 @@ Since the cluster PR, spans also carry **distributed trace context**:
   knows its direct children's time by name (``children_us``) - the
   latency-attribution layer (:mod:`repro.obs.attribution`) and the
   live ``deadline_miss`` path both read the guilty segment from there.
+  A span whose phases are too cheap to be spans of their own sets
+  ``children_us`` itself from clock reads (``plugin.call``:
+  ``plugin.encode`` / ``plugin.invoke`` / ``plugin.decode``).
 
 Cost model: when the tracer is disabled, :meth:`Tracer.span` returns a
 shared null span - one method call and one branch, no allocation, no clock

@@ -18,25 +18,24 @@ deterministic moves, mirrored from what the recording captured:
 - **globals**: stateful plugins (rr's rotation pointer) read mutable
   globals left by earlier calls; the recorded pre-call values are
   written back first.
-- **chaos/rt**: a captured injection replays through
-  :class:`~repro.chaos.schedule.OneShotChaos`; a captured rt budget
-  replays as the per-call fuel budget, reproducing fuel-cut preemption.
+- **chaos/rt**: :meth:`PluginHost.reissue` fires a captured injection
+  exactly once and re-applies a captured rt budget as the per-call fuel
+  budget, reproducing fuel-cut preemption.
 
-Per-call fuel accounting is pinned by clearing the store's fuel before
-every call, so faults injected *before* any Wasm ran report ``fuel=None``
-deterministically instead of echoing a neighbouring call's leftovers.
+Every call, clean or faulted, reports through its
+:class:`~repro.abi.host.PluginCallResult` (a fault injected *before* any
+Wasm ran says ``fuel_used=None``), so a replay needs no telemetry: it
+runs with the process's telemetry as it found it - off by default - and
+touches no process-wide state.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.abi.host import HostLimits, PluginError, PluginHost
+from repro.abi.host import HostLimits, PluginCallResult, PluginError, PluginHost
 from repro.abi.hostfuncs import make_env
-from repro.chaos.schedule import ChaosInjection, OneShotChaos
-from repro.obs.flight import FlightRecorder
 from repro.replay.corpus import ReplayCall, ReplayCorpus, ReplayStream
 from repro.wasm.decoder import decode_module
 from repro.wasm.instance import HostFunc
@@ -100,7 +99,6 @@ def make_stream_host(
             extra_hostfuncs=stub_hostfuncs(wasm),
             output_record_bytes=stream.output_record_bytes,
             engine=engine,
-            chaos=OneShotChaos(None),  # pin no ambient chaos
         )
     except (PluginError, WasmError) as exc:
         raise ReplayError(f"cannot stage {stream.plugin}: {exc}") from exc
@@ -115,76 +113,28 @@ def make_stream_host(
     return host
 
 
-@contextmanager
-def replay_session():
-    """Telemetry context for replaying: a private one-slot flight recorder.
-
-    ``PluginHost.call`` only reports (outcome, output, fuel) through the
-    flight recorder on fault paths, so the harness reads each call's
-    result from a scratch recorder - leaving whatever recorder the
-    benchmark session (or a surrounding ``repro record``) had installed
-    untouched.
-    """
-    from repro import obs
-
-    bundle = obs.OBS
-    prev_flight, prev_enabled = bundle.flight, bundle.enabled
-    recorder = FlightRecorder(capacity=4)
-    bundle.flight = recorder
-    bundle.enable()
+def replay_call(host: PluginHost, call: ReplayCall) -> PluginCallResult:
+    """Execute one recorded call on its stream's host, independently of
+    every other; a faulted call returns its report like a clean one."""
+    instance = host.instance
+    assert instance is not None
     try:
-        yield recorder
-    finally:
-        bundle.flight = prev_flight
-        if not prev_enabled:
-            bundle.disable()
-
-
-class StreamReplayer:
-    """Replays one stream's calls, in any order, each independently."""
-
-    def __init__(self, host: PluginHost, recorder: FlightRecorder):
-        self.host = host
-        self.recorder = recorder
-
-    def replay_call(self, call: ReplayCall) -> tuple:
-        """Execute one recorded call; returns (outcome, output, fuel, us)."""
-        host = self.host
-        instance = host.instance
-        assert instance is not None
-        try:
-            if call.alloc:
-                host.reset_scratch()
-            else:
-                host.prime_scratch(len(call.input_bytes))
-        except (PluginError, Trap) as exc:
-            raise ReplayError(f"scratch staging failed: {exc}") from exc
-        for index, value in call.globals_pre:
-            if index >= len(instance.globals):
-                raise ReplayError(
-                    f"pre-call global {index} missing from module"
-                )
-            instance.globals[index].value = value
-        host.chaos = OneShotChaos(
-            ChaosInjection.from_json(call.chaos)
-            if call.chaos is not None
-            else None
-        )
-        rt_doc = call.rt
-        fuel = (
-            rt_doc["fuel"]
-            if rt_doc is not None and rt_doc.get("fuel") is not None
-            else "unset"
-        )
-        try:
-            host.call(call.input_bytes, entry=call.entry, fuel=fuel, rt=rt_doc)
-        except PluginError:
-            pass  # the flight record below carries the fault outcome
-        rec = self.recorder.last(1)
-        if not rec:
-            raise ReplayError("call produced no flight record")
-        rec = rec[0]
-        return rec.outcome, rec.output_bytes, rec.fuel_used, rec.elapsed_us
+        if call.alloc:
+            host.reset_scratch()
+        else:
+            host.prime_scratch(len(call.input_bytes))
+    except (PluginError, Trap) as exc:
+        raise ReplayError(f"scratch staging failed: {exc}") from exc
+    for index, value in call.globals_pre:
+        if index >= len(instance.globals):
+            raise ReplayError(
+                f"pre-call global {index} missing from module"
+            )
+        instance.globals[index].value = value
+    try:
+        return host.reissue(call.input_bytes, call.entry, call.chaos, call.rt)
+    except PluginError as exc:
+        return exc.result
 
 
 def _quantile(sorted_values: list[float], q: float) -> float:
@@ -290,8 +240,10 @@ class ReplayBenchReport:
         )
 
 
-def _describe_mismatch(call: ReplayCall, actual: tuple) -> dict[str, Any]:
-    outcome, output, fuel, _us = actual
+def _describe_mismatch(
+    call: ReplayCall, actual: PluginCallResult
+) -> dict[str, Any]:
+    output = actual.output
     return {
         "seq": call.seq,
         "entry": call.entry,
@@ -303,9 +255,9 @@ def _describe_mismatch(call: ReplayCall, actual: tuple) -> dict[str, Any]:
             "fuel": call.fuel_used,
         },
         "actual": {
-            "outcome": outcome,
+            "outcome": actual.outcome,
             "output_sha": None if output is None else output.hex()[:24],
-            "fuel": fuel,
+            "fuel": actual.fuel_used,
         },
     }
 
@@ -321,46 +273,41 @@ def replay_corpus(
         fidelity_digest=corpus.fidelity_digest(),
         meta=dict(corpus.meta),
     )
-    with replay_session() as recorder:
-        for stream in corpus.streams:
-            result = StreamResult(
-                plugin=stream.plugin,
-                generation=stream.generation,
-                module_sha=stream.module_sha,
-            )
-            report.streams.append(result)
+    for stream in corpus.streams:
+        result = StreamResult(
+            plugin=stream.plugin,
+            generation=stream.generation,
+            module_sha=stream.module_sha,
+        )
+        report.streams.append(result)
+        try:
+            host = make_stream_host(corpus, stream, engine)
+        except ReplayError as exc:
+            result.calls = len(stream.calls)
+            result.mismatches.append({"stage_error": str(exc)})
+            continue
+        elapsed: list[float] = []
+        for call in stream.calls:
+            result.calls += 1
+            if not call.live_match:
+                result.rebased += 1
             try:
-                host = make_stream_host(corpus, stream, engine)
+                actual = replay_call(host, call)
             except ReplayError as exc:
-                result.calls = len(stream.calls)
-                result.mismatches.append({"stage_error": str(exc)})
+                result.mismatches.append(
+                    {"seq": call.seq, "stage_error": str(exc)}
+                )
                 continue
-            replayer = StreamReplayer(host, recorder)
-            elapsed: list[float] = []
-            for call in stream.calls:
-                result.calls += 1
-                if not call.live_match:
-                    result.rebased += 1
-                try:
-                    actual = replayer.replay_call(call)
-                except ReplayError as exc:
-                    result.mismatches.append(
-                        {"seq": call.seq, "stage_error": str(exc)}
-                    )
-                    continue
-                outcome, output, fuel, us = actual
-                elapsed.append(us)
-                result.fuel_total += fuel or 0
-                if (outcome, output, fuel) == (
-                    call.outcome, call.output_bytes, call.fuel_used
-                ):
-                    result.matched += 1
-                else:
-                    result.mismatches.append(_describe_mismatch(call, actual))
-            if elapsed:
-                elapsed_sorted = sorted(elapsed)
-                result.total_us = sum(elapsed)
-                result.mean_us = result.total_us / len(elapsed)
-                result.p50_us = _quantile(elapsed_sorted, 0.50)
-                result.p99_us = _quantile(elapsed_sorted, 0.99)
+            elapsed.append(actual.elapsed_us)
+            result.fuel_total += actual.fuel_used or 0
+            if call.matches(actual):
+                result.matched += 1
+            else:
+                result.mismatches.append(_describe_mismatch(call, actual))
+        if elapsed:
+            elapsed_sorted = sorted(elapsed)
+            result.total_us = sum(elapsed)
+            result.mean_us = result.total_us / len(elapsed)
+            result.p50_us = _quantile(elapsed_sorted, 0.50)
+            result.p99_us = _quantile(elapsed_sorted, 0.99)
     return report

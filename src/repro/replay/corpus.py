@@ -70,13 +70,11 @@ class ReplayCall:
     #: an xApp whose host functions are stubbed standalone)
     live_match: bool = True
 
-    def expectation(self) -> tuple:
-        """What a faithful replay must reproduce, as a comparable tuple."""
-        return (
-            self.entry,
-            self.outcome,
-            None if self.output_bytes is None else self.output_bytes,
-            self.fuel_used,
+    def matches(self, result) -> bool:
+        """True iff ``result`` (the :class:`~repro.abi.host.PluginCallResult`
+        of re-issuing this call) reproduces the expectation bit-exactly."""
+        return (result.outcome, result.output, result.fuel_used) == (
+            self.outcome, self.output_bytes, self.fuel_used
         )
 
     def to_json(self) -> dict[str, Any]:

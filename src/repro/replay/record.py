@@ -8,10 +8,11 @@ every captured plugin call stream into a
 
 The ``cluster`` workload records a multi-worker run: every worker
 captures its own call stream (``spec.capture`` swaps a capture-mode
-recorder in per worker) and ships it home in its result frame via
-:func:`flight_to_wire`; the streams merge cleanly because plugin names
-are per-cell (``cell3/sched_rr``), so no two workers ever share a
-stream key.
+recorder in per worker), folds it into a corpus of its own and ships
+that home in its result frame as ``.wrc`` bytes - the one lossless
+serialization of recorded calls; the streams merge cleanly because
+plugin names are per-cell (``cell3/sched_rr``), so no two workers ever
+share a stream key.
 
 The workloads are seeded and fuel-clocked, so recording the same
 ``(workload, seed, slots)`` twice produces byte-identical corpora - the
@@ -21,13 +22,15 @@ recording itself is reproducible, not just the replay.
 from __future__ import annotations
 
 import base64
-import json
-import zlib
 from typing import Any
 
-from repro.fuzz.corpus import decode_value, encode_value
 from repro.obs.flight import CallRecord, FlightRecorder
-from repro.replay.corpus import ReplayCall, ReplayCorpus, ReplayStream
+from repro.replay.corpus import (
+    ReplayCall,
+    ReplayCorpus,
+    ReplayStream,
+    loads_corpus,
+)
 
 #: workloads ``record_workload`` knows how to drive
 RECORDABLE_WORKLOADS = (
@@ -38,112 +41,6 @@ RECORDABLE_WORKLOADS = (
     "fig5b",
     "cluster",
 )
-
-
-# ----- cross-process capture wire form --------------------------------------
-
-
-def _record_to_doc(rec: CallRecord) -> dict[str, Any]:
-    attrs = dict(rec.attrs)
-    pre = attrs.get("pre")
-    if pre is not None:
-        pre = dict(pre)
-        pre["globals"] = [
-            [index, encode_value(value)]
-            for index, value in pre.get("globals", [])
-        ]
-        attrs["pre"] = pre
-    return {
-        "seq": rec.seq,
-        "plugin": rec.plugin,
-        "entry": rec.entry,
-        "generation": rec.generation,
-        "input_hex": rec.input_bytes.hex(),
-        "output_hex": (
-            None if rec.output_bytes is None else rec.output_bytes.hex()
-        ),
-        "outcome": rec.outcome,
-        "elapsed_us": rec.elapsed_us,
-        "fuel_used": rec.fuel_used,
-        "instructions": rec.instructions,
-        "error": rec.error,
-        "module_sha": rec.module_sha,
-        "attrs": attrs,
-    }
-
-
-def _record_from_doc(doc: dict[str, Any]) -> CallRecord:
-    attrs = dict(doc.get("attrs", {}))
-    pre = attrs.get("pre")
-    if pre is not None:
-        pre = dict(pre)
-        pre["globals"] = [
-            [index, decode_value(value)]
-            for index, value in pre.get("globals", [])
-        ]
-        attrs["pre"] = pre
-    return CallRecord(
-        seq=doc["seq"],
-        plugin=doc["plugin"],
-        entry=doc["entry"],
-        generation=doc["generation"],
-        input_bytes=bytes.fromhex(doc["input_hex"]),
-        output_bytes=(
-            None
-            if doc.get("output_hex") is None
-            else bytes.fromhex(doc["output_hex"])
-        ),
-        outcome=doc["outcome"],
-        elapsed_us=doc.get("elapsed_us", 0.0),
-        fuel_used=doc.get("fuel_used"),
-        instructions=doc.get("instructions"),
-        error=doc.get("error", ""),
-        attrs=attrs,
-        module_sha=doc.get("module_sha", ""),
-    )
-
-
-def flight_to_wire(recorder: FlightRecorder) -> dict[str, Any]:
-    """Full-fidelity wire form of a capture-mode flight recorder.
-
-    Unlike :meth:`CallRecord.to_json` (which truncates payloads for
-    humans) this keeps exact bytes - it is what a cluster worker ships
-    home so the coordinator side can rebuild the records losslessly with
-    :func:`flight_from_wire`.  Float globals ride through the fuzz
-    corpus value encoding, so NaN/inf survive JSON.
-    """
-    payload = json.dumps(
-        {
-            "records": [_record_to_doc(rec) for rec in recorder.records()],
-            "modules": {
-                sha: base64.b64encode(blob).decode("ascii")
-                for sha, blob in sorted(recorder.modules.items())
-            },
-        },
-        separators=(",", ":"),
-        sort_keys=True,
-    ).encode("utf-8")
-    return {
-        "v": 1,
-        "z": base64.b64encode(zlib.compress(payload, 6)).decode("ascii"),
-    }
-
-
-def flight_from_wire(
-    doc: dict[str, Any],
-) -> tuple[list[CallRecord], dict[str, bytes]]:
-    """Rebuild ``(records, modules)`` from :func:`flight_to_wire` output."""
-    if doc.get("v") != 1:
-        raise ValueError(f"unknown flight wire version {doc.get('v')!r}")
-    payload = json.loads(
-        zlib.decompress(base64.b64decode(doc["z"])).decode("utf-8")
-    )
-    records = [_record_from_doc(d) for d in payload.get("records", [])]
-    modules = {
-        sha: base64.b64decode(blob)
-        for sha, blob in payload.get("modules", {}).items()
-    }
-    return records, modules
 
 
 def build_corpus(
@@ -182,18 +79,28 @@ def build_corpus(
                 rt=rec.attrs.get("rt"),
             )
         )
-    ordered = [streams[key] for key in sorted(streams)]
-    for stream in ordered:
+    for stream in streams.values():
         # renumber per stream: the recorder's global counter encodes how
         # streams interleaved in the source process (worker count, shard
         # layout), and corpora must be invariant to deployment shape
         for position, call in enumerate(stream.calls, start=1):
             call.seq = position
-    used = {stream.module_sha for stream in ordered}
+    used = {stream.module_sha for stream in streams.values()}
+    return _assemble(
+        meta,
+        {sha: modules[sha] for sha in sorted(used) if sha in modules},
+        list(streams.values()),
+    )
+
+
+def _assemble(
+    meta: dict[str, Any], modules: dict[str, bytes], streams: list[ReplayStream]
+) -> ReplayCorpus:
+    """A corpus in canonical stream order, with its call/stream counts."""
     corpus = ReplayCorpus(
         meta=dict(meta),
-        modules={sha: modules[sha] for sha in sorted(used) if sha in modules},
-        streams=ordered,
+        modules=modules,
+        streams=sorted(streams, key=lambda s: (s.plugin, s.generation)),
     )
     corpus.meta["recorded_calls"] = corpus.total_calls
     corpus.meta["streams"] = len(corpus.streams)
@@ -242,12 +149,12 @@ def record_workload(
             capture=True,
         )
         report = ClusterCoordinator(spec).run()
-        records: list[CallRecord] = []
         modules: dict[str, bytes] = {}
-        for wire in report.flights:
-            recs, mods = flight_from_wire(wire)
-            records.extend(recs)
-            modules.update(mods)
+        streams: list[ReplayStream] = []
+        for blob in report.flights:
+            shard = loads_corpus(base64.b64decode(blob))
+            modules.update(shard.modules)
+            streams.extend(shard.streams)
         meta = {
             "workload": "cluster",
             "seed": seed,
@@ -261,7 +168,7 @@ def record_workload(
         # so the container must be byte-identical however the sweep ran
         if engine is not None:
             meta["recorded_engine"] = engine
-        return build_corpus(records, modules, meta)
+        return _assemble(meta, modules, streams)
     from repro import obs
 
     bundle = obs.OBS

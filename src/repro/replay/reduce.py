@@ -31,12 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.fuzz.shrink import shrink
-from repro.replay.bench import (
-    ReplayError,
-    StreamReplayer,
-    make_stream_host,
-    replay_session,
-)
+from repro.replay.bench import ReplayError, make_stream_host, replay_call
 from repro.replay.corpus import (
     ReplayCall,
     ReplayCorpus,
@@ -141,28 +136,24 @@ def _verify_stream(
 ) -> list[ReplayCall]:
     """Replay the stream's calls in order; keep, rebase or drop each one."""
     verified: list[ReplayCall] = []
-    with replay_session() as recorder:
+    try:
+        host = make_stream_host(corpus, stream, engine)
+    except ReplayError:
+        report.dropped += len(stream.calls)
+        return []
+    for call in stream.calls:
         try:
-            host = make_stream_host(corpus, stream, engine)
+            result = replay_call(host, call)
         except ReplayError:
-            report.dropped += len(stream.calls)
-            return []
-        replayer = StreamReplayer(host, recorder)
-        for call in stream.calls:
-            try:
-                outcome, output, fuel, _us = replayer.replay_call(call)
-            except ReplayError:
-                report.dropped += 1
-                continue
-            if (outcome, output, fuel) != (
-                call.outcome, call.output_bytes, call.fuel_used
-            ):
-                call.outcome = outcome
-                call.output_bytes = output
-                call.fuel_used = fuel
-                call.live_match = False
-                report.rebased += 1
-            verified.append(call)
+            report.dropped += 1
+            continue
+        if not call.matches(result):
+            call.outcome = result.outcome
+            call.output_bytes = result.output
+            call.fuel_used = result.fuel_used
+            call.live_match = False
+            report.rebased += 1
+        verified.append(call)
     return verified
 
 
@@ -176,17 +167,12 @@ def _replays_faithfully(
     so any staging error simply reads as "not faithful".
     """
     try:
-        with replay_session() as recorder:
-            for stream in streams:
-                candidate = ReplayCorpus(modules={stream.module_sha: wasm})
-                host = make_stream_host(candidate, stream, engine)
-                replayer = StreamReplayer(host, recorder)
-                for call in stream.calls:
-                    outcome, output, fuel, _us = replayer.replay_call(call)
-                    if (outcome, output, fuel) != (
-                        call.outcome, call.output_bytes, call.fuel_used
-                    ):
-                        return False
+        for stream in streams:
+            candidate = ReplayCorpus(modules={stream.module_sha: wasm})
+            host = make_stream_host(candidate, stream, engine)
+            for call in stream.calls:
+                if not call.matches(replay_call(host, call)):
+                    return False
         return True
     except Exception:  # noqa: BLE001 - unstageable candidate
         return False

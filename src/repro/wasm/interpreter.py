@@ -564,11 +564,6 @@ class ExecStats:
         self.max_call_depth = 0
         self.max_value_stack = 0
 
-    def reset(self) -> None:
-        self.frames = 0
-        self.max_call_depth = 0
-        self.max_value_stack = 0
-
 
 class PreparedCode:
     """A function body lowered to tagged dispatch tuples."""

@@ -84,9 +84,9 @@ class TestMerge:
         assert dumps_corpus(cold) == dumps_corpus(cluster_corpus)
 
     def test_proc_record_matches_inline(self, cluster_corpus):
-        """The wire round trip (flight_to_wire -> result frame ->
-        flight_from_wire) is lossless: recording over real worker
-        processes produces the same corpus bytes."""
+        """The wire round trip (each worker's streams as .wrc bytes in
+        its result frame, merged at the collector) is lossless: recording
+        over real worker processes produces the same corpus bytes."""
         proc = record_workload(
             "cluster",
             seed=0,

@@ -14,12 +14,21 @@ Acceptance contract pinned here:
 
 import pytest
 
+from repro import obs
+from repro.abi import wire
+from repro.abi.host import PluginError, PluginHost
+from repro.chaos.schedule import ChaosConfig, FaultSchedule
+from repro.experiments.fig5d import make_ues
+from repro.obs import OBS
+from repro.plugins import plugin_wasm
 from repro.replay import (
     dumps_corpus,
     record_workload,
     reduce_corpus,
     replay_corpus,
 )
+from repro.replay.bench import make_stream_host, replay_call
+from repro.replay.record import build_corpus
 from repro.wasm.threaded import ENGINES
 
 CHAOS_SLOTS = 200
@@ -89,6 +98,100 @@ class TestReplayFidelity:
         for stream in doc["streams"]:
             assert stream["fuel_total"] > 0
             assert stream["p99_us"] >= stream["p50_us"] >= 0
+
+
+class TestReplayLeavesTelemetryAlone:
+    """A replay reads each call's report from the call itself: it needs no
+    telemetry and swaps no process-wide recorder."""
+
+    def test_off_stays_off_and_untouched(self, flash_corpus):
+        obs.disable()
+        obs.reset()
+        flight, tracer, registry = OBS.flight, OBS.tracer, OBS.registry
+        assert replay_corpus(flash_corpus).ok
+        reduce_corpus(flash_corpus, max_checks=4)
+        assert OBS.enabled is False and OBS.tracer.enabled is False
+        assert OBS.flight is flight and len(flight) == 0
+        assert OBS.tracer is tracer and tracer.finished() == []
+        assert OBS.registry is registry and registry.to_json() == {}
+        assert len(OBS.events) == 0
+
+    def test_on_stays_on_and_records_like_any_other_call(self, flash_corpus):
+        obs.enable()
+        obs.reset()
+        try:
+            flight = OBS.flight
+            assert replay_corpus(flash_corpus).ok
+            reduce_corpus(flash_corpus, max_checks=4)
+            assert OBS.enabled is True
+            assert OBS.flight is flight and len(flight) > 0
+            assert flight.capture is False
+        finally:
+            obs.reset()
+            obs.disable()
+
+
+PAYLOAD = wire.pack_sched_input(0, 20, make_ues(3))
+
+#: a recorded fault -> (chaos rates, call kwargs, expected outcome)
+REISSUE_CASES = {
+    "injected-trap": ({"trap": 1.0}, {}, "trap"),
+    "injected-fuel-cut": ({"fuel_cut": 1.0}, {}, "fuel"),
+    "rt-preemption": (
+        None,
+        {"fuel": 300, "rt": {"lane": "be", "verdict": "admit", "fuel": 300}},
+        "deadline",
+    ),
+    "clean": (None, {}, "ok"),
+}
+
+
+def _capture_one(engine, rates, call_kwargs):
+    """One call on a fresh rr host under corpus capture: the host, its
+    flight record and the one-call corpus built from that record."""
+    chaos = FaultSchedule(ChaosConfig(seed=9, **rates)) if rates else None
+    obs.enable()
+    obs.reset()
+    OBS.flight.capture = True
+    try:
+        host = PluginHost(plugin_wasm("rr"), name="rr", engine=engine, chaos=chaos)
+        try:
+            host.call(PAYLOAD, **call_kwargs)
+        except PluginError:
+            pass
+        (record,) = OBS.flight.records()
+        corpus = build_corpus([record], dict(OBS.flight.modules), {})
+    finally:
+        OBS.flight.capture = False
+        obs.reset()
+        obs.disable()
+    return host, record, corpus
+
+
+class TestOneReissuePath:
+    """``PluginHost.replay(record)`` and the corpus replayer re-issue a
+    recorded call through the same step, so they cannot disagree."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("case", sorted(REISSUE_CASES))
+    def test_host_replay_and_corpus_replay_agree(self, engine, case, monkeypatch):
+        rates, call_kwargs, outcome = REISSUE_CASES[case]
+        host, record, corpus = _capture_one(engine, rates, call_kwargs)
+        assert record.outcome == outcome
+        # ambient chaos must not leak into either replay
+        monkeypatch.setenv("REPRO_CHAOS", "seed=1,trap=1.0")
+        try:
+            via_host = host.replay(record)
+        except PluginError as exc:
+            via_host = exc.result
+        (stream,) = corpus.streams
+        (call,) = stream.calls
+        via_corpus = replay_call(make_stream_host(corpus, stream, engine), call)
+        assert call.matches(via_host) and call.matches(via_corpus)
+        assert (via_host.outcome, via_host.output, via_host.fuel_used) == (
+            record.outcome, record.output_bytes, record.fuel_used
+        )
+        assert via_host.trap_code == via_corpus.trap_code
 
 
 class TestReduce:

@@ -119,6 +119,22 @@ class TestAttribution:
             "plugin.call",
         ]
 
+    def test_critical_path_ends_in_the_deepest_spans_costliest_phase(self):
+        call = _child(21, 20, "plugin.call", 80.0)
+        call["children_us"] = {
+            "plugin.encode": 3.0, "plugin.invoke": 75.0, "plugin.decode": 2.0,
+        }
+        docs = [
+            _slot(10, 100.0, {"gnb.step": 90.0}),
+            _child(20, 10, "gnb.step", 90.0),
+            call,
+        ]
+        path = attribute_slots(docs).to_json()["critical_path"]
+        assert [h["name"] for h in path] == [
+            "worker.slot", "gnb.step", "plugin.call", "plugin.invoke",
+        ]
+        assert path[-1] == {"name": "plugin.invoke", "service": "worker0", "us": 75.0}
+
     def test_empty_forest_degrades_gracefully(self):
         report = attribute_slots([]).to_json()
         assert report["slot_count"] == 0

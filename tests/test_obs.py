@@ -6,7 +6,7 @@ import pytest
 
 from repro import obs
 from repro.abi import SchedulerPlugin
-from repro.abi.host import PluginError, PluginHost
+from repro.abi.host import HostLimits, PluginCallResult, PluginError, PluginHost
 from repro.obs import OBS, Observability
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import NULL_SPAN, Tracer, traced
@@ -230,7 +230,7 @@ class TestBundle:
         with bundle.tracer.span("s"):
             pass
         bundle.events.emit("e")
-        bundle.flight.record("p", "run", 0, b"", b"", "ok", 1.0)
+        bundle.flight.record("p", "run", 0, b"", PluginCallResult(b"", 1.0, None))
         bundle.reset()
         assert bundle.enabled
         assert bundle.registry.to_json() == {}
@@ -281,18 +281,48 @@ class TestExecStats:
 
 
 class TestPluginHostTelemetry:
+    PHASES = {"plugin.encode", "plugin.invoke", "plugin.decode"}
+
     def test_call_emits_span_tree(self, telemetry):
         plugin = SchedulerPlugin.load(plugin_wasm("rr"), name="rr")
-        plugin.schedule(52, _ues(), slot=0)
-        spans = {s.name: s for s in telemetry.tracer.finished()}
-        root = spans["plugin.call"]
-        assert root.attrs["plugin"] == "rr"
-        assert root.attrs["outcome"] == "ok"
-        for child in ("plugin.encode", "plugin.invoke", "plugin.decode"):
-            assert spans[child].parent_id == root.span_id
-        # children nest inside the parent's interval
-        assert spans["plugin.invoke"].start_ns >= root.start_ns
-        assert spans["plugin.invoke"].end_ns <= root.end_ns
+        for slot in range(3):
+            plugin.schedule(52, _ues(), slot=slot)
+        spans = [
+            s for s in telemetry.tracer.finished() if s.name.startswith("plugin.")
+        ]
+        # one span per call: the phases are timestamps on it, not children
+        assert [s.name for s in spans] == ["plugin.call"] * 3
+        for root in spans:
+            assert root.attrs["plugin"] == "rr"
+            assert root.attrs["outcome"] == "ok" and root.status == "ok"
+            assert set(root.children_us) == self.PHASES
+            assert all(us >= 0 for us in root.children_us.values())
+            # the phases partition the span: no self-time is left over
+            assert root.child_total_us() == pytest.approx(root.elapsed_us)
+            assert set(root.to_json()["children_us"]) == self.PHASES
+
+    def test_trapped_call_marks_the_root_span(self, telemetry):
+        plugin = SchedulerPlugin.load(
+            plugin_wasm("rr"), name="rr", limits=HostLimits(fuel=2_000)
+        )
+        plugin.schedule(52, _ues(1), slot=0)  # the alloc call fits the budget
+        with pytest.raises(PluginError) as info:
+            plugin.schedule(52, _ues(40), slot=1)
+        assert info.value.kind == "fuel"
+        root = telemetry.tracer.finished()[-1]
+        assert root.status == "error" and root.attrs["outcome"] == "fuel"
+        # the time up to the trap is booked under the phase it cut short
+        assert set(root.children_us) == self.PHASES
+        assert root.children_us["plugin.invoke"] > 0
+        assert root.children_us["plugin.decode"] == 0
+        assert root.child_total_us() == pytest.approx(root.elapsed_us)
+
+    def test_guilty_segment_of_a_dense_call_is_invoke(self, telemetry):
+        plugin = SchedulerPlugin.load(plugin_wasm("pf"), name="pf")
+        plugin.schedule(52, _ues(48), slot=0)
+        root = telemetry.tracer.finished()[-1]
+        assert root.name == "plugin.call"
+        assert root.guilty_segment()[0] == "plugin.invoke"
 
     def test_fuel_and_instruction_counts_in_registry(self, telemetry):
         plugin = SchedulerPlugin.load(plugin_wasm("pf"), name="pf")
@@ -302,7 +332,7 @@ class TestPluginHostTelemetry:
         assert fuel["count"] == 1 and fuel["sum"] > 0
         # fuel burns 1 per retired instruction: one series carries both
         (rec,) = telemetry.flight.last(1)
-        assert rec.instructions == fuel["sum"]
+        assert rec.fuel_used == fuel["sum"]
         assert reg.get("waran_plugin_instructions") is None
         frames = reg.histogram("waran_wasm_frames").snapshot(plugin="pf")
         assert frames["count"] == 1 and frames["sum"] >= 1
@@ -323,6 +353,23 @@ class TestPluginHostTelemetry:
         assert OBS.registry.to_json() == {}
         assert len(OBS.flight) == 0
 
+    def test_disabled_detaches_exec_stats(self, telemetry):
+        """Off means off: the frame accounting a telemetry-on call
+        attached must not outlive ``obs.disable()``."""
+        plugin = SchedulerPlugin.load(plugin_wasm("rr"), name="rr")
+        store = plugin.host.instance.store
+        plugin.schedule(52, _ues(8), slot=0)
+        stats = store.stats
+        frames = stats.frames
+        assert frames > 0
+        obs.disable()
+        plugin.schedule(52, _ues(8), slot=1)
+        assert store.stats is None
+        assert stats.frames == frames  # nothing kept counting into it
+        obs.enable()
+        plugin.schedule(52, _ues(8), slot=2)
+        assert store.stats.frames <= frames  # a per-call count, not a total
+
     def test_flight_record_captures_call(self, telemetry):
         plugin = SchedulerPlugin.load(plugin_wasm("mt"), name="mt")
         call = plugin.schedule(52, _ues(), slot=7)
@@ -331,7 +378,6 @@ class TestPluginHostTelemetry:
         assert rec.outcome == "ok" and rec.generation == 0
         assert rec.output_bytes is not None
         assert rec.fuel_used == call.fuel_used
-        assert rec.instructions == call.fuel_used
         doc = rec.to_json(max_bytes=8)
         assert doc["input_len"] == len(rec.input_bytes)
         assert "...(+" in doc["input_hex"]
@@ -347,11 +393,12 @@ class TestPluginHostTelemetry:
 
     def test_replay_on_live_instance(self, telemetry):
         # mt is stateless, so even the live instance reproduces the output;
-        # stateful plugins (e.g. rr's rotating pointer) need fresh=True
+        # stateful plugins (e.g. rr's rotating pointer) need replay()'s
+        # fresh instance
         plugin = SchedulerPlugin.load(plugin_wasm("mt"), name="mt")
         plugin.schedule(52, _ues(), slot=0)
         (rec,) = telemetry.flight.last(1)
-        result = plugin.host.replay(rec, fresh=False)
+        result = plugin.host.call(rec.input_bytes, entry=rec.entry)
         assert result.output == rec.output_bytes
 
     def test_replay_of_stateful_plugin_needs_fresh_instance(self, telemetry):
@@ -359,7 +406,7 @@ class TestPluginHostTelemetry:
         plugin.schedule(52, _ues(), slot=0)
         (rec,) = telemetry.flight.last(1)
         plugin.schedule(52, _ues(), slot=1)  # advances rr's internal state
-        assert plugin.host.replay(rec, fresh=True).output == rec.output_bytes
+        assert plugin.host.replay(rec).output == rec.output_bytes
 
     def test_swap_emits_event_and_counter(self, telemetry):
         plugin = SchedulerPlugin.load(plugin_wasm("rr"), name="rr")
@@ -373,9 +420,8 @@ class TestPluginHostTelemetry:
 
     def test_deadline_miss_emits_event(self, telemetry):
         plugin = SchedulerPlugin.load(plugin_wasm("pf"), name="pf")
-        plugin.host.limits.deadline_us = 0.0001  # impossible deadline
         with pytest.raises(PluginError) as info:
-            plugin.schedule(52, _ues(), slot=0)
+            plugin.schedule(52, _ues(), slot=0, fuel=1)  # impossible budget
         assert info.value.kind == "deadline"
         (event,) = telemetry.events.events(kind="plugin.deadline")
         assert event.source == "pf"

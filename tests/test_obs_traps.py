@@ -11,6 +11,7 @@ import pytest
 
 from repro import obs
 from repro.abi.host import PluginError, PluginHost
+from repro.chaos.schedule import ChaosInjection, OneShotChaos
 from repro.obs import OBS
 from repro.wasm.wat import assemble
 
@@ -116,3 +117,69 @@ def test_abi_violation_produces_event(telemetry):
     (event,) = telemetry.events.events(kind="plugin.abi")
     assert event.source == "bad-abi"
     assert "trap_code" not in event.fields
+
+
+# ---------------------------------------------------------------------------
+# the faulted call's report rides the error
+# ---------------------------------------------------------------------------
+
+ABI_MODULE = f"""(module (memory 1) {HEADER}
+  (func (export "run") (param i32 i32) (result i32) (i32.const -1)))"""
+
+
+def _injected(kind):
+    return OneShotChaos(ChaosInjection(kind, "plugin:x", 0, a=137))
+
+
+#: case -> (module source, host fuel limit, chaos, per-call rt budget,
+#:          expected kind, Wasm ran)
+FAULT_CASES = {
+    "trap": (TRAP_MODULES["div0"][0], None, None, None, "trap", True),
+    "fuel": (TRAP_MODULES["fuel"][0], 10_000, None, None, "fuel", True),
+    "abi": (ABI_MODULE, None, None, None, "abi", True),
+    "rt-deadline": (TRAP_MODULES["fuel"][0], None, None, 500, "deadline", True),
+    "injected-fuel-cut": (
+        TRAP_MODULES["fuel"][0], None, "fuel_cut", None, "fuel", True,
+    ),
+    "injected-trap": (ABI_MODULE, None, "trap", None, "trap", False),
+    "injected-abi": (ABI_MODULE, None, "abi", None, "abi", False),
+}
+
+
+@pytest.mark.parametrize("engine", ["legacy", "threaded", "aot"])
+@pytest.mark.parametrize("case", sorted(FAULT_CASES))
+def test_error_carries_the_call_result(telemetry, engine, case):
+    source, limit, chaos, budget, kind, ran_wasm = FAULT_CASES[case]
+    host = PluginHost(
+        assemble(source), name=f"bad-{case}", sanitize=False, engine=engine,
+        chaos=_injected(chaos) if chaos else None,
+    )
+    if limit is not None:
+        host.limits.fuel = limit
+    with pytest.raises(PluginError) as info:
+        host.call(b"\x00" * 8, fuel=budget)
+    result = info.value.result
+    assert result.outcome == info.value.kind == kind
+    assert result.output is None and result.elapsed_us > 0
+    # the flight record is a copy of the same report
+    (rec,) = telemetry.flight.last(1)
+    assert (rec.outcome, rec.output_bytes, rec.fuel_used, rec.elapsed_us) == (
+        result.outcome, result.output, result.fuel_used, result.elapsed_us
+    )
+    if ran_wasm:
+        assert result.fuel_used is not None and result.fuel_used > 0
+    else:
+        assert result.fuel_used is None  # no Wasm ran: nothing to meter
+
+
+def test_error_carries_the_call_result_with_telemetry_off():
+    assert not OBS.enabled
+    source, _kind, limit = TRAP_MODULES["fuel"]
+    host = PluginHost(assemble(source), name="bad-fuel", sanitize=False)
+    host.limits.fuel = limit
+    with pytest.raises(PluginError) as info:
+        host.call(b"\x00" * 8)
+    result = info.value.result
+    assert (result.outcome, result.trap_code) == ("fuel", "fuel")
+    assert result.fuel_used == limit
+    assert len(OBS.flight) == 0

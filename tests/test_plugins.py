@@ -232,10 +232,12 @@ class TestLeakConfinement:
 
 class TestHostLimits:
     def test_deadline_enforced(self):
-        limits = HostLimits(fuel=None, deadline_us=0.0001)
+        # the deadline is the rt layer's per-call fuel budget: deterministic,
+        # and it binds even on a host with no fuel limit of its own
+        limits = HostLimits(fuel=None)
         plugin = SchedulerPlugin.load(plugin_wasm("mt"), limits=limits)
         with pytest.raises(PluginError) as exc:
-            plugin.schedule(52, [UeSchedInfo(1, 10, 7, 1000, 0.0)], 0)
+            plugin.schedule(52, [UeSchedInfo(1, 10, 7, 1000, 0.0)], 0, fuel=1)
         assert exc.value.kind == "deadline"
 
     def test_fuel_accounting_reported(self):

@@ -163,6 +163,53 @@ class TestOneLoadPath:
         assert _decode_validate_callers(tmp_path) == {"abi/host.py"}
 
 
+#: the files under ``src/repro`` that may install a flight recorder into
+#: a telemetry bundle: the bundle itself and the two sites that *are*
+#: recording.  Anything else reads a call's report from the call
+#: (``PluginCallResult`` / ``PluginError.result``) and leaves the
+#: process-wide recorder alone.
+FLIGHT_ASSIGN_ALLOWED = {
+    "obs/__init__.py",  # Observability.__init__
+    "replay/record.py",  # repro record: capture-mode recorder for one workload
+    "cluster/worker.py",  # spec.capture: a worker's capture-mode recorder
+}
+
+
+def _flight_assigners(root: Path) -> set[str]:
+    """Files under ``root`` that store to a ``.flight`` attribute."""
+    return {
+        path.relative_to(root).as_posix()
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "flight"
+        and isinstance(node.ctx, ast.Store)
+    }
+
+
+class TestOneRecorderOwner:
+    def test_only_allow_listed_files_assign_the_flight_recorder(self):
+        import repro
+
+        assigners = _flight_assigners(Path(repro.__file__).parent)
+        stray = sorted(assigners - FLIGHT_ASSIGN_ALLOWED)
+        assert not stray, f"flight-recorder swaps outside the allow-list: {stray}"
+        assert assigners == FLIGHT_ASSIGN_ALLOWED, "stale allow-list"
+
+    def test_the_guard_sees_a_new_swap(self, tmp_path):
+        (tmp_path / "replay").mkdir()
+        (tmp_path / "replay" / "bench.py").write_text(
+            "def session(bundle, recorder):\n"
+            "    prev, bundle.flight = bundle.flight, recorder\n"
+            "    return prev\n"
+        )
+        (tmp_path / "replay" / "reads_only.py").write_text(
+            "def last(bundle):\n"
+            "    return bundle.flight.last(1)\n"
+        )
+        assert _flight_assigners(tmp_path) == {"replay/bench.py"}
+
+
 class TestReadmeQuickstart:
     def test_quickstart_snippet_runs(self):
         """The exact code from README.md's quickstart section."""

@@ -389,7 +389,7 @@ class ScriptedChaos:
 
 #: (payload, rt fuel budget) - the 600-fuel budgets preempt a dense call
 RT_PLAN = [
-    (DENSE[0], "unset"), (DENSE[1], 600), (DENSE[2], "unset"),
+    (DENSE[0], None), (DENSE[1], 600), (DENSE[2], None),
     (DENSE[3], 600), (DENSE[4], 1_000_000), (SMALL, 600),
 ]
 
@@ -429,7 +429,7 @@ class TestPromotionIsInvisible:
 
     @pytest.mark.parametrize("kind", ["rr", "pf", "mt"])
     def test_under_chaos_fuel_cuts(self, kind):
-        plan = [(payload, "unset") for payload in DENSE[:6]]
+        plan = [(payload, None) for payload in DENSE[:6]]
         legacy = drive(kind, "legacy", plan, None, ScriptedChaos({1, 4}))
         assert [t[0] for t in legacy] == ["ok", "fuel", "ok", "ok", "fuel", "ok"]
         for k in range(len(plan) + 1):

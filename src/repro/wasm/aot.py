@@ -27,6 +27,26 @@ Lowering rules
   func table may therefore mix tiers; calls cross them through
   ``Instance.invoke_addr``, which dispatches per function on the class
   of ``prepared`` (the property tier-up already relies on).
+- **A call inside the module is a Python call.**  A ``call`` whose target
+  is a function of the same module that compiled becomes
+  ``fuel, s3 = _f7(inst, store, _d1, fuel, s3)``: operands as positional
+  arguments, fuel in and out, one Python frame per Wasm frame.  What a
+  frame owes on entry - the ``StackExhausted`` depth check and the
+  ``ExecStats`` updates - is the generated function's own prologue, so
+  it runs exactly where the other engines run it.  Imports,
+  ``call_indirect`` and callees that kept a threaded body go through
+  ``inst.invoke_addr`` with ``store.fuel`` synced around the call, and
+  :func:`execute_aot` is only the adapter for entering compiled code
+  from outside (an export, ``call_indirect``, a threaded/legacy caller).
+- **Memory access is inlined.**  A load or store is one bounds compare
+  against ``len(md)`` - ``md`` is the memory's ``bytearray`` itself, bound
+  once per function entry - raising the same ``MemoryOutOfBounds(addr,
+  size, limit)``, then a pre-bound ``struct.Struct`` ``unpack_from`` /
+  ``pack_into``.  ``Memory.data`` is never rebound and ``len`` is read at
+  every access, so ``memory.grow`` (here, in a callee, in a host
+  function) needs no invalidation rule.  Not a ``memoryview``: a live
+  export makes ``bytearray.extend`` raise ``BufferError``, i.e. it would
+  break ``Memory.grow``.
 - **Fuel is still charged per original instruction.**  Charges for pure
   instructions (locals, constants, non-trapping arithmetic) are batched
   at compile time and flushed *before* every instruction whose effect is
@@ -35,9 +55,17 @@ Lowering rules
   with the frame on a trap, so batching them is invisible: trap codes,
   the fuel counter at trap time, and all memory/global state match the
   legacy engine bit for bit.
+- **Trap-time fuel: the outermost frame wins.**  In every engine a frame
+  unwinding from a trap overwrites ``store.fuel`` with its own counter,
+  so the host reads the *outermost* Wasm frame's value - its fuel at its
+  call site.  Each metered body is wrapped in ``except BaseException:
+  store.fuel = fuel; raise`` to reproduce exactly that; a
+  ``StackExhausted`` raised by a prologue leaves ``store.fuel`` to the
+  callers.
 
-Compiled code is instance-independent (everything per-call arrives via
-the ``frame`` argument), so AOT artifacts are shared through
+Compiled code is instance-independent (instance, store and depth are
+arguments; a direct callee is a function of the same ``Module``, so the
+binding is a property of the bytes), so AOT artifacts are shared through
 :mod:`repro.wasm.codecache` exactly like threaded code, keyed by
 ``(sha256, "aot")``.  An artifact compiles its metered and unmetered
 variants separately, each on first use (:class:`AotCode`): emitting and
@@ -48,6 +76,8 @@ code, ``Instance(engine="aot")`` binds it directly).
 """
 
 from __future__ import annotations
+
+import struct
 
 from repro.wasm import opcodes as op
 from repro.wasm.interpreter import (
@@ -69,12 +99,16 @@ from repro.wasm.threaded import (
     _TRAPPING_UNOPS,
     _analyze,
     _const_value,
-    _Frame,
     _mn,
     ThreadedCode,
     threaded_for,
 )
-from repro.wasm.traps import FuelExhausted, StackExhausted, Trap
+from repro.wasm.traps import (
+    FuelExhausted,
+    MemoryOutOfBounds,
+    StackExhausted,
+    Trap,
+)
 from repro.wasm.wtypes import FuncType
 
 #: nesting depth beyond which a function is not compiled and keeps its
@@ -94,16 +128,31 @@ _M64 = str(MASK64)
 # ---------------------------------------------------------------------------
 
 
+#: struct format of a memory access, by (size, signed) for integers and by
+#: kind for floats; the generated source names its accessor after the key
+_INT_FORMATS = {
+    (1, False): "B", (1, True): "b", (2, False): "H", (2, True): "h",
+    (4, False): "I", (4, True): "i", (8, False): "Q", (8, True): "q",
+}
+_FLOAT_FORMATS = {"f32": "f", "f64": "d"}
+
+
 def _build_helpers() -> dict:
     ns = {
         "Trap": Trap,
         "FuelExhausted": FuelExhausted,
+        "MemoryOutOfBounds": MemoryOutOfBounds,
+        "StackExhausted": StackExhausted,
         "_f32": f32_round,
     }
     for opcode, fn in BINOPS.items():
         ns[f"_b{opcode:02x}"] = fn
     for opcode, fn in UNOPS.items():
         ns[f"_u{opcode:02x}"] = fn
+    for fmt in (*_INT_FORMATS.values(), *_FLOAT_FORMATS.values()):
+        packer = struct.Struct("<" + fmt)
+        ns[f"_ld_{fmt}"] = packer.unpack_from
+        ns[f"_st_{fmt}"] = packer.pack_into
     return ns
 
 
@@ -269,6 +318,10 @@ class _Emitter:
         self.indent = 0
         self.pending = 0
         self.uses: set[str] = set()
+        #: direct callees by function index, and the call sites that stay
+        #: on ``invoke_addr`` (the boundary ``dump_aot`` prints)
+        self.callees: dict[int, AotCode] = {}
+        self.via: list[str] = []
         self.sigs: dict[int, FuncType] = {}
         self.consts: dict[str, float] = {}
         self._next_id = 0
@@ -358,31 +411,21 @@ class _Emitter:
                 self.w(f"{a} = {expr}")
         elif opcode in LOADS:
             self.flush(1)
-            self.uses.add("mem")
             size, signed, kind = LOADS[opcode]
-            offset = imm[1]
-            addr = f"s{h - 1} + {offset}" if offset else f"s{h - 1}"
-            if kind == "f32":
-                self.w(f"s{h - 1} = mem.load_f32({addr})")
-            elif kind == "f64":
-                self.w(f"s{h - 1} = mem.load_f64({addr})")
-            elif signed:
-                mask = _M64 if kind == "i64" else _M32
-                self.w(f"s{h - 1} = mem.load_int({addr}, {size}, True) & {mask}")
-            else:
-                self.w(f"s{h - 1} = mem.load_int({addr}, {size}, False)")
+            fmt = _FLOAT_FORMATS.get(kind) or _INT_FORMATS[size, signed]
+            addr = self._emit_bounds_check(f"s{h - 1}", imm[1], size)
+            mask = f" & {_M64 if kind == 'i64' else _M32}" if signed else ""
+            self.w(f"s{h - 1} = _ld_{fmt}(md, {addr})[0]{mask}")
         elif opcode in STORES:
             self.flush(1)
-            self.uses.add("mem")
             size, kind = STORES[opcode]
-            offset = imm[1]
-            addr = f"s{h - 2} + {offset}" if offset else f"s{h - 2}"
-            if kind == "f32":
-                self.w(f"mem.store_f32({addr}, s{h - 1})")
-            elif kind == "f64":
-                self.w(f"mem.store_f64({addr}, s{h - 1})")
+            addr = self._emit_bounds_check(f"s{h - 2}", imm[1], size)
+            if kind == "i":
+                fmt = _INT_FORMATS[size, False]
+                value = f"s{h - 1} & {(1 << size * 8) - 1}"
             else:
-                self.w(f"mem.store_int({addr}, s{h - 1}, {size})")
+                fmt, value = _FLOAT_FORMATS[kind], f"s{h - 1}"
+            self.w(f"_st_{fmt}(md, {addr}, {value})")
         elif opcode == op.GLOBAL_GET:
             self.charge()
             self.uses.add("glb")
@@ -418,28 +461,72 @@ class _Emitter:
             return False
         return True
 
+    def _emit_bounds_check(self, base: str, offset: int, size: int) -> str:
+        """Emit the bounds compare of one access; returns the address text.
+
+        ``md`` is the memory's ``bytearray`` itself and the limit is read
+        with ``len(md)`` at every access, so a ``memory.grow`` - here, in
+        a callee or in a host function - needs no invalidation rule.
+        """
+        self.uses.add("md")
+        addr = base
+        if offset:
+            addr = "_a"
+            self.w(f"_a = {base} + {offset}")
+        self.w(f"if {addr} + {size} > len(md):")
+        self.w(f"    raise MemoryOutOfBounds({addr}, {size}, len(md))")
+        return addr
+
     def _emit_call(self, pc: int, h: int, func_index: int) -> None:
         self.flush(1)
-        self.uses.add("inst")
-        self.uses.add("_d1")
         ft = self.module.func_type(func_index)
         np_, nr = len(ft.params), len(ft.results)
-        args = "[" + ", ".join(f"s{h - np_ + k}" for k in range(np_)) + "]"
+        args = [f"s{h - np_ + k}" for k in range(np_)]
+        result = f"s{h - np_}" if nr else None
+        n_imported = self.module.num_imported_funcs
+        if func_index < n_imported:
+            self.via.append(f"import {func_index}")
+        else:
+            callee = aot_for(
+                self.module, self.module.codes[func_index - n_imported], ft
+            )
+            if callee.__class__ is AotCode:
+                self._emit_direct_call(func_index, callee, args, result)
+                return
+            self.via.append(f"threaded f{func_index}")
+        self._emit_invoke(f"inst.func_addrs[{func_index}]", args, result)
+
+    def _emit_direct_call(self, func_index: int, callee: "AotCode",
+                          args: list[str], result: str | None) -> None:
+        """A same-module compiled callee: one plain Python call.
+
+        Fuel goes in as an argument and comes back with the result, so a
+        trap anywhere below leaves this frame's ``fuel`` at its value at
+        the call site (see :meth:`build`).
+        """
+        self.callees[func_index] = callee
+        self.uses.add("_d1")
+        lead = "inst, store, _d1, fuel" if self.fueled else "inst, store, _d1"
+        call = f"_f{func_index}({', '.join([lead, *args])})"
+        targets = (["fuel"] if self.fueled else []) + ([result] if result else [])
+        self.w(f"{', '.join(targets)} = {call}" if targets else call)
+
+    def _emit_invoke(self, addr: str, args: list[str],
+                     result: str | None) -> None:
+        """A call that leaves compiled code: ``Instance.invoke_addr``."""
+        self.uses.add("_d1")
         if self.fueled:
-            self.uses.add("store")
             self.w("store.fuel = fuel")
-        head = "_r = " if nr else ""
-        self.w(f"{head}inst.invoke_addr(inst.func_addrs[{func_index}], {args}, _d1)")
+        head = "_r = " if result else ""
+        self.w(f"{head}inst.invoke_addr({addr}, [{', '.join(args)}], _d1)")
         if self.fueled:
             self.w("fuel = store.fuel")
-        if nr:
-            self.w(f"s{h - np_} = _r[0]")
+        if result:
+            self.w(f"{result} = _r[0]")
 
     def _emit_call_indirect(self, pc: int, h: int, type_index: int) -> None:
         self.flush(1)
-        self.uses.add("inst")
-        self.uses.add("store")
-        self.uses.add("_d1")
+        self.via.append(f"call_indirect type {type_index}")
         ft = self.module.types[type_index]
         self.sigs[type_index] = ft
         sig = f"_sig{type_index}"
@@ -456,15 +543,11 @@ class _Emitter:
         self.w(f'        f"indirect call type mismatch: {{_ft}} != {{{sig}}}",')
         self.w('        code="sig",')
         self.w("    )")
-        args = "[" + ", ".join(f"s{h - 1 - np_ + k}" for k in range(np_)) + "]"
-        if self.fueled:
-            self.w("store.fuel = fuel")
-        head = "_r = " if nr else ""
-        self.w(f"{head}inst.invoke_addr(_fa, {args}, _d1)")
-        if self.fueled:
-            self.w("fuel = store.fuel")
-        if nr:
-            self.w(f"s{h - 1 - np_} = _r[0]")
+        self._emit_invoke(
+            "_fa",
+            [f"s{h - 1 - np_ + k}" for k in range(np_)],
+            f"s{h - 1 - np_}" if nr else None,
+        )
 
     # ----- control flow ------------------------------------------------------
 
@@ -480,10 +563,10 @@ class _Emitter:
             self._emit_return(self.heights[n - 1])
 
     def _emit_return(self, h: int) -> None:
-        if self.result_arity:
-            self.w(f"return [s{h - 1}]")
-        else:
-            self.w("return []")
+        values = (["fuel"] if self.fueled else []) + (
+            [f"s{h - 1}"] if self.result_arity else []
+        )
+        self.w(f"return {', '.join(values)}".rstrip())
 
     def emit_seq(self, start: int, end: int) -> None:
         """Emit pcs in ``[start, end)`` — the interior of one construct."""
@@ -701,39 +784,55 @@ class _Emitter:
     # ----- assembly ---------------------------------------------------------
 
     def build(self) -> str:
-        """Emit the body and assemble the full ``def`` source text."""
+        """Emit the body and assemble the full ``def`` source text.
+
+        The function is ``_wfn(inst, store, depth[, fuel], *params)`` and
+        returns ``[fuel][, result]``.  Its prologue is what every engine
+        does on entering a frame - the depth limit, then the three
+        :class:`~repro.wasm.interpreter.ExecStats` updates - so a direct
+        call needs nothing between caller and callee.  On a trap every
+        metered frame writes its own ``fuel`` to ``store.fuel`` on the way
+        out, so the outermost frame's value (its fuel at its call site)
+        is what the host reads: the rule all three engines follow.
+        """
         self.emit_structured()
         body = self.lines
-        if not body:
-            body = ["return []"]
 
-        head: list[str] = ["def _wfn(frame, args):"]
+        params = ["inst", "store", "depth"] + (["fuel"] if self.fueled else [])
         np_ = len(self.functype.params)
-        if np_ == 1:
-            head.append("    l0, = args")
-        elif np_ > 1:
-            head.append("    " + ", ".join(f"l{i}" for i in range(np_)) + " = args")
-        for i, default in enumerate(prepared_for(self.code).local_defaults):
+        params += [f"l{i}" for i in range(np_)]
+        prep = prepared_for(self.code)
+        head: list[str] = [
+            f"def _wfn({', '.join(params)}):",
+            "    if depth > store.max_call_depth:",
+            "        raise StackExhausted(depth)",
+            "    stats = store.stats",
+            "    if stats is not None:",
+            "        stats.frames += 1",
+            "        if depth > stats.max_call_depth:",
+            "            stats.max_call_depth = depth",
+            f"        if {prep.max_stack} > stats.max_value_stack:",
+            f"            stats.max_value_stack = {prep.max_stack}",
+        ]
+        for i, default in enumerate(prep.local_defaults):
             head.append(f"    l{np_ + i} = {default!r}")
+        if "md" in self.uses:
+            head.append("    md = inst.memory.data")
         if "mem" in self.uses:
-            head.append("    mem = frame.mem")
+            head.append("    mem = inst.memory")
         if "glb" in self.uses:
-            head.append("    glb = frame.globals")
-        if "inst" in self.uses:
-            head.append("    inst = frame.instance")
-        if "store" in self.uses:
-            head.append("    store = frame.store")
+            head.append("    glb = inst.globals")
         if "_d1" in self.uses:
-            head.append("    _d1 = frame.depth + 1")
+            head.append("    _d1 = depth + 1")
         if "_br" in self.uses:
             head.append("    _br = -1")
 
         if self.fueled:
-            head.append("    fuel = frame.fuel")
             head.append("    try:")
             head.extend("        " + line for line in body)
-            head.append("    finally:")
-            head.append("        frame.fuel = fuel")
+            head.append("    except BaseException:")
+            head.append("        store.fuel = fuel")
+            head.append("        raise")
         else:
             head.extend("    " + line for line in body)
         return "\n".join(head) + "\n"
@@ -747,15 +846,17 @@ class _Emitter:
 class AotCode:
     """One function body lowered to Python source, compiled on first use.
 
-    ``run(frame, args)`` is the unmetered function, ``run_fueled`` the
-    metered one; each stays ``None`` until :func:`execute_aot` (which
-    selects on ``store.fuel``) first needs it, so a host that always
-    meters never pays ``compile()`` for the unmetered variant - emitting
-    and compiling one variant is about half of what lowering a function
-    costs.  The generated text is not retained: ``source`` /
-    ``source_fueled`` re-run the emitter on demand (``repro disasm
-    --aot``).  ``local_defaults``/``max_stack`` mirror the other engines
-    so :class:`~repro.wasm.interpreter.ExecStats` stays bit-identical.
+    ``run(inst, store, depth, *args)`` is the unmetered function,
+    ``run_fueled(inst, store, depth, fuel, *args)`` the metered one; each
+    stays ``None`` until :func:`execute_aot` (which selects on
+    ``store.fuel``), a caller's :meth:`compile` or a host's ``promote()``
+    first needs it, so a host that always meters never pays ``compile()``
+    for the unmetered variant - emitting and compiling one variant is
+    about half of what lowering a function costs.  The generated text is
+    not retained: ``source`` / ``source_fueled`` re-run the emitter on
+    demand (``repro disasm --aot``).  ``local_defaults``/``max_stack``
+    mirror the other engines so
+    :class:`~repro.wasm.interpreter.ExecStats` stays bit-identical.
     """
 
     __slots__ = (
@@ -776,29 +877,48 @@ class AotCode:
         self._functype = functype
         self._name = name
 
-    def _emit(self, fueled: bool) -> tuple[str, dict]:
-        """Source text of one fuel variant plus the namespace it runs in."""
+    def _emit(self, fueled: bool) -> tuple[str, _Emitter]:
+        """Source text of one fuel variant and the emitter that wrote it."""
         emitter = _Emitter(self._module, self._code, self._functype, fueled)
-        source = emitter.build()
-        ns = dict(_HELPERS)
-        for type_index, ft in emitter.sigs.items():
-            ns[f"_sig{type_index}"] = ft
-        ns.update(emitter.consts)
-        return source, ns
+        return emitter.build(), emitter
 
     def compile(self, fueled: bool):
-        """Compile (once) and return the ``fueled`` / unmetered variant."""
-        fn = self.run_fueled if fueled else self.run
+        """Compile (once) and return the ``fueled`` / unmetered variant.
+
+        A direct call is a global ``_f{index}`` of the caller's namespace,
+        so the same variant of every function reachable through direct
+        calls is compiled here too (a worklist, not recursion: a call
+        chain may be as long as the module).  Callees are the same
+        ``Module``'s own ``AotCode``s, so the binding is a property of the
+        bytes and the result stays shareable through the codecache.
+        Nothing is published until everything is linked.
+        """
+        attr = "run_fueled" if fueled else "run"
+        fn = getattr(self, attr)
         if fn is not None:
             return fn
-        source, ns = self._emit(fueled)
-        exec(compile(source, f"<aot:{self._name}>", "exec"), ns)
-        fn = ns["_wfn"]
-        if fueled:
-            self.run_fueled = fn
-        else:
-            self.run = fn
-        return fn
+        built: dict[AotCode, tuple[dict, dict[int, AotCode]]] = {}
+        todo = [self]
+        while todo:
+            acode = todo.pop()
+            if acode in built or getattr(acode, attr) is not None:
+                continue
+            source, emitter = acode._emit(fueled)
+            ns = dict(_HELPERS)
+            for type_index, ft in emitter.sigs.items():
+                ns[f"_sig{type_index}"] = ft
+            ns.update(emitter.consts)
+            exec(compile(source, f"<aot:{acode._name}>", "exec"), ns)
+            built[acode] = ns, emitter.callees
+            todo.extend(emitter.callees.values())
+        for ns, callees in built.values():
+            for index, callee in callees.items():
+                ns[f"_f{index}"] = (
+                    getattr(callee, attr) or built[callee][0]["_wfn"]
+                )
+        for acode, (ns, _callees) in built.items():
+            setattr(acode, attr, ns["_wfn"])
+        return getattr(self, attr)
 
     @property
     def source(self) -> str:
@@ -841,33 +961,28 @@ def aot_for(module: Module, code: Code,
 
 def execute_aot(store, instance, acode: AotCode, args: list,
                 result_arity: int, depth: int):
-    """Run one AOT-compiled function body.
+    """Enter one AOT-compiled function from outside compiled code.
 
-    The contract (arguments, results, traps, fuel, stats) is identical to
-    :func:`repro.wasm.interpreter.execute` and
+    The adapter behind ``Instance.invoke_addr`` - an export, a
+    ``call_indirect``, a threaded or legacy caller; a compiled caller of
+    the same module calls the function directly.  The depth limit, the
+    stats and the trap-time ``store.fuel`` are the generated function's
+    own business, so the contract (arguments, results, traps, fuel,
+    stats) stays identical to :func:`repro.wasm.interpreter.execute` and
     :func:`repro.wasm.threaded.execute_threaded`.
     """
-    if depth > store.max_call_depth:
-        raise StackExhausted(depth)
-
-    stats = store.stats
-    if stats is not None:
-        stats.frames += 1
-        if depth > stats.max_call_depth:
-            stats.max_call_depth = depth
-        if acode.max_stack > stats.max_value_stack:
-            stats.max_value_stack = acode.max_stack
-
-    frame = _Frame(instance, store, depth)
-    if store.fuel is None:
-        return (acode.run or acode.compile(False))(frame, args)
-
-    frame.fuel = store.fuel
+    fuel = store.fuel
+    if fuel is None:
+        result = (acode.run or acode.compile(False))(
+            instance, store, depth, *args
+        )
+        return [result] if result_arity else []
     run_fueled = acode.run_fueled or acode.compile(True)
-    try:
-        return run_fueled(frame, args)
-    finally:
-        store.fuel = frame.fuel
+    if result_arity:
+        store.fuel, result = run_fueled(instance, store, depth, fuel, *args)
+        return [result]
+    store.fuel = run_fueled(instance, store, depth, fuel, *args)
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -880,8 +995,11 @@ def dump_aot(module_or_bytes, fueled: bool = False) -> str:
 
     Each function prints its original instruction sequence (mnemonics, as
     in ``repro disasm``) followed by the Python the AOT tier generated
-    for it, so a lowering bug is diagnosable by eye.  A function too deep
-    to structure says so and prints the threaded code it keeps instead.
+    for it, so a lowering bug is diagnosable by eye.  A compiled function
+    names the callees it calls directly and every call site that stays on
+    ``Instance.invoke_addr`` (imports, ``call_indirect``, a callee that
+    kept its threaded body); a function too deep to structure says so and
+    prints the threaded code it keeps instead.
     """
     module = load_module(module_or_bytes)
 
@@ -911,11 +1029,16 @@ def dump_aot(module_or_bytes, fueled: bool = False) -> str:
         for pc in range(len(code.body)):
             lines.append(f"  {pc:04d}  {_mn(code.body, pc)}")
         if compiled:
+            source, emitter = body._emit(fueled)
+            direct = " ".join(f"f{i}" for i in sorted(emitter.callees))
+            lines.append(
+                f"  ;; direct: {direct or '-'}; "
+                f"via invoke_addr: {', '.join(emitter.via) or '-'}"
+            )
             lines.append(
                 "  ;; generated python (%s)"
                 % ("fueled" if fueled else "unfueled")
             )
-            source = body.source_fueled if fueled else body.source
             lines.extend(f"  {line}" for line in source.splitlines())
         else:
             lines.append("  ;; threaded code")

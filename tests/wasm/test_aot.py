@@ -363,7 +363,7 @@ def test_dump_aot_shows_wasm_and_python():
     assert 'func 0 (export "sum"): ' in text
     assert ";; wasm body" in text
     assert ";; generated python (unfueled)" in text
-    assert "def _wfn(frame, args):" in text
+    assert "def _wfn(inst, store, depth, l0):" in text
     assert "i32.add" in text
     fueled = dump_aot(raw, fueled=True)
     assert ";; generated python (fueled)" in fueled
@@ -391,7 +391,8 @@ def test_generated_source_has_no_fuel_in_unfueled_variant():
     module = decode_module(raw)
     acode = aot_for(module, module.codes[0], module.func_type(0))
     assert "fuel" not in acode.source
-    assert "frame.fuel = fuel" in acode.source_fueled
+    assert "def _wfn(inst, store, depth, fuel, l0):" in acode.source_fueled
+    assert "store.fuel = fuel" in acode.source_fueled
     # memoized per Code object
     assert aot_for(module, module.codes[0], module.func_type(0)) is acode
 

@@ -158,6 +158,24 @@ def sinr_db_to_cqi(sinr_db: float) -> int:
     return bisect_right(SINR_THRESHOLDS_DB, sinr_db)
 
 
+def _highest_mcs(cqi: int, table: int) -> int:
+    """The link-adaptation rule itself, for one (table, CQI 1..15)."""
+    target = CQI_TABLES[table][cqi - 1].spectral_efficiency
+    best = 0
+    for entry in MCS_TABLES[table]:
+        if entry.spectral_efficiency <= target + 1e-9:
+            best = entry.index
+    return best
+
+
+#: the rule evaluated once per (table, CQI 0..15): a scheduler looks this
+#: up per UE per slot, and the tables never change after import
+_CQI_TO_MCS: dict[int, tuple[int, ...]] = {
+    table: (0,) + tuple(_highest_mcs(cqi, table) for cqi in range(1, 16))
+    for table in MCS_TABLES
+}
+
+
 def cqi_to_mcs(cqi: int, table: int = 1) -> int:
     """Highest MCS index whose spectral efficiency <= the CQI's.
 
@@ -168,16 +186,9 @@ def cqi_to_mcs(cqi: int, table: int = 1) -> int:
     """
     if not 0 <= cqi <= 15:
         raise ValueError(f"CQI must be 0..15, got {cqi}")
-    if table not in MCS_TABLES:
+    if table not in _CQI_TO_MCS:
         raise ValueError(f"unknown MCS/CQI table {table}")
-    if cqi == 0:
-        return 0
-    target = CQI_TABLES[table][cqi - 1].spectral_efficiency
-    best = 0
-    for entry in MCS_TABLES[table]:
-        if entry.spectral_efficiency <= target + 1e-9:
-            best = entry.index
-    return best
+    return _CQI_TO_MCS[table][cqi]
 
 
 def mcs_entry(index: int, table: int = 1) -> McsEntry:

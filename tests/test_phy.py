@@ -92,6 +92,34 @@ class TestMcsTables:
     def test_cqi_range_check(self):
         with pytest.raises(ValueError):
             cqi_to_mcs(16)
+        with pytest.raises(ValueError):
+            cqi_to_mcs(-1)
+        with pytest.raises(ValueError):
+            cqi_to_mcs(7, table=3)
+
+    def test_cqi_table_lookup_equals_the_rule(self):
+        """The import-time table against the rule it was built from:
+        highest MCS whose spectral efficiency <= the CQI's, CQI 0 -> 0."""
+        from repro.phy.mcs import CQI_TABLES, MCS_TABLES
+
+        def by_rule(cqi, table):
+            if cqi == 0:
+                return 0
+            target = CQI_TABLES[table][cqi - 1].spectral_efficiency
+            fits = [
+                e.index for e in MCS_TABLES[table]
+                if e.spectral_efficiency <= target + 1e-9
+            ]
+            return max(fits, default=0)
+
+        pinned = {
+            1: [0, 0, 0, 2, 4, 6, 8, 11, 13, 15, 18, 20, 22, 24, 26, 28],
+            2: [0, 0, 1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27],
+        }
+        for table, expect in pinned.items():
+            got = [cqi_to_mcs(cqi, table) for cqi in range(16)]
+            assert got == expect, table
+            assert got == [by_rule(cqi, table) for cqi in range(16)], table
 
     def test_sinr_mapping(self):
         assert sinr_db_to_cqi(-10.0) == 0

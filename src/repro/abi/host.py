@@ -204,7 +204,8 @@ class PluginHost:
         try:
             module = self._load_module(wasm_bytes)
             self._instantiate(module)
-        except (SanitizerError, WasmError) as exc:
+        except (SanitizerError, WasmError, RecursionError) as exc:
+            # RecursionError: a `start` that recurses past the host's stack
             if OBS.enabled:
                 OBS.events.emit(
                     "plugin.load", source=self.name, detail=str(exc), ok=False
@@ -505,9 +506,14 @@ class PluginHost:
                 output = self._read_output(out_ptr)
             except PluginError as exc:
                 error = exc
-            except Trap as exc:
-                kind = "fuel" if exc.code == "fuel" else "trap"
-                trap_code = exc.code
+            except (Trap, RecursionError) as exc:
+                # a plugin that recurses until the *host's* stack runs out
+                # before the Wasm depth limit does (the cold tier and the
+                # interpreters spend three Python frames per Wasm frame, an
+                # embedder may already be deep) is a stack trap like any
+                # other: it never reaches the caller as RecursionError
+                trap_code = exc.code if isinstance(exc, Trap) else "stack"
+                kind = "fuel" if trap_code == "fuel" else "trap"
                 if (
                     kind == "fuel"
                     and budgeted
@@ -523,7 +529,7 @@ class PluginHost:
                     )
                 else:
                     error = PluginError(
-                        f"{self.name}: plugin trapped: {exc} (code={exc.code})",
+                        f"{self.name}: plugin trapped: {exc} (code={trap_code})",
                         kind,
                     )
                 error.__cause__ = exc

@@ -1025,16 +1025,17 @@ def dump_aot(module_or_bytes, fueled: bool = False) -> str:
         lines.append(
             f"func {func_index}{names}: {body.n_instrs} wasm instrs, {tier}"
         )
-        lines.append("  ;; wasm body")
-        for pc in range(len(code.body)):
-            lines.append(f"  {pc:04d}  {_mn(code.body, pc)}")
         if compiled:
             source, emitter = body._emit(fueled)
             direct = " ".join(f"f{i}" for i in sorted(emitter.callees))
             lines.append(
                 f"  ;; direct: {direct or '-'}; "
-                f"via invoke_addr: {', '.join(emitter.via) or '-'}"
+                f"via invoke_addr: {', '.join(dict.fromkeys(emitter.via)) or '-'}"
             )
+        lines.append("  ;; wasm body")
+        for pc in range(len(code.body)):
+            lines.append(f"  {pc:04d}  {_mn(code.body, pc)}")
+        if compiled:
             lines.append(
                 "  ;; generated python (%s)"
                 % ("fueled" if fueled else "unfueled")

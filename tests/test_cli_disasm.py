@@ -82,6 +82,32 @@ class TestCli:
         assert main(["disasm", str(binary)]) == 0
         assert "(module" in capsys.readouterr().out
 
+    def test_disasm_aot_shows_the_call_boundary(self, tmp_path, capsys):
+        """Each compiled function names the callees it calls directly and
+        the call sites that stay on ``Instance.invoke_addr``."""
+        binary = tmp_path / "pf.wasm"
+        binary.write_bytes(plugin_wasm("pf"))
+        assert main(["disasm", "--aot", str(binary)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        module = decode_module(plugin_wasm("pf"))
+        run = module.export_map()["run"].index
+        header = next(
+            i for i, l in enumerate(lines) if l.startswith(f'func {run} (export "run")')
+        )
+        boundary = lines[header + 1]
+        assert boundary.startswith("  ;; direct: f")
+        # pf's `run` calls its helpers directly and one host import
+        assert boundary.endswith("; via invoke_addr: import 0")
+        direct = boundary.split(";; direct: ")[1].split(";")[0].split()
+        n_imported = module.num_imported_funcs
+        assert direct and all(int(f[1:]) >= n_imported for f in direct)
+        # a leaf function calls nothing
+        assert "  ;; direct: -; via invoke_addr: -" in lines
+        # every compiled function carries the line
+        compiled = [l for l in lines if l.startswith("func ") and ", compiled" in l]
+        assert len(compiled) == len(module.codes)
+        assert sum(l.startswith("  ;; direct: ") for l in lines) == len(compiled)
+
     def test_plugins_command(self, capsys):
         assert main(["plugins"]) == 0
         out = capsys.readouterr().out

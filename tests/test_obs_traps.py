@@ -183,3 +183,75 @@ def test_error_carries_the_call_result_with_telemetry_off():
     assert (result.outcome, result.trap_code) == ("fuel", "fuel")
     assert result.fuel_used == limit
     assert len(OBS.flight) == 0
+
+
+# ---------------------------------------------------------------------------
+# unbounded plugin recursion never reaches the host as RecursionError
+# ---------------------------------------------------------------------------
+
+RECURSE = f"""(module (memory 1) {HEADER}
+  (func $f (param i32) (result i32) (call $f (local.get 0)))
+  (func (export "run") (param i32 i32) (result i32) (call $f (local.get 0)))
+  (func (export "ok") (param i32 i32) (result i32)
+    (i32.store (i32.const 2048) (i32.const 0)) (i32.const 2048)))"""
+
+RECURSE_IN_START = """(module (memory 1)
+  (func $f (param i32) (result i32) (call $f (local.get 0)))
+  (func $start (drop (call $f (i32.const 0))))
+  (start $start))"""
+
+
+def _from_deep_in_the_host(frames, fn):
+    """Call ``fn`` with ``frames`` extra Python frames already on the stack
+    (an embedder; pytest itself adds a few dozen more)."""
+    return fn() if frames == 0 else _from_deep_in_the_host(frames - 1, fn)
+
+
+def _recursion_outcome(engine, promote):
+    host = PluginHost(
+        assemble(RECURSE), name=f"recurse-{engine}", sanitize=False, engine=engine
+    )
+    if promote:
+        host.promote()
+
+    def call():
+        with pytest.raises(PluginError) as info:
+            host.call(b"\x00" * 8)
+        return info.value
+
+    error = _from_deep_in_the_host(150, call)
+    assert error.kind == "trap"
+    result = error.result
+    assert (result.outcome, result.trap_code, result.output) == ("trap", "stack", None)
+    assert result.elapsed_us > 0
+    # the host is usable for the next call
+    assert host.call(b"\x00" * 8, entry="ok").outcome == "ok"
+    return result.fuel_used
+
+
+def test_unbounded_recursion_from_a_deep_host_is_a_stack_trap():
+    """The Store default is 300 Wasm frames and the interpreters spend three
+    Python frames on each, so from a host 150 frames deep CPython's
+    recursion limit is hit before the Wasm one: same ``stack`` trap, same
+    fuel (the outermost frame's, at its call site) under every engine,
+    cold tier and compiled."""
+    from repro.wasm import codecache
+
+    codecache.clear()  # engine "aot" starts on threaded code
+    fuel_used = {
+        (engine, promote): _recursion_outcome(engine, promote)
+        for engine in ("legacy", "threaded", "aot")
+        for promote in (False, True)
+    }
+    assert len(set(fuel_used.values())) == 1, fuel_used
+    # `alloc` (const, end) + `run` up to its call site (local.get, call)
+    assert fuel_used["aot", True] == 4
+
+
+def test_unbounded_recursion_in_start_is_a_load_error():
+    def load():
+        with pytest.raises(PluginError) as info:
+            PluginHost(assemble(RECURSE_IN_START), name="bad-start", sanitize=False)
+        return info.value
+
+    assert _from_deep_in_the_host(150, load).kind == "load"

@@ -15,7 +15,7 @@ import pytest
 
 from repro import obs
 from repro.obs import OBS
-from repro.wasm import Instance, codecache, decode_module
+from repro.wasm import HostFunc, Instance, Store, codecache, decode_module
 from repro.fuzz.corpus import load_case
 from repro.fuzz.oracle import differential
 from repro.wasm.aot import (
@@ -31,14 +31,19 @@ from repro.wasm.codecache import compiled_bodies
 from repro.wasm.codecache import stats as cache_stats
 from repro.wasm.interpreter import ExecStats
 from repro.wasm.threaded import ENGINES, ThreadedCode, resolve_engine
-from repro.wasm.traps import Trap
+from repro.wasm import opcodes
+from repro.wasm.traps import MemoryOutOfBounds, Trap
+from repro.wasm.wtypes import FuncType, ValType
 from repro.wasm.wat import assemble
 
 
-def three(source):
+def three(source, imports=None, max_call_depth=300):
     raw = assemble(source)
     return tuple(
-        Instance(decode_module(raw), engine=e)
+        Instance(
+            decode_module(raw), imports=imports, engine=e,
+            store=Store(max_call_depth=max_call_depth),
+        )
         for e in ("legacy", "threaded", "aot")
     )
 
@@ -57,8 +62,8 @@ def call_outcome(inst, name, *args, fuel="unset"):
     return out + (stats.frames, stats.max_call_depth, stats.max_value_stack)
 
 
-def assert_identical(source, name, *args, fuel="unset"):
-    legacy, threaded, aot = three(source)
+def assert_identical(source, name, *args, fuel="unset", **three_kwargs):
+    legacy, threaded, aot = three(source, **three_kwargs)
     expect = call_outcome(legacy, name, *args, fuel=fuel)
     for inst, engine in ((threaded, "threaded"), (aot, "aot")):
         got = call_outcome(inst, name, *args, fuel=fuel)
@@ -212,35 +217,56 @@ def test_deep_function_keeps_threaded_body_between_compiled_siblings():
     )
 
 
-def test_mixed_tier_table_matches_legacy_at_every_budget():
-    instances = [
-        Instance(decode_module(DEEP_CASE.wasm), engine=e)
-        for e in ("legacy", "threaded", "aot")
-    ]
+def sweep_budgets(case):
+    """Replay a corpus case under all three engines at every fuel budget
+    from 0 to the clean cost of each call: outcome, trap code, fuel left
+    at the trap and ExecStats must equal legacy's; then every oracle leg."""
+    engines = ("legacy", "threaded", "aot")
+    instances = [Instance(decode_module(case.wasm), engine=e) for e in engines]
 
     def run_all(name, args, fuel, snaps=None):
         """(kind, value | trap code, fuel left, ExecStats) once per engine."""
         got = []
         for k, inst in enumerate(instances):
             if snaps is not None:
+                if len(inst.memory.data) != len(snaps[k].memory):
+                    # restore_state never shrinks: a call that grew memory
+                    # is rewound onto a fresh instance
+                    inst = instances[k] = Instance(
+                        decode_module(case.wasm), engine=engines[k]
+                    )
                 inst.restore_state(snaps[k])
             got.append(call_outcome(inst, name, *args, fuel=fuel))
         assert got[1] == got[0] and got[2] == got[0], (name, args, fuel, got)
         return got[0]
 
-    for name, args in DEEP_CASE.calls:
+    for name, args in case.calls:
         snaps = [inst.capture_state() for inst in instances]
-        full = run_all(name, args, DEEP_CASE.fuel)
+        full = run_all(name, args, case.fuel)
         # every budget from 0 until the call gets as far as it does with
         # a full one (strided past 500: two calls recurse ~150 frames deep)
         budget = 0
         while run_all(name, args, budget, snaps)[:2] != full[:2]:
             budget += 1 if budget < 500 else 197
-        assert 0 < budget <= DEEP_CASE.fuel
-        run_all(name, args, DEEP_CASE.fuel, snaps)
+        assert 0 < budget <= case.fuel
+        run_all(name, args, case.fuel, snaps)
     # every oracle leg (checkpoint/restore, cross-engine, tier-up) as well
-    result = differential(DEEP_CASE.wasm, DEEP_CASE.calls, DEEP_CASE.fuel)
+    result = differential(case.wasm, case.calls, case.fuel)
     assert result.ok, result
+
+
+def test_mixed_tier_table_matches_legacy_at_every_budget():
+    sweep_budgets(DEEP_CASE)
+
+
+@pytest.mark.parametrize(
+    "name", ["memory-grow-in-callee", "call-boundary-direct-indirect"]
+)
+def test_boundary_corpus_matches_legacy_at_every_budget(name):
+    """A callee's ``memory.grow`` under its caller's bounds checks; direct
+    (void and valued) and ``call_indirect`` calls out of one caller with
+    div0 / oob / unreachable three direct frames down."""
+    sweep_budgets(load_case(Path(__file__).parent / "corpus" / f"{name}.json"))
 
 
 def test_plugin_host_promotes_a_mixed_tier_binary():
@@ -287,6 +313,211 @@ def test_identical_exec_stats_vs_both_engines():
     out = assert_identical(FIB, "fib", 10, fuel=100_000)
     # frames, max depth, max value stack all compared inside; sanity:
     assert out[3] > 100  # frames: fib(10) makes 177 calls
+
+
+# ---------------------------------------------------------------------------
+# the boundaries of compiled code: direct calls, invoke_addr, inlined memory
+# ---------------------------------------------------------------------------
+
+
+def test_oob_trap_fields_match_legacy_and_grow_in_callee_moves_the_limit():
+    case = load_case(
+        Path(__file__).parent / "corpus" / "memory-grow-in-callee.json"
+    )
+    traps = []
+    for engine in ("legacy", "aot"):
+        inst = Instance(decode_module(case.wasm), engine=engine)
+        with pytest.raises(MemoryOutOfBounds) as info:
+            inst.call("f0", 65533)  # straddles the limit
+        exc = info.value
+        traps.append((str(exc), exc.code, exc.addr, exc.size, exc.limit))
+        assert inst.call("f1") == 0x11223344 + 0xAB  # callee grew one page
+        assert inst.call("f0", 131068) == 7  # the new page's last i32
+        with pytest.raises(MemoryOutOfBounds) as info:
+            inst.call("f0", 131069)
+        traps.append((str(info.value), info.value.limit))
+    assert traps[:2] == traps[2:]
+    assert traps[0][2:] == (65533, 4, 65536) and traps[1][1] == 131072
+
+
+GROW_IN_HOST = """(module
+  (import "env" "grow" (func $grow (param i32) (result i32)))
+  (memory 1 2)
+  (func (export "run") (param i32) (result i32)
+    (i32.store8 (i32.const 65535) (i32.const 1))
+    (drop (call $grow (i32.const 1)))
+    (i32.store (local.get 0) (i32.const 77))
+    (i32.add (i32.load (local.get 0)) (i32.load8_u offset=1 (i32.const 131070)))))"""
+
+
+def test_grow_inside_a_host_function_moves_the_limit():
+    """``len(md)`` is read at every access, so memory grown by an import
+    between two accesses of one compiled frame is addressable at once."""
+    grow = HostFunc(
+        FuncType((ValType.I32,), (ValType.I32,)),
+        lambda caller, pages: caller.memory.grow(pages),
+    )
+    imports = {"env": {"grow": grow}}
+    # before the grow 65536 is one past the end; after it, in bounds
+    expect = assert_identical(GROW_IN_HOST, "run", 65536, imports=imports)
+    assert expect[:2] == ("ok", 77)
+    assert assert_identical(
+        GROW_IN_HOST, "run", 131069, imports=imports
+    )[:2] == ("trap", "oob")
+
+
+IMPORT_BOUNDARY = """(module
+  (import "env" "twice" (func $twice (param i32) (result i32)))
+  (func $inner (param i32) (result i32)
+    (i32.add (call $twice (local.get 0)) (i32.const 1)))
+  (func (export "run") (param i32) (result i32)
+    (i32.add (call $inner (local.get 0)) (call $twice (i32.const 4)))))"""
+
+
+def test_import_reached_from_a_direct_callee_at_every_budget():
+    """An import stays on ``invoke_addr`` (fuel synced through the store
+    around it), also one direct frame down; a trap raised by the host
+    function leaves the same ``store.fuel`` as under legacy."""
+    seen = []
+
+    def twice(caller, x):
+        seen.append(caller.store.fuel)  # the host reads a current counter
+        if x == 13:
+            raise Trap("host says no", code="host")
+        return 2 * x
+
+    imports = {"env": {"twice": HostFunc(
+        FuncType((ValType.I32,), (ValType.I32,)), twice
+    )}}
+    for arg, outcome in ((5, ("ok", 19)), (13, ("trap", "host"))):
+        full = assert_identical(
+            IMPORT_BOUNDARY, "run", arg, fuel=1000, imports=imports
+        )
+        assert full[:2] == outcome
+        for budget in range(1000 - full[2] + 2):
+            seen.clear()
+            assert_identical(
+                IMPORT_BOUNDARY, "run", arg, fuel=budget, imports=imports
+            )
+            per_engine = len(seen) // 3
+            assert seen == seen[:per_engine] * 3  # same fuel seen by the host
+    source = dump_aot(assemble(IMPORT_BOUNDARY), fueled=True)
+    assert ";; direct: f1; via invoke_addr: import 0" in source
+
+
+def _access_module():
+    """One exported function per load/store opcode x {no offset, offset}."""
+    funcs, loads, stores = [], [], []
+    for ty, suffixes in (
+        ("i32", ("", "8_s", "8_u", "16_s", "16_u")),
+        ("i64", ("", "8_s", "8_u", "16_s", "16_u", "32_s", "32_u")),
+        ("f32", ("",)), ("f64", ("",)),
+    ):
+        for suffix in suffixes:
+            bits = suffix.split("_")[0] or ty[1:]
+            signed = suffix.endswith("_s")
+            for offset in (0, 24):
+                name = f"ld_{ty}{suffix}_{offset}"
+                funcs.append(
+                    f'(func (export "{name}") (param i32) (result {ty}) '
+                    f"({ty}.load{suffix} offset={offset} (local.get 0)))"
+                )
+                loads.append((name, int(bits) // 8, signed, ty, offset))
+        for width in {"i32": ("", "8", "16"), "i64": ("", "8", "16", "32")}.get(
+            ty, ("",)
+        ):
+            for offset in (0, 24):
+                name = f"st_{ty}{width}_{offset}"
+                funcs.append(
+                    f'(func (export "{name}") (param i32 {ty}) '
+                    f"({ty}.store{width} offset={offset} "
+                    "(local.get 0) (local.get 1)))"
+                )
+                stores.append((name, int(width or ty[1:]) // 8, ty, offset))
+    return "(module (memory 1) " + " ".join(funcs) + ")", loads, stores
+
+
+def test_every_access_width_at_the_last_valid_byte_and_one_past():
+    source, loads, stores = _access_module()
+    legacy, _threaded, aot = three(source)
+    limit = 65536
+    pattern = bytes((37 * i + 0x81) & 0xFF for i in range(64))
+    for inst in (legacy, aot):
+        inst.memory.write(limit - 64, pattern)
+    for name, size, signed, ty, offset in loads:
+        last = limit - size - offset
+        got = [inst.call(name, last) for inst in (legacy, aot)]
+        if ty[0] == "i":
+            # Instance.call reports integers signed; compare as the bits
+            width = 1 << int(ty[1:])
+            reference = legacy.memory.load_int(last + offset, size, signed)
+            assert got[1] % width == reference % width, name
+        assert repr(got[0]) == repr(got[1]), name
+        for inst in (legacy, aot):
+            with pytest.raises(MemoryOutOfBounds) as info:
+                inst.call(name, last + 1)
+            exc = info.value
+            assert (exc.addr, exc.size, exc.limit) == (
+                last + 1 + offset, size, limit,
+            ), name
+    for name, size, ty, offset in stores:
+        last = limit - size - offset
+        value = -0x0123456789ABCDEF if ty[0] == "i" else -1.5
+        if ty == "i32":
+            value = -0x1234567
+        for inst in (legacy, aot):
+            inst.memory.write(limit - 64, pattern)
+            inst.call(name, last, value)
+        assert aot.memory.data == legacy.memory.data, name
+        assert bytes(aot.memory.data[limit - size:]) != pattern[-size:], name
+        for inst in (legacy, aot):
+            inst.memory.write(limit - 64, pattern)
+            with pytest.raises(MemoryOutOfBounds) as info:
+                inst.call(name, last + 1, value)
+            assert info.value.addr == last + 1 + offset, name
+        assert aot.memory.data == legacy.memory.data, name  # nothing written
+
+
+COUNTDOWN = """(module (func $down (export "down") (param i32) (result i32)
+  (if (result i32) (i32.eqz (local.get 0))
+    (then (i32.const 0))
+    (else (i32.add (i32.const 1)
+                   (call $down (i32.sub (local.get 0) (i32.const 1))))))))"""
+
+
+def test_recursion_to_exactly_the_depth_limit_then_one_deeper():
+    """The entry frame is depth 0, so ``down(n)`` peaks at depth ``n``."""
+    at = assert_identical(COUNTDOWN, "down", 40, fuel=10_000, max_call_depth=40)
+    assert at[:2] == ("ok", 40) and at[4] == 40
+    over = assert_identical(COUNTDOWN, "down", 41, fuel=10_000, max_call_depth=40)
+    assert over[:2] == ("trap", "stack") and over[4] == 40
+    # the outermost frame wins: fuel as of the entry frame's call site
+    assert over[2] == 10_000 - 8
+
+
+def test_shipped_plugins_stay_on_the_fast_path():
+    """No ``Memory`` method call per access, and ``invoke_addr`` only where
+    a call really leaves compiled code: imports and ``call_indirect``."""
+    from repro.plugins import available_plugins, plugin_wasm
+
+    for name in available_plugins():
+        module = decode_module(plugin_wasm(name))
+        n_imported = module.num_imported_funcs
+        for i, code in enumerate(module.codes):
+            acode = aot_for(module, code, module.func_type(n_imported + i))
+            source, emitter = acode._emit(True)
+            for banned in ("mem.load_", "mem.store_", "memoryview", "_Frame"):
+                assert banned not in source, (name, i, banned)
+            calls = [imm for op_, imm in code.body if op_ == opcodes.CALL]
+            imported = sum(1 for index in calls if index < n_imported)
+            indirect = sum(
+                1 for op_, _imm in code.body if op_ == opcodes.CALL_INDIRECT
+            )
+            assert source.count("invoke_addr(") == imported + indirect, (name, i)
+            assert source.count("(inst, store, _d1, fuel") == len(calls) - imported
+            assert sorted(site.split()[0] for site in emitter.via) == (
+                ["call_indirect"] * indirect + ["import"] * imported
+            ), (name, i, emitter.via)
 
 
 # ---------------------------------------------------------------------------

@@ -59,9 +59,10 @@ Lowering rules
   unwinding from a trap overwrites ``store.fuel`` with its own counter,
   so the host reads the *outermost* Wasm frame's value - its fuel at its
   call site.  Each metered body is wrapped in ``except BaseException:
-  store.fuel = fuel; raise`` to reproduce exactly that; a
-  ``StackExhausted`` raised by a prologue leaves ``store.fuel`` to the
-  callers.
+  store.fuel = fuel if fuel > 0 else 0; raise`` to reproduce exactly
+  that (the clamp is the exhausted frame reporting zero; a flush that
+  fails just raises); a ``StackExhausted`` raised by a prologue leaves
+  ``store.fuel`` to the callers.
 
 Compiled code is instance-independent (instance, store and depth are
 arguments; a direct callee is a function of the same ``Module``, so the
@@ -346,8 +347,7 @@ class _Emitter:
             return
         self.w(f"fuel -= {n}")
         self.w("if fuel < 0:")
-        self.w("    fuel = 0")
-        self.w("    raise FuelExhausted()")
+        self.w("    raise FuelExhausted")
 
     def lit(self, value) -> str:
         """Literal text for a constant; non-finite floats become ns consts."""
@@ -496,7 +496,7 @@ class _Emitter:
             self.via.append(f"threaded f{func_index}")
         self._emit_invoke(f"inst.func_addrs[{func_index}]", args, result)
 
-    def _emit_direct_call(self, func_index: int, callee: "AotCode",
+    def _emit_direct_call(self, func_index: int, callee: AotCode,
                           args: list[str], result: str | None) -> None:
         """A same-module compiled callee: one plain Python call.
 
@@ -831,7 +831,7 @@ class _Emitter:
             head.append("    try:")
             head.extend("        " + line for line in body)
             head.append("    except BaseException:")
-            head.append("        store.fuel = fuel")
+            head.append("        store.fuel = fuel if fuel > 0 else 0")
             head.append("        raise")
         else:
             head.extend("    " + line for line in body)

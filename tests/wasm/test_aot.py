@@ -15,7 +15,14 @@ import pytest
 
 from repro import obs
 from repro.obs import OBS
-from repro.wasm import HostFunc, Instance, Store, codecache, decode_module
+from repro.wasm import (
+    HostFunc,
+    Instance,
+    Store,
+    codecache,
+    decode_module,
+    opcodes,
+)
 from repro.fuzz.corpus import load_case
 from repro.fuzz.oracle import differential
 from repro.wasm.aot import (
@@ -31,7 +38,6 @@ from repro.wasm.codecache import compiled_bodies
 from repro.wasm.codecache import stats as cache_stats
 from repro.wasm.interpreter import ExecStats
 from repro.wasm.threaded import ENGINES, ThreadedCode, resolve_engine
-from repro.wasm import opcodes
 from repro.wasm.traps import MemoryOutOfBounds, Trap
 from repro.wasm.wtypes import FuncType, ValType
 from repro.wasm.wat import assemble
@@ -197,9 +203,8 @@ def test_structured_mode_is_default_for_reducible_code():
 #: 18 nested branch-targeted blocks ($deep) between shallow siblings that
 #: call it ($run) and are called by it ($leaf); also a tests/wasm/corpus
 #: case, so the every-engine replay covers the mixed table too
-DEEP_CASE = load_case(
-    Path(__file__).parent / "corpus" / "deep-nesting-mixed-tiers.json"
-)
+CORPUS = Path(__file__).parent / "corpus"
+DEEP_CASE = load_case(CORPUS / "deep-nesting-mixed-tiers.json")
 
 
 def test_deep_function_keeps_threaded_body_between_compiled_siblings():
@@ -266,7 +271,7 @@ def test_boundary_corpus_matches_legacy_at_every_budget(name):
     """A callee's ``memory.grow`` under its caller's bounds checks; direct
     (void and valued) and ``call_indirect`` calls out of one caller with
     div0 / oob / unreachable three direct frames down."""
-    sweep_budgets(load_case(Path(__file__).parent / "corpus" / f"{name}.json"))
+    sweep_budgets(load_case(CORPUS / f"{name}.json"))
 
 
 def test_plugin_host_promotes_a_mixed_tier_binary():
@@ -321,9 +326,7 @@ def test_identical_exec_stats_vs_both_engines():
 
 
 def test_oob_trap_fields_match_legacy_and_grow_in_callee_moves_the_limit():
-    case = load_case(
-        Path(__file__).parent / "corpus" / "memory-grow-in-callee.json"
-    )
+    case = load_case(CORPUS / "memory-grow-in-callee.json")
     traps = []
     for engine in ("legacy", "aot"):
         inst = Instance(decode_module(case.wasm), engine=engine)
@@ -493,6 +496,28 @@ def test_recursion_to_exactly_the_depth_limit_then_one_deeper():
     assert over[:2] == ("trap", "stack") and over[4] == 40
     # the outermost frame wins: fuel as of the entry frame's call site
     assert over[2] == 10_000 - 8
+
+
+def test_compile_links_a_call_chain_longer_than_the_recursion_limit():
+    """``AotCode.compile`` follows direct calls with a worklist, so a chain
+    of 1200 functions (CPython's recursion limit is 1000) compiles and
+    links in one go; run, it hits the Wasm depth limit like anywhere."""
+    n = 1200
+    funcs = [
+        f"(func $f{i} (param i32) (result i32) "
+        f"(call $f{i + 1} (i32.add (local.get 0) (i32.const 1))))"
+        for i in range(n - 1)
+    ]
+    funcs.append(f"(func $f{n - 1} (param i32) (result i32) (local.get 0))")
+    raw = assemble(
+        "(module " + " ".join(funcs) + ' (export "run" (func $f0)))'
+    )
+    inst = Instance(decode_module(raw), engine="aot")
+    with pytest.raises(Trap) as info:
+        inst.call("run", 0, fuel=1_000_000)
+    assert info.value.code == "stack"
+    bodies = [inst.store.funcs[addr].prepared for addr in inst.func_addrs]
+    assert all(b.run_fueled is not None and b.run is None for b in bodies)
 
 
 def test_shipped_plugins_stay_on_the_fast_path():

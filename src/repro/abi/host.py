@@ -195,15 +195,16 @@ class PluginHost:
 
     # ----- lifecycle ---------------------------------------------------------
 
-    def _load(self, wasm_bytes: bytes) -> None:
+    def _load(self, wasm_bytes: bytes) -> bool:
         """First load and swap: *load* the binary, then *instantiate* it.
 
         Nothing on ``self`` changes unless both halves succeed, and every
         refused binary leaves a ``plugin.load ok=False`` event behind.
+        Returns :meth:`_instantiate`'s *warm* flag.
         """
         try:
             module = self._load_module(wasm_bytes)
-            self._instantiate(module)
+            warm = self._instantiate(module)
         except (SanitizerError, WasmError, RecursionError) as exc:
             # RecursionError: a `start` that recurses past the host's stack
             if OBS.enabled:
@@ -216,9 +217,13 @@ class PluginHost:
         self.wasm_bytes = wasm_bytes
         self.module_sha = module.content_hash
         self._static_instrs = sum(len(code.body) for code in module.codes)
+        return warm
 
     def _load_module(self, wasm_bytes: bytes) -> Module:
-        """*Load*: the one decode, validate, hash and policy check of a binary."""
+        """*Load*: one hash and this host's policy check of a binary; the
+        decode and validation behind them happen once per binary,
+        process-wide (:func:`repro.wasm.load_module`), the policy verdict
+        is this host's own and is taken on every load."""
         try:
             module = load_module(wasm_bytes)
         except WasmError as exc:
@@ -233,10 +238,13 @@ class PluginHost:
             )
         return module
 
-    def _instantiate(self, module: Module) -> None:
+    def _instantiate(self, module: Module) -> bool:
         """*Instantiate*: a fresh live instance of an already-checked module.
 
-        Raises :class:`WasmError` for a link error or a trap in ``start``.
+        Raises :class:`WasmError` for a link error or a trap in ``start``,
+        leaving the live instance serving.  Returns whether the load was
+        *warm*: the bodies the new instance starts on were already in the
+        codecache, so nothing was lowered for it.
         """
         env = make_env(log_sink=self._log_sink, extra=self._extra_hostfuncs)
         # engine "aot" at this layer means "compiled once the binary has
@@ -246,18 +254,42 @@ class PluginHost:
         # heats up call by call
         engine = resolve_engine(self._engine)
         warming = engine == "aot" and not codecache.is_cached(module, "aot")
-        self.instance = Instance(
-            module,
-            imports={"env": env},
-            # a start function runs here, on the per-call budget
-            store=Store(fuel=self.limits.fuel),
-            validate=False,  # every module reaching here passed _load_module
-            engine="threaded" if warming else engine,
-        )
+        if warming:
+            engine = "threaded"
+        warm = codecache.is_cached(module, engine)
+        # a start function runs inside Instance(), on the per-call budget
+        store = Store(fuel=self.limits.fuel)
+        try:
+            instance = Instance(
+                module,
+                imports={"env": env},
+                store=store,
+                validate=False,  # every module reaching here passed _load_module
+                engine=engine,
+            )
+        except (WasmError, RecursionError):
+            store.funcs.clear()  # the refused instance dies here too
+            raise
+        self._release()
+        self.instance = instance
         self._warming = warming
         # a new instance invalidates any pointer the old one handed out
         self._scratch_ptr: int | None = None
         self._scratch_cap = 0
+        return warm
+
+    def _release(self) -> None:
+        """Let go of the live instance so that it dies *now*.
+
+        An instance and its functions point at each other (``Instance ->
+        Store.funcs -> ModuleFunc.instance``); left alone, a replaced
+        instance and its linear memory wait for the cycle collector.  The
+        store is this host's own, so emptying it cuts the cycle and the
+        instance goes by refcount.
+        """
+        if self.instance is not None:
+            self.instance.store.funcs.clear()
+            self.instance = None
 
     # ----- tier-up -----------------------------------------------------------
 
@@ -333,7 +365,7 @@ class PluginHost:
         other plugin) is untouched, which is what makes the paper's
         on-the-fly scheduler change safe.
         """
-        self._load(wasm_bytes)
+        warm = self._load(wasm_bytes)
         self.generation += 1
         if OBS.enabled:
             OBS.events.emit(
@@ -341,6 +373,7 @@ class PluginHost:
                 source=self.name,
                 generation=self.generation,
                 size_bytes=len(wasm_bytes),
+                warm=warm,
             )
             OBS.registry.counter(
                 "waran_plugin_swaps_total", "hot swaps performed"
@@ -790,12 +823,15 @@ class PluginHost:
             output_record_bytes=self.output_record_bytes,
             engine=self._engine,
         )
-        return clone.reissue(
-            record.input_bytes,
-            record.entry,
-            record.attrs.get("chaos"),
-            record.attrs.get("rt"),
-        )
+        try:
+            return clone.reissue(
+                record.input_bytes,
+                record.entry,
+                record.attrs.get("chaos"),
+                record.attrs.get("rt"),
+            )
+        finally:
+            clone._release()
 
     def _read_output(self, out_ptr) -> bytes:
         instance = self.instance

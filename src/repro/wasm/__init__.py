@@ -15,7 +15,8 @@ Public entry points:
 
 - :func:`decode_module` - bytes -> :class:`Module`
 - :func:`validate_module` - raise :class:`ValidationError` on bad modules
-- :func:`load_module` - both, once: bytes -> checked :class:`Module`
+- :func:`load_module` - both, once per binary and process: bytes ->
+  the one checked (and shared, read-only) :class:`Module` of those bytes
 - :class:`Instance` - instantiate and call exports
 - :class:`Store` - runtime state shared by instances
 - :func:`repro.wasm.wat.assemble` - WAT text -> wasm bytes

@@ -4,11 +4,11 @@ Lowering a function body (to legacy tagged tuples, threaded closures, or
 AOT-generated Python; engine ``aot`` keeps the threaded closures of a
 function too deep to compile, see :func:`repro.wasm.aot.aot_for`) is pure
 per-``Code`` work, so it is shareable across every
-:class:`~repro.wasm.instance.Instance` of the *same bytes* — not just the same :class:`~repro.wasm.module.Module` object.  That
-matters for the paper's hot-swap story (Fig. 5b): a live swap decodes a
-fresh module from the plugin ``.wc`` bytes, and multi-UE coexistence
-(Fig. 5a) instantiates the same plugin once per cell.  With this cache
-those paths skip re-lowering entirely.
+:class:`~repro.wasm.instance.Instance` of the *same bytes*.  That
+matters for the paper's hot-swap story (Fig. 5b): a live swap loads the
+plugin ``.wc`` bytes again, and multi-UE coexistence (Fig. 5a)
+instantiates the same plugin once per cell.  With this cache those
+paths skip re-lowering entirely.
 
 Keying is ``(module.content_hash, engine)``; the hash is the SHA-256 of
 the binary set by :func:`repro.wasm.decoder.decode_module`.  Modules
@@ -25,6 +25,18 @@ a new key.  Hit/miss/eviction counters are exported through
 ``waran_wasm_codecache_{hits,misses,evictions}_total{engine=...}``
 (visible in ``repro obs``); the cache itself always works,
 telemetry-enabled or not.
+
+The cache also keeps, per content hash, the decoded **and validated**
+:class:`~repro.wasm.module.Module` itself (:func:`kept_module` /
+:func:`keep_module`, used only by :func:`repro.wasm.load_module`): decode
+and validation are per-binary work as much as lowering is, and were
+~0.8 of a ~0.9 ms warm swap while every load threw its module away.
+Only a module that passed validation is ever kept, the sanitizer's
+policy verdict never is (it is per host), and the one kept module of a
+binary is shared read-only by every instance of it - which is what
+``restore`` already relied on.  Same lock, same cap, least-recently-
+*loaded* order, dropped by :func:`clear`; counted as
+``waran_wasm_module_cache_{hits,misses,evictions}_total``.
 
 The cache also keeps each module's **heat**: the fuel its instances have
 burnt so far, summed per content hash (:func:`add_heat`).  It is the
@@ -45,10 +57,20 @@ from repro.wasm.interpreter import prepared_for
 from repro.wasm.module import Module
 from repro.wasm.threaded import ENGINES, threaded_for
 
-#: entries held per table (bodies, heat) before LRU eviction
-CAPACITY = 256
+#: entries held per table (bodies per engine, modules, heat) before LRU
+#: eviction - in practice, binaries.
+#: Sized against ``peak_rss_mb`` on the ledger's ``hot_swap`` workload,
+#: whose cold half is a stream of single-use binaries, each pinning
+#: ~140 kB of threaded bodies and ~50 kB of kept module nobody will load
+#: again: 256 -> 57.9 MB, 128 -> 53.9, 64 -> 42.2, 16 -> 33.4, against
+#: 54.9 when no module was kept (bound: +5 %); warm swaps read the same at
+#: every size.  The tree ships 14 plugin binaries, nothing keeps more than
+#: a handful live, and a live binary is touched on every load, so it never
+#: ages out.
+CAPACITY = 64
 
 _CACHE: OrderedDict[tuple[str, str], list] = OrderedDict()
+_MODULES: OrderedDict[str, Module] = OrderedDict()
 _HEAT: OrderedDict[str, int] = OrderedDict()
 _LOCK = Lock()
 
@@ -124,6 +146,40 @@ def compiled_bodies(module: Module, engine: str) -> list:
     return bodies
 
 
+def _count_module(what: str, amount: int = 1) -> None:
+    if OBS.enabled:
+        OBS.registry.counter(
+            f"waran_wasm_module_cache_{what}_total",
+            f"decoded+validated module table {what} (per load of bytes)",
+        ).inc(amount)
+
+
+def kept_module(content_hash: str) -> Module | None:
+    """The validated module kept for these bytes, or ``None`` (counted as
+    a hit or a miss; a hit becomes the most recently loaded)."""
+    with _LOCK:
+        module = _MODULES.get(content_hash)
+        if module is not None:
+            _MODULES.move_to_end(content_hash)
+    _count_module("misses" if module is None else "hits")
+    return module
+
+
+def keep_module(module: Module) -> Module:
+    """Keep a module that **has passed validation**; returns the module
+    kept for its bytes - the one already there when two loaders missed on
+    the same binary at once, so every caller shares one object."""
+    evicted = 0
+    with _LOCK:
+        module = _MODULES.setdefault(module.content_hash, module)
+        while len(_MODULES) > CAPACITY:
+            _MODULES.popitem(last=False)
+            evicted += 1
+    if evicted:
+        _count_module("evictions", evicted)
+    return module
+
+
 def is_cached(module: Module, engine: str) -> bool:
     """Are ``engine`` bodies of these bytes cached?  A pure peek: no LRU
     touch, no hit/miss count."""
@@ -151,7 +207,8 @@ def heat(module: Module) -> int:
 
 
 def stats() -> dict[str, float]:
-    """Current hit/miss/eviction counters (all engines) plus cache size."""
+    """Current hit/miss/eviction counters (all engines) plus cache size,
+    and the kept-module table's size and hit/miss counters."""
     hits = OBS.registry.counter("waran_wasm_codecache_hits_total")
     misses = OBS.registry.counter("waran_wasm_codecache_misses_total")
     evictions = OBS.registry.counter("waran_wasm_codecache_evictions_total")
@@ -166,11 +223,20 @@ def stats() -> dict[str, float]:
         "misses": total_misses,
         "evictions": total_evictions,
         "hit_rate": (total_hits / total) if total else 0.0,
+        "modules": float(len(_MODULES)),
+        "module_hits": OBS.registry.counter(
+            "waran_wasm_module_cache_hits_total"
+        ).value(),
+        "module_misses": OBS.registry.counter(
+            "waran_wasm_module_cache_misses_total"
+        ).value(),
     }
 
 
 def clear() -> None:
-    """Drop every cached compilation and all heat (tests / memory pressure)."""
+    """Drop every cached compilation, every kept module and all heat
+    (tests / memory pressure)."""
     with _LOCK:
         _CACHE.clear()
+        _MODULES.clear()
         _HEAT.clear()

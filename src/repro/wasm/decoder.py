@@ -265,12 +265,15 @@ def _decode_data_section(r: _Reader, mod: Module) -> None:
         mod.datas.append(DataSegment(mem_index, offset, payload))
 
 
-def decode_module(data: bytes) -> Module:
+def decode_module(data: bytes, content_hash: str | None = None) -> Module:
     """Decode a binary Wasm module.
 
     Raises :class:`DecodeError` for any malformed input; never raises
     anything else for arbitrary bytes (fuzz-safe by construction, enforced
-    by the property tests).
+    by the property tests).  ``content_hash`` is the SHA-256 hex digest of
+    ``data`` when the caller has already computed it
+    (:func:`repro.wasm.load_module` hashes before it decodes); by default
+    it is computed here.
     """
     if len(data) < 8:
         raise DecodeError("module too short for header")
@@ -339,5 +342,5 @@ def decode_module(data: bytes) -> Module:
             f"function section declares {num_funcs_declared} functions but "
             f"code section has {len(mod.codes)} bodies"
         )
-    mod.content_hash = hashlib.sha256(data).hexdigest()
+    mod.content_hash = content_hash or hashlib.sha256(data).hexdigest()
     return mod

@@ -94,8 +94,9 @@ class Module:
     datas: list[DataSegment] = field(default_factory=list)
     customs: list[tuple[str, bytes]] = field(default_factory=list)
     #: SHA-256 hex digest of the binary this module was decoded from;
-    #: ``None`` for hand-built modules.  Keys the process-wide compiled
-    #: code cache (:mod:`repro.wasm.codecache`).
+    #: ``None`` for hand-built modules.  Keys the process-wide tables of
+    #: :mod:`repro.wasm.codecache`: lowered bodies, heat, and the one
+    #: checked module :func:`repro.wasm.load_module` keeps per binary.
     content_hash: str | None = None
 
     # ----- derived index spaces (imports come first, then local defs) -----

@@ -127,16 +127,35 @@ DECODE_VALIDATE_ALLOWED = {
 }
 
 
-def _decode_validate_callers(root: Path) -> set[str]:
-    """Files under ``root`` with a ``decode_module`` / ``validate_module`` call."""
+#: the files under ``src/repro`` that may hand bytes to ``load_module``
+#: and so receive the one kept, *shared* ``Module`` of a binary.  Each
+#: only reads it.  Code that edits modules (the fuzz mutators, the
+#: shrinker) decodes its own copy with ``decode_module`` and must never
+#: appear here.
+LOAD_MODULE_ALLOWED = {
+    "abi/host.py",  # PluginHost._load_module: every plugin load and swap
+    "abi/sanitizer.py",  # sanitize_plugin
+    "cli.py",  # repro wat: checks what it just assembled
+    "wasm/aot.py",  # dump_aot
+    "wasm/threaded.py",  # dump_threaded
+    "wasm/disasm.py",  # disassemble (validate=False: bypasses the table)
+}
+
+
+def _callers_of(root: Path, names: tuple[str, ...]) -> set[str]:
+    """Files under ``root`` with a call of any function in ``names``."""
     callers = set()
     for path in sorted(root.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             func = node.func if isinstance(node, ast.Call) else None
             name = getattr(func, "attr", None) or getattr(func, "id", None)
-            if name in ("decode_module", "validate_module"):
+            if name in names:
                 callers.add(path.relative_to(root).as_posix())
     return callers
+
+
+def _decode_validate_callers(root: Path) -> set[str]:
+    return _callers_of(root, ("decode_module", "validate_module"))
 
 
 class TestOneLoadPath:
@@ -161,6 +180,30 @@ class TestOneLoadPath:
             "    return load_module(raw)\n"
         )
         assert _decode_validate_callers(tmp_path) == {"abi/host.py"}
+
+    def test_only_allow_listed_files_load_bytes(self):
+        import repro
+
+        callers = _callers_of(Path(repro.__file__).parent, ("load_module",))
+        stray = sorted(callers - LOAD_MODULE_ALLOWED)
+        assert not stray, f"load_module calls outside the allow-list: {stray}"
+        assert callers == LOAD_MODULE_ALLOWED, "stale allow-list"
+
+    def test_the_guard_sees_a_shared_module_reaching_the_fuzzer(self, tmp_path):
+        (tmp_path / "fuzz").mkdir()
+        (tmp_path / "fuzz" / "mutate.py").write_text(
+            "from repro import wasm\n"
+            "def mutant(raw):\n"
+            "    module = wasm.load_module(raw)\n"
+            "    module.start = None\n"
+            "    return module\n"
+        )
+        (tmp_path / "fuzz" / "shrink.py").write_text(
+            "from repro.wasm import decode_module, load_module\n"
+            "def shrink(raw):\n"
+            "    return decode_module(raw)\n"
+        )
+        assert _callers_of(tmp_path, ("load_module",)) == {"fuzz/mutate.py"}
 
 
 #: the files under ``src/repro`` that may install a flight recorder into

@@ -205,8 +205,7 @@ class PluginHost:
         try:
             module = self._load_module(wasm_bytes)
             warm = self._instantiate(module)
-        except (SanitizerError, WasmError, RecursionError) as exc:
-            # RecursionError: a `start` that recurses past the host's stack
+        except (SanitizerError, WasmError) as exc:
             if OBS.enabled:
                 OBS.events.emit(
                     "plugin.load", source=self.name, detail=str(exc), ok=False
@@ -241,15 +240,17 @@ class PluginHost:
     def _instantiate(self, module: Module) -> bool:
         """*Instantiate*: a fresh live instance of an already-checked module.
 
-        Raises :class:`WasmError` for a link error or a trap in ``start``,
-        leaving the live instance serving.  Returns whether the load was
-        *warm*: the bodies the new instance starts on were already in the
-        codecache, so nothing was lowered for it.
+        Raises :class:`WasmError` for a link error or a trap in ``start``
+        - a ``start`` that recurses past the *host's* stack is a stack trap
+        here as it is in :meth:`call` - leaving the live instance serving.
+        Returns whether the load was *warm*: the bodies the new instance
+        starts on were already lowered for this module, so nothing was
+        lowered for it.
         """
         env = make_env(log_sink=self._log_sink, extra=self._extra_hostfuncs)
         # engine "aot" at this layer means "compiled once the binary has
-        # earned it": bytes whose aot bodies are already cached (a warm
-        # swap, a restore, another cell's copy) start compiled, anything
+        # earned it": a module already bound to aot bodies (a warm swap, a
+        # restore, another cell's copy) starts compiled, anything
         # else starts on threaded code at threaded's cold-load cost and
         # heats up call by call
         engine = resolve_engine(self._engine)
@@ -267,8 +268,10 @@ class PluginHost:
                 validate=False,  # every module reaching here passed _load_module
                 engine=engine,
             )
-        except (WasmError, RecursionError):
+        except (WasmError, RecursionError) as exc:
             store.funcs.clear()  # the refused instance dies here too
+            if isinstance(exc, RecursionError):
+                raise Trap(f"call stack exhausted: {exc}", code="stack") from exc
             raise
         self._release()
         self.instance = instance
@@ -308,7 +311,7 @@ class PluginHost:
         call it up front to pin the compiled tier.  Idempotent, and a
         no-op on hosts whose engine is explicitly threaded or legacy.
         Only the fuel variant this host runs is compiled, once per
-        process - the bodies are shared through the codecache.
+        module - the bodies are shared by every instance of it.
         """
         if not self._warming:
             return

@@ -1,19 +1,20 @@
 """Generative Wasm fuzzing and differential conformance (``repro.fuzz``).
 
 The paper's safety claims (§5D) rest on the Wasm runtime faithfully
-implementing MVP semantics, and the repo now carries *two* engines (legacy
-and threaded) plus checkpoint/restore that must agree
-instruction-for-instruction.  This package is the machinery that keeps
+implementing MVP semantics, and the repo carries three engines (legacy,
+threaded, aot) plus checkpoint/restore and in-place tier-up that must
+agree instruction-for-instruction.  This package is the machinery that keeps
 them honest beyond the hand-written plugin suite:
 
 - :mod:`repro.fuzz.gen` — a seeded typed module generator: arbitrary but
   *valid* MVP modules (locals, globals, memory ops, blocks/loops/br_if,
   br_table, calls, call_indirect, i32/i64/f32/f64 arithmetic) plus a call
   plan of interesting arguments;
-- :mod:`repro.fuzz.oracle` — the differential oracle: every module runs
-  under the legacy engine, the threaded engine, a mid-run
-  ``capture_state()``/``restore_state()`` round trip, and a cross-engine
-  restore, asserting identical results, trap codes, fuel and ExecStats;
+- :mod:`repro.fuzz.oracle` — the differential oracle: every module is
+  decoded once and run through ten legs - the three engines, a tier-up
+  from threaded to aot mid-plan, and six ``capture_state()`` /
+  ``restore_state()`` round trips within and across engines - asserting
+  identical results, trap codes, fuel and ExecStats;
 - :mod:`repro.fuzz.mutate` — corrupts valid binaries to exercise the
   decoder/validator error paths: arbitrary bytes must be *classified*
   (accepted or rejected with a :class:`~repro.wasm.traps.WasmError`),

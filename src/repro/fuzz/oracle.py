@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from repro.wasm.decoder import decode_module
 from repro.wasm.instance import Instance, InstanceState, Store
 from repro.wasm.interpreter import ExecStats
+from repro.wasm.module import Module
 from repro.wasm.traps import Trap, WasmError
 
 #: a call plan: ``(export_name, args)`` pairs executed in order
@@ -100,7 +101,7 @@ class Trace:
 
 
 def run_trace(
-    wasm: bytes,
+    module: Module,
     calls: CallPlan,
     engine: str,
     fuel: int = DEFAULT_FUEL,
@@ -108,7 +109,8 @@ def run_trace(
     restore_from: InstanceState | None = None,
     retier_at: int | None = None,
 ) -> Trace:
-    """Decode, instantiate and run a call plan under one engine.
+    """Instantiate a decoded module and run a call plan under one engine.
+    Legs handed the same :class:`Module` share its lowered bodies.
 
     ``capture_at=k`` snapshots state just before call ``k``;
     ``restore_from`` writes a snapshot into the fresh instance before any
@@ -118,7 +120,6 @@ def run_trace(
     fail identically.
     """
     trace = Trace(engine=engine)
-    module = decode_module(wasm)
     try:
         instance = Instance(module, store=Store(), engine=engine)
     except WasmError as exc:
@@ -158,16 +159,19 @@ class DiffResult:
 
 
 def differential(wasm: bytes, calls: CallPlan, fuel: int = DEFAULT_FUEL) -> DiffResult:
-    """Run every oracle leg; return the first divergence found (if any)."""
+    """Run every oracle leg; return the first divergence found (if any).
+    The module is decoded once and every leg instantiates (and validates)
+    that one object, so an engine lowers it once however many legs run."""
     split = len(calls) // 2
     legs: dict[str, Trace] = {}
+    module = decode_module(wasm)
 
     def fail(reason: str) -> DiffResult:
         return DiffResult(False, reason, legs, calls, fuel)
 
-    legacy = run_trace(wasm, calls, "legacy", fuel, capture_at=split)
-    threaded = run_trace(wasm, calls, "threaded", fuel, capture_at=split)
-    aot = run_trace(wasm, calls, "aot", fuel, capture_at=split)
+    legacy = run_trace(module, calls, "legacy", fuel, capture_at=split)
+    threaded = run_trace(module, calls, "threaded", fuel, capture_at=split)
+    aot = run_trace(module, calls, "aot", fuel, capture_at=split)
     legs["legacy"] = legacy
     legs["threaded"] = threaded
     legs["aot"] = aot
@@ -186,7 +190,7 @@ def differential(wasm: bytes, calls: CallPlan, fuel: int = DEFAULT_FUEL) -> Diff
             )
         return DiffResult(True, None, legs, calls, fuel)
     legs["tier-up"] = run_trace(
-        wasm, calls, "threaded", fuel, capture_at=split, retier_at=split
+        module, calls, "threaded", fuel, capture_at=split, retier_at=split
     )
     for leg_name in ("threaded", "aot", "tier-up"):
         other = legs[leg_name]
@@ -223,7 +227,7 @@ def differential(wasm: bytes, calls: CallPlan, fuel: int = DEFAULT_FUEL) -> Diff
             ("restore-aot-to-threaded", "threaded", aot.checkpoint),
             ("restore-legacy-to-aot", "aot", legacy.checkpoint),
         ):
-            replay = run_trace(wasm, tail, engine, fuel, restore_from=snapshot)
+            replay = run_trace(module, tail, engine, fuel, restore_from=snapshot)
             legs[leg_name] = replay
             if replay.instantiate_error is not None:
                 return fail(f"{leg_name}: {replay.instantiate_error}")

@@ -66,14 +66,15 @@ Lowering rules
 
 Compiled code is instance-independent (instance, store and depth are
 arguments; a direct callee is a function of the same ``Module``, so the
-binding is a property of the bytes), so AOT artifacts are shared through
-:mod:`repro.wasm.codecache` exactly like threaded code, keyed by
-``(sha256, "aot")``.  An artifact compiles its metered and unmetered
-variants separately, each on first use (:class:`AotCode`): emitting and
-``compile()``-ing is where this tier's cold cost goes, and a host runs
-only one of the two.  Engine selection: ``REPRO_WASM_ENGINE=aot`` (the
-default; :class:`repro.abi.host.PluginHost` tiers up to it from threaded
-code, ``Instance(engine="aot")`` binds it directly).
+binding is a property of the bytes), so AOT artifacts are shared by every
+instance of their ``Module`` exactly like threaded code
+(:func:`repro.wasm.instance.compiled_bodies`).  An artifact compiles its
+metered and unmetered variants separately, each on first use
+(:class:`AotCode`): emitting and ``compile()``-ing is where this tier's
+cold cost goes, and a host runs only one of the two.  Engine selection:
+``REPRO_WASM_ENGINE=aot`` (the default;
+:class:`repro.abi.host.PluginHost` tiers up to it from threaded code,
+``Instance(engine="aot")`` binds it directly).
 """
 
 from __future__ import annotations
@@ -890,7 +891,7 @@ class AotCode:
         calls is compiled here too (a worklist, not recursion: a call
         chain may be as long as the module).  Callees are the same
         ``Module``'s own ``AotCode``s, so the binding is a property of the
-        bytes and the result stays shareable through the codecache.
+        bytes and the result stays shareable across instances.
         Nothing is published until everything is linked.
         """
         attr = "run_fueled" if fueled else "run"

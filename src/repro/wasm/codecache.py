@@ -1,49 +1,31 @@
-"""Process-wide compiled-code cache keyed by module content hash.
+"""The process-wide table of checked modules: one record per binary.
 
-Lowering a function body (to legacy tagged tuples, threaded closures, or
-AOT-generated Python; engine ``aot`` keeps the threaded closures of a
-function too deep to compile, see :func:`repro.wasm.aot.aot_for`) is pure
-per-``Code`` work, so it is shareable across every
-:class:`~repro.wasm.instance.Instance` of the *same bytes*.  That
-matters for the paper's hot-swap story (Fig. 5b): a live swap loads the
-plugin ``.wc`` bytes again, and multi-UE coexistence (Fig. 5a)
-instantiates the same plugin once per cell.  With this cache those
-paths skip re-lowering entirely.
+Decode, validation and lowering are per-*binary* work with one lifetime.
+The record is the decoded **and validated**
+:class:`~repro.wasm.module.Module` that :func:`repro.wasm.load_module`
+keeps here per content hash (:func:`kept_module` / :func:`keep_module`,
+its only callers); everything else known about a binary hangs off that
+object as a private memo, the way lowered code hangs off its ``Code``:
 
-Keying is ``(module.content_hash, engine)``; the hash is the SHA-256 of
-the binary set by :func:`repro.wasm.decoder.decode_module`.  Modules
-built by hand (no hash) still get per-``Module`` memoization via the
-``Code``-object caches in :mod:`repro.wasm.interpreter` /
-:mod:`repro.wasm.threaded` / :mod:`repro.wasm.aot` — they just don't
-dedupe across decodes.
+- the **lowered bodies** per engine (:func:`lowered`, filled by
+  :func:`repro.wasm.instance.compiled_bodies`).  Sharing lowered code is
+  sharing the module: every load of the same bytes is the same object, so
+  a live swap (Fig. 5b) and one plugin per cell (Fig. 5a) lower nothing;
+  two bare ``decode_module`` calls are two modules and share nothing;
+- the **heat**: the fuel its instances have burnt (:func:`add_heat`), the
+  clock :class:`repro.abi.host.PluginHost` reads to decide when a binary
+  has earned its aot compile.
 
-The cache is bounded: at most :data:`CAPACITY` entries, evicted in
-least-recently-used order.  Long fuzz campaigns and plugin-churn soaks
-would otherwise grow it without limit — every distinct module binary is
-a new key.  Hit/miss/eviction counters are exported through
-:mod:`repro.obs` as
-``waran_wasm_codecache_{hits,misses,evictions}_total{engine=...}``
-(visible in ``repro obs``); the cache itself always works,
-telemetry-enabled or not.
+Only a module that passed validation is kept, the sanitizer's policy
+verdict never is (it is per host), and the kept module is shared read-only
+by every instance of it.  At most :data:`CAPACITY` binaries stay, in
+least-recently-*loaded* order, and a record goes whole: a host still
+running an evicted binary keeps that module - bodies and heat - alive and
+charged, the next load of those bytes is a new, cold record.
 
-The cache also keeps, per content hash, the decoded **and validated**
-:class:`~repro.wasm.module.Module` itself (:func:`kept_module` /
-:func:`keep_module`, used only by :func:`repro.wasm.load_module`): decode
-and validation are per-binary work as much as lowering is, and were
-~0.8 of a ~0.9 ms warm swap while every load threw its module away.
-Only a module that passed validation is ever kept, the sanitizer's
-policy verdict never is (it is per host), and the one kept module of a
-binary is shared read-only by every instance of it - which is what
-``restore`` already relied on.  Same lock, same cap, least-recently-
-*loaded* order, dropped by :func:`clear`; counted as
-``waran_wasm_module_cache_{hits,misses,evictions}_total``.
-
-The cache also keeps each module's **heat**: the fuel its instances have
-burnt so far, summed per content hash (:func:`add_heat`).  It is the
-clock :class:`repro.abi.host.PluginHost` reads to decide when a binary
-has earned its aot compile; it lives here because it is per-binary,
-process-wide state with the same lifetime as the bodies - bounded by the
-same cap in least-recently-charged order, dropped by :func:`clear`.
+Counted when :mod:`repro.obs` is on: per load of bytes,
+``waran_wasm_module_cache_{hits,misses,evictions}_total``; per instantiate
+/ retier, ``waran_wasm_codecache_{hits,misses}_total{engine=...}``.
 """
 
 from __future__ import annotations
@@ -52,98 +34,19 @@ from collections import OrderedDict
 from threading import Lock
 
 from repro.obs import OBS
-from repro.wasm.aot import aot_for
-from repro.wasm.interpreter import prepared_for
 from repro.wasm.module import Module
-from repro.wasm.threaded import ENGINES, threaded_for
 
-#: entries held per table (bodies per engine, modules, heat) before LRU
-#: eviction - in practice, binaries.
-#: Sized against ``peak_rss_mb`` on the ledger's ``hot_swap`` workload,
-#: whose cold half is a stream of single-use binaries, each pinning
-#: ~140 kB of threaded bodies and ~50 kB of kept module nobody will load
-#: again: 256 -> 57.9 MB, 128 -> 53.9, 64 -> 42.2, 16 -> 33.4, against
-#: 54.9 when no module was kept (bound: +5 %); warm swaps read the same at
-#: every size.  The tree ships 14 plugin binaries, nothing keeps more than
-#: a handful live, and a live binary is touched on every load, so it never
-#: ages out.
+#: binaries kept before LRU eviction.  Sized against ``peak_rss_mb`` on the
+#: ledger's ``hot_swap`` workload, whose cold half is a stream of
+#: single-use binaries, each pinning ~140 kB of threaded bodies and ~50 kB
+#: of module nobody will load again: 256 -> 57.9 MB, 128 -> 53.9,
+#: 64 -> 42.2, 16 -> 33.4, against 54.9 when no module was kept (bound:
+#: +5 %); warm swaps read the same at every size.  The tree ships 14 plugin
+#: binaries and a live binary is touched on every load, so it never ages out.
 CAPACITY = 64
 
-_CACHE: OrderedDict[tuple[str, str], list] = OrderedDict()
 _MODULES: OrderedDict[str, Module] = OrderedDict()
-_HEAT: OrderedDict[str, int] = OrderedDict()
 _LOCK = Lock()
-
-
-def _lower_all(module: Module, engine: str) -> list:
-    if engine == "legacy":
-        return [prepared_for(code) for code in module.codes]
-    n_imported = module.num_imported_funcs
-    if engine == "aot":
-        return [
-            aot_for(module, code, module.func_type(n_imported + i))
-            for i, code in enumerate(module.codes)
-        ]
-    return [
-        threaded_for(module, code, module.func_type(n_imported + i))
-        for i, code in enumerate(module.codes)
-    ]
-
-
-def _count(name: str, help_text: str, engine: str) -> None:
-    if OBS.enabled:
-        OBS.registry.counter(name, help_text).inc(engine=engine)
-
-
-def compiled_bodies(module: Module, engine: str) -> list:
-    """All lowered function bodies of ``module`` for ``engine``, cached.
-
-    Returns a list parallel to ``module.codes``.  Safe to share across
-    instances: compiled bodies capture immediates and handler functions
-    only, never instance state.
-    """
-    content_hash = module.content_hash
-    if content_hash is None:
-        # hand-built module: per-Code memoization only, not counted
-        return _lower_all(module, engine)
-
-    key = (content_hash, engine)
-    with _LOCK:
-        bodies = _CACHE.get(key)
-        if bodies is not None:
-            _CACHE.move_to_end(key)
-    if bodies is not None:
-        _count(
-            "waran_wasm_codecache_hits_total",
-            "compiled-code cache hits (per engine)",
-            engine,
-        )
-        return bodies
-
-    _count(
-        "waran_wasm_codecache_misses_total",
-        "compiled-code cache misses (per engine)",
-        engine,
-    )
-    bodies = _lower_all(module, engine)
-    evicted: list[tuple[str, str]] = []
-    with _LOCK:
-        _CACHE[key] = bodies
-        _CACHE.move_to_end(key)
-        while len(_CACHE) > CAPACITY:
-            evicted.append(_CACHE.popitem(last=False)[0])
-        if OBS.enabled:
-            OBS.registry.gauge(
-                "waran_wasm_codecache_entries",
-                "modules currently held by the compiled-code cache",
-            ).set(len(_CACHE))
-    for _hash, evicted_engine in evicted:
-        _count(
-            "waran_wasm_codecache_evictions_total",
-            "compiled-code cache LRU evictions (per engine)",
-            evicted_engine,
-        )
-    return bodies
 
 
 def _count_module(what: str, amount: int = 1) -> None:
@@ -180,63 +83,66 @@ def keep_module(module: Module) -> Module:
     return module
 
 
+def lowered(module: Module) -> dict[str, list]:
+    """``{engine: bodies}`` lowered so far for this module object (a
+    memo, not a dataclass field: ``==`` and ``fields()`` skip it)."""
+    return module.__dict__.setdefault("_lowered", {})
+
+
+def count_lookup(engine: str, hit: bool) -> None:
+    """Count one instantiate / retier that found ``engine`` bodies lowered
+    (a hit) or had to lower them (a miss)."""
+    if OBS.enabled:
+        what = "hits" if hit else "misses"
+        OBS.registry.counter(
+            f"waran_wasm_codecache_{what}_total",
+            f"compiled-code cache {what} (per engine)",
+        ).inc(engine=engine)
+
+
 def is_cached(module: Module, engine: str) -> bool:
-    """Are ``engine`` bodies of these bytes cached?  A pure peek: no LRU
-    touch, no hit/miss count."""
-    return (module.content_hash, engine) in _CACHE
+    """Has an instance of this module been bound to ``engine`` bodies?  A
+    pure peek: no LRU touch, no hit/miss count."""
+    return engine in lowered(module)
 
 
 def add_heat(module: Module, fuel: int) -> int:
-    """Charge ``fuel`` to the heat of ``module``'s bytes; returns the total."""
-    content_hash = module.content_hash
+    """Charge ``fuel`` to the heat of ``module``; returns the total."""
     with _LOCK:
-        total = _HEAT.get(content_hash)
-        if total is None:
-            total = 0
-            while len(_HEAT) >= CAPACITY:
-                _HEAT.popitem(last=False)
-        else:
-            _HEAT.move_to_end(content_hash)
-        _HEAT[content_hash] = total = total + fuel
+        module._heat = total = heat(module) + fuel
     return total
 
 
 def heat(module: Module) -> int:
-    """Fuel charged so far to ``module``'s bytes (0 when never charged)."""
-    return _HEAT.get(module.content_hash, 0)
+    """Fuel charged so far to ``module`` (0 when never charged)."""
+    return getattr(module, "_heat", 0)
+
+
+def _total(counter: str) -> float:
+    series = OBS.registry.counter(counter).series()
+    return sum((child.value for _labels, child in series), 0.0)
 
 
 def stats() -> dict[str, float]:
-    """Current hit/miss/eviction counters (all engines) plus cache size,
-    and the kept-module table's size and hit/miss counters."""
-    hits = OBS.registry.counter("waran_wasm_codecache_hits_total")
-    misses = OBS.registry.counter("waran_wasm_codecache_misses_total")
-    evictions = OBS.registry.counter("waran_wasm_codecache_evictions_total")
-    total_hits = sum(hits.value(engine=e) for e in ENGINES)
-    total_misses = sum(misses.value(engine=e) for e in ENGINES)
-    total_evictions = sum(evictions.value(engine=e) for e in ENGINES)
-    total = total_hits + total_misses
+    """The table's size and its hit/miss/eviction counters: ``hits`` /
+    ``misses`` count lowerings (all engines), ``module_*`` loads of bytes."""
+    hits = _total("waran_wasm_codecache_hits_total")
+    misses = _total("waran_wasm_codecache_misses_total")
+    size = float(len(_MODULES))
     return {
-        "entries": float(len(_CACHE)),
+        "entries": size,
         "capacity": float(CAPACITY),
-        "hits": total_hits,
-        "misses": total_misses,
-        "evictions": total_evictions,
-        "hit_rate": (total_hits / total) if total else 0.0,
-        "modules": float(len(_MODULES)),
-        "module_hits": OBS.registry.counter(
-            "waran_wasm_module_cache_hits_total"
-        ).value(),
-        "module_misses": OBS.registry.counter(
-            "waran_wasm_module_cache_misses_total"
-        ).value(),
+        "hits": hits,
+        "misses": misses,
+        "evictions": _total("waran_wasm_module_cache_evictions_total"),
+        "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
+        "modules": size,
+        "module_hits": _total("waran_wasm_module_cache_hits_total"),
+        "module_misses": _total("waran_wasm_module_cache_misses_total"),
     }
 
 
 def clear() -> None:
-    """Drop every cached compilation, every kept module and all heat
-    (tests / memory pressure)."""
+    """Empty the table: later loads start cold, live hosts keep theirs."""
     with _LOCK:
-        _CACHE.clear()
         _MODULES.clear()
-        _HEAT.clear()

@@ -12,12 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
+from repro.wasm import codecache
 from repro.wasm import opcodes as op
-from repro.wasm.aot import AotCode, execute_aot
+from repro.wasm.aot import AotCode, aot_for, execute_aot
 from repro.wasm.interpreter import MASK32, MASK64, PreparedCode, execute, f32_round
+from repro.wasm.interpreter import prepared_for
 from repro.wasm.memory import Memory
 from repro.wasm.module import Module
 from repro.wasm.threaded import ThreadedCode, execute_threaded, resolve_engine
+from repro.wasm.threaded import threaded_for
 from repro.wasm.traps import LinkError, Trap
 from repro.wasm.validator import validate_module
 from repro.wasm.wtypes import FuncType, GlobalType, Limits, ValType
@@ -125,6 +128,30 @@ def _normalize_arg(value, valtype: ValType):
     return float(value)
 
 
+def compiled_bodies(module: Module, engine: str) -> list:
+    """All lowered function bodies of ``module`` for ``engine``, a list
+    parallel to ``module.codes``, lowered once per module object.  Safe to
+    share across instances: bodies capture immediates and handler
+    functions only, never instance state.  (``aot_for`` keeps the threaded
+    closures of a function too deep to compile.)"""
+    memo = codecache.lowered(module)
+    bodies = memo.get(engine)
+    codecache.count_lookup(engine, hit=bodies is not None)
+    if bodies is None:
+        if engine == "legacy":
+            bodies = [prepared_for(code) for code in module.codes]
+        else:
+            lower = aot_for if engine == "aot" else threaded_for
+            n_imported = module.num_imported_funcs
+            bodies = [
+                lower(module, code, module.func_type(n_imported + i))
+                for i, code in enumerate(module.codes)
+            ]
+        # two first instantiations at once both lower; one list wins
+        bodies = memo.setdefault(engine, bodies)
+    return bodies
+
+
 @dataclass(frozen=True)
 class InstanceState:
     """A restorable snapshot of one instance's mutable Wasm-level state.
@@ -225,10 +252,7 @@ class Instance:
                 self.globals.append(provided)
 
         # --- allocate module-defined entities -------------------------------
-        # compiled bodies come from the process-wide cache: instances of the
-        # same module bytes share one lowering per engine
-        from repro.wasm.codecache import compiled_bodies
-
+        # instances of the same module share one lowering per engine
         bodies = compiled_bodies(module, self.engine)
         for i, type_index in enumerate(module.funcs):
             functype = module.types[type_index]
@@ -278,8 +302,6 @@ class Instance:
         two calls is semantically invisible: no state moves, nothing on
         a stack needs replacing.
         """
-        from repro.wasm.codecache import compiled_bodies
-
         engine = resolve_engine(engine)
         bodies = compiled_bodies(self.module, engine)
         funcs = self.store.funcs

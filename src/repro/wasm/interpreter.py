@@ -588,9 +588,9 @@ def prepared_for(code: Code) -> PreparedCode:
     Instances built from the same :class:`~repro.wasm.module.Module`
     object share one lowering instead of re-lowering per instantiation -
     and every load of the same bytes through
-    :func:`repro.wasm.load_module` *is* the same object.  (Instances
-    built from separate ``decode_module`` calls on the same bytes are
-    deduped one level up, by :mod:`repro.wasm.codecache`.)
+    :func:`repro.wasm.load_module` *is* the same object.  (Separate
+    ``decode_module`` calls on the same bytes are separate modules and
+    share nothing.)
     """
     cached = getattr(code, "_prepared", None)
     if cached is None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 
+from repro.wasm import codecache
 from repro.wasm.decoder import decode_module
 from repro.wasm.module import Module
 from repro.wasm.validator import validate_module
@@ -36,9 +37,6 @@ def load_module(module_or_bytes, validate: bool = True) -> Module:
     data = bytes(module_or_bytes)
     if not validate:
         return decode_module(data)
-    # codecache imports aot, which imports this module
-    from repro.wasm import codecache
-
     content_hash = hashlib.sha256(data).hexdigest()
     module = codecache.kept_module(content_hash)
     if module is None:

@@ -94,9 +94,10 @@ class Module:
     datas: list[DataSegment] = field(default_factory=list)
     customs: list[tuple[str, bytes]] = field(default_factory=list)
     #: SHA-256 hex digest of the binary this module was decoded from;
-    #: ``None`` for hand-built modules.  Keys the process-wide tables of
-    #: :mod:`repro.wasm.codecache`: lowered bodies, heat, and the one
-    #: checked module :func:`repro.wasm.load_module` keeps per binary.
+    #: ``None`` for hand-built modules.  Keys the one checked module
+    #: :func:`repro.wasm.load_module` keeps per binary in
+    #: :mod:`repro.wasm.codecache`; lowered bodies and heat are memos on
+    #: this object, not fields (they are not part of what was decoded).
     content_hash: str | None = None
 
     # ----- derived index spaces (imports come first, then local defs) -----

@@ -51,6 +51,7 @@ from repro.wasm import (
     load_module,
     validate_module,
 )
+from repro.wasm.instance import compiled_bodies
 from repro.wasm.memory import Memory
 from repro.wasm.wat import assemble
 from repro.wasm.wtypes import FuncType, ValType
@@ -404,8 +405,8 @@ class TestStartRunsUnderFuel:
     @staticmethod
     def _pin_tier(engine: str, wasm: bytes) -> None:
         if engine == "aot":
-            # cached aot bodies: the host starts this binary compiled
-            codecache.compiled_bodies(decode_module(wasm), "aot")
+            # its module bound to aot bodies: the host starts it compiled
+            compiled_bodies(load_module(wasm), "aot")
 
     @pytest.mark.parametrize("engine", ["legacy", "threaded", "aot"])
     def test_spinning_start_is_refused_within_budget(self, engine):

@@ -255,3 +255,37 @@ def test_unbounded_recursion_in_start_is_a_load_error():
         return info.value
 
     assert _from_deep_in_the_host(150, load).kind == "load"
+
+
+DEEP_START = f"""(module (memory 1) {HEADER}
+  (func $down (param i32)
+    (if (local.get 0)
+      (then (call $down (i32.sub (local.get 0) (i32.const 1))))))
+  (func $start (call $down (i32.const 200)))
+  (func (export "run") (param i32 i32) (result i32)
+    (i32.store (i32.const 2048) (i32.const 0)) (i32.const 2048))
+  (start $start))"""
+
+
+def test_restore_from_a_deep_host_is_a_load_error_not_a_recursion_error():
+    """``restore`` re-runs ``start``: 200 Wasm frames at three Python frames
+    each fit under a shallow embedder and not under a deep one, which is a
+    refused load (as ``PluginHost(...)`` / ``swap`` report it) that leaves
+    the live instance serving."""
+    host = PluginHost(
+        assemble(DEEP_START), name="deep-start", sanitize=False, engine="threaded"
+    )
+    snapshot = host.checkpoint()
+    for frames in (0, 300):
+        _from_deep_in_the_host(frames, lambda: host.restore(snapshot))
+    live = host.instance
+
+    def restore():
+        with pytest.raises(PluginError) as info:
+            host.restore(snapshot)
+        return info.value
+
+    error = _from_deep_in_the_host(500, restore)
+    assert error.kind == "load"
+    assert host.instance is live
+    assert host.call(b"\x00" * 8).outcome == "ok"

@@ -9,18 +9,25 @@ change lives in its instance.  Two families:
   a promotion, a swap, a checkpoint or a restore can touch;
 - **the module is read-only**: after every shipped plugin has been
   loaded, run, promoted, dumped and swapped, each kept module still
-  equals a fresh decode of its bytes, field for field.
+  equals a fresh decode of its bytes, field for field;
+- **the module is the whole record**: lowered bodies and heat hang off
+  it and go when it goes; a dump lowers code but binds no instance, so it
+  never makes a binary look compiled.
 """
 
 import dataclasses
+import gc
 import struct
+import weakref
 
 import pytest
 
+from repro import obs
 from repro.abi import wire
 from repro.abi.host import PluginHost
 from repro.abi.sanitizer import sanitize_plugin
 from repro.experiments.fig5d import make_ues
+from repro.obs import OBS
 from repro.plugins import available_plugins, plugin_wasm
 from repro.wasm import codecache, decode_module, load_module
 from repro.wasm.aot import dump_aot
@@ -182,3 +189,78 @@ class TestTheKeptModuleIsNeverWrittenTo:
             kept, fresh = load_module(wasm), decode_module(wasm)
             assert kept is not fresh
             assert _fields(kept) == _fields(fresh), name
+
+
+class TestTheModuleIsTheWholeRecord:
+    def test_a_promoted_binary_that_aged_out_dies_with_its_last_host(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(codecache, "CAPACITY", 2)
+        a = PluginHost(plugin_wasm("rr"), name="a")
+        PluginHost(plugin_wasm("pf"), name="b")
+        a.promote()
+        a.restore(a.checkpoint())
+        assert a.tier == "aot"
+        PluginHost(plugin_wasm("mt"), name="c")  # third binary: rr ages out
+        module = weakref.ref(a.instance.module)
+        assert load_module(plugin_wasm("pf")) is not module()
+        assert codecache.stats()["modules"] == 2.0
+        del a
+        # Module -> Code._aot -> AotCode.module is a cycle
+        gc.collect()
+        assert module() is None
+
+    @pytest.mark.parametrize("dump", ["dump_aot", "dump_threaded", "disasm --aot"])
+    def test_a_dump_does_not_make_a_binary_look_compiled(self, dump, tmp_path):
+        wasm = plugin_wasm("rr")
+        if dump == "disasm --aot":
+            from repro.cli import main
+
+            path = tmp_path / "rr.wasm"
+            path.write_bytes(wasm)
+            assert main(["disasm", "--aot", str(path)]) == 0
+        else:
+            {"dump_aot": dump_aot, "dump_threaded": dump_threaded}[dump](wasm)
+        module = load_module(wasm)
+        assert codecache.stats()["modules"] == 1.0  # the dump loaded it
+        assert not codecache.is_cached(module, "aot")
+        assert not codecache.is_cached(module, "threaded")
+        host = PluginHost(wasm, name="after-dump")
+        assert host.instance.module is module
+        assert host._warming and host.tier == "threaded"
+        assert codecache.is_cached(module, "threaded")
+        assert not codecache.is_cached(module, "aot")
+
+    def test_stats_keys_and_one_lookup_per_instantiate(self):
+        obs.enable()
+        try:
+            obs.reset()
+            keys = {
+                "entries", "capacity", "hits", "misses", "evictions",
+                "hit_rate", "modules", "module_hits", "module_misses",
+            }
+            assert set(codecache.stats()) == keys
+
+            def lookups():
+                stats = codecache.stats()
+                return stats["hits"], stats["misses"]
+
+            host = PluginHost(plugin_wasm("rr"), name="counted")
+            assert lookups() == (0, 1)  # the load lowered threaded bodies
+            host.swap(plugin_wasm("rr"))
+            assert lookups() == (1, 1)
+            host.restore(host.checkpoint())
+            assert lookups() == (2, 1)
+            host.promote()  # a retier that lowers
+            assert lookups() == (2, 2)
+            host.swap(plugin_wasm("rr"))  # starts compiled
+            assert lookups() == (3, 2)
+            stats = codecache.stats()
+            assert stats["hit_rate"] == 3 / 5
+            assert stats["entries"] == stats["modules"] == 1.0
+            by_engine = OBS.registry.counter("waran_wasm_codecache_hits_total")
+            assert by_engine.value(engine="threaded") == 2.0
+            assert by_engine.value(engine="aot") == 1.0
+        finally:
+            obs.reset()
+            obs.disable()

@@ -34,8 +34,9 @@ from repro.chaos.schedule import ChaosInjection, OneShotChaos
 from repro.experiments.fig5d import make_ues
 from repro.obs import OBS
 from repro.plugins import plugin_wasm
-from repro.wasm import Instance, codecache, decode_module
+from repro.wasm import Instance, codecache, decode_module, load_module
 from repro.wasm.aot import AotCode
+from repro.wasm.instance import compiled_bodies
 from repro.wasm.leb128 import encode_u
 from repro.wasm.threaded import ThreadedCode
 from repro.wasm.wat import assemble
@@ -213,7 +214,7 @@ class TestHeatPolicy:
         module = decode_module(plugin_wasm("mt"))
         before = codecache.stats()
         assert not codecache.is_cached(module, "aot")
-        codecache.compiled_bodies(module, "aot")
+        compiled_bodies(module, "aot")
         mid = codecache.stats()
         assert codecache.is_cached(module, "aot")
         after = codecache.stats()
@@ -222,19 +223,28 @@ class TestHeatPolicy:
         assert after == mid
 
     def test_clear_and_lru_eviction_drop_heat(self, monkeypatch):
+        # heat is on the Module object: a running host keeps charging the
+        # module it runs after its binary aged out of the table, and the
+        # next load of those bytes - after eviction or clear() - starts at 0
         wasm = plugin_wasm("mt")
-        modules = []
+        binaries = [variant(wasm, f"lru{n}") for n in range(3)]
         monkeypatch.setattr(codecache, "CAPACITY", 2)
-        for n in range(3):
-            host = PluginHost(variant(wasm, f"lru{n}"), name=f"lru{n}")
+        hosts = [PluginHost(b, name=f"lru{n}") for n, b in enumerate(binaries)]
+        for host in hosts:
             host.call(SMALL)
-            modules.append(host.instance.module)
-            assert codecache.heat(modules[-1]) > 0
-        # cap 2: charging the third binary evicted the first one's heat
-        assert codecache.heat(modules[0]) == 0
-        assert codecache.heat(modules[1]) > 0
+        charged = [codecache.heat(host.instance.module) for host in hosts]
+        assert all(heat > 0 for heat in charged)
+        # cap 2: loading the third binary evicted the first one's record
+        assert codecache.stats()["modules"] == 2.0
+        hosts[0].call(SMALL)
+        assert codecache.heat(hosts[0].instance.module) > charged[0]
+        assert load_module(binaries[1]) is hosts[1].instance.module
+        fresh = load_module(binaries[0])
+        assert fresh is not hosts[0].instance.module
+        assert codecache.heat(fresh) == 0
         codecache.clear()
-        assert [codecache.heat(m) for m in modules] == [0, 0, 0]
+        assert [codecache.heat(load_module(b)) for b in binaries] == [0, 0, 0]
+        assert [codecache.heat(h.instance.module) for h in hosts][1:] == charged[1:]
 
     def test_heat_loses_no_update_under_threads(self):
         # heat is process-wide and inline cluster workers are threads:

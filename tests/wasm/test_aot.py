@@ -21,6 +21,7 @@ from repro.wasm import (
     Store,
     codecache,
     decode_module,
+    load_module,
     opcodes,
 )
 from repro.fuzz.corpus import load_case
@@ -34,8 +35,8 @@ from repro.wasm.aot import (
     dump_aot,
 )
 from repro.wasm.codecache import clear as cache_clear
-from repro.wasm.codecache import compiled_bodies
 from repro.wasm.codecache import stats as cache_stats
+from repro.wasm.instance import compiled_bodies
 from repro.wasm.interpreter import ExecStats
 from repro.wasm.threaded import ENGINES, ThreadedCode, resolve_engine
 from repro.wasm.traps import MemoryOutOfBounds, Trap
@@ -654,44 +655,83 @@ def test_generated_source_has_no_fuel_in_unfueled_variant():
 
 
 # ---------------------------------------------------------------------------
-# code cache: aot entries, LRU bound, eviction counters
+# the table of kept modules: aot bodies on the record, LRU bound, counters
 # ---------------------------------------------------------------------------
 
 
-def test_codecache_shares_aot_across_decodes():
+def test_codecache_shares_aot_across_loads_not_decodes():
     raw = assemble('(module (func (export "f") (result i32) (i32.const 3)))')
-    cache_clear()
-    m1, m2 = decode_module(raw), decode_module(raw)
-    a1 = compiled_bodies(m1, "aot")
-    a2 = compiled_bodies(m2, "aot")
-    assert a1[0] is a2[0]
-    # aot artifacts never collide with the other engines' entries
-    assert compiled_bodies(m1, "threaded")[0] is not a1[0]
-    assert compiled_bodies(m1, "legacy")[0] is not a1[0]
-
-
-def test_codecache_lru_eviction_and_counters(monkeypatch):
-    monkeypatch.setattr(codecache, "CAPACITY", 2)
-    assert cache_stats()["capacity"] == 2.0
     cache_clear()
     obs.enable()
     try:
-        evictions = OBS.registry.counter("waran_wasm_codecache_evictions_total")
-        e0 = evictions.value(engine="aot")
+        misses = OBS.registry.counter("waran_wasm_codecache_misses_total")
+        m0 = misses.value(engine="aot")
+        a1 = compiled_bodies(load_module(raw), "aot")
+        assert compiled_bodies(load_module(raw), "aot") is a1
+        assert misses.value(engine="aot") == m0 + 1
+        # two bare decodes of the same bytes are two modules: each lowers
+        d1, d2 = decode_module(raw), decode_module(raw)
+        b1, b2 = compiled_bodies(d1, "aot"), compiled_bodies(d2, "aot")
+        assert b1[0] is not b2[0] and b1[0] is not a1[0]
+        assert misses.value(engine="aot") == m0 + 3
+        # aot artifacts never collide with the other engines' bodies
+        assert compiled_bodies(d1, "threaded")[0] is not b1[0]
+        assert compiled_bodies(d1, "legacy")[0] is not b1[0]
+    finally:
+        obs.disable()
+        cache_clear()
+
+
+def test_codecache_lru_eviction_and_counters(monkeypatch):
+    """Cap 2: the least-recently-*loaded* binary goes whole - module,
+    bodies and heat together - and its next load starts from the bytes."""
+    from repro.wasm import loader
+
+    monkeypatch.setattr(codecache, "CAPACITY", 2)
+    assert cache_stats()["capacity"] == 2.0
+    calls = []
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("decode_module", "validate_module"):
+        monkeypatch.setattr(loader, name, counting(name, getattr(loader, name)))
+    cache_clear()
+    obs.enable()
+    try:
+        evictions = OBS.registry.counter("waran_wasm_module_cache_evictions_total")
+        misses = OBS.registry.counter("waran_wasm_codecache_misses_total")
+        e0 = evictions.value()
         raws = [
             assemble(f'(module (func (export "f") (result i32) (i32.const {k})))')
             for k in range(3)
         ]
-        compiled_bodies(decode_module(raws[0]), "aot")
-        compiled_bodies(decode_module(raws[1]), "aot")
-        # touch 0 so it is most-recently-used, then insert 2: 1 must go
-        kept = compiled_bodies(decode_module(raws[0]), "aot")
-        compiled_bodies(decode_module(raws[2]), "aot")
-        assert evictions.value(engine="aot") == e0 + 1
-        assert cache_stats()["entries"] == 2.0
-        # 0 survived the eviction (LRU evicts 1), 1 recompiles fresh
-        assert compiled_bodies(decode_module(raws[0]), "aot")[0] is kept[0]
-        assert cache_stats()["evictions"] >= 1.0
+        first, second = load_module(raws[0]), load_module(raws[1])
+        for module in (first, second):
+            compiled_bodies(module, "aot")
+            codecache.add_heat(module, 7)
+        # load 0 again so it is most-recently-loaded, then load 2: 1 must go
+        assert load_module(raws[0]) is first
+        load_module(raws[2])
+        assert evictions.value() == e0 + 1
+        assert cache_stats()["entries"] == cache_stats()["modules"] == 2.0
+        assert cache_stats()["evictions"] == evictions.value()
+        # 0 survived the eviction with everything that hangs off it
+        assert load_module(raws[0]) is first
+        assert codecache.is_cached(first, "aot") and codecache.heat(first) == 7
+        # 1 went whole: decode 1 / validate 1 / miss 1, heat 0
+        del calls[:]
+        m0 = misses.value(engine="aot")
+        again = load_module(raws[1])
+        assert calls == ["decode_module", "validate_module"]
+        assert again is not second
+        assert not codecache.is_cached(again, "aot") and codecache.heat(again) == 0
+        assert compiled_bodies(again, "aot")[0] is not compiled_bodies(second, "aot")[0]
+        assert misses.value(engine="aot") == m0 + 1
     finally:
         obs.disable()
         cache_clear()

@@ -51,6 +51,33 @@ class TestDifferential:
         b = differential(gm.wasm, gm.calls).digest_material
         assert a == b
 
+    @pytest.mark.parametrize("seed", [0, 2, 5])
+    def test_decodes_once_and_changes_nothing_a_leg_sees(self, seed, monkeypatch):
+        # every leg runs on the one module `differential` decoded (so an
+        # engine's bodies are lowered once per case), and each observes
+        # what it would on a decode of its own - the campaign digest folds
+        # the legacy leg's observations, so it cannot move either
+        from repro.fuzz import oracle
+
+        decodes = []
+        decode = oracle.decode_module
+
+        def counting(wasm):
+            decodes.append(wasm)
+            return decode(wasm)
+
+        monkeypatch.setattr(oracle, "decode_module", counting)
+        gm = case(seed)
+        result = differential(gm.wasm, gm.calls)
+        assert result.ok and len(result.legs) >= 4
+        assert decodes == [gm.wasm]
+        split = len(gm.calls) // 2
+        for engine in ("legacy", "threaded", "aot"):
+            solo = run_trace(decode_module(gm.wasm), gm.calls, engine, capture_at=split)
+            shared = result.legs[engine]
+            assert (solo.outcomes, solo.final) == (shared.outcomes, shared.final)
+        assert result.digest_material == repr(solo.outcomes) + repr(solo.final)
+
 
 WAT_STATEFUL = """(module (memory 1)
   (global $n (mut i32) (i32.const 0))
@@ -65,7 +92,7 @@ class TestRunTrace:
     def test_checkpoint_captures_midpoint_state(self):
         wasm = assemble(WAT_STATEFUL)
         calls = [("f0", (7,)), ("f0", (9,)), ("f1", ())]
-        trace = run_trace(wasm, calls, "threaded", capture_at=2)
+        trace = run_trace(decode_module(wasm), calls, "threaded", capture_at=2)
         assert trace.checkpoint is not None
         # two f0 calls before the checkpoint
         globals_ = dict(trace.checkpoint.globals)
@@ -75,8 +102,8 @@ class TestRunTrace:
     def test_tier_up_leg_switches_engine_in_place(self):
         wasm = assemble(WAT_STATEFUL)
         calls = [("f0", (7,)), ("f0", (9,)), ("f1", ()), ("f0", (1,))]
-        legacy = run_trace(wasm, calls, "legacy")
-        tiered = run_trace(wasm, calls, "threaded", retier_at=2)
+        legacy = run_trace(decode_module(wasm), calls, "legacy")
+        tiered = run_trace(decode_module(wasm), calls, "threaded", retier_at=2)
         assert tiered.outcomes == legacy.outcomes
         assert tiered.final == legacy.final
         result = differential(wasm, calls)
@@ -86,17 +113,17 @@ class TestRunTrace:
     def test_restore_reproduces_tail(self):
         wasm = assemble(WAT_STATEFUL)
         calls = [("f0", (7,)), ("f1", ()), ("f1", ())]
-        full = run_trace(wasm, calls, "threaded", capture_at=1)
+        full = run_trace(decode_module(wasm), calls, "threaded", capture_at=1)
         replay = run_trace(
-            wasm, calls[1:], "legacy", restore_from=full.checkpoint
+            decode_module(wasm), calls[1:], "legacy", restore_from=full.checkpoint
         )
         assert replay.outcomes == full.outcomes[1:]
         assert replay.final == full.final
 
     def test_canon_state_sees_memory_writes(self):
         wasm = assemble(WAT_STATEFUL)
-        a = run_trace(wasm, [("f0", (1,))], "threaded")
-        b = run_trace(wasm, [("f0", (2,))], "threaded")
+        a = run_trace(decode_module(wasm), [("f0", (1,))], "threaded")
+        b = run_trace(decode_module(wasm), [("f0", (2,))], "threaded")
         assert a.final != b.final
 
     def test_capture_restore_roundtrip_preserves_memory_bytes(self):

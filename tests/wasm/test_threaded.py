@@ -12,9 +12,9 @@ import pytest
 
 from repro import obs
 from repro.obs import OBS
-from repro.wasm import Instance, decode_module
+from repro.wasm import Instance, decode_module, load_module
 from repro.wasm.codecache import clear as cache_clear
-from repro.wasm.codecache import compiled_bodies
+from repro.wasm.instance import compiled_bodies
 from repro.wasm.interpreter import ExecStats
 from repro.wasm.threaded import (
     DEFAULT_ENGINE,
@@ -314,38 +314,63 @@ def test_instance_uses_selected_engine():
 
 
 # ---------------------------------------------------------------------------
-# the cross-instance code cache
+# lowered bodies are shared by sharing the module
 # ---------------------------------------------------------------------------
 
 
-def test_codecache_shares_across_decodes():
+def test_codecache_shares_across_loads_not_decodes():
     raw = assemble('(module (func (export "f") (result i32) (i32.const 3)))')
     cache_clear()
-    m1, m2 = decode_module(raw), decode_module(raw)
-    assert m1.content_hash == m2.content_hash is not None
-    b1 = compiled_bodies(m1, "threaded")
-    b2 = compiled_bodies(m2, "threaded")
-    assert b1[0] is b2[0]  # the very same compiled body object
-    # engines are cached independently
-    l1 = compiled_bodies(m1, "legacy")
-    assert l1[0] is not b1[0]
+    obs.enable()
+    try:
+        misses = OBS.registry.counter("waran_wasm_codecache_misses_total")
+        m0 = misses.value(engine="threaded")
+        m1, m2 = load_module(raw), load_module(raw)
+        assert m1 is m2
+        b1 = compiled_bodies(m1, "threaded")
+        assert compiled_bodies(m2, "threaded") is b1  # the very same bodies
+        assert misses.value(engine="threaded") == m0 + 1
+        # two bare decodes of the same bytes are two modules: each lowers
+        d1, d2 = decode_module(raw), decode_module(raw)
+        assert d1.content_hash == d2.content_hash == m1.content_hash
+        t1, t2 = compiled_bodies(d1, "threaded"), compiled_bodies(d2, "threaded")
+        assert t1[0] is not t2[0] and t1[0] is not b1[0]
+        assert misses.value(engine="threaded") == m0 + 3
+        # engines are lowered independently
+        assert compiled_bodies(m1, "legacy")[0] is not b1[0]
+    finally:
+        obs.disable()
+        cache_clear()
 
 
 def test_codecache_counters_via_obs():
+    """A hit is an instantiate / retier that lowered nothing, a miss one
+    that lowered."""
     raw = assemble('(module (func (export "f") (result i32) (i32.const 4)))')
     cache_clear()
     obs.enable()
     try:
+        obs.reset()
         hits = OBS.registry.counter("waran_wasm_codecache_hits_total")
         misses = OBS.registry.counter("waran_wasm_codecache_misses_total")
-        h0, m0 = hits.value(engine="threaded"), misses.value(engine="threaded")
+
+        def counted(engine):
+            return hits.value(engine=engine), misses.value(engine=engine)
+
+        first = Instance(load_module(raw), engine="threaded")
+        assert counted("threaded") == (0, 1)
+        second = Instance(load_module(raw), engine="threaded")
+        assert counted("threaded") == (1, 1)
+        first.retier("aot")
+        assert counted("aot") == (0, 1)
+        second.retier("aot")
+        assert counted("aot") == (1, 1)
+        # a bare decode is another module: nothing of it is lowered yet
         Instance(decode_module(raw), engine="threaded")
-        Instance(decode_module(raw), engine="threaded")
-        Instance(decode_module(raw), engine="threaded")
-        assert misses.value(engine="threaded") == m0 + 1
-        assert hits.value(engine="threaded") == h0 + 2
+        assert counted("threaded") == (1, 2)
     finally:
         obs.disable()
+        cache_clear()
 
 
 def test_handbuilt_module_without_hash_still_runs():
@@ -354,8 +379,8 @@ def test_handbuilt_module_without_hash_still_runs():
     module.content_hash = None  # as if built by hand
     inst = Instance(module, engine="threaded")
     assert inst.call("f") == 9
-    # per-Code memoization still dedupes within the same Module object
-    assert compiled_bodies(module, "threaded")[0] is compiled_bodies(module, "threaded")[0]
+    # bodies hang off the Module object, hash or no hash
+    assert compiled_bodies(module, "threaded") is compiled_bodies(module, "threaded")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the serialization codecs and bit-width adaptation."""
 
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,6 +23,8 @@ from repro.codecs.pbwire import (
     zigzag_decode,
     zigzag_encode,
 )
+from repro.e2 import messages
+from repro.e2.vendors import VENDOR_B
 
 
 class TestVarint:
@@ -145,6 +149,63 @@ class TestPbWire:
         codec = PbWireCodec(KPI)
         msg = {"ue_id": ue_id, "throughput": tput, "raw": raw}
         assert codec.decode(codec.encode(msg)) == msg
+
+
+def _items(value):
+    """A decoded message with its key order: dict equality ignores order."""
+    if isinstance(value, dict):
+        return [(k, _items(v)) for k, v in value.items()]
+    if isinstance(value, list):
+        return [_items(v) for v in value]
+    return value
+
+
+class TestE2GoldenBytes:
+    """Wire bytes of the E2 dialect, pinned before the codec was lowered."""
+
+    def test_48_ue_indication(self):
+        ues = [
+            {
+                "ue_id": i + 1, "slice_id": i % 3 + 1, "cqi": i % 15 + 1,
+                "neighbor_cell": i % 4 + 2, "neighbor_cqi": (i * 7) % 16,
+                "avg_tput_bps": 125000.5 * i, "buffer_bytes": i * i * 37,
+            }
+            for i in range(48)
+        ]
+        slices = [
+            {"slice_id": s, "measured_bps": 1e6 * s + 0.25, "target_bps": 5e6}
+            for s in (1, 2, 3)
+        ]
+        message = messages.indication(3, 123456, ues, slices)
+        payload = VENDOR_B.encode(message)
+        assert len(payload) == 1264
+        assert payload.hex().startswith(
+            "0a0e7269635f696e6469636174696f6e280348c0c4075215"
+        )
+        assert hashlib.sha256(payload).hexdigest() == (
+            "0849834899c959b717cec9d185301cfbd3be3c967dd3f59d56a9e789b3b56c29"
+        )
+        assert _items(VENDOR_B.decode(payload)) == _items(message)
+
+    @pytest.mark.parametrize(
+        "args,encoded",
+        [
+            (
+                (17, "set_slice_quota", 2, 5000000),
+                "0a137269635f636f6e74726f6c5f7265717565737460116a0f7365745f"
+                "736c6963655f71756f7461700278c096b102",
+            ),
+            (  # a negative int64 is the ten-byte varint
+                (18, "set_tx_power", 0, -7),
+                "0a137269635f636f6e74726f6c5f7265717565737460126a0c7365745f"
+                "74785f706f776572700078f9ffffffffffffffff01",
+            ),
+        ],
+    )
+    def test_control_request(self, args, encoded):
+        message = messages.control_request(*args)
+        assert VENDOR_B.encode(message).hex() == encoded
+        assert _items(VENDOR_B.decode(bytes.fromhex(encoded))) == _items(message)
 
 
 E2_CONTROL = Asn1Schema(

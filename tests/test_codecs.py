@@ -3,7 +3,7 @@
 import hashlib
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.codecs import (
@@ -24,7 +24,7 @@ from repro.codecs.pbwire import (
     zigzag_encode,
 )
 from repro.e2 import messages
-from repro.e2.vendors import VENDOR_B
+from repro.e2.vendors import E2_PB_SCHEMA, VENDOR_B
 
 
 class TestVarint:
@@ -42,6 +42,22 @@ class TestVarint:
     def test_truncated(self):
         with pytest.raises(CodecError):
             read_varint(b"\x80", 0)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            -(1 << 64) - 1,  # used to append 0xFF forever
+            -(1 << 63) - 1,  # used to alias a positive value
+            1 << 64,  # used to write 11 bytes read_varint rejects
+        ],
+    )
+    def test_out_of_range_rejected(self, value):
+        with pytest.raises(CodecError, match="out of range"):
+            write_varint(value)
+
+    def test_range_ends_accepted(self):
+        assert read_varint(write_varint(-(1 << 63)), 0)[0] == 1 << 63
+        assert read_varint(write_varint((1 << 64) - 1), 0)[0] == (1 << 64) - 1
 
     @given(st.integers(0, (1 << 64) - 1))
     def test_roundtrip(self, value):
@@ -131,6 +147,48 @@ class TestPbWire:
         with pytest.raises(CodecError, match="wire type"):
             PbWireCodec(KPI).decode(bad)
 
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            "{len}e8070102",  # length 1000, two bytes there
+            "{fixed64}010203",  # three bytes of eight
+            "{fixed32}01",  # one byte of four
+        ],
+    )
+    def test_truncated_unknown_field_rejected(self, tail):
+        schema = PbMessage("A", [PbField(1, "a", "int64")])
+        field9 = bytes.fromhex("0805" + tail.format(len="4a", fixed64="49", fixed32="4d"))
+        for decode in (schema.decode, schema.walk_decode):
+            with pytest.raises(CodecError, match="truncated unknown field"):
+                decode(field9)
+        field99 = VENDOR_B.encode(messages.control_request(1, "handover", 2, 3)) + (
+            bytes.fromhex(tail.format(len="9a06", fixed64="9906", fixed32="9d06"))
+        )
+        with pytest.raises(CodecError, match="truncated unknown field"):
+            VENDOR_B.decode(field99)
+
+    def test_whole_unknown_field_still_skipped(self):
+        schema = PbMessage("A", [PbField(1, "a", "int64")])
+        for payload in ("08054a03010203", "0805490102030405060708", "08054d01020304"):
+            data = bytes.fromhex(payload)
+            assert schema.decode(data) == schema.walk_decode(data) == {"a": 5}
+
+    @pytest.mark.parametrize("path", ["encode", "walk_encode"])
+    @pytest.mark.parametrize("value", [-(1 << 64) - 1, -(1 << 63) - 1, 1 << 64])
+    @pytest.mark.parametrize(
+        "field,wrap",
+        [
+            (PbField(1, "x", "int64"), lambda v: v),
+            (PbField(1, "x", "sint64"), lambda v: v),
+            (PbField(1, "x", "int64", repeated=True), lambda v: [1, v]),
+        ],
+        ids=["int64", "sint64", "packed"],
+    )
+    def test_out_of_range_integer_rejected(self, field, wrap, value, path):
+        encode = getattr(PbMessage("M", [field]), path)
+        with pytest.raises(CodecError, match="out of range"):
+            encode({"x": wrap(value)})
+
     def test_duplicate_field_numbers_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             PbMessage("Bad", [PbField(1, "a", "int64"), PbField(1, "b", "bool")])
@@ -206,6 +264,139 @@ class TestE2GoldenBytes:
         message = messages.control_request(*args)
         assert VENDOR_B.encode(message).hex() == encoded
         assert _items(VENDOR_B.decode(bytes.fromhex(encoded))) == _items(message)
+
+
+_KINDS = ["int64", "sint64", "bool", "double", "float", "string", "bytes"]
+_NUMBERS = [*range(1, 17), 2047, 2048, 536_870_911]
+_INT64 = st.one_of(
+    st.integers(-(1 << 63), (1 << 63) - 1),
+    st.sampled_from([0, 127, 128, 300, -1, -(1 << 63), (1 << 63) - 1]),
+)
+_VALUES = {
+    "int64": _INT64,
+    "sint64": _INT64,
+    "bool": st.booleans(),
+    "double": st.floats(allow_nan=False),
+    "float": st.floats(allow_nan=False, width=32),
+    "string": st.one_of(st.text(max_size=12), st.text(min_size=130, max_size=200)),
+    "bytes": st.one_of(st.binary(max_size=12), st.binary(min_size=130, max_size=200)),
+}
+
+
+@st.composite
+def _schemas(draw, depth=3):
+    """A schema: 1-12 fields of every kind, single or repeated, sparse
+    field numbers, messages nested up to ``depth``."""
+    numbers = draw(st.lists(st.sampled_from(_NUMBERS), min_size=1, max_size=12,
+                            unique=True))
+    fields = []
+    for number in numbers:
+        kind = draw(st.sampled_from(_KINDS + ["message"] if depth > 1 else _KINDS))
+        fields.append(PbField(
+            number, f"f{number}", kind, repeated=draw(st.booleans()),
+            message=draw(_schemas(depth - 1)) if kind == "message" else None,
+        ))
+    return PbMessage(f"M{depth}", fields)
+
+
+@st.composite
+def _values(draw, schema):
+    """A dict ``schema`` can encode, each key there or not."""
+    values = {}
+    for field in draw(st.permutations(schema.fields)):
+        if draw(st.booleans()):
+            continue
+        one = _values(field.message) if field.kind == "message" else _VALUES[field.kind]
+        values[field.name] = draw(st.lists(one, max_size=4) if field.repeated else one)
+    return values
+
+
+@st.composite
+def _mutated(draw, payload):
+    """``payload`` with a byte overwritten or inserted, cut short or grown."""
+    at = draw(st.integers(0, len(payload)))
+    junk = draw(st.binary(min_size=1, max_size=3))
+    return draw(st.sampled_from([
+        payload[:at] + junk + payload[at + len(junk):],
+        payload[:at] + junk + payload[at:],
+        payload[:at],
+        payload + junk,
+    ]))
+
+
+def _outcome(decode, data):
+    try:
+        return _items(decode(data))
+    except CodecError as exc:
+        return f"CodecError: {exc}"
+
+
+class TestLoweredAgainstWalker:
+    """``PbMessage.encode`` / ``.decode`` run generated code; the generic
+    walker is what that code has to agree with - bytes, dicts with their key
+    order, and the text of every rejection."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_same_bytes_same_dicts_same_errors(self, data):
+        schema = data.draw(_schemas())
+        values = data.draw(_values(schema))
+        payload = schema.encode(values)
+        assert payload == schema.walk_encode(values)
+        decoded = schema.decode(payload)
+        assert _items(decoded) == _items(schema.walk_decode(payload))
+        assert schema.encode(decoded) == schema.walk_encode(decoded)
+        hostile = data.draw(st.lists(st.one_of(_mutated(payload), st.binary(max_size=40)),
+                                     max_size=6))
+        for bad in hostile:
+            assert _outcome(schema.decode, bad) == _outcome(schema.walk_decode, bad)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_e2_schema_on_mutated_messages(self, data):
+        message = data.draw(st.sampled_from([
+            messages.setup_request("gnb-1", [1, 2, 3]),
+            messages.indication(
+                3, 77,
+                [{"ue_id": 1, "cqi": 9, "avg_tput_bps": 1.5, "buffer_bytes": 300}] * 2,
+                [{"slice_id": 1, "measured_bps": 2e6, "target_bps": 5e6}],
+            ),
+            messages.control_request(18, "set_tx_power", 0, -7),
+        ]))
+        payload = E2_PB_SCHEMA.encode(message)
+        assert payload == E2_PB_SCHEMA.walk_encode(message)
+        bad = data.draw(_mutated(payload))
+        assert _outcome(E2_PB_SCHEMA.decode, bad) == _outcome(
+            E2_PB_SCHEMA.walk_decode, bad
+        )
+
+    def test_length_prefixes_around_their_width_boundaries(self):
+        """A nested message and a packed run are written behind a one-byte
+        length that is patched afterwards - and widened from 128 up."""
+        inner = PbMessage("Inner", [PbField(1, "raw", "bytes")])
+        schema = PbMessage(
+            "Outer",
+            [
+                PbField(1, "inner", "message", message=inner),
+                PbField(2, "flags", "bool", repeated=True),
+                PbField(3, "tag", "string"),
+            ],
+        )
+        for size in [*range(120, 136), *range(16376, 16390)]:
+            values = {"inner": {"raw": bytes(size)}, "flags": [True] * size,
+                      "tag": "x" * size}
+            payload = schema.encode(values)
+            assert payload == schema.walk_encode(values), size
+            assert schema.decode(payload) == schema.walk_decode(payload) == values
+
+    def test_lowered_once_per_schema_object(self):
+        schema = PbMessage("Outer", [PbField(1, "kpi", "message", message=KPI)])
+        assert schema._lowered is None
+        schema.encode({"kpi": {"ue_id": 1}})
+        lowered = schema._lowered
+        assert KPI._lowered is not None  # nested schemas first
+        schema.decode(b"")
+        assert schema._lowered is lowered
 
 
 E2_CONTROL = Asn1Schema(

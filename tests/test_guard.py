@@ -77,6 +77,21 @@ class TestMessageGuard:
             pass  # semantic rejection is fine; no crash is the point
 
 
+    @given(st.binary(max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_an_overrun_the_guard_sees_never_decodes(self, guard, data):
+        """The host decoder is as strict as its sandboxed guard about a
+        field - known to the schema or not - that runs past the end of the
+        payload: most channels run unguarded."""
+        from repro.codecs.base import CodecError
+        from repro.e2.vendors import E2_PB_SCHEMA
+
+        if guard.check(data) or guard.last_fail_code != 6:
+            return
+        with pytest.raises(CodecError):
+            E2_PB_SCHEMA.decode(data)
+
+
 class TestGuardedChannel:
     def test_end_to_end_filtering(self):
         net = InProcNetwork()

@@ -253,6 +253,45 @@ class TestOneRecorderOwner:
         assert _flight_assigners(tmp_path) == {"replay/bench.py"}
 
 
+def _walker_users(root: Path) -> set[str]:
+    """Files under ``root`` that name the reference pbwire walker at all."""
+    return {
+        path.relative_to(root).as_posix()
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (getattr(node, "attr", None) or getattr(node, "id", None)
+            or getattr(node, "name", None)) in ("walk_encode", "walk_decode")
+    }
+
+
+class TestOnePbwirePath:
+    """``PbMessage.encode`` / ``.decode`` run the lowered functions, always:
+    the generic walker is only what the tests compare them against."""
+
+    def test_nothing_in_src_reaches_the_walker(self):
+        import repro
+
+        assert _walker_users(Path(repro.__file__).parent) == {"codecs/pbwire.py"}
+
+    def test_pbwire_reads_no_environment_variable(self):
+        import repro.codecs.pbwire as pbwire
+
+        tree = ast.parse(Path(pbwire.__file__).read_text(encoding="utf-8"))
+        assert list(_env_reads(tree)) == []
+
+    def test_the_guard_sees_a_fallback(self, tmp_path):
+        (tmp_path / "e2").mkdir()
+        (tmp_path / "e2" / "vendors.py").write_text(
+            "def decode(schema, payload, slow=False):\n"
+            "    return (schema.walk_decode if slow else schema.decode)(payload)\n"
+        )
+        (tmp_path / "e2" / "comm.py").write_text(
+            "def decode(schema, payload):\n"
+            "    return schema.decode(payload)\n"
+        )
+        assert _walker_users(tmp_path) == {"e2/vendors.py"}
+
+
 class TestReadmeQuickstart:
     def test_quickstart_snippet_runs(self):
         """The exact code from README.md's quickstart section."""

@@ -33,7 +33,7 @@ from repro.obs import NULL_SPAN, OBS, BoundMetrics, MetricsRegistry
 from repro.obs.flight import CallRecord
 from repro.sched.types import UeGrant, UeSchedInfo
 from repro.wasm import Instance, Module, codecache, load_module
-from repro.wasm.aot import AotCode
+from repro.wasm.aot import own_frames
 from repro.wasm.instance import HostFunc, InstanceState, Store
 from repro.wasm.interpreter import ExecStats
 from repro.wasm.threaded import resolve_engine
@@ -41,14 +41,14 @@ from repro.wasm.traps import Trap, WasmError
 
 #: Tier-up threshold: a module is compiled to aot bodies once its
 #: instances have burnt this much fuel per static instruction.  Derived
-#: from the slot-cost ledger (``dense_cell``, PR 11 baseline), not tuned:
-#: emitting + ``compile()``-ing the fueled variant costs ~14 us per static
-#: instruction (7.0 ms / 492 for ``rr``); threaded code retires 4.59
-#: fuel/us and aot 11.1, so compiled code saves 1/4.59 - 1/11.1 = 0.128 us
-#: per fuel unit; break-even is 14 / 0.128 = ~110 fuel per static
-#: instruction, rounded up to a power of two.  (``rr``: 63 k fuel, about
-#: 20 dense calls; a cold variant living 5 calls burns ~5 k and never
-#: gets there.)
+#: from the slot-cost ledger (traced ``dense_cell``), not tuned: emitting
+#: + ``compile()``-ing the fueled variant costs ~12 us per static
+#: instruction (5.8 ms / 492 for ``rr``, leaves inlined and not compiled
+#: on their own); threaded code retires ~4.9 fuel/us and aot ~37, so
+#: compiled code saves 1/4.9 - 1/37 = 0.177 us per fuel unit; break-even
+#: is 12 / 0.177 = ~67 fuel per static instruction, rounded up to a power
+#: of two.  (``rr``: 63 k fuel, about 20 dense calls; a cold variant
+#: living 5 calls burns ~5 k and never gets there.)
 PROMOTE_FUEL_PER_INSTR = 128
 
 
@@ -311,7 +311,9 @@ class PluginHost:
         call it up front to pin the compiled tier.  Idempotent, and a
         no-op on hosts whose engine is explicitly threaded or legacy.
         Only the fuel variant this host runs is compiled, once per
-        module - the bodies are shared by every instance of it.
+        module - the bodies are shared by every instance of it - and only
+        for bodies that run as their own frame: a leaf its callers inline
+        is not compiled unless something calls it from outside.
         """
         if not self._warming:
             return
@@ -319,10 +321,8 @@ class PluginHost:
         assert instance is not None
         start = time.perf_counter_ns()
         fueled = self.limits.fuel is not None
-        for body in instance.retier("aot"):
-            # a function too deep to structure keeps its threaded body
-            if body.__class__ is AotCode:
-                body.compile(fueled)
+        for body in own_frames(instance.module, instance.retier("aot")):
+            body.compile(fueled)
         self._warming = False
         if OBS.enabled:
             promote_us = (time.perf_counter_ns() - start) / 1000.0

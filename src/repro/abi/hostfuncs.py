@@ -34,7 +34,8 @@ def make_env(
     """
 
     def tbs_bits(caller, prbs: int, mcs: int) -> int:
-        if prbs < 0 or not 0 <= mcs <= 28:
+        # Wasm hands over unsigned i32s: a negative count arrives >= 2**31
+        if prbs >= 1 << 31 or not 0 <= mcs <= 28:
             return 0
         # cap so a buggy plugin cannot make the host chew huge numbers
         return transport_block_size_bits(min(prbs, 1024), mcs)

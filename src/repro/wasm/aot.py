@@ -5,39 +5,62 @@ by pre-binding one closure per instruction slot; the hot loop still pays
 one Python call per slot.  This module climbs the next rung of the
 interpreter->AOT ladder: each function body is *translated to Python
 source* and ``compile()``d once, so a Wasm function becomes a single
-Python function call with no per-instruction dispatch at all.
+Python function call with no per-instruction dispatch at all.  The one
+emitter is an optimising one: besides structuring control flow it folds
+the operand stack into expressions, inlines small leaf callees and calls
+host imports directly.
 
 Lowering rules
 --------------
 
-- **Stack slots become local variables.**  Validated Wasm has a fixed
-  operand-stack height at every reachable program point (the same static
-  analysis the threaded engine uses), so the value at height ``i`` simply
-  lives in the Python local ``s{i}``; Wasm locals live in ``l{i}``.
-- **Reducible control flow becomes ``while``/``if``.**  Wasm control is
-  structurally reducible: ``block``/``loop``/``if`` nest, and ``br`` only
-  targets enclosing constructs.  A construct that is a branch target is
-  wrapped in ``while True:``; ``br`` to a loop lowers to ``continue``,
-  ``br`` to a block lowers to ``break``, and multi-level branches thread
-  a ``_br`` label variable through the loop epilogues.
+- **The operand stack folds into expressions.**  Validated Wasm has a
+  fixed operand-stack height at every reachable program point (the
+  static analysis the threaded engine uses), so the value at height ``i``
+  has a home, the Python local ``s{i}``; Wasm locals live in ``l{i}``.  A
+  pure producer - a constant, ``local.get``, ``global.get``, or a
+  non-trapping unop/binop of such values - is not written to its slot but
+  kept as pending text and substituted into its consumer, so
+  ``local.get 0; i32.const 4; i32.mul; i32.load`` is one bounds check on
+  ``(l0 * 4) & 4294967295``.  A pending value records what it reads
+  (slots, locals, globals) and is written to its slot before any of those
+  is written (lowest slot first), before a call for globals and the
+  call's result slot, and at every construct boundary and branch.  A
+  comparison stays a condition: ``if``/``br_if`` test ``a < b`` itself,
+  not ``(1 if a < b else 0)``, and ``i32.eqz`` / ``!= 0`` of a comparison
+  reuse it.  The signed view of a constant is folded at emit time.
+- **Numeric helpers go inline.**  ``i32``/``i64`` ``div``/``rem`` check
+  div-by-zero, then overflow, in line (same ``Trap`` text and code; a
+  positive constant divisor cannot trap and needs no check);
+  ``f64.div`` / ``max`` / ``min`` are expressions that fall back to the
+  :data:`~repro.wasm.interpreter.BINOPS` helper only for a zero divisor
+  or equal / NaN operands; ``f64.convert_i32_s/u`` are ``float(...)``.
+- **Reducible control flow becomes ``while``/``if``.**  ``block``/``loop``/
+  ``if`` nest and ``br`` only targets enclosing constructs.  A construct
+  that is a branch target is wrapped in ``while True:``; ``br`` to a loop
+  lowers to ``continue``, ``br`` to a block to ``break``, and multi-level
+  branches thread a ``_br`` label variable through the loop epilogues.
 - **Too deep to structure: the function keeps its threaded body.**
   CPython caps statically nested blocks, so a body nested past
-  ``_MAX_STRUCTURED_DEPTH`` is not compiled at all: :func:`aot_for`
-  hands back its :func:`~repro.wasm.threaded.threaded_for` lowering.  A
-  func table may therefore mix tiers; calls cross them through
-  ``Instance.invoke_addr``, which dispatches per function on the class
-  of ``prepared`` (the property tier-up already relies on).
-- **A call inside the module is a Python call.**  A ``call`` whose target
-  is a function of the same module that compiled becomes
-  ``fuel, s3 = _f7(inst, store, _d1, fuel, s3)``: operands as positional
-  arguments, fuel in and out, one Python frame per Wasm frame.  What a
-  frame owes on entry - the ``StackExhausted`` depth check and the
-  ``ExecStats`` updates - is the generated function's own prologue, so
-  it runs exactly where the other engines run it.  Imports,
-  ``call_indirect`` and callees that kept a threaded body go through
-  ``inst.invoke_addr`` with ``store.fuel`` synced around the call, and
-  :func:`execute_aot` is only the adapter for entering compiled code
-  from outside (an export, ``call_indirect``, a threaded/legacy caller).
+  ``_MAX_STRUCTURED_DEPTH`` is not compiled: :func:`aot_for` hands back
+  its :func:`~repro.wasm.threaded.threaded_for` lowering, and calls into
+  it go through ``Instance.invoke_addr``, which dispatches per function
+  on the class of ``prepared`` (the property tier-up relies on).
+- **A call inside the module is a Python call, or no call at all.**  A
+  *leaf* - straight-line up to its ``return``: no call, branch,
+  ``select``, ``memory.grow`` or reachable ``unreachable``, at most
+  ``_MAX_INLINE_INSTRS`` instructions - is emitted at its call site,
+  preceded by what its frame owes on entry (the ``StackExhausted`` depth
+  check and the ``ExecStats`` updates).  Any other compiled callee is
+  ``fuel, s3 = _f7(inst, store, _d1, fuel, ...)``: operands as arguments,
+  fuel in and out, its entry dues in its own prologue.  An import bound
+  to a host function is called as ``_hf[i].fn(inst, ...)`` with
+  ``store.fuel`` synced around it (the host may read it); a plain ``int``
+  result is masked in line and anything else goes through
+  :meth:`~repro.wasm.instance.HostFunc.results`, the normaliser
+  ``invoke_addr`` uses.  ``call_indirect``, threaded callees and an
+  import bound to another instance's export (``_hf[i] is None``) go
+  through ``inst.invoke_addr``; :func:`execute_aot` is only the adapter
+  for entering compiled code from outside.
 - **Memory access is inlined.**  A load or store is one bounds compare
   against ``len(md)`` - ``md`` is the memory's ``bytearray`` itself, bound
   once per function entry - raising the same ``MemoryOutOfBounds(addr,
@@ -45,36 +68,34 @@ Lowering rules
   ``pack_into``.  ``Memory.data`` is never rebound and ``len`` is read at
   every access, so ``memory.grow`` (here, in a callee, in a host
   function) needs no invalidation rule.  Not a ``memoryview``: a live
-  export makes ``bytearray.extend`` raise ``BufferError``, i.e. it would
-  break ``Memory.grow``.
+  export makes ``bytearray.extend`` raise ``BufferError``.
 - **Fuel is still charged per original instruction.**  Charges for pure
-  instructions (locals, constants, non-trapping arithmetic) are batched
-  at compile time and flushed *before* every instruction whose effect is
-  observable after a trap (memory/global writes, calls, trapping ops)
-  and before every control transfer.  Locals and operand-stack slots die
-  with the frame on a trap, so batching them is invisible: trap codes,
-  the fuel counter at trap time, and all memory/global state match the
-  legacy engine bit for bit.
+  instructions are batched at compile time and flushed *before* every
+  instruction whose effect is observable after a trap (memory/global
+  writes, calls, trapping ops) and before every control transfer.
+  Locals, slots and pending values die with the frame on a trap, so
+  batching and folding are invisible: trap codes, the fuel counter at
+  trap time, and all memory/global state match the legacy engine.
 - **Trap-time fuel: the outermost frame wins.**  In every engine a frame
   unwinding from a trap overwrites ``store.fuel`` with its own counter,
   so the host reads the *outermost* Wasm frame's value - its fuel at its
   call site.  Each metered body is wrapped in ``except BaseException:
-  store.fuel = fuel if fuel > 0 else 0; raise`` to reproduce exactly
-  that (the clamp is the exhausted frame reporting zero; a flush that
-  fails just raises); a ``StackExhausted`` raised by a prologue leaves
-  ``store.fuel`` to the callers.
+  store.fuel = fuel if fuel > 0 else 0; raise``; a ``StackExhausted``
+  raised by a prologue leaves ``store.fuel`` to the callers.  An inlined
+  leaf charges its own counter, ``_fi = fuel - n``, and commits it with
+  ``fuel = _fi`` only on return, so a trap inside it leaves the caller's
+  ``fuel`` at the call site, as the leaf's own frame would.
 
 Compiled code is instance-independent (instance, store and depth are
-arguments; a direct callee is a function of the same ``Module``, so the
-binding is a property of the bytes), so AOT artifacts are shared by every
-instance of their ``Module`` exactly like threaded code
+arguments; a direct or inlined callee is a function of the same
+``Module``), so AOT artifacts are shared by every instance of their
+``Module`` exactly like threaded code
 (:func:`repro.wasm.instance.compiled_bodies`).  An artifact compiles its
 metered and unmetered variants separately, each on first use
-(:class:`AotCode`): emitting and ``compile()``-ing is where this tier's
-cold cost goes, and a host runs only one of the two.  Engine selection:
-``REPRO_WASM_ENGINE=aot`` (the default;
-:class:`repro.abi.host.PluginHost` tiers up to it from threaded code,
-``Instance(engine="aot")`` binds it directly).
+(:class:`AotCode`), and a leaf that is only ever inlined is never
+compiled on its own.  Engine selection: ``REPRO_WASM_ENGINE=aot`` (the
+default; :class:`repro.abi.host.PluginHost` tiers up to it from threaded
+code, ``Instance(engine="aot")`` binds it directly).
 """
 
 from __future__ import annotations
@@ -97,7 +118,6 @@ from repro.wasm.loader import load_module
 from repro.wasm.module import Code, Module
 from repro.wasm.threaded import (
     _CONST_OPS,
-    _TRAPPING_BINOPS,
     _TRAPPING_UNOPS,
     _analyze,
     _const_value,
@@ -111,7 +131,7 @@ from repro.wasm.traps import (
     StackExhausted,
     Trap,
 )
-from repro.wasm.wtypes import FuncType
+from repro.wasm.wtypes import FuncType, ValType
 
 #: nesting depth beyond which a function is not compiled and keeps its
 #: threaded body.  The emitter nests one Python block per branch-targeted
@@ -119,6 +139,14 @@ from repro.wasm.wtypes import FuncType
 #: 20 statically nested blocks (measured on 3.11: refused from Wasm depth
 #: 21 unfueled / 20 fueled), so depth <= 16 always compiles.
 _MAX_STRUCTURED_DEPTH = 16
+
+#: a leaf callee this short is emitted at its call sites (the largest
+#: field accessor in the shipped plugins is 11 instructions)
+_MAX_INLINE_INSTRS = 24
+
+#: a folded expression nested deeper than this is written to its slot
+#: (bounds the parenthesis depth the CPython parser has to take)
+_MAX_FOLD_DEPTH = 12
 
 _M32 = str(MASK32)
 _M64 = str(MASK64)
@@ -161,108 +189,145 @@ def _build_helpers() -> dict:
 _HELPERS = _build_helpers()
 
 
-def _s32(x: str) -> str:
-    """Signed view of a 32-bit unsigned slot variable (inline, no call)."""
-    return f"({x} - 4294967296 if {x} >= 2147483648 else {x})"
+# ---------------------------------------------------------------------------
+# expression text: operands are texts, already parenthesised where needed
+# ---------------------------------------------------------------------------
 
 
-def _s64(x: str) -> str:
-    return f"({x} - 18446744073709551616 if {x} >= 9223372036854775808 else {x})"
+def _signed(x: str, bits: int) -> str:
+    """Signed view of an unsigned ``bits``-wide value; a constant folds.
 
-
-def _binop_expr(opcode: int, a: str, b: str) -> str:
-    """Inline Python expression for a binop, or a ``_bXX`` helper call.
-
-    Inlined expressions are textually different from but numerically
-    identical to the :data:`~repro.wasm.interpreter.BINOPS` lambdas:
-    unsigned ints in ``[0, 2**N)``, comparisons producing int 0/1, f32
-    arithmetic rounded through ``_f32``.
+    ``x`` is used more than once, so it must be a name or a literal.
     """
-    if opcode == op.I32_ADD:
-        return f"({a} + {b}) & {_M32}"
-    if opcode == op.I32_SUB:
-        return f"({a} - {b}) & {_M32}"
-    if opcode == op.I32_MUL:
-        return f"({a} * {b}) & {_M32}"
-    if opcode == op.I32_AND or opcode == op.I64_AND:
-        return f"{a} & {b}"
-    if opcode == op.I32_OR or opcode == op.I64_OR:
-        return f"{a} | {b}"
-    if opcode == op.I32_XOR or opcode == op.I64_XOR:
-        return f"{a} ^ {b}"
-    if opcode == op.I32_SHL:
-        return f"({a} << ({b} % 32)) & {_M32}"
-    if opcode == op.I32_SHR_U:
-        return f"{a} >> ({b} % 32)"
-    if opcode == op.I32_SHR_S:
-        return f"({_s32(a)} >> ({b} % 32)) & {_M32}"
-    if opcode == op.I64_ADD:
-        return f"({a} + {b}) & {_M64}"
-    if opcode == op.I64_SUB:
-        return f"({a} - {b}) & {_M64}"
-    if opcode == op.I64_MUL:
-        return f"({a} * {b}) & {_M64}"
-    if opcode == op.I64_SHL:
-        return f"({a} << ({b} % 64)) & {_M64}"
-    if opcode == op.I64_SHR_U:
-        return f"{a} >> ({b} % 64)"
-    if opcode == op.I64_SHR_S:
-        return f"({_s64(a)} >> ({b} % 64)) & {_M64}"
-    if opcode in (op.I32_EQ, op.I64_EQ, op.F32_EQ, op.F64_EQ):
-        return f"(1 if {a} == {b} else 0)"
-    if opcode in (op.I32_NE, op.I64_NE, op.F32_NE, op.F64_NE):
-        return f"(1 if {a} != {b} else 0)"
-    if opcode in (op.I32_LT_U, op.I64_LT_U, op.F32_LT, op.F64_LT):
-        return f"(1 if {a} < {b} else 0)"
-    if opcode in (op.I32_GT_U, op.I64_GT_U, op.F32_GT, op.F64_GT):
-        return f"(1 if {a} > {b} else 0)"
-    if opcode in (op.I32_LE_U, op.I64_LE_U, op.F32_LE, op.F64_LE):
-        return f"(1 if {a} <= {b} else 0)"
-    if opcode in (op.I32_GE_U, op.I64_GE_U, op.F32_GE, op.F64_GE):
-        return f"(1 if {a} >= {b} else 0)"
-    if opcode == op.I32_LT_S:
-        return f"(1 if {_s32(a)} < {_s32(b)} else 0)"
-    if opcode == op.I32_GT_S:
-        return f"(1 if {_s32(a)} > {_s32(b)} else 0)"
-    if opcode == op.I32_LE_S:
-        return f"(1 if {_s32(a)} <= {_s32(b)} else 0)"
-    if opcode == op.I32_GE_S:
-        return f"(1 if {_s32(a)} >= {_s32(b)} else 0)"
-    if opcode == op.I64_LT_S:
-        return f"(1 if {_s64(a)} < {_s64(b)} else 0)"
-    if opcode == op.I64_GT_S:
-        return f"(1 if {_s64(a)} > {_s64(b)} else 0)"
-    if opcode == op.I64_LE_S:
-        return f"(1 if {_s64(a)} <= {_s64(b)} else 0)"
-    if opcode == op.I64_GE_S:
-        return f"(1 if {_s64(a)} >= {_s64(b)} else 0)"
-    if opcode in (op.F32_ADD, op.F32_SUB, op.F32_MUL):
-        sym = {op.F32_ADD: "+", op.F32_SUB: "-", op.F32_MUL: "*"}[opcode]
-        return f"_f32({a} {sym} {b})"
-    if opcode == op.F64_ADD:
-        return f"{a} + {b}"
-    if opcode == op.F64_SUB:
-        return f"{a} - {b}"
-    if opcode == op.F64_MUL:
-        return f"{a} * {b}"
-    return f"_b{opcode:02x}({a}, {b})"
+    if x.isdigit():
+        value = int(x)
+        return str(value - (1 << bits) if value >> (bits - 1) else value)
+    return f"({x} - {1 << bits} if {x} >= {1 << (bits - 1)} else {x})"
 
 
-#: unops that lower to no statement at all (identity on our value repr)
+#: comparisons: opcode -> (operator, width of the signed view or 0)
+_COMPARES = {
+    opcode: (sym, 0)
+    for sym, opcodes in (
+        ("==", (op.I32_EQ, op.I64_EQ, op.F32_EQ, op.F64_EQ)),
+        ("!=", (op.I32_NE, op.I64_NE, op.F32_NE, op.F64_NE)),
+        ("<", (op.I32_LT_U, op.I64_LT_U, op.F32_LT, op.F64_LT)),
+        (">", (op.I32_GT_U, op.I64_GT_U, op.F32_GT, op.F64_GT)),
+        ("<=", (op.I32_LE_U, op.I64_LE_U, op.F32_LE, op.F64_LE)),
+        (">=", (op.I32_GE_U, op.I64_GE_U, op.F32_GE, op.F64_GE)),
+    )
+    for opcode in opcodes
+} | {
+    opcode: (sym, bits)
+    for sym, o32, o64 in (
+        ("<", op.I32_LT_S, op.I64_LT_S), (">", op.I32_GT_S, op.I64_GT_S),
+        ("<=", op.I32_LE_S, op.I64_LE_S), (">=", op.I32_GE_S, op.I64_GE_S),
+    )
+    for opcode, bits in ((o32, 32), (o64, 64))
+}
+
+#: arithmetic that lowers to a template over ``{a}`` / ``{b}``
+_ARITH = {
+    op.I32_ADD: "({a} + {b}) & " + _M32,
+    op.I32_SUB: "({a} - {b}) & " + _M32,
+    op.I32_MUL: "({a} * {b}) & " + _M32,
+    op.I64_ADD: "({a} + {b}) & " + _M64,
+    op.I64_SUB: "({a} - {b}) & " + _M64,
+    op.I64_MUL: "({a} * {b}) & " + _M64,
+    op.I32_AND: "{a} & {b}", op.I64_AND: "{a} & {b}",
+    op.I32_OR: "{a} | {b}", op.I64_OR: "{a} | {b}",
+    op.I32_XOR: "{a} ^ {b}", op.I64_XOR: "{a} ^ {b}",
+    op.F32_ADD: "_f32({a} + {b})",
+    op.F32_SUB: "_f32({a} - {b})",
+    op.F32_MUL: "_f32({a} * {b})",
+    op.F64_ADD: "{a} + {b}",
+    op.F64_SUB: "{a} - {b}",
+    op.F64_MUL: "{a} * {b}",
+    op.F64_MAX: "({a} if {a} > {b} else {b} if {b} > {a} else _b%02x({a}, {b}))"
+    % op.F64_MAX,
+    op.F64_MIN: "({a} if {a} < {b} else {b} if {b} < {a} else _b%02x({a}, {b}))"
+    % op.F64_MIN,
+}
+
+#: shifts: opcode -> (width, operator, signed)
+_SHIFTS = {
+    op.I32_SHL: (32, "<<", False), op.I32_SHR_U: (32, ">>", False),
+    op.I32_SHR_S: (32, ">>", True), op.I64_SHL: (64, "<<", False),
+    op.I64_SHR_U: (64, ">>", False), op.I64_SHR_S: (64, ">>", True),
+}
+
+#: binops and unops whose operand text appears more than once in the
+#: lowering: a non-trivial operand is written to its slot first
+_MULTI_USE = {
+    op.I32_LT_S, op.I32_GT_S, op.I32_LE_S, op.I32_GE_S,
+    op.I64_LT_S, op.I64_GT_S, op.I64_LE_S, op.I64_GE_S,
+    op.I32_SHR_S, op.I64_SHR_S, op.F64_DIV, op.F64_MAX, op.F64_MIN,
+    op.I64_EXTEND_I32_S, op.F64_CONVERT_I32_S,
+}
+
+#: division: opcode -> (width, signed, operator)
+_DIVREM = {
+    op.I32_DIV_S: (32, True, "//"), op.I32_DIV_U: (32, False, "//"),
+    op.I32_REM_S: (32, True, "%"), op.I32_REM_U: (32, False, "%"),
+    op.I64_DIV_S: (64, True, "//"), op.I64_DIV_U: (64, False, "//"),
+    op.I64_REM_S: (64, True, "%"), op.I64_REM_U: (64, False, "%"),
+}
+
+
+def _binop_expr(opcode: int, a: str, b: str) -> tuple[str, str | None]:
+    """``(text, condition)`` of a non-trapping binop; ``condition`` is the
+    bare test of a comparison (its text is ``(1 if test else 0)``).
+
+    Numerically identical to the :data:`~repro.wasm.interpreter.BINOPS`
+    lambdas: unsigned ints in ``[0, 2**N)``, comparisons producing 0/1,
+    f32 arithmetic rounded through ``_f32``.
+    """
+    compare = _COMPARES.get(opcode)
+    if compare is not None:
+        sym, bits = compare
+        if bits:
+            a, b = _signed(a, bits), _signed(b, bits)
+        cond = f"{a} {sym} {b}"
+        return f"(1 if {cond} else 0)", cond
+    template = _ARITH.get(opcode)
+    if template is not None:
+        return template.format(a=a, b=b), None
+    shift = _SHIFTS.get(opcode)
+    if shift is not None:
+        bits, sym, signed = shift
+        count = str(int(b) % bits) if b.isdigit() else f"({b} % {bits})"
+        value = _signed(a, bits) if signed else a
+        mask = f" & {_M32 if bits == 32 else _M64}" if sym == "<<" or signed else ""
+        if not mask:
+            return f"{value} {sym} {count}", None
+        return f"({value} {sym} {count}){mask}", None
+    if opcode == op.F64_DIV:
+        if b[0].isdigit() and float(b) != 0.0:
+            return f"{a} / {b}", None
+        return f"({a} / {b} if {b} else _b{opcode:02x}({a}, {b}))", None
+    return f"_b{opcode:02x}({a}, {b})", None
+
+
+#: unops that lower to no code at all (identity on our value repr)
 _IDENTITY_UNOPS = {op.I64_EXTEND_I32_U, op.F64_PROMOTE_F32}
 
 
-def _unop_expr(opcode: int, a: str) -> str | None:
-    """Inline expression for a unop; ``None`` means identity (no code)."""
-    if opcode in _IDENTITY_UNOPS:
-        return None
+def _unop_expr(opcode: int, a: str, cond: str | None) -> tuple[str, str | None]:
+    """``(text, condition)`` of a non-trapping, non-identity unop."""
     if opcode in (op.I32_EQZ, op.I64_EQZ):
-        return f"(1 if {a} == 0 else 0)"
+        test = f"not ({cond})" if cond is not None else f"{a} == 0"
+        return f"(1 if {test} else 0)", test
     if opcode == op.I32_WRAP_I64:
-        return f"{a} & {_M32}"
+        return f"{a} & {_M32}", None
     if opcode == op.I64_EXTEND_I32_S:
-        return f"({a} + 18446744069414584320 if {a} >= 2147483648 else {a})"
-    return f"_u{opcode:02x}({a})"
+        return str(int(_signed(a, 32)) & MASK64) if a.isdigit() else (
+            f"({a} + 18446744069414584320 if {a} >= 2147483648 else {a})"
+        ), None
+    if opcode == op.F64_CONVERT_I32_S:
+        return f"float({_signed(a, 32)})", None
+    if opcode == op.F64_CONVERT_I32_U:
+        return f"float({a})", None
+    return f"_u{opcode:02x}({a})", None
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +345,29 @@ def _max_nesting(body) -> int:
         elif opcode == op.END:
             depth = max(depth - 1, 0)
     return peak
+
+
+#: what keeps a body from being a leaf (reachable occurrences only)
+_NOT_IN_LEAF = {
+    op.CALL, op.CALL_INDIRECT, op.BR, op.BR_IF, op.BR_TABLE, op.BLOCK,
+    op.LOOP, op.IF, op.ELSE, op.SELECT, op.MEMORY_GROW, op.UNREACHABLE,
+}
+
+_NO_READS: frozenset = frozenset()
+#: what ``vals.get`` answers for a slot with nothing pending
+_NO_VALUE = ("", _NO_READS, 0, None)
+
+
+#: A stack value at emit time is a tuple ``(text, reads, depth, cond)``:
+#: its Python text, the names it reads (``s3`` / ``l2`` / ``g0`` plus ``g``
+#: / an inlined leaf's ``_i4_1``), how deep its expression nests (0: a name or
+#: a literal) and, for a comparison, the bare test - tracked, never
+#: parsed back out of the text.
+
+
+def _wrap(value: tuple) -> str:
+    """The value's text, parenthesised unless it is a name or literal."""
+    return value[0] if value[2] == 0 else f"({value[0]})"
 
 
 class _Ctx:
@@ -304,25 +392,35 @@ class _Ctx:
 class _Emitter:
     """Emits one function body as Python source (one fuel variant)."""
 
-    def __init__(self, module: Module, code: Code, functype: FuncType,
-                 fueled: bool):
-        self.module = module
-        self.code = code
-        self.body = code.body
-        self.functype = functype
+    def __init__(self, acode: AotCode, fueled: bool):
+        self.module = acode._module
+        self.code = acode._code
+        self.body = self.code.body
+        self.functype = acode._functype
         self.fueled = fueled
-        self.result_arity = len(functype.results)
-        self.heights, self.branches, _jump_targets = _analyze(
-            module, code, self.result_arity
-        )
-        self.control = control_map_for(code)
+        self.result_arity = len(self.functype.results)
+        self.heights, self.branches = acode.analysis()
+        self.control = control_map_for(self.code)
         self.lines: list[str] = []
         self.indent = 0
-        self.pending = 0
+        #: batched fuel charges, and the counter a flush charges them to
+        #: (``_fi`` inside an inlined leaf)
+        self.charges = 0
+        self.fuel = "fuel"
+        self.fuel_open = True
+        #: the frame being emitted: the caller's, or an inlined leaf's
+        #: (its slots start at ``base``, its locals are ``lnames``)
+        self.base = 0
+        self.lnames: list[str] | None = None
+        #: pending (folded) stack values by slot
+        self.vals: dict[int, tuple] = {}
         self.uses: set[str] = set()
-        #: direct callees by function index, and the call sites that stay
-        #: on ``invoke_addr`` (the boundary ``dump_aot`` prints)
+        #: the call boundary ``dump_aot`` prints: callees emitted in line,
+        #: callees called directly, imports called directly, and the call
+        #: sites that stay on ``invoke_addr``
+        self.inlined: dict[int, AotCode] = {}
         self.callees: dict[int, AotCode] = {}
+        self.hosts: set[int] = set()
         self.via: list[str] = []
         self.sigs: dict[int, FuncType] = {}
         self.consts: dict[str, float] = {}
@@ -336,18 +434,22 @@ class _Emitter:
 
     def charge(self) -> None:
         if self.fueled:
-            self.pending += 1
+            self.charges += 1
 
     def flush(self, extra: int = 0) -> None:
         """Apply batched fuel charges (plus ``extra`` for the op at hand)."""
         if not self.fueled:
             return
-        n = self.pending + extra
-        self.pending = 0
+        n = self.charges + extra
+        self.charges = 0
         if n == 0:
             return
-        self.w(f"fuel -= {n}")
-        self.w("if fuel < 0:")
+        if self.fuel_open:
+            self.w(f"{self.fuel} -= {n}")
+        else:  # an inlined leaf's first charge opens its own counter
+            self.w(f"_fi = fuel - {n}")
+            self.fuel_open = True
+        self.w(f"if {self.fuel} < 0:")
         self.w("    raise FuelExhausted")
 
     def lit(self, value) -> str:
@@ -375,94 +477,222 @@ class _Emitter:
                 targets.add(default[0])
         return targets
 
+    def lname(self, index: int) -> str:
+        return f"l{index}" if self.lnames is None else self.lnames[index]
+
+    # ----- pending values ---------------------------------------------------
+
+    def put(self, slot: int, value: tuple) -> None:
+        """Leave ``value`` pending in ``slot`` (written out if too deep)."""
+        if value[2] > _MAX_FOLD_DEPTH:
+            self.write(slot, value[0])
+        else:
+            self.vals[slot] = value
+
+    def take(self, slot: int) -> tuple:
+        """Pop the value in ``slot`` for its consumer."""
+        value = self.vals.pop(slot, None)
+        if value is None:
+            name = f"s{slot}"
+            return name, frozenset((name,)), 0, None
+        return value
+
+    def peek(self, slot: int) -> str:
+        value = self.vals.get(slot)
+        return f"s{slot}" if value is None else value[0]
+
+    def take_simple(self, slot: int) -> tuple:
+        """Pop ``slot`` as a name or literal, writing it to its slot first
+        if it is an expression (its consumer uses it more than once)."""
+        if self.vals.get(slot, _NO_VALUE)[2]:
+            self.spill(slot)
+        return self.take(slot)
+
+    def write(self, slot: int, text: str) -> None:
+        """A statement that assigns ``s{slot}``."""
+        self.clobber(f"s{slot}")
+        self.w(f"s{slot} = {text}")
+
+    def spill(self, slot: int) -> None:
+        """Write the pending value of ``slot`` out to ``s{slot}``."""
+        self.write(slot, self.vals.pop(slot)[0])
+
+    def clobber(self, name: str) -> None:
+        """Write out every pending value that reads ``name`` - about to be
+        assigned - lowest slot first (a value only ever reads slots at or
+        above its own, so a spill never clobbers one already written).
+        ``"g"`` is every global: what a callee may write."""
+        for slot in sorted(self.vals):
+            value = self.vals.get(slot)
+            if value is not None and name in value[1]:
+                self.spill(slot)
+
+    def spill_all(self) -> None:
+        for slot in sorted(self.vals):
+            if slot in self.vals:
+                self.spill(slot)
+
     # ----- straight-line instructions ---------------------------------------
 
     def emit_simple(self, pc: int) -> bool:
         """Emit a non-control instruction; returns False for control ops."""
         opcode, imm = self.body[pc]
-        h = self.heights[pc]
+        h = self.heights[pc] + self.base
 
         if opcode == op.LOCAL_GET:
             self.charge()
-            self.w(f"s{h} = l{imm}")
-        elif opcode == op.LOCAL_SET:
+            name = self.lname(imm)
+            reads = frozenset((name,)) if name.isidentifier() else _NO_READS
+            self.put(h, (name, reads, 0, None))
+        elif opcode == op.LOCAL_SET or opcode == op.LOCAL_TEE:
             self.charge()
-            self.w(f"l{imm} = s{h - 1}")
-        elif opcode == op.LOCAL_TEE:
-            self.charge()
-            self.w(f"l{imm} = s{h - 1}")
+            text = self.take(h - 1)[0]
+            name = self.lname(imm)
+            self.clobber(name)
+            if text != name:
+                self.w(f"{name} = {text}")
+            if opcode == op.LOCAL_TEE:
+                self.put(h - 1, (name, frozenset((name,)), 0, None))
         elif opcode in _CONST_OPS:
             self.charge()
-            self.w(f"s{h} = {self.lit(_const_value(opcode, imm))}")
+            self.put(h, (self.lit(_const_value(opcode, imm)), _NO_READS, 0, None))
         elif opcode in BINOPS:
-            if opcode in _TRAPPING_BINOPS:
-                self.flush(1)
-            else:
-                self.charge()
-            a, b = f"s{h - 2}", f"s{h - 1}"
-            self.w(f"{a} = {_binop_expr(opcode, a, b)}")
+            self._emit_binop(opcode, h)
         elif opcode in UNOPS:
-            if opcode in _TRAPPING_UNOPS:
-                self.flush(1)
-            else:
-                self.charge()
-            a = f"s{h - 1}"
-            expr = _unop_expr(opcode, a)
-            if expr is not None:
-                self.w(f"{a} = {expr}")
+            self._emit_unop(opcode, h)
         elif opcode in LOADS:
             self.flush(1)
             size, signed, kind = LOADS[opcode]
             fmt = _FLOAT_FORMATS.get(kind) or _INT_FORMATS[size, signed]
-            addr = self._emit_bounds_check(f"s{h - 1}", imm[1], size)
+            addr = self._emit_bounds_check(self.take(h - 1), imm[1], size)
             mask = f" & {_M64 if kind == 'i64' else _M32}" if signed else ""
-            self.w(f"s{h - 1} = _ld_{fmt}(md, {addr})[0]{mask}")
+            self.write(h - 1, f"_ld_{fmt}(md, {addr})[0]{mask}")
         elif opcode in STORES:
             self.flush(1)
             size, kind = STORES[opcode]
-            addr = self._emit_bounds_check(f"s{h - 2}", imm[1], size)
-            if kind == "i":
-                fmt = _INT_FORMATS[size, False]
-                value = f"s{h - 1} & {(1 << size * 8) - 1}"
-            else:
-                fmt, value = _FLOAT_FORMATS[kind], f"s{h - 1}"
-            self.w(f"_st_{fmt}(md, {addr}, {value})")
+            value = self.take(h - 1)
+            addr = self._emit_bounds_check(self.take(h - 2), imm[1], size)
+            fmt = _FLOAT_FORMATS.get(kind) or _INT_FORMATS[size, False]
+            text = value[0]
+            if kind == "i" and opcode not in (op.I32_STORE, op.I64_STORE):
+                text = f"{_wrap(value)} & {(1 << size * 8) - 1}"  # a narrow store
+            self.w(f"_st_{fmt}(md, {addr}, {text})")
         elif opcode == op.GLOBAL_GET:
             self.charge()
             self.uses.add("glb")
-            self.w(f"s{h} = glb[{imm}].value")
+            self.put(h, (f"glb[{imm}].value", frozenset(("g", f"g{imm}")), 0, None))
         elif opcode == op.GLOBAL_SET:
             self.flush(1)
             self.uses.add("glb")
-            self.w(f"glb[{imm}].value = s{h - 1}")
+            text = self.take(h - 1)[0]
+            self.clobber(f"g{imm}")
+            self.w(f"glb[{imm}].value = {text}")
         elif opcode == op.DROP:
             self.charge()
+            self.take(h - 1)
         elif opcode == op.SELECT:
             self.charge()
-            self.w(f"if not s{h - 1}:")
-            self.w(f"    s{h - 3} = s{h - 2}")
+            cond = self.take(h - 1)
+            second, first = self.take(h - 2), self.take(h - 3)
+            self.write(
+                h - 3,
+                f"{_wrap(first)} if {cond[3] or _wrap(cond)} else {_wrap(second)}",
+            )
         elif opcode == op.NOP:
             self.charge()
         elif opcode == op.MEMORY_SIZE:
             self.charge()
             self.uses.add("mem")
-            self.w(f"s{h} = mem.size_pages")
+            self.write(h, "mem.size_pages")
         elif opcode == op.MEMORY_GROW:
             self.flush(1)
             self.uses.add("mem")
-            self.w(f"s{h - 1} = mem.grow(s{h - 1}) & {_M32}")
+            self.write(h - 1, f"mem.grow({self.take(h - 1)[0]}) & {_M32}")
         elif opcode == op.UNREACHABLE:
             self.flush(1)
             self.w('raise Trap("unreachable executed", code="unreachable")')
+            self.vals.clear()
         elif opcode == op.CALL:
-            self._emit_call(pc, h, imm)
+            self._emit_call(h, imm)
         elif opcode == op.CALL_INDIRECT:
-            self._emit_call_indirect(pc, h, imm)
+            self._emit_call_indirect(h, imm)
         else:
             return False
         return True
 
-    def _emit_bounds_check(self, base: str, offset: int, size: int) -> str:
+    def _emit_binop(self, opcode: int, h: int) -> None:
+        if opcode in _DIVREM:
+            self._emit_div(opcode, h)
+            return
+        self.charge()
+        if opcode in _MULTI_USE:
+            b, a = self.take_simple(h - 1), self.take_simple(h - 2)
+        else:
+            b, a = self.take(h - 1), self.take(h - 2)
+        if b[0] == "0" and opcode in (op.I32_NE, op.I64_NE, op.I32_EQ, op.I64_EQ):
+            if opcode in (op.I32_EQ, op.I64_EQ):
+                text, cond = _unop_expr(op.I32_EQZ, _wrap(a), a[3])
+            elif a[3] is not None:  # `!= 0` of a comparison is the comparison
+                text, cond = a[0], a[3]
+            else:
+                cond = _wrap(a)
+                text = f"(1 if {cond} else 0)"
+        else:
+            text, cond = _binop_expr(opcode, _wrap(a), _wrap(b))
+        self.put(h - 2, (text, a[1] | b[1], max(a[2], b[2]) + 1, cond))
+
+    def _emit_unop(self, opcode: int, h: int) -> None:
+        if opcode in _TRAPPING_UNOPS:
+            self.flush(1)
+            self.write(h - 1, f"_u{opcode:02x}({self.take(h - 1)[0]})")
+            return
+        self.charge()
+        if opcode in _IDENTITY_UNOPS:
+            return
+        a = self.take_simple(h - 1) if opcode in _MULTI_USE else self.take(h - 1)
+        text, cond = _unop_expr(opcode, _wrap(a), a[3])
+        self.put(h - 1, (text, a[1], a[2] + 1, cond))
+
+    def _emit_div(self, opcode: int, h: int) -> None:
+        """``div`` / ``rem``, signed and unsigned, with the traps in line:
+        divide-by-zero first, then signed-division overflow."""
+        bits, signed, sym = _DIVREM[opcode]
+        mask = _M32 if bits == 32 else _M64
+        divisor = self.vals.get(h - 1, _NO_VALUE)[0]
+        limit = 1 << (bits - 1 if signed else bits)
+        if divisor.isdigit() and 0 < int(divisor) < limit:
+            # a positive constant divisor cannot trap
+            self.charge()
+            self.take(h - 1)
+            if not signed:
+                a = self.take(h - 2)
+                self.put(h - 2, (f"{_wrap(a)} {sym} {divisor}", a[1], a[2] + 1, None))
+                return
+            a = self.take_simple(h - 2)
+            x = a[0]
+            text = (
+                f"{x} {sym} {divisor} if {x} < {1 << (bits - 1)} "
+                f"else -(({1 << bits} - {x}) {sym} {divisor}) & {mask}"
+            )
+            self.put(h - 2, (text, a[1], 1, None))
+            return
+        self.flush(1)
+        b, a = self.take_simple(h - 1), self.take_simple(h - 2)
+        self.w(f"if {b[0]} == 0:")
+        self.w('    raise Trap("integer divide by zero", code="div0")')
+        if not signed:
+            self.put(h - 2, (f"{a[0]} {sym} {b[0]}", a[1] | b[1], 1, None))
+            return
+        self.w(f"_x = {_signed(a[0], bits)}")
+        self.w(f"_y = {_signed(b[0], bits)}")
+        if sym == "//":
+            self.w(f"if _y == -1 and _x == {-(1 << (bits - 1))}:")
+            self.w('    raise Trap("integer overflow", code="overflow")')
+        self.write(
+            h - 2, f"(_x {sym} _y if (_x ^ _y) >= 0 else -(-_x {sym} _y)) & {mask}"
+        )
+
+    def _emit_bounds_check(self, base: tuple, offset: int, size: int) -> str:
         """Emit the bounds compare of one access; returns the address text.
 
         ``md`` is the memory's ``bytearray`` itself and the limit is read
@@ -470,35 +700,51 @@ class _Emitter:
         a callee or in a host function - needs no invalidation rule.
         """
         self.uses.add("md")
-        addr = base
+        addr = base[0]
         if offset:
             addr = "_a"
-            self.w(f"_a = {base} + {offset}")
+            self.w(f"_a = {_wrap(base)} + {offset}")
+        elif base[2]:
+            addr = "_a"
+            self.w(f"_a = {base[0]}")
         self.w(f"if {addr} + {size} > len(md):")
         self.w(f"    raise MemoryOutOfBounds({addr}, {size}, len(md))")
         return addr
 
-    def _emit_call(self, pc: int, h: int, func_index: int) -> None:
+    # ----- calls -------------------------------------------------------------
+
+    def _emit_call(self, h: int, func_index: int) -> None:
         self.flush(1)
         ft = self.module.func_type(func_index)
-        np_, nr = len(ft.params), len(ft.results)
-        args = [f"s{h - np_ + k}" for k in range(np_)]
-        result = f"s{h - np_}" if nr else None
+        np_ = len(ft.params)
+        args = [self.take(h - np_ + k) for k in range(np_)]
+        result = h - np_ if ft.results else None
         n_imported = self.module.num_imported_funcs
         if func_index < n_imported:
-            self.via.append(f"import {func_index}")
+            self._emit_host_call(func_index, ft, [a[0] for a in args], result)
+            return
+        callee = aot_for(
+            self.module, self.module.codes[func_index - n_imported], ft
+        )
+        if callee.__class__ is AotCode and callee.leaf:
+            self._emit_inlined(func_index, callee, args, h - np_)
+            return
+        self._before_call(result)
+        texts = [a[0] for a in args]
+        if callee.__class__ is AotCode:
+            self._emit_direct_call(func_index, callee, texts, result)
         else:
-            callee = aot_for(
-                self.module, self.module.codes[func_index - n_imported], ft
-            )
-            if callee.__class__ is AotCode:
-                self._emit_direct_call(func_index, callee, args, result)
-                return
             self.via.append(f"threaded f{func_index}")
-        self._emit_invoke(f"inst.func_addrs[{func_index}]", args, result)
+            self._emit_invoke(f"inst.func_addrs[{func_index}]", texts, result)
+
+    def _before_call(self, result: int | None) -> None:
+        """A callee may write globals, and the call writes its result."""
+        self.clobber("g")
+        if result is not None:
+            self.clobber(f"s{result}")
 
     def _emit_direct_call(self, func_index: int, callee: AotCode,
-                          args: list[str], result: str | None) -> None:
+                          args: list[str], result: int | None) -> None:
         """A same-module compiled callee: one plain Python call.
 
         Fuel goes in as an argument and comes back with the result, so a
@@ -509,33 +755,80 @@ class _Emitter:
         self.uses.add("_d1")
         lead = "inst, store, _d1, fuel" if self.fueled else "inst, store, _d1"
         call = f"_f{func_index}({', '.join([lead, *args])})"
-        targets = (["fuel"] if self.fueled else []) + ([result] if result else [])
+        targets = (["fuel"] if self.fueled else []) + (
+            [f"s{result}"] if result is not None else []
+        )
         self.w(f"{', '.join(targets)} = {call}" if targets else call)
 
-    def _emit_invoke(self, addr: str, args: list[str],
-                     result: str | None) -> None:
-        """A call that leaves compiled code: ``Instance.invoke_addr``."""
-        self.uses.add("_d1")
+    def _emit_host_call(self, func_index: int, ft: FuncType, args: list[str],
+                        result: int | None) -> None:
+        """An import: a direct call of the host function it is bound to.
+
+        An int result (the common case) is masked in line; anything else
+        goes through ``HostFunc.results``, exactly what ``invoke_addr``
+        does with it.  An import bound to another instance's export has no
+        host function (``_hf[i] is None``) and stays on ``invoke_addr``.
+        """
+        self.hosts.add(func_index)
+        self.uses.add("_hf")
+        self._before_call(result)
         if self.fueled:
             self.w("store.fuel = fuel")
-        head = "_r = " if result else ""
-        self.w(f"{head}inst.invoke_addr({addr}, [{', '.join(args)}], _d1)")
+        self.w(f"_h = _hf[{func_index}]")
+        self.w("if _h is None:")
+        self.indent += 1
+        self._emit_invoke(f"inst.func_addrs[{func_index}]", args, result,
+                          sync=False)
+        self.indent -= 1
+        self.w("else:")
+        self.indent += 1
+        self.w(f"_r = _h.fn({', '.join(['inst', *args])})")
+        if result is None:
+            self.w("if _r is not None:")
+            self.w("    _h.results(_r)")
+        else:
+            kind = ft.results[0]
+            if kind is ValType.F64:
+                fast = "_r if _r.__class__ is float"
+            elif kind is ValType.F32:
+                fast = None
+            else:
+                fast = f"_r & {_M32 if kind is ValType.I32 else _M64} if _r.__class__ is int"
+            slow = "_h.results(_r)[0]"
+            self.w(f"s{result} = {fast} else {slow}" if fast else f"s{result} = {slow}")
+        self.indent -= 1
         if self.fueled:
             self.w("fuel = store.fuel")
-        if result:
-            self.w(f"{result} = _r[0]")
 
-    def _emit_call_indirect(self, pc: int, h: int, type_index: int) -> None:
+    def _emit_invoke(self, addr: str, args: list[str], result: int | None,
+                     sync: bool = True) -> None:
+        """A call that leaves compiled code: ``Instance.invoke_addr``, with
+        ``store.fuel`` synced around it unless the caller does that."""
+        self.uses.add("_d1")
+        sync = sync and self.fueled
+        if sync:
+            self.w("store.fuel = fuel")
+        head = "_r = " if result is not None else ""
+        self.w(f"{head}inst.invoke_addr({addr}, [{', '.join(args)}], _d1)")
+        if result is not None:
+            self.w(f"s{result} = _r[0]")
+        if sync:
+            self.w("fuel = store.fuel")
+
+    def _emit_call_indirect(self, h: int, type_index: int) -> None:
         self.flush(1)
         self.via.append(f"call_indirect type {type_index}")
         ft = self.module.types[type_index]
         self.sigs[type_index] = ft
         sig = f"_sig{type_index}"
-        np_, nr = len(ft.params), len(ft.results)
+        np_ = len(ft.params)
+        index = self.take_simple(h - 1)[0]
+        args = [self.take(h - 1 - np_ + k)[0] for k in range(np_)]
+        result = h - 1 - np_ if ft.results else None
         self.w("_tb = inst.table")
-        self.w(f"if _tb is None or s{h - 1} >= len(_tb.elements):")
+        self.w(f"if _tb is None or {index} >= len(_tb.elements):")
         self.w('    raise Trap("undefined element", code="table_oob")')
-        self.w(f"_fa = _tb.elements[s{h - 1}]")
+        self.w(f"_fa = _tb.elements[{index}]")
         self.w("if _fa is None:")
         self.w('    raise Trap("uninitialized element", code="table_null")')
         self.w("_ft = store.funcs[_fa].functype")
@@ -544,11 +837,71 @@ class _Emitter:
         self.w(f'        f"indirect call type mismatch: {{_ft}} != {{{sig}}}",')
         self.w('        code="sig",')
         self.w("    )")
-        self._emit_invoke(
-            "_fa",
-            [f"s{h - 1 - np_ + k}" for k in range(np_)],
-            f"s{h - 1 - np_}" if nr else None,
-        )
+        self._before_call(result)
+        self._emit_invoke("_fa", args, result)
+
+    def _emit_inlined(self, func_index: int, callee: AotCode, args: list,
+                      base: int) -> None:
+        """A leaf callee, emitted in line: its frame's entry dues, then its
+        straight-line body on this frame's slots from ``base`` up.
+
+        Its locals are ``_i{n}_{j}`` temporaries; an argument stands in
+        for its parameter directly when it is a name or literal that reads
+        no slot or global and the leaf never writes that parameter.  Its
+        fuel is charged to ``_fi`` and committed to ``fuel`` on return.
+        """
+        self.inlined[func_index] = callee
+        self.uses.add("_d1")
+        n = self._alloc_id()
+        self.w("if _d1 > store.max_call_depth:")
+        self.w("    raise StackExhausted(_d1)")
+        self.w("stats = store.stats")
+        self.w("if stats is not None:")
+        self.w("    stats.frames += 1")
+        self.w("    if _d1 > stats.max_call_depth:")
+        self.w("        stats.max_call_depth = _d1")
+        self.w(f"    if {callee.max_stack} > stats.max_value_stack:")
+        self.w(f"        stats.max_value_stack = {callee.max_stack}")
+        written = callee.written_locals()
+        names = []
+        for j, arg in enumerate(args):
+            if j not in written and arg[2] == 0 and all(
+                r[0] in "l_" for r in arg[1]
+            ):
+                names.append(arg[0])
+            else:
+                names.append(f"_i{n}_{j}")
+                self.w(f"{names[-1]} = {arg[0]}")
+        for j, default in enumerate(callee.local_defaults, len(args)):
+            if j in written:
+                names.append(f"_i{n}_{j}")
+                self.w(f"{names[-1]} = {default!r}")
+            else:
+                names.append(repr(default))
+
+        saved = (self.body, self.heights, self.base, self.lnames, self.fuel,
+                 self.fuel_open, self.charges)
+        body = callee._code.body
+        heights = callee.analysis()[0]
+        self.body, self.heights, self.base, self.lnames = body, heights, base, names
+        self.fuel, self.fuel_open, self.charges = "_fi", False, 0
+        for pc, (opcode, _imm) in enumerate(body):
+            if heights[pc] is None:
+                continue
+            if opcode == op.RETURN or opcode == op.END:
+                self.flush(1)
+                top = base + heights[pc] - 1
+                value = self.take(top) if callee.result_arity else None
+                for slot in [s for s in self.vals if s >= base]:
+                    del self.vals[slot]
+                if value is not None:
+                    self.put(base, value)
+                break
+            self.emit_simple(pc)
+        (self.body, self.heights, self.base, self.lnames, self.fuel,
+         self.fuel_open, self.charges) = saved
+        if self.fueled:
+            self.w("fuel = _fi")
 
     # ----- control flow ------------------------------------------------------
 
@@ -565,9 +918,18 @@ class _Emitter:
 
     def _emit_return(self, h: int) -> None:
         values = (["fuel"] if self.fueled else []) + (
-            [f"s{h - 1}"] if self.result_arity else []
+            [self.peek(h - 1)] if self.result_arity else []
         )
         self.w(f"return {', '.join(values)}".rstrip())
+
+    def _end_arm(self, falls: bool) -> None:
+        """Leave a construct's arm: its result goes to its slot, or the
+        arm ended in a transfer and nothing pending survives it."""
+        if falls:
+            self.spill_all()
+        else:
+            self.vals.clear()
+            self.charges = 0
 
     def emit_seq(self, start: int, end: int) -> None:
         """Emit pcs in ``[start, end)`` — the interior of one construct."""
@@ -605,6 +967,8 @@ class _Emitter:
         )
 
         self.charge()  # the block/loop/if opcode itself
+        cond = self.take(entry) if opcode == op.IF else None
+        self.spill_all()
         if wrapped:
             self.flush(0)
             self.w("while True:")
@@ -613,45 +977,43 @@ class _Emitter:
 
         self.ctxs.append(ctx)
         if opcode == op.IF:
-            self._emit_if_interior(pc, end_pc, else_pc, wrapped)
+            self._emit_if_interior(pc, end_pc, else_pc, wrapped, cond)
         else:
             self.emit_seq(pc + 1, end_pc)
-            if self.heights[end_pc] is not None:  # fall-through reaches END
+            falls = self.heights[end_pc] is not None
+            self._end_arm(falls)
+            if falls:
                 self.flush(1)
                 if wrapped:
                     self.w("break")
-            elif not wrapped:
-                self.pending = 0
         self.ctxs.pop()
 
         if wrapped:
             if len(self.lines) == body_start:
                 self.w("break")  # degenerate: nothing live inside
             self.indent -= 1
-            self.pending = 0
+            self.charges = 0
             self._emit_epilogue(ctx)
 
     def _emit_if_interior(self, pc: int, end_pc: int, else_pc: int | None,
-                          wrapped: bool) -> None:
-        # the condition read is pure; flush so both arms start at pending 0
+                          wrapped: bool, cond: tuple) -> None:
+        # the condition read is pure; flush so both arms start at charge 0
         # (the legacy engine has charged everything up to and including the
         # `if` opcode before the branch direction is observable)
         self.flush(0)
-        cond = f"s{self.heights[pc] - 1}"
-        self.w(f"if {cond}:")
+        self.w(f"if {cond[3] or cond[0]}:")
         self.indent += 1
         mark = len(self.lines)
         then_end = else_pc if else_pc is not None else end_pc
         self.emit_seq(pc + 1, then_end)
         then_falls = self.heights[then_end] is not None
+        self._end_arm(then_falls)
         if else_pc is not None:
             if then_falls:
                 # fall-through executes the `else` jump and the shared end
                 self.flush(2)
                 if wrapped:
                     self.w("break")
-            else:
-                self.pending = 0
             if len(self.lines) == mark:
                 self.w("pass")
             self.indent -= 1
@@ -659,12 +1021,12 @@ class _Emitter:
             self.indent += 1
             mark = len(self.lines)
             self.emit_seq(else_pc + 1, end_pc)
-            if self.heights[end_pc] is not None:
+            falls = self.heights[end_pc] is not None
+            self._end_arm(falls)
+            if falls:
                 self.flush(1)
                 if wrapped:
                     self.w("break")
-            else:
-                self.pending = 0
             if len(self.lines) == mark:
                 self.w("pass")
             self.indent -= 1
@@ -675,8 +1037,6 @@ class _Emitter:
                 self.flush(1 if wrapped else 0)
                 if wrapped:
                     self.w("break")
-            else:
-                self.pending = 0
             if len(self.lines) == mark:
                 self.w("pass")
             self.indent -= 1
@@ -696,10 +1056,12 @@ class _Emitter:
             target, arity, dest_h = self.branches[pc]
             self.flush(1)
             self._emit_branch(imm, arity, dest_h, h)
+            self.vals.clear()
         elif opcode == op.BR_IF:
             target, arity, dest_h = self.branches[pc]
+            cond = self.take(h - 1)
             self.flush(1)
-            self.w(f"if s{h - 1}:")
+            self.w(f"if {cond[3] or cond[0]}:")
             self.indent += 1
             self._emit_branch(imm, arity, dest_h, h - 1)
             self.indent -= 1
@@ -707,36 +1069,46 @@ class _Emitter:
             depths, default_depth = imm
             per_target, default_res, _hh = self.branches[pc]
             self.flush(1)
+            index = self.take_simple(h - 1)[0]
             if not depths:
                 self._emit_branch(
                     default_depth, default_res[1], default_res[2], h - 1
                 )
-                return
-            for k, (depth, res) in enumerate(zip(depths, per_target)):
-                self.w(f"{'if' if k == 0 else 'elif'} s{h - 1} == {k}:")
+            else:
+                for k, (depth, res) in enumerate(zip(depths, per_target)):
+                    self.w(f"{'if' if k == 0 else 'elif'} {index} == {k}:")
+                    self.indent += 1
+                    self._emit_branch(depth, res[1], res[2], h - 1)
+                    self.indent -= 1
+                self.w("else:")
                 self.indent += 1
-                self._emit_branch(depth, res[1], res[2], h - 1)
+                self._emit_branch(
+                    default_depth, default_res[1], default_res[2], h - 1
+                )
                 self.indent -= 1
-            self.w("else:")
-            self.indent += 1
-            self._emit_branch(default_depth, default_res[1], default_res[2], h - 1)
-            self.indent -= 1
+            self.vals.clear()
         elif opcode == op.RETURN:
             self.flush(1)
             self._emit_return(h)
+            self.vals.clear()
         else:  # pragma: no cover - validation rejects unknown opcodes
             raise Trap(f"cannot compile opcode 0x{opcode:02x}", code="internal")
 
     def _emit_branch(self, depth: int, arity: int, dest_h: int,
                      src_h: int) -> None:
-        """Emit the transfer for a (conditional) branch of label ``depth``."""
+        """Emit the transfer for a (conditional) branch of label ``depth``.
+
+        The carried value is read, not popped: a ``br_if`` not taken
+        leaves it on the stack, still pending."""
         if depth == len(self.ctxs) - 1:
             self._emit_return(src_h)
             return
         idx = len(self.ctxs) - 1 - depth
         ctx = self.ctxs[idx]
-        if arity and dest_h != src_h - 1:
-            self.w(f"s{dest_h} = s{src_h - 1}")
+        if arity:
+            value = self.peek(src_h - 1)
+            if value != f"s{dest_h}":
+                self.w(f"s{dest_h} = {value}")
         nearest = None
         for c in reversed(self.ctxs[idx + 1:]):
             if c.wrapped:
@@ -823,6 +1195,8 @@ class _Emitter:
             head.append("    mem = inst.memory")
         if "glb" in self.uses:
             head.append("    glb = inst.globals")
+        if "_hf" in self.uses:
+            head.append("    _hf = inst.host_fns")
         if "_d1" in self.uses:
             head.append("    _d1 = depth + 1")
         if "_br" in self.uses:
@@ -838,7 +1212,6 @@ class _Emitter:
             head.extend("    " + line for line in body)
         return "\n".join(head) + "\n"
 
-
 # ---------------------------------------------------------------------------
 # compiled artifact + compilation entry points
 # ---------------------------------------------------------------------------
@@ -852,17 +1225,19 @@ class AotCode:
     stays ``None`` until :func:`execute_aot` (which selects on
     ``store.fuel``), a caller's :meth:`compile` or a host's ``promote()``
     first needs it, so a host that always meters never pays ``compile()``
-    for the unmetered variant - emitting and compiling one variant is
-    about half of what lowering a function costs.  The generated text is
-    not retained: ``source`` / ``source_fueled`` re-run the emitter on
-    demand (``repro disasm --aot``).  ``local_defaults``/``max_stack``
+    for the unmetered variant, and a leaf every caller inlines is never
+    compiled at all.  The generated text is not retained: ``source`` /
+    ``source_fueled`` re-run the emitter on demand (``repro disasm
+    --aot``); the static analysis it needs (stack heights, branches,
+    :attr:`leaf`) is computed once.  ``local_defaults``/``max_stack``
     mirror the other engines so
     :class:`~repro.wasm.interpreter.ExecStats` stays bit-identical.
     """
 
     __slots__ = (
         "run", "run_fueled", "local_defaults", "max_stack", "n_instrs",
-        "_module", "_code", "_functype", "_name",
+        "result_arity", "_module", "_code", "_functype", "_name",
+        "_analysis", "_leaf", "_written",
     )
 
     def __init__(self, module: Module, code: Code, functype: FuncType,
@@ -873,14 +1248,49 @@ class AotCode:
         self.local_defaults = prep.local_defaults
         self.max_stack = prep.max_stack
         self.n_instrs = len(code.body)
+        self.result_arity = len(functype.results)
         self._module = module
         self._code = code
         self._functype = functype
         self._name = name
+        self._analysis = None
+        self._leaf = None
+        self._written = None
+
+    def analysis(self) -> tuple:
+        """``(heights, branches)`` of the body, computed once."""
+        if self._analysis is None:
+            heights, branches, _targets = _analyze(
+                self._module, self._code, self.result_arity
+            )
+            self._analysis = heights, branches
+        return self._analysis
+
+    @property
+    def leaf(self) -> bool:
+        """Straight-line up to its ``return`` and short: emitted in line
+        at its call sites instead of being called."""
+        if self._leaf is None:
+            body = self._code.body
+            heights = self.analysis()[0]
+            self._leaf = len(body) <= _MAX_INLINE_INSTRS and not any(
+                heights[pc] is not None and opcode in _NOT_IN_LEAF
+                for pc, (opcode, _imm) in enumerate(body)
+            )
+        return self._leaf
+
+    def written_locals(self) -> frozenset:
+        """Indices of the locals the body assigns."""
+        if self._written is None:
+            self._written = frozenset(
+                imm for opcode, imm in self._code.body
+                if opcode in (op.LOCAL_SET, op.LOCAL_TEE)
+            )
+        return self._written
 
     def _emit(self, fueled: bool) -> tuple[str, _Emitter]:
         """Source text of one fuel variant and the emitter that wrote it."""
-        emitter = _Emitter(self._module, self._code, self._functype, fueled)
+        emitter = _Emitter(self, fueled)
         return emitter.build(), emitter
 
     def compile(self, fueled: bool):
@@ -955,6 +1365,19 @@ def aot_for(module: Module, code: Code,
     return cached
 
 
+def own_frames(module: Module, bodies: list) -> list[AotCode]:
+    """The compiled bodies of ``module`` that can run as their own frame:
+    exported, or not a leaf (a leaf reached only through ``call_indirect``
+    compiles on first use).  ``bodies`` is parallel to ``module.codes``."""
+    n_imported = module.num_imported_funcs
+    exported = {e.index for e in module.exports if e.kind == "func"}
+    return [
+        body for i, body in enumerate(bodies)
+        if body.__class__ is AotCode
+        and (n_imported + i in exported or not body.leaf)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # execution
 # ---------------------------------------------------------------------------
@@ -966,10 +1389,11 @@ def execute_aot(store, instance, acode: AotCode, args: list,
 
     The adapter behind ``Instance.invoke_addr`` - an export, a
     ``call_indirect``, a threaded or legacy caller; a compiled caller of
-    the same module calls the function directly.  The depth limit, the
-    stats and the trap-time ``store.fuel`` are the generated function's
-    own business, so the contract (arguments, results, traps, fuel,
-    stats) stays identical to :func:`repro.wasm.interpreter.execute` and
+    the same module calls the function directly or inlines it.  The
+    depth limit, the stats and the trap-time ``store.fuel`` are the
+    generated function's own business, so the contract (arguments,
+    results, traps, fuel, stats) stays identical to
+    :func:`repro.wasm.interpreter.execute` and
     :func:`repro.wasm.threaded.execute_threaded`.
     """
     fuel = store.fuel
@@ -991,16 +1415,28 @@ def execute_aot(store, instance, acode: AotCode, args: list,
 # ---------------------------------------------------------------------------
 
 
+def _boundary(emitter: _Emitter) -> str:
+    """``inlined: f4 f5; direct: f9; host: import 0; via invoke_addr: -``"""
+    inlined = " ".join(f"f{i}" for i in sorted(emitter.inlined)) or "-"
+    direct = " ".join(f"f{i}" for i in sorted(emitter.callees)) or "-"
+    host = ", ".join(f"import {i}" for i in sorted(emitter.hosts)) or "-"
+    via = ", ".join(dict.fromkeys(emitter.via)) or "-"
+    return f"inlined: {inlined}; direct: {direct}; host: {host}; via invoke_addr: {via}"
+
+
 def dump_aot(module_or_bytes, fueled: bool = False) -> str:
     """Wasm body and generated Python source for every function.
 
     Each function prints its original instruction sequence (mnemonics, as
     in ``repro disasm``) followed by the Python the AOT tier generated
     for it, so a lowering bug is diagnosable by eye.  A compiled function
-    names the callees it calls directly and every call site that stays on
-    ``Instance.invoke_addr`` (imports, ``call_indirect``, a callee that
-    kept its threaded body); a function too deep to structure says so and
-    prints the threaded code it keeps instead.
+    names its call boundary: the leaves it inlines, the callees it calls
+    directly, the imports it calls as host functions (an import bound to
+    another instance's export falls back to ``Instance.invoke_addr`` at
+    run time) and the call sites that stay on ``invoke_addr``
+    (``call_indirect``, a callee that kept its threaded body); a function
+    too deep to structure says so and prints the threaded code it keeps
+    instead.
     """
     module = load_module(module_or_bytes)
 
@@ -1023,16 +1459,14 @@ def dump_aot(module_or_bytes, fueled: bool = False) -> str:
             f"keeps its threaded body (block nesting "
             f"{_max_nesting(code.body)} > {_MAX_STRUCTURED_DEPTH})"
         )
+        if compiled and body.leaf:
+            tier += ", a leaf (inlined at its call sites)"
         lines.append(
             f"func {func_index}{names}: {body.n_instrs} wasm instrs, {tier}"
         )
         if compiled:
             source, emitter = body._emit(fueled)
-            direct = " ".join(f"f{i}" for i in sorted(emitter.callees))
-            lines.append(
-                f"  ;; direct: {direct or '-'}; "
-                f"via invoke_addr: {', '.join(dict.fromkeys(emitter.via)) or '-'}"
-            )
+            lines.append(f"  ;; {_boundary(emitter)}")
         lines.append("  ;; wasm body")
         for pc in range(len(code.body)):
             lines.append(f"  {pc:04d}  {_mn(code.body, pc)}")

@@ -61,6 +61,38 @@ class HostFunc:
     fn: Callable[..., Any]
     name: str = "<host>"
 
+    def results(self, result) -> Sequence:
+        """What ``fn`` returned, as the declared result values: masked /
+        rounded to their types, or a ``host`` trap for the wrong arity.
+        The one normaliser: ``invoke_addr`` and compiled code's direct
+        host calls both use it."""
+        result_types = self.functype.results
+        # fast path: single scalar result (the overwhelmingly common case)
+        if (
+            len(result_types) == 1
+            and not isinstance(result, tuple)
+            and result is not None
+        ):
+            rt = result_types[0]
+            if rt is ValType.I32:
+                return (int(result) & MASK32,)
+            if rt is ValType.I64:
+                return (int(result) & MASK64,)
+            return (_normalize_arg(result, rt),)
+        if result is None:
+            results: list = []
+        elif isinstance(result, tuple):
+            results = list(result)
+        else:
+            results = [result]
+        if len(results) != len(result_types):
+            raise Trap(
+                f"host function {self.name} returned {len(results)} values, "
+                f"declared {len(result_types)}",
+                code="host",
+            )
+        return [_normalize_arg(v, vt) for v, vt in zip(results, result_types)]
+
 
 class ModuleFunc:
     """A Wasm-defined function: compiled code plus its defining instance.
@@ -197,6 +229,10 @@ class Instance:
         imports = imports or {}
 
         self.func_addrs: list[int] = []
+        #: per imported function, the :class:`HostFunc` it is bound to, or
+        #: ``None`` when it is another instance's export (compiled code
+        #: calls the former directly, the latter through ``invoke_addr``)
+        self.host_fns: list[HostFunc | None] = []
         self.globals: list[GlobalInstance] = []
         self.memory: Memory | None = None
         self.table: Table | None = None
@@ -218,6 +254,7 @@ class Instance:
                             f"{provided.functype} != expected {expected}"
                         )
                     self.func_addrs.append(self.store.alloc_func(provided))
+                    self.host_fns.append(provided)
                 elif isinstance(provided, ExportedFunc):
                     if provided.functype != expected:
                         raise LinkError(
@@ -225,6 +262,7 @@ class Instance:
                             f"{provided.functype} != expected {expected}"
                         )
                     self.func_addrs.append(provided.addr)
+                    self.host_fns.append(None)
                 else:
                     raise LinkError(
                         f"import {imp.module}.{imp.name} is not a function"
@@ -412,35 +450,7 @@ class Instance:
         else:
             args = []
         if isinstance(func, HostFunc):
-            result = func.fn(self, *args)
-            result_types = func.functype.results
-            # fast path: single scalar result (the overwhelmingly common case)
-            if (
-                len(result_types) == 1
-                and not isinstance(result, tuple)
-                and result is not None
-            ):
-                rt = result_types[0]
-                if rt is ValType.I32:
-                    return (int(result) & MASK32,)
-                if rt is ValType.I64:
-                    return (int(result) & MASK64,)
-                return (_normalize_arg(result, rt),)
-            if result is None:
-                results: list = []
-            elif isinstance(result, tuple):
-                results = list(result)
-            else:
-                results = [result]
-            if len(results) != len(result_types):
-                raise Trap(
-                    f"host function {func.name} returned {len(results)} values, "
-                    f"declared {len(result_types)}",
-                    code="host",
-                )
-            return [
-                _normalize_arg(v, vt) for v, vt in zip(results, result_types)
-            ]
+            return func.results(func.fn(self, *args))
         prepared = func.prepared
         if prepared.__class__ is ThreadedCode:
             return execute_threaded(

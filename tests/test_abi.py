@@ -242,3 +242,38 @@ class TestHostEdgeCases:
         plugin = SchedulerPlugin.load(plugin_wasm("rr"))
         with pytest.raises((PluginError, SanitizerError)):
             plugin.swap(b"not wasm at all")
+
+
+TBS_PROBE = """(module
+  (import "env" "tbs_bits" (func $tbs (param i32 i32) (result i32)))
+  (func (export "tbs") (param i32 i32) (result i32)
+    (call $tbs (local.get 0) (local.get 1))))"""
+
+
+class TestTbsBitsHostFunction:
+    @pytest.mark.parametrize("engine", ["legacy", "threaded", "aot"])
+    def test_negative_and_out_of_range_arguments_get_no_bits(self, engine):
+        """Wasm hands ``tbs_bits`` unsigned i32s: a negative PRB count
+        arrives as ``2**32 - n`` and must get 0 bits, not the 1024-PRB
+        cap's TBS; the same through every engine (under aot an import is
+        a direct host call)."""
+        from repro.abi.hostfuncs import make_env
+        from repro.phy.tbs import transport_block_size_bits
+        from repro.wasm import Instance, decode_module
+        from repro.wasm.wat import assemble
+
+        inst = Instance(
+            decode_module(assemble(TBS_PROBE)),
+            imports={"env": make_env()},
+            engine=engine,
+        )
+        capped = transport_block_size_bits(1024, 10)
+        assert capped > 0
+        assert inst.call("tbs", -1, 10) == 0
+        assert inst.call("tbs", -(1 << 31), 10) == 0
+        assert inst.call("tbs", 0, 10) == 0
+        assert inst.call("tbs", 1024, 10) == capped
+        assert inst.call("tbs", 5000, 10) == capped  # large counts still cap
+        assert inst.call("tbs", 24, 10) == transport_block_size_bits(24, 10)
+        assert inst.call("tbs", 24, -1) == 0
+        assert inst.call("tbs", 24, 29) == 0

@@ -83,8 +83,9 @@ class TestCli:
         assert "(module" in capsys.readouterr().out
 
     def test_disasm_aot_shows_the_call_boundary(self, tmp_path, capsys):
-        """Each compiled function names the callees it calls directly and
-        the call sites that stay on ``Instance.invoke_addr``."""
+        """Each compiled function names the leaves it inlines, the callees
+        it calls directly, the imports it calls as host functions and the
+        call sites that stay on ``Instance.invoke_addr``."""
         binary = tmp_path / "pf.wasm"
         binary.write_bytes(plugin_wasm("pf"))
         assert main(["disasm", "--aot", str(binary)]) == 0
@@ -95,18 +96,30 @@ class TestCli:
             i for i, l in enumerate(lines) if l.startswith(f'func {run} (export "run")')
         )
         boundary = lines[header + 1]
-        assert boundary.startswith("  ;; direct: f")
-        # pf's `run` calls its helpers directly and one host import
-        assert boundary.endswith("; via invoke_addr: import 0")
-        direct = boundary.split(";; direct: ")[1].split(";")[0].split()
+        assert boundary.startswith("  ;; inlined: f")
+        # pf's `run` inlines its accessors, calls its other helpers
+        # directly and one host import, and nothing leaves through
+        # invoke_addr
+        assert boundary.endswith("; host: import 0; via invoke_addr: -")
+        fields = dict(
+            part.split(": ") for part in boundary.split(";; ", 1)[1].split("; ")
+        )
+        inlined, direct = fields["inlined"].split(), fields["direct"].split()
         n_imported = module.num_imported_funcs
-        assert direct and all(int(f[1:]) >= n_imported for f in direct)
-        # a leaf function calls nothing
-        assert "  ;; direct: -; via invoke_addr: -" in lines
+        assert inlined and direct and not set(inlined) & set(direct)
+        assert all(int(f[1:]) >= n_imported for f in inlined + direct)
+        # every inlined callee is a leaf, and says so in its header
+        for f in inlined:
+            assert any(
+                l.startswith(f"func {f[1:]}") and "a leaf (inlined" in l
+                for l in lines
+            ), f
+        # a function that calls nothing
+        assert "  ;; inlined: -; direct: -; host: -; via invoke_addr: -" in lines
         # every compiled function carries the line
         compiled = [l for l in lines if l.startswith("func ") and ", compiled" in l]
         assert len(compiled) == len(module.codes)
-        assert sum(l.startswith("  ;; direct: ") for l in lines) == len(compiled)
+        assert sum(l.startswith("  ;; inlined: ") for l in lines) == len(compiled)
 
     def test_plugins_command(self, capsys):
         assert main(["plugins"]) == 0

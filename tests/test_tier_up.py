@@ -79,6 +79,20 @@ def bodies(host: PluginHost) -> list:
     return [instance.store.funcs[addr].prepared for addr in own]
 
 
+def own_frames_and_leaves(host: PluginHost) -> tuple[list, list]:
+    """The live bodies split into those that run as their own frame
+    (exported or not a leaf) and the leaves only ever inlined."""
+    exported = {
+        e.index for e in host.instance.module.exports if e.kind == "func"
+    }
+    n_imported = host.instance.module.num_imported_funcs
+    frames, leaves = [], []
+    for i, body in enumerate(bodies(host)):
+        inlined_only = body.leaf and n_imported + i not in exported
+        (leaves if inlined_only else frames).append(body)
+    return frames, leaves
+
+
 def static_instrs(host: PluginHost) -> int:
     return sum(len(code.body) for code in host.instance.module.codes)
 
@@ -277,8 +291,13 @@ class TestHeatPolicy:
             assert host.call(SMALL).fuel_used is None
             assert codecache.heat(host.instance.module) == n * static_instrs(host)
         assert host.tier == "aot"
-        # it compiled the variant it runs - the unmetered one - and only that
-        assert all(b.run is not None and b.run_fueled is None for b in bodies(host))
+        # it compiled the variant it runs - the unmetered one - and only
+        # that, for every body that runs as its own frame; the leaves its
+        # callers inline are compiled by nobody
+        frames, leaves = own_frames_and_leaves(host)
+        assert frames and leaves
+        assert all(b.run is not None and b.run_fueled is None for b in frames)
+        assert all(b.run is None and b.run_fueled is None for b in leaves)
 
     def test_metered_host_never_compiles_the_unfueled_variant(self):
         host = PluginHost(plugin_wasm("pf"), name="pf-metered")
@@ -286,7 +305,10 @@ class TestHeatPolicy:
         for payload in DENSE[:3]:
             host.call(payload)
         assert all(isinstance(b, AotCode) for b in bodies(host))
-        assert all(b.run is None and b.run_fueled is not None for b in bodies(host))
+        frames, leaves = own_frames_and_leaves(host)
+        assert frames and leaves
+        assert all(b.run is None and b.run_fueled is not None for b in frames)
+        assert all(b.run is None and b.run_fueled is None for b in leaves)
 
     @pytest.mark.parametrize("engine", ["threaded", "legacy"])
     def test_explicit_baseline_engines_never_promote(self, engine):

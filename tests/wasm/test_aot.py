@@ -266,12 +266,18 @@ def test_mixed_tier_table_matches_legacy_at_every_budget():
 
 
 @pytest.mark.parametrize(
-    "name", ["memory-grow-in-callee", "call-boundary-direct-indirect"]
+    "name",
+    [
+        "memory-grow-in-callee", "call-boundary-direct-indirect",
+        "inline-leaf-boundaries", "fold-pending-slots", "inline-numeric-edges",
+    ],
 )
 def test_boundary_corpus_matches_legacy_at_every_budget(name):
     """A callee's ``memory.grow`` under its caller's bounds checks; direct
     (void and valued) and ``call_indirect`` calls out of one caller with
-    div0 / oob / unreachable three direct frames down."""
+    div0 / oob / unreachable three direct frames down; inlined leaves that
+    trap, write their own parameter or a global a pending value reads;
+    slot reuse under folded expressions; inlined div / rem / f64 edges."""
     sweep_budgets(load_case(CORPUS / f"{name}.json"))
 
 
@@ -379,7 +385,7 @@ IMPORT_BOUNDARY = """(module
 
 
 def test_import_reached_from_a_direct_callee_at_every_budget():
-    """An import stays on ``invoke_addr`` (fuel synced through the store
+    """An import is a direct host call (fuel synced through the store
     around it), also one direct frame down; a trap raised by the host
     function leaves the same ``store.fuel`` as under legacy."""
     seen = []
@@ -406,7 +412,7 @@ def test_import_reached_from_a_direct_callee_at_every_budget():
             per_engine = len(seen) // 3
             assert seen == seen[:per_engine] * 3  # same fuel seen by the host
     source = dump_aot(assemble(IMPORT_BOUNDARY), fueled=True)
-    assert ";; direct: f1; via invoke_addr: import 0" in source
+    assert ";; inlined: -; direct: f1; host: import 0; via invoke_addr: -" in source
 
 
 def _access_module():
@@ -499,10 +505,136 @@ def test_recursion_to_exactly_the_depth_limit_then_one_deeper():
     assert over[2] == 10_000 - 8
 
 
+DOWN_TO_LEAF = """(module
+  (memory 1)
+  (func $leaf (param i32) (result i32)
+    (i32.load8_u (local.get 0)))
+  (func $down (export "down") (param i32) (result i32)
+    (if (result i32) (i32.eqz (local.get 0))
+      (then (call $leaf (i32.const 3)))
+      (else (i32.add (i32.const 1)
+                     (call $down (i32.sub (local.get 0) (i32.const 1))))))))"""
+
+
+def test_inlined_leaf_at_exactly_the_depth_limit_then_one_deeper():
+    """An inlined leaf's prologue is its frame's: it counts as a frame at
+    ``_d1`` and raises ``StackExhausted`` one past the limit."""
+    limit = 40
+    at = assert_identical(
+        DOWN_TO_LEAF, "down", limit - 1, fuel=10_000, max_call_depth=limit
+    )
+    assert at[:2] == ("ok", limit - 1) and at[3:5] == (limit + 1, limit)
+    over = assert_identical(
+        DOWN_TO_LEAF, "down", limit, fuel=10_000, max_call_depth=limit
+    )
+    assert over[:2] == ("trap", "stack") and over[4] == limit
+    cost = 10_000 - at[2]
+    for budget in range(0, cost + 2, 3):
+        assert_identical(
+            DOWN_TO_LEAF, "down", limit, fuel=budget, max_call_depth=limit
+        )
+    source = dump_aot(assemble(DOWN_TO_LEAF), fueled=True)
+    assert ";; inlined: f0; direct: f1; host: -; via invoke_addr: -" in source
+
+
+def _host_outcomes(result_type, returned):
+    """(kind, value | trap code, message) of one call of an import that
+    returns ``returned``, once per engine."""
+    results = () if result_type is None else (result_type,)
+    sig = "" if result_type is None else f" (result {result_type.short})"
+    source = f"""(module
+      (import "env" "h" (func $h (param i32){sig}))
+      (func (export "run") (param i32){sig} (call $h (local.get 0))))"""
+    host = HostFunc(
+        FuncType((ValType.I32,), results), lambda caller, x: returned, "h"
+    )
+    outcomes = []
+    for inst in three(source, imports={"env": {"h": host}}):
+        try:
+            value = inst.call("run", 1, fuel=100)
+            outcomes.append(("ok", repr(value), inst.store.fuel))
+        except Trap as exc:
+            outcomes.append(("trap", exc.code, str(exc), inst.store.fuel))
+    return outcomes
+
+
+@pytest.mark.parametrize(
+    "result_type, returned",
+    [
+        (ValType.I32, True), (ValType.I32, 3.7), (ValType.I32, None),
+        (ValType.I32, (5,)), (ValType.I32, (1, 2)), (ValType.I32, (1 << 40) + 3),
+        (ValType.I32, -1), (ValType.I64, True), (ValType.I64, -1),
+        (ValType.I64, 2.5), (ValType.F64, 1), (ValType.F64, True),
+        (ValType.F64, 2.5), (ValType.F64, (1.5,)), (ValType.F64, None),
+        (ValType.F32, 0.1), (ValType.F32, 3), (None, None), (None, ()),
+        (None, 5), (None, (1,)),
+    ],
+)
+def test_direct_host_call_normalises_results_like_invoke_addr(result_type, returned):
+    """Whatever a host function returns - bool, float, ``None``, a tuple,
+    the wrong arity - the direct call's result (or trap, message and
+    trap-time fuel) is what ``invoke_addr`` makes of it."""
+    legacy, threaded, aot = _host_outcomes(result_type, returned)
+    assert threaded == legacy and aot == legacy, (legacy, threaded, aot)
+
+
+EXPORTER = """(module
+  (global $n (mut i32) (i32.const 0))
+  (func (export "twice") (param i32) (result i32)
+    (global.set $n (i32.add (global.get $n) (i32.const 1)))
+    (i32.mul (local.get 0) (i32.const 2))))"""
+
+IMPORTER = """(module
+  (import "env" "twice" (func $twice (param i32) (result i32)))
+  (func (export "run") (param i32) (result i32)
+    (i32.add (call $twice (local.get 0)) (call $twice (i32.const 5)))))"""
+
+
+def test_import_bound_to_another_instances_export_stays_on_invoke_addr(monkeypatch):
+    """No host function behind the import (``host_fns`` holds ``None``):
+    the compiled caller falls back to ``invoke_addr``, and fuel, traps
+    and ExecStats match legacy at every budget."""
+
+    def pair(engine, store):
+        exporter = Instance(decode_module(assemble(EXPORTER)), store=store,
+                            engine=engine)
+        return Instance(
+            decode_module(assemble(IMPORTER)),
+            imports={"env": {"twice": exporter.get_export("twice")}},
+            store=store, engine=engine,
+        )
+
+    entered = []
+    original = Instance.invoke_addr
+
+    def counting(self, addr, stack, depth):
+        entered.append(depth)
+        return original(self, addr, stack, depth)
+
+    monkeypatch.setattr(Instance, "invoke_addr", counting)
+    legacy = pair("legacy", Store())
+    aot = pair("aot", Store())
+    assert aot.host_fns == [None]
+    full = call_outcome(legacy, "run", 7, fuel=1000)
+    assert full[:2] == ("ok", 24)
+    for budget in range(1000 - full[2] + 2):
+        legacy, aot = pair("legacy", Store()), pair("aot", Store())
+        expect = call_outcome(legacy, "run", 7, fuel=budget)
+        del entered[:]
+        assert call_outcome(aot, "run", 7, fuel=budget) == expect, budget
+        # the entry call, then one per import call reached
+        assert entered[0] == 0 and set(entered[1:]) <= {1}
+    del entered[:]
+    call_outcome(aot, "run", 7, fuel=1000)
+    assert entered == [0, 1, 1]
+
+
 def test_compile_links_a_call_chain_longer_than_the_recursion_limit():
     """``AotCode.compile`` follows direct calls with a worklist, so a chain
     of 1200 functions (CPython's recursion limit is 1000) compiles and
-    links in one go; run, it hits the Wasm depth limit like anywhere."""
+    links in one go; run, it hits the Wasm depth limit like anywhere.  The
+    last function is a leaf: its caller inlines it, so it is never
+    compiled on its own."""
     n = 1200
     funcs = [
         f"(func $f{i} (param i32) (result i32) "
@@ -518,12 +650,28 @@ def test_compile_links_a_call_chain_longer_than_the_recursion_limit():
         inst.call("run", 0, fuel=1_000_000)
     assert info.value.code == "stack"
     bodies = [inst.store.funcs[addr].prepared for addr in inst.func_addrs]
-    assert all(b.run_fueled is not None and b.run is None for b in bodies)
+    assert [b.leaf for b in bodies] == [False] * (n - 1) + [True]
+    assert all(b.run_fueled is not None and b.run is None for b in bodies[:-1])
+    assert bodies[-1].run_fueled is None and bodies[-1].run is None
+
+
+#: numeric helpers the emitter inlines: integer div/rem and the i32 -> f64
+#: conversions never leave generated code
+_INLINED_HELPERS = tuple(
+    f"_b{o:02x}(" for o in (
+        opcodes.I32_DIV_S, opcodes.I32_DIV_U, opcodes.I32_REM_S,
+        opcodes.I32_REM_U, opcodes.I64_DIV_S, opcodes.I64_DIV_U,
+        opcodes.I64_REM_S, opcodes.I64_REM_U,
+    )
+) + (f"_u{opcodes.F64_CONVERT_I32_S:02x}(", f"_u{opcodes.F64_CONVERT_I32_U:02x}(")
 
 
 def test_shipped_plugins_stay_on_the_fast_path():
-    """No ``Memory`` method call per access, and ``invoke_addr`` only where
-    a call really leaves compiled code: imports and ``call_indirect``."""
+    """No ``Memory`` method call per access and no call per division; a
+    leaf callee in line, an import a direct host call, and
+    ``invoke_addr`` only where a call really leaves compiled code:
+    ``call_indirect``, and an import bound to another instance's export
+    (the ``_h is None`` fallback of each host call site)."""
     from repro.plugins import available_plugins, plugin_wasm
 
     for name in available_plugins():
@@ -532,18 +680,83 @@ def test_shipped_plugins_stay_on_the_fast_path():
         for i, code in enumerate(module.codes):
             acode = aot_for(module, code, module.func_type(n_imported + i))
             source, emitter = acode._emit(True)
-            for banned in ("mem.load_", "mem.store_", "memoryview", "_Frame"):
+            for banned in (
+                "mem.load_", "mem.store_", "memoryview", "_Frame", *_INLINED_HELPERS
+            ):
                 assert banned not in source, (name, i, banned)
             calls = [imm for op_, imm in code.body if op_ == opcodes.CALL]
             imported = sum(1 for index in calls if index < n_imported)
+            leaves = sum(
+                1 for index in calls if index >= n_imported
+                and aot_for(module, module.codes[index - n_imported],
+                            module.func_type(index)).leaf
+            )
             indirect = sum(
                 1 for op_, _imm in code.body if op_ == opcodes.CALL_INDIRECT
             )
+            assert source.count("_h.fn(inst") == imported, (name, i)
             assert source.count("invoke_addr(") == imported + indirect, (name, i)
-            assert source.count("(inst, store, _d1, fuel") == len(calls) - imported
-            assert sorted(site.split()[0] for site in emitter.via) == (
-                ["call_indirect"] * indirect + ["import"] * imported
+            assert source.count("raise StackExhausted(_d1)") == leaves, (name, i)
+            assert source.count("(inst, store, _d1, fuel") == (
+                len(calls) - imported - leaves
+            ), (name, i)
+            assert [site.split()[0] for site in emitter.via] == (
+                ["call_indirect"] * indirect
             ), (name, i, emitter.via)
+            assert emitter.hosts == {c for c in calls if c < n_imported}
+
+
+#: Python function calls one promoted call of each plugin on the 48-UE
+#: input below may make, all told (host functions included).  The
+#: optimising emitter needs 104 / 58 / 10; the one-frame-per-Wasm-frame
+#: baseline it replaced needed 648 / 448 / 158.
+CALL_PATH_BOUNDS = {"rr": 150, "pf": 90, "mt": 20}
+
+
+@pytest.mark.parametrize("name", sorted(CALL_PATH_BOUNDS))
+def test_promoted_call_path_is_short_and_exact(name):
+    """A deterministic guard on the compiled call path, counted with
+    ``sys.setprofile`` (no timing): the same Wasm frames and fuel as the
+    legacy engine, ``Instance.invoke_addr`` entered once (the entry
+    call), and few Python calls: leaves are inlined, imports are direct
+    host calls, division is in line."""
+    import sys
+
+    from repro.abi import wire
+    from repro.abi.host import PluginHost
+    from repro.experiments.fig5d import make_ues
+    from repro.plugins import plugin_wasm
+
+    payload = wire.pack_sched_input(3, 52, make_ues(48))
+    invoke_code = Instance.invoke_addr.__code__
+
+    def one_call(engine):
+        host = PluginHost(plugin_wasm(name), name=f"path-{name}", engine=engine)
+        host.promote()
+        host.call(payload)  # same history on both sides; compiles on use
+        inst = host.instance
+        ptr = inst.call("alloc", len(payload))
+        inst.memory.write(ptr, payload)
+        stats = inst.store.stats = ExecStats()
+        counts = {"calls": 0, "invoke_addr": 0}
+
+        def profile(frame, event, arg):
+            if event == "call":
+                counts["calls"] += 1
+                counts["invoke_addr"] += frame.f_code is invoke_code
+
+        sys.setprofile(profile)
+        try:
+            inst.call("run", ptr, len(payload), fuel=2_000_000)
+        finally:
+            sys.setprofile(None)
+        return stats.frames, 2_000_000 - inst.store.fuel, counts
+
+    legacy_frames, legacy_fuel, _counts = one_call("legacy")
+    frames, fuel, counts = one_call("aot")
+    assert (frames, fuel) == (legacy_frames, legacy_fuel)
+    assert counts["invoke_addr"] == 1
+    assert counts["calls"] < CALL_PATH_BOUNDS[name], counts
 
 
 # ---------------------------------------------------------------------------

@@ -23,14 +23,17 @@ from __future__ import annotations
 
 import os
 import struct
+import threading
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 from repro.abi import wire
 from repro.abi.hostfuncs import ALLOWED_IMPORTS, make_env
 from repro.abi.sanitizer import SanitizerError, check_module
-from repro.obs import NULL_SPAN, OBS, BoundMetrics, MetricsRegistry
+from repro.obs import OBS, BoundMetrics, MetricsRegistry
 from repro.obs.flight import CallRecord
+from repro.obs.tracing import SpanMark
 from repro.sched.types import UeGrant, UeSchedInfo
 from repro.wasm import Instance, Module, codecache, load_module
 from repro.wasm.aot import own_frames
@@ -87,7 +90,7 @@ class PluginCheckpoint:
         return len(self.memory) // 65536
 
 
-@dataclass
+@dataclass(slots=True)
 class PluginCallResult:
     """The one report of a plugin invocation, clean or faulted.
 
@@ -112,12 +115,36 @@ class HostLimits:
     max_output_bytes: int = 1 << 16
 
 
+#: calls a plugin's series take in before the call that fills the batch
+#: folds it (every registry read folds it too)
+CALL_BATCH = 256
+#: values one call appends to its batch (see :meth:`_CallMetrics.add`)
+_CALL_FIELDS = 7
+
+
+def _bind_call_metrics(reg: MetricsRegistry, plugin: str) -> "_CallMetrics":
+    return reg.batch((_CallMetrics, plugin), lambda: _CallMetrics(reg, plugin))
+
+
 class _CallMetrics:
-    """The per-call series of one plugin name, bound once per registry."""
+    """The per-call series of one plugin name in one registry, and the
+    calls recorded for them but not folded in yet.
+
+    Every host of that name in that registry shares the one batch, so the
+    calls fold in the order they were made.  A call is one ``extend`` of
+    its values onto a flat list (:meth:`add`: no object the cycle
+    collector tracks outlives the call); :meth:`fold` runs when the batch
+    is full and on every registry read (:meth:`MetricsRegistry.batch`).
+    Integer series fold grouped by value through the exact
+    :meth:`LogHistogram.add_n`; ``call_us`` floats are added one at a time
+    in arrival order - so a read sees what observing every call on arrival
+    would have left.
+    """
 
     __slots__ = (
         "calls", "call_us", "fuel_used", "frames",
         "call_depth_peak", "value_stack_peak", "memory_pages",
+        "_pending", "_lock",
     )
 
     def __init__(self, reg: MetricsRegistry, plugin: str):
@@ -145,6 +172,55 @@ class _CallMetrics:
         self.memory_pages = reg.gauge(
             "waran_plugin_memory_pages", "linear memory size (64KiB pages)"
         ).labels(plugin=plugin)
+        self._pending: list = []
+        self._lock = threading.Lock()
+
+    def add(
+        self,
+        outcome: str,
+        elapsed_us: float,
+        fuel_used: int | None,
+        frames: int,
+        call_depth: int,
+        value_stack: int,
+        memory_pages: int | None,
+    ) -> None:
+        """Record one finished call."""
+        pending = self._pending
+        pending.extend(
+            (outcome, elapsed_us, fuel_used, frames, call_depth, value_stack,
+             memory_pages)
+        )
+        if len(pending) >= CALL_BATCH * _CALL_FIELDS:
+            self.fold()
+
+    def fold(self) -> None:
+        """Apply the pending calls to the series (thread-safe)."""
+        with self._lock:
+            pending = self._pending
+            n = len(pending)
+            if not n:
+                return
+            # slice, then delete that slice: a call added meanwhile (one
+            # extend; a recording thread takes no lock) sits behind it, kept
+            calls = pending[:n]
+            del pending[:n]
+            self.call_us.extend(calls[1::_CALL_FIELDS])
+            for outcome, count in Counter(calls[0::_CALL_FIELDS]).items():
+                self.calls[outcome].inc(count)
+            for series, first in (
+                (self.fuel_used, 2),
+                (self.frames, 3),
+                (self.call_depth_peak, 4),
+                (self.value_stack_peak, 5),
+            ):
+                for value, count in Counter(calls[first::_CALL_FIELDS]).items():
+                    if value is not None:
+                        series.add_n(value, count)
+            for size in reversed(calls[6::_CALL_FIELDS]):
+                if size is not None:
+                    self.memory_pages.set(size)
+                    break
 
 
 class PluginHost:
@@ -190,7 +266,11 @@ class PluginHost:
         #: number of times the host had to call the plugin's ``alloc``
         #: (first call, scratch growth, or after a swap/load)
         self.scratch_allocs = 0
-        self._metrics = BoundMetrics(_CallMetrics)
+        # what telemetry needs per call, allocated once: the series, the
+        # frame counters (zeroed per call) and the plugin.call span's ids
+        self._metrics = BoundMetrics(_bind_call_metrics)
+        self._stats = ExecStats()
+        self._span = SpanMark()
         self._load(wasm_bytes)
 
     # ----- lifecycle ---------------------------------------------------------
@@ -478,6 +558,9 @@ class PluginHost:
         ``plugin.decode``, feeds the metrics registry (latency, fuel,
         instruction and interpreter counters), appends a replayable record
         to the flight recorder, and logs a structured event for every fault.
+        The span, the series and the flight record each take one record of
+        references built from the call's own clock reads; the ``Span``,
+        the folded series and the ``CallRecord`` are produced when read.
         """
         instance = self.instance
         assert instance is not None
@@ -500,7 +583,11 @@ class PluginHost:
                 fuel = self._apply_chaos_pre(injection, fuel)
         # off means off: a call made with telemetry disabled detaches the
         # frame accounting an earlier telemetry-on call attached
-        stats = instance.store.stats = ExecStats() if enabled else None
+        stats = None
+        if enabled:
+            stats = self._stats
+            stats.frames = stats.max_call_depth = stats.max_value_stack = 0
+        instance.store.stats = stats
         error: PluginError | None = None
         trap_code: str | None = None
         output: bytes | None = None
@@ -508,68 +595,83 @@ class PluginHost:
         # so there is no fuel reading and nothing to charge to heat
         ran_wasm = False
         encoded_ns = invoked_ns = 0
+        tracer = obs.tracer
+        traced = tracer.enabled
+        if traced:
+            tracer.begin(self._span)
         start = time.perf_counter_ns()
-        root = obs.tracer.span("plugin.call", plugin=self.name, entry=entry)
-        with root:
-            try:
-                if injection is not None:
-                    self._raise_injected(injection)
-                ran_wasm = True
-                # one budget for the whole call: `alloc` (when it runs)
-                # and the entry function draw on the same store fuel
-                instance.store.fuel = fuel
-                # the input staging region is persistent: the plugin's
-                # `alloc` is only consulted on the first call and when
-                # the input outgrows the scratch capacity - it never
-                # shrinks, so back-to-back calls reuse one region
-                in_len = len(input_bytes)
-                if self._scratch_ptr is not None and in_len <= self._scratch_cap:
-                    in_ptr = self._scratch_ptr
-                else:
-                    in_ptr = instance.call("alloc", in_len)
-                    if in_ptr is None or in_ptr < 0:
-                        raise PluginError(
-                            f"{self.name}: alloc returned bad pointer {in_ptr}",
-                            "abi",
-                        )
-                    self._scratch_ptr = in_ptr
-                    self._scratch_cap = max(self._scratch_cap, in_len)
-                    self.scratch_allocs += 1
-                instance.memory.write(in_ptr, input_bytes)
-                encoded_ns = time.perf_counter_ns()
-                out_ptr = instance.call(entry, in_ptr, in_len)
-                invoked_ns = time.perf_counter_ns()
-                output = self._read_output(out_ptr)
-            except PluginError as exc:
-                error = exc
-            except (Trap, RecursionError) as exc:
-                # a plugin that recurses until the *host's* stack runs out
-                # before the Wasm depth limit does (the cold tier and the
-                # interpreters spend three Python frames per Wasm frame, an
-                # embedder may already be deep) is a stack trap like any
-                # other: it never reaches the caller as RecursionError
-                trap_code = exc.code if isinstance(exc, Trap) else "stack"
-                kind = "fuel" if trap_code == "fuel" else "trap"
-                if (
-                    kind == "fuel"
-                    and budgeted
-                    and (injection is None or injection.kind != "fuel_cut")
-                ):
-                    # the rt budget, not the plugin's own limit, was the
-                    # binding constraint: this is a deadline preemption
-                    # (message kept time-free so logs stay reproducible)
-                    kind = "deadline"
-                    error = PluginError(
-                        f"{self.name}: preempted at rt budget "
-                        f"(fuel budget {fuel})", kind,
+        try:
+            if injection is not None:
+                self._raise_injected(injection)
+            ran_wasm = True
+            # one budget for the whole call: `alloc` (when it runs)
+            # and the entry function draw on the same store fuel
+            instance.store.fuel = fuel
+            # the input staging region is persistent: the plugin's
+            # `alloc` is only consulted on the first call and when
+            # the input outgrows the scratch capacity - it never
+            # shrinks, so back-to-back calls reuse one region
+            in_len = len(input_bytes)
+            if self._scratch_ptr is not None and in_len <= self._scratch_cap:
+                in_ptr = self._scratch_ptr
+            else:
+                in_ptr = instance.call("alloc", in_len)
+                if in_ptr is None or in_ptr < 0:
+                    raise PluginError(
+                        f"{self.name}: alloc returned bad pointer {in_ptr}",
+                        "abi",
                     )
-                else:
-                    error = PluginError(
-                        f"{self.name}: plugin trapped: {exc} (code={trap_code})",
-                        kind,
-                    )
-                error.__cause__ = exc
-        elapsed_us = (time.perf_counter_ns() - start) / 1000.0
+                self._scratch_ptr = in_ptr
+                self._scratch_cap = max(self._scratch_cap, in_len)
+                self.scratch_allocs += 1
+            instance.memory.write(in_ptr, input_bytes)
+            encoded_ns = time.perf_counter_ns()
+            out_ptr = instance.call(entry, in_ptr, in_len)
+            invoked_ns = time.perf_counter_ns()
+            output = self._read_output(out_ptr)
+        except PluginError as exc:
+            error = exc
+        except (Trap, RecursionError) as exc:
+            # a plugin that recurses until the *host's* stack runs out
+            # before the Wasm depth limit does (the cold tier and the
+            # interpreters spend three Python frames per Wasm frame, an
+            # embedder may already be deep) is a stack trap like any
+            # other: it never reaches the caller as RecursionError
+            trap_code = exc.code if isinstance(exc, Trap) else "stack"
+            kind = "fuel" if trap_code == "fuel" else "trap"
+            if (
+                kind == "fuel"
+                and budgeted
+                and (injection is None or injection.kind != "fuel_cut")
+            ):
+                # the rt budget, not the plugin's own limit, was the
+                # binding constraint: this is a deadline preemption
+                # (message kept time-free so logs stay reproducible)
+                kind = "deadline"
+                error = PluginError(
+                    f"{self.name}: preempted at rt budget "
+                    f"(fuel budget {fuel})", kind,
+                )
+            else:
+                error = PluginError(
+                    f"{self.name}: plugin trapped: {exc} (code={trap_code})",
+                    kind,
+                )
+            error.__cause__ = exc
+        except BaseException as exc:
+            if traced:  # the span a `with` block records for what it lets by
+                tracer.record(
+                    self._span, "plugin.call", start, time.perf_counter_ns(),
+                    {
+                        "plugin": self.name,
+                        "entry": entry,
+                        "error": f"{type(exc).__name__}: {exc}",
+                    },
+                    "error",
+                )
+            raise
+        end_ns = time.perf_counter_ns()
+        elapsed_us = (end_ns - start) / 1000.0
         fuel_used = None
         if ran_wasm and fuel is not None:
             fuel_used = fuel - instance.store.fuel
@@ -579,38 +681,63 @@ class PluginHost:
                 f"{self.name}: chaos: injected deadline blowout", "deadline"
             )
             output = None
-        result = PluginCallResult(
-            output,
-            elapsed_us,
-            fuel_used,
-            "ok" if error is None else error.kind,
-            trap_code,
-        )
-        if root is not NULL_SPAN:
-            root.set(outcome=result.outcome)
-            if error is not None:
-                root.status = "error"
+        outcome = "ok" if error is None else error.kind
+        result = PluginCallResult(output, elapsed_us, fuel_used, outcome, trap_code)
+        if traced:
             # a phase the call never finished runs to the end of the span:
             # the time up to a trap is booked under the phase it cut short
-            end_ns = root.end_ns
             encoded_ns = encoded_ns or end_ns
             invoked_ns = invoked_ns or end_ns
-            root.children_us = {
-                "plugin.encode": (encoded_ns - root.start_ns) / 1000.0,
-                "plugin.invoke": (invoked_ns - encoded_ns) / 1000.0,
-                "plugin.decode": (end_ns - invoked_ns) / 1000.0,
-            }
-        if enabled:
-            rt_doc = dict(rt) if rt is not None else None
-            if budgeted:
-                # record the *effective* enforced budget so replay
-                # reproduces the fuel-cut preemption bit-exactly
-                rt_doc = dict(rt_doc or {})
-                rt_doc["fuel"] = fuel
-            self._record_telemetry(
-                obs, entry, input_bytes, result, error, stats, injection,
-                rt_doc, pre,
+            tracer.record(
+                self._span, "plugin.call", start, end_ns,
+                {"plugin": self.name, "entry": entry, "outcome": outcome},
+                "ok" if error is None else "error",
+                {
+                    "plugin.encode": (encoded_ns - start) / 1000.0,
+                    "plugin.invoke": (invoked_ns - encoded_ns) / 1000.0,
+                    "plugin.decode": (end_ns - invoked_ns) / 1000.0,
+                },
             )
+        if enabled:
+            name = self.name
+            memory = instance.memory
+            self._metrics.get(obs.registry, name).add(
+                outcome, elapsed_us, fuel_used,
+                stats.frames, stats.max_call_depth, stats.max_value_stack,
+                memory.size_pages if memory is not None else None,
+            )
+            attrs = {}
+            if injection is not None:
+                obs.registry.counter(
+                    "waran_chaos_injections_total",
+                    "chaos faults injected into plugin calls",
+                ).inc(plugin=name, kind=injection.kind)
+                obs.events.emit(
+                    "chaos.inject",
+                    source=name,
+                    fault_kind=injection.kind,
+                    index=injection.index,
+                    outcome=outcome,
+                )
+                attrs["chaos"] = injection.to_json()
+            if rt is not None or budgeted:
+                attrs["rt"] = rt_doc = dict(rt) if rt is not None else {}
+                if budgeted:
+                    # record the *effective* enforced budget so replay
+                    # reproduces the fuel-cut preemption bit-exactly
+                    rt_doc["fuel"] = fuel
+            if pre is not None:
+                attrs["pre"] = pre
+                obs.flight.register_module(self.module_sha, self.wasm_bytes)
+            obs.flight.record(
+                name, entry, self.generation, input_bytes, result,
+                str(error) if error is not None else "", attrs, self.module_sha,
+            )
+            if error is not None:
+                fields = {"entry": entry, "detail": str(error)}
+                if trap_code is not None:
+                    fields["trap_code"] = trap_code
+                obs.events.emit(f"plugin.{error.kind}", source=name, **fields)
         if self._warming and ran_wasm:
             # after the timing and the telemetry of the call: a compile
             # never shows up in a plugin latency series
@@ -705,65 +832,6 @@ class PluginHost:
         """
         self._scratch_ptr = None
         self._scratch_cap = 0
-
-    def _record_telemetry(
-        self,
-        obs,
-        entry: str,
-        input_bytes: bytes,
-        result: PluginCallResult,
-        error: PluginError | None,
-        stats: ExecStats,
-        injection=None,
-        rt_doc: dict | None = None,
-        pre: dict | None = None,
-    ) -> None:
-        """Registry + flight recorder + event log for one finished call."""
-        reg = obs.registry
-        name = self.name
-        if injection is not None:
-            reg.counter(
-                "waran_chaos_injections_total",
-                "chaos faults injected into plugin calls",
-            ).inc(plugin=name, kind=injection.kind)
-            obs.events.emit(
-                "chaos.inject",
-                source=name,
-                fault_kind=injection.kind,
-                index=injection.index,
-                outcome=result.outcome,
-            )
-        metrics = self._metrics.get(reg, name)
-        metrics.calls[result.outcome].inc()
-        metrics.call_us.observe(result.elapsed_us)
-        if result.fuel_used is not None:
-            metrics.fuel_used.observe(result.fuel_used)
-        metrics.frames.observe(stats.frames)
-        metrics.call_depth_peak.observe(stats.max_call_depth)
-        metrics.value_stack_peak.observe(stats.max_value_stack)
-        if self.instance is not None and self.instance.memory is not None:
-            metrics.memory_pages.set(self.instance.memory.size_pages)
-        attrs = {"chaos": injection.to_json()} if injection is not None else {}
-        if rt_doc is not None:
-            attrs["rt"] = rt_doc
-        if pre is not None:
-            attrs["pre"] = pre
-            obs.flight.register_module(self.module_sha, self.wasm_bytes)
-        obs.flight.record(
-            name,
-            entry,
-            self.generation,
-            input_bytes,
-            result,
-            error=str(error) if error is not None else "",
-            module_sha=self.module_sha,
-            **attrs,
-        )
-        if error is not None:
-            fields = {"entry": entry, "detail": str(error)}
-            if result.trap_code is not None:
-                fields["trap_code"] = result.trap_code
-            obs.events.emit(f"plugin.{error.kind}", source=name, **fields)
 
     def reissue(
         self,

@@ -29,6 +29,9 @@ Output::
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
+from itertools import starmap
+from operator import attrgetter
 
 from repro.sched.types import UeGrant, UeSchedInfo
 
@@ -44,17 +47,23 @@ class WireError(ValueError):
     """Malformed ABI buffer."""
 
 
+_COUNT = struct.Struct("<I")
+_GRANT = struct.Struct("<II")
+_BY_UE_ID = attrgetter("ue_id")
+
+
+@lru_cache(maxsize=64)
+def _sched_input_struct(n_ues: int) -> struct.Struct:
+    """The whole input buffer of ``n_ues`` UEs as one struct."""
+    return struct.Struct("<IIIII" + "IIIId" * n_ues)
+
+
 def pack_sched_input(slot: int, allocated_prbs: int, ues: list[UeSchedInfo]) -> bytes:
     """Serialize one scheduler call's input."""
-    ordered = sorted(ues, key=lambda ue: ue.ue_id)
-    out = bytearray(
-        struct.pack("<IIIII", MAGIC, ABI_VERSION, slot, allocated_prbs, len(ordered))
-    )
-    for ue in ordered:
-        out += struct.pack(
-            "<IIIId", ue.ue_id, ue.mcs, ue.cqi, ue.buffer_bytes, ue.avg_tput_bps
-        )
-    return bytes(out)
+    fields = [MAGIC, ABI_VERSION, slot, allocated_prbs, len(ues)]
+    for ue in sorted(ues, key=_BY_UE_ID):
+        fields += (ue.ue_id, ue.mcs, ue.cqi, ue.buffer_bytes, ue.avg_tput_bps)
+    return _sched_input_struct(len(ues)).pack(*fields)
 
 
 def unpack_sched_input(data: bytes) -> tuple[int, int, list[UeSchedInfo]]:
@@ -89,17 +98,13 @@ def unpack_grants(data: bytes) -> list[UeGrant]:
     """Parse an output buffer written by a plugin."""
     if len(data) < 4:
         raise WireError("output too short for count")
-    (count,) = struct.unpack_from("<I", data, 0)
+    (count,) = _COUNT.unpack_from(data)
     if count > 10_000:
         raise WireError(f"implausible grant count {count}")
     expected = 4 + count * GRANT_STRIDE
     if len(data) < expected:
         raise WireError(f"output truncated: {len(data)} < {expected}")
-    grants = []
-    for i in range(count):
-        ue_id, prbs = struct.unpack_from("<II", data, 4 + i * GRANT_STRIDE)
-        grants.append(UeGrant(ue_id, prbs))
-    return grants
+    return list(starmap(UeGrant, _GRANT.iter_unpack(data[4:expected])))
 
 
 def grants_output_size(data: bytes, offset: int) -> int:

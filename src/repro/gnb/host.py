@@ -58,6 +58,13 @@ def _bind_slice_delivered(reg: MetricsRegistry, slice_name: str):
     ).labels(slice=slice_name)
 
 
+def _bind_slice_deadline_miss(reg: MetricsRegistry, slice_name: str):
+    return reg.counter(
+        "waran_gnb_deadline_miss_total",
+        "plugin calls that overran the slot duration",
+    ).labels(slice=slice_name)
+
+
 def _bind_slots_total(reg: MetricsRegistry):
     return reg.counter("waran_gnb_slots_total", "slots scheduled").labels()
 
@@ -88,10 +95,12 @@ class SliceRuntime:
         self.meter = RateMeter()
         #: plugin scheduling time per slot (us), telemetry on or off
         self.exec_us = LogHistogram()
-        # the two registry series bind separately: a native slice never
-        # opens an exec series, an idle one never opens a delivered one
+        # the registry series bind separately: a native slice never opens
+        # an exec series, an idle one never opens a delivered one, one
+        # that never overruns the slot never opens a deadline-miss one
         self._exec_series = BoundMetrics(_bind_slice_exec)
         self._delivered_series = BoundMetrics(_bind_slice_delivered)
+        self._deadline_miss_series = BoundMetrics(_bind_slice_deadline_miss)
         #: last known-good plugin state (taken on the success path when the
         #: gNB's ``checkpoint_every`` cadence is enabled)
         self.last_checkpoint = None
@@ -374,10 +383,9 @@ class GnbHost:
                         elapsed_us=call.elapsed_us,
                         slot_us=slot_us,
                     )
-                    OBS.registry.counter(
-                        "waran_gnb_deadline_miss_total",
-                        "plugin calls that overran the slot duration",
-                    ).inc(slice=runtime.name)
+                    runtime._deadline_miss_series.get(
+                        OBS.registry, runtime.name
+                    ).inc()
             return call.grants
 
         scheduler = runtime.native or runtime.default

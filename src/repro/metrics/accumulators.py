@@ -93,6 +93,24 @@ class LogHistogram:
     #: the metrics-registry spelling (a histogram series *is* this class)
     observe = add
 
+    def add_n(self, value: int, n: int) -> None:
+        """``n`` :meth:`add` calls of the same integer ``value`` at once.
+
+        Exact for integers while ``count``, ``total`` and ``sumsq`` stay
+        below 2**53 (every partial sum is then an exactly representable
+        integer, so the order of additions cannot matter); a float value
+        would round differently from ``n`` separate adds.
+        """
+        self.count += n
+        self.total += value * n
+        self.sumsq += value * value * n
+        if value < self.minimum:
+            self.minimum = value
+        if value > self.maximum:
+            self.maximum = value
+        index = bucket_index(value)
+        self.buckets[index] = self.buckets.get(index, 0) + n
+
     def extend(self, values) -> None:
         for value in values:
             self.add(value)

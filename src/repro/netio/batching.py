@@ -51,7 +51,7 @@ from collections import deque
 
 from repro.netio.bus import Endpoint
 from repro.netio.framing import MAX_FRAME
-from repro.obs import OBS
+from repro.obs import OBS, BoundMetrics, MetricsRegistry
 from repro.obs.tracing import TraceContext
 
 RANGE_MAGIC = 0x33524257  # 'WBR3' little-endian
@@ -213,6 +213,13 @@ def unpack_batch(data: bytes) -> list[bytes]:
     return payloads
 
 
+def _bind_queue_wait(reg: MetricsRegistry):
+    return reg.histogram(
+        "waran_uplink_queue_wait_us",
+        "batch-queue wait from enqueue to flush (us)",
+    ).labels()
+
+
 class BatchSender:
     """A bounded, explicitly flushed batch queue toward one destination.
 
@@ -242,6 +249,7 @@ class BatchSender:
         self.batches_sent = 0
         self.messages_sent = 0
         self.bytes_sent = 0
+        self._wait_series = BoundMetrics(_bind_queue_wait)
 
     @property
     def queued(self) -> int:
@@ -285,11 +293,7 @@ class BatchSender:
         ctx = tracer.current() if tracer.enabled else None
         wait_hist = None
         if OBS.enabled and self._queue:
-            # one flush drains many payloads: resolve the series once
-            wait_hist = OBS.registry.histogram(
-                "waran_uplink_queue_wait_us",
-                "batch-queue wait from enqueue to flush (us)",
-            ).labels()
+            wait_hist = self._wait_series.get(OBS.registry)
         flushed = 0
         bytes_before = self.bytes_sent
         blob_bytes = 0  # kept out of the span attr: blob size tracks

@@ -19,7 +19,7 @@ import time
 from abc import ABC, abstractmethod
 
 from repro.netio.framing import read_frame, write_frame
-from repro.obs import OBS
+from repro.obs import OBS, BoundMetrics, MetricsRegistry
 
 
 class NetworkError(RuntimeError):
@@ -116,6 +116,17 @@ class InProcNetwork:
 # ---------------------------------------------------------------------------
 
 
+def _bind_recv(reg: MetricsRegistry):
+    return (
+        reg.counter("waran_net_recv_frames_total", "frames received").labels(),
+        reg.counter("waran_net_recv_bytes_total", "payload bytes received").labels(),
+    )
+
+
+def _bind_send(reg: MetricsRegistry):
+    return reg.histogram("waran_net_send_us", "TCP frame send time (us)").labels()
+
+
 class _TcpEndpoint(Endpoint):
     """One TCP listener per endpoint; outgoing connections cached."""
 
@@ -131,6 +142,8 @@ class _TcpEndpoint(Endpoint):
         #: accepted inbound connections, so close() can drop every FD even
         #: while the remote side keeps its end open
         self._conns: set[socket.socket] = set()
+        self._recv_series = BoundMetrics(_bind_recv)
+        self._send_series = BoundMetrics(_bind_send)
         self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
         self._accept_thread.start()
 
@@ -165,12 +178,9 @@ class _TcpEndpoint(Endpoint):
             while True:
                 source, payload = read_frame(recv_exact)
                 if OBS.enabled:
-                    OBS.registry.counter(
-                        "waran_net_recv_frames_total", "frames received"
-                    ).inc()
-                    OBS.registry.counter(
-                        "waran_net_recv_bytes_total", "payload bytes received"
-                    ).inc(len(payload))
+                    frames, nbytes = self._recv_series.get(OBS.registry)
+                    frames.inc()
+                    nbytes.inc(len(payload))
                 self._queue.put((source, payload))
         except (ConnectionError, OSError, ValueError):
             conn.close()
@@ -228,9 +238,9 @@ class _TcpEndpoint(Endpoint):
                     self._out[dest] = sock
                     sock.sendall(frame)
             if OBS.enabled:
-                OBS.registry.histogram(
-                    "waran_net_send_us", "TCP frame send time (us)"
-                ).observe((time.perf_counter_ns() - start_ns) / 1000.0)
+                self._send_series.get(OBS.registry).observe(
+                    (time.perf_counter_ns() - start_ns) / 1000.0
+                )
 
     def recv(self, timeout: float | None = 0.0) -> tuple[str, bytes] | None:
         try:

@@ -4,8 +4,10 @@ In the spirit of Wasm-R3 (record-reduce-replay, PAPERS.md): every call
 through :class:`repro.abi.host.PluginHost` can be captured as a
 :class:`CallRecord` - entry point, exact input bytes, output bytes, fuel
 (one unit per retired instruction), and the outcome (``ok`` or the fault
-kind).  The recorder keeps the last N records in a ring buffer, cheap
-enough to leave on in production; ``PluginHost.replay(record)``
+kind).  The recorder keeps the last N calls in a ring buffer, cheap
+enough to leave on in production: recording one is a tuple of references
+(the call's own result among them), and the ``CallRecord`` is built when
+it is read; ``PluginHost.replay(record)``
 re-executes a captured call against a fresh instance for deterministic
 debugging.
 """
@@ -22,7 +24,7 @@ from typing import Any
 class CallRecord:
     """One captured host→plugin invocation (treat as read-only: it is not
     frozen only because a frozen dataclass pays ``object.__setattr__`` per
-    field on every recorded call)."""
+    field on every record built)."""
 
     seq: int
     plugin: str
@@ -86,7 +88,9 @@ class FlightRecorder:
         self.capture = capture
         #: module binaries seen while capturing, keyed by sha256 hex
         self.modules: dict[str, bytes] = {}
-        self._records: deque[CallRecord] = deque(maxlen=capacity)
+        #: ``(seq, plugin, entry, generation, input, result, error, attrs,
+        #: module_sha)`` per call; the :class:`CallRecord` is built on read
+        self._calls: deque[tuple] = deque(maxlen=capacity)
         self._seq = itertools.count(1)
 
     def register_module(self, sha: str, wasm_bytes: bytes) -> None:
@@ -102,53 +106,53 @@ class FlightRecorder:
         input_bytes: bytes,
         result,
         error: str = "",
+        attrs: dict[str, Any] | None = None,
         module_sha: str = "",
-        **attrs: Any,
-    ) -> CallRecord:
+    ) -> None:
         """Append one call; ``result`` is its
-        :class:`~repro.abi.host.PluginCallResult`."""
+        :class:`~repro.abi.host.PluginCallResult`, kept by reference (a
+        mutable ``input_bytes`` is copied)."""
+        if type(input_bytes) is not bytes:
+            input_bytes = bytes(input_bytes)
+        self._calls.append((
+            next(self._seq), plugin, entry, generation, input_bytes, result,
+            error, attrs, module_sha,
+        ))
+
+    @staticmethod
+    def _built(call: tuple) -> CallRecord:
+        seq, plugin, entry, generation, input_bytes, result, error, attrs, sha = call
         output = result.output
-        rec = CallRecord(
-            seq=next(self._seq),
-            plugin=plugin,
-            entry=entry,
-            generation=generation,
-            input_bytes=bytes(input_bytes),
-            output_bytes=bytes(output) if output is not None else None,
-            outcome=result.outcome,
-            elapsed_us=result.elapsed_us,
-            fuel_used=result.fuel_used,
-            error=error,
-            attrs=attrs,
-            module_sha=module_sha,
+        return CallRecord(
+            seq, plugin, entry, generation, input_bytes,
+            bytes(output) if output is not None else None,
+            result.outcome, result.elapsed_us, result.fuel_used,
+            error, attrs if attrs is not None else {}, sha,
         )
-        self._records.append(rec)
-        return rec
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._calls)
 
     def records(self) -> list[CallRecord]:
         """All retained records, oldest first."""
-        return list(self._records)
+        return [self._built(call) for call in list(self._calls)]
 
     def last(self, n: int = 1) -> list[CallRecord]:
-        records = list(self._records)
-        return records[-n:]
+        return [self._built(call) for call in list(self._calls)[-n:]]
 
     def find(
         self, plugin: str | None = None, outcome: str | None = None
     ) -> list[CallRecord]:
         return [
             rec
-            for rec in self._records
+            for rec in self.records()
             if (plugin is None or rec.plugin == plugin)
             and (outcome is None or rec.outcome == outcome)
         ]
 
     def reset(self) -> None:
-        self._records.clear()
+        self._calls.clear()
         self.modules.clear()
 
     def to_json(self, max_bytes: int = 256) -> list[dict[str, Any]]:
-        return [rec.to_json(max_bytes=max_bytes) for rec in self._records]
+        return [rec.to_json(max_bytes=max_bytes) for rec in self.records()]

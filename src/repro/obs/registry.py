@@ -16,7 +16,10 @@ child once - ``handle = family.labels(plugin="pf")`` - and then calls
 name, help or label resolution per observation (``family.labels_by(...)``
 when one label's value varies per observation); :class:`BoundMetrics`
 keeps such handles valid across :meth:`MetricsRegistry.reset` and
-registry swaps.  Exposition is available as a JSON-friendly dict
+registry swaps.  The hottest site of all, the plugin call, does not even
+observe: it appends one sample to a batch (:meth:`MetricsRegistry.batch`)
+that the registry folds into the series on every read, so a reader never
+sees the difference.  Exposition is available as a JSON-friendly dict
 (:meth:`MetricsRegistry.to_json`) and as the Prometheus text format
 (:meth:`MetricsRegistry.to_prometheus`, histograms rendered as summaries
 with ``quantile`` labels).
@@ -71,6 +74,10 @@ class GaugeChild:
         self.value -= amount
 
 
+def _nothing_pending() -> None:
+    pass
+
+
 class Metric:
     """Base class: a named family of labelled children."""
 
@@ -81,6 +88,9 @@ class Metric:
         self.name = name
         self.help = help
         self._children: dict[LabelKey, object] = {}
+        #: folds the owning registry's pending batches; every read of a
+        #: family's values calls it first
+        self._fold: Callable[[], None] = _nothing_pending
 
     def _child(self, labels: dict[str, str]):
         key = _label_key(labels)
@@ -98,37 +108,42 @@ class Metric:
         """
         return self._child(labels)
 
-    def labels_by(self, *names: str, **fixed: str) -> "ChildrenBy":
+    def labels_by(self, *names: str, **fixed: str) -> "HandlesBy":
         """Handles for a label set part of which varies per observation.
 
         ``calls.labels_by("outcome", plugin="pf")["ok"].inc()``: index by
         the value of the one varying label (by a tuple of values when
         several ``names`` vary); each child binds on first use.
         """
-        return ChildrenBy(self, names, fixed)
+
+        def bind(key):
+            values = key if len(names) > 1 else (key,)
+            return self.labels(**fixed, **dict(zip(names, values)))
+
+        return HandlesBy(bind)
 
     def series(self) -> Iterator[tuple[LabelKey, object]]:
+        self._fold()
         return iter(sorted(self._children.items()))
 
 
-class ChildrenBy(dict):
-    """One family's children keyed by their varying label values
-    (:meth:`Metric.labels_by`); a miss binds the child."""
+class HandlesBy(dict):
+    """Handles keyed by whatever varies per observation, each bound on
+    first use: a miss on ``key`` stores ``bind(key)``.
 
-    __slots__ = ("_family", "_names", "_fixed")
+    :meth:`Metric.labels_by` keys one family's children by label value; a
+    site whose family *name* varies keys families the same way.
+    """
 
-    def __init__(self, family: Metric, names: tuple[str, ...], fixed: dict):
+    __slots__ = ("_bind",)
+
+    def __init__(self, bind: Callable[[Any], Any]):
         super().__init__()
-        self._family = family
-        self._names = names
-        self._fixed = fixed
+        self._bind = bind
 
     def __missing__(self, key):
-        values = key if len(self._names) > 1 else (key,)
-        child = self[key] = self._family.labels(
-            **self._fixed, **dict(zip(self._names, values))
-        )
-        return child
+        handle = self[key] = self._bind(key)
+        return handle
 
 
 class Counter(Metric):
@@ -141,6 +156,7 @@ class Counter(Metric):
         self._child(labels).inc(amount)
 
     def value(self, **labels: str) -> float:
+        self._fold()
         child = self._children.get(_label_key(labels))
         return child.value if child is not None else 0.0
 
@@ -161,6 +177,7 @@ class Gauge(Metric):
         self._child(labels).dec(amount)
 
     def value(self, **labels: str) -> float:
+        self._fold()
         child = self._children.get(_label_key(labels))
         return child.value if child is not None else 0.0
 
@@ -175,12 +192,14 @@ class Histogram(Metric):
         self._child(labels).observe(value)
 
     def snapshot(self, **labels: str) -> dict[str, float]:
+        self._fold()
         child = self._children.get(_label_key(labels))
         if child is None:
             return {"count": 0, "sum": 0.0}
         return child.snapshot()
 
     def count(self, **labels: str) -> int:
+        self._fold()
         child = self._children.get(_label_key(labels))
         return child.count if child is not None else 0
 
@@ -195,6 +214,9 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: dict[str, Metric] = {}
+        #: samples recorded but not yet folded into their series, one
+        #: batch per key (:meth:`batch`); every read folds them first
+        self._batches: dict[Any, Any] = {}
         #: bumped by :meth:`reset`: a handle bound under an older epoch
         #: points at a dropped family and must be rebound
         self.epoch = 0
@@ -210,8 +232,30 @@ class MetricsRegistry:
                 )
             return metric
         metric = cls(name, help)
+        metric._fold = self.fold
         self._metrics[name] = metric
         return metric
+
+    def batch(self, key: Any, make: Callable[[], Any]) -> Any:
+        """The one pending-sample batch of ``key`` in this registry,
+        ``make()`` on first use.
+
+        A batch records samples cheaply and applies them to its series in
+        its ``fold()``, which must be exact (the series read as if every
+        sample had been applied on arrival) and thread-safe.  The registry
+        folds every batch before any read of a value - :meth:`to_json`,
+        :meth:`get`, a family's ``value`` / ``count`` / ``snapshot`` /
+        ``series`` - and never on a family lookup or a ``labels()`` bind.
+        """
+        pending = self._batches.get(key)
+        if pending is None:
+            pending = self._batches.setdefault(key, make())
+        return pending
+
+    def fold(self) -> None:
+        """Apply every batch's pending samples to its series."""
+        for pending in list(self._batches.values()):
+            pending.fold()
 
     def counter(self, name: str, help: str = "") -> Counter:
         return self._get_or_create(Counter, name, help)
@@ -223,24 +267,28 @@ class MetricsRegistry:
         return self._get_or_create(Histogram, name, help)
 
     def get(self, name: str) -> Metric | None:
+        self.fold()
         return self._metrics.get(name)
 
     def names(self) -> list[str]:
         return sorted(self._metrics)
 
     def reset(self) -> None:
+        """Drop every family and every pending sample with it."""
         self._metrics.clear()
+        self._batches.clear()
         self.epoch += 1
 
     # ----- exposition ------------------------------------------------------
 
     def to_json(self) -> dict:
         """A JSON-serialisable snapshot of every series."""
+        self.fold()
         out: dict[str, dict] = {}
         for name in sorted(self._metrics):
             metric = self._metrics[name]
             series = []
-            for key, child in metric.series():
+            for key, child in sorted(metric._children.items()):
                 labels = dict(key)
                 if isinstance(metric, Histogram):
                     series.append({"labels": labels, **child.snapshot()})

@@ -34,8 +34,15 @@ Since the cluster PR, spans also carry **distributed trace context**:
 Cost model: when the tracer is disabled, :meth:`Tracer.span` returns a
 shared null span - one method call and one branch, no allocation, no clock
 read - so instrumented hot paths stay within noise of uninstrumented code.
-Finished spans land in a bounded ring buffer (oldest evicted) and can be
-exported as a JSON-friendly list or an indented text tree.
+An enabled ``with`` span costs a :class:`Span` object, its attrs dict and
+two clock reads.  The one span on every plugin call costs less: the host
+already reads the clock at the call's edges, so it opens a reused
+:class:`SpanMark` (:meth:`Tracer.begin`: ids and a stack slot, so spans
+opened inside the call still parent under it) and hands its own reads to
+:meth:`Tracer.record`, which keeps the finished span as one tuple.  The
+``Span`` object is built only when the span is read.  Finished spans land
+in a bounded ring buffer (oldest evicted) and can be exported as a
+JSON-friendly list or an indented text tree.
 """
 
 from __future__ import annotations
@@ -231,8 +238,29 @@ class Span:
         return doc
 
 
+class SpanMark:
+    """The identity of a span its owner times with its own clock reads.
+
+    :meth:`Tracer.begin` gives the mark fresh ids and puts it on the
+    thread's active stack, so any span opened before :meth:`Tracer.record`
+    parents under it exactly as under a live :class:`Span`; ``record``
+    takes it off and keeps the finished span as a plain record.  An owner
+    that is never re-entered keeps one mark and reuses it.
+    """
+
+    __slots__ = ("trace_id", "span_id", "parent_id", "children_us", "_stack")
+
+    context = Span.context
+
+
 class Tracer:
-    """Owns the thread-local active-span stacks and the finished ring buffer."""
+    """Owns the thread-local active-span stacks and the finished ring buffer.
+
+    The ring holds :class:`Span` objects (``with tracer.span(...)``) and
+    plain tuples (:meth:`record`); every read - :meth:`finished`,
+    :meth:`to_json`, :meth:`drain_finished` - builds the ``Span`` of a
+    tuple, so readers never see the difference.
+    """
 
     def __init__(
         self, capacity: int = 4096, enabled: bool = False, service: str = "main"
@@ -249,7 +277,7 @@ class Tracer:
         ) & 0x7FFF_FFFF
         self._ids = itertools.count(1)
         self._tls = threading.local()
-        self._finished: deque[Span] = deque(maxlen=capacity)
+        self._finished: deque[Span | tuple] = deque(maxlen=capacity)
 
     # ----- identity ---------------------------------------------------------
 
@@ -287,6 +315,66 @@ class Tracer:
             return NULL_SPAN
         return Span(self, name, attrs, parent=parent)
 
+    def begin(self, mark: SpanMark) -> None:
+        """Open ``mark`` on this thread: fresh ids, allocated as a
+        :class:`Span` would allocate them, and a place on the stack."""
+        stack = mark._stack = self._stack()
+        mark.span_id = self._next_id()
+        if stack:
+            top = stack[-1]
+            mark.trace_id = top.trace_id
+            mark.parent_id = top.span_id
+        else:
+            mark.trace_id = self._next_id()
+            mark.parent_id = None
+        mark.children_us = None
+        stack.append(mark)
+
+    def record(
+        self,
+        mark: SpanMark,
+        name: str,
+        start_ns: int,
+        end_ns: int,
+        attrs: dict[str, Any],
+        status: str = "ok",
+        children_us: dict[str, float] | None = None,
+    ) -> None:
+        """Finish the span ``mark`` opened, from its owner's clock reads.
+
+        What a ``with`` span does at exit, minus the clock read: off the
+        stack, its duration onto the parent's ``children_us``, and into the
+        ring - as a tuple, the :class:`Span` is built when it is read.
+        """
+        stack = mark._stack
+        if stack and stack[-1] is mark:
+            stack.pop()
+        parent_id = mark.parent_id
+        if stack and stack[-1].span_id == parent_id:
+            parent = stack[-1]
+            if parent.children_us is None:
+                parent.children_us = {}
+            parent.children_us[name] = (
+                parent.children_us.get(name, 0.0) + (end_ns - start_ns) / 1000.0
+            )
+        self._finished.append((
+            name, mark.trace_id, mark.span_id, parent_id, attrs,
+            start_ns, end_ns, status, stack.thread_id, children_us,
+        ))
+
+    def _built(self, item: "Span | tuple") -> Span:
+        if type(item) is not tuple:
+            return item
+        span = Span.__new__(Span)
+        (
+            span.name, span.trace_id, span.span_id, span.parent_id, span.attrs,
+            span.start_ns, span.end_ns, span.status, span.thread_id,
+            span.children_us,
+        ) = item
+        span.tracer = self
+        span._stack = None
+        return span
+
     def resize(self, capacity: int) -> None:
         """Grow/shrink the finished-span ring buffer, keeping newest spans."""
         if capacity != self._finished.maxlen:
@@ -310,7 +398,7 @@ class Tracer:
 
     def finished(self) -> list[Span]:
         """Finished spans, oldest first."""
-        return list(self._finished)
+        return [self._built(item) for item in list(self._finished)]
 
     def drain_finished(self) -> list[dict[str, Any]]:
         """Pop every finished span as an export doc, oldest first.
@@ -323,13 +411,13 @@ class Tracer:
         out: list[dict[str, Any]] = []
         while True:
             try:
-                span = self._finished.popleft()
+                item = self._finished.popleft()
             except IndexError:
                 return out
-            out.append(span.to_json())
+            out.append(self._built(item).to_json())
 
     def to_json(self) -> list[dict[str, Any]]:
-        return [span.to_json() for span in self._finished]
+        return [span.to_json() for span in self.finished()]
 
     def render_tree(self) -> str:
         """Indented text rendering of the recorded span forest."""

@@ -118,6 +118,13 @@ def _bind_degraded(reg: MetricsRegistry):
     ).labels_by("plugin", "verdict")
 
 
+def _bind_slot_miss(reg: MetricsRegistry):
+    return reg.counter(
+        "waran_rt_slot_miss_total",
+        "slots whose plugin fuel exceeded the slot budget",
+    ).labels()
+
+
 class FuelCalibrator:
     """Observes the wall-clock fuel/us rate; reporting only, never policy.
 
@@ -219,6 +226,7 @@ class DeadlineDispatcher:
         self.counters = RtCounters()
         self._slot_fuel = 0
         self._degraded_series = BoundMetrics(_bind_degraded)
+        self._slot_miss_series = BoundMetrics(_bind_slot_miss)
         self._lane_of = {lane.name: lane for lane in policy.lanes}
         self._floor_lane = min(
             policy.lanes, key=lambda l: (-l.priority, l.name)
@@ -364,10 +372,7 @@ class DeadlineDispatcher:
         if missed:
             self.counters.misses += 1
             if OBS.enabled:
-                OBS.registry.counter(
-                    "waran_rt_slot_miss_total",
-                    "slots whose plugin fuel exceeded the slot budget",
-                ).inc()
+                self._slot_miss_series.get(OBS.registry).inc()
         self._slot_fuel = 0
         return missed
 

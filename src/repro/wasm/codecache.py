@@ -33,7 +33,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from threading import Lock
 
-from repro.obs import OBS
+from repro.obs import OBS, BoundMetrics, MetricsRegistry
+from repro.obs.registry import HandlesBy
 from repro.wasm.module import Module
 
 #: binaries kept before LRU eviction.  Sized against ``peak_rss_mb`` on the
@@ -49,12 +50,33 @@ _MODULES: OrderedDict[str, Module] = OrderedDict()
 _LOCK = Lock()
 
 
-def _count_module(what: str, amount: int = 1) -> None:
-    if OBS.enabled:
-        OBS.registry.counter(
+def _bind_module_counts(reg: MetricsRegistry) -> HandlesBy:
+    return HandlesBy(
+        lambda what: reg.counter(
             f"waran_wasm_module_cache_{what}_total",
             f"decoded+validated module table {what} (per load of bytes)",
-        ).inc(amount)
+        ).labels()
+    )
+
+
+def _bind_lookup_counts(reg: MetricsRegistry) -> HandlesBy:
+    return HandlesBy(
+        lambda what: reg.counter(
+            f"waran_wasm_codecache_{what}_total",
+            f"compiled-code cache {what} (per engine)",
+        ).labels_by("engine")
+    )
+
+
+#: the table's counters, keyed by what they count, each family opened on
+#: its first count
+_MODULE_COUNTS = BoundMetrics(_bind_module_counts)
+_LOOKUP_COUNTS = BoundMetrics(_bind_lookup_counts)
+
+
+def _count_module(what: str, amount: int = 1) -> None:
+    if OBS.enabled:
+        _MODULE_COUNTS.get(OBS.registry)[what].inc(amount)
 
 
 def kept_module(content_hash: str) -> Module | None:
@@ -93,11 +115,7 @@ def count_lookup(engine: str, hit: bool) -> None:
     """Count one instantiate / retier that found ``engine`` bodies lowered
     (a hit) or had to lower them (a miss)."""
     if OBS.enabled:
-        what = "hits" if hit else "misses"
-        OBS.registry.counter(
-            f"waran_wasm_codecache_{what}_total",
-            f"compiled-code cache {what} (per engine)",
-        ).inc(engine=engine)
+        _LOOKUP_COUNTS.get(OBS.registry)["hits" if hit else "misses"][engine].inc()
 
 
 def is_cached(module: Module, engine: str) -> bool:

@@ -1,5 +1,6 @@
 """Unit tests for the plugin ABI layer: wire format, sanitizer, host."""
 
+import math
 import struct
 
 import pytest
@@ -93,6 +94,75 @@ class TestSchedWire:
     def test_implausible_count_rejected(self):
         with pytest.raises(WireError, match="implausible"):
             unpack_grants(struct.pack("<I", 1_000_000))
+
+
+U32_MAX = (1 << 32) - 1
+
+
+def _reference_sched_input(slot, prbs, ues):
+    """The per-record packing the one-struct packer must reproduce."""
+    ordered = sorted(ues, key=lambda ue: ue.ue_id)
+    out = bytearray(struct.pack("<IIIII", 0x5741524E, 1, slot, prbs, len(ordered)))
+    for ue in ordered:
+        out += struct.pack(
+            "<IIIId", ue.ue_id, ue.mcs, ue.cqi, ue.buffer_bytes, ue.avg_tput_bps
+        )
+    return bytes(out)
+
+
+def _reference_grants(data):
+    (count,) = struct.unpack_from("<I", data, 0)
+    return [
+        UeGrant(*struct.unpack_from("<II", data, 4 + i * 8)) for i in range(count)
+    ]
+
+
+class TestWireAgainstPerRecordReference:
+    @pytest.mark.parametrize(
+        "slot, prbs, ues",
+        [
+            (0, 0, []),
+            (
+                U32_MAX, U32_MAX,
+                [UeSchedInfo(U32_MAX, 28, 15, U32_MAX, 1e300),
+                 UeSchedInfo(0, 0, 0, 0, 0.0)],
+            ),
+            (
+                7, 52,
+                [UeSchedInfo(3, 9, 7, 10, math.nan),
+                 UeSchedInfo(1, 9, 7, 10, math.inf),
+                 UeSchedInfo(2, 9, 7, 10, -math.inf)],
+            ),
+        ],
+    )
+    def test_edge_inputs_pack_to_the_same_bytes(self, slot, prbs, ues):
+        assert pack_sched_input(slot, prbs, ues) == _reference_sched_input(
+            slot, prbs, ues
+        )
+
+    @given(st.lists(ue_strategy, max_size=60), st.integers(0, U32_MAX))
+    @settings(max_examples=60)
+    def test_inputs_pack_to_the_same_bytes(self, ues, slot):
+        assert pack_sched_input(slot, 52, ues) == _reference_sched_input(slot, 52, ues)
+
+    def test_out_of_range_fields_are_refused_alike(self):
+        for ues, slot in (([], U32_MAX + 1), ([UeSchedInfo(U32_MAX + 1, 0, 0, 0, 0.0)], 0)):
+            with pytest.raises(struct.error):
+                _reference_sched_input(slot, 52, ues)
+            with pytest.raises(struct.error):
+                pack_sched_input(slot, 52, ues)
+
+    @given(
+        st.lists(st.tuples(st.integers(0, U32_MAX), st.integers(0, U32_MAX)),
+                 max_size=40),
+        st.binary(max_size=11),
+    )
+    @settings(max_examples=60)
+    def test_grants_unpack_like_the_per_record_reader(self, pairs, trailing):
+        data = struct.pack("<I", len(pairs)) + b"".join(
+            struct.pack("<II", *pair) for pair in pairs
+        ) + trailing
+        assert unpack_grants(data) == _reference_grants(data)
 
 
 class TestSanitizer:

@@ -134,17 +134,17 @@ class TestHeatPolicy:
         # the compile lands after the call was timed and recorded, so no
         # plugin latency sample ever contains one
         order = []
-        for method in ("_record_telemetry", "promote"):
-            original = getattr(PluginHost, method)
+        for owner, method in ((OBS.flight, "record"), (PluginHost, "promote")):
+            original = getattr(owner, method)
 
-            def spy(self, *args, _original=original, _name=method, **kwargs):
+            def spy(*args, _original=original, _name=method, **kwargs):
                 order.append(_name)
-                return _original(self, *args, **kwargs)
+                return _original(*args, **kwargs)
 
-            monkeypatch.setattr(PluginHost, method, spy)
+            monkeypatch.setattr(owner, method, spy)
         wasm = plugin_wasm("rr")
         index, burnt = promotion_call(wasm, "rr-ev")
-        assert order == ["_record_telemetry"] * (index + 1) + ["promote"]
+        assert order == ["record"] * (index + 1) + ["promote"]
         (event,) = [e for e in OBS.events.events() if e.kind == "plugin.promote"]
         assert event.source == "rr-ev"
         assert event.fields["heat"] == burnt
@@ -160,16 +160,14 @@ class TestHeatPolicy:
         assert host.call(SMALL).fuel_used > 0
         module = host.instance.module
         heat = codecache.heat(module)
-        series = OBS.registry.histogram("waran_plugin_fuel_used").labels(
-            plugin="rr-inj"
-        )
-        assert series.count == 1
+        fuel_series = OBS.registry.histogram("waran_plugin_fuel_used")
+        assert fuel_series.count(plugin="rr-inj") == 1
         host.chaos = OneShotChaos(ChaosInjection(kind, "rr-inj", 2))
         with pytest.raises(PluginError):
             host.call(SMALL)
         (record,) = OBS.flight.last(1)
         assert record.outcome != "ok" and record.fuel_used is None
-        assert series.count == 1
+        assert fuel_series.count(plugin="rr-inj") == 1
         assert codecache.heat(module) == heat
 
     def test_hosts_of_the_same_bytes_share_heat(self):

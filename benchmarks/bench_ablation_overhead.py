@@ -1,11 +1,13 @@
 """§6C ablations - where does plugin overhead come from?
 
-Four ablations around one fixed scheduling workload (PF, 10 UEs, 52 PRBs):
+Three ablations around one fixed scheduling workload (PF, 10 UEs, 52 PRBs):
 
 1. native Python scheduler (zero sandbox overhead, the floor);
-2. Wasm plugin, optimized (inlining) + fuel metering (the default);
-3. Wasm plugin with fuel metering disabled;
-4. Wasm plugin compiled without the inlining optimization.
+2. Wasm plugin, optimized (inlining), fuel-metered (the default);
+3. Wasm plugin compiled without the inlining optimization.
+
+Fuel metering has no off switch to ablate: every engine meters every
+call, and a host without a fuel limit runs on an unlimited budget.
 
 Plus the serialization share: pack/unpack alone.
 """
@@ -40,19 +42,6 @@ def test_native_python_scheduler(benchmark):
 def test_wasm_plugin_default(benchmark):
     plugin = SchedulerPlugin.load(plugin_wasm("pf"), name="pf")
     plugin.host.limits.fuel = 10_000_000
-    slot = [0]
-
-    def call():
-        slot[0] += 1
-        return plugin.schedule(52, UES, slot[0])
-
-    assert benchmark(call).grants
-
-
-@pytest.mark.benchmark(group="ablation-overhead")
-def test_wasm_plugin_no_fuel(benchmark):
-    plugin = SchedulerPlugin.load(plugin_wasm("pf"), name="pf")
-    plugin.host.limits.fuel = None  # §6B knob: metering off
     slot = [0]
 
     def call():

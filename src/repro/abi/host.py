@@ -45,7 +45,7 @@ from repro.wasm.traps import Trap, WasmError
 #: Tier-up threshold: a module is compiled to aot bodies once its
 #: instances have burnt this much fuel per static instruction.  Derived
 #: from the slot-cost ledger (traced ``dense_cell``), not tuned: emitting
-#: + ``compile()``-ing the fueled variant costs ~12 us per static
+#: + ``compile()``-ing a module's bodies costs ~12 us per static
 #: instruction (5.8 ms / 492 for ``rr``, leaves inlined and not compiled
 #: on their own); threaded code retires ~4.9 fuel/us and aot ~37, so
 #: compiled code saves 1/4.9 - 1/37 = 0.177 us per fuel unit; break-even
@@ -102,7 +102,7 @@ class PluginCallResult:
 
     output: bytes | None  # None iff the call faulted
     elapsed_us: float
-    fuel_used: int | None  # None when no Wasm ran (or the host is unmetered)
+    fuel_used: int | None  # None when no Wasm ran (or the host has no fuel limit)
     outcome: str = "ok"  # 'ok' | 'trap' | 'fuel' | 'abi' | 'deadline'
     trap_code: str | None = None
 
@@ -390,19 +390,18 @@ class PluginHost:
         already paid for the compile); differential and replay harnesses
         call it up front to pin the compiled tier.  Idempotent, and a
         no-op on hosts whose engine is explicitly threaded or legacy.
-        Only the fuel variant this host runs is compiled, once per
-        module - the bodies are shared by every instance of it - and only
-        for bodies that run as their own frame: a leaf its callers inline
-        is not compiled unless something calls it from outside.
+        Bodies are compiled once per module - they are shared by every
+        instance of it - and only those that run as their own frame: a
+        leaf its callers inline is not compiled unless something calls it
+        from outside.
         """
         if not self._warming:
             return
         instance = self.instance
         assert instance is not None
         start = time.perf_counter_ns()
-        fueled = self.limits.fuel is not None
         for body in own_frames(instance.module, instance.retier("aot")):
-            body.compile(fueled)
+            body.compile()
         self._warming = False
         if OBS.enabled:
             promote_us = (time.perf_counter_ns() - start) / 1000.0
@@ -427,8 +426,8 @@ class PluginHost:
         """Charge one finished call to the binary's heat; promote when due.
 
         Fuel is the clock: deterministic, engine-identical and proportional
-        to the time threaded code burns.  A call with no fuel reading (an
-        unmetered host) is charged the module's static instruction count.
+        to the time threaded code burns.  A call with no fuel reading (no
+        fuel limit) is charged the module's static instruction count.
         """
         module = self.instance.module
         heat = codecache.add_heat(

@@ -88,25 +88,11 @@ def _cmd_disasm(args) -> int:
         elif args.aot:
             from repro.wasm.aot import dump_aot
 
-            print(dump_aot(raw, fueled=args.fueled))
+            print(dump_aot(raw))
         else:
             print(disassemble(raw))
     except BrokenPipeError:  # e.g. `waran disasm x.wasm | head`
         pass
-    return 0
-
-
-def _cmd_aot(args) -> int:
-    from repro.wasm.aot import dump_aot
-
-    raw = open(args.dump, "rb").read()
-    text = dump_aot(raw, fueled=args.fueled)
-    out = args.output or args.dump.rsplit(".", 1)[0] + ".aot.py"
-    with open(out, "w", encoding="utf-8") as f:
-        f.write(text)
-        if not text.endswith("\n"):
-            f.write("\n")
-    print(f"{args.dump} -> {out} ({len(text.splitlines())} lines)")
     return 0
 
 
@@ -912,28 +898,7 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="dump the AOT lowering: generated Python next to the Wasm body",
     )
-    p.add_argument(
-        "--fueled",
-        action="store_true",
-        help="with --aot: dump the fuel-metered variant of the source",
-    )
     p.set_defaults(fn=_cmd_disasm)
-
-    p = sub.add_parser(
-        "aot",
-        help="AOT tier utilities: dump generated Python source to a file",
-        description="Compiles every function of a Wasm module to Python "
-        "source (the aot engine tier) and writes the annotated listing to "
-        "a file for inspection and debugging.",
-    )
-    p.add_argument("--dump", metavar="MODULE.wasm", required=True)
-    p.add_argument("-o", "--output", help="default: <module>.aot.py")
-    p.add_argument(
-        "--fueled",
-        action="store_true",
-        help="dump the fuel-metered variant of the source",
-    )
-    p.set_defaults(fn=_cmd_aot)
 
     p = sub.add_parser("plugins", help="list shipped plugins")
     p.set_defaults(fn=_cmd_plugins)

@@ -4,7 +4,8 @@ One near-RT RIC, many gNB shards: a :class:`ClusterCoordinator` spawns N
 shared-nothing :mod:`cell workers <repro.cluster.worker>` - separate
 processes talking TCP loopback, or inline for deterministic
 single-process runs - each hosting a subset of the cells with its own
-Wasm plugins, threaded engine and (optional) chaos schedule.  Workers
+Wasm plugins on ``spec.engine`` (unset: ``REPRO_WASM_ENGINE``, else aot)
+and (optional) chaos schedule.  Workers
 coalesce per-slot KPM indications into a **batched E2 uplink** with a
 bounded queue and explicit backpressure counters; the coordinator
 demultiplexes the batches for the RIC, captures its control actions, and

@@ -77,11 +77,10 @@ def _call_outcome(instance: Instance, name: str, args: tuple, fuel: int) -> tupl
         kind, payload = "trap", trap.code
     finally:
         instance.store.stats = None
-    left = instance.store.fuel if instance.store.fuel is not None else fuel
     return (
         kind,
         payload,
-        fuel - left,
+        fuel - instance.store.fuel,
         stats.frames,
         stats.max_call_depth,
         stats.max_value_stack,

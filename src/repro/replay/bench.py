@@ -12,7 +12,7 @@ deterministic moves, mirrored from what the recording captured:
 
 - **scratch**: a recorded call either reused the host's persistent
   input region (its fuel excludes ``alloc``) or allocated it (fuel
-  includes ``alloc``).  The harness primes the region unfueled
+  includes ``alloc``).  The harness primes the region without a budget
   (:meth:`PluginHost.prime_scratch`) or resets it
   (:meth:`PluginHost.reset_scratch`) to match.
 - **globals**: stateful plugins (rr's rotation pointer) read mutable

@@ -27,6 +27,13 @@ from repro.obs import OBS, BoundMetrics, MetricsRegistry
 from repro.rt.admission import AdmissionController, Verdict
 from repro.rt.lanes import DEFAULT_LANES, LaneSpec, format_lanes, parse_lanes, plan_lanes
 
+#: the spellings a boolean policy field accepts; anything else is an error,
+#: not a silent ``False``
+_FLAGS = {
+    "on": True, "true": True, "yes": True, "1": True,
+    "off": False, "false": False, "no": False, "0": False,
+}
+
 
 @dataclass(frozen=True)
 class RtPolicy:
@@ -77,7 +84,7 @@ class RtPolicy:
         """Parse ``"budget_us=800,lanes=sla:50;be:50,admission=off"``.
 
         The lane list uses ``;`` between lanes so ``,`` can separate the
-        policy fields; unknown keys raise.
+        policy fields; unknown keys and unrecognised booleans raise.
         """
         policy = cls()
         if not text or text in ("on", "default"):
@@ -96,7 +103,13 @@ class RtPolicy:
             ):
                 updates[key] = int(value)
             elif key in ("admission", "enforce"):
-                updates[key] = value.strip().lower() in ("on", "1", "true", "yes")
+                flag = _FLAGS.get(value.strip().lower())
+                if flag is None:
+                    raise ValueError(
+                        f"bad rt policy value {key}={value!r} "
+                        "(expected on/off, true/false, yes/no or 1/0)"
+                    )
+                updates[key] = flag
             elif key == "lanes":
                 updates[key] = parse_lanes(value)
             else:

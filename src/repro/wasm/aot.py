@@ -79,7 +79,7 @@ Lowering rules
 - **Trap-time fuel: the outermost frame wins.**  In every engine a frame
   unwinding from a trap overwrites ``store.fuel`` with its own counter,
   so the host reads the *outermost* Wasm frame's value - its fuel at its
-  call site.  Each metered body is wrapped in ``except BaseException:
+  call site.  Each body is wrapped in ``except BaseException:
   store.fuel = fuel if fuel > 0 else 0; raise``; a ``StackExhausted``
   raised by a prologue leaves ``store.fuel`` to the callers.  An inlined
   leaf charges its own counter, ``_fi = fuel - n``, and commits it with
@@ -90,10 +90,9 @@ Compiled code is instance-independent (instance, store and depth are
 arguments; a direct or inlined callee is a function of the same
 ``Module``), so AOT artifacts are shared by every instance of their
 ``Module`` exactly like threaded code
-(:func:`repro.wasm.instance.compiled_bodies`).  An artifact compiles its
-metered and unmetered variants separately, each on first use
-(:class:`AotCode`), and a leaf that is only ever inlined is never
-compiled on its own.  Engine selection: ``REPRO_WASM_ENGINE=aot`` (the
+(:func:`repro.wasm.instance.compiled_bodies`).  An artifact compiles on
+first use (:class:`AotCode`), and a leaf that is only ever inlined is
+never compiled on its own.  Engine selection: ``REPRO_WASM_ENGINE=aot`` (the
 default; :class:`repro.abi.host.PluginHost` tiers up to it from threaded
 code, ``Instance(engine="aot")`` binds it directly).
 """
@@ -135,9 +134,9 @@ from repro.wasm.wtypes import FuncType, ValType
 
 #: nesting depth beyond which a function is not compiled and keeps its
 #: threaded body.  The emitter nests one Python block per branch-targeted
-#: construct plus one ``try`` when fueled, and CPython rejects more than
-#: 20 statically nested blocks (measured on 3.11: refused from Wasm depth
-#: 21 unfueled / 20 fueled), so depth <= 16 always compiles.
+#: construct plus the body's ``try``, and CPython rejects more than 20
+#: statically nested blocks (measured on 3.11: refused from Wasm depth
+#: 20), so depth <= 16 always compiles.
 _MAX_STRUCTURED_DEPTH = 16
 
 #: a leaf callee this short is emitted at its call sites (the largest
@@ -390,14 +389,13 @@ class _Ctx:
 
 
 class _Emitter:
-    """Emits one function body as Python source (one fuel variant)."""
+    """Emits one function body as Python source."""
 
-    def __init__(self, acode: AotCode, fueled: bool):
+    def __init__(self, acode: AotCode):
         self.module = acode._module
         self.code = acode._code
         self.body = self.code.body
         self.functype = acode._functype
-        self.fueled = fueled
         self.result_arity = len(self.functype.results)
         self.heights, self.branches = acode.analysis()
         self.control = control_map_for(self.code)
@@ -433,13 +431,10 @@ class _Emitter:
         self.lines.append("    " * self.indent + line)
 
     def charge(self) -> None:
-        if self.fueled:
-            self.charges += 1
+        self.charges += 1
 
     def flush(self, extra: int = 0) -> None:
         """Apply batched fuel charges (plus ``extra`` for the op at hand)."""
-        if not self.fueled:
-            return
         n = self.charges + extra
         self.charges = 0
         if n == 0:
@@ -753,12 +748,9 @@ class _Emitter:
         """
         self.callees[func_index] = callee
         self.uses.add("_d1")
-        lead = "inst, store, _d1, fuel" if self.fueled else "inst, store, _d1"
-        call = f"_f{func_index}({', '.join([lead, *args])})"
-        targets = (["fuel"] if self.fueled else []) + (
-            [f"s{result}"] if result is not None else []
-        )
-        self.w(f"{', '.join(targets)} = {call}" if targets else call)
+        call = f"_f{func_index}({', '.join(['inst, store, _d1, fuel', *args])})"
+        targets = "fuel" if result is None else f"fuel, s{result}"
+        self.w(f"{targets} = {call}")
 
     def _emit_host_call(self, func_index: int, ft: FuncType, args: list[str],
                         result: int | None) -> None:
@@ -772,8 +764,7 @@ class _Emitter:
         self.hosts.add(func_index)
         self.uses.add("_hf")
         self._before_call(result)
-        if self.fueled:
-            self.w("store.fuel = fuel")
+        self.w("store.fuel = fuel")
         self.w(f"_h = _hf[{func_index}]")
         self.w("if _h is None:")
         self.indent += 1
@@ -797,15 +788,13 @@ class _Emitter:
             slow = "_h.results(_r)[0]"
             self.w(f"s{result} = {fast} else {slow}" if fast else f"s{result} = {slow}")
         self.indent -= 1
-        if self.fueled:
-            self.w("fuel = store.fuel")
+        self.w("fuel = store.fuel")
 
     def _emit_invoke(self, addr: str, args: list[str], result: int | None,
                      sync: bool = True) -> None:
         """A call that leaves compiled code: ``Instance.invoke_addr``, with
         ``store.fuel`` synced around it unless the caller does that."""
         self.uses.add("_d1")
-        sync = sync and self.fueled
         if sync:
             self.w("store.fuel = fuel")
         head = "_r = " if result is not None else ""
@@ -900,8 +889,7 @@ class _Emitter:
             self.emit_simple(pc)
         (self.body, self.heights, self.base, self.lnames, self.fuel,
          self.fuel_open, self.charges) = saved
-        if self.fueled:
-            self.w("fuel = _fi")
+        self.w("fuel = _fi")
 
     # ----- control flow ------------------------------------------------------
 
@@ -917,10 +905,8 @@ class _Emitter:
             self._emit_return(self.heights[n - 1])
 
     def _emit_return(self, h: int) -> None:
-        values = (["fuel"] if self.fueled else []) + (
-            [self.peek(h - 1)] if self.result_arity else []
-        )
-        self.w(f"return {', '.join(values)}".rstrip())
+        self.w(f"return fuel, {self.peek(h - 1)}" if self.result_arity
+               else "return fuel")
 
     def _end_arm(self, falls: bool) -> None:
         """Leave a construct's arm: its result goes to its slot, or the
@@ -1159,21 +1145,18 @@ class _Emitter:
     def build(self) -> str:
         """Emit the body and assemble the full ``def`` source text.
 
-        The function is ``_wfn(inst, store, depth[, fuel], *params)`` and
-        returns ``[fuel][, result]``.  Its prologue is what every engine
+        The function is ``_wfn(inst, store, depth, fuel, *params)`` and
+        returns ``fuel[, result]``.  Its prologue is what every engine
         does on entering a frame - the depth limit, then the three
         :class:`~repro.wasm.interpreter.ExecStats` updates - so a direct
         call needs nothing between caller and callee.  On a trap every
-        metered frame writes its own ``fuel`` to ``store.fuel`` on the way
-        out, so the outermost frame's value (its fuel at its call site)
-        is what the host reads: the rule all three engines follow.
+        frame writes its own ``fuel`` to ``store.fuel`` on the way out, so
+        the outermost frame's value (its fuel at its call site) is what
+        the host reads: the rule all three engines follow.
         """
         self.emit_structured()
-        body = self.lines
-
-        params = ["inst", "store", "depth"] + (["fuel"] if self.fueled else [])
         np_ = len(self.functype.params)
-        params += [f"l{i}" for i in range(np_)]
+        params = ["inst", "store", "depth", "fuel"] + [f"l{i}" for i in range(np_)]
         prep = prepared_for(self.code)
         head: list[str] = [
             f"def _wfn({', '.join(params)}):",
@@ -1202,14 +1185,11 @@ class _Emitter:
         if "_br" in self.uses:
             head.append("    _br = -1")
 
-        if self.fueled:
-            head.append("    try:")
-            head.extend("        " + line for line in body)
-            head.append("    except BaseException:")
-            head.append("        store.fuel = fuel if fuel > 0 else 0")
-            head.append("        raise")
-        else:
-            head.extend("    " + line for line in body)
+        head.append("    try:")
+        head.extend("        " + line for line in self.lines)
+        head.append("    except BaseException:")
+        head.append("        store.fuel = fuel if fuel > 0 else 0")
+        head.append("        raise")
         return "\n".join(head) + "\n"
 
 # ---------------------------------------------------------------------------
@@ -1220,22 +1200,19 @@ class _Emitter:
 class AotCode:
     """One function body lowered to Python source, compiled on first use.
 
-    ``run(inst, store, depth, *args)`` is the unmetered function,
-    ``run_fueled(inst, store, depth, fuel, *args)`` the metered one; each
-    stays ``None`` until :func:`execute_aot` (which selects on
-    ``store.fuel``), a caller's :meth:`compile` or a host's ``promote()``
-    first needs it, so a host that always meters never pays ``compile()``
-    for the unmetered variant, and a leaf every caller inlines is never
-    compiled at all.  The generated text is not retained: ``source`` /
-    ``source_fueled`` re-run the emitter on demand (``repro disasm
-    --aot``); the static analysis it needs (stack heights, branches,
-    :attr:`leaf`) is computed once.  ``local_defaults``/``max_stack``
-    mirror the other engines so
+    ``run(inst, store, depth, fuel, *args)`` returns ``fuel[, result]``;
+    it stays ``None`` until :func:`execute_aot`, a caller's
+    :meth:`compile` or a host's ``promote()`` first needs it, so a leaf
+    every caller inlines is never compiled at all.  The generated text is
+    not retained: :attr:`source` re-runs the emitter on demand (``repro
+    disasm --aot``); the static analysis it needs (stack heights,
+    branches, :attr:`leaf`) is computed once.
+    ``local_defaults``/``max_stack`` mirror the other engines so
     :class:`~repro.wasm.interpreter.ExecStats` stays bit-identical.
     """
 
     __slots__ = (
-        "run", "run_fueled", "local_defaults", "max_stack", "n_instrs",
+        "run", "local_defaults", "max_stack", "n_instrs",
         "result_arity", "_module", "_code", "_functype", "_name",
         "_analysis", "_leaf", "_written",
     )
@@ -1244,7 +1221,6 @@ class AotCode:
                  name: str = "fn"):
         prep = prepared_for(code)
         self.run = None
-        self.run_fueled = None
         self.local_defaults = prep.local_defaults
         self.max_stack = prep.max_stack
         self.n_instrs = len(code.body)
@@ -1288,33 +1264,31 @@ class AotCode:
             )
         return self._written
 
-    def _emit(self, fueled: bool) -> tuple[str, _Emitter]:
-        """Source text of one fuel variant and the emitter that wrote it."""
-        emitter = _Emitter(self, fueled)
+    def _emit(self) -> tuple[str, _Emitter]:
+        """Source text and the emitter that wrote it."""
+        emitter = _Emitter(self)
         return emitter.build(), emitter
 
-    def compile(self, fueled: bool):
-        """Compile (once) and return the ``fueled`` / unmetered variant.
+    def compile(self):
+        """Compile (once) and return :attr:`run`.
 
         A direct call is a global ``_f{index}`` of the caller's namespace,
-        so the same variant of every function reachable through direct
-        calls is compiled here too (a worklist, not recursion: a call
-        chain may be as long as the module).  Callees are the same
-        ``Module``'s own ``AotCode``s, so the binding is a property of the
-        bytes and the result stays shareable across instances.
-        Nothing is published until everything is linked.
+        so every function reachable through direct calls is compiled here
+        too (a worklist, not recursion: a call chain may be as long as the
+        module).  Callees are the same ``Module``'s own ``AotCode``s, so
+        the binding is a property of the bytes and the result stays
+        shareable across instances.  Nothing is published until
+        everything is linked.
         """
-        attr = "run_fueled" if fueled else "run"
-        fn = getattr(self, attr)
-        if fn is not None:
-            return fn
+        if self.run is not None:
+            return self.run
         built: dict[AotCode, tuple[dict, dict[int, AotCode]]] = {}
         todo = [self]
         while todo:
             acode = todo.pop()
-            if acode in built or getattr(acode, attr) is not None:
+            if acode in built or acode.run is not None:
                 continue
-            source, emitter = acode._emit(fueled)
+            source, emitter = acode._emit()
             ns = dict(_HELPERS)
             for type_index, ft in emitter.sigs.items():
                 ns[f"_sig{type_index}"] = ft
@@ -1324,26 +1298,20 @@ class AotCode:
             todo.extend(emitter.callees.values())
         for ns, callees in built.values():
             for index, callee in callees.items():
-                ns[f"_f{index}"] = (
-                    getattr(callee, attr) or built[callee][0]["_wfn"]
-                )
+                ns[f"_f{index}"] = callee.run or built[callee][0]["_wfn"]
         for acode, (ns, _callees) in built.items():
-            setattr(acode, attr, ns["_wfn"])
-        return getattr(self, attr)
+            acode.run = ns["_wfn"]
+        return self.run
 
     @property
     def source(self) -> str:
-        """The generated unmetered Python source (regenerated per access)."""
-        return self._emit(False)[0]
-
-    @property
-    def source_fueled(self) -> str:
-        return self._emit(True)[0]
+        """The generated Python source (regenerated per access)."""
+        return self._emit()[0]
 
 
 def compile_aot(module: Module, code: Code, functype: FuncType,
                 name: str = "fn") -> AotCode:
-    """Lower one validated function body; variants compile on first use."""
+    """Lower one validated function body; it compiles on first use."""
     return AotCode(module, code, functype, name)
 
 
@@ -1396,22 +1364,16 @@ def execute_aot(store, instance, acode: AotCode, args: list,
     :func:`repro.wasm.interpreter.execute` and
     :func:`repro.wasm.threaded.execute_threaded`.
     """
-    fuel = store.fuel
-    if fuel is None:
-        result = (acode.run or acode.compile(False))(
-            instance, store, depth, *args
-        )
-        return [result] if result_arity else []
-    run_fueled = acode.run_fueled or acode.compile(True)
+    run = acode.run or acode.compile()
     if result_arity:
-        store.fuel, result = run_fueled(instance, store, depth, fuel, *args)
+        store.fuel, result = run(instance, store, depth, store.fuel, *args)
         return [result]
-    store.fuel = run_fueled(instance, store, depth, fuel, *args)
+    store.fuel = run(instance, store, depth, store.fuel, *args)
     return []
 
 
 # ---------------------------------------------------------------------------
-# diagnostics (repro disasm --aot / repro aot --dump)
+# diagnostics (repro disasm --aot)
 # ---------------------------------------------------------------------------
 
 
@@ -1424,19 +1386,19 @@ def _boundary(emitter: _Emitter) -> str:
     return f"inlined: {inlined}; direct: {direct}; host: {host}; via invoke_addr: {via}"
 
 
-def dump_aot(module_or_bytes, fueled: bool = False) -> str:
+def dump_aot(module_or_bytes) -> str:
     """Wasm body and generated Python source for every function.
 
     Each function prints its original instruction sequence (mnemonics, as
     in ``repro disasm``) followed by the Python the AOT tier generated
-    for it, so a lowering bug is diagnosable by eye.  A compiled function
-    names its call boundary: the leaves it inlines, the callees it calls
-    directly, the imports it calls as host functions (an import bound to
-    another instance's export falls back to ``Instance.invoke_addr`` at
-    run time) and the call sites that stay on ``invoke_addr``
-    (``call_indirect``, a callee that kept its threaded body); a function
-    too deep to structure says so and prints the threaded code it keeps
-    instead.
+    for it - the code hosts run - so a lowering bug is diagnosable by
+    eye.  A compiled function names its call boundary: the leaves it
+    inlines, the callees it calls directly, the imports it calls as host
+    functions (an import bound to another instance's export falls back to
+    ``Instance.invoke_addr`` at run time) and the call sites that stay on
+    ``invoke_addr`` (``call_indirect``, a callee that kept its threaded
+    body); a function too deep to structure says so and prints the
+    threaded code it keeps instead.
     """
     module = load_module(module_or_bytes)
 
@@ -1465,16 +1427,13 @@ def dump_aot(module_or_bytes, fueled: bool = False) -> str:
             f"func {func_index}{names}: {body.n_instrs} wasm instrs, {tier}"
         )
         if compiled:
-            source, emitter = body._emit(fueled)
+            source, emitter = body._emit()
             lines.append(f"  ;; {_boundary(emitter)}")
         lines.append("  ;; wasm body")
         for pc in range(len(code.body)):
             lines.append(f"  {pc:04d}  {_mn(code.body, pc)}")
         if compiled:
-            lines.append(
-                "  ;; generated python (%s)"
-                % ("fueled" if fueled else "unfueled")
-            )
+            lines.append("  ;; generated python")
             lines.extend(f"  {line}" for line in source.splitlines())
         else:
             lines.append("  ;; threaded code")

@@ -9,6 +9,7 @@ a plugin can only ever touch what the host explicitly wires in.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
@@ -25,14 +26,20 @@ from repro.wasm.traps import LinkError, Trap
 from repro.wasm.validator import validate_module
 from repro.wasm.wtypes import FuncType, GlobalType, Limits, ValType
 
+#: the budget a ``Store(fuel=None)`` entry runs on: every engine meters,
+#: and at one instruction per nanosecond this lasts ~290 years
+UNLIMITED_FUEL = sys.maxsize
+
 
 class Store:
     """Shared runtime state: the function address space, fuel and limits.
 
-    ``fuel`` is the instruction budget: ``None`` disables metering; an int
-    is decremented once per executed instruction and raises
-    :class:`FuelExhausted` at zero.  Hosts typically set fuel per plugin
-    call via :meth:`Instance.call`.
+    ``fuel`` is the instruction budget, decremented once per executed
+    instruction in every engine; running out raises
+    :class:`FuelExhausted`.  ``None`` means no limit: an entry from
+    Python into Wasm then runs on :data:`UNLIMITED_FUEL` and ``fuel``
+    reads ``None`` again once that entry returns or raises.  Hosts
+    typically set fuel per plugin call via :meth:`Instance.call`.
     """
 
     def __init__(self, fuel: int | None = None, max_call_depth: int = 300):
@@ -328,7 +335,7 @@ class Instance:
         self._exports = module.export_map()
 
         if module.start is not None:
-            self.invoke_index(module.start, [], 0)
+            self._enter(self.func_addrs[module.start], [])
 
     def retier(self, engine: str) -> list:
         """Rebind this instance's functions to ``engine``'s bodies in place
@@ -405,10 +412,10 @@ class Instance:
     def call(self, name: str, *args, fuel: int | None = "unset"):
         """Call an exported function by name.
 
-        ``fuel`` (if given, including ``None``) replaces the store's fuel
-        budget for this call.  Returns a single value, or ``None`` for
-        void functions.  Integer results are returned in *signed*
-        interpretation (the natural embedding for Python callers).
+        ``fuel`` (if given, including ``None`` for no limit) replaces the
+        store's fuel budget for this call.  Returns a single value, or
+        ``None`` for void functions.  Integer results are returned in
+        *signed* interpretation (the natural embedding for Python callers).
         """
         export = self._exports.get(name)
         if export is None or export.kind != "func":
@@ -424,7 +431,7 @@ class Instance:
         stack = [
             _normalize_arg(a, vt) for a, vt in zip(args, functype.params)
         ]
-        results = self.invoke_addr(addr, stack, 0)
+        results = self._enter(addr, stack)
         if not functype.results:
             return None
         value = results[0]
@@ -434,6 +441,23 @@ class Instance:
         if rt == ValType.I64:
             return value - (1 << 64) if value & (1 << 63) else value
         return value
+
+    def _enter(self, addr: int, stack: list) -> Sequence:
+        """Enter Wasm from Python at depth 0: :meth:`call`, an
+        :class:`ExportedFunc` and the start function.
+
+        The one place an absent budget is handled: the engines always
+        meter, so a store with ``fuel is None`` runs the entry on
+        :data:`UNLIMITED_FUEL` and reads ``None`` again however it ends.
+        """
+        store = self.store
+        if store.fuel is not None:
+            return self.invoke_addr(addr, stack, 0)
+        store.fuel = UNLIMITED_FUEL
+        try:
+            return self.invoke_addr(addr, stack, 0)
+        finally:
+            store.fuel = None
 
     # ----- internal invocation (used by the interpreter for `call`) -------
 
@@ -492,5 +516,5 @@ class ExportedFunc:
         stack = [
             _normalize_arg(a, vt) for a, vt in zip(args, self.functype.params)
         ]
-        results = self.instance.invoke_addr(self.addr, stack, 0)
+        results = self.instance._enter(self.addr, stack)
         return results[0] if self.functype.results else None

@@ -639,16 +639,14 @@ def execute(store, instance, prepared: PreparedCode, args: list, result_arity: i
     n = len(ops)
     labels: list[_Label] = [_Label(result_arity, n, 0, False)]
 
-    fuel_on = store.fuel is not None
-    fuel = store.fuel if fuel_on else 0
+    fuel = store.fuel
 
     try:
         while pc < n:
-            if fuel_on:
-                fuel -= 1
-                if fuel < 0:
-                    fuel = 0
-                    raise FuelExhausted()
+            fuel -= 1
+            if fuel < 0:
+                fuel = 0
+                raise FuelExhausted()
             ins = ops[pc]
             tag = ins[0]
 
@@ -670,10 +668,9 @@ def execute(store, instance, prepared: PreparedCode, args: list, result_arity: i
                 value = stack.pop()
                 mem.store_int(stack.pop() + ins[1], value, ins[2])
             elif tag == T_CALL:
-                store.fuel = fuel if fuel_on else store.fuel
+                store.fuel = fuel
                 results = instance.invoke_index(ins[1], stack, depth + 1)
-                if fuel_on:
-                    fuel = store.fuel
+                fuel = store.fuel
                 stack.extend(results)
             elif tag == T_BR_IF:
                 if stack.pop():
@@ -758,10 +755,9 @@ def execute(store, instance, prepared: PreparedCode, args: list, result_arity: i
                         f"indirect call type mismatch: {actual} != {expected}",
                         code="sig",
                     )
-                store.fuel = fuel if fuel_on else store.fuel
+                store.fuel = fuel
                 results = instance.invoke_addr(func_addr, stack, depth + 1)
-                if fuel_on:
-                    fuel = store.fuel
+                fuel = store.fuel
                 stack.extend(results)
             elif tag == T_DROP:
                 stack.pop()
@@ -779,7 +775,6 @@ def execute(store, instance, prepared: PreparedCode, args: list, result_arity: i
             # T_NOP: nothing
             pc += 1
     finally:
-        if fuel_on:
-            store.fuel = fuel
+        store.fuel = fuel
 
     return stack[len(stack) - result_arity :] if result_arity else []

@@ -578,9 +578,7 @@ def _e_unreachable(stack, locals_, frame):
 def _e_call(func_index, nxt):
     def run(stack, locals_, frame):
         store = frame.store
-        fuel = frame.fuel
-        if fuel is not None:
-            store.fuel = fuel
+        store.fuel = frame.fuel
         # invoke_addr directly (not invoke_index) so a wasm call costs the
         # same number of Python frames as in the legacy engine - deep
         # plugin recursion must hit StackExhausted, not RecursionError
@@ -588,8 +586,7 @@ def _e_call(func_index, nxt):
         results = instance.invoke_addr(
             instance.func_addrs[func_index], stack, frame.depth + 1
         )
-        if fuel is not None:
-            frame.fuel = store.fuel
+        frame.fuel = store.fuel
         stack.extend(results)
         return nxt
     return run
@@ -612,12 +609,9 @@ def _e_call_indirect(expected: FuncType, nxt):
                 f"indirect call type mismatch: {actual} != {expected}",
                 code="sig",
             )
-        fuel = frame.fuel
-        if fuel is not None:
-            store.fuel = fuel
+        store.fuel = frame.fuel
         results = instance.invoke_addr(func_addr, stack, frame.depth + 1)
-        if fuel is not None:
-            frame.fuel = store.fuel
+        frame.fuel = store.fuel
         stack.extend(results)
         return nxt
     return run
@@ -976,7 +970,7 @@ class _Frame:
         self.mem = instance.memory
         self.globals = instance.globals
         self.depth = depth
-        self.fuel = None
+        self.fuel = store.fuel
 
 
 def execute_threaded(store, instance, tcode: ThreadedCode, args: list,
@@ -1003,13 +997,6 @@ def execute_threaded(store, instance, tcode: ThreadedCode, args: list,
     stack: list = []
     frame = _Frame(instance, store, depth)
     pc = 0
-
-    if store.fuel is None:
-        while pc < n:
-            pc = slots[pc](stack, locals_, frame)
-        return stack[len(stack) - result_arity:] if result_arity else []
-
-    frame.fuel = store.fuel
     costs = tcode.costs
     try:
         while pc < n:

@@ -1,6 +1,7 @@
 """Tests for the serialization codecs and bit-width adaptation."""
 
 import hashlib
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -210,11 +211,15 @@ class TestPbWire:
 
 
 def _items(value):
-    """A decoded message with its key order: dict equality ignores order."""
+    """A decoded message with its key order: dict equality ignores order.
+    A NaN (a hostile payload can carry one) compares by its bits, since
+    ``nan != nan``."""
     if isinstance(value, dict):
         return [(k, _items(v)) for k, v in value.items()]
     if isinstance(value, list):
         return [_items(v) for v in value]
+    if isinstance(value, float) and value != value:
+        return ("nan", struct.pack("<d", value))
     return value
 
 

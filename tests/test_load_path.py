@@ -59,7 +59,7 @@ from repro.wasm.wtypes import FuncType, ValType
 SMALL = wire.pack_sched_input(1, 52, make_ues(2))
 
 #: a conforming scheduler plugin whose ``start`` logs once per iteration
-#: of a long but *bounded* loop - unmetered it finishes (so a host that
+#: of a long but *bounded* loop - with no budget it finishes (so a host that
 #: forgets the budget fails an assertion instead of hanging the suite)
 START_ITERATIONS = 200_000
 SPINNING_START = assemble(f"""(module
@@ -447,7 +447,7 @@ class TestStartRunsUnderFuel:
 
     @pytest.mark.parametrize("kind", ["rr", "pf", "mt"])
     def test_first_call_fuel_is_what_the_wasm_burns(self, kind):
-        """The store now starts on ``limits.fuel`` instead of unmetered;
+        """The store now starts on ``limits.fuel`` instead of no budget;
         per-call accounting still resets it on every call."""
         limit = HostLimits().fuel
         bare = Instance(

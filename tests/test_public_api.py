@@ -2,9 +2,12 @@
 
 import ast
 import importlib
+import json
 from pathlib import Path
 
 import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
 
 PACKAGES = [
     "repro",
@@ -103,7 +106,7 @@ class TestOptionSurface:
     def test_benchmarks_read_no_environment_variable(self):
         """A bench measures the tree it is given; a bound that an
         environment variable can widen or switch off gates nothing."""
-        benchmarks = Path(__file__).resolve().parent.parent / "benchmarks"
+        benchmarks = ROOT / "benchmarks"
         assert list(benchmarks.glob("bench_*.py")), benchmarks
         reads = _tree_env_reads(benchmarks)
         assert not reads, f"benchmarks/ reads the environment: {sorted(reads, key=str)}"
@@ -290,6 +293,44 @@ class TestOnePbwirePath:
             "    return schema.decode(payload)\n"
         )
         assert _walker_users(tmp_path) == {"e2/vendors.py"}
+
+
+#: per-engine ledger rows: their suffix names a Wasm engine
+LEDGER_ENGINE_ROWS = ("wasm.exec_us.", "wasm.load_cold_us.", "wasm.fuel_per_us.")
+
+
+def _ledger_engines() -> list[str]:
+    """Every engine a per-engine row of ``BENCHMARK.json`` names."""
+    doc = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    rows = [r["name"] for r in doc["end_to_end"] + doc["per_layer"]]
+    return sorted({
+        row[len(prefix):]
+        for row in rows
+        for prefix in LEDGER_ENGINE_ROWS
+        if row.startswith(prefix)
+    })
+
+
+class TestLedgerEngines:
+    """An engine goes only after the benchmark stops measuring it: a
+    per-engine row whose engine is gone would fail the ledger as failed
+    operations, so it fails tier-1 first."""
+
+    def test_the_benchmark_names_engines(self):
+        assert "aot" in _ledger_engines()
+
+    @pytest.mark.parametrize("engine", _ledger_engines())
+    def test_every_ledger_engine_loads_a_scheduler(self, engine):
+        from repro.abi import SchedulerPlugin
+        from repro.plugins import plugin_wasm
+        from repro.sched import UeSchedInfo
+        from repro.wasm.threaded import ENGINES, resolve_engine
+
+        assert engine in ENGINES
+        assert resolve_engine(engine) == engine
+        plugin = SchedulerPlugin.load(plugin_wasm("rr"), engine=engine)
+        ues = [UeSchedInfo(1, 28, 15, 100_000, 5e6)]
+        assert plugin.schedule(52, ues, slot=0).grants
 
 
 class TestReadmeQuickstart:

@@ -113,6 +113,24 @@ class TestRtPolicy:
         with pytest.raises(ValueError):
             RtPolicy.from_string(text)
 
+    @pytest.mark.parametrize("key", ["admission", "enforce"])
+    @pytest.mark.parametrize(
+        "value, flag",
+        [("on", True), ("TRUE", True), (" Yes ", True), ("1", True),
+         ("off", False), ("False", False), ("no", False), (" 0", False)],
+    )
+    def test_boolean_spellings(self, key, value, flag):
+        policy = RtPolicy.from_string(f"{key}={value}")
+        assert getattr(policy, key) is flag
+        assert getattr(RtPolicy(), key) is True  # the default it overrides
+
+    @pytest.mark.parametrize("key", ["admission", "enforce"])
+    @pytest.mark.parametrize("value", ["of", "maybe", "", "2", "onn"])
+    def test_unrecognised_boolean_raises_naming_the_key(self, key, value):
+        # a typo must not quietly switch enforcement or admission off
+        with pytest.raises(ValueError, match=key):
+            RtPolicy.from_string(f"budget_us=400,{key}={value}")
+
     def test_slot_budget_fuel(self):
         assert RtPolicy(budget_us=400.0, fuel_per_us=50.0).slot_budget_fuel() == 20_000
         # budget_us=0 means the whole slot

@@ -35,6 +35,8 @@ class TestSpecValidation:
         replace(RT_SPEC, rt="budget_us=400").validate()
         with pytest.raises(ValueError):
             replace(RT_SPEC, rt="bogus=1").validate()
+        with pytest.raises(ValueError, match="enforce"):
+            replace(RT_SPEC, rt="enforce=of").validate()
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError):

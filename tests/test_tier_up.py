@@ -289,15 +289,15 @@ class TestHeatPolicy:
             assert host.call(SMALL).fuel_used is None
             assert codecache.heat(host.instance.module) == n * static_instrs(host)
         assert host.tier == "aot"
-        # it compiled the variant it runs - the unmetered one - and only
-        # that, for every body that runs as its own frame; the leaves its
-        # callers inline are compiled by nobody
+        # the same metered bodies as any host: every body that runs as its
+        # own frame; the leaves its callers inline are compiled by nobody
         frames, leaves = own_frames_and_leaves(host)
         assert frames and leaves
-        assert all(b.run is not None and b.run_fueled is None for b in frames)
-        assert all(b.run is None and b.run_fueled is None for b in leaves)
+        assert all(b.run is not None for b in frames)
+        assert all(b.run is None for b in leaves)
+        assert host.instance.store.fuel is None
 
-    def test_metered_host_never_compiles_the_unfueled_variant(self):
+    def test_metered_host_compiles_own_frames_not_leaves(self):
         host = PluginHost(plugin_wasm("pf"), name="pf-metered")
         host.promote()
         for payload in DENSE[:3]:
@@ -305,8 +305,8 @@ class TestHeatPolicy:
         assert all(isinstance(b, AotCode) for b in bodies(host))
         frames, leaves = own_frames_and_leaves(host)
         assert frames and leaves
-        assert all(b.run is None and b.run_fueled is not None for b in frames)
-        assert all(b.run is None and b.run_fueled is None for b in leaves)
+        assert all(b.run is not None for b in frames)
+        assert all(b.run is None for b in leaves)
 
     @pytest.mark.parametrize("engine", ["threaded", "legacy"])
     def test_explicit_baseline_engines_never_promote(self, engine):

@@ -285,7 +285,7 @@ def test_plugin_host_promotes_a_mixed_tier_binary():
     from repro.abi.host import PluginHost
 
     cache_clear()  # cold: the host starts on threaded code
-    host = PluginHost(DEEP_CASE.wasm, name="deep", sanitize=False)
+    host = PluginHost(DEEP_CASE.wasm, name="deep", sanitize=False, engine="aot")
     assert host.tier == "threaded"
     host.promote()
     assert host.tier == "aot"
@@ -294,7 +294,7 @@ def test_plugin_host_promotes_a_mixed_tier_binary():
         funcs[host.instance.func_addrs[i]].prepared for i in (1, 2)
     )
     assert deep.__class__ is ThreadedCode
-    assert run.__class__ is AotCode and run.run_fueled is not None
+    assert run.__class__ is AotCode and run.run is not None
     assert host.instance.call("run", 3, fuel=DEEP_CASE.fuel) == 377
 
 
@@ -411,7 +411,7 @@ def test_import_reached_from_a_direct_callee_at_every_budget():
             )
             per_engine = len(seen) // 3
             assert seen == seen[:per_engine] * 3  # same fuel seen by the host
-    source = dump_aot(assemble(IMPORT_BOUNDARY), fueled=True)
+    source = dump_aot(assemble(IMPORT_BOUNDARY))
     assert ";; inlined: -; direct: f1; host: import 0; via invoke_addr: -" in source
 
 
@@ -533,7 +533,7 @@ def test_inlined_leaf_at_exactly_the_depth_limit_then_one_deeper():
         assert_identical(
             DOWN_TO_LEAF, "down", limit, fuel=budget, max_call_depth=limit
         )
-    source = dump_aot(assemble(DOWN_TO_LEAF), fueled=True)
+    source = dump_aot(assemble(DOWN_TO_LEAF))
     assert ";; inlined: f0; direct: f1; host: -; via invoke_addr: -" in source
 
 
@@ -651,8 +651,8 @@ def test_compile_links_a_call_chain_longer_than_the_recursion_limit():
     assert info.value.code == "stack"
     bodies = [inst.store.funcs[addr].prepared for addr in inst.func_addrs]
     assert [b.leaf for b in bodies] == [False] * (n - 1) + [True]
-    assert all(b.run_fueled is not None and b.run is None for b in bodies[:-1])
-    assert bodies[-1].run_fueled is None and bodies[-1].run is None
+    assert all(b.run is not None for b in bodies[:-1])
+    assert bodies[-1].run is None
 
 
 #: numeric helpers the emitter inlines: integer div/rem and the i32 -> f64
@@ -679,7 +679,7 @@ def test_shipped_plugins_stay_on_the_fast_path():
         n_imported = module.num_imported_funcs
         for i, code in enumerate(module.codes):
             acode = aot_for(module, code, module.func_type(n_imported + i))
-            source, emitter = acode._emit(True)
+            source, emitter = acode._emit()
             for banned in (
                 "mem.load_", "mem.store_", "memoryview", "_Frame", *_INLINED_HELPERS
             ):
@@ -832,37 +832,38 @@ def test_dump_aot_shows_wasm_and_python():
     text = dump_aot(raw)
     assert 'func 0 (export "sum"): ' in text
     assert ";; wasm body" in text
-    assert ";; generated python (unfueled)" in text
-    assert "def _wfn(inst, store, depth, l0):" in text
+    assert ";; generated python\n" in text
+    # the one body every host runs, metered
+    assert "def _wfn(inst, store, depth, fuel, l0):" in text
+    assert "FuelExhausted" in text
     assert "i32.add" in text
-    fueled = dump_aot(raw, fueled=True)
-    assert ";; generated python (fueled)" in fueled
-    assert "FuelExhausted" in fueled
-    assert "FuelExhausted" not in text
 
 
-def test_variants_compile_lazily_on_first_use():
+def test_body_compiles_lazily_on_first_use():
     raw = assemble(LOOP_SUM)
     cache_clear()
     inst = Instance(decode_module(raw), engine="aot")
     acode = inst.store.funcs[inst.func_addrs[0]].prepared
     # instantiation lowers nothing: no source retained, no function built
-    assert acode.run is None and acode.run_fueled is None
+    assert acode.run is None
     assert inst.call("sum", 10, fuel=10_000) == 45
-    assert acode.run is None and acode.run_fueled is not None
-    fueled = acode.run_fueled
+    run = acode.run
+    assert run is not None
+    # no budget runs the same function
     assert inst.call("sum", 10, fuel=None) == 45
-    assert acode.run is not None and acode.run_fueled is fueled
-    assert acode.compile(True) is fueled  # idempotent
+    assert acode.run is run and acode.compile() is run  # idempotent
 
 
-def test_generated_source_has_no_fuel_in_unfueled_variant():
+def test_generated_source_takes_fuel_in_and_out():
     raw = assemble(FIB)
     module = decode_module(raw)
     acode = aot_for(module, module.codes[0], module.func_type(0))
-    assert "fuel" not in acode.source
-    assert "def _wfn(inst, store, depth, fuel, l0):" in acode.source_fueled
-    assert "store.fuel = fuel" in acode.source_fueled
+    source = acode.source
+    assert source.startswith("def _wfn(inst, store, depth, fuel, l0):")
+    assert "fuel, s1 = _f0(inst, store, _d1, fuel, " in source
+    assert "return fuel, " in source
+    assert "store.fuel = fuel if fuel > 0 else 0" in source
+    assert "is None" not in source
     # memoized per Code object
     assert aot_for(module, module.codes[0], module.func_type(0)) is acode
 

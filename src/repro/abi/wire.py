@@ -105,11 +105,3 @@ def unpack_grants(data: bytes) -> list[UeGrant]:
     if len(data) < expected:
         raise WireError(f"output truncated: {len(data)} < {expected}")
     return list(starmap(UeGrant, _GRANT.iter_unpack(data[4:expected])))
-
-
-def grants_output_size(data: bytes, offset: int) -> int:
-    """Byte length of a grant buffer starting at ``offset`` in ``data``."""
-    if offset + 4 > len(data):
-        raise WireError("output pointer out of bounds")
-    (count,) = struct.unpack_from("<I", data, offset)
-    return 4 + count * GRANT_STRIDE

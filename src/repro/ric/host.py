@@ -73,14 +73,6 @@ class XappRuntime:
     )
 
 
-@dataclass
-class _PendingControl:
-    request_id: int
-    action: str
-    target: int
-    value: int
-
-
 class NearRtRic:
     """Hosts xApps and drives one (or more) E2 nodes."""
 
@@ -280,19 +272,21 @@ class NearRtRic:
             from repro.ric.rapps import publish_slice_kpis
 
             publish_slice_kpis(self.kpi_publisher, message["slice_reports"])
-        slice_records = wire.slice_kpi_records(message["slice_reports"])
-        # A1 policies override the node-reported target with the SLA the
-        # operator actually configured (the SMO is authoritative, §Fig. 2)
-        adjusted = []
-        for record in slice_records:
-            sla = self.a1_policies.slice_sla_bps(record[0])
-            if sla is not None:
-                record = record[:5] + (sla,)
-            adjusted.append(record)
-        inputs = {
-            wire.MSG_UE_MEAS: wire.ue_meas_records(message["ue_reports"]),
-            wire.MSG_SLICE_KPI: adjusted,
-        }
+        # only the record kinds some hosted xApp subscribes to are built
+        wanted = {t for runtime in self.xapps.values() for t in runtime.msg_types}
+        inputs = {}
+        if wire.MSG_UE_MEAS in wanted:
+            inputs[wire.MSG_UE_MEAS] = wire.ue_meas_records(message["ue_reports"])
+        if wire.MSG_SLICE_KPI in wanted:
+            # A1 policies override the node-reported target with the SLA the
+            # operator actually configured (the SMO is authoritative, §Fig. 2)
+            adjusted = []
+            for record in wire.slice_kpi_records(message["slice_reports"]):
+                sla = self.a1_policies.slice_sla_bps(record[0])
+                if sla is not None:
+                    record = record[:5] + (sla,)
+                adjusted.append(record)
+            inputs[wire.MSG_SLICE_KPI] = adjusted
         executed: list[wire.XappAction] = []
         for runtime in self.xapps.values():
             for msg_type in runtime.msg_types:

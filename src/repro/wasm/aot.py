@@ -15,7 +15,9 @@ Lowering rules
 
 - **The operand stack folds into expressions.**  Validated Wasm has a
   fixed operand-stack height at every reachable program point (the
-  static analysis the threaded engine uses), so the value at height ``i``
+  validator records it, with block ends and resolved branches, as the
+  body's :class:`~repro.wasm.validator.BodyFacts`: every engine lowers
+  from those facts), so the value at height ``i``
   has a home, the Python local ``s{i}``; Wasm locals live in ``l{i}``.  A
   pure producer - a constant, ``local.get``, ``global.get``, or a
   non-trapping unop/binop of such values - is not written to its slot but
@@ -104,32 +106,27 @@ import struct
 from repro.wasm import opcodes as op
 from repro.wasm.interpreter import (
     BINOPS,
+    CONST_OPS,
     LOADS,
     MASK32,
     MASK64,
     STORES,
+    TRAPPING_UNOPS,
     UNOPS,
-    control_map_for,
+    const_value,
     f32_round,
-    prepared_for,
+    local_defaults,
 )
 from repro.wasm.loader import load_module
 from repro.wasm.module import Code, Module
-from repro.wasm.threaded import (
-    _CONST_OPS,
-    _TRAPPING_UNOPS,
-    _analyze,
-    _const_value,
-    _mn,
-    ThreadedCode,
-    threaded_for,
-)
+from repro.wasm.threaded import threaded_for
 from repro.wasm.traps import (
     FuelExhausted,
     MemoryOutOfBounds,
     StackExhausted,
     Trap,
 )
+from repro.wasm.validator import body_facts
 from repro.wasm.wtypes import FuncType, ValType
 
 #: nesting depth beyond which a function is not compiled and keeps its
@@ -392,13 +389,16 @@ class _Emitter:
     """Emits one function body as Python source."""
 
     def __init__(self, acode: AotCode):
+        self.acode = acode
         self.module = acode._module
         self.code = acode._code
         self.body = self.code.body
         self.functype = acode._functype
         self.result_arity = len(self.functype.results)
-        self.heights, self.branches = acode.analysis()
-        self.control = control_map_for(self.code)
+        facts = acode.facts
+        self.heights, self.branches, self.ends = (
+            facts.heights, facts.branches, facts.ends
+        )
         self.lines: list[str] = []
         self.indent = 0
         #: batched fuel charges, and the counter a flush charges them to
@@ -548,9 +548,9 @@ class _Emitter:
                 self.w(f"{name} = {text}")
             if opcode == op.LOCAL_TEE:
                 self.put(h - 1, (name, frozenset((name,)), 0, None))
-        elif opcode in _CONST_OPS:
+        elif opcode in CONST_OPS:
             self.charge()
-            self.put(h, (self.lit(_const_value(opcode, imm)), _NO_READS, 0, None))
+            self.put(h, (self.lit(const_value(opcode, imm)), _NO_READS, 0, None))
         elif opcode in BINOPS:
             self._emit_binop(opcode, h)
         elif opcode in UNOPS:
@@ -637,7 +637,7 @@ class _Emitter:
         self.put(h - 2, (text, a[1] | b[1], max(a[2], b[2]) + 1, cond))
 
     def _emit_unop(self, opcode: int, h: int) -> None:
-        if opcode in _TRAPPING_UNOPS:
+        if opcode in TRAPPING_UNOPS:
             self.flush(1)
             self.write(h - 1, f"_u{opcode:02x}({self.take(h - 1)[0]})")
             return
@@ -871,7 +871,7 @@ class _Emitter:
         saved = (self.body, self.heights, self.base, self.lnames, self.fuel,
                  self.fuel_open, self.charges)
         body = callee._code.body
-        heights = callee.analysis()[0]
+        heights = callee.facts.heights
         self.body, self.heights, self.base, self.lnames = body, heights, base, names
         self.fuel, self.fuel_open, self.charges = "_fi", False, 0
         for pc, (opcode, _imm) in enumerate(body):
@@ -923,7 +923,7 @@ class _Emitter:
         while pc < end:
             opcode, _imm = self.body[pc]
             if opcode in (op.BLOCK, op.LOOP, op.IF):
-                end_pc = self.control[pc][0]
+                end_pc = self.ends[pc][0]
                 if self.heights[pc] is not None:
                     self.emit_construct(pc)
                 pc = end_pc + 1
@@ -941,7 +941,7 @@ class _Emitter:
 
     def emit_construct(self, pc: int) -> None:
         opcode, imm = self.body[pc]
-        end_pc, else_pc = self.control[pc]
+        end_pc, else_pc = self.ends[pc]
         arity = 0 if imm is None else 1
         entry = self.heights[pc] - (1 if opcode == op.IF else 0)
         target = pc + 1 if opcode == op.LOOP else end_pc + 1
@@ -1157,7 +1157,7 @@ class _Emitter:
         self.emit_structured()
         np_ = len(self.functype.params)
         params = ["inst", "store", "depth", "fuel"] + [f"l{i}" for i in range(np_)]
-        prep = prepared_for(self.code)
+        acode = self.acode
         head: list[str] = [
             f"def _wfn({', '.join(params)}):",
             "    if depth > store.max_call_depth:",
@@ -1167,10 +1167,10 @@ class _Emitter:
             "        stats.frames += 1",
             "        if depth > stats.max_call_depth:",
             "            stats.max_call_depth = depth",
-            f"        if {prep.max_stack} > stats.max_value_stack:",
-            f"            stats.max_value_stack = {prep.max_stack}",
+            f"        if {acode.max_stack} > stats.max_value_stack:",
+            f"            stats.max_value_stack = {acode.max_stack}",
         ]
-        for i, default in enumerate(prep.local_defaults):
+        for i, default in enumerate(acode.local_defaults):
             head.append(f"    l{np_ + i} = {default!r}")
         if "md" in self.uses:
             head.append("    md = inst.memory.data")
@@ -1205,42 +1205,32 @@ class AotCode:
     :meth:`compile` or a host's ``promote()`` first needs it, so a leaf
     every caller inlines is never compiled at all.  The generated text is
     not retained: :attr:`source` re-runs the emitter on demand (``repro
-    disasm --aot``); the static analysis it needs (stack heights,
-    branches, :attr:`leaf`) is computed once.
-    ``local_defaults``/``max_stack`` mirror the other engines so
+    disasm --aot``) from :attr:`facts`, what validating the body recorded
+    (stack heights, block ends, branches; an unvalidated body is refused
+    here).  ``local_defaults``/``max_stack`` mirror the other engines so
     :class:`~repro.wasm.interpreter.ExecStats` stays bit-identical.
     """
 
     __slots__ = (
         "run", "local_defaults", "max_stack", "n_instrs",
-        "result_arity", "_module", "_code", "_functype", "_name",
-        "_analysis", "_leaf", "_written",
+        "result_arity", "facts", "_module", "_code", "_functype", "_name",
+        "_leaf", "_written",
     )
 
     def __init__(self, module: Module, code: Code, functype: FuncType,
                  name: str = "fn"):
-        prep = prepared_for(code)
+        self.facts = body_facts(code)
         self.run = None
-        self.local_defaults = prep.local_defaults
-        self.max_stack = prep.max_stack
+        self.local_defaults = local_defaults(code)
+        self.max_stack = self.facts.max_stack
         self.n_instrs = len(code.body)
         self.result_arity = len(functype.results)
         self._module = module
         self._code = code
         self._functype = functype
         self._name = name
-        self._analysis = None
         self._leaf = None
         self._written = None
-
-    def analysis(self) -> tuple:
-        """``(heights, branches)`` of the body, computed once."""
-        if self._analysis is None:
-            heights, branches, _targets = _analyze(
-                self._module, self._code, self.result_arity
-            )
-            self._analysis = heights, branches
-        return self._analysis
 
     @property
     def leaf(self) -> bool:
@@ -1248,7 +1238,7 @@ class AotCode:
         at its call sites instead of being called."""
         if self._leaf is None:
             body = self._code.body
-            heights = self.analysis()[0]
+            heights = self.facts.heights
             self._leaf = len(body) <= _MAX_INLINE_INSTRS and not any(
                 heights[pc] is not None and opcode in _NOT_IN_LEAF
                 for pc, (opcode, _imm) in enumerate(body)
@@ -1315,13 +1305,12 @@ def compile_aot(module: Module, code: Code, functype: FuncType,
     return AotCode(module, code, functype, name)
 
 
-def aot_for(module: Module, code: Code,
-            functype: FuncType) -> AotCode | ThreadedCode:
+def aot_for(module: Module, code: Code, functype: FuncType):
     """The body engine ``aot`` runs for ``code``, memoized on the ``Code``.
 
     An :class:`AotCode`, except for a function nested past
     ``_MAX_STRUCTURED_DEPTH``: nested Python cannot express it, so it
-    keeps its threaded body.
+    keeps its threaded body (a :class:`~repro.wasm.threaded.ThreadedCode`).
     """
     cached = getattr(code, "_aot", None)
     if cached is None:
@@ -1430,8 +1419,8 @@ def dump_aot(module_or_bytes) -> str:
             source, emitter = body._emit()
             lines.append(f"  ;; {_boundary(emitter)}")
         lines.append("  ;; wasm body")
-        for pc in range(len(code.body)):
-            lines.append(f"  {pc:04d}  {_mn(code.body, pc)}")
+        for pc, instr in enumerate(code.body):
+            lines.append(f"  {pc:04d}  {op.mnemonic(instr)}")
         if compiled:
             lines.append("  ;; generated python")
             lines.extend(f"  {line}" for line in source.splitlines())

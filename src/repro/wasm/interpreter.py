@@ -17,6 +17,8 @@ from typing import Any, Callable
 from repro.wasm import opcodes as op
 from repro.wasm.module import Code, Instr
 from repro.wasm.traps import FuelExhausted, StackExhausted, Trap
+from repro.wasm.validator import body_facts
+from repro.wasm.wtypes import ValType
 
 MASK32 = 0xFFFFFFFF
 MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -333,39 +335,31 @@ STORES: dict[int, tuple[int, str]] = {
 }
 
 
-def build_control_map(body: tuple[Instr, ...]) -> dict[int, tuple[int, int | None]]:
-    """Map each block/loop/if pc to ``(end_pc, else_pc)``.
-
-    Computed once per function body (see :func:`control_map_for`) so
-    branches are O(1) at run time.
-    """
-    result: dict[int, tuple[int, int | None]] = {}
-    stack: list[tuple[int, int | None]] = []  # (start_pc, else_pc)
-    for pc, (opcode, _imm) in enumerate(body):
-        if opcode in (op.BLOCK, op.LOOP, op.IF):
-            stack.append((pc, None))
-        elif opcode == op.ELSE:
-            start, _ = stack.pop()
-            stack.append((start, pc))
-        elif opcode == op.END:
-            if stack:
-                start, else_pc = stack.pop()
-                result[start] = (pc, else_pc)
-    return result
+#: the four constant opcodes, and their value in our representation
+CONST_OPS = frozenset((op.I32_CONST, op.I64_CONST, op.F32_CONST, op.F64_CONST))
 
 
-def control_map_for(code: Code) -> dict[int, tuple[int, int | None]]:
-    """Memoized :func:`build_control_map` for a :class:`Code` body.
+def const_value(opcode: int, imm):
+    if opcode == op.I32_CONST:
+        return imm & MASK32
+    if opcode == op.I64_CONST:
+        return imm & MASK64
+    if opcode == op.F32_CONST:
+        return f32_round(imm)
+    return imm
 
-    Every instantiation of a module used to recompute the map per
-    function; caching it on the (immutable) ``Code`` object makes repeat
-    instantiation - hot swaps, multi-UE coexistence runs - pay it once.
-    """
-    cached = getattr(code, "_control_map", None)
-    if cached is None:
-        cached = build_control_map(code.body)
-        object.__setattr__(code, "_control_map", cached)
-    return cached
+
+#: unops that can trap (the float -> int truncations)
+TRAPPING_UNOPS = frozenset((
+    op.I32_TRUNC_F32_S, op.I32_TRUNC_F32_U, op.I32_TRUNC_F64_S,
+    op.I32_TRUNC_F64_U, op.I64_TRUNC_F32_S, op.I64_TRUNC_F32_U,
+    op.I64_TRUNC_F64_S, op.I64_TRUNC_F64_U,
+))
+
+
+def local_defaults(code: Code) -> list:
+    """The zero value of each declared local, in declaration order."""
+    return [0 if vt in (ValType.I32, ValType.I64) else 0.0 for vt in code.locals]
 
 
 # ---------------------------------------------------------------------------
@@ -407,25 +401,17 @@ T_UNREACHABLE = 30
 
 
 def _compile_ops(
-    body: tuple[Instr, ...],
-    control: dict[int, tuple[int, int | None]] | None = None,
+    body: tuple[Instr, ...], ends: dict[int, tuple[int, int | None]]
 ) -> list[tuple]:
-    """Lower decoded instructions into tagged dispatch tuples."""
-    if control is None:
-        control = build_control_map(body)
-
+    """Lower decoded instructions into tagged dispatch tuples; ``ends`` is
+    the validator's block-end map (:attr:`BodyFacts.ends
+    <repro.wasm.validator.BodyFacts>`)."""
     ops: list[tuple] = []
     for pc, (opcode, imm) in enumerate(body):
         if opcode == op.LOCAL_GET:
             ops.append((T_LOCAL_GET, imm))
-        elif opcode == op.I32_CONST:
-            ops.append((T_CONST, imm & MASK32))
-        elif opcode == op.I64_CONST:
-            ops.append((T_CONST, imm & MASK64))
-        elif opcode == op.F32_CONST:
-            ops.append((T_CONST, f32_round(imm)))
-        elif opcode == op.F64_CONST:
-            ops.append((T_CONST, imm))
+        elif opcode in CONST_OPS:
+            ops.append((T_CONST, const_value(opcode, imm)))
         elif opcode in BINOPS:
             ops.append((T_BINOP, BINOPS[opcode]))
         elif opcode in UNOPS:
@@ -454,17 +440,16 @@ def _compile_ops(
             else:
                 ops.append((T_STORE_I, offset, size))
         elif opcode == op.BLOCK:
-            end_pc, _ = control[pc]
+            end_pc, _ = ends[pc]
             ops.append((T_BLOCK, 0 if imm is None else 1, end_pc + 1))
         elif opcode == op.LOOP:
             ops.append((T_LOOP, pc + 1))
         elif opcode == op.IF:
-            end_pc, else_pc = control[pc]
+            end_pc, else_pc = ends[pc]
             false_pc = else_pc if else_pc is not None else end_pc - 1
             ops.append((T_IF, 0 if imm is None else 1, end_pc + 1, false_pc))
         elif opcode == op.ELSE:
-            # find the matching END by scanning the control map
-            ops.append((T_ELSE, _else_end(control, pc) - 1))
+            ops.append((T_ELSE, ends[pc][0] - 1))
         elif opcode == op.END:
             ops.append((T_END,))
         elif opcode == op.BR:
@@ -500,46 +485,6 @@ def _compile_ops(
     return ops
 
 
-def _else_end(control: dict[int, tuple[int, int | None]], else_pc: int) -> int:
-    for _start, (end_pc, epc) in control.items():
-        if epc == else_pc:
-            return end_pc
-    raise AssertionError("else without recorded end")  # pragma: no cover
-
-
-#: net operand-stack effect per dispatch tag (calls treated as +1: the
-#: worst net push once arguments are consumed).  Used only for the static
-#: per-function peak estimate feeding :class:`ExecStats`.
-_STACK_DELTAS: dict[int, int] = {
-    T_LOCAL_GET: 1, T_CONST: 1, T_GLOBAL_GET: 1, T_MEMSIZE: 1,
-    T_CALL: 1, T_CALL_INDIRECT: 1,
-    T_UNOP: 0, T_LOCAL_TEE: 0, T_MEMGROW: 0, T_LOAD_I: 0,
-    T_LOAD_F32: 0, T_LOAD_F64: 0, T_BLOCK: 0, T_LOOP: 0, T_ELSE: 0,
-    T_END: 0, T_NOP: 0, T_UNREACHABLE: 0, T_BR: 0, T_RETURN: 0,
-    T_BINOP: -1, T_LOCAL_SET: -1, T_GLOBAL_SET: -1, T_DROP: -1,
-    T_BR_IF: -1, T_IF: -1, T_BR_TABLE: -1,
-    T_STORE_I: -2, T_STORE_F32: -2, T_STORE_F64: -2, T_SELECT: -2,
-}
-
-
-def _static_max_stack(ops: list[tuple]) -> int:
-    """Linear-scan upper-bound of a body's peak operand-stack height.
-
-    An estimate, not the validator's exact type-stack: branch targets are
-    ignored and the running height is clamped at zero, so the result is a
-    monotone upper bound good enough for observability.
-    """
-    height = 0
-    peak = 0
-    for ins in ops:
-        height += _STACK_DELTAS.get(ins[0], 0)
-        if height < 0:
-            height = 0
-        elif height > peak:
-            peak = height
-    return peak
-
-
 class ExecStats:
     """Per-call interpreter counters, collected only when attached.
 
@@ -549,8 +494,9 @@ class ExecStats:
 
     - ``frames``: Wasm function frames entered;
     - ``max_call_depth``: deepest call nesting reached;
-    - ``max_value_stack``: peak operand-stack height (static per-function
-      upper bound, maxed over entered frames).
+    - ``max_value_stack``: peak operand-stack height (the validator's
+      static per-function upper bound, ``BodyFacts.max_stack``, maxed over
+      entered frames).
 
     Instruction counts come from fuel accounting (fuel is decremented
     exactly once per executed instruction), so hosts derive them from the
@@ -566,20 +512,22 @@ class ExecStats:
 
 
 class PreparedCode:
-    """A function body lowered to tagged dispatch tuples."""
+    """A function body lowered to tagged dispatch tuples.
+
+    Only block ends come from the validator's facts: branches resolve at
+    run time on the label stack, so this engine checks the heights and
+    branch targets the compiled tiers take from those facts.
+    """
 
     __slots__ = ("locals", "body", "ops", "local_defaults", "max_stack")
 
     def __init__(self, code: Code):
-        from repro.wasm.wtypes import ValType
-
+        facts = body_facts(code)
         self.locals = code.locals
         self.body = code.body
-        self.ops = _compile_ops(code.body, control_map_for(code))
-        self.local_defaults = [
-            0 if vt in (ValType.I32, ValType.I64) else 0.0 for vt in code.locals
-        ]
-        self.max_stack = _static_max_stack(self.ops)
+        self.ops = _compile_ops(code.body, facts.ends)
+        self.local_defaults = local_defaults(code)
+        self.max_stack = facts.max_stack
 
 
 def prepared_for(code: Code) -> PreparedCode:

@@ -421,3 +421,21 @@ OP_TABLE: dict[int, OpInfo] = {
 
 #: mnemonic -> opcode, for the assembler.
 NAME_TO_OP: dict[str, int] = {info.name: op for op, info in OP_TABLE.items()}
+
+
+def mnemonic(instr) -> str:
+    """Spec mnemonic (+ immediate) of one decoded instruction, as the
+    lowering dumps (``repro disasm --threaded`` / ``--aot``) print it."""
+    opcode, imm = instr
+    info = OP_TABLE[opcode]
+    if info.imm == "none" or imm is None:
+        return info.name
+    if info.imm == "mem":
+        _align, offset = imm
+        return f"{info.name} offset={offset}" if offset else info.name
+    if info.imm == "br_table":
+        targets, default = imm
+        return info.name + " " + " ".join(str(t) for t in (*targets, default))
+    if info.imm == "block":
+        return f"{info.name} (result {imm.short})"
+    return f"{info.name} {imm}"

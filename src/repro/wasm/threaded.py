@@ -11,9 +11,10 @@ original instruction slot, where
   ``pc = slots[pc](stack, locals_, frame)`` - no opcode decode, no tag
   compare chain;
 - all control flow is resolved at compile time: branch targets, the
-  stack height to truncate to and the branch arity come from a static
-  stack-height analysis (validated Wasm has a fixed operand-stack height
-  at every reachable program point), so there is no label stack at all;
+  stack height to truncate to and the branch arity are facts the
+  validator recorded on the body (:class:`~repro.wasm.validator.BodyFacts`:
+  validated Wasm has a fixed operand-stack height at every reachable
+  program point), so there is no label stack at all;
 - dominant instruction sequences are fused into **superinstructions**
   (``local.get local.get <binop>``, ``<const> <binop>``,
   ``local.get <const> i32.add <load>`` with a folded effective address,
@@ -45,18 +46,20 @@ import os
 from repro.wasm import opcodes as op
 from repro.wasm.interpreter import (
     BINOPS,
+    CONST_OPS,
     LOADS,
     MASK32,
     MASK64,
     STORES,
+    TRAPPING_UNOPS,
     UNOPS,
-    control_map_for,
-    f32_round,
-    prepared_for,
+    const_value,
+    local_defaults,
 )
 from repro.wasm.loader import load_module
 from repro.wasm.module import Code, Module
 from repro.wasm.traps import FuelExhausted, StackExhausted, Trap
+from repro.wasm.validator import body_facts
 from repro.wasm.wtypes import FuncType
 
 # ---------------------------------------------------------------------------
@@ -78,155 +81,11 @@ def resolve_engine(engine: str | None = None) -> str:
     return name
 
 
-# ---------------------------------------------------------------------------
-# static analysis: stack heights and fully resolved branches
-# ---------------------------------------------------------------------------
-
-_CONST_OPS = {op.I32_CONST, op.I64_CONST, op.F32_CONST, op.F64_CONST}
-
 #: integer ops that can trap mid-stream; only fusable in final position
 _TRAPPING_BINOPS = {
     op.I32_DIV_S, op.I32_DIV_U, op.I32_REM_S, op.I32_REM_U,
     op.I64_DIV_S, op.I64_DIV_U, op.I64_REM_S, op.I64_REM_U,
 }
-_TRAPPING_UNOPS = {
-    op.I32_TRUNC_F32_S, op.I32_TRUNC_F32_U, op.I32_TRUNC_F64_S,
-    op.I32_TRUNC_F64_U, op.I64_TRUNC_F32_S, op.I64_TRUNC_F32_U,
-    op.I64_TRUNC_F64_S, op.I64_TRUNC_F64_U,
-}
-
-
-def _const_value(opcode: int, imm):
-    if opcode == op.I32_CONST:
-        return imm & MASK32
-    if opcode == op.I64_CONST:
-        return imm & MASK64
-    if opcode == op.F32_CONST:
-        return f32_round(imm)
-    return imm
-
-
-class _CtrlFrame:
-    """Compile-time control frame: enough to resolve any branch statically."""
-
-    __slots__ = ("kind", "entry", "arity", "target", "label_arity", "dead_entry")
-
-    def __init__(self, kind: int, entry: int, arity: int, target: int,
-                 dead_entry: bool = False):
-        self.kind = kind  # op.BLOCK / op.LOOP / op.IF / 0 for the function
-        self.entry = entry  # operand-stack height at block entry
-        self.arity = arity  # block *result* arity (for the height after end)
-        self.target = target  # pc a branch to this label jumps to
-        # a branch to a loop re-enters the top and carries no values
-        self.label_arity = 0 if kind == op.LOOP else arity
-        # was the enclosing code already unreachable when this frame opened?
-        # (the end of a block you cannot enter is itself unreachable)
-        self.dead_entry = dead_entry
-
-
-def _analyze(module: Module, code: Code, result_arity: int):
-    """One linear pass: per-pc static stack heights + resolved branches.
-
-    Returns ``(heights, branches, jump_targets)`` where ``heights[pc]`` is
-    the operand-stack height *before* pc (``None`` in validator-unreachable
-    code, which can never execute), ``branches[pc]`` holds resolved
-    ``(target, arity, dest_height)`` data for control instructions, and
-    ``jump_targets`` is the set of pcs control can reach non-sequentially
-    (fusion must not swallow one into a group's interior).
-    """
-    body = code.body
-    n = len(body)
-    control = control_map_for(code)
-    heights: list[int | None] = [None] * n
-    branches: dict[int, object] = {}
-    jump_targets: set[int] = set()
-
-    frames = [_CtrlFrame(0, 0, result_arity, n)]
-    height = 0
-    unreachable = False
-
-    def _resolve(depth: int) -> tuple[int, int, int]:
-        fr = frames[-1 - depth]
-        jump_targets.add(fr.target)
-        return (fr.target, fr.label_arity, fr.entry)
-
-    for pc, (opcode, imm) in enumerate(body):
-        heights[pc] = None if unreachable else height
-        if opcode == op.BLOCK:
-            end_pc, _ = control[pc]
-            frames.append(_CtrlFrame(
-                op.BLOCK, height, 0 if imm is None else 1, end_pc + 1, unreachable
-            ))
-        elif opcode == op.LOOP:
-            frames.append(_CtrlFrame(
-                op.LOOP, height, 0 if imm is None else 1, pc + 1, unreachable
-            ))
-            jump_targets.add(pc + 1)
-        elif opcode == op.IF:
-            if not unreachable:
-                height -= 1
-            end_pc, else_pc = control[pc]
-            false_target = (else_pc + 1) if else_pc is not None else end_pc
-            branches[pc] = false_target
-            jump_targets.add(false_target)
-            frames.append(_CtrlFrame(
-                op.IF, height, 0 if imm is None else 1, end_pc + 1, unreachable
-            ))
-        elif opcode == op.ELSE:
-            fr = frames[-1]
-            height = fr.entry
-            unreachable = fr.dead_entry
-            end_pc = fr.target - 1
-            branches[pc] = end_pc
-            jump_targets.add(end_pc)
-        elif opcode == op.END:
-            fr = frames.pop() if len(frames) > 1 else frames[0]
-            height = fr.entry + fr.arity
-            unreachable = fr.dead_entry
-        elif opcode == op.BR:
-            branches[pc] = _resolve(imm)
-            height = frames[-1].entry
-            unreachable = True
-        elif opcode == op.BR_IF:
-            if not unreachable:
-                height -= 1
-            branches[pc] = _resolve(imm)
-        elif opcode == op.BR_TABLE:
-            targets, default = imm
-            if not unreachable:
-                height -= 1
-            branches[pc] = (
-                [_resolve(t) for t in targets],
-                _resolve(default),
-                height if not unreachable else None,
-            )
-            height = frames[-1].entry
-            unreachable = True
-        elif opcode == op.RETURN:
-            height = frames[-1].entry
-            unreachable = True
-        elif opcode == op.UNREACHABLE:
-            height = frames[-1].entry
-            unreachable = True
-        elif unreachable:
-            continue
-        elif opcode == op.CALL:
-            ft = module.func_type(imm)
-            height += len(ft.results) - len(ft.params)
-        elif opcode == op.CALL_INDIRECT:
-            ft = module.types[imm]
-            height += len(ft.results) - len(ft.params) - 1
-        elif opcode in (op.LOCAL_GET, op.GLOBAL_GET, op.MEMORY_SIZE):
-            height += 1
-        elif opcode in _CONST_OPS:
-            height += 1
-        elif opcode in BINOPS or opcode in (op.LOCAL_SET, op.GLOBAL_SET, op.DROP):
-            height -= 1
-        elif opcode in STORES or opcode == op.SELECT:
-            height -= 2
-        # unops, local.tee, loads, memory.grow, nop: net zero
-
-    return heights, branches, jump_targets
 
 
 # ---------------------------------------------------------------------------
@@ -627,66 +486,55 @@ class ThreadedCode:
 
     ``slots[pc]`` executes the instruction(s) at ``pc`` and returns the
     next pc; ``costs[pc]`` is the fuel charge (== number of original
-    instructions the slot retires); ``descs[pc]`` is a human-readable
-    mnemonic for ``repro disasm --threaded``.
+    instructions the slot retires).  ``body`` is the Wasm it was lowered
+    from, what :meth:`listing` names the slots by.
     """
 
     __slots__ = (
-        "slots", "costs", "descs", "local_defaults", "max_stack",
+        "slots", "costs", "body", "local_defaults", "max_stack",
         "n_instrs", "n_fused",
     )
 
-    def __init__(self, slots, costs, descs, local_defaults, max_stack):
+    def __init__(self, slots, costs, body, local_defaults, max_stack):
         self.slots = slots
         self.costs = costs
-        self.descs = descs
+        self.body = body
         self.local_defaults = local_defaults
         self.max_stack = max_stack
         self.n_instrs = len(slots)
         self.n_fused = sum(1 for c in costs if c > 1)
 
     def listing(self) -> list[str]:
-        """Per-slot lowered-code listing (pc, fuel cost, mnemonic)."""
+        """Per-slot lowered-code listing (pc, fuel cost, mnemonic): a fused
+        slot lists the instructions it covers, each covered slot the one
+        it was folded into."""
         lines = []
-        for pc, desc in enumerate(self.descs):
+        pc = 0
+        while pc < self.n_instrs:
             cost = self.costs[pc]
-            marker = f"x{cost}" if cost > 1 else "  "
-            lines.append(f"  {pc:04d} {marker} {desc}")
+            if cost == 1:
+                lines.append(f"  {pc:04d}    {op.mnemonic(self.body[pc])}")
+                pc += 1
+                continue
+            group = "; ".join(op.mnemonic(ins) for ins in self.body[pc:pc + cost])
+            lines.append(f"  {pc:04d} x{cost} {{{group}}}")
+            lines.extend(
+                f"  {pc + i:04d}      .. folded into slot {pc}" for i in range(1, cost)
+            )
+            pc += cost
         return lines
 
 
-def _mn(body, pc) -> str:
-    """Spec mnemonic (+ immediate) of the original instruction at pc."""
-    opcode, imm = body[pc]
-    info = op.OP_TABLE[opcode]
-    if info.imm == "none" or imm is None:
-        return info.name
-    if info.imm == "mem":
-        _align, offset = imm
-        return f"{info.name} offset={offset}" if offset else info.name
-    if info.imm == "br_table":
-        targets, default = imm
-        return info.name + " " + " ".join(str(t) for t in (*targets, default))
-    if info.imm == "block":
-        return f"{info.name} (result {imm.short})"
-    return f"{info.name} {imm}"
-
-
 def compile_threaded(module: Module, code: Code, functype: FuncType) -> ThreadedCode:
-    """Lower one validated function body to threaded code."""
+    """Lower one validated function body to threaded code, from the facts
+    its validation recorded (an unvalidated body is refused)."""
+    facts = body_facts(code)
     body = code.body
     n = len(body)
-    result_arity = len(functype.results)
-    heights, branches, jump_targets = _analyze(module, code, result_arity)
-
-    # the legacy lowering supplies the per-function static stack bound so
-    # ExecStats stays bit-identical across engines (and it is memoized on
-    # the Code object, so this costs nothing when both engines are used)
-    prep = prepared_for(code)
+    heights, branches, jump_targets = facts.heights, facts.branches, facts.targets
 
     slots: list = [None] * n
     costs = [1] * n
-    descs = [""] * n
 
     def _fusable(start: int, length: int) -> bool:
         if start + length > n or heights[start] is None:
@@ -695,19 +543,14 @@ def compile_threaded(module: Module, code: Code, functype: FuncType) -> Threaded
 
     pc = 0
     while pc < n:
-        opcode, imm = body[pc]
-        emitted = _try_fuse(
-            module, body, pc, heights, branches, jump_targets,
-            slots, costs, descs, _fusable,
-        )
+        emitted = _try_fuse(body, pc, heights, branches, slots, costs, _fusable)
         if emitted:
             pc += emitted
             continue
         slots[pc] = _emit_plain(module, body, pc, n, heights, branches)
-        descs[pc] = _mn(body, pc)
         pc += 1
 
-    return ThreadedCode(slots, costs, descs, prep.local_defaults, prep.max_stack)
+    return ThreadedCode(slots, costs, body, local_defaults(code), facts.max_stack)
 
 
 def _emit_plain(module, body, pc, n, heights, branches):
@@ -717,8 +560,8 @@ def _emit_plain(module, body, pc, n, heights, branches):
 
     if opcode == op.LOCAL_GET:
         return _e_local_get(imm, nxt)
-    if opcode in _CONST_OPS:
-        return _e_const(_const_value(opcode, imm), nxt)
+    if opcode in CONST_OPS:
+        return _e_const(const_value(opcode, imm), nxt)
     if opcode in BINOPS:
         return _e_binop(BINOPS[opcode], nxt)
     if opcode in UNOPS:
@@ -803,9 +646,7 @@ def _emit_plain(module, body, pc, n, heights, branches):
     raise Trap(f"cannot compile opcode 0x{opcode:02x}", code="internal")
 
 
-def _try_fuse(
-    module, body, pc, heights, branches, jump_targets, slots, costs, descs, fusable
-) -> int:
+def _try_fuse(body, pc, heights, branches, slots, costs, fusable) -> int:
     """Try to emit a superinstruction starting at pc.
 
     On success fills ``slots[pc]`` (interior slots become dead fillers),
@@ -820,13 +661,11 @@ def _try_fuse(
     def im(i):
         return body[pc + i][1]
 
-    def commit(closure, length, parts):
+    def commit(closure, length):
         slots[pc] = closure
         costs[pc] = length
-        descs[pc] = "{" + "; ".join(parts) + "}"
         for i in range(1, length):
             slots[pc + i] = _dead_slot
-            descs[pc + i] = f"  .. folded into slot {pc}"
         return length
 
     def br_if_fast(at):
@@ -848,32 +687,24 @@ def _try_fuse(
         ):
             f = BINOPS[o(2)]
             if o(3) == op.LOCAL_SET:
-                return commit(
-                    _e_ll_binop_set(im(0), im(1), f, im(3), pc + 4),
-                    4, [_mn(body, pc + i) for i in range(4)],
-                )
+                return commit(_e_ll_binop_set(im(0), im(1), f, im(3), pc + 4), 4)
             if o(3) == op.BR_IF:
                 target = br_if_fast(pc + 3)
                 if target is not None:
                     return commit(
-                        _e_ll_binop_br_if(im(0), im(1), f, target, pc + 4),
-                        4, [_mn(body, pc + i) for i in range(4)],
+                        _e_ll_binop_br_if(im(0), im(1), f, target, pc + 4), 4
                     )
-        if o(1) in _CONST_OPS:
-            c = _const_value(o(1), im(1))
+        if o(1) in CONST_OPS:
+            c = const_value(o(1), im(1))
             if o(2) in BINOPS and o(2) not in _TRAPPING_BINOPS:
                 f = BINOPS[o(2)]
                 if o(3) == op.LOCAL_SET:
-                    return commit(
-                        _e_lc_binop_set(im(0), c, f, im(3), pc + 4),
-                        4, [_mn(body, pc + i) for i in range(4)],
-                    )
+                    return commit(_e_lc_binop_set(im(0), c, f, im(3), pc + 4), 4)
                 if o(3) == op.BR_IF:
                     target = br_if_fast(pc + 3)
                     if target is not None:
                         return commit(
-                            _e_lc_binop_br_if(im(0), c, f, target, pc + 4),
-                            4, [_mn(body, pc + i) for i in range(4)],
+                            _e_lc_binop_br_if(im(0), c, f, target, pc + 4), 4
                         )
             if o(2) == op.I32_ADD and o(3) in LOADS:
                 size, signed, kind = LOADS[o(3)]
@@ -884,58 +715,51 @@ def _try_fuse(
                         _e_load_i_local_const(
                             im(0), c, offset, size, signed, mask, pc + 4
                         ),
-                        4, [_mn(body, pc + i) for i in range(4)],
+                        4,
                     )
 
     # --- length-3 patterns -------------------------------------------------
     if op0 == op.LOCAL_GET and fusable(pc, 3):
         if o(1) == op.LOCAL_GET and o(2) in BINOPS:
+            return commit(_e_ll_binop(im(0), im(1), BINOPS[o(2)], pc + 3), 3)
+        if o(1) in CONST_OPS and o(2) in BINOPS:
             return commit(
-                _e_ll_binop(im(0), im(1), BINOPS[o(2)], pc + 3),
-                3, [_mn(body, pc + i) for i in range(3)],
-            )
-        if o(1) in _CONST_OPS and o(2) in BINOPS:
-            return commit(
-                _e_lc_binop(im(0), _const_value(o(1), im(1)), BINOPS[o(2)], pc + 3),
-                3, [_mn(body, pc + i) for i in range(3)],
+                _e_lc_binop(im(0), const_value(o(1), im(1)), BINOPS[o(2)], pc + 3),
+                3,
             )
 
     # --- length-2 patterns -------------------------------------------------
     if fusable(pc, 2):
-        two = [_mn(body, pc), _mn(body, pc + 1)]
-        if op0 in _CONST_OPS:
-            c = _const_value(op0, im(0))
+        if op0 in CONST_OPS:
+            c = const_value(op0, im(0))
             if o(1) in BINOPS:
-                return commit(_e_c_binop(c, BINOPS[o(1)], pc + 2), 2, two)
+                return commit(_e_c_binop(c, BINOPS[o(1)], pc + 2), 2)
             if o(1) == op.LOCAL_SET:
-                return commit(_e_const_set(c, im(1), pc + 2), 2, two)
+                return commit(_e_const_set(c, im(1), pc + 2), 2)
         if op0 in BINOPS and op0 not in _TRAPPING_BINOPS and o(1) == op.BR_IF:
             target = br_if_fast(pc + 1)
             if target is not None:
-                return commit(
-                    _e_binop_br_if(BINOPS[op0], target, pc + 2), 2, two
-                )
-        if op0 in UNOPS and op0 not in _TRAPPING_UNOPS and o(1) == op.BR_IF:
+                return commit(_e_binop_br_if(BINOPS[op0], target, pc + 2), 2)
+        if op0 in UNOPS and op0 not in TRAPPING_UNOPS and o(1) == op.BR_IF:
             target = br_if_fast(pc + 1)
             if target is not None:
-                return commit(_e_unop_br_if(UNOPS[op0], target, pc + 2), 2, two)
+                return commit(_e_unop_br_if(UNOPS[op0], target, pc + 2), 2)
         if op0 == op.LOCAL_SET and o(1) == op.LOCAL_GET and im(0) == im(1):
-            return commit(_e_local_tee(im(0), pc + 2), 2, two)
+            return commit(_e_local_tee(im(0), pc + 2), 2)
         if op0 == op.LOCAL_GET:
             if o(1) in LOADS:
                 size, signed, kind = LOADS[o(1)]
                 offset = im(1)[1]
                 if kind == "f32":
-                    return commit(_e_load_f32_local(im(0), offset, pc + 2), 2, two)
+                    return commit(_e_load_f32_local(im(0), offset, pc + 2), 2)
                 if kind == "f64":
-                    return commit(_e_load_f64_local(im(0), offset, pc + 2), 2, two)
+                    return commit(_e_load_f64_local(im(0), offset, pc + 2), 2)
                 mask = MASK64 if kind == "i64" else MASK32
                 return commit(
-                    _e_load_i_local(im(0), offset, size, signed, mask, pc + 2),
-                    2, two,
+                    _e_load_i_local(im(0), offset, size, signed, mask, pc + 2), 2
                 )
             if o(1) == op.LOCAL_GET:
-                return commit(_e_local_get2(im(0), im(1), pc + 2), 2, two)
+                return commit(_e_local_get2(im(0), im(1), pc + 2), 2)
 
     return 0
 

@@ -5,6 +5,12 @@ appendix.  Validation is what gives Wasm its control-flow integrity: every
 branch target, call signature and stack shape is proven correct before a
 single instruction runs, so the interpreter can execute without per-step
 type checks.
+
+Validating a body is also the one static analysis of it: what the pass
+proves - stack heights, block ends, resolved branches - is kept on the
+``Code`` as :class:`BodyFacts`, and every engine lowers from those facts
+(:func:`body_facts`) instead of working them out again.  A body the
+validator has not accepted has no facts, so no engine lowers it.
 """
 
 from __future__ import annotations
@@ -24,16 +30,65 @@ _UNKNOWN = None
 
 @dataclass
 class _Frame:
-    opcode: int  # BLOCK / LOOP / IF / or 0 for the function body
+    opcode: int  # BLOCK / LOOP / IF / ELSE / or 0 for the function body
     start_types: tuple[ValType, ...]
     end_types: tuple[ValType, ...]
     height: int
+    start: int = -1  # pc of the block / loop / if (-1: the function body)
+    dead: bool = False  # opened in code no execution reaches
     unreachable: bool = False
+    else_pc: int | None = None
+    end: int = -1  # pc of its end, once seen
 
     @property
     def label_types(self) -> tuple[ValType, ...]:
         # A branch to a loop re-enters the top, so it takes the start types.
         return self.start_types if self.opcode == op.LOOP else self.end_types
+
+    @property
+    def target(self) -> int:
+        """The pc a branch to this frame's label lands on."""
+        return self.start + 1 if self.opcode == op.LOOP else self.end + 1
+
+
+class BodyFacts:
+    """What validating one function body proved, for the engines to lower
+    from.
+
+    - ``heights[pc]``: operand-stack height before ``pc``; ``None`` in code
+      no execution reaches;
+    - ``ends[pc]``: ``(end_pc, else_pc)`` of the block / loop / if opened
+      at ``pc``, and of the if whose ``else`` is at ``pc``;
+    - ``branches[pc]``: for an ``if``, the pc its false path resumes at;
+      for an ``else``, its ``end``; for ``br`` / ``br_if``, ``(target,
+      arity, dest_height)``; for ``br_table``, ``([per label], default,
+      height after the index pop or None)``.  A branch no execution
+      reaches keeps its target; its arity and height mean nothing;
+    - ``targets``: every pc control reaches other than by falling through
+      (loop heads, if / else landings, branch targets - dead ones too);
+    - ``max_stack``: the static stack bound :class:`ExecStats
+      <repro.wasm.interpreter.ExecStats>` reports - a linear scan of
+      per-instruction stack effects (calls count +1, branch targets
+      ignored, clamped at zero): an upper bound, not the exact peak.
+    """
+
+    __slots__ = ("heights", "ends", "branches", "targets", "max_stack")
+
+    def __init__(self, heights, ends, branches, targets, max_stack):
+        self.heights = heights
+        self.ends = ends
+        self.branches = branches
+        self.targets = targets
+        self.max_stack = max_stack
+
+
+def body_facts(code: Code) -> BodyFacts:
+    """The facts validation recorded on ``code``; a body never accepted by
+    :func:`validate_module` is refused, not lowered."""
+    facts = getattr(code, "_facts", None)
+    if facts is None:
+        raise ValidationError("function body has not been validated")
+    return facts
 
 
 @dataclass
@@ -66,8 +121,9 @@ class _Ctx:
 
     # ----- control stack ----------------------------------------------------
 
-    def push_frame(self, opcode: int, start, end) -> None:
-        self.frames.append(_Frame(opcode, start, end, len(self.stack)))
+    def push_frame(self, opcode: int, start, end, pc: int = -1,
+                   dead: bool = False) -> None:
+        self.frames.append(_Frame(opcode, start, end, len(self.stack), pc, dead))
         for vt in start:
             self.push(vt)
 
@@ -198,6 +254,20 @@ _sig([op.F64_CONVERT_I32_S, op.F64_CONVERT_I32_U], (I32,), F64)
 _sig([op.F64_CONVERT_I64_S, op.F64_CONVERT_I64_U, op.F64_REINTERPRET_I64], (I64,), F64)
 _sig([op.F64_PROMOTE_F32], (F32,), F64)
 
+#: stack effect per opcode in the linear scan behind ``BodyFacts.max_stack``
+#: (absent: 0).  A call counts +1 whatever its signature, the net push once
+#: its arguments are consumed at worst.
+_SCAN_DELTAS: dict[int, int] = {
+    opcode: 1 - len(ins) for opcode, (ins, _out) in _SIGS.items()
+} | {
+    opcode: -2 for opcode, (_vt, _size, is_store) in _MEM_OPS.items() if is_store
+} | dict.fromkeys(
+    (op.LOCAL_GET, op.GLOBAL_GET, op.MEMORY_SIZE, op.CALL, op.CALL_INDIRECT,
+     op.I32_CONST, op.I64_CONST, op.F32_CONST, op.F64_CONST), 1,
+) | dict.fromkeys(
+    (op.LOCAL_SET, op.GLOBAL_SET, op.DROP, op.BR_IF, op.IF, op.BR_TABLE), -1,
+) | {op.SELECT: -2}
+
 
 def _global_types(mod: Module) -> list[GlobalType]:
     types = [imp.desc for imp in mod.imported("global")]
@@ -242,31 +312,67 @@ def _validate_const_expr(
         )
 
 
+def _label(frame: _Frame) -> tuple:
+    """A branch to ``frame``'s label, its target pc still unresolved."""
+    return frame, len(frame.label_types), frame.height
+
+
+def _resolve(label: tuple) -> tuple[int, int, int]:
+    frame, arity, height = label
+    return frame.target, arity, height
+
+
 def _validate_body(mod: Module, func_type: FuncType, code: Code) -> None:
+    """Type-check one body and, if it passes, record its :class:`BodyFacts`."""
     locals_ = tuple(func_type.params) + code.locals
     ctx = _Ctx(mod, locals_, func_type.results)
     ctx.push_frame(0, (), func_type.results)
     global_types = _global_types(mod)
+    stack = ctx.stack
+    body = code.body
 
-    for opcode, imm in code.body:
+    heights: list[int | None] = []
+    ends: dict[int, tuple[int, int | None]] = {}
+    #: per control instruction, its frame(s); targets resolve once every
+    #: block has seen its end
+    refs: dict[int, object] = {}
+    loop_heads: list[int] = []
+    dead = False  # no execution reaches the current pc
+    scan = peak = 0
+
+    for pc, (opcode, imm) in enumerate(body):
+        heights.append(None if dead else len(stack))
+        scan += _SCAN_DELTAS.get(opcode, 0)
+        if scan < 0:
+            scan = 0
+        elif scan > peak:
+            peak = scan
+
         if opcode == op.UNREACHABLE:
             ctx.set_unreachable()
+            dead = True
         elif opcode == op.NOP:
             pass
         elif opcode in (op.BLOCK, op.LOOP):
             start, end = _block_sig(imm)
-            ctx.push_frame(opcode, start, end)
+            ctx.push_frame(opcode, start, end, pc, dead)
+            if opcode == op.LOOP:
+                loop_heads.append(pc + 1)
         elif opcode == op.IF:
             ctx.pop(I32)
             start, end = _block_sig(imm)
-            ctx.push_frame(opcode, start, end)
+            ctx.push_frame(opcode, start, end, pc, dead)
+            refs[pc] = ctx.frames[-1]
         elif opcode == op.ELSE:
             frame = ctx.frames[-1]
             if frame.opcode != op.IF:
                 raise ValidationError("else without matching if")
             ctx.pop_frame()
             # re-enter as the else arm; mark it ELSE so a second else fails
-            ctx.push_frame(op.ELSE, frame.start_types, frame.end_types)
+            frame.opcode, frame.unreachable, frame.else_pc = op.ELSE, False, pc
+            ctx.frames.append(frame)
+            refs[pc] = frame
+            dead = frame.dead
         elif opcode == op.END:
             frame = ctx.frames[-1]
             if frame.opcode == op.IF and frame.end_types != frame.start_types:
@@ -274,15 +380,27 @@ def _validate_body(mod: Module, func_type: FuncType, code: Code) -> None:
             ctx.pop_frame()
             for vt in frame.end_types:
                 ctx.push(vt)
+            frame.end = pc
+            dead = frame.dead
             if not ctx.frames:
-                break  # function end
+                if pc != len(body) - 1:
+                    raise ValidationError("instructions after the function end")
+                break
+            ends[frame.start] = (pc, frame.else_pc)
+            if frame.else_pc is not None:
+                ends[frame.else_pc] = (pc, frame.else_pc)
         elif opcode == op.BR:
-            for vt in reversed(ctx.label(imm).label_types):
+            label = ctx.label(imm)
+            refs[pc] = _label(label)
+            for vt in reversed(label.label_types):
                 ctx.pop(vt)
             ctx.set_unreachable()
+            dead = True
         elif opcode == op.BR_IF:
             ctx.pop(I32)
-            types = ctx.label(imm).label_types
+            label = ctx.label(imm)
+            refs[pc] = _label(label)
+            types = label.label_types
             for vt in reversed(types):
                 ctx.pop(vt)
             for vt in types:
@@ -290,17 +408,24 @@ def _validate_body(mod: Module, func_type: FuncType, code: Code) -> None:
         elif opcode == op.BR_TABLE:
             targets, default = imm
             ctx.pop(I32)
-            default_types = ctx.label(default).label_types
+            default_label = ctx.label(default)
+            default_types = default_label.label_types
+            labels = []
             for t in targets:
-                if ctx.label(t).label_types != default_types:
+                label = ctx.label(t)
+                if label.label_types != default_types:
                     raise ValidationError("br_table targets have mismatched types")
+                labels.append(_label(label))
+            refs[pc] = (labels, _label(default_label), None if dead else len(stack))
             for vt in reversed(default_types):
                 ctx.pop(vt)
             ctx.set_unreachable()
+            dead = True
         elif opcode == op.RETURN:
             for vt in reversed(ctx.result):
                 ctx.pop(vt)
             ctx.set_unreachable()
+            dead = True
         elif opcode == op.CALL:
             if imm >= mod.total_funcs:
                 raise ValidationError(f"call to unknown function {imm}")
@@ -392,6 +517,30 @@ def _validate_body(mod: Module, func_type: FuncType, code: Code) -> None:
 
     if ctx.frames:
         raise ValidationError("function body missing end")
+
+    branches: dict[int, object] = {}
+    jump_targets = set(loop_heads)
+    for pc, ref in refs.items():
+        opcode = body[pc][0]
+        if opcode == op.IF:
+            landing = ref.end if ref.else_pc is None else ref.else_pc + 1
+            branches[pc] = landing
+            jump_targets.add(landing)
+        elif opcode == op.ELSE:
+            branches[pc] = ref.end
+            jump_targets.add(ref.end)
+        elif opcode == op.BR_TABLE:
+            labels, default, height = ref
+            resolved = [_resolve(label) for label in labels]
+            branches[pc] = (resolved, _resolve(default), height)
+            jump_targets.update(res[0] for res in resolved)
+            jump_targets.add(branches[pc][1][0])
+        else:
+            branches[pc] = _resolve(ref)
+            jump_targets.add(branches[pc][0])
+    object.__setattr__(
+        code, "_facts", BodyFacts(heights, ends, branches, jump_targets, peak)
+    )
 
 
 def validate_module(mod: Module) -> None:

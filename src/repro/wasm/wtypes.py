@@ -27,13 +27,6 @@ class ValType(IntEnum):
         except ValueError:
             raise DecodeError(f"invalid value type byte 0x{byte:02x}") from None
 
-    @classmethod
-    def from_name(cls, name: str) -> "ValType":
-        try:
-            return cls[name.upper()]
-        except KeyError:
-            raise ValueError(f"unknown value type {name!r}") from None
-
 
 #: binary encoding of an empty block type
 EMPTY_BLOCK = 0x40

@@ -347,6 +347,31 @@ class TestClosedLoop:
         assert 6_000_000 in boosts  # the initial under-SLA boost happened
         assert gnb.inter_slice.targets_bps[1] == pytest.approx(5e6)
 
+    def test_indication_builds_only_subscribed_records(self, monkeypatch):
+        """An indication is turned into the record kinds some hosted xApp
+        subscribes to, and no others: an SLA-only RIC never converts the
+        per-UE reports."""
+        from repro.ric import wire
+
+        converted = []
+        real = wire.ue_meas_records
+
+        def spy(ue_reports):
+            converted.append(len(ue_reports))
+            return real(ue_reports)
+
+        monkeypatch.setattr(wire, "ue_meas_records", spy)
+        _, gnb, node, ric = build_network()
+        sla = ric.load_xapp("sla", plugin_wasm("xapp_sla"), (MSG_SLICE_KPI,))
+        ric.connect("gnb1", period_slots=20)
+        run_loop(gnb, node, ric, 100)
+        assert ric.indications_seen >= 3 and sla.calls == ric.indications_seen
+        assert converted == []
+        ts = ric.load_xapp("ts", plugin_wasm("xapp_ts"), (MSG_UE_MEAS,))
+        seen = ric.indications_seen
+        run_loop(gnb, node, ric, 60)
+        assert len(converted) == ts.calls == ric.indications_seen - seen > 0
+
     def test_hot_swap_xapp(self):
         ric = NearRtRic(
             CommChannel(InProcNetwork().endpoint("ric"), vendors.vendor_a())

@@ -34,7 +34,7 @@ from repro.chaos.schedule import ChaosInjection, OneShotChaos
 from repro.experiments.fig5d import make_ues
 from repro.obs import OBS
 from repro.plugins import plugin_wasm
-from repro.wasm import Instance, codecache, decode_module, load_module
+from repro.wasm import Instance, codecache, decode_module, load_module, validate_module
 from repro.wasm.aot import AotCode
 from repro.wasm.instance import compiled_bodies
 from repro.wasm.leb128 import encode_u
@@ -223,7 +223,8 @@ class TestHeatPolicy:
         assert misses.value(engine="aot") == aot_misses  # nothing compiled
 
     def test_peek_does_not_count_as_hit_or_miss(self):
-        module = decode_module(plugin_wasm("mt"))
+        module = decode_module(plugin_wasm("mt"))  # a module of its own
+        validate_module(module)
         before = codecache.stats()
         assert not codecache.is_cached(module, "aot")
         compiled_bodies(module, "aot")

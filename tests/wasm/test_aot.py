@@ -23,6 +23,7 @@ from repro.wasm import (
     decode_module,
     load_module,
     opcodes,
+    validate_module,
 )
 from repro.fuzz.corpus import load_case
 from repro.fuzz.oracle import differential
@@ -194,8 +195,7 @@ def test_float_bit_patterns_match():
 
 
 def test_structured_mode_is_default_for_reducible_code():
-    raw = assemble(LOOP_SUM)
-    module = decode_module(raw)
+    module = load_module(assemble(LOOP_SUM))
     acode = compile_aot(module, module.codes[0], module.func_type(0))
     assert "while True:" in acode.source
     assert "_pc" not in acode.source
@@ -304,7 +304,7 @@ def test_every_shipped_plugin_function_is_compiled():
     names = available_plugins()
     assert {"rr", "pf", "mt", "xapp_sla", "fault_spin"} <= set(names)
     for name in names:
-        module = decode_module(plugin_wasm(name))
+        module = load_module(plugin_wasm(name))
         bodies = compiled_bodies(module, "aot")
         assert bodies and all(b.__class__ is AotCode for b in bodies), name
 
@@ -675,7 +675,7 @@ def test_shipped_plugins_stay_on_the_fast_path():
     from repro.plugins import available_plugins, plugin_wasm
 
     for name in available_plugins():
-        module = decode_module(plugin_wasm(name))
+        module = load_module(plugin_wasm(name))
         n_imported = module.num_imported_funcs
         for i, code in enumerate(module.codes):
             acode = aot_for(module, code, module.func_type(n_imported + i))
@@ -855,8 +855,7 @@ def test_body_compiles_lazily_on_first_use():
 
 
 def test_generated_source_takes_fuel_in_and_out():
-    raw = assemble(FIB)
-    module = decode_module(raw)
+    module = load_module(assemble(FIB))
     acode = aot_for(module, module.codes[0], module.func_type(0))
     source = acode.source
     assert source.startswith("def _wfn(inst, store, depth, fuel, l0):")
@@ -885,6 +884,8 @@ def test_codecache_shares_aot_across_loads_not_decodes():
         assert misses.value(engine="aot") == m0 + 1
         # two bare decodes of the same bytes are two modules: each lowers
         d1, d2 = decode_module(raw), decode_module(raw)
+        validate_module(d1)
+        validate_module(d2)
         b1, b2 = compiled_bodies(d1, "aot"), compiled_bodies(d2, "aot")
         assert b1[0] is not b2[0] and b1[0] is not a1[0]
         assert misses.value(engine="aot") == m0 + 3

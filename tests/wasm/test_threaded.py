@@ -12,7 +12,7 @@ import pytest
 
 from repro import obs
 from repro.obs import OBS
-from repro.wasm import Instance, decode_module, load_module
+from repro.wasm import Instance, decode_module, load_module, validate_module
 from repro.wasm.codecache import clear as cache_clear
 from repro.wasm.instance import compiled_bodies
 from repro.wasm.interpreter import ExecStats
@@ -137,8 +137,7 @@ def test_fusion_actually_happens():
         """(module (func (export "f") (param i32 i32) (result i32)
             (i32.add (local.get 0) (local.get 1))))"""
     )
-    module = decode_module(raw)
-    (tcode,) = compiled_bodies(module, "threaded")
+    (tcode,) = compiled_bodies(load_module(raw), "threaded")
     assert isinstance(tcode, ThreadedCode)
     assert tcode.n_fused >= 1
     assert max(tcode.costs) >= 3  # local.get local.get i32.add in one slot
@@ -332,6 +331,8 @@ def test_codecache_shares_across_loads_not_decodes():
         assert misses.value(engine="threaded") == m0 + 1
         # two bare decodes of the same bytes are two modules: each lowers
         d1, d2 = decode_module(raw), decode_module(raw)
+        validate_module(d1)
+        validate_module(d2)
         assert d1.content_hash == d2.content_hash == m1.content_hash
         t1, t2 = compiled_bodies(d1, "threaded"), compiled_bodies(d2, "threaded")
         assert t1[0] is not t2[0] and t1[0] is not b1[0]

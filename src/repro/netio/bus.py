@@ -210,6 +210,15 @@ class _TcpEndpoint(Endpoint):
         except OSError:
             return True
 
+    @staticmethod
+    def _connect(port: int) -> socket.socket:
+        """An outgoing connection with Nagle off.  The receiver only reads,
+        so once the kernel stops acking at once each ACK is delayed, and
+        Nagle would hold the next small frame until it arrives (~40 ms)."""
+        sock = socket.create_connection(("127.0.0.1", port), timeout=5)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return sock
+
     def send(self, dest: str, payload: bytes) -> None:
         port = self._network._ports.get(dest)
         if port is None:
@@ -223,19 +232,13 @@ class _TcpEndpoint(Endpoint):
                     sock.close()
                     sock = None
                 if sock is None:
-                    sock = socket.create_connection(
-                        ("127.0.0.1", port), timeout=5
-                    )
-                    self._out[dest] = sock
+                    sock = self._out[dest] = self._connect(port)
                 try:
                     sock.sendall(frame)
                 except OSError:
                     # reconnect once (peer may have restarted)
                     sock.close()
-                    sock = socket.create_connection(
-                        ("127.0.0.1", port), timeout=5
-                    )
-                    self._out[dest] = sock
+                    sock = self._out[dest] = self._connect(port)
                     sock.sendall(frame)
             if OBS.enabled:
                 self._send_series.get(OBS.registry).observe(

@@ -50,9 +50,11 @@ Lowering rules
 - **A call inside the module is a Python call, or no call at all.**  A
   *leaf* - straight-line up to its ``return``: no call, branch,
   ``select``, ``memory.grow`` or reachable ``unreachable``, at most
-  ``_MAX_INLINE_INSTRS`` instructions - is emitted at its call site,
-  preceded by what its frame owes on entry (the ``StackExhausted`` depth
-  check and the ``ExecStats`` updates).  Any other compiled callee is
+  ``_MAX_INLINE_INSTRS`` instructions - is emitted at its call site
+  behind one test for what its frame owes on entry (see the fuel rule
+  below); its ``ExecStats`` frame is counted in the local ``_nf`` and
+  folded into ``store.stats`` when the caller leaves, by a return or a
+  trap.  Any other compiled callee is
   ``fuel, s3 = _f7(inst, store, _d1, fuel, ...)``: operands as arguments,
   fuel in and out, its entry dues in its own prologue.  An import bound
   to a host function is called as ``_hf[i].fn(inst, ...)`` with
@@ -64,20 +66,39 @@ Lowering rules
   through ``inst.invoke_addr``; :func:`execute_aot` is only the adapter
   for entering compiled code from outside.
 - **Memory access is inlined.**  A load or store is one bounds compare
-  against ``len(md)`` - ``md`` is the memory's ``bytearray`` itself, bound
-  once per function entry - raising the same ``MemoryOutOfBounds(addr,
-  size, limit)``, then a pre-bound ``struct.Struct`` ``unpack_from`` /
-  ``pack_into``.  ``Memory.data`` is never rebound and ``len`` is read at
-  every access, so ``memory.grow`` (here, in a callee, in a host
-  function) needs no invalidation rule.  Not a ``memoryview``: a live
-  export makes ``bytearray.extend`` raise ``BufferError``.
-- **Fuel is still charged per original instruction.**  Charges for pure
-  instructions are batched at compile time and flushed *before* every
-  instruction whose effect is observable after a trap (memory/global
-  writes, calls, trapping ops) and before every control transfer.
-  Locals, slots and pending values die with the frame on a trap, so
-  batching and folding are invisible: trap codes, the fuel counter at
-  trap time, and all memory/global state match the legacy engine.
+  against ``_ml`` - ``md`` is the memory's ``bytearray`` itself, bound
+  once per function entry, and ``_ml`` its length, read at entry and
+  again after every direct, host or ``invoke_addr`` call and every
+  ``memory.grow`` (``Memory.data`` is never rebound, so nothing else can
+  move it) - raising the same ``MemoryOutOfBounds(addr, size, limit)``,
+  then a pre-bound ``struct.Struct`` ``unpack_from`` / ``pack_into``.  An
+  address that is an i32 ``add`` / ``mul`` / constant ``shl`` tree is
+  first tried without its wrap-around masks: the unmasked value is
+  congruent to the masked one mod 2**32 and not negative, so in bounds
+  (below 2**32) it *is* the masked one; out of bounds, the masked one is
+  taken and checked.  Not a ``memoryview``: a live export makes
+  ``bytearray.extend`` raise ``BufferError``.
+- **Fuel is charged where running out can be observed.**  Locals, slots
+  and pending values die with the frame on a trap, so only effects can
+  tell *where* fuel ran out: a trap, a store, a global write, a call, a
+  ``return`` - and a loop back-edge, or a loop could spin unmetered.  The
+  emitter keeps a count of fuel owed and charges it, with a check, right
+  before each of those; everywhere else it carries the debt.  A
+  wrapped block's ``while True:`` runs once, so the debt goes inside it
+  (only a loop pays before its header); both arms of an ``if`` start
+  with it, and at the join the arm owing more pays the difference (an
+  ``if`` without ``else`` gets an ``else:`` for it when that arm owes
+  more); a ``br_if``'s taken path pays and its fall-through carries it.
+  A charge that no effect can follow before the next checked one - the
+  payment at a join, a ``break`` out of a block, a loop's entry - is a
+  bare subtraction: the next check reports it.  An inlined leaf's call
+  charge, depth check (``_deep``, computed once per frame) and whole
+  charge share one test; past it nothing in the leaf can run out, and
+  its cold path replays the leaf with every charge checked, in the
+  legacy order (fuel, then ``StackExhausted``, then fuel).  The counter
+  is never ahead of the legacy engine's and equals it at every check, so
+  trap codes, the fuel counter at trap time, ``ExecStats`` and all
+  memory/global state match it at every budget.
 - **Trap-time fuel: the outermost frame wins.**  In every engine a frame
   unwinding from a trap overwrites ``store.fuel`` with its own counter,
   so the host reads the *outermost* Wasm frame's value - its fuel at its
@@ -245,6 +266,43 @@ _ARITH = {
     % op.F64_MIN,
 }
 
+#: i32 arithmetic that is a ring operation mod 2**32 on non-negative
+#: operands: its unmasked value is congruent to the masked one and not
+#: below 0, so the two are equal whenever the unmasked one is < 2**32
+_RAW_OPS = {op.I32_ADD, op.I32_MUL, op.I32_SHL}
+
+
+def _raw_text(raw: tuple) -> str:
+    terms, constant = raw
+    if terms is None:
+        return str(constant)
+    return f"{terms} + {constant}" if constant else terms
+
+
+def _raw_arith(opcode: int, a: tuple | None, b: tuple | None) -> tuple | None:
+    """The unmasked ``(terms, constant)`` of an i32 ``add`` / ``mul`` /
+    constant ``shl`` of two unmasked operands (None if either is not one,
+    or the shift count is not a constant); constants are folded."""
+    if a is None or b is None:
+        return None
+    if opcode == op.I32_ADD:
+        terms = " + ".join(t for t in (a[0], b[0]) if t is not None) or None
+        return terms, a[1] + b[1]
+    if opcode == op.I32_SHL:
+        if b[0] is not None:
+            return None
+        b = (None, 1 << (b[1] % 32))
+    if a[0] is None:
+        a, b = b, a
+    if b[0] is None:  # distribute a constant factor
+        k = b[1]
+        if a[0] is None or k == 0:
+            return None, a[1] * k
+        terms = a[0] if " + " not in a[0] else f"({a[0]})"
+        return (terms if k == 1 else f"{terms} * {k}"), a[1] * k
+    return f"({_raw_text(a)}) * ({_raw_text(b)})", 0
+
+
 #: shifts: opcode -> (width, operator, signed)
 _SHIFTS = {
     op.I32_SHL: (32, "<<", False), op.I32_SHR_U: (32, ">>", False),
@@ -401,11 +459,14 @@ class _Emitter:
         )
         self.lines: list[str] = []
         self.indent = 0
-        #: batched fuel charges, and the counter a flush charges them to
-        #: (``_fi`` inside an inlined leaf)
+        #: fuel owed but not yet charged
         self.charges = 0
-        self.fuel = "fuel"
-        self.fuel_open = True
+        #: inside an inlined leaf's body, where each charge would go: a
+        #: ``(line index, amount)`` per flush (see :meth:`_emit_inlined`)
+        self.leaf_charges: list[tuple[int, int]] | None = None
+        #: unmasked text of an i32 ``add`` / ``mul`` / constant ``shl``
+        #: tree, by its masked text (see :meth:`_emit_bounds_check`)
+        self.raws: dict[str, tuple] = {}
         #: the frame being emitted: the caller's, or an inlined leaf's
         #: (its slots start at ``base``, its locals are ``lnames``)
         self.base = 0
@@ -413,10 +474,9 @@ class _Emitter:
         #: pending (folded) stack values by slot
         self.vals: dict[int, tuple] = {}
         self.uses: set[str] = set()
-        #: the call boundary ``dump_aot`` prints: callees emitted in line,
-        #: callees called directly, imports called directly, and the call
-        #: sites that stay on ``invoke_addr``
-        self.inlined: dict[int, AotCode] = {}
+        #: the call boundary ``dump_aot`` prints: callees emitted in line
+        #: (``leaves``, see :meth:`_scan`), callees called directly, imports
+        #: called directly, and the call sites that stay on ``invoke_addr``
         self.callees: dict[int, AotCode] = {}
         self.hosts: set[int] = set()
         self.via: list[str] = []
@@ -424,6 +484,40 @@ class _Emitter:
         self.consts: dict[str, float] = {}
         self._next_id = 0
         self.br_targets = self._collect_br_targets()
+        self._scan()
+
+    def _scan(self) -> None:
+        """One pass over the body for what the emitter must know ahead:
+        the leaves it inlines (and whether one needs ``_nm``: a
+        ``max_stack`` above this frame's) and whether it touches memory."""
+        self.n_imported = self.module.num_imported_funcs
+        self.leaves: dict[int, AotCode] = {}
+        memory = False
+        for pc, (opcode, imm) in enumerate(self.body):
+            if self.heights[pc] is None:
+                continue
+            if opcode == op.CALL:
+                callee = self.callee(imm)
+                if callee.__class__ is AotCode and callee.leaf:
+                    self.leaves[imm] = callee
+            elif opcode in LOADS or opcode in STORES:
+                memory = True
+        self.memory = memory or any(
+            o in LOADS or o in STORES
+            for leaf in self.leaves.values() for o, _imm in leaf._code.body
+        )
+        self.nm = any(
+            leaf.max_stack > self.acode.max_stack for leaf in self.leaves.values()
+        )
+
+    def callee(self, func_index: int):
+        """The body a call of ``func_index`` runs, or None for an import."""
+        if func_index < self.n_imported:
+            return None
+        return aot_for(
+            self.module, self.module.codes[func_index - self.n_imported],
+            self.module.func_type(func_index),
+        )
 
     # ----- low-level helpers ------------------------------------------------
 
@@ -433,19 +527,30 @@ class _Emitter:
     def charge(self) -> None:
         self.charges += 1
 
-    def flush(self, extra: int = 0) -> None:
-        """Apply batched fuel charges (plus ``extra`` for the op at hand)."""
+    def flush(self, extra: int = 0, check: bool = True) -> None:
+        """Charge the fuel owed (plus ``extra`` for the op at hand).
+
+        ``check=False`` where nothing observable follows before the next
+        checked charge on every path (a ``break`` out of a block, the
+        entry of a loop): running out is then reported there.
+        """
         n = self.charges + extra
         self.charges = 0
         if n == 0:
             return
-        if self.fuel_open:
-            self.w(f"{self.fuel} -= {n}")
-        else:  # an inlined leaf's first charge opens its own counter
-            self.w(f"_fi = fuel - {n}")
-            self.fuel_open = True
-        self.w(f"if {self.fuel} < 0:")
-        self.w("    raise FuelExhausted")
+        if self.leaf_charges is not None:
+            self.leaf_charges.append((len(self.lines), n))
+            return
+        self.lines.extend(self._charge_lines(n, self.indent, check))
+
+    @staticmethod
+    def _charge_lines(n: int, indent: int, check: bool,
+                      counter: str = "fuel") -> list[str]:
+        pad = "    " * indent
+        lines = [f"{pad}{counter} -= {n}"]
+        if check:
+            lines += [f"{pad}if {counter} < 0:", f"{pad}    raise FuelExhausted"]
+        return lines
 
     def lit(self, value) -> str:
         """Literal text for a constant; non-finite floats become ns consts."""
@@ -570,7 +675,9 @@ class _Emitter:
             fmt = _FLOAT_FORMATS.get(kind) or _INT_FORMATS[size, False]
             text = value[0]
             if kind == "i" and opcode not in (op.I32_STORE, op.I64_STORE):
-                text = f"{_wrap(value)} & {(1 << size * 8) - 1}"  # a narrow store
+                mask = (1 << size * 8) - 1  # a narrow store
+                text = (str(int(text) & mask) if text.isdigit()
+                        else f"{_wrap(value)} & {mask}")
             self.w(f"_st_{fmt}(md, {addr}, {text})")
         elif opcode == op.GLOBAL_GET:
             self.charge()
@@ -603,6 +710,7 @@ class _Emitter:
             self.flush(1)
             self.uses.add("mem")
             self.write(h - 1, f"mem.grow({self.take(h - 1)[0]}) & {_M32}")
+            self.refresh_ml()
         elif opcode == op.UNREACHABLE:
             self.flush(1)
             self.w('raise Trap("unreachable executed", code="unreachable")')
@@ -634,7 +742,20 @@ class _Emitter:
                 text = f"(1 if {cond} else 0)"
         else:
             text, cond = _binop_expr(opcode, _wrap(a), _wrap(b))
+            if opcode in _RAW_OPS:
+                raw = _raw_arith(opcode, self.raw(a), self.raw(b))
+                if raw is not None:
+                    self.raws[text] = raw
         self.put(h - 2, (text, a[1] | b[1], max(a[2], b[2]) + 1, cond))
+
+    def raw(self, value: tuple) -> tuple | None:
+        """``value`` without the wrap-around masks of its i32 ``add`` /
+        ``mul`` / ``shl`` tree, as ``(terms, constant)``, or None if it is
+        some other expression."""
+        if value[2] == 0:
+            text = value[0]
+            return (None, int(text)) if text.isdigit() else (text, 0)
+        return self.raws.get(value[0])
 
     def _emit_unop(self, opcode: int, h: int) -> None:
         if opcode in TRAPPING_UNOPS:
@@ -690,11 +811,22 @@ class _Emitter:
     def _emit_bounds_check(self, base: tuple, offset: int, size: int) -> str:
         """Emit the bounds compare of one access; returns the address text.
 
-        ``md`` is the memory's ``bytearray`` itself and the limit is read
-        with ``len(md)`` at every access, so a ``memory.grow`` - here, in
-        a callee or in a host function - needs no invalidation rule.
+        ``md`` is the memory's ``bytearray`` itself and ``_ml`` its length,
+        read at entry and again after everything that can grow it (a
+        direct, host or ``invoke_addr`` call, ``memory.grow``).
         """
-        self.uses.add("md")
+        raw = self.raws.get(base[0]) if base[2] else None
+        if raw is not None:
+            # the unmasked address is tried first: in bounds (so below
+            # 2**32) it is the masked one; out of bounds, the masked one
+            # (the unmasked one mod 2**32) decides
+            self.w(f"_a = {_raw_text((raw[0], raw[1] + offset))}")
+            self.w(f"if _a + {size} > _ml:")
+            self.w(f"    _a = ((_a - {offset}) & {_M32}) + {offset}" if offset
+                   else f"    _a &= {_M32}")
+            self.w(f"    if _a + {size} > _ml:")
+            self.w(f"        raise MemoryOutOfBounds(_a, {size}, _ml)")
+            return "_a"
         addr = base[0]
         if offset:
             addr = "_a"
@@ -702,27 +834,25 @@ class _Emitter:
         elif base[2]:
             addr = "_a"
             self.w(f"_a = {base[0]}")
-        self.w(f"if {addr} + {size} > len(md):")
-        self.w(f"    raise MemoryOutOfBounds({addr}, {size}, len(md))")
+        end = int(addr) + size if addr.isdigit() else f"{addr} + {size}"
+        self.w(f"if {end} > _ml:")
+        self.w(f"    raise MemoryOutOfBounds({addr}, {size}, _ml)")
         return addr
 
     # ----- calls -------------------------------------------------------------
 
     def _emit_call(self, h: int, func_index: int) -> None:
-        self.flush(1)
         ft = self.module.func_type(func_index)
+        callee = self.callee(func_index)
         np_ = len(ft.params)
         args = [self.take(h - np_ + k) for k in range(np_)]
         result = h - np_ if ft.results else None
-        n_imported = self.module.num_imported_funcs
-        if func_index < n_imported:
-            self._emit_host_call(func_index, ft, [a[0] for a in args], result)
-            return
-        callee = aot_for(
-            self.module, self.module.codes[func_index - n_imported], ft
-        )
         if callee.__class__ is AotCode and callee.leaf:
             self._emit_inlined(func_index, callee, args, h - np_)
+            return
+        self.flush(1)
+        if callee is None:
+            self._emit_host_call(func_index, ft, [a[0] for a in args], result)
             return
         self._before_call(result)
         texts = [a[0] for a in args]
@@ -751,6 +881,7 @@ class _Emitter:
         call = f"_f{func_index}({', '.join(['inst, store, _d1, fuel', *args])})"
         targets = "fuel" if result is None else f"fuel, s{result}"
         self.w(f"{targets} = {call}")
+        self.refresh_ml()
 
     def _emit_host_call(self, func_index: int, ft: FuncType, args: list[str],
                         result: int | None) -> None:
@@ -789,6 +920,7 @@ class _Emitter:
             self.w(f"s{result} = {fast} else {slow}" if fast else f"s{result} = {slow}")
         self.indent -= 1
         self.w("fuel = store.fuel")
+        self.refresh_ml()
 
     def _emit_invoke(self, addr: str, args: list[str], result: int | None,
                      sync: bool = True) -> None:
@@ -803,6 +935,7 @@ class _Emitter:
             self.w(f"s{result} = _r[0]")
         if sync:
             self.w("fuel = store.fuel")
+            self.refresh_ml()
 
     def _emit_call_indirect(self, h: int, type_index: int) -> None:
         self.flush(1)
@@ -834,23 +967,25 @@ class _Emitter:
         """A leaf callee, emitted in line: its frame's entry dues, then its
         straight-line body on this frame's slots from ``base`` up.
 
-        Its locals are ``_i{n}_{j}`` temporaries; an argument stands in
-        for its parameter directly when it is a name or literal that reads
-        no slot or global and the leaf never writes that parameter.  Its
-        fuel is charged to ``_fi`` and committed to ``fuel`` on return.
+        The call's charge goes to ``fuel`` unchecked, and one test covers
+        it, the leaf's depth check (``_deep``, computed once per frame)
+        and the leaf's whole charge to ``_fi``.  When it passes, nothing
+        in the leaf can run out, so its body runs with no fuel checks.
+        When it fails, a cold copy of the body with every charge checked
+        raises what the leaf's own frame would, in order: the caller out
+        of fuel, then ``StackExhausted``, then the leaf out of fuel where
+        it runs out (its stores before that point done).  The frame counts
+        in ``_nf`` (its ``max_stack``, if above the caller's, in ``_nm``),
+        folded into ``store.stats`` when this frame leaves.  Its locals are
+        ``_i{n}_{j}`` temporaries; an argument stands in for its parameter
+        directly when it is a name or literal that reads no slot or global
+        and the leaf never writes that parameter.  ``_fi`` is committed to
+        ``fuel`` on return, so a trap inside leaves the caller's ``fuel``.
         """
-        self.inlined[func_index] = callee
         self.uses.add("_d1")
-        n = self._alloc_id()
-        self.w("if _d1 > store.max_call_depth:")
-        self.w("    raise StackExhausted(_d1)")
-        self.w("stats = store.stats")
-        self.w("if stats is not None:")
-        self.w("    stats.frames += 1")
-        self.w("    if _d1 > stats.max_call_depth:")
-        self.w("        stats.max_call_depth = _d1")
-        self.w(f"    if {callee.max_stack} > stats.max_value_stack:")
-        self.w(f"        stats.max_value_stack = {callee.max_stack}")
+        self.w(f"fuel -= {self.charges + 1}")
+        self.charges = 0
+        site = self._alloc_id()
         written = callee.written_locals()
         names = []
         for j, arg in enumerate(args):
@@ -859,21 +994,60 @@ class _Emitter:
             ):
                 names.append(arg[0])
             else:
-                names.append(f"_i{n}_{j}")
+                names.append(f"_i{site}_{j}")
                 self.w(f"{names[-1]} = {arg[0]}")
         for j, default in enumerate(callee.local_defaults, len(args)):
             if j in written:
-                names.append(f"_i{n}_{j}")
+                names.append(f"_i{site}_{j}")
                 self.w(f"{names[-1]} = {default!r}")
             else:
                 names.append(repr(default))
 
-        saved = (self.body, self.heights, self.base, self.lnames, self.fuel,
-                 self.fuel_open, self.charges)
+        entered = ["_nf += 1"]
+        if callee.max_stack > self.acode.max_stack:
+            entered.append(f"if {callee.max_stack} > _nm:")
+            entered.append(f"    _nm = {callee.max_stack}")
+        body, charges = self._emit_leaf_body(callee, names, base)
+        self.w(f"_fi = fuel - {sum(n for _at, n in charges)}")
+        self.w("if _fi < 0 or _deep:")
+        self.indent += 1
+        self.w("if fuel < 0:")
+        self.w("    raise FuelExhausted")
+        self.w("if _deep:")
+        self.w("    raise StackExhausted(_d1)")
+        for line in entered:
+            self.w(line)
+        if len(charges) > 1:
+            # the cold copy: the body up to its return, each charge
+            # checked where it falls; the sum runs out by the return (a
+            # leaf charged only there has nothing observable before it)
+            self.w("_fi = fuel")
+            done = 0
+            for at, n in charges[:-1]:
+                for line in body[done:at]:
+                    self.w(line)
+                self.lines.extend(self._charge_lines(n, self.indent, True, "_fi"))
+                done = at
+            for line in body[done:charges[-1][0]]:
+                self.w(line)
+        self.w("raise FuelExhausted")
+        self.indent -= 1
+        for line in entered:
+            self.w(line)
+        for line in body:
+            self.w(line)
+        self.w("fuel = _fi")
+
+    def _emit_leaf_body(self, callee: AotCode, names: list[str],
+                        base: int) -> tuple[list[str], list[tuple[int, int]]]:
+        """The leaf's body as lines at indent 0, with no fuel charged, and
+        where each of its charges falls (the last one is its return)."""
+        saved = (self.body, self.heights, self.base, self.lnames, self.lines,
+                 self.indent)
         body = callee._code.body
         heights = callee.facts.heights
         self.body, self.heights, self.base, self.lnames = body, heights, base, names
-        self.fuel, self.fuel_open, self.charges = "_fi", False, 0
+        self.lines, self.indent, self.leaf_charges = [], 0, []
         for pc, (opcode, _imm) in enumerate(body):
             if heights[pc] is None:
                 continue
@@ -887,9 +1061,11 @@ class _Emitter:
                     self.put(base, value)
                 break
             self.emit_simple(pc)
-        (self.body, self.heights, self.base, self.lnames, self.fuel,
-         self.fuel_open, self.charges) = saved
-        self.w("fuel = _fi")
+        lines, charges = self.lines, self.leaf_charges
+        (self.body, self.heights, self.base, self.lnames, self.lines,
+         self.indent) = saved
+        self.leaf_charges = None
+        return lines, charges
 
     # ----- control flow ------------------------------------------------------
 
@@ -905,17 +1081,34 @@ class _Emitter:
             self._emit_return(self.heights[n - 1])
 
     def _emit_return(self, h: int) -> None:
+        for line in self.fold_stats():
+            self.w(line)
         self.w(f"return fuel, {self.peek(h - 1)}" if self.result_arity
                else "return fuel")
 
-    def _end_arm(self, falls: bool) -> None:
-        """Leave a construct's arm: its result goes to its slot, or the
-        arm ended in a transfer and nothing pending survives it."""
-        if falls:
-            self.spill_all()
-        else:
-            self.vals.clear()
-            self.charges = 0
+    def fold_stats(self) -> list[str]:
+        """What a frame that inlines leaves adds to ``store.stats`` when
+        it leaves: their frames, depth and peak stack."""
+        if not self.leaves:
+            return []
+        lines = [
+            "if _nf and stats is not None:",
+            "    stats.frames += _nf",
+            "    if _d1 > stats.max_call_depth:",
+            "        stats.max_call_depth = _d1",
+        ]
+        if self.nm:
+            lines += [
+                "    if _nm > stats.max_value_stack:",
+                "        stats.max_value_stack = _nm",
+            ]
+        return lines
+
+    def refresh_ml(self) -> None:
+        """After anything that may grow memory: the bounds checks' cached
+        limit is read again."""
+        if self.memory:
+            self.w("_ml = len(md)")
 
     def emit_seq(self, start: int, end: int) -> None:
         """Emit pcs in ``[start, end)`` — the interior of one construct."""
@@ -940,6 +1133,14 @@ class _Emitter:
         return self._next_id
 
     def emit_construct(self, pc: int) -> None:
+        """One ``block`` / ``loop`` / ``if``.
+
+        The fuel owed on entry goes into the construct: a block's body
+        runs once (a branch-targeted one is a ``while True:`` every exit
+        of which breaks), and each arm of an ``if`` pays it.  Only a loop
+        that is a branch target pays it before its header, so each trip
+        round it starts owing nothing.
+        """
         opcode, imm = self.body[pc]
         end_pc, else_pc = self.ends[pc]
         arity = 0 if imm is None else 1
@@ -956,7 +1157,8 @@ class _Emitter:
         cond = self.take(entry) if opcode == op.IF else None
         self.spill_all()
         if wrapped:
-            self.flush(0)
+            if ctx.is_loop:
+                self.flush(0, check=False)
             self.w("while True:")
             self.indent += 1
         body_start = len(self.lines)
@@ -966,12 +1168,7 @@ class _Emitter:
             self._emit_if_interior(pc, end_pc, else_pc, wrapped, cond)
         else:
             self.emit_seq(pc + 1, end_pc)
-            falls = self.heights[end_pc] is not None
-            self._end_arm(falls)
-            if falls:
-                self.flush(1)
-                if wrapped:
-                    self.w("break")
+            self.charges = self._leave_arm(end_pc, 1, wrapped) or 0
         self.ctxs.pop()
 
         if wrapped:
@@ -981,80 +1178,101 @@ class _Emitter:
             self.charges = 0
             self._emit_epilogue(ctx)
 
+    def _leave_arm(self, end: int, extra: int, wrapped: bool) -> int | None:
+        """Leave a construct's arm at ``end`` (its ``else`` / ``end``,
+        ``extra`` more instructions on the way out): ``None`` if the arm
+        ended in a transfer, else the fuel it still owes at the join - 0
+        for a wrapped construct, whose arm pays everything and breaks."""
+        self.charges += extra
+        if self.heights[end] is None:
+            self.vals.clear()
+            self.charges = 0
+            return None
+        self.spill_all()
+        if wrapped:
+            self.flush(0, check=False)
+            self.w("break")
+        owed, self.charges = self.charges, 0
+        return owed
+
     def _emit_if_interior(self, pc: int, end_pc: int, else_pc: int | None,
                           wrapped: bool, cond: tuple) -> None:
-        # the condition read is pure; flush so both arms start at charge 0
-        # (the legacy engine has charged everything up to and including the
-        # `if` opcode before the branch direction is observable)
-        self.flush(0)
+        """Both arms start owing what was owed at the ``if``.  Where both
+        reach the join, the one owing more pays the difference at its end
+        (an ``if`` without ``else`` gets an ``else:`` for it when that is
+        the false path), and the join owes the smaller amount."""
+        owed = self.charges
         self.w(f"if {cond[3] or cond[0]}:")
         self.indent += 1
-        mark = len(self.lines)
-        then_end = else_pc if else_pc is not None else end_pc
-        self.emit_seq(pc + 1, then_end)
-        then_falls = self.heights[then_end] is not None
-        self._end_arm(then_falls)
+        then_start = len(self.lines)
+        if else_pc is None:
+            self.emit_seq(pc + 1, end_pc)
+            then_owes = self._leave_arm(end_pc, 1, wrapped)
+        else:
+            self.emit_seq(pc + 1, else_pc)
+            # fall-through executes the `else` jump and the shared end
+            then_owes = self._leave_arm(else_pc, 2, wrapped)
+        then_end = len(self.lines)
+        self.indent -= 1
+        else_start = None
         if else_pc is not None:
-            if then_falls:
-                # fall-through executes the `else` jump and the shared end
-                self.flush(2)
-                if wrapped:
-                    self.w("break")
-            if len(self.lines) == mark:
-                self.w("pass")
+            self.w("else:")
+            else_start = len(self.lines)
+            self.indent += 1
+            self.charges = owed
+            self.emit_seq(else_pc + 1, end_pc)
+            else_owes = self._leave_arm(end_pc, 1, wrapped)
             self.indent -= 1
+        elif wrapped:
+            # the false path executes the shared end, and breaks
             self.w("else:")
             self.indent += 1
-            mark = len(self.lines)
-            self.emit_seq(else_pc + 1, end_pc)
-            falls = self.heights[end_pc] is not None
-            self._end_arm(falls)
-            if falls:
-                self.flush(1)
-                if wrapped:
-                    self.w("break")
-            if len(self.lines) == mark:
-                self.w("pass")
+            self.charges = owed + 1
+            self.flush(0, check=False)
+            self.w("break")
             self.indent -= 1
+            else_owes = 0
         else:
-            # no else-arm: the false path still executes the shared END,
-            # so the END charge must hit both paths exactly once
-            if then_falls:
-                self.flush(1 if wrapped else 0)
-                if wrapped:
-                    self.w("break")
-            if len(self.lines) == mark:
-                self.w("pass")
-            self.indent -= 1
-            if wrapped:
+            else_owes = owed + 1  # the shared end, owed on at the join
+        join = min((n for n in (then_owes, else_owes) if n is not None), default=0)
+        if else_owes is not None and else_owes > join:
+            if else_start is None:
                 self.w("else:")
-                self.indent += 1
-                self.flush(1)
-                self.w("break")
-                self.indent -= 1
-            else:
-                self.charge()  # END, charged once at the join (both paths)
+            self.lines.extend(
+                self._charge_lines(else_owes - join, self.indent + 1, False)
+            )
+        elif len(self.lines) == else_start:
+            self.w("    pass")
+        if then_owes is not None and then_owes > join:
+            tail = self._charge_lines(then_owes - join, self.indent + 1, False)
+        else:
+            tail = ["    " * (self.indent + 1) + "pass"] if then_end == then_start else []
+        self.lines[then_end:then_end] = tail
+        self.charges = join
 
     def _emit_control(self, pc: int) -> None:
         opcode, imm = self.body[pc]
         h = self.heights[pc]
         if opcode == op.BR:
             target, arity, dest_h = self.branches[pc]
-            self.flush(1)
+            self.flush(1, self._checked(imm))
             self._emit_branch(imm, arity, dest_h, h)
             self.vals.clear()
         elif opcode == op.BR_IF:
+            # the taken path pays what is owed; the fall-through owes it on
             target, arity, dest_h = self.branches[pc]
             cond = self.take(h - 1)
-            self.flush(1)
+            owed = self.charges + 1
             self.w(f"if {cond[3] or cond[0]}:")
             self.indent += 1
+            self.flush(1, self._checked(imm))
             self._emit_branch(imm, arity, dest_h, h - 1)
             self.indent -= 1
+            self.charges = owed
         elif opcode == op.BR_TABLE:
             depths, default_depth = imm
             per_target, default_res, _hh = self.branches[pc]
-            self.flush(1)
+            self.flush(1, any(map(self._checked, (*depths, default_depth))))
             index = self.take_simple(h - 1)[0]
             if not depths:
                 self._emit_branch(
@@ -1079,6 +1297,13 @@ class _Emitter:
             self.vals.clear()
         else:  # pragma: no cover - validation rejects unknown opcodes
             raise Trap(f"cannot compile opcode 0x{opcode:02x}", code="internal")
+
+    def _checked(self, depth: int) -> bool:
+        """Whether a branch of label ``depth`` checks the fuel it pays: a
+        return leaves the frame and a loop's back-edge may run forever;
+        code after a block reaches a checked charge before any effect."""
+        idx = len(self.ctxs) - 1 - depth
+        return idx == 0 or self.ctxs[idx].is_loop
 
     def _emit_branch(self, depth: int, arity: int, dest_h: int,
                      src_h: int) -> None:
@@ -1149,10 +1374,13 @@ class _Emitter:
         returns ``fuel[, result]``.  Its prologue is what every engine
         does on entering a frame - the depth limit, then the three
         :class:`~repro.wasm.interpreter.ExecStats` updates - so a direct
-        call needs nothing between caller and callee.  On a trap every
-        frame writes its own ``fuel`` to ``store.fuel`` on the way out, so
-        the outermost frame's value (its fuel at its call site) is what
-        the host reads: the rule all three engines follow.
+        call needs nothing between caller and callee.  A frame that
+        inlines leaves counts their frames in locals and folds them into
+        ``store.stats`` before each ``return`` and on the way out of a
+        trap.  On a trap every frame writes its own ``fuel`` to
+        ``store.fuel`` on the way out, so the outermost frame's value (its
+        fuel at its call site) is what the host reads: the rule all three
+        engines follow.
         """
         self.emit_structured()
         np_ = len(self.functype.params)
@@ -1172,8 +1400,9 @@ class _Emitter:
         ]
         for i, default in enumerate(acode.local_defaults):
             head.append(f"    l{np_ + i} = {default!r}")
-        if "md" in self.uses:
+        if self.memory:
             head.append("    md = inst.memory.data")
+            head.append("    _ml = len(md)")
         if "mem" in self.uses:
             head.append("    mem = inst.memory")
         if "glb" in self.uses:
@@ -1184,11 +1413,16 @@ class _Emitter:
             head.append("    _d1 = depth + 1")
         if "_br" in self.uses:
             head.append("    _br = -1")
-
+        if self.leaves:
+            head.append("    _deep = _d1 > store.max_call_depth")
+            head.append("    _nf = 0")
+            if self.nm:
+                head.append("    _nm = 0")
         head.append("    try:")
         head.extend("        " + line for line in self.lines)
         head.append("    except BaseException:")
         head.append("        store.fuel = fuel if fuel > 0 else 0")
+        head.extend("        " + line for line in self.fold_stats())
         head.append("        raise")
         return "\n".join(head) + "\n"
 
@@ -1368,7 +1602,7 @@ def execute_aot(store, instance, acode: AotCode, args: list,
 
 def _boundary(emitter: _Emitter) -> str:
     """``inlined: f4 f5; direct: f9; host: import 0; via invoke_addr: -``"""
-    inlined = " ".join(f"f{i}" for i in sorted(emitter.inlined)) or "-"
+    inlined = " ".join(f"f{i}" for i in sorted(emitter.leaves)) or "-"
     direct = " ".join(f"f{i}" for i in sorted(emitter.callees)) or "-"
     host = ", ".join(f"import {i}" for i in sorted(emitter.hosts)) or "-"
     via = ", ".join(dict.fromkeys(emitter.via)) or "-"

@@ -123,6 +123,28 @@ class TestTcpNetwork:
         finally:
             net.close()
 
+    def test_no_frame_waits_for_a_delayed_ack(self):
+        """One-way traffic on one connection, frames of mixed sizes like
+        the uplink's range frames: past the kernel's quick-ACK allowance
+        ACKs are delayed, and with Nagle on a frame waits ~40 ms for one."""
+        import random
+        import time
+
+        rng = random.Random(1)
+        sizes = [rng.choice((40, 300, 2783, 6000, 12000)) for _ in range(64)]
+        with TcpNetwork() as net:
+            a = net.endpoint("a")
+            b = net.endpoint("b")
+            slow = []
+            for i, size in enumerate(sizes):
+                start = time.perf_counter()
+                a.send("b", bytes(size))
+                assert b.recv(timeout=5.0) == ("a", bytes(size))
+                elapsed_ms = (time.perf_counter() - start) * 1000.0
+                if elapsed_ms >= 10.0:
+                    slow.append((i, size, round(elapsed_ms, 1)))
+            assert slow == []
+
     def test_unknown_dest(self):
         net = TcpNetwork()
         try:

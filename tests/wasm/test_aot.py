@@ -361,8 +361,9 @@ GROW_IN_HOST = """(module
 
 
 def test_grow_inside_a_host_function_moves_the_limit():
-    """``len(md)`` is read at every access, so memory grown by an import
-    between two accesses of one compiled frame is addressable at once."""
+    """The bounds checks' limit is read again after every call, so memory
+    grown by an import between two accesses of one compiled frame is
+    addressable at once."""
     grow = HostFunc(
         FuncType((ValType.I32,), (ValType.I32,)),
         lambda caller, pages: caller.memory.grow(pages),
@@ -757,6 +758,204 @@ def test_promoted_call_path_is_short_and_exact(name):
     assert (frames, fuel) == (legacy_frames, legacy_fuel)
     assert counts["invoke_addr"] == 1
     assert counts["calls"] < CALL_PATH_BOUNDS[name], counts
+
+
+# ---------------------------------------------------------------------------
+# checks only where effects are: fuel charged where it can be observed,
+# the memory limit and inlined frames kept in locals
+# ---------------------------------------------------------------------------
+
+
+def full_outcome(inst, name, *args, fuel):
+    """Everything a call leaves observable: result or trap code, the fuel
+    left, ExecStats, linear memory and the globals."""
+    stats = inst.store.stats = ExecStats()
+    try:
+        out = ("ok", inst.call(name, *args, fuel=fuel))
+    except Trap as exc:
+        out = ("trap", exc.code)
+    finally:
+        inst.store.stats = None
+    memory = bytes(inst.memory.data) if inst.memory is not None else b""
+    return out + (
+        inst.store.fuel, stats.frames, stats.max_call_depth,
+        stats.max_value_stack, memory, tuple(g.value for g in inst.globals),
+    )
+
+
+def sweep_every_budget(instances, name, *args, fuel=1_000_000):
+    """Run ``name`` at every fuel budget from 0 until it gets as far as
+    with ``fuel``, each instance from the same snapshot; every outcome
+    must equal the first instance's.  Returns the budget that got there
+    and its outcome."""
+    snaps = [inst.capture_state() for inst in instances]
+
+    def run_all(budget):
+        got = []
+        for inst, snap in zip(instances, snaps):
+            inst.restore_state(snap)
+            got.append(full_outcome(inst, name, *args, fuel=budget))
+        for other in got[1:]:
+            assert other == got[0], (name, args, budget, other[:6], got[0][:6])
+        return got[0]
+
+    full = run_all(fuel)
+    budget = 0
+    while (done := run_all(budget))[:2] != full[:2]:
+        budget += 1
+    return budget, done
+
+
+@pytest.mark.parametrize("name", ["rr", "pf", "mt"])
+def test_shipped_plugin_run_matches_legacy_at_every_budget(name):
+    """A 4-UE ``run`` of each shipped plugin, promoted aot against legacy,
+    cut off at every fuel budget: trap code, fuel, ExecStats, memory and
+    globals stay the legacy engine's."""
+    from repro.abi import wire
+    from repro.abi.host import PluginHost
+    from repro.experiments.fig5d import make_ues
+    from repro.plugins import plugin_wasm
+
+    payload = wire.pack_sched_input(3, 52, make_ues(4))
+    hosts = [
+        PluginHost(plugin_wasm(name), name=f"sweep-{name}-{e}", engine=e)
+        for e in ("legacy", "aot")
+    ]
+    hosts[1].promote()
+    assert hosts[1].tier == "aot"
+    instances = [host.instance for host in hosts]
+    ptrs = {inst.call("alloc", len(payload)) for inst in instances}
+    assert len(ptrs) == 1
+    ptr = ptrs.pop()
+    for inst in instances:
+        inst.memory.write(ptr, payload)
+    budget, done = sweep_every_budget(instances, "run", ptr, len(payload))
+    assert done[0] == "ok" and budget > 400, (budget, done[:2])
+
+
+#: shapes where compiled code checks late or less: fuel owed and paid
+#: where an effect follows, an address tried unmasked first.  (source,
+#: export, argument tuples, max_call_depth)
+CHECK_SHAPES = {
+    # an inlined leaf entered at the depth limit, then one past it: its
+    # call charge, depth check and whole charge share one test
+    "leaf-entry-at-depth-limit": ("""(module
+      (memory 1)
+      (global $g (mut i32) (i32.const 0))
+      (func $leaf (param i32) (result i32)
+        (i32.store (i32.const 8) (i32.add (local.get 0) (i32.const 7)))
+        (i32.load8_u (local.get 0)))
+      (func $down (export "down") (param i32) (result i32)
+        (global.set $g (i32.add (global.get $g) (i32.const 1)))
+        (if (result i32) (i32.eqz (local.get 0))
+          (then (call $leaf (i32.const 3)))
+          (else (i32.add (i32.const 1)
+                         (call $down (i32.sub (local.get 0) (i32.const 1))))))))""",
+        "down", [(5,), (6,)], 6),
+    # fuel owed on entry to a branch-targeted block is paid at the bounds
+    # check of its first load, which traps for the second argument
+    "load-in-sunk-region": ("""(module
+      (memory 1)
+      (global $g (mut i32) (i32.const 0))
+      (func (export "f") (param i32) (result i32)
+        (local i32)
+        (local.set 1 (i32.mul (local.get 0) (i32.const 3)))
+        (block $b (result i32)
+          (drop (i32.add (local.get 1) (i32.const 1)))
+          (i32.load offset=4 (local.get 0))
+          (br_if $b (i32.eqz (local.get 0)))
+          (global.set $g (i32.const 9))
+          (i32.add (i32.const 2)))))""",
+        "f", [(0,), (16,), (65534,)], 300),
+    # a br_if's taken path pays what is owed; the fall-through carries it
+    # to the next store
+    "br-if-taken-path": ("""(module
+      (memory 1)
+      (func (export "count") (param i32) (result i32)
+        (local i32)
+        (block $out
+          (loop $top
+            (local.set 1 (i32.add (local.get 1) (i32.const 1)))
+            (br_if $out (i32.ge_u (local.get 1) (local.get 0)))
+            (i32.store (i32.const 0) (local.get 1))
+            (br $top)))
+        (i32.add (local.get 1) (i32.load (i32.const 0)))))""",
+        "count", [(1,), (4,)], 300),
+    # an address past 2**32 before its i32 wrap-around: the unmasked sum
+    # is out of bounds, the wrapped one is not
+    "address-wraps-around": ("""(module
+      (memory 1)
+      (data (i32.const 0) "\\01\\02\\03\\04\\05\\06\\07\\08\\09")
+      (func (export "f") (param i32) (result i32)
+        (i32.store8 (i32.add (local.get 0) (i32.const 12)) (i32.const 7))
+        (i32.add
+          (i32.load8_u (i32.add (local.get 0) (i32.const 8)))
+          (i32.load8_u (i32.mul (i32.add (local.get 0) (i32.const 4))
+                                (i32.const 4))))))""",
+        "f", [(1,), (4294967292,), (1073741824,), (65530,)], 300),
+    # an if without else whose arms owe different amounts at the join
+    "if-without-else": ("""(module
+      (memory 1)
+      (global $g (mut i32) (i32.const 0))
+      (func (export "f") (param i32) (result i32)
+        (local i32)
+        (local.set 1 (i32.add (local.get 0) (i32.const 1)))
+        (if (i32.and (local.get 0) (i32.const 1))
+          (then
+            (i32.store (i32.const 4) (local.get 1))
+            (local.set 1 (i32.mul (local.get 1) (i32.const 5)))))
+        (if (i32.and (local.get 0) (i32.const 2))
+          (then (local.set 1 (i32.add (local.get 1) (i32.const 2)))))
+        (global.set $g (local.get 1))
+        (i32.add (local.get 1) (i32.load (i32.const 4)))))""",
+        "f", [(0,), (1,), (2,), (3,)], 300),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(CHECK_SHAPES))
+def test_check_shapes_match_legacy_at_every_budget(shape):
+    source, name, calls, depth = CHECK_SHAPES[shape]
+    instances = three(source, max_call_depth=depth)
+    for args in calls:
+        sweep_every_budget(instances, name, *args)
+
+
+def test_inlined_leaf_at_the_depth_limit_merges_its_entry_checks():
+    """One test per inlined call site covers the call's charge, the depth
+    check and the leaf's whole charge, and its cold path raises in the
+    legacy engine's order: fuel, then ``StackExhausted``, then fuel."""
+    source, name, calls, depth = CHECK_SHAPES["leaf-entry-at-depth-limit"]
+    at = full_outcome(three(source, max_call_depth=depth)[0], name, 5, fuel=10_000)
+    assert at[:2] == ("ok", 5) and at[3:5] == (7, 6)
+    over = full_outcome(three(source, max_call_depth=depth)[0], name, 6, fuel=10_000)
+    assert over[:2] == ("trap", "stack")
+    module = load_module(assemble(source))
+    body = aot_for(module, module.codes[1], module.func_type(1)).source
+    assert body.count("if _fi < 0 or _deep:") == 1
+    assert body.count("raise StackExhausted(_d1)") == 1
+    assert "_deep = _d1 > store.max_call_depth" in body
+
+
+#: per shipped plugin, the most of each check the generated source of the
+#: whole module may hold (``repro disasm --aot`` text).  Before checks
+#: moved to where effects are: fuel 138 / 119 / 117, ``len(md)`` 66 / 54 /
+#: 54, ``stats.frames`` 18 / 20 / 20, ``glb[`` 33 / 22 / 22.  Each inlined
+#: call site now also carries its cold copy (two to three of its fuel
+#: raises, each of its global accesses once more).
+CHECK_CAPS = {
+    "rr": {"raise FuelExhausted": 86, "len(md)": 11, "stats.frames": 15, "glb[": 39},
+    "pf": {"raise FuelExhausted": 77, "len(md)": 12, "stats.frames": 14, "glb[": 28},
+    "mt": {"raise FuelExhausted": 76, "len(md)": 11, "stats.frames": 14, "glb[": 28},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_CAPS))
+def test_generated_source_checks_only_where_effects_are(name):
+    from repro.plugins import plugin_wasm
+
+    source = dump_aot(plugin_wasm(name))
+    counts = {needle: source.count(needle) for needle in CHECK_CAPS[name]}
+    assert all(counts[k] <= cap for k, cap in CHECK_CAPS[name].items()), counts
 
 
 # ---------------------------------------------------------------------------

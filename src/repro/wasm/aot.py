@@ -127,12 +127,8 @@ import struct
 from repro.wasm import opcodes as op
 from repro.wasm.interpreter import (
     BINOPS,
-    CONST_OPS,
-    LOADS,
     MASK32,
     MASK64,
-    STORES,
-    TRAPPING_UNOPS,
     UNOPS,
     const_value,
     f32_round,
@@ -140,6 +136,7 @@ from repro.wasm.interpreter import (
 )
 from repro.wasm.loader import load_module
 from repro.wasm.module import Code, Module
+from repro.wasm.opcodes import CONST_OPS, LOADS, STORES, TRAPPING_OPS
 from repro.wasm.threaded import threaded_for
 from repro.wasm.traps import (
     FuelExhausted,
@@ -662,19 +659,21 @@ class _Emitter:
             self._emit_unop(opcode, h)
         elif opcode in LOADS:
             self.flush(1)
-            size, signed, kind = LOADS[opcode]
+            access = LOADS[opcode]
+            size, signed, kind = access.size, access.signed, access.vt.short
             fmt = _FLOAT_FORMATS.get(kind) or _INT_FORMATS[size, signed]
             addr = self._emit_bounds_check(self.take(h - 1), imm[1], size)
             mask = f" & {_M64 if kind == 'i64' else _M32}" if signed else ""
             self.write(h - 1, f"_ld_{fmt}(md, {addr})[0]{mask}")
         elif opcode in STORES:
             self.flush(1)
-            size, kind = STORES[opcode]
+            access = STORES[opcode]
+            size, kind = access.size, access.vt.short
             value = self.take(h - 1)
             addr = self._emit_bounds_check(self.take(h - 2), imm[1], size)
             fmt = _FLOAT_FORMATS.get(kind) or _INT_FORMATS[size, False]
             text = value[0]
-            if kind == "i" and opcode not in (op.I32_STORE, op.I64_STORE):
+            if kind in ("i32", "i64") and opcode not in (op.I32_STORE, op.I64_STORE):
                 mask = (1 << size * 8) - 1  # a narrow store
                 text = (str(int(text) & mask) if text.isdigit()
                         else f"{_wrap(value)} & {mask}")
@@ -758,7 +757,7 @@ class _Emitter:
         return self.raws.get(value[0])
 
     def _emit_unop(self, opcode: int, h: int) -> None:
-        if opcode in TRAPPING_UNOPS:
+        if opcode in TRAPPING_OPS:
             self.flush(1)
             self.write(h - 1, f"_u{opcode:02x}({self.take(h - 1)[0]})")
             return

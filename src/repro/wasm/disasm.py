@@ -65,7 +65,10 @@ def _format_instr(instr, indent: int) -> tuple[str, int]:
         align, offset = imm
         if offset:
             text += f" offset={offset}"
-        if align:
+        if align > info.mem.align:
+            # invalid, and an untrusted u32: never build 2**align
+            text += f" align=2**{align}"
+        elif align:
             text += f" align={1 << align}"
     elif kind in ("i32", "i64"):
         text += f" {imm}"

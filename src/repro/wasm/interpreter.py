@@ -16,6 +16,7 @@ from typing import Any, Callable
 
 from repro.wasm import opcodes as op
 from repro.wasm.module import Code, Instr
+from repro.wasm.opcodes import CONST_OPS, LOADS, STORES
 from repro.wasm.traps import FuelExhausted, StackExhausted, Trap
 from repro.wasm.validator import body_facts
 from repro.wasm.wtypes import ValType
@@ -301,45 +302,9 @@ UNOPS: dict[int, Callable[[Any], Any]] = {
     op.I64_EXTEND32_S: lambda a: to_unsigned(to_signed(a & MASK32, 32), 64),
 }
 
-#: loads: opcode -> (size, signed, result kind).  The kind names the result
-#: type so the unsigned-representation mask is always the *result* width
-#: (an i64.load masked at 32 bits would silently truncate the top half).
-LOADS: dict[int, tuple[int, bool, str]] = {
-    op.I32_LOAD: (4, False, "i32"),
-    op.I64_LOAD: (8, False, "i64"),
-    op.F32_LOAD: (4, False, "f32"),
-    op.F64_LOAD: (8, False, "f64"),
-    op.I32_LOAD8_S: (1, True, "i32"),
-    op.I32_LOAD8_U: (1, False, "i32"),
-    op.I32_LOAD16_S: (2, True, "i32"),
-    op.I32_LOAD16_U: (2, False, "i32"),
-    op.I64_LOAD8_S: (1, True, "i64"),
-    op.I64_LOAD8_U: (1, False, "i64"),
-    op.I64_LOAD16_S: (2, True, "i64"),
-    op.I64_LOAD16_U: (2, False, "i64"),
-    op.I64_LOAD32_S: (4, True, "i64"),
-    op.I64_LOAD32_U: (4, False, "i64"),
-}
-
-#: stores: opcode -> (size, is_float)
-STORES: dict[int, tuple[int, str]] = {
-    op.I32_STORE: (4, "i"),
-    op.I64_STORE: (8, "i"),
-    op.F32_STORE: (4, "f32"),
-    op.F64_STORE: (8, "f64"),
-    op.I32_STORE8: (1, "i"),
-    op.I32_STORE16: (2, "i"),
-    op.I64_STORE8: (1, "i"),
-    op.I64_STORE16: (2, "i"),
-    op.I64_STORE32: (4, "i"),
-}
-
-
-#: the four constant opcodes, and their value in our representation
-CONST_OPS = frozenset((op.I32_CONST, op.I64_CONST, op.F32_CONST, op.F64_CONST))
-
 
 def const_value(opcode: int, imm):
+    """A constant's immediate as a value in our representation."""
     if opcode == op.I32_CONST:
         return imm & MASK32
     if opcode == op.I64_CONST:
@@ -347,14 +312,6 @@ def const_value(opcode: int, imm):
     if opcode == op.F32_CONST:
         return f32_round(imm)
     return imm
-
-
-#: unops that can trap (the float -> int truncations)
-TRAPPING_UNOPS = frozenset((
-    op.I32_TRUNC_F32_S, op.I32_TRUNC_F32_U, op.I32_TRUNC_F64_S,
-    op.I32_TRUNC_F64_U, op.I64_TRUNC_F32_S, op.I64_TRUNC_F32_U,
-    op.I64_TRUNC_F64_S, op.I64_TRUNC_F64_U,
-))
 
 
 def local_defaults(code: Code) -> list:
@@ -421,24 +378,24 @@ def _compile_ops(
         elif opcode == op.LOCAL_TEE:
             ops.append((T_LOCAL_TEE, imm))
         elif opcode in LOADS:
-            size, signed, kind = LOADS[opcode]
+            access = LOADS[opcode]
             offset = imm[1]
-            if kind == "f32":
+            if access.vt == ValType.F32:
                 ops.append((T_LOAD_F32, offset))
-            elif kind == "f64":
+            elif access.vt == ValType.F64:
                 ops.append((T_LOAD_F64, offset))
             else:
-                mask = MASK64 if kind == "i64" else MASK32
-                ops.append((T_LOAD_I, offset, size, signed, mask))
+                mask = MASK64 if access.vt == ValType.I64 else MASK32
+                ops.append((T_LOAD_I, offset, access.size, access.signed, mask))
         elif opcode in STORES:
-            size, kind = STORES[opcode]
+            access = STORES[opcode]
             offset = imm[1]
-            if kind == "f32":
+            if access.vt == ValType.F32:
                 ops.append((T_STORE_F32, offset))
-            elif kind == "f64":
+            elif access.vt == ValType.F64:
                 ops.append((T_STORE_F64, offset))
             else:
-                ops.append((T_STORE_I, offset, size))
+                ops.append((T_STORE_I, offset, access.size))
         elif opcode == op.BLOCK:
             end_pc, _ = ends[pc]
             ops.append((T_BLOCK, 0 if imm is None else 1, end_pc + 1))

@@ -1,9 +1,30 @@
-"""WebAssembly MVP opcode table.
+"""WebAssembly MVP instruction table: every static fact about an opcode,
+stated once.
 
-Each opcode is listed with its canonical spec mnemonic and the kind of
-immediate operands it carries in the binary format.  The decoder,
-validator, interpreter and assembler all key off this single table so the
-instruction set cannot drift between components.
+:data:`OP_TABLE` maps each opcode to an :class:`OpInfo` row:
+
+- ``name``   the spec mnemonic - the assembler (:data:`NAME_TO_OP`), the
+  disassembler and the lowering dumps (:func:`mnemonic`) print it;
+- ``imm``    the kind of immediate the binary carries (below) - the
+  decoder, the encoder, the assembler and the disassembler read it;
+- ``ins`` / ``out``  operand types popped (deepest first) and result
+  types pushed, for a *fixed-shape* opcode: the numeric ops, the four
+  consts, the loads and stores, ``memory.size`` / ``memory.grow``.
+  ``ins`` is None for the control, parametric and variable opcodes,
+  whose shape depends on labels, locals, globals or callees.  The
+  validator checks a fixed-shape opcode from these alone;
+- ``mem``    a load's or store's :class:`MemAccess` (value type, size,
+  signedness, load or store, natural-alignment exponent) - the validator
+  checks alignment against it, the three engines lower loads and stores
+  from it (:data:`LOADS` / :data:`STORES`), the disassembler prints
+  alignment by it;
+- ``traps``  whether executing the opcode can trap - the threaded engine
+  fuses a trapping op only last in a superinstruction, the AOT emitter
+  settles fuel before one (:data:`TRAPPING_OPS`);
+- ``delta``  its stack effect in the linear scan behind
+  :attr:`BodyFacts.max_stack <repro.wasm.validator.BodyFacts>`:
+  ``len(out) - len(ins)`` for a fixed-shape row; a call counts +1
+  whatever its signature.
 
 Immediate kinds:
 
@@ -24,6 +45,10 @@ Immediate kinds:
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from repro.wasm.wtypes import ValType
+
+I32, I64, F32, F64 = ValType.I32, ValType.I64, ValType.F32, ValType.F64
 
 # --- control ---------------------------------------------------------------
 UNREACHABLE = 0x00
@@ -232,192 +257,239 @@ I64_EXTEND32_S = 0xC4
 
 
 @dataclass(frozen=True)
+class MemAccess:
+    """What one load or store touches."""
+
+    vt: ValType  # the value stored, or loaded: a load is masked at vt's width
+    size: int  # bytes accessed
+    signed: bool  # a narrow load that sign-extends
+    store: bool
+    align: int  # natural-alignment exponent: the largest valid one
+
+
+@dataclass(frozen=True)
 class OpInfo:
-    """Static metadata about one opcode."""
+    """Static facts about one opcode (see the module docstring)."""
 
     name: str
     imm: str  # immediate kind, see module docstring
+    ins: tuple[ValType, ...] | None = None  # None: not fixed-shape
+    out: tuple[ValType, ...] = ()
+    mem: MemAccess | None = None
+    traps: bool = False
+    delta: int = 0
+
+
+def _fixed(name, imm, ins, out, mem=None, traps=False) -> OpInfo:
+    outs = () if out is None else (out,)
+    return OpInfo(name, imm, ins, outs, mem, traps, len(outs) - len(ins))
+
+
+def _num(name, ins, out, traps=False) -> OpInfo:
+    return _fixed(name, "none", ins, out, traps=traps)
+
+
+def _load(name, vt, size, signed=False) -> OpInfo:
+    access = MemAccess(vt, size, signed, False, size.bit_length() - 1)
+    return _fixed(name, "mem", (I32,), vt, access, traps=True)
+
+
+def _store(name, vt, size) -> OpInfo:
+    access = MemAccess(vt, size, False, True, size.bit_length() - 1)
+    return _fixed(name, "mem", (I32, vt), None, access, traps=True)
 
 
 OP_TABLE: dict[int, OpInfo] = {
-    UNREACHABLE: OpInfo("unreachable", "none"),
+    UNREACHABLE: OpInfo("unreachable", "none", traps=True),
     NOP: OpInfo("nop", "none"),
     BLOCK: OpInfo("block", "block"),
     LOOP: OpInfo("loop", "block"),
-    IF: OpInfo("if", "block"),
+    IF: OpInfo("if", "block", delta=-1),
     ELSE: OpInfo("else", "none"),
     END: OpInfo("end", "none"),
     BR: OpInfo("br", "label"),
-    BR_IF: OpInfo("br_if", "label"),
-    BR_TABLE: OpInfo("br_table", "br_table"),
+    BR_IF: OpInfo("br_if", "label", delta=-1),
+    BR_TABLE: OpInfo("br_table", "br_table", delta=-1),
     RETURN: OpInfo("return", "none"),
-    CALL: OpInfo("call", "func"),
-    CALL_INDIRECT: OpInfo("call_indirect", "call_ind"),
-    DROP: OpInfo("drop", "none"),
-    SELECT: OpInfo("select", "none"),
-    LOCAL_GET: OpInfo("local.get", "local"),
-    LOCAL_SET: OpInfo("local.set", "local"),
+    CALL: OpInfo("call", "func", traps=True, delta=1),
+    CALL_INDIRECT: OpInfo("call_indirect", "call_ind", traps=True, delta=1),
+    DROP: OpInfo("drop", "none", delta=-1),
+    SELECT: OpInfo("select", "none", delta=-2),
+    LOCAL_GET: OpInfo("local.get", "local", delta=1),
+    LOCAL_SET: OpInfo("local.set", "local", delta=-1),
     LOCAL_TEE: OpInfo("local.tee", "local"),
-    GLOBAL_GET: OpInfo("global.get", "global"),
-    GLOBAL_SET: OpInfo("global.set", "global"),
-    I32_LOAD: OpInfo("i32.load", "mem"),
-    I64_LOAD: OpInfo("i64.load", "mem"),
-    F32_LOAD: OpInfo("f32.load", "mem"),
-    F64_LOAD: OpInfo("f64.load", "mem"),
-    I32_LOAD8_S: OpInfo("i32.load8_s", "mem"),
-    I32_LOAD8_U: OpInfo("i32.load8_u", "mem"),
-    I32_LOAD16_S: OpInfo("i32.load16_s", "mem"),
-    I32_LOAD16_U: OpInfo("i32.load16_u", "mem"),
-    I64_LOAD8_S: OpInfo("i64.load8_s", "mem"),
-    I64_LOAD8_U: OpInfo("i64.load8_u", "mem"),
-    I64_LOAD16_S: OpInfo("i64.load16_s", "mem"),
-    I64_LOAD16_U: OpInfo("i64.load16_u", "mem"),
-    I64_LOAD32_S: OpInfo("i64.load32_s", "mem"),
-    I64_LOAD32_U: OpInfo("i64.load32_u", "mem"),
-    I32_STORE: OpInfo("i32.store", "mem"),
-    I64_STORE: OpInfo("i64.store", "mem"),
-    F32_STORE: OpInfo("f32.store", "mem"),
-    F64_STORE: OpInfo("f64.store", "mem"),
-    I32_STORE8: OpInfo("i32.store8", "mem"),
-    I32_STORE16: OpInfo("i32.store16", "mem"),
-    I64_STORE8: OpInfo("i64.store8", "mem"),
-    I64_STORE16: OpInfo("i64.store16", "mem"),
-    I64_STORE32: OpInfo("i64.store32", "mem"),
-    MEMORY_SIZE: OpInfo("memory.size", "mem_misc"),
-    MEMORY_GROW: OpInfo("memory.grow", "mem_misc"),
-    I32_CONST: OpInfo("i32.const", "i32"),
-    I64_CONST: OpInfo("i64.const", "i64"),
-    F32_CONST: OpInfo("f32.const", "f32"),
-    F64_CONST: OpInfo("f64.const", "f64"),
-    I32_EQZ: OpInfo("i32.eqz", "none"),
-    I32_EQ: OpInfo("i32.eq", "none"),
-    I32_NE: OpInfo("i32.ne", "none"),
-    I32_LT_S: OpInfo("i32.lt_s", "none"),
-    I32_LT_U: OpInfo("i32.lt_u", "none"),
-    I32_GT_S: OpInfo("i32.gt_s", "none"),
-    I32_GT_U: OpInfo("i32.gt_u", "none"),
-    I32_LE_S: OpInfo("i32.le_s", "none"),
-    I32_LE_U: OpInfo("i32.le_u", "none"),
-    I32_GE_S: OpInfo("i32.ge_s", "none"),
-    I32_GE_U: OpInfo("i32.ge_u", "none"),
-    I64_EQZ: OpInfo("i64.eqz", "none"),
-    I64_EQ: OpInfo("i64.eq", "none"),
-    I64_NE: OpInfo("i64.ne", "none"),
-    I64_LT_S: OpInfo("i64.lt_s", "none"),
-    I64_LT_U: OpInfo("i64.lt_u", "none"),
-    I64_GT_S: OpInfo("i64.gt_s", "none"),
-    I64_GT_U: OpInfo("i64.gt_u", "none"),
-    I64_LE_S: OpInfo("i64.le_s", "none"),
-    I64_LE_U: OpInfo("i64.le_u", "none"),
-    I64_GE_S: OpInfo("i64.ge_s", "none"),
-    I64_GE_U: OpInfo("i64.ge_u", "none"),
-    F32_EQ: OpInfo("f32.eq", "none"),
-    F32_NE: OpInfo("f32.ne", "none"),
-    F32_LT: OpInfo("f32.lt", "none"),
-    F32_GT: OpInfo("f32.gt", "none"),
-    F32_LE: OpInfo("f32.le", "none"),
-    F32_GE: OpInfo("f32.ge", "none"),
-    F64_EQ: OpInfo("f64.eq", "none"),
-    F64_NE: OpInfo("f64.ne", "none"),
-    F64_LT: OpInfo("f64.lt", "none"),
-    F64_GT: OpInfo("f64.gt", "none"),
-    F64_LE: OpInfo("f64.le", "none"),
-    F64_GE: OpInfo("f64.ge", "none"),
-    I32_CLZ: OpInfo("i32.clz", "none"),
-    I32_CTZ: OpInfo("i32.ctz", "none"),
-    I32_POPCNT: OpInfo("i32.popcnt", "none"),
-    I32_ADD: OpInfo("i32.add", "none"),
-    I32_SUB: OpInfo("i32.sub", "none"),
-    I32_MUL: OpInfo("i32.mul", "none"),
-    I32_DIV_S: OpInfo("i32.div_s", "none"),
-    I32_DIV_U: OpInfo("i32.div_u", "none"),
-    I32_REM_S: OpInfo("i32.rem_s", "none"),
-    I32_REM_U: OpInfo("i32.rem_u", "none"),
-    I32_AND: OpInfo("i32.and", "none"),
-    I32_OR: OpInfo("i32.or", "none"),
-    I32_XOR: OpInfo("i32.xor", "none"),
-    I32_SHL: OpInfo("i32.shl", "none"),
-    I32_SHR_S: OpInfo("i32.shr_s", "none"),
-    I32_SHR_U: OpInfo("i32.shr_u", "none"),
-    I32_ROTL: OpInfo("i32.rotl", "none"),
-    I32_ROTR: OpInfo("i32.rotr", "none"),
-    I64_CLZ: OpInfo("i64.clz", "none"),
-    I64_CTZ: OpInfo("i64.ctz", "none"),
-    I64_POPCNT: OpInfo("i64.popcnt", "none"),
-    I64_ADD: OpInfo("i64.add", "none"),
-    I64_SUB: OpInfo("i64.sub", "none"),
-    I64_MUL: OpInfo("i64.mul", "none"),
-    I64_DIV_S: OpInfo("i64.div_s", "none"),
-    I64_DIV_U: OpInfo("i64.div_u", "none"),
-    I64_REM_S: OpInfo("i64.rem_s", "none"),
-    I64_REM_U: OpInfo("i64.rem_u", "none"),
-    I64_AND: OpInfo("i64.and", "none"),
-    I64_OR: OpInfo("i64.or", "none"),
-    I64_XOR: OpInfo("i64.xor", "none"),
-    I64_SHL: OpInfo("i64.shl", "none"),
-    I64_SHR_S: OpInfo("i64.shr_s", "none"),
-    I64_SHR_U: OpInfo("i64.shr_u", "none"),
-    I64_ROTL: OpInfo("i64.rotl", "none"),
-    I64_ROTR: OpInfo("i64.rotr", "none"),
-    F32_ABS: OpInfo("f32.abs", "none"),
-    F32_NEG: OpInfo("f32.neg", "none"),
-    F32_CEIL: OpInfo("f32.ceil", "none"),
-    F32_FLOOR: OpInfo("f32.floor", "none"),
-    F32_TRUNC: OpInfo("f32.trunc", "none"),
-    F32_NEAREST: OpInfo("f32.nearest", "none"),
-    F32_SQRT: OpInfo("f32.sqrt", "none"),
-    F32_ADD: OpInfo("f32.add", "none"),
-    F32_SUB: OpInfo("f32.sub", "none"),
-    F32_MUL: OpInfo("f32.mul", "none"),
-    F32_DIV: OpInfo("f32.div", "none"),
-    F32_MIN: OpInfo("f32.min", "none"),
-    F32_MAX: OpInfo("f32.max", "none"),
-    F32_COPYSIGN: OpInfo("f32.copysign", "none"),
-    F64_ABS: OpInfo("f64.abs", "none"),
-    F64_NEG: OpInfo("f64.neg", "none"),
-    F64_CEIL: OpInfo("f64.ceil", "none"),
-    F64_FLOOR: OpInfo("f64.floor", "none"),
-    F64_TRUNC: OpInfo("f64.trunc", "none"),
-    F64_NEAREST: OpInfo("f64.nearest", "none"),
-    F64_SQRT: OpInfo("f64.sqrt", "none"),
-    F64_ADD: OpInfo("f64.add", "none"),
-    F64_SUB: OpInfo("f64.sub", "none"),
-    F64_MUL: OpInfo("f64.mul", "none"),
-    F64_DIV: OpInfo("f64.div", "none"),
-    F64_MIN: OpInfo("f64.min", "none"),
-    F64_MAX: OpInfo("f64.max", "none"),
-    F64_COPYSIGN: OpInfo("f64.copysign", "none"),
-    I32_WRAP_I64: OpInfo("i32.wrap_i64", "none"),
-    I32_TRUNC_F32_S: OpInfo("i32.trunc_f32_s", "none"),
-    I32_TRUNC_F32_U: OpInfo("i32.trunc_f32_u", "none"),
-    I32_TRUNC_F64_S: OpInfo("i32.trunc_f64_s", "none"),
-    I32_TRUNC_F64_U: OpInfo("i32.trunc_f64_u", "none"),
-    I64_EXTEND_I32_S: OpInfo("i64.extend_i32_s", "none"),
-    I64_EXTEND_I32_U: OpInfo("i64.extend_i32_u", "none"),
-    I64_TRUNC_F32_S: OpInfo("i64.trunc_f32_s", "none"),
-    I64_TRUNC_F32_U: OpInfo("i64.trunc_f32_u", "none"),
-    I64_TRUNC_F64_S: OpInfo("i64.trunc_f64_s", "none"),
-    I64_TRUNC_F64_U: OpInfo("i64.trunc_f64_u", "none"),
-    F32_CONVERT_I32_S: OpInfo("f32.convert_i32_s", "none"),
-    F32_CONVERT_I32_U: OpInfo("f32.convert_i32_u", "none"),
-    F32_CONVERT_I64_S: OpInfo("f32.convert_i64_s", "none"),
-    F32_CONVERT_I64_U: OpInfo("f32.convert_i64_u", "none"),
-    F32_DEMOTE_F64: OpInfo("f32.demote_f64", "none"),
-    F64_CONVERT_I32_S: OpInfo("f64.convert_i32_s", "none"),
-    F64_CONVERT_I32_U: OpInfo("f64.convert_i32_u", "none"),
-    F64_CONVERT_I64_S: OpInfo("f64.convert_i64_s", "none"),
-    F64_CONVERT_I64_U: OpInfo("f64.convert_i64_u", "none"),
-    F64_PROMOTE_F32: OpInfo("f64.promote_f32", "none"),
-    I32_REINTERPRET_F32: OpInfo("i32.reinterpret_f32", "none"),
-    I64_REINTERPRET_F64: OpInfo("i64.reinterpret_f64", "none"),
-    F32_REINTERPRET_I32: OpInfo("f32.reinterpret_i32", "none"),
-    F64_REINTERPRET_I64: OpInfo("f64.reinterpret_i64", "none"),
-    I32_EXTEND8_S: OpInfo("i32.extend8_s", "none"),
-    I32_EXTEND16_S: OpInfo("i32.extend16_s", "none"),
-    I64_EXTEND8_S: OpInfo("i64.extend8_s", "none"),
-    I64_EXTEND16_S: OpInfo("i64.extend16_s", "none"),
-    I64_EXTEND32_S: OpInfo("i64.extend32_s", "none"),
+    GLOBAL_GET: OpInfo("global.get", "global", delta=1),
+    GLOBAL_SET: OpInfo("global.set", "global", delta=-1),
+    I32_LOAD: _load("i32.load", I32, 4),
+    I64_LOAD: _load("i64.load", I64, 8),
+    F32_LOAD: _load("f32.load", F32, 4),
+    F64_LOAD: _load("f64.load", F64, 8),
+    I32_LOAD8_S: _load("i32.load8_s", I32, 1, signed=True),
+    I32_LOAD8_U: _load("i32.load8_u", I32, 1),
+    I32_LOAD16_S: _load("i32.load16_s", I32, 2, signed=True),
+    I32_LOAD16_U: _load("i32.load16_u", I32, 2),
+    I64_LOAD8_S: _load("i64.load8_s", I64, 1, signed=True),
+    I64_LOAD8_U: _load("i64.load8_u", I64, 1),
+    I64_LOAD16_S: _load("i64.load16_s", I64, 2, signed=True),
+    I64_LOAD16_U: _load("i64.load16_u", I64, 2),
+    I64_LOAD32_S: _load("i64.load32_s", I64, 4, signed=True),
+    I64_LOAD32_U: _load("i64.load32_u", I64, 4),
+    I32_STORE: _store("i32.store", I32, 4),
+    I64_STORE: _store("i64.store", I64, 8),
+    F32_STORE: _store("f32.store", F32, 4),
+    F64_STORE: _store("f64.store", F64, 8),
+    I32_STORE8: _store("i32.store8", I32, 1),
+    I32_STORE16: _store("i32.store16", I32, 2),
+    I64_STORE8: _store("i64.store8", I64, 1),
+    I64_STORE16: _store("i64.store16", I64, 2),
+    I64_STORE32: _store("i64.store32", I64, 4),
+    MEMORY_SIZE: _fixed("memory.size", "mem_misc", (), I32),
+    MEMORY_GROW: _fixed("memory.grow", "mem_misc", (I32,), I32),
+    I32_CONST: _fixed("i32.const", "i32", (), I32),
+    I64_CONST: _fixed("i64.const", "i64", (), I64),
+    F32_CONST: _fixed("f32.const", "f32", (), F32),
+    F64_CONST: _fixed("f64.const", "f64", (), F64),
+    I32_EQZ: _num("i32.eqz", (I32,), I32),
+    I32_EQ: _num("i32.eq", (I32, I32), I32),
+    I32_NE: _num("i32.ne", (I32, I32), I32),
+    I32_LT_S: _num("i32.lt_s", (I32, I32), I32),
+    I32_LT_U: _num("i32.lt_u", (I32, I32), I32),
+    I32_GT_S: _num("i32.gt_s", (I32, I32), I32),
+    I32_GT_U: _num("i32.gt_u", (I32, I32), I32),
+    I32_LE_S: _num("i32.le_s", (I32, I32), I32),
+    I32_LE_U: _num("i32.le_u", (I32, I32), I32),
+    I32_GE_S: _num("i32.ge_s", (I32, I32), I32),
+    I32_GE_U: _num("i32.ge_u", (I32, I32), I32),
+    I64_EQZ: _num("i64.eqz", (I64,), I32),
+    I64_EQ: _num("i64.eq", (I64, I64), I32),
+    I64_NE: _num("i64.ne", (I64, I64), I32),
+    I64_LT_S: _num("i64.lt_s", (I64, I64), I32),
+    I64_LT_U: _num("i64.lt_u", (I64, I64), I32),
+    I64_GT_S: _num("i64.gt_s", (I64, I64), I32),
+    I64_GT_U: _num("i64.gt_u", (I64, I64), I32),
+    I64_LE_S: _num("i64.le_s", (I64, I64), I32),
+    I64_LE_U: _num("i64.le_u", (I64, I64), I32),
+    I64_GE_S: _num("i64.ge_s", (I64, I64), I32),
+    I64_GE_U: _num("i64.ge_u", (I64, I64), I32),
+    F32_EQ: _num("f32.eq", (F32, F32), I32),
+    F32_NE: _num("f32.ne", (F32, F32), I32),
+    F32_LT: _num("f32.lt", (F32, F32), I32),
+    F32_GT: _num("f32.gt", (F32, F32), I32),
+    F32_LE: _num("f32.le", (F32, F32), I32),
+    F32_GE: _num("f32.ge", (F32, F32), I32),
+    F64_EQ: _num("f64.eq", (F64, F64), I32),
+    F64_NE: _num("f64.ne", (F64, F64), I32),
+    F64_LT: _num("f64.lt", (F64, F64), I32),
+    F64_GT: _num("f64.gt", (F64, F64), I32),
+    F64_LE: _num("f64.le", (F64, F64), I32),
+    F64_GE: _num("f64.ge", (F64, F64), I32),
+    I32_CLZ: _num("i32.clz", (I32,), I32),
+    I32_CTZ: _num("i32.ctz", (I32,), I32),
+    I32_POPCNT: _num("i32.popcnt", (I32,), I32),
+    I32_ADD: _num("i32.add", (I32, I32), I32),
+    I32_SUB: _num("i32.sub", (I32, I32), I32),
+    I32_MUL: _num("i32.mul", (I32, I32), I32),
+    I32_DIV_S: _num("i32.div_s", (I32, I32), I32, traps=True),
+    I32_DIV_U: _num("i32.div_u", (I32, I32), I32, traps=True),
+    I32_REM_S: _num("i32.rem_s", (I32, I32), I32, traps=True),
+    I32_REM_U: _num("i32.rem_u", (I32, I32), I32, traps=True),
+    I32_AND: _num("i32.and", (I32, I32), I32),
+    I32_OR: _num("i32.or", (I32, I32), I32),
+    I32_XOR: _num("i32.xor", (I32, I32), I32),
+    I32_SHL: _num("i32.shl", (I32, I32), I32),
+    I32_SHR_S: _num("i32.shr_s", (I32, I32), I32),
+    I32_SHR_U: _num("i32.shr_u", (I32, I32), I32),
+    I32_ROTL: _num("i32.rotl", (I32, I32), I32),
+    I32_ROTR: _num("i32.rotr", (I32, I32), I32),
+    I64_CLZ: _num("i64.clz", (I64,), I64),
+    I64_CTZ: _num("i64.ctz", (I64,), I64),
+    I64_POPCNT: _num("i64.popcnt", (I64,), I64),
+    I64_ADD: _num("i64.add", (I64, I64), I64),
+    I64_SUB: _num("i64.sub", (I64, I64), I64),
+    I64_MUL: _num("i64.mul", (I64, I64), I64),
+    I64_DIV_S: _num("i64.div_s", (I64, I64), I64, traps=True),
+    I64_DIV_U: _num("i64.div_u", (I64, I64), I64, traps=True),
+    I64_REM_S: _num("i64.rem_s", (I64, I64), I64, traps=True),
+    I64_REM_U: _num("i64.rem_u", (I64, I64), I64, traps=True),
+    I64_AND: _num("i64.and", (I64, I64), I64),
+    I64_OR: _num("i64.or", (I64, I64), I64),
+    I64_XOR: _num("i64.xor", (I64, I64), I64),
+    I64_SHL: _num("i64.shl", (I64, I64), I64),
+    I64_SHR_S: _num("i64.shr_s", (I64, I64), I64),
+    I64_SHR_U: _num("i64.shr_u", (I64, I64), I64),
+    I64_ROTL: _num("i64.rotl", (I64, I64), I64),
+    I64_ROTR: _num("i64.rotr", (I64, I64), I64),
+    F32_ABS: _num("f32.abs", (F32,), F32),
+    F32_NEG: _num("f32.neg", (F32,), F32),
+    F32_CEIL: _num("f32.ceil", (F32,), F32),
+    F32_FLOOR: _num("f32.floor", (F32,), F32),
+    F32_TRUNC: _num("f32.trunc", (F32,), F32),
+    F32_NEAREST: _num("f32.nearest", (F32,), F32),
+    F32_SQRT: _num("f32.sqrt", (F32,), F32),
+    F32_ADD: _num("f32.add", (F32, F32), F32),
+    F32_SUB: _num("f32.sub", (F32, F32), F32),
+    F32_MUL: _num("f32.mul", (F32, F32), F32),
+    F32_DIV: _num("f32.div", (F32, F32), F32),
+    F32_MIN: _num("f32.min", (F32, F32), F32),
+    F32_MAX: _num("f32.max", (F32, F32), F32),
+    F32_COPYSIGN: _num("f32.copysign", (F32, F32), F32),
+    F64_ABS: _num("f64.abs", (F64,), F64),
+    F64_NEG: _num("f64.neg", (F64,), F64),
+    F64_CEIL: _num("f64.ceil", (F64,), F64),
+    F64_FLOOR: _num("f64.floor", (F64,), F64),
+    F64_TRUNC: _num("f64.trunc", (F64,), F64),
+    F64_NEAREST: _num("f64.nearest", (F64,), F64),
+    F64_SQRT: _num("f64.sqrt", (F64,), F64),
+    F64_ADD: _num("f64.add", (F64, F64), F64),
+    F64_SUB: _num("f64.sub", (F64, F64), F64),
+    F64_MUL: _num("f64.mul", (F64, F64), F64),
+    F64_DIV: _num("f64.div", (F64, F64), F64),
+    F64_MIN: _num("f64.min", (F64, F64), F64),
+    F64_MAX: _num("f64.max", (F64, F64), F64),
+    F64_COPYSIGN: _num("f64.copysign", (F64, F64), F64),
+    I32_WRAP_I64: _num("i32.wrap_i64", (I64,), I32),
+    I32_TRUNC_F32_S: _num("i32.trunc_f32_s", (F32,), I32, traps=True),
+    I32_TRUNC_F32_U: _num("i32.trunc_f32_u", (F32,), I32, traps=True),
+    I32_TRUNC_F64_S: _num("i32.trunc_f64_s", (F64,), I32, traps=True),
+    I32_TRUNC_F64_U: _num("i32.trunc_f64_u", (F64,), I32, traps=True),
+    I64_EXTEND_I32_S: _num("i64.extend_i32_s", (I32,), I64),
+    I64_EXTEND_I32_U: _num("i64.extend_i32_u", (I32,), I64),
+    I64_TRUNC_F32_S: _num("i64.trunc_f32_s", (F32,), I64, traps=True),
+    I64_TRUNC_F32_U: _num("i64.trunc_f32_u", (F32,), I64, traps=True),
+    I64_TRUNC_F64_S: _num("i64.trunc_f64_s", (F64,), I64, traps=True),
+    I64_TRUNC_F64_U: _num("i64.trunc_f64_u", (F64,), I64, traps=True),
+    F32_CONVERT_I32_S: _num("f32.convert_i32_s", (I32,), F32),
+    F32_CONVERT_I32_U: _num("f32.convert_i32_u", (I32,), F32),
+    F32_CONVERT_I64_S: _num("f32.convert_i64_s", (I64,), F32),
+    F32_CONVERT_I64_U: _num("f32.convert_i64_u", (I64,), F32),
+    F32_DEMOTE_F64: _num("f32.demote_f64", (F64,), F32),
+    F64_CONVERT_I32_S: _num("f64.convert_i32_s", (I32,), F64),
+    F64_CONVERT_I32_U: _num("f64.convert_i32_u", (I32,), F64),
+    F64_CONVERT_I64_S: _num("f64.convert_i64_s", (I64,), F64),
+    F64_CONVERT_I64_U: _num("f64.convert_i64_u", (I64,), F64),
+    F64_PROMOTE_F32: _num("f64.promote_f32", (F32,), F64),
+    I32_REINTERPRET_F32: _num("i32.reinterpret_f32", (F32,), I32),
+    I64_REINTERPRET_F64: _num("i64.reinterpret_f64", (F64,), I64),
+    F32_REINTERPRET_I32: _num("f32.reinterpret_i32", (I32,), F32),
+    F64_REINTERPRET_I64: _num("f64.reinterpret_i64", (I64,), F64),
+    I32_EXTEND8_S: _num("i32.extend8_s", (I32,), I32),
+    I32_EXTEND16_S: _num("i32.extend16_s", (I32,), I32),
+    I64_EXTEND8_S: _num("i64.extend8_s", (I64,), I64),
+    I64_EXTEND16_S: _num("i64.extend16_s", (I64,), I64),
+    I64_EXTEND32_S: _num("i64.extend32_s", (I64,), I64),
 }
+
+#: views of :data:`OP_TABLE` the engines dispatch on
+LOADS: dict[int, MemAccess] = {
+    opcode: info.mem for opcode, info in OP_TABLE.items()
+    if info.mem is not None and not info.mem.store
+}
+STORES: dict[int, MemAccess] = {
+    opcode: info.mem for opcode, info in OP_TABLE.items()
+    if info.mem is not None and info.mem.store
+}
+TRAPPING_OPS = frozenset(opcode for opcode, info in OP_TABLE.items() if info.traps)
+CONST_OPS = frozenset((I32_CONST, I64_CONST, F32_CONST, F64_CONST))
 
 #: mnemonic -> opcode, for the assembler.
 NAME_TO_OP: dict[str, int] = {info.name: op for op, info in OP_TABLE.items()}

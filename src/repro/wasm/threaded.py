@@ -46,21 +46,18 @@ import os
 from repro.wasm import opcodes as op
 from repro.wasm.interpreter import (
     BINOPS,
-    CONST_OPS,
-    LOADS,
     MASK32,
     MASK64,
-    STORES,
-    TRAPPING_UNOPS,
     UNOPS,
     const_value,
     local_defaults,
 )
 from repro.wasm.loader import load_module
 from repro.wasm.module import Code, Module
+from repro.wasm.opcodes import CONST_OPS, LOADS, STORES, TRAPPING_OPS
 from repro.wasm.traps import FuelExhausted, StackExhausted, Trap
 from repro.wasm.validator import body_facts
-from repro.wasm.wtypes import FuncType
+from repro.wasm.wtypes import FuncType, ValType
 
 # ---------------------------------------------------------------------------
 # engine selection
@@ -79,13 +76,6 @@ def resolve_engine(engine: str | None = None) -> str:
             f"unknown wasm engine {name!r} (expected one of {', '.join(ENGINES)})"
         )
     return name
-
-
-#: integer ops that can trap mid-stream; only fusable in final position
-_TRAPPING_BINOPS = {
-    op.I32_DIV_S, op.I32_DIV_U, op.I32_REM_S, op.I32_REM_U,
-    op.I64_DIV_S, op.I64_DIV_U, op.I64_REM_S, op.I64_REM_U,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -571,22 +561,22 @@ def _emit_plain(module, body, pc, n, heights, branches):
     if opcode == op.LOCAL_TEE:
         return _e_local_tee(imm, nxt)
     if opcode in LOADS:
-        size, signed, kind = LOADS[opcode]
+        access = LOADS[opcode]
         offset = imm[1]
-        if kind == "f32":
+        if access.vt == ValType.F32:
             return _e_load_f32(offset, nxt)
-        if kind == "f64":
+        if access.vt == ValType.F64:
             return _e_load_f64(offset, nxt)
-        mask = MASK64 if kind == "i64" else MASK32
-        return _e_load_i(offset, size, signed, mask, nxt)
+        mask = MASK64 if access.vt == ValType.I64 else MASK32
+        return _e_load_i(offset, access.size, access.signed, mask, nxt)
     if opcode in STORES:
-        size, kind = STORES[opcode]
+        access = STORES[opcode]
         offset = imm[1]
-        if kind == "f32":
+        if access.vt == ValType.F32:
             return _e_store_f32(offset, nxt)
-        if kind == "f64":
+        if access.vt == ValType.F64:
             return _e_store_f64(offset, nxt)
-        return _e_store_i(offset, size, nxt)
+        return _e_store_i(offset, access.size, nxt)
     if opcode in (op.BLOCK, op.LOOP, op.NOP, op.END):
         return _e_nop(nxt)
     if opcode == op.IF:
@@ -683,7 +673,7 @@ def _try_fuse(body, pc, heights, branches, slots, costs, fusable) -> int:
         if (
             o(1) == op.LOCAL_GET
             and o(2) in BINOPS
-            and o(2) not in _TRAPPING_BINOPS
+            and o(2) not in TRAPPING_OPS
         ):
             f = BINOPS[o(2)]
             if o(3) == op.LOCAL_SET:
@@ -696,7 +686,7 @@ def _try_fuse(body, pc, heights, branches, slots, costs, fusable) -> int:
                     )
         if o(1) in CONST_OPS:
             c = const_value(o(1), im(1))
-            if o(2) in BINOPS and o(2) not in _TRAPPING_BINOPS:
+            if o(2) in BINOPS and o(2) not in TRAPPING_OPS:
                 f = BINOPS[o(2)]
                 if o(3) == op.LOCAL_SET:
                     return commit(_e_lc_binop_set(im(0), c, f, im(3), pc + 4), 4)
@@ -707,13 +697,14 @@ def _try_fuse(body, pc, heights, branches, slots, costs, fusable) -> int:
                             _e_lc_binop_br_if(im(0), c, f, target, pc + 4), 4
                         )
             if o(2) == op.I32_ADD and o(3) in LOADS:
-                size, signed, kind = LOADS[o(3)]
-                if kind not in ("f32", "f64"):
-                    mask = MASK64 if kind == "i64" else MASK32
+                access = LOADS[o(3)]
+                if access.vt in (ValType.I32, ValType.I64):
+                    mask = MASK64 if access.vt == ValType.I64 else MASK32
                     offset = im(3)[1]
                     return commit(
                         _e_load_i_local_const(
-                            im(0), c, offset, size, signed, mask, pc + 4
+                            im(0), c, offset, access.size, access.signed, mask,
+                            pc + 4,
                         ),
                         4,
                     )
@@ -736,11 +727,11 @@ def _try_fuse(body, pc, heights, branches, slots, costs, fusable) -> int:
                 return commit(_e_c_binop(c, BINOPS[o(1)], pc + 2), 2)
             if o(1) == op.LOCAL_SET:
                 return commit(_e_const_set(c, im(1), pc + 2), 2)
-        if op0 in BINOPS and op0 not in _TRAPPING_BINOPS and o(1) == op.BR_IF:
+        if op0 in BINOPS and op0 not in TRAPPING_OPS and o(1) == op.BR_IF:
             target = br_if_fast(pc + 1)
             if target is not None:
                 return commit(_e_binop_br_if(BINOPS[op0], target, pc + 2), 2)
-        if op0 in UNOPS and op0 not in TRAPPING_UNOPS and o(1) == op.BR_IF:
+        if op0 in UNOPS and op0 not in TRAPPING_OPS and o(1) == op.BR_IF:
             target = br_if_fast(pc + 1)
             if target is not None:
                 return commit(_e_unop_br_if(UNOPS[op0], target, pc + 2), 2)
@@ -748,15 +739,18 @@ def _try_fuse(body, pc, heights, branches, slots, costs, fusable) -> int:
             return commit(_e_local_tee(im(0), pc + 2), 2)
         if op0 == op.LOCAL_GET:
             if o(1) in LOADS:
-                size, signed, kind = LOADS[o(1)]
+                access = LOADS[o(1)]
                 offset = im(1)[1]
-                if kind == "f32":
+                if access.vt == ValType.F32:
                     return commit(_e_load_f32_local(im(0), offset, pc + 2), 2)
-                if kind == "f64":
+                if access.vt == ValType.F64:
                     return commit(_e_load_f64_local(im(0), offset, pc + 2), 2)
-                mask = MASK64 if kind == "i64" else MASK32
+                mask = MASK64 if access.vt == ValType.I64 else MASK32
                 return commit(
-                    _e_load_i_local(im(0), offset, size, signed, mask, pc + 2), 2
+                    _e_load_i_local(
+                        im(0), offset, access.size, access.signed, mask, pc + 2
+                    ),
+                    2,
                 )
             if o(1) == op.LOCAL_GET:
                 return commit(_e_local_get2(im(0), im(1), pc + 2), 2)

@@ -22,7 +22,7 @@ from repro.wasm.module import Code, Instr, Module
 from repro.wasm.traps import ValidationError
 from repro.wasm.wtypes import FuncType, GlobalType, ValType
 
-I32, I64, F32, F64 = ValType.I32, ValType.I64, ValType.F32, ValType.F64
+I32 = ValType.I32
 
 #: sentinel for a value of unknown type on a polymorphic (unreachable) stack
 _UNKNOWN = None
@@ -68,8 +68,9 @@ class BodyFacts:
       (loop heads, if / else landings, branch targets - dead ones too);
     - ``max_stack``: the static stack bound :class:`ExecStats
       <repro.wasm.interpreter.ExecStats>` reports - a linear scan of
-      per-instruction stack effects (calls count +1, branch targets
-      ignored, clamped at zero): an upper bound, not the exact peak.
+      per-instruction stack effects (each opcode row's ``delta``: calls
+      count +1, branch targets ignored, clamped at zero): an upper bound,
+      not the exact peak.
     """
 
     __slots__ = ("heights", "ends", "branches", "targets", "max_stack")
@@ -153,122 +154,6 @@ def _block_sig(blocktype) -> tuple[tuple[ValType, ...], tuple[ValType, ...]]:
     return (), (blocktype,)
 
 
-_MEM_OPS: dict[int, tuple[ValType, int, bool]] = {
-    # opcode -> (value type, access size, is_store)
-    op.I32_LOAD: (I32, 4, False),
-    op.I64_LOAD: (I64, 8, False),
-    op.F32_LOAD: (F32, 4, False),
-    op.F64_LOAD: (F64, 8, False),
-    op.I32_LOAD8_S: (I32, 1, False),
-    op.I32_LOAD8_U: (I32, 1, False),
-    op.I32_LOAD16_S: (I32, 2, False),
-    op.I32_LOAD16_U: (I32, 2, False),
-    op.I64_LOAD8_S: (I64, 1, False),
-    op.I64_LOAD8_U: (I64, 1, False),
-    op.I64_LOAD16_S: (I64, 2, False),
-    op.I64_LOAD16_U: (I64, 2, False),
-    op.I64_LOAD32_S: (I64, 4, False),
-    op.I64_LOAD32_U: (I64, 4, False),
-    op.I32_STORE: (I32, 4, True),
-    op.I64_STORE: (I64, 8, True),
-    op.F32_STORE: (F32, 4, True),
-    op.F64_STORE: (F64, 8, True),
-    op.I32_STORE8: (I32, 1, True),
-    op.I32_STORE16: (I32, 2, True),
-    op.I64_STORE8: (I64, 1, True),
-    op.I64_STORE16: (I64, 2, True),
-    op.I64_STORE32: (I64, 4, True),
-}
-
-# (in-types, out-type) for all fixed-signature numeric ops
-_SIGS: dict[int, tuple[tuple[ValType, ...], ValType]] = {}
-
-
-def _sig(ops: list[int], ins: tuple[ValType, ...], out: ValType) -> None:
-    for opcode in ops:
-        _SIGS[opcode] = (ins, out)
-
-
-_sig([op.I32_EQZ], (I32,), I32)
-_sig(
-    [op.I32_EQ, op.I32_NE, op.I32_LT_S, op.I32_LT_U, op.I32_GT_S, op.I32_GT_U,
-     op.I32_LE_S, op.I32_LE_U, op.I32_GE_S, op.I32_GE_U],
-    (I32, I32), I32,
-)
-_sig([op.I64_EQZ], (I64,), I32)
-_sig(
-    [op.I64_EQ, op.I64_NE, op.I64_LT_S, op.I64_LT_U, op.I64_GT_S, op.I64_GT_U,
-     op.I64_LE_S, op.I64_LE_U, op.I64_GE_S, op.I64_GE_U],
-    (I64, I64), I32,
-)
-_sig([op.F32_EQ, op.F32_NE, op.F32_LT, op.F32_GT, op.F32_LE, op.F32_GE], (F32, F32), I32)
-_sig([op.F64_EQ, op.F64_NE, op.F64_LT, op.F64_GT, op.F64_LE, op.F64_GE], (F64, F64), I32)
-_sig([op.I32_CLZ, op.I32_CTZ, op.I32_POPCNT, op.I32_EXTEND8_S, op.I32_EXTEND16_S], (I32,), I32)
-_sig(
-    [op.I32_ADD, op.I32_SUB, op.I32_MUL, op.I32_DIV_S, op.I32_DIV_U, op.I32_REM_S,
-     op.I32_REM_U, op.I32_AND, op.I32_OR, op.I32_XOR, op.I32_SHL, op.I32_SHR_S,
-     op.I32_SHR_U, op.I32_ROTL, op.I32_ROTR],
-    (I32, I32), I32,
-)
-_sig(
-    [op.I64_CLZ, op.I64_CTZ, op.I64_POPCNT, op.I64_EXTEND8_S, op.I64_EXTEND16_S,
-     op.I64_EXTEND32_S],
-    (I64,), I64,
-)
-_sig(
-    [op.I64_ADD, op.I64_SUB, op.I64_MUL, op.I64_DIV_S, op.I64_DIV_U, op.I64_REM_S,
-     op.I64_REM_U, op.I64_AND, op.I64_OR, op.I64_XOR, op.I64_SHL, op.I64_SHR_S,
-     op.I64_SHR_U, op.I64_ROTL, op.I64_ROTR],
-    (I64, I64), I64,
-)
-_sig(
-    [op.F32_ABS, op.F32_NEG, op.F32_CEIL, op.F32_FLOOR, op.F32_TRUNC,
-     op.F32_NEAREST, op.F32_SQRT],
-    (F32,), F32,
-)
-_sig(
-    [op.F32_ADD, op.F32_SUB, op.F32_MUL, op.F32_DIV, op.F32_MIN, op.F32_MAX,
-     op.F32_COPYSIGN],
-    (F32, F32), F32,
-)
-_sig(
-    [op.F64_ABS, op.F64_NEG, op.F64_CEIL, op.F64_FLOOR, op.F64_TRUNC,
-     op.F64_NEAREST, op.F64_SQRT],
-    (F64,), F64,
-)
-_sig(
-    [op.F64_ADD, op.F64_SUB, op.F64_MUL, op.F64_DIV, op.F64_MIN, op.F64_MAX,
-     op.F64_COPYSIGN],
-    (F64, F64), F64,
-)
-_sig([op.I32_WRAP_I64], (I64,), I32)
-_sig([op.I32_TRUNC_F32_S, op.I32_TRUNC_F32_U, op.I32_REINTERPRET_F32], (F32,), I32)
-_sig([op.I32_TRUNC_F64_S, op.I32_TRUNC_F64_U], (F64,), I32)
-_sig([op.I64_EXTEND_I32_S, op.I64_EXTEND_I32_U], (I32,), I64)
-_sig([op.I64_TRUNC_F32_S, op.I64_TRUNC_F32_U], (F32,), I64)
-_sig([op.I64_TRUNC_F64_S, op.I64_TRUNC_F64_U, op.I64_REINTERPRET_F64], (F64,), I64)
-_sig([op.F32_CONVERT_I32_S, op.F32_CONVERT_I32_U, op.F32_REINTERPRET_I32], (I32,), F32)
-_sig([op.F32_CONVERT_I64_S, op.F32_CONVERT_I64_U], (I64,), F32)
-_sig([op.F32_DEMOTE_F64], (F64,), F32)
-_sig([op.F64_CONVERT_I32_S, op.F64_CONVERT_I32_U], (I32,), F64)
-_sig([op.F64_CONVERT_I64_S, op.F64_CONVERT_I64_U, op.F64_REINTERPRET_I64], (I64,), F64)
-_sig([op.F64_PROMOTE_F32], (F32,), F64)
-
-#: stack effect per opcode in the linear scan behind ``BodyFacts.max_stack``
-#: (absent: 0).  A call counts +1 whatever its signature, the net push once
-#: its arguments are consumed at worst.
-_SCAN_DELTAS: dict[int, int] = {
-    opcode: 1 - len(ins) for opcode, (ins, _out) in _SIGS.items()
-} | {
-    opcode: -2 for opcode, (_vt, _size, is_store) in _MEM_OPS.items() if is_store
-} | dict.fromkeys(
-    (op.LOCAL_GET, op.GLOBAL_GET, op.MEMORY_SIZE, op.CALL, op.CALL_INDIRECT,
-     op.I32_CONST, op.I64_CONST, op.F32_CONST, op.F64_CONST), 1,
-) | dict.fromkeys(
-    (op.LOCAL_SET, op.GLOBAL_SET, op.DROP, op.BR_IF, op.IF, op.BR_TABLE), -1,
-) | {op.SELECT: -2}
-
-
 def _global_types(mod: Module) -> list[GlobalType]:
     types = [imp.desc for imp in mod.imported("global")]
     types.extend(g.gtype for g in mod.globals)
@@ -290,9 +175,8 @@ def _validate_const_expr(
     if len(expr) != 2 or expr[-1][0] != op.END:
         raise ValidationError("constant expression must be one instruction plus end")
     opcode, imm = expr[0]
-    const_types = {op.I32_CONST: I32, op.I64_CONST: I64, op.F32_CONST: F32, op.F64_CONST: F64}
-    if opcode in const_types:
-        actual = const_types[opcode]
+    if opcode in op.CONST_OPS:
+        (actual,) = op.OP_TABLE[opcode].out
     elif opcode == op.GLOBAL_GET:
         if imm >= n_imported_globals:
             raise ValidationError(
@@ -339,16 +223,34 @@ def _validate_body(mod: Module, func_type: FuncType, code: Code) -> None:
     loop_heads: list[int] = []
     dead = False  # no execution reaches the current pc
     scan = peak = 0
+    has_memory = _has_memory(mod)
 
     for pc, (opcode, imm) in enumerate(body):
         heights.append(None if dead else len(stack))
-        scan += _SCAN_DELTAS.get(opcode, 0)
+        info = op.OP_TABLE.get(opcode)
+        if info is None:
+            raise ValidationError(f"unvalidatable opcode 0x{opcode:02x}")
+        scan += info.delta
         if scan < 0:
             scan = 0
         elif scan > peak:
             peak = scan
 
-        if opcode == op.UNREACHABLE:
+        if info.ins is not None:  # fixed shape: the row says it all
+            if info.imm in ("mem", "mem_misc") and not has_memory:
+                raise ValidationError(
+                    f"{info.name} without a memory" if info.mem is None
+                    else "memory instruction without a memory"
+                )
+            access = info.mem
+            if access is not None and imm[0] > access.align:
+                raise ValidationError(
+                    f"alignment 2**{imm[0]} larger than access size {access.size}"
+                )
+            for vt in reversed(info.ins):
+                ctx.pop(vt)
+            stack.extend(info.out)
+        elif opcode == op.UNREACHABLE:
             ctx.set_unreachable()
             dead = True
         elif opcode == op.NOP:
@@ -475,45 +377,6 @@ def _validate_body(mod: Module, func_type: FuncType, code: Code) -> None:
             if not global_types[imm].mutable:
                 raise ValidationError(f"global {imm} is immutable")
             ctx.pop(global_types[imm].valtype)
-        elif opcode in _MEM_OPS:
-            if not _has_memory(mod):
-                raise ValidationError("memory instruction without a memory")
-            vt, size, is_store = _MEM_OPS[opcode]
-            align, _offset = imm
-            if 1 << align > size:
-                raise ValidationError(
-                    f"alignment 2**{align} larger than access size {size}"
-                )
-            if is_store:
-                ctx.pop(vt)
-                ctx.pop(I32)
-            else:
-                ctx.pop(I32)
-                ctx.push(vt)
-        elif opcode == op.MEMORY_SIZE:
-            if not _has_memory(mod):
-                raise ValidationError("memory.size without a memory")
-            ctx.push(I32)
-        elif opcode == op.MEMORY_GROW:
-            if not _has_memory(mod):
-                raise ValidationError("memory.grow without a memory")
-            ctx.pop(I32)
-            ctx.push(I32)
-        elif opcode == op.I32_CONST:
-            ctx.push(I32)
-        elif opcode == op.I64_CONST:
-            ctx.push(I64)
-        elif opcode == op.F32_CONST:
-            ctx.push(F32)
-        elif opcode == op.F64_CONST:
-            ctx.push(F64)
-        elif opcode in _SIGS:
-            ins, out = _SIGS[opcode]
-            for vt in reversed(ins):
-                ctx.pop(vt)
-            ctx.push(out)
-        else:
-            raise ValidationError(f"unvalidatable opcode 0x{opcode:02x}")
 
     if ctx.frames:
         raise ValidationError("function body missing end")

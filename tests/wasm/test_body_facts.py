@@ -10,11 +10,10 @@ from repro.wasm import interpreter
 from repro.wasm import opcodes as op
 from repro.wasm.instance import compiled_bodies
 from repro.wasm.module import Code
+from repro.wasm.threaded import ENGINES
 from repro.wasm.traps import ValidationError
 from repro.wasm.validator import body_facts
 from repro.wasm.wat import assemble
-
-ENGINES = ("legacy", "threaded", "aot")
 
 #: i32.add of an i64: decodes, never validates
 INVALID = assemble(

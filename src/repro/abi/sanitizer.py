@@ -20,6 +20,10 @@ from repro.wasm.wtypes import ValType
 #: plugins may not declare more linear memory than this (pages)
 MAX_MEMORY_PAGES = 1024  # 64 MiB
 
+#: ... nor a funcref table longer than this (instantiation allocates every
+#: entry up front)
+MAX_TABLE_ELEMENTS = 65536
+
 #: exports every scheduler plugin must provide, with their signatures
 REQUIRED_EXPORTS = {
     "alloc": ((ValType.I32,), (ValType.I32,)),
@@ -79,6 +83,12 @@ def check_module(
 
     _check_imports(module, allowed_imports, report)
     _check_memory(module, max_memory_pages, report)
+    for table in module.tables:
+        if table.minimum > MAX_TABLE_ELEMENTS:
+            raise SanitizerError(
+                f"plugin table requests {table.minimum} elements minimum "
+                f"(> {MAX_TABLE_ELEMENTS})"
+            )
     _check_exports(module, required_exports or REQUIRED_EXPORTS)
     if module.start is not None:
         report.warnings.append(

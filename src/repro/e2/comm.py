@@ -58,13 +58,21 @@ class CommChannel:
                 return out
             source, payload = item
             try:
-                message = self.profile.decode(payload)
-                messages.validate_message(message)
+                message = self._decode(payload)
             except (CodecError, messages.E2MessageError):
                 self.decode_failures += 1
                 continue
-            self.received += 1
-            out.append((source, message))
+            if message is not None:
+                self.received += 1
+                out.append((source, message))
+
+    def _decode(self, payload: bytes) -> dict[str, Any] | None:
+        """The message one received payload carries; None drops it (the
+        hook has counted why), a codec or message error is a decode
+        failure."""
+        message = self.profile.decode(payload)
+        messages.validate_message(message)
+        return message
 
 
 _ADAPT_MAGIC = 0x5741524E
@@ -171,29 +179,16 @@ class GuardedChannel(CommChannel):
         super().__init__(endpoint, profile)
         self.guard = guard or MessageGuard()
 
-    def poll(self, timeout: float | None = 0.0) -> list[tuple[str, dict[str, Any]]]:
-        out = []
-        while True:
-            item = self.endpoint.recv(timeout=timeout if not out else 0.0)
-            if item is None:
-                return out
-            source, payload = item
-            if not self.guard.check(payload):
-                self.guard_rejections += 1
-                if OBS.enabled:
-                    OBS.registry.counter(
-                        "waran_e2_guard_rejections_total",
-                        "inbound payloads rejected by the sandboxed guard",
-                    ).inc(channel=self.name)
-                continue
-            try:
-                message = self.profile.decode(payload)
-                messages.validate_message(message)
-            except (CodecError, messages.E2MessageError):
-                self.decode_failures += 1
-                continue
-            self.received += 1
-            out.append((source, message))
+    def _decode(self, payload: bytes) -> dict[str, Any] | None:
+        if not self.guard.check(payload):
+            self.guard_rejections += 1
+            if OBS.enabled:
+                OBS.registry.counter(
+                    "waran_e2_guard_rejections_total",
+                    "inbound payloads rejected by the sandboxed guard",
+                ).inc(channel=self.name)
+            return None
+        return super()._decode(payload)
 
 
 class AdaptedChannel(CommChannel):
@@ -222,21 +217,7 @@ class AdaptedChannel(CommChannel):
         self.endpoint.send(dest, self.peer_profile.encode(adapted))
         self.sent += 1
 
-    def poll(self, timeout: float | None = 0.0) -> list[tuple[str, dict[str, Any]]]:
-        out = []
-        while True:
-            item = self.endpoint.recv(timeout=timeout if not out else 0.0)
-            if item is None:
-                return out
-            source, payload = item
-            try:
-                message = self.peer_profile.decode(payload)
-                messages.validate_message(message)
-                message = self.adapter.adapt_control(
-                    message, self.peer_profile, self.profile
-                )
-            except (CodecError, messages.E2MessageError):
-                self.decode_failures += 1
-                continue
-            self.received += 1
-            out.append((source, message))
+    def _decode(self, payload: bytes) -> dict[str, Any] | None:
+        message = self.peer_profile.decode(payload)
+        messages.validate_message(message)
+        return self.adapter.adapt_control(message, self.peer_profile, self.profile)

@@ -41,10 +41,11 @@ Lowering rules
   that is a branch target is wrapped in ``while True:``; ``br`` to a loop
   lowers to ``continue``, ``br`` to a block to ``break``, and multi-level
   branches thread a ``_br`` label variable through the loop epilogues.
-- **Too deep to structure: the function keeps its threaded body.**
+- **Too deep to structure: the function keeps its legacy body.**
   CPython caps statically nested blocks, so a body nested past
   ``_MAX_STRUCTURED_DEPTH`` is not compiled: :func:`aot_for` hands back
-  its :func:`~repro.wasm.threaded.threaded_for` lowering, and calls into
+  the reference interpreter's
+  :func:`~repro.wasm.interpreter.prepared_for` lowering, and calls into
   it go through ``Instance.invoke_addr``, which dispatches per function
   on the class of ``prepared`` (the property tier-up relies on).
 - **A call inside the module is a Python call, or no call at all.**  A
@@ -61,7 +62,7 @@ Lowering rules
   ``store.fuel`` synced around it (the host may read it); a plain ``int``
   result is masked in line and anything else goes through
   :meth:`~repro.wasm.instance.HostFunc.results`, the normaliser
-  ``invoke_addr`` uses.  ``call_indirect``, threaded callees and an
+  ``invoke_addr`` uses.  ``call_indirect``, legacy callees and an
   import bound to another instance's export (``_hf[i] is None``) go
   through ``inst.invoke_addr``; :func:`execute_aot` is only the adapter
   for entering compiled code from outside.
@@ -133,11 +134,11 @@ from repro.wasm.interpreter import (
     const_value,
     f32_round,
     local_defaults,
+    prepared_for,
 )
 from repro.wasm.loader import load_module
 from repro.wasm.module import Code, Module
 from repro.wasm.opcodes import CONST_OPS, LOADS, STORES, TRAPPING_OPS
-from repro.wasm.threaded import threaded_for
 from repro.wasm.traps import (
     FuelExhausted,
     MemoryOutOfBounds,
@@ -148,7 +149,7 @@ from repro.wasm.validator import body_facts
 from repro.wasm.wtypes import FuncType, ValType
 
 #: nesting depth beyond which a function is not compiled and keeps its
-#: threaded body.  The emitter nests one Python block per branch-targeted
+#: legacy body.  The emitter nests one Python block per branch-targeted
 #: construct plus the body's ``try``, and CPython rejects more than 20
 #: statically nested blocks (measured on 3.11: refused from Wasm depth
 #: 20), so depth <= 16 always compiles.
@@ -858,7 +859,7 @@ class _Emitter:
         if callee.__class__ is AotCode:
             self._emit_direct_call(func_index, callee, texts, result)
         else:
-            self.via.append(f"threaded f{func_index}")
+            self.via.append(f"legacy f{func_index}")
             self._emit_invoke(f"inst.func_addrs[{func_index}]", texts, result)
 
     def _before_call(self, result: int | None) -> None:
@@ -1445,9 +1446,8 @@ class AotCode:
     """
 
     __slots__ = (
-        "run", "local_defaults", "max_stack", "n_instrs",
-        "result_arity", "facts", "_module", "_code", "_functype", "_name",
-        "_leaf", "_written",
+        "run", "local_defaults", "max_stack", "result_arity", "facts",
+        "_module", "_code", "_functype", "_name", "_leaf", "_written",
     )
 
     def __init__(self, module: Module, code: Code, functype: FuncType,
@@ -1456,7 +1456,6 @@ class AotCode:
         self.run = None
         self.local_defaults = local_defaults(code)
         self.max_stack = self.facts.max_stack
-        self.n_instrs = len(code.body)
         self.result_arity = len(functype.results)
         self._module = module
         self._code = code
@@ -1543,12 +1542,12 @@ def aot_for(module: Module, code: Code, functype: FuncType):
 
     An :class:`AotCode`, except for a function nested past
     ``_MAX_STRUCTURED_DEPTH``: nested Python cannot express it, so it
-    keeps its threaded body (a :class:`~repro.wasm.threaded.ThreadedCode`).
+    keeps its legacy body (a :class:`~repro.wasm.interpreter.PreparedCode`).
     """
     cached = getattr(code, "_aot", None)
     if cached is None:
         if _max_nesting(code.body) > _MAX_STRUCTURED_DEPTH:
-            cached = threaded_for(module, code, functype)
+            cached = prepared_for(code)
         else:
             cached = compile_aot(module, code, functype)
         object.__setattr__(code, "_aot", cached)
@@ -1618,9 +1617,9 @@ def dump_aot(module_or_bytes) -> str:
     inlines, the callees it calls directly, the imports it calls as host
     functions (an import bound to another instance's export falls back to
     ``Instance.invoke_addr`` at run time) and the call sites that stay on
-    ``invoke_addr`` (``call_indirect``, a callee that kept its threaded
-    body); a function too deep to structure says so and prints the
-    threaded code it keeps instead.
+    ``invoke_addr`` (``call_indirect``, a callee that kept its legacy
+    body); a function too deep to structure says so, and its Wasm body
+    is what the legacy interpreter runs.
     """
     module = load_module(module_or_bytes)
 
@@ -1640,13 +1639,13 @@ def dump_aot(module_or_bytes) -> str:
             f' (export "{n}")' for n in exports_by_index.get(func_index, [])
         )
         tier = "compiled" if compiled else (
-            f"keeps its threaded body (block nesting "
+            f"keeps its legacy body (block nesting "
             f"{_max_nesting(code.body)} > {_MAX_STRUCTURED_DEPTH})"
         )
         if compiled and body.leaf:
             tier += ", a leaf (inlined at its call sites)"
         lines.append(
-            f"func {func_index}{names}: {body.n_instrs} wasm instrs, {tier}"
+            f"func {func_index}{names}: {len(code.body)} wasm instrs, {tier}"
         )
         if compiled:
             source, emitter = body._emit()
@@ -1657,7 +1656,4 @@ def dump_aot(module_or_bytes) -> str:
         if compiled:
             lines.append("  ;; generated python")
             lines.extend(f"  {line}" for line in source.splitlines())
-        else:
-            lines.append("  ;; threaded code")
-            lines.extend(body.listing())
     return "\n".join(lines)

@@ -171,8 +171,8 @@ def compiled_bodies(module: Module, engine: str) -> list:
     """All lowered function bodies of ``module`` for ``engine``, a list
     parallel to ``module.codes``, lowered once per module object.  Safe to
     share across instances: bodies capture immediates and handler
-    functions only, never instance state.  (``aot_for`` keeps the threaded
-    closures of a function too deep to compile.)"""
+    functions only, never instance state.  (``aot_for`` keeps the legacy
+    body of a function too deep to compile.)"""
     memo = codecache.lowered(module)
     bodies = memo.get(engine)
     codecache.count_lookup(engine, hit=bodies is not None)

@@ -19,7 +19,11 @@ original instruction slot, where
   (``local.get local.get <binop>``, ``<const> <binop>``,
   ``local.get <const> i32.add <load>`` with a folded effective address,
   ``<cmp> br_if``, ``local.set local.get`` as a tee, and friends), each
-  executing several original instructions in one dispatch.
+  executing several original instructions in one dispatch.  Matching is
+  one pass: at each reachable pc the compiler works out how many
+  instructions a slot may cover (at most 4, none of them past the first
+  branch target) and :func:`_try_fuse` reads that group once, trying the
+  patterns of its leading pair longest first.
 
 Semantics are bit-identical to the legacy engine by construction: traps,
 trap codes, :class:`~repro.wasm.interpreter.ExecStats` and fuel are
@@ -526,21 +530,38 @@ def compile_threaded(module: Module, code: Code, functype: FuncType) -> Threaded
     slots: list = [None] * n
     costs = [1] * n
 
-    def _fusable(start: int, length: int) -> bool:
-        if start + length > n or heights[start] is None:
-            return False
-        return all(start + i not in jump_targets for i in range(1, length))
-
     pc = 0
     while pc < n:
-        emitted = _try_fuse(body, pc, heights, branches, slots, costs, _fusable)
-        if emitted:
-            pc += emitted
+        # room: how many instructions a slot at pc may cover - a reachable
+        # start, at most 4, and no branch target inside the group
+        room = 0
+        if heights[pc] is not None:
+            room = min(4, n - pc)
+            for i in range(1, room):
+                if pc + i in jump_targets:
+                    room = i
+                    break
+        fused = _try_fuse(body, pc, room, heights, branches) if room > 1 else None
+        if fused is None:
+            slots[pc] = _emit_plain(module, body, pc, n, heights, branches)
+            pc += 1
             continue
-        slots[pc] = _emit_plain(module, body, pc, n, heights, branches)
-        pc += 1
+        slots[pc], length = fused
+        costs[pc] = length
+        for i in range(pc + 1, pc + length):
+            slots[i] = _dead_slot
+        pc += length
 
     return ThreadedCode(slots, costs, body, local_defaults(code), facts.max_stack)
+
+
+def _fast_target(branch, h):
+    """The target of a ``br_if`` at stack height ``h`` if taking it needs
+    no stack fixup, else None."""
+    target, arity, dest_h = branch
+    if h is not None and h - 1 == dest_h + arity:
+        return target
+    return None
 
 
 def _emit_plain(module, body, pc, n, heights, branches):
@@ -592,12 +613,13 @@ def _emit_plain(module, body, pc, n, heights, branches):
             return _e_jump(target)
         return _e_br_trunc(target, dest_h, arity)
     if opcode == op.BR_IF:
-        target, arity, dest_h = branches[pc]
         h = heights[pc]
         if h is None:
             return _dead_slot
-        if h - 1 == dest_h + arity:
-            return _e_br_if_fast(target, nxt)
+        fast = _fast_target(branches[pc], h)
+        if fast is not None:
+            return _e_br_if_fast(fast, nxt)
+        target, arity, dest_h = branches[pc]
         return _e_br_if_trunc(target, dest_h, arity, nxt)
     if opcode == op.BR_TABLE:
         resolved_targets, resolved_default, h = branches[pc]
@@ -636,126 +658,82 @@ def _emit_plain(module, body, pc, n, heights, branches):
     raise Trap(f"cannot compile opcode 0x{opcode:02x}", code="internal")
 
 
-def _try_fuse(body, pc, heights, branches, slots, costs, fusable) -> int:
-    """Try to emit a superinstruction starting at pc.
+def _try_fuse(body, pc, room, heights, branches):
+    """Match a superinstruction at pc covering 2..``room`` instructions.
 
-    On success fills ``slots[pc]`` (interior slots become dead fillers),
-    sets the fuel cost to the group length, and returns the group length;
-    returns 0 when nothing matched.
+    Reads the candidate group once and returns ``(closure, length)``, or
+    None when nothing matched.  Patterns are grouped by their leading
+    pair; within a group the longest match wins.
     """
-    n = len(body)
+    op0, im0 = body[pc]
+    op1, im1 = body[pc + 1]
+    op2 = body[pc + 2][0] if room > 2 else -1
+    op3, im3 = body[pc + 3] if room > 3 else (-1, None)
 
-    def o(i):
-        return body[pc + i][0] if pc + i < n else -1
-
-    def im(i):
-        return body[pc + i][1]
-
-    def commit(closure, length):
-        slots[pc] = closure
-        costs[pc] = length
-        for i in range(1, length):
-            slots[pc + i] = _dead_slot
-        return length
-
-    def br_if_fast(at):
-        """Fused-branch target if the br_if at `at` needs no stack fixup."""
-        target, arity, dest_h = branches[at]
-        h = heights[at]
-        if h is not None and h - 1 == dest_h + arity:
-            return target
-        return None
-
-    op0 = o(0)
-
-    # --- length-4 patterns -------------------------------------------------
-    if op0 == op.LOCAL_GET and fusable(pc, 4):
-        if (
-            o(1) == op.LOCAL_GET
-            and o(2) in BINOPS
-            and o(2) not in TRAPPING_OPS
-        ):
-            f = BINOPS[o(2)]
-            if o(3) == op.LOCAL_SET:
-                return commit(_e_ll_binop_set(im(0), im(1), f, im(3), pc + 4), 4)
-            if o(3) == op.BR_IF:
-                target = br_if_fast(pc + 3)
-                if target is not None:
-                    return commit(
-                        _e_ll_binop_br_if(im(0), im(1), f, target, pc + 4), 4
-                    )
-        if o(1) in CONST_OPS:
-            c = const_value(o(1), im(1))
-            if o(2) in BINOPS and o(2) not in TRAPPING_OPS:
-                f = BINOPS[o(2)]
-                if o(3) == op.LOCAL_SET:
-                    return commit(_e_lc_binop_set(im(0), c, f, im(3), pc + 4), 4)
-                if o(3) == op.BR_IF:
-                    target = br_if_fast(pc + 3)
+    if op0 == op.LOCAL_GET:
+        if op1 == op.LOCAL_GET:
+            if op2 not in BINOPS:
+                return _e_local_get2(im0, im1, pc + 2), 2
+            f = BINOPS[op2]
+            if op2 not in TRAPPING_OPS:
+                if op3 == op.LOCAL_SET:
+                    return _e_ll_binop_set(im0, im1, f, im3, pc + 4), 4
+                if op3 == op.BR_IF:
+                    target = _fast_target(branches[pc + 3], heights[pc + 3])
                     if target is not None:
-                        return commit(
-                            _e_lc_binop_br_if(im(0), c, f, target, pc + 4), 4
-                        )
-            if o(2) == op.I32_ADD and o(3) in LOADS:
-                access = LOADS[o(3)]
-                if access.vt in (ValType.I32, ValType.I64):
-                    mask = MASK64 if access.vt == ValType.I64 else MASK32
-                    offset = im(3)[1]
-                    return commit(
-                        _e_load_i_local_const(
-                            im(0), c, offset, access.size, access.signed, mask,
-                            pc + 4,
-                        ),
-                        4,
-                    )
-
-    # --- length-3 patterns -------------------------------------------------
-    if op0 == op.LOCAL_GET and fusable(pc, 3):
-        if o(1) == op.LOCAL_GET and o(2) in BINOPS:
-            return commit(_e_ll_binop(im(0), im(1), BINOPS[o(2)], pc + 3), 3)
-        if o(1) in CONST_OPS and o(2) in BINOPS:
-            return commit(
-                _e_lc_binop(im(0), const_value(o(1), im(1)), BINOPS[o(2)], pc + 3),
-                3,
-            )
-
-    # --- length-2 patterns -------------------------------------------------
-    if fusable(pc, 2):
-        if op0 in CONST_OPS:
-            c = const_value(op0, im(0))
-            if o(1) in BINOPS:
-                return commit(_e_c_binop(c, BINOPS[o(1)], pc + 2), 2)
-            if o(1) == op.LOCAL_SET:
-                return commit(_e_const_set(c, im(1), pc + 2), 2)
-        if op0 in BINOPS and op0 not in TRAPPING_OPS and o(1) == op.BR_IF:
-            target = br_if_fast(pc + 1)
+                        return _e_ll_binop_br_if(im0, im1, f, target, pc + 4), 4
+            return _e_ll_binop(im0, im1, f, pc + 3), 3
+        if op1 in CONST_OPS:
+            if op2 not in BINOPS:
+                return None
+            c = const_value(op1, im1)
+            f = BINOPS[op2]
+            if op2 not in TRAPPING_OPS:
+                if op3 == op.LOCAL_SET:
+                    return _e_lc_binop_set(im0, c, f, im3, pc + 4), 4
+                if op3 == op.BR_IF:
+                    target = _fast_target(branches[pc + 3], heights[pc + 3])
+                    if target is not None:
+                        return _e_lc_binop_br_if(im0, c, f, target, pc + 4), 4
+                if op2 == op.I32_ADD and op3 in LOADS:
+                    access = LOADS[op3]
+                    if access.vt in (ValType.I32, ValType.I64):
+                        mask = MASK64 if access.vt == ValType.I64 else MASK32
+                        return _e_load_i_local_const(
+                            im0, c, im3[1], access.size, access.signed, mask, pc + 4
+                        ), 4
+            return _e_lc_binop(im0, c, f, pc + 3), 3
+        if op1 in LOADS:
+            access = LOADS[op1]
+            offset = im1[1]
+            if access.vt == ValType.F32:
+                return _e_load_f32_local(im0, offset, pc + 2), 2
+            if access.vt == ValType.F64:
+                return _e_load_f64_local(im0, offset, pc + 2), 2
+            mask = MASK64 if access.vt == ValType.I64 else MASK32
+            return _e_load_i_local(
+                im0, offset, access.size, access.signed, mask, pc + 2
+            ), 2
+        return None
+    if op0 in CONST_OPS:
+        if op1 in BINOPS:
+            return _e_c_binop(const_value(op0, im0), BINOPS[op1], pc + 2), 2
+        if op1 == op.LOCAL_SET:
+            return _e_const_set(const_value(op0, im0), im1, pc + 2), 2
+        return None
+    if op1 == op.BR_IF and op0 not in TRAPPING_OPS:
+        if op0 in BINOPS:
+            target = _fast_target(branches[pc + 1], heights[pc + 1])
             if target is not None:
-                return commit(_e_binop_br_if(BINOPS[op0], target, pc + 2), 2)
-        if op0 in UNOPS and op0 not in TRAPPING_OPS and o(1) == op.BR_IF:
-            target = br_if_fast(pc + 1)
+                return _e_binop_br_if(BINOPS[op0], target, pc + 2), 2
+        elif op0 in UNOPS:
+            target = _fast_target(branches[pc + 1], heights[pc + 1])
             if target is not None:
-                return commit(_e_unop_br_if(UNOPS[op0], target, pc + 2), 2)
-        if op0 == op.LOCAL_SET and o(1) == op.LOCAL_GET and im(0) == im(1):
-            return commit(_e_local_tee(im(0), pc + 2), 2)
-        if op0 == op.LOCAL_GET:
-            if o(1) in LOADS:
-                access = LOADS[o(1)]
-                offset = im(1)[1]
-                if access.vt == ValType.F32:
-                    return commit(_e_load_f32_local(im(0), offset, pc + 2), 2)
-                if access.vt == ValType.F64:
-                    return commit(_e_load_f64_local(im(0), offset, pc + 2), 2)
-                mask = MASK64 if access.vt == ValType.I64 else MASK32
-                return commit(
-                    _e_load_i_local(
-                        im(0), offset, access.size, access.signed, mask, pc + 2
-                    ),
-                    2,
-                )
-            if o(1) == op.LOCAL_GET:
-                return commit(_e_local_get2(im(0), im(1), pc + 2), 2)
-
-    return 0
+                return _e_unop_br_if(UNOPS[op0], target, pc + 2), 2
+        return None
+    if op0 == op.LOCAL_SET and op1 == op.LOCAL_GET and im0 == im1:
+        return _e_local_tee(im0, pc + 2), 2
+    return None
 
 
 def threaded_for(module: Module, code: Code, functype: FuncType) -> ThreadedCode:

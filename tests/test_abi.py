@@ -257,6 +257,28 @@ class TestSanitizer:
         report = sanitize_plugin(raw)
         assert any("start" in w for w in report.warnings)
 
+    def test_huge_table_refused_before_allocation(self):
+        import tracemalloc
+
+        from repro.abi.host import PluginHost
+        from repro.wasm.wat import assemble
+
+        raw = assemble("""(module
+          (table 100000000 funcref)
+          (memory (export "memory") 1 1)
+          (func (export "alloc") (param i32) (result i32) (i32.const 1024))
+          (func (export "run") (param i32 i32) (result i32) (i32.const 0)))""")
+        tracemalloc.start()
+        try:
+            with pytest.raises(SanitizerError, match="100000000 elements"):
+                sanitize_plugin(raw)
+            with pytest.raises(SanitizerError, match="100000000 elements"):
+                PluginHost(raw, name="huge-table")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestHostEdgeCases:
     def test_bad_alloc_pointer(self):

@@ -159,6 +159,19 @@ class TestWasmFieldAdapter:
         assert msg["value"] == 4095  # re-scaled to vendor B's 12-bit range
         assert gnb_side.decode_failures == 0
 
+    def test_adapted_channel_receives_in_the_peer_dialect(self):
+        net = InProcNetwork()
+        ric_side = AdaptedChannel(
+            net.endpoint("ric"), vendors.vendor_a(), vendors.vendor_b()
+        )
+        gnb_side = CommChannel(net.endpoint("gnb"), vendors.vendor_b())
+        gnb_side.send("ric", control_request(1, ACTION_SET_TX_POWER, 0, 4095))
+        net.endpoint("junk").send("ric", b"\x80\x80\x80")
+        ((source, msg),) = ric_side.poll()
+        assert (source, msg["value"]) == ("gnb", 255)  # back to 8 bits
+        assert (ric_side.received, ric_side.decode_failures) == (1, 1)
+        assert ric_side.guard_rejections == 0
+
 
 def build_network(period_slots=100, vendor=None):
     vendor = vendor or vendors.vendor_a()

@@ -3,7 +3,7 @@
 The three-way differential suite in ``tests/test_engine_differential.py``
 and the fuzz oracle cover whole plugins and generated modules; these
 tests pin the compiler itself: structured lowering, the per-function
-threaded fallback for bodies too deep to structure, fuel identity at every possible exhaustion point, trap codes, the engine
+legacy fallback for bodies too deep to structure, fuel identity at every possible exhaustion point, trap codes, the engine
 switch, checkpoint/restore on AOT instances, the dump listing, and the
 bounded LRU code cache.
 """
@@ -38,8 +38,8 @@ from repro.wasm.aot import (
 from repro.wasm.codecache import clear as cache_clear
 from repro.wasm.codecache import stats as cache_stats
 from repro.wasm.instance import compiled_bodies
-from repro.wasm.interpreter import ExecStats
-from repro.wasm.threaded import ENGINES, ThreadedCode, resolve_engine
+from repro.wasm.interpreter import ExecStats, PreparedCode
+from repro.wasm.threaded import ENGINES, resolve_engine
 from repro.wasm.traps import MemoryOutOfBounds, Trap
 from repro.wasm.wtypes import FuncType, ValType
 from repro.wasm.wat import assemble
@@ -190,7 +190,7 @@ def test_float_bit_patterns_match():
 
 
 # ---------------------------------------------------------------------------
-# one emitter; a function too deep to structure keeps its threaded body
+# one emitter; a function too deep to structure keeps its legacy body
 # ---------------------------------------------------------------------------
 
 
@@ -208,7 +208,7 @@ CORPUS = Path(__file__).parent / "corpus"
 DEEP_CASE = load_case(CORPUS / "deep-nesting-mixed-tiers.json")
 
 
-def test_deep_function_keeps_threaded_body_between_compiled_siblings():
+def test_deep_function_keeps_legacy_body_between_compiled_siblings():
     module = decode_module(DEEP_CASE.wasm)
     assert [_max_nesting(code.body) for code in module.codes] == [1, 19, 0, 0]
     assert _max_nesting(module.codes[1].body) > _MAX_STRUCTURED_DEPTH
@@ -216,7 +216,7 @@ def test_deep_function_keeps_threaded_body_between_compiled_siblings():
     classes = [
         inst.store.funcs[addr].prepared.__class__ for addr in inst.func_addrs
     ]
-    assert classes == [AotCode, ThreadedCode, AotCode, AotCode]
+    assert classes == [AotCode, PreparedCode, AotCode, AotCode]
     # the same lowering whichever way the body is reached
     assert aot_for(module, module.codes[1], module.func_type(1)) is (
         inst.store.funcs[inst.func_addrs[1]].prepared
@@ -293,7 +293,7 @@ def test_plugin_host_promotes_a_mixed_tier_binary():
     deep, run = (
         funcs[host.instance.func_addrs[i]].prepared for i in (1, 2)
     )
-    assert deep.__class__ is ThreadedCode
+    assert deep.__class__ is PreparedCode
     assert run.__class__ is AotCode and run.run is not None
     assert host.instance.call("run", 3, fuel=DEEP_CASE.fuel) == 377
 
@@ -309,14 +309,14 @@ def test_every_shipped_plugin_function_is_compiled():
         assert bodies and all(b.__class__ is AotCode for b in bodies), name
 
 
-def test_disasm_aot_names_the_function_that_stayed_threaded(tmp_path, capsys):
+def test_disasm_aot_names_the_function_that_stayed_legacy(tmp_path, capsys):
     from repro.cli import main
 
     path = tmp_path / "deep.wasm"
     path.write_bytes(DEEP_CASE.wasm)
     assert main(["disasm", "--aot", str(path)]) == 0
     out = capsys.readouterr().out
-    assert 'func 1 (export "deep"): 136 wasm instrs, keeps its threaded body' in out
+    assert 'func 1 (export "deep"): 136 wasm instrs, keeps its legacy body' in out
     assert "(block nesting 19 > 16)" in out
     assert 'func 2 (export "run")' in out and ", compiled" in out
 

@@ -6,16 +6,22 @@ fusion semantics, compile-time branch resolution, fuel identity at every
 possible exhaustion point, the engine switch, and the code cache.
 """
 
+import hashlib
 import os
+import struct
+from pathlib import Path
 
 import pytest
 
 from repro import obs
+from repro.fuzz.corpus import corpus_paths, load_case
 from repro.obs import OBS
+from repro.plugins import available_plugins, plugin_wasm
 from repro.wasm import Instance, decode_module, load_module, validate_module
+from repro.wasm import opcodes as op
 from repro.wasm.codecache import clear as cache_clear
 from repro.wasm.instance import compiled_bodies
-from repro.wasm.interpreter import ExecStats
+from repro.wasm.interpreter import BINOPS, UNOPS, ExecStats
 from repro.wasm.threaded import (
     DEFAULT_ENGINE,
     ThreadedCode,
@@ -156,6 +162,70 @@ def test_fusion_skips_jump_targets():
         (local.get $acc)))"""
     assert assert_identical(source, "f", 100) == ("ok", 4950, None)
     assert_identical(source, "f", 100, fuel=100_000)
+
+
+# ---------------------------------------------------------------------------
+# the lowering itself, pinned
+# ---------------------------------------------------------------------------
+
+#: sha256 of :func:`lowering_fingerprint` over every shipped plugin and
+#: every ``tests/wasm/corpus`` module.  It moves only if some slot's
+#: emitter, a value it captured or a fuel cost moves; rewriting how the
+#: matcher finds its groups must leave it where it is.
+LOWERING_SHA256 = "6650ba48ec245e85499f072feebcacf285d2233d3ac82dc2a106c113737047e0"
+
+
+def _handler_names() -> dict:
+    """Numeric handler -> the opcodes it implements (lambdas all share the
+    ``__qualname__`` ``<lambda>``, so they are named by their opcodes)."""
+    names: dict = {}
+    for table in (BINOPS, UNOPS):
+        for opcode, handler in table.items():
+            names.setdefault(id(handler), []).append(op.OP_TABLE[opcode].name)
+    return {key: "|".join(sorted(v)) for key, v in names.items()}
+
+
+def _describe(value, handlers):
+    if callable(value) and id(value) in handlers:
+        return "fn:" + handlers[id(value)]
+    if isinstance(value, (list, tuple)):
+        return tuple(_describe(v, handlers) for v in value)
+    if isinstance(value, float):
+        return "f:" + struct.pack("<d", value).hex()
+    return repr(value)
+
+
+def lowering_fingerprint(raw: bytes) -> list:
+    """Per function: fuel costs, and per slot its emitter and the values
+    the emitted closure captured."""
+    handlers = _handler_names()
+    out = []
+    for tcode in compiled_bodies(load_module(raw), "threaded"):
+        slots = tuple(
+            (
+                slot.__qualname__,
+                tuple(
+                    _describe(cell.cell_contents, handlers)
+                    for cell in slot.__closure__ or ()
+                ),
+            )
+            for slot in tcode.slots
+        )
+        out.append((tuple(tcode.costs), slots))
+    return out
+
+
+def test_threaded_lowering_is_pinned():
+    modules = [("plugin", name, plugin_wasm(name)) for name in available_plugins()]
+    for path in corpus_paths(Path(__file__).parent / "corpus"):
+        case = load_case(path)
+        if case.mode == "diff":
+            modules.append(("corpus", path.stem, case.wasm))
+    assert len(modules) >= 40
+    digest = hashlib.sha256()
+    for kind, name, raw in modules:
+        digest.update(repr((kind, name, lowering_fingerprint(raw))).encode())
+    assert digest.hexdigest() == LOWERING_SHA256
 
 
 # ---------------------------------------------------------------------------

@@ -338,41 +338,23 @@ class PluginHost:
         if warming:
             engine = "threaded"
         warm = codecache.is_cached(module, engine)
-        # a start function runs inside Instance(), on the per-call budget
-        store = Store(fuel=self.limits.fuel)
         try:
             instance = Instance(
                 module,
                 imports={"env": env},
-                store=store,
+                # a start function runs inside Instance(), on the per-call budget
+                store=Store(fuel=self.limits.fuel),
                 validate=False,  # every module reaching here passed _load_module
                 engine=engine,
             )
-        except (WasmError, RecursionError) as exc:
-            store.funcs.clear()  # the refused instance dies here too
-            if isinstance(exc, RecursionError):
-                raise Trap(f"call stack exhausted: {exc}", code="stack") from exc
-            raise
-        self._release()
+        except RecursionError as exc:
+            raise Trap(f"call stack exhausted: {exc}", code="stack") from exc
         self.instance = instance
         self._warming = warming
         # a new instance invalidates any pointer the old one handed out
         self._scratch_ptr: int | None = None
         self._scratch_cap = 0
         return warm
-
-    def _release(self) -> None:
-        """Let go of the live instance so that it dies *now*.
-
-        An instance and its functions point at each other (``Instance ->
-        Store.funcs -> ModuleFunc.instance``); left alone, a replaced
-        instance and its linear memory wait for the cycle collector.  The
-        store is this host's own, so emptying it cuts the cycle and the
-        instance goes by refcount.
-        """
-        if self.instance is not None:
-            self.instance.store.funcs.clear()
-            self.instance = None
 
     # ----- tier-up -----------------------------------------------------------
 
@@ -632,10 +614,11 @@ class PluginHost:
             error = exc
         except (Trap, RecursionError) as exc:
             # a plugin that recurses until the *host's* stack runs out
-            # before the Wasm depth limit does (the cold tier and the
-            # interpreters spend three Python frames per Wasm frame, an
-            # embedder may already be deep) is a stack trap like any
-            # other: it never reaches the caller as RecursionError
+            # before the Wasm depth limit does (the threaded cold tier
+            # spends three Python frames per Wasm frame and the legacy
+            # interpreter two, an embedder may already be deep) is a
+            # stack trap like any other: it never reaches the caller as
+            # RecursionError
             trap_code = exc.code if isinstance(exc, Trap) else "stack"
             kind = "fuel" if trap_code == "fuel" else "trap"
             if (
@@ -893,15 +876,12 @@ class PluginHost:
             output_record_bytes=self.output_record_bytes,
             engine=self._engine,
         )
-        try:
-            return clone.reissue(
-                record.input_bytes,
-                record.entry,
-                record.attrs.get("chaos"),
-                record.attrs.get("rt"),
-            )
-        finally:
-            clone._release()
+        return clone.reissue(
+            record.input_bytes,
+            record.entry,
+            record.attrs.get("chaos"),
+            record.attrs.get("rt"),
+        )
 
     def _read_output(self, out_ptr) -> bytes:
         instance = self.instance

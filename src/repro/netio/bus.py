@@ -61,17 +61,13 @@ class Endpoint(ABC):
 # ---------------------------------------------------------------------------
 
 
-class _InProcEndpoint(Endpoint):
-    def __init__(self, network: "InProcNetwork", name: str):
-        super().__init__(name)
-        self._network = network
-        self._queue: queue.Queue = queue.Queue()
+class _QueuedEndpoint(Endpoint):
+    """An endpoint whose inbound messages wait in a local queue: in-proc
+    senders put into it directly, a TCP endpoint's reader threads do."""
 
-    def send(self, dest: str, payload: bytes) -> None:
-        target = self._network._endpoints.get(dest)
-        if target is None:
-            raise NetworkError(f"no endpoint named {dest!r}")
-        target._queue.put((self.name, bytes(payload)))
+    def __init__(self, name: str):
+        super().__init__(name)
+        self._queue: queue.Queue = queue.Queue()
 
     def recv(self, timeout: float | None = 0.0) -> tuple[str, bytes] | None:
         try:
@@ -80,6 +76,18 @@ class _InProcEndpoint(Endpoint):
             return self._queue.get(timeout=timeout)
         except queue.Empty:
             return None
+
+
+class _InProcEndpoint(_QueuedEndpoint):
+    def __init__(self, network: "InProcNetwork", name: str):
+        super().__init__(name)
+        self._network = network
+
+    def send(self, dest: str, payload: bytes) -> None:
+        target = self._network._endpoints.get(dest)
+        if target is None:
+            raise NetworkError(f"no endpoint named {dest!r}")
+        target._queue.put((self.name, bytes(payload)))
 
     def close(self) -> None:
         """Unregister, so peers get ``NetworkError`` like on TCP."""
@@ -127,13 +135,12 @@ def _bind_send(reg: MetricsRegistry):
     return reg.histogram("waran_net_send_us", "TCP frame send time (us)").labels()
 
 
-class _TcpEndpoint(Endpoint):
+class _TcpEndpoint(_QueuedEndpoint):
     """One TCP listener per endpoint; outgoing connections cached."""
 
     def __init__(self, network: "TcpNetwork", name: str, port: int = 0):
         super().__init__(name)
         self._network = network
-        self._queue: queue.Queue = queue.Queue()
         self._server = socket.create_server(("127.0.0.1", port))
         self.port = self._server.getsockname()[1]
         self._out: dict[str, socket.socket] = {}
@@ -244,14 +251,6 @@ class _TcpEndpoint(Endpoint):
                 self._send_series.get(OBS.registry).observe(
                     (time.perf_counter_ns() - start_ns) / 1000.0
                 )
-
-    def recv(self, timeout: float | None = 0.0) -> tuple[str, bytes] | None:
-        try:
-            if timeout == 0.0:
-                return self._queue.get_nowait()
-            return self._queue.get(timeout=timeout)
-        except queue.Empty:
-            return None
 
     def close(self) -> None:
         """Close the listener, every accepted connection, and every cached

@@ -18,7 +18,7 @@ Public entry points:
 - :func:`load_module` - both, once per binary and process: bytes ->
   the one checked (and shared, read-only) :class:`Module` of those bytes
 - :class:`Instance` - instantiate and call exports
-- :class:`Store` - runtime state shared by instances
+- :class:`Store` - the fuel budget and limits an instance runs under
 - :func:`repro.wasm.wat.assemble` - WAT text -> wasm bytes
 """
 

@@ -46,7 +46,7 @@ Lowering rules
   ``_MAX_STRUCTURED_DEPTH`` is not compiled: :func:`aot_for` hands back
   the reference interpreter's
   :func:`~repro.wasm.interpreter.prepared_for` lowering, and calls into
-  it go through ``Instance.invoke_addr``, which dispatches per function
+  it go through ``Instance.invoke_index``, which dispatches per function
   on the class of ``prepared`` (the property tier-up relies on).
 - **A call inside the module is a Python call, or no call at all.**  A
   *leaf* - straight-line up to its ``return``: no call, branch,
@@ -57,19 +57,19 @@ Lowering rules
   folded into ``store.stats`` when the caller leaves, by a return or a
   trap.  Any other compiled callee is
   ``fuel, s3 = _f7(inst, store, _d1, fuel, ...)``: operands as arguments,
-  fuel in and out, its entry dues in its own prologue.  An import bound
-  to a host function is called as ``_hf[i].fn(inst, ...)`` with
-  ``store.fuel`` synced around it (the host may read it); a plain ``int``
-  result is masked in line and anything else goes through
+  fuel in and out, its entry dues in its own prologue.  An import is a
+  host function (the only kind an instance links), called as
+  ``_hf[i].fn(inst, ...)`` with ``store.fuel`` synced around it (the
+  host may read it); a plain ``int`` result is masked in line and
+  anything else goes through
   :meth:`~repro.wasm.instance.HostFunc.results`, the normaliser
-  ``invoke_addr`` uses.  ``call_indirect``, legacy callees and an
-  import bound to another instance's export (``_hf[i] is None``) go
-  through ``inst.invoke_addr``; :func:`execute_aot` is only the adapter
+  ``invoke_index`` uses.  ``call_indirect`` and legacy callees go
+  through ``inst.invoke_index``; :func:`execute_aot` is only the adapter
   for entering compiled code from outside.
 - **Memory access is inlined.**  A load or store is one bounds compare
   against ``_ml`` - ``md`` is the memory's ``bytearray`` itself, bound
   once per function entry, and ``_ml`` its length, read at entry and
-  again after every direct, host or ``invoke_addr`` call and every
+  again after every direct, host or ``invoke_index`` call and every
   ``memory.grow`` (``Memory.data`` is never rebound, so nothing else can
   move it) - raising the same ``MemoryOutOfBounds(addr, size, limit)``,
   then a pre-bound ``struct.Struct`` ``unpack_from`` / ``pack_into``.  An
@@ -474,7 +474,7 @@ class _Emitter:
         self.uses: set[str] = set()
         #: the call boundary ``dump_aot`` prints: callees emitted in line
         #: (``leaves``, see :meth:`_scan`), callees called directly, imports
-        #: called directly, and the call sites that stay on ``invoke_addr``
+        #: called directly, and the call sites that stay on ``invoke_index``
         self.callees: dict[int, AotCode] = {}
         self.hosts: set[int] = set()
         self.via: list[str] = []
@@ -813,7 +813,7 @@ class _Emitter:
 
         ``md`` is the memory's ``bytearray`` itself and ``_ml`` its length,
         read at entry and again after everything that can grow it (a
-        direct, host or ``invoke_addr`` call, ``memory.grow``).
+        direct, host or ``invoke_index`` call, ``memory.grow``).
         """
         raw = self.raws.get(base[0]) if base[2] else None
         if raw is not None:
@@ -860,7 +860,7 @@ class _Emitter:
             self._emit_direct_call(func_index, callee, texts, result)
         else:
             self.via.append(f"legacy f{func_index}")
-            self._emit_invoke(f"inst.func_addrs[{func_index}]", texts, result)
+            self._emit_invoke(str(func_index), texts, result)
 
     def _before_call(self, result: int | None) -> None:
         """A callee may write globals, and the call writes its result."""
@@ -888,22 +888,14 @@ class _Emitter:
         """An import: a direct call of the host function it is bound to.
 
         An int result (the common case) is masked in line; anything else
-        goes through ``HostFunc.results``, exactly what ``invoke_addr``
-        does with it.  An import bound to another instance's export has no
-        host function (``_hf[i] is None``) and stays on ``invoke_addr``.
+        goes through ``HostFunc.results``, exactly what ``invoke_index``
+        does with it.
         """
         self.hosts.add(func_index)
         self.uses.add("_hf")
         self._before_call(result)
         self.w("store.fuel = fuel")
         self.w(f"_h = _hf[{func_index}]")
-        self.w("if _h is None:")
-        self.indent += 1
-        self._emit_invoke(f"inst.func_addrs[{func_index}]", args, result,
-                          sync=False)
-        self.indent -= 1
-        self.w("else:")
-        self.indent += 1
         self.w(f"_r = _h.fn({', '.join(['inst', *args])})")
         if result is None:
             self.w("if _r is not None:")
@@ -918,24 +910,20 @@ class _Emitter:
                 fast = f"_r & {_M32 if kind is ValType.I32 else _M64} if _r.__class__ is int"
             slow = "_h.results(_r)[0]"
             self.w(f"s{result} = {fast} else {slow}" if fast else f"s{result} = {slow}")
-        self.indent -= 1
         self.w("fuel = store.fuel")
         self.refresh_ml()
 
-    def _emit_invoke(self, addr: str, args: list[str], result: int | None,
-                     sync: bool = True) -> None:
-        """A call that leaves compiled code: ``Instance.invoke_addr``, with
-        ``store.fuel`` synced around it unless the caller does that."""
+    def _emit_invoke(self, index: str, args: list[str], result: int | None) -> None:
+        """A call that leaves compiled code: ``Instance.invoke_index``, with
+        ``store.fuel`` synced around it."""
         self.uses.add("_d1")
-        if sync:
-            self.w("store.fuel = fuel")
+        self.w("store.fuel = fuel")
         head = "_r = " if result is not None else ""
-        self.w(f"{head}inst.invoke_addr({addr}, [{', '.join(args)}], _d1)")
+        self.w(f"{head}inst.invoke_index({index}, [{', '.join(args)}], _d1)")
         if result is not None:
             self.w(f"s{result} = _r[0]")
-        if sync:
-            self.w("fuel = store.fuel")
-            self.refresh_ml()
+        self.w("fuel = store.fuel")
+        self.refresh_ml()
 
     def _emit_call_indirect(self, h: int, type_index: int) -> None:
         self.flush(1)
@@ -953,7 +941,7 @@ class _Emitter:
         self.w(f"_fa = _tb.elements[{index}]")
         self.w("if _fa is None:")
         self.w('    raise Trap("uninitialized element", code="table_null")')
-        self.w("_ft = store.funcs[_fa].functype")
+        self.w("_ft = inst.funcs[_fa].functype")
         self.w(f"if _ft != {sig}:")
         self.w("    raise Trap(")
         self.w(f'        f"indirect call type mismatch: {{_ft}} != {{{sig}}}",')
@@ -1408,7 +1396,7 @@ class _Emitter:
         if "glb" in self.uses:
             head.append("    glb = inst.globals")
         if "_hf" in self.uses:
-            head.append("    _hf = inst.host_fns")
+            head.append("    _hf = inst.funcs")
         if "_d1" in self.uses:
             head.append("    _d1 = depth + 1")
         if "_br" in self.uses:
@@ -1576,7 +1564,7 @@ def execute_aot(store, instance, acode: AotCode, args: list,
                 result_arity: int, depth: int):
     """Enter one AOT-compiled function from outside compiled code.
 
-    The adapter behind ``Instance.invoke_addr`` - an export, a
+    The adapter behind ``Instance.invoke_index`` - an export, a
     ``call_indirect``, a threaded or legacy caller; a compiled caller of
     the same module calls the function directly or inlines it.  The
     depth limit, the stats and the trap-time ``store.fuel`` are the
@@ -1599,12 +1587,12 @@ def execute_aot(store, instance, acode: AotCode, args: list,
 
 
 def _boundary(emitter: _Emitter) -> str:
-    """``inlined: f4 f5; direct: f9; host: import 0; via invoke_addr: -``"""
+    """``inlined: f4 f5; direct: f9; host: import 0; via invoke_index: -``"""
     inlined = " ".join(f"f{i}" for i in sorted(emitter.leaves)) or "-"
     direct = " ".join(f"f{i}" for i in sorted(emitter.callees)) or "-"
     host = ", ".join(f"import {i}" for i in sorted(emitter.hosts)) or "-"
     via = ", ".join(dict.fromkeys(emitter.via)) or "-"
-    return f"inlined: {inlined}; direct: {direct}; host: {host}; via invoke_addr: {via}"
+    return f"inlined: {inlined}; direct: {direct}; host: {host}; via invoke_index: {via}"
 
 
 def dump_aot(module_or_bytes) -> str:
@@ -1615,11 +1603,10 @@ def dump_aot(module_or_bytes) -> str:
     for it - the code hosts run - so a lowering bug is diagnosable by
     eye.  A compiled function names its call boundary: the leaves it
     inlines, the callees it calls directly, the imports it calls as host
-    functions (an import bound to another instance's export falls back to
-    ``Instance.invoke_addr`` at run time) and the call sites that stay on
-    ``invoke_addr`` (``call_indirect``, a callee that kept its legacy
-    body); a function too deep to structure says so, and its Wasm body
-    is what the legacy interpreter runs.
+    functions and the call sites that stay on ``Instance.invoke_index``
+    (``call_indirect``, a callee that kept its legacy body); a function
+    too deep to structure says so, and its Wasm body is what the legacy
+    interpreter runs.
     """
     module = load_module(module_or_bytes)
 

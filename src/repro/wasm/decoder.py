@@ -60,15 +60,15 @@ class _Reader:
         return b
 
     def u32(self) -> int:
-        value, self.pos = leb128.decode_u(self.data[: self.end], self.pos, 32)
+        value, self.pos = leb128.decode_u(self.data, self.pos, 32, self.end)
         return value
 
     def s32(self) -> int:
-        value, self.pos = leb128.decode_s(self.data[: self.end], self.pos, 32)
+        value, self.pos = leb128.decode_s(self.data, self.pos, 32, self.end)
         return value
 
     def s64(self) -> int:
-        value, self.pos = leb128.decode_s(self.data[: self.end], self.pos, 64)
+        value, self.pos = leb128.decode_s(self.data, self.pos, 64, self.end)
         return value
 
     def f32(self) -> float:

@@ -1,10 +1,12 @@
 """Instantiation, linking and the embedder API.
 
-A :class:`Store` owns runtime objects (function instances, fuel budget,
-limits); an :class:`Instance` is one instantiated module inside a store.
+An :class:`Instance` is one instantiated module: it owns its function
+index space (:attr:`Instance.funcs`), memory, table and globals.  A
+:class:`Store` carries the fuel budget and limits its calls run under.
 Hosts expose capabilities to plugins exclusively through
-:class:`HostFunc` imports — the capability-security model WA-RAN relies on:
-a plugin can only ever touch what the host explicitly wires in.
+:class:`HostFunc` imports — the only kind of import an instance links,
+and the capability-security model WA-RAN relies on: a plugin can only
+ever touch what the host explicitly wires in.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ UNLIMITED_FUEL = sys.maxsize
 
 
 class Store:
-    """Shared runtime state: the function address space, fuel and limits.
+    """Runtime state an instance's calls run under: fuel and limits.
 
     ``fuel`` is the instruction budget, decremented once per executed
     instruction in every engine; running out raises
@@ -43,16 +45,11 @@ class Store:
     """
 
     def __init__(self, fuel: int | None = None, max_call_depth: int = 300):
-        self.funcs: list[FuncInstance] = []
         self.fuel = fuel
         self.max_call_depth = max_call_depth
         #: optional :class:`repro.wasm.interpreter.ExecStats`; when set the
         #: interpreter updates it once per function frame (see ExecStats)
         self.stats = None
-
-    def alloc_func(self, func: "FuncInstance") -> int:
-        self.funcs.append(func)
-        return len(self.funcs) - 1
 
 
 @dataclass
@@ -71,7 +68,7 @@ class HostFunc:
     def results(self, result) -> Sequence:
         """What ``fn`` returned, as the declared result values: masked /
         rounded to their types, or a ``host`` trap for the wrong arity.
-        The one normaliser: ``invoke_addr`` and compiled code's direct
+        The one normaliser: ``invoke_index`` and compiled code's direct
         host calls both use it."""
         result_types = self.functype.results
         # fast path: single scalar result (the overwhelmingly common case)
@@ -102,28 +99,23 @@ class HostFunc:
 
 
 class ModuleFunc:
-    """A Wasm-defined function: compiled code plus its defining instance.
+    """A Wasm-defined function of an instance: its type and lowered body.
 
     ``prepared`` is a legacy :class:`PreparedCode`, a
     :class:`~repro.wasm.threaded.ThreadedCode` or an
     :class:`~repro.wasm.aot.AotCode`, depending on the instance's
-    engine; :meth:`Instance.invoke_addr` dispatches on it.
+    engine; :meth:`Instance.invoke_index` dispatches on it.
     """
 
-    __slots__ = ("functype", "prepared", "instance")
+    __slots__ = ("functype", "prepared")
 
     def __init__(
         self,
         functype: FuncType,
         prepared: "PreparedCode | ThreadedCode | AotCode",
-        instance: "Instance",
     ):
         self.functype = functype
         self.prepared = prepared
-        self.instance = instance
-
-
-FuncInstance = Any  # HostFunc | ModuleFunc
 
 
 class GlobalInstance:
@@ -135,14 +127,15 @@ class GlobalInstance:
 
 
 class Table:
-    """A funcref table: elements are store function addresses or ``None``."""
+    """A funcref table: elements are function indices of its instance or
+    ``None``."""
 
     def __init__(self, limits: Limits):
         self.limits = limits
         self.elements: list[int | None] = [None] * limits.minimum
 
 
-def _eval_const(instance: "Instance", expr) -> Any:
+def _eval_const(expr) -> Any:
     opcode, imm = expr[0]
     if opcode == op.I32_CONST:
         return imm & MASK32
@@ -152,8 +145,6 @@ def _eval_const(instance: "Instance", expr) -> Any:
         return f32_round(imm)
     if opcode == op.F64_CONST:
         return imm
-    if opcode == op.GLOBAL_GET:
-        return instance.globals[imm].value
     raise LinkError(f"unsupported constant opcode 0x{opcode:02x}")
 
 
@@ -212,15 +203,18 @@ class InstanceState:
 class Instance:
     """One instantiated module.
 
-    ``imports`` maps ``module -> name -> object`` where the object is a
-    :class:`HostFunc`, a :class:`Memory`, a :class:`Table`, a
-    :class:`GlobalInstance`, or an exported object from another instance.
+    ``imports`` maps ``module -> name -> HostFunc``: a host function is
+    the only thing an instance links.  :attr:`funcs` is the module's
+    function index space - the imported :class:`HostFunc` objects, then
+    the module's own :class:`ModuleFunc` objects - so a ``call``
+    immediate, a table element and an export all name a function by its
+    index in it.
     """
 
     def __init__(
         self,
         module: Module,
-        imports: Mapping[str, Mapping[str, Any]] | None = None,
+        imports: Mapping[str, Mapping[str, HostFunc]] | None = None,
         store: Store | None = None,
         validate: bool = True,
         engine: str | None = None,
@@ -235,16 +229,11 @@ class Instance:
         self.store = store if store is not None else Store()
         imports = imports or {}
 
-        self.func_addrs: list[int] = []
-        #: per imported function, the :class:`HostFunc` it is bound to, or
-        #: ``None`` when it is another instance's export (compiled code
-        #: calls the former directly, the latter through ``invoke_addr``)
-        self.host_fns: list[HostFunc | None] = []
-        self.globals: list[GlobalInstance] = []
-        self.memory: Memory | None = None
-        self.table: Table | None = None
+        #: the function index space: imported host functions, then the
+        #: module's own functions
+        self.funcs: list[HostFunc | ModuleFunc] = []
 
-        # --- link imports (in declaration order, per index space) ----------
+        # --- link imports: host functions only ------------------------------
         for imp in module.imports:
             try:
                 provided = imports[imp.module][imp.name]
@@ -252,80 +241,45 @@ class Instance:
                 raise LinkError(
                     f"missing import {imp.module}.{imp.name} ({imp.kind})"
                 ) from None
-            if imp.kind == "func":
-                expected = module.types[imp.desc]
-                if isinstance(provided, HostFunc):
-                    if provided.functype != expected:
-                        raise LinkError(
-                            f"import {imp.module}.{imp.name}: signature "
-                            f"{provided.functype} != expected {expected}"
-                        )
-                    self.func_addrs.append(self.store.alloc_func(provided))
-                    self.host_fns.append(provided)
-                elif isinstance(provided, ExportedFunc):
-                    if provided.functype != expected:
-                        raise LinkError(
-                            f"import {imp.module}.{imp.name}: signature "
-                            f"{provided.functype} != expected {expected}"
-                        )
-                    self.func_addrs.append(provided.addr)
-                    self.host_fns.append(None)
-                else:
-                    raise LinkError(
-                        f"import {imp.module}.{imp.name} is not a function"
-                    )
-            elif imp.kind == "mem":
-                if not isinstance(provided, Memory):
-                    raise LinkError(f"import {imp.module}.{imp.name} is not a memory")
-                if provided.size_pages < imp.desc.minimum:
-                    raise LinkError(
-                        f"imported memory too small: {provided.size_pages} "
-                        f"< {imp.desc.minimum} pages"
-                    )
-                self.memory = provided
-            elif imp.kind == "table":
-                if not isinstance(provided, Table):
-                    raise LinkError(f"import {imp.module}.{imp.name} is not a table")
-                self.table = provided
-            elif imp.kind == "global":
-                if not isinstance(provided, GlobalInstance):
-                    raise LinkError(f"import {imp.module}.{imp.name} is not a global")
-                if provided.gtype != imp.desc:
-                    raise LinkError(
-                        f"import {imp.module}.{imp.name}: global type mismatch"
-                    )
-                self.globals.append(provided)
+            if imp.kind != "func" or not isinstance(provided, HostFunc):
+                raise LinkError(
+                    f"import {imp.module}.{imp.name} ({imp.kind}): "
+                    f"only host functions may be imported"
+                )
+            expected = module.types[imp.desc]
+            if provided.functype != expected:
+                raise LinkError(
+                    f"import {imp.module}.{imp.name}: signature "
+                    f"{provided.functype} != expected {expected}"
+                )
+            self.funcs.append(provided)
 
         # --- allocate module-defined entities -------------------------------
         # instances of the same module share one lowering per engine
         bodies = compiled_bodies(module, self.engine)
-        for i, type_index in enumerate(module.funcs):
-            functype = module.types[type_index]
-            self.func_addrs.append(
-                self.store.alloc_func(ModuleFunc(functype, bodies[i], self))
-            )
+        for type_index, body in zip(module.funcs, bodies):
+            self.funcs.append(ModuleFunc(module.types[type_index], body))
 
-        if module.mems:
-            self.memory = Memory(module.mems[0])
-        if module.tables:
-            self.table = Table(module.tables[0])
-
-        for glob in module.globals:
-            value = _eval_const(self, glob.init)
-            self.globals.append(GlobalInstance(glob.gtype, value))
+        self.memory = Memory(module.mems[0]) if module.mems else None
+        self.table = Table(module.tables[0]) if module.tables else None
+        self.globals = [
+            GlobalInstance(glob.gtype, _eval_const(glob.init))
+            for glob in module.globals
+        ]
 
         # --- element and data segments (bounds-checked) ---------------------
         for elem in module.elems:
-            offset = _eval_const(self, elem.offset)
+            offset = _eval_const(elem.offset)
             if self.table is None:
                 raise LinkError("element segment without table")
             if offset + len(elem.func_indices) > len(self.table.elements):
                 raise LinkError("element segment out of table bounds")
-            for j, func_index in enumerate(elem.func_indices):
-                self.table.elements[offset + j] = self.func_addrs[func_index]
+            self.table.elements[offset : offset + len(elem.func_indices)] = (
+                elem.func_indices
+            )
 
         for seg in module.datas:
-            offset = _eval_const(self, seg.offset)
+            offset = _eval_const(seg.offset)
             if self.memory is None:
                 raise LinkError("data segment without memory")
             if offset + len(seg.payload) > self.memory.size_bytes:
@@ -335,24 +289,23 @@ class Instance:
         self._exports = module.export_map()
 
         if module.start is not None:
-            self._enter(self.func_addrs[module.start], [])
+            self._enter(module.start, [])
 
     def retier(self, engine: str) -> list:
         """Rebind this instance's functions to ``engine``'s bodies in place
         and return those bodies.
 
         Fuel, traps and :class:`~repro.wasm.interpreter.ExecStats` are
-        bit-identical across engines and :meth:`invoke_addr` dispatches
+        bit-identical across engines and :meth:`invoke_index` dispatches
         per function on the class of ``prepared``, so switching between
         two calls is semantically invisible: no state moves, nothing on
         a stack needs replacing.
         """
         engine = resolve_engine(engine)
         bodies = compiled_bodies(self.module, engine)
-        funcs = self.store.funcs
-        own_addrs = self.func_addrs[self.module.num_imported_funcs:]
-        for addr, body in zip(own_addrs, bodies):
-            funcs[addr].prepared = body
+        own = self.funcs[self.module.num_imported_funcs:]
+        for func, body in zip(own, bodies):
+            func.prepared = body
         self.engine = engine
         return bodies
 
@@ -398,8 +351,8 @@ class Instance:
         if export is None:
             raise LinkError(f"no export named {name!r}")
         if export.kind == "func":
-            addr = self.func_addrs[export.index]
-            return ExportedFunc(self.store.funcs[addr].functype, addr, self)
+            index = export.index
+            return ExportedFunc(self.funcs[index].functype, index, self)
         if export.kind == "mem":
             return self.memory
         if export.kind == "table":
@@ -422,8 +375,7 @@ class Instance:
             raise LinkError(f"no exported function named {name!r}")
         if fuel != "unset":
             self.store.fuel = fuel
-        addr = self.func_addrs[export.index]
-        functype = self.store.funcs[addr].functype
+        functype = self.funcs[export.index].functype
         if len(args) != len(functype.params):
             raise TypeError(
                 f"{name} expects {len(functype.params)} args, got {len(args)}"
@@ -431,7 +383,7 @@ class Instance:
         stack = [
             _normalize_arg(a, vt) for a, vt in zip(args, functype.params)
         ]
-        results = self._enter(addr, stack)
+        results = self._enter(export.index, stack)
         if not functype.results:
             return None
         value = results[0]
@@ -442,7 +394,7 @@ class Instance:
             return value - (1 << 64) if value & (1 << 63) else value
         return value
 
-    def _enter(self, addr: int, stack: list) -> Sequence:
+    def _enter(self, func_index: int, stack: list) -> Sequence:
         """Enter Wasm from Python at depth 0: :meth:`call`, an
         :class:`ExportedFunc` and the start function.
 
@@ -452,21 +404,21 @@ class Instance:
         """
         store = self.store
         if store.fuel is not None:
-            return self.invoke_addr(addr, stack, 0)
+            return self.invoke_index(func_index, stack, 0)
         store.fuel = UNLIMITED_FUEL
         try:
-            return self.invoke_addr(addr, stack, 0)
+            return self.invoke_index(func_index, stack, 0)
         finally:
             store.fuel = None
 
-    # ----- internal invocation (used by the interpreter for `call`) -------
+    # ----- internal invocation (the engines' `call` / `call_indirect`) ----
 
     def invoke_index(self, func_index: int, stack: list, depth: int) -> Sequence:
-        """Invoke by module-level function index; pops args from ``stack``."""
-        return self.invoke_addr(self.func_addrs[func_index], stack, depth)
-
-    def invoke_addr(self, addr: int, stack: list, depth: int) -> Sequence:
-        func = self.store.funcs[addr]
+        """Invoke function ``func_index`` at Wasm call depth ``depth``; pops
+        its args from ``stack``.  Dispatches per function: a host function
+        is called and its result normalised, a module function runs on
+        the engine its ``prepared`` body belongs to."""
+        func = self.funcs[func_index]
         n_params = len(func.functype.params)
         if n_params:
             args = stack[len(stack) - n_params :]
@@ -477,44 +429,27 @@ class Instance:
             return func.results(func.fn(self, *args))
         prepared = func.prepared
         if prepared.__class__ is ThreadedCode:
-            return execute_threaded(
-                self.store,
-                func.instance,
-                prepared,
-                args,
-                len(func.functype.results),
-                depth,
-            )
-        if prepared.__class__ is AotCode:
-            return execute_aot(
-                self.store,
-                func.instance,
-                prepared,
-                args,
-                len(func.functype.results),
-                depth,
-            )
-        return execute(
-            self.store,
-            func.instance,
-            prepared,
-            args,
-            len(func.functype.results),
-            depth,
+            run = execute_threaded
+        elif prepared.__class__ is AotCode:
+            run = execute_aot
+        else:
+            run = execute
+        return run(
+            self.store, self, prepared, args, len(func.functype.results), depth
         )
 
 
 @dataclass
 class ExportedFunc:
-    """Handle to an exported function, usable as an import elsewhere."""
+    """Python-callable handle to an exported function."""
 
     functype: FuncType
-    addr: int
+    index: int
     instance: Instance
 
     def __call__(self, *args):
         stack = [
             _normalize_arg(a, vt) for a, vt in zip(args, self.functype.params)
         ]
-        results = self.instance._enter(self.addr, stack)
+        results = self.instance._enter(self.index, stack)
         return results[0] if self.functype.results else None

@@ -650,18 +650,18 @@ def execute(store, instance, prepared: PreparedCode, args: list, result_arity: i
                 table = instance.table
                 if table is None or elem_index >= len(table.elements):
                     raise Trap("undefined element", code="table_oob")
-                func_addr = table.elements[elem_index]
-                if func_addr is None:
+                func_index = table.elements[elem_index]
+                if func_index is None:
                     raise Trap("uninitialized element", code="table_null")
                 expected = instance.module.types[ins[1]]
-                actual = store.funcs[func_addr].functype
+                actual = instance.funcs[func_index].functype
                 if actual != expected:
                     raise Trap(
                         f"indirect call type mismatch: {actual} != {expected}",
                         code="sig",
                     )
                 store.fuel = fuel
-                results = instance.invoke_addr(func_addr, stack, depth + 1)
+                results = instance.invoke_index(func_index, stack, depth + 1)
                 fuel = store.fuel
                 stack.extend(results)
             elif tag == T_DROP:

@@ -39,17 +39,23 @@ def encode_s(value: int) -> bytes:
         out.append(byte | 0x80)
 
 
-def decode_u(data: bytes, pos: int, bits: int = 32) -> tuple[int, int]:
+def decode_u(
+    data: bytes, pos: int, bits: int = 32, end: int | None = None
+) -> tuple[int, int]:
     """Decode an unsigned LEB128 integer of at most ``bits`` bits.
 
-    Returns ``(value, new_pos)``.  Raises :class:`DecodeError` on overlong
-    encodings, out-of-range values, or truncated input.
+    Reads no byte at or past ``end`` (default ``len(data)``), so a caller
+    bounds a read to a section without copying it.  Returns ``(value,
+    new_pos)``.  Raises :class:`DecodeError` on overlong encodings,
+    out-of-range values, or input truncated at ``end``.
     """
+    if end is None:
+        end = len(data)
     result = 0
     shift = 0
     max_bytes = (bits + 6) // 7
     for i in range(max_bytes):
-        if pos >= len(data):
+        if pos >= end:
             raise DecodeError("unexpected end of LEB128")
         byte = data[pos]
         pos += 1
@@ -62,16 +68,21 @@ def decode_u(data: bytes, pos: int, bits: int = 32) -> tuple[int, int]:
     raise DecodeError(f"LEB128 integer too long for u{bits}")
 
 
-def decode_s(data: bytes, pos: int, bits: int = 32) -> tuple[int, int]:
-    """Decode a signed LEB128 integer of at most ``bits`` bits.
+def decode_s(
+    data: bytes, pos: int, bits: int = 32, end: int | None = None
+) -> tuple[int, int]:
+    """Decode a signed LEB128 integer of at most ``bits`` bits, reading no
+    byte at or past ``end`` (default ``len(data)``).
 
     Returns ``(value, new_pos)``.
     """
+    if end is None:
+        end = len(data)
     result = 0
     shift = 0
     max_bytes = (bits + 6) // 7
     for i in range(max_bytes):
-        if pos >= len(data):
+        if pos >= end:
             raise DecodeError("unexpected end of LEB128")
         byte = data[pos]
         pos += 1

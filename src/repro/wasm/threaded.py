@@ -432,13 +432,12 @@ def _e_call(func_index, nxt):
     def run(stack, locals_, frame):
         store = frame.store
         store.fuel = frame.fuel
-        # invoke_addr directly (not invoke_index) so a wasm call costs the
-        # same number of Python frames as in the legacy engine - deep
-        # plugin recursion must hit StackExhausted, not RecursionError
+        # a wasm call costs three Python frames here (this slot,
+        # invoke_index, execute_threaded), the legacy engine two and
+        # compiled code one: PluginHost.call turns a RecursionError from
+        # deep plugin recursion into a stack trap
         instance = frame.instance
-        results = instance.invoke_addr(
-            instance.func_addrs[func_index], stack, frame.depth + 1
-        )
+        results = instance.invoke_index(func_index, stack, frame.depth + 1)
         frame.fuel = store.fuel
         stack.extend(results)
         return nxt
@@ -452,18 +451,18 @@ def _e_call_indirect(expected: FuncType, nxt):
         table = instance.table
         if table is None or elem_index >= len(table.elements):
             raise Trap("undefined element", code="table_oob")
-        func_addr = table.elements[elem_index]
-        if func_addr is None:
+        func_index = table.elements[elem_index]
+        if func_index is None:
             raise Trap("uninitialized element", code="table_null")
-        store = frame.store
-        actual = store.funcs[func_addr].functype
+        actual = instance.funcs[func_index].functype
         if actual != expected:
             raise Trap(
                 f"indirect call type mismatch: {actual} != {expected}",
                 code="sig",
             )
+        store = frame.store
         store.fuel = frame.fuel
-        results = instance.invoke_addr(func_addr, stack, frame.depth + 1)
+        results = instance.invoke_index(func_index, stack, frame.depth + 1)
         frame.fuel = store.fuel
         stack.extend(results)
         return nxt

@@ -85,7 +85,7 @@ class TestCli:
     def test_disasm_aot_shows_the_call_boundary(self, tmp_path, capsys):
         """Each compiled function names the leaves it inlines, the callees
         it calls directly, the imports it calls as host functions and the
-        call sites that stay on ``Instance.invoke_addr``."""
+        call sites that stay on ``Instance.invoke_index``."""
         binary = tmp_path / "pf.wasm"
         binary.write_bytes(plugin_wasm("pf"))
         assert main(["disasm", "--aot", str(binary)]) == 0
@@ -99,8 +99,8 @@ class TestCli:
         assert boundary.startswith("  ;; inlined: f")
         # pf's `run` inlines its accessors, calls its other helpers
         # directly and one host import, and nothing leaves through
-        # invoke_addr
-        assert boundary.endswith("; host: import 0; via invoke_addr: -")
+        # invoke_index
+        assert boundary.endswith("; host: import 0; via invoke_index: -")
         fields = dict(
             part.split(": ") for part in boundary.split(";; ", 1)[1].split("; ")
         )
@@ -115,7 +115,7 @@ class TestCli:
                 for l in lines
             ), f
         # a function that calls nothing
-        assert "  ;; inlined: -; direct: -; host: -; via invoke_addr: -" in lines
+        assert "  ;; inlined: -; direct: -; host: -; via invoke_index: -" in lines
         # every compiled function carries the line
         compiled = [l for l in lines if l.startswith("func ") and ", compiled" in l]
         assert len(compiled) == len(module.codes)

@@ -230,11 +230,12 @@ def _recursion_outcome(engine, promote):
 
 
 def test_unbounded_recursion_from_a_deep_host_is_a_stack_trap():
-    """The Store default is 300 Wasm frames and the interpreters spend three
-    Python frames on each, so from a host 150 frames deep CPython's
-    recursion limit is hit before the Wasm one: same ``stack`` trap, same
-    fuel (the outermost frame's, at its call site) under every engine,
-    cold tier and compiled."""
+    """The Store default is 300 Wasm frames and the threaded cold tier
+    spends three Python frames on each, so from a host 150 frames deep
+    CPython's recursion limit is hit before the Wasm one (legacy, at two,
+    and compiled code, at one, reach the Wasm limit first): same
+    ``stack`` trap, same fuel (the outermost frame's, at its call site)
+    under every engine, cold tier and compiled."""
     from repro.wasm import codecache
 
     codecache.clear()  # engine "aot" starts on threaded code
@@ -257,6 +258,46 @@ def test_unbounded_recursion_in_start_is_a_load_error():
     assert _from_deep_in_the_host(150, load).kind == "load"
 
 
+PROBE_DEPTH = """(module
+  (import "env" "probe" (func $probe))
+  (func $down (export "down") (param i32)
+    (if (local.get 0)
+      (then (call $down (i32.sub (local.get 0) (i32.const 1))))
+      (else (call $probe)))))"""
+
+
+@pytest.mark.parametrize(
+    "engine, per_wasm_frame", [("legacy", 2), ("threaded", 3), ("aot", 1)]
+)
+def test_python_frames_per_wasm_frame(engine, per_wasm_frame):
+    """The recursion headroom above rests on this: a host import probes
+    the Python stack at Wasm depth 0 and 10, and each Wasm frame between
+    costs the legacy engine two Python frames (``execute``,
+    ``invoke_index``), the threaded one three (its slot too) and compiled
+    code one (a direct call)."""
+    import sys
+
+    from repro.wasm import HostFunc, Instance, decode_module
+    from repro.wasm.wtypes import FuncType
+
+    depths = []
+
+    def probe(caller):
+        frame, n = sys._getframe(), 0
+        while frame is not None:
+            frame, n = frame.f_back, n + 1
+        depths.append(n)
+
+    inst = Instance(
+        decode_module(assemble(PROBE_DEPTH)),
+        imports={"env": {"probe": HostFunc(FuncType((), ()), probe, "probe")}},
+        engine=engine,
+    )
+    inst.call("down", 0)
+    inst.call("down", 10)
+    assert depths[1] - depths[0] == 10 * per_wasm_frame
+
+
 DEEP_START = f"""(module (memory 1) {HEADER}
   (func $down (param i32)
     (if (local.get 0)
@@ -268,8 +309,8 @@ DEEP_START = f"""(module (memory 1) {HEADER}
 
 
 def test_restore_from_a_deep_host_is_a_load_error_not_a_recursion_error():
-    """``restore`` re-runs ``start``: 200 Wasm frames at three Python frames
-    each fit under a shallow embedder and not under a deep one, which is a
+    """``restore`` re-runs ``start``: 200 threaded Wasm frames at three
+    Python frames each fit under a shallow embedder and not under a deep one, which is a
     refused load (as ``PluginHost(...)`` / ``swap`` report it) that leaves
     the live instance serving."""
     host = PluginHost(

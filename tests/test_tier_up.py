@@ -75,8 +75,8 @@ def promotions(plugin: str) -> float:
 
 def bodies(host: PluginHost) -> list:
     instance = host.instance
-    own = instance.func_addrs[instance.module.num_imported_funcs:]
-    return [instance.store.funcs[addr].prepared for addr in own]
+    own = instance.funcs[instance.module.num_imported_funcs:]
+    return [func.prepared for func in own]
 
 
 def own_frames_and_leaves(host: PluginHost) -> tuple[list, list]:
@@ -392,10 +392,8 @@ class TestHeatPolicy:
         )
         instance = Instance(decode_module(raw), engine="aot")
         assert instance.engine == "aot" and instance.call("f", 41) == 42
-        own = instance.func_addrs[instance.module.num_imported_funcs:]
-        assert all(
-            isinstance(instance.store.funcs[a].prepared, AotCode) for a in own
-        )
+        own = instance.funcs[instance.module.num_imported_funcs:]
+        assert all(isinstance(func.prepared, AotCode) for func in own)
         assert codecache.heat(instance.module) == 0
 
 

@@ -213,13 +213,11 @@ def test_deep_function_keeps_legacy_body_between_compiled_siblings():
     assert [_max_nesting(code.body) for code in module.codes] == [1, 19, 0, 0]
     assert _max_nesting(module.codes[1].body) > _MAX_STRUCTURED_DEPTH
     inst = Instance(module, engine="aot")
-    classes = [
-        inst.store.funcs[addr].prepared.__class__ for addr in inst.func_addrs
-    ]
+    classes = [func.prepared.__class__ for func in inst.funcs]
     assert classes == [AotCode, PreparedCode, AotCode, AotCode]
     # the same lowering whichever way the body is reached
     assert aot_for(module, module.codes[1], module.func_type(1)) is (
-        inst.store.funcs[inst.func_addrs[1]].prepared
+        inst.funcs[1].prepared
     )
 
 
@@ -289,10 +287,7 @@ def test_plugin_host_promotes_a_mixed_tier_binary():
     assert host.tier == "threaded"
     host.promote()
     assert host.tier == "aot"
-    funcs = host.instance.store.funcs
-    deep, run = (
-        funcs[host.instance.func_addrs[i]].prepared for i in (1, 2)
-    )
+    deep, run = (host.instance.funcs[i].prepared for i in (1, 2))
     assert deep.__class__ is PreparedCode
     assert run.__class__ is AotCode and run.run is not None
     assert host.instance.call("run", 3, fuel=DEEP_CASE.fuel) == 377
@@ -328,7 +323,7 @@ def test_identical_exec_stats_vs_both_engines():
 
 
 # ---------------------------------------------------------------------------
-# the boundaries of compiled code: direct calls, invoke_addr, inlined memory
+# the boundaries of compiled code: direct calls, invoke_index, inlined memory
 # ---------------------------------------------------------------------------
 
 
@@ -413,7 +408,7 @@ def test_import_reached_from_a_direct_callee_at_every_budget():
             per_engine = len(seen) // 3
             assert seen == seen[:per_engine] * 3  # same fuel seen by the host
     source = dump_aot(assemble(IMPORT_BOUNDARY))
-    assert ";; inlined: -; direct: f1; host: import 0; via invoke_addr: -" in source
+    assert ";; inlined: -; direct: f1; host: import 0; via invoke_index: -" in source
 
 
 def _access_module():
@@ -535,7 +530,7 @@ def test_inlined_leaf_at_exactly_the_depth_limit_then_one_deeper():
             DOWN_TO_LEAF, "down", limit, fuel=budget, max_call_depth=limit
         )
     source = dump_aot(assemble(DOWN_TO_LEAF))
-    assert ";; inlined: f0; direct: f1; host: -; via invoke_addr: -" in source
+    assert ";; inlined: f0; direct: f1; host: -; via invoke_index: -" in source
 
 
 def _host_outcomes(result_type, returned):
@@ -574,60 +569,9 @@ def _host_outcomes(result_type, returned):
 def test_direct_host_call_normalises_results_like_invoke_addr(result_type, returned):
     """Whatever a host function returns - bool, float, ``None``, a tuple,
     the wrong arity - the direct call's result (or trap, message and
-    trap-time fuel) is what ``invoke_addr`` makes of it."""
+    trap-time fuel) is what ``invoke_index`` makes of it."""
     legacy, threaded, aot = _host_outcomes(result_type, returned)
     assert threaded == legacy and aot == legacy, (legacy, threaded, aot)
-
-
-EXPORTER = """(module
-  (global $n (mut i32) (i32.const 0))
-  (func (export "twice") (param i32) (result i32)
-    (global.set $n (i32.add (global.get $n) (i32.const 1)))
-    (i32.mul (local.get 0) (i32.const 2))))"""
-
-IMPORTER = """(module
-  (import "env" "twice" (func $twice (param i32) (result i32)))
-  (func (export "run") (param i32) (result i32)
-    (i32.add (call $twice (local.get 0)) (call $twice (i32.const 5)))))"""
-
-
-def test_import_bound_to_another_instances_export_stays_on_invoke_addr(monkeypatch):
-    """No host function behind the import (``host_fns`` holds ``None``):
-    the compiled caller falls back to ``invoke_addr``, and fuel, traps
-    and ExecStats match legacy at every budget."""
-
-    def pair(engine, store):
-        exporter = Instance(decode_module(assemble(EXPORTER)), store=store,
-                            engine=engine)
-        return Instance(
-            decode_module(assemble(IMPORTER)),
-            imports={"env": {"twice": exporter.get_export("twice")}},
-            store=store, engine=engine,
-        )
-
-    entered = []
-    original = Instance.invoke_addr
-
-    def counting(self, addr, stack, depth):
-        entered.append(depth)
-        return original(self, addr, stack, depth)
-
-    monkeypatch.setattr(Instance, "invoke_addr", counting)
-    legacy = pair("legacy", Store())
-    aot = pair("aot", Store())
-    assert aot.host_fns == [None]
-    full = call_outcome(legacy, "run", 7, fuel=1000)
-    assert full[:2] == ("ok", 24)
-    for budget in range(1000 - full[2] + 2):
-        legacy, aot = pair("legacy", Store()), pair("aot", Store())
-        expect = call_outcome(legacy, "run", 7, fuel=budget)
-        del entered[:]
-        assert call_outcome(aot, "run", 7, fuel=budget) == expect, budget
-        # the entry call, then one per import call reached
-        assert entered[0] == 0 and set(entered[1:]) <= {1}
-    del entered[:]
-    call_outcome(aot, "run", 7, fuel=1000)
-    assert entered == [0, 1, 1]
 
 
 def test_compile_links_a_call_chain_longer_than_the_recursion_limit():
@@ -650,7 +594,7 @@ def test_compile_links_a_call_chain_longer_than_the_recursion_limit():
     with pytest.raises(Trap) as info:
         inst.call("run", 0, fuel=1_000_000)
     assert info.value.code == "stack"
-    bodies = [inst.store.funcs[addr].prepared for addr in inst.func_addrs]
+    bodies = [func.prepared for func in inst.funcs]
     assert [b.leaf for b in bodies] == [False] * (n - 1) + [True]
     assert all(b.run is not None for b in bodies[:-1])
     assert bodies[-1].run is None
@@ -669,10 +613,9 @@ _INLINED_HELPERS = tuple(
 
 def test_shipped_plugins_stay_on_the_fast_path():
     """No ``Memory`` method call per access and no call per division; a
-    leaf callee in line, an import a direct host call, and
-    ``invoke_addr`` only where a call really leaves compiled code:
-    ``call_indirect``, and an import bound to another instance's export
-    (the ``_h is None`` fallback of each host call site)."""
+    leaf callee in line, an import one direct host call with no fallback,
+    and ``invoke_index`` only where a call really leaves compiled code:
+    ``call_indirect``."""
     from repro.plugins import available_plugins, plugin_wasm
 
     for name in available_plugins():
@@ -696,7 +639,8 @@ def test_shipped_plugins_stay_on_the_fast_path():
                 1 for op_, _imm in code.body if op_ == opcodes.CALL_INDIRECT
             )
             assert source.count("_h.fn(inst") == imported, (name, i)
-            assert source.count("invoke_addr(") == imported + indirect, (name, i)
+            assert "_h is None" not in source, (name, i)
+            assert source.count("invoke_index(") == indirect, (name, i)
             assert source.count("raise StackExhausted(_d1)") == leaves, (name, i)
             assert source.count("(inst, store, _d1, fuel") == (
                 len(calls) - imported - leaves
@@ -718,7 +662,7 @@ CALL_PATH_BOUNDS = {"rr": 150, "pf": 90, "mt": 20}
 def test_promoted_call_path_is_short_and_exact(name):
     """A deterministic guard on the compiled call path, counted with
     ``sys.setprofile`` (no timing): the same Wasm frames and fuel as the
-    legacy engine, ``Instance.invoke_addr`` entered once (the entry
+    legacy engine, ``Instance.invoke_index`` entered once (the entry
     call), and few Python calls: leaves are inlined, imports are direct
     host calls, division is in line."""
     import sys
@@ -729,7 +673,7 @@ def test_promoted_call_path_is_short_and_exact(name):
     from repro.plugins import plugin_wasm
 
     payload = wire.pack_sched_input(3, 52, make_ues(48))
-    invoke_code = Instance.invoke_addr.__code__
+    invoke_code = Instance.invoke_index.__code__
 
     def one_call(engine):
         host = PluginHost(plugin_wasm(name), name=f"path-{name}", engine=engine)
@@ -739,12 +683,12 @@ def test_promoted_call_path_is_short_and_exact(name):
         ptr = inst.call("alloc", len(payload))
         inst.memory.write(ptr, payload)
         stats = inst.store.stats = ExecStats()
-        counts = {"calls": 0, "invoke_addr": 0}
+        counts = {"calls": 0, "invoke_index": 0}
 
         def profile(frame, event, arg):
             if event == "call":
                 counts["calls"] += 1
-                counts["invoke_addr"] += frame.f_code is invoke_code
+                counts["invoke_index"] += frame.f_code is invoke_code
 
         sys.setprofile(profile)
         try:
@@ -756,7 +700,7 @@ def test_promoted_call_path_is_short_and_exact(name):
     legacy_frames, legacy_fuel, _counts = one_call("legacy")
     frames, fuel, counts = one_call("aot")
     assert (frames, fuel) == (legacy_frames, legacy_fuel)
-    assert counts["invoke_addr"] == 1
+    assert counts["invoke_index"] == 1
     assert counts["calls"] < CALL_PATH_BOUNDS[name], counts
 
 
@@ -977,7 +921,7 @@ def test_instance_prepares_aot_code():
     raw = assemble(LOOP_SUM)
     inst = Instance(decode_module(raw), engine="aot")
     assert inst.engine == "aot"
-    func = inst.store.funcs[inst.func_addrs[0]]
+    func = inst.funcs[0]
     assert isinstance(func.prepared, AotCode)
     assert inst.call("sum", 10) == 45
 
@@ -1042,7 +986,7 @@ def test_body_compiles_lazily_on_first_use():
     raw = assemble(LOOP_SUM)
     cache_clear()
     inst = Instance(decode_module(raw), engine="aot")
-    acode = inst.store.funcs[inst.func_addrs[0]].prepared
+    acode = inst.funcs[0].prepared
     # instantiation lowers nothing: no source retained, no function built
     assert acode.run is None
     assert inst.call("sum", 10, fuel=10_000) == 45

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.wasm import decode_module, encode_module, validate_module
+from repro.wasm import decode_module, encode_module, leb128, validate_module
 from repro.wasm.traps import DecodeError, WasmError
 from repro.wasm.wat import assemble, parse_module
 
@@ -120,6 +120,57 @@ class TestMalformed:
             decode_module(data)
         except WasmError:
             pass
+
+
+class TestLinearDecode:
+    """Every LEB read is bounded by its section or body end, not by a copy
+    of the module up to it: a copy per read made decoding quadratic in
+    module size, on untrusted input."""
+
+    #: one body, ``i32.const 1; drop`` N times, then a data section: the
+    #: code section ends before the module does
+    @staticmethod
+    def module(n: int) -> bytes:
+        body = b"\x00" + b"\x41\x01\x1a" * n + b"\x0b"
+        code = b"\x01" + leb128.encode_u(len(body)) + body
+        data = b"\x01\x00\x41\x00\x0b\x01x"  # one byte at offset 0
+        return (
+            b"\x00asm\x01\x00\x00\x00"
+            + b"\x01\x04\x01\x60\x00\x00"  # type () -> ()
+            + b"\x03\x02\x01\x00"  # one function of type 0
+            + b"\x05\x03\x01\x00\x01"  # memory 1
+            + b"\x0a" + leb128.encode_u(len(code)) + code
+            + b"\x0b" + leb128.encode_u(len(data)) + data
+        )
+
+    def test_leb_reads_get_the_modules_own_bytes(self, monkeypatch):
+        raw = self.module(50)
+        seen = []
+        for name in ("decode_u", "decode_s"):
+            original = getattr(leb128, name)
+
+            def recording(data, *args, _original=original):
+                seen.append(data)
+                return _original(data, *args)
+
+            monkeypatch.setattr(leb128, name, recording)
+        mod = decode_module(raw)
+        assert len(mod.codes[0].body) == 101 and mod.datas[0].payload == b"x"
+        assert len(seen) > 50 and all(data is raw for data in seen)
+
+    def test_leb_cut_by_body_end_is_refused(self):
+        """``i32.const`` whose LEB's last byte is the body's: the next
+        byte (the data section's id, a complete LEB byte) is not read."""
+        body = b"\x00\x41\x80"
+        raw = (
+            b"\x00asm\x01\x00\x00\x00"
+            + b"\x01\x04\x01\x60\x00\x00"
+            + b"\x03\x02\x01\x00"
+            + b"\x0a\x05\x01\x03" + body
+            + b"\x0b\x01\x00"
+        )
+        with pytest.raises(DecodeError, match="unexpected end of LEB128"):
+            decode_module(raw)
 
 
 class TestCustomSections:

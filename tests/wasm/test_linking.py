@@ -1,10 +1,12 @@
-"""Instantiation and linking tests: imports, exports, cross-instance wiring."""
+"""Instantiation and linking tests: host-function imports, refused
+imports, exports and segments."""
 
 import pytest
 
-from repro.wasm import HostFunc, Instance, Store, decode_module
+from repro.wasm import HostFunc, Instance, decode_module
 from repro.wasm.instance import GlobalInstance, Table
 from repro.wasm.memory import Memory
+from repro.wasm.module import Import
 from repro.wasm.traps import LinkError
 from repro.wasm.wat import assemble
 from repro.wasm.wtypes import FuncType, GlobalType, Limits, ValType
@@ -31,23 +33,55 @@ class TestImportErrors:
             make(self.NEEDS_FUNC, imports={"env": {"f": wrong}})
 
     def test_non_function_provided(self):
-        with pytest.raises(LinkError, match="not a function"):
+        with pytest.raises(
+            LinkError, match=r"env\.f \(func\): only host functions may be imported"
+        ):
             make(self.NEEDS_FUNC, imports={"env": {"f": Memory(Limits(1))}})
 
-    def test_imported_memory_too_small(self):
-        wat = """(module (import "env" "mem" (memory 4))
-                 (func (export "f") (result i32) memory.size))"""
-        with pytest.raises(LinkError, match="too small"):
-            make(wat, imports={"env": {"mem": Memory(Limits(1))}})
 
-    def test_imported_memory_shared_state(self):
-        mem = Memory(Limits(1))
+class TestOnlyHostFunctionsLink:
+    """A plugin reaches the host only through the host functions it is
+    given: a memory, table or global import, or another instance's
+    export, is a link error naming the import - whatever is offered."""
+
+    REFUSED = r"import env\.{} \({}\): only host functions may be imported"
+
+    def test_memory_import_refused(self):
         wat = """(module (import "env" "mem" (memory 1))
           (func (export "peek") (param i32) (result i32)
             (i32.load8_u (local.get 0))))"""
-        inst = make(wat, imports={"env": {"mem": mem}})
-        mem.write(5, b"\x2a")
-        assert inst.call("peek", 5) == 42
+        with pytest.raises(LinkError, match=self.REFUSED.format("mem", "mem")):
+            make(wat, imports={"env": {"mem": Memory(Limits(1))}})
+
+    def test_table_import_refused(self):
+        mod = decode_module(assemble("(module)"))
+        mod.imports.append(Import("env", "tbl", "table", Limits(1)))
+        with pytest.raises(LinkError, match=self.REFUSED.format("tbl", "table")):
+            Instance(mod, imports={"env": {"tbl": Table(Limits(1))}})
+
+    def test_global_import_refused(self):
+        # the assembler has no global-import form; build the module by hand
+        mod = decode_module(assemble("(module (memory 1))"))
+        mod.imports.append(Import("env", "base", "global", GlobalType(I32, False)))
+        glob = GlobalInstance(GlobalType(I32, False), 8)
+        with pytest.raises(LinkError, match=self.REFUSED.format("base", "global")):
+            Instance(mod, imports={"env": {"base": glob}})
+
+    def test_another_instances_export_refused(self):
+        """Even with the right signature: an instance links no other
+        instance's functions."""
+        a = make(
+            '(module (func (export "double") (param i32) (result i32) '
+            "(i32.mul (local.get 0) (i32.const 2))))"
+        )
+        with pytest.raises(LinkError, match=self.REFUSED.format("double", "func")):
+            make(
+                """(module
+                  (import "env" "double" (func $d (param i32) (result i32)))
+                  (func (export "quad") (param i32) (result i32)
+                    (call $d (call $d (local.get 0)))))""",
+                imports={"env": {"double": a.get_export("double")}},
+            )
 
 
 class TestExports:
@@ -84,45 +118,6 @@ class TestExports:
             inst.call("f", 1, 2)
 
 
-class TestCrossInstanceLinking:
-    def test_export_feeds_import(self):
-        """Module B imports a function exported by module A."""
-        store = Store()
-        a = Instance(
-            decode_module(assemble(
-                '(module (func (export "double") (param i32) (result i32) '
-                "(i32.mul (local.get 0) (i32.const 2))))"
-            )),
-            store=store,
-        )
-        b = Instance(
-            decode_module(assemble("""(module
-              (import "a" "double" (func $d (param i32) (result i32)))
-              (func (export "quad") (param i32) (result i32)
-                (call $d (call $d (local.get 0)))))""")),
-            imports={"a": {"double": a.get_export("double")}},
-            store=store,
-        )
-        assert b.call("quad", 3) == 12
-
-    def test_cross_instance_signature_checked(self):
-        store = Store()
-        a = Instance(
-            decode_module(assemble(
-                '(module (func (export "f") (result i32) (i32.const 1)))'
-            )),
-            store=store,
-        )
-        with pytest.raises(LinkError, match="signature"):
-            Instance(
-                decode_module(assemble("""(module
-                  (import "a" "f" (func $f (param i32) (result i32)))
-                  (func (export "g") (result i32) (call $f (i32.const 0))))""")),
-                imports={"a": {"f": a.get_export("f")}},
-                store=store,
-            )
-
-
 class TestSegmentsAtInstantiation:
     def test_data_segment_out_of_bounds(self):
         wat = '(module (memory 1) (data (i32.const 65534) "abcdef"))'
@@ -135,27 +130,6 @@ class TestSegmentsAtInstantiation:
           (elem (i32.const 1) $f))"""
         with pytest.raises(LinkError, match="element segment"):
             make(wat)
-
-    def test_global_import_initialises_data_offset(self):
-        glob = GlobalInstance(GlobalType(I32, False), 8)
-        wat = """(module
-          (import "env" "base" (global i32))
-          (memory 1)
-          (data (global.get 0) "hi")
-          (func (export "peek") (result i32) (i32.load8_u (i32.const 8))))"""
-        # assembler lacks global-import sugar for this form; build by hand
-        from repro.wasm.module import DataSegment, Import, Module
-        from repro.wasm import opcodes as op
-        from repro.wasm.wat import parse_module
-
-        mod = parse_module("""(module (memory 1)
-          (func (export "peek") (result i32) (i32.load8_u (i32.const 8))))""")
-        mod.imports.append(Import("env", "base", "global", GlobalType(I32, False)))
-        mod.datas.append(
-            DataSegment(0, ((op.GLOBAL_GET, 0), (op.END, None)), b"hi")
-        )
-        inst = Instance(mod, imports={"env": {"base": glob}})
-        assert inst.call("peek") == ord("h")
 
 
 class TestIsolation:

@@ -376,10 +376,9 @@ def test_instance_uses_selected_engine():
     raw = assemble('(module (func (export "f") (result i32) (i32.const 3)))')
     inst = Instance(decode_module(raw), engine="threaded")
     assert inst.engine == "threaded"
-    addr = inst.func_addrs[0]
-    assert isinstance(inst.store.funcs[addr].prepared, ThreadedCode)
+    assert isinstance(inst.funcs[0].prepared, ThreadedCode)
     inst = Instance(decode_module(raw), engine="legacy")
-    assert not isinstance(inst.store.funcs[inst.func_addrs[0]].prepared, ThreadedCode)
+    assert not isinstance(inst.funcs[0].prepared, ThreadedCode)
 
 
 # ---------------------------------------------------------------------------

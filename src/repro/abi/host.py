@@ -3,7 +3,8 @@
 :class:`PluginHost` owns one loaded plugin instance and provides the
 operations the paper's design needs:
 
-- **load** with pre-deployment sanitization;
+- **load** with pre-deployment sanitization (unsanitized loads too must
+  declare linear memory: every payload crosses the ABI through it);
 - **call** with a fuel budget, catching every trap so a plugin fault can
   never take the host down (§5D);
 - **hot swap** - replace the plugin binary between calls without touching
@@ -21,7 +22,6 @@ state, run the plugin, unpack and validate the grants.
 
 from __future__ import annotations
 
-import os
 import struct
 import threading
 import time
@@ -40,18 +40,18 @@ from repro.wasm.aot import own_frames
 from repro.wasm.instance import HostFunc, InstanceState, Store
 from repro.wasm.interpreter import ExecStats
 from repro.wasm.threaded import resolve_engine
-from repro.wasm.traps import Trap, WasmError
+from repro.wasm.traps import LinkError, Trap, WasmError
 
 #: Tier-up threshold: a module is compiled to aot bodies once its
-#: instances have burnt this much fuel per static instruction.  Derived
-#: from the slot-cost ledger (traced ``dense_cell``), not tuned: emitting
-#: + ``compile()``-ing a module's bodies costs ~12 us per static
-#: instruction (5.8 ms / 492 for ``rr``, leaves inlined and not compiled
-#: on their own); threaded code retires ~4.9 fuel/us and aot ~37, so
-#: compiled code saves 1/4.9 - 1/37 = 0.177 us per fuel unit; break-even
-#: is 12 / 0.177 = ~67 fuel per static instruction, rounded up to a power
-#: of two.  (``rr``: 63 k fuel, about 20 dense calls; a cold variant
-#: living 5 calls burns ~5 k and never gets there.)
+#: instances have burnt this much fuel per static instruction.  Derived,
+#: not tuned (rr / pf / mt on a 48-UE input, medians of 30, two runs on a
+#: 2-core host, CPython 3.11): ``promote()`` - emitting + ``compile()``-ing
+#: the bodies that run as their own frame - costs 16-27 us per static
+#: instruction (8.1-11.7 ms / 492 for ``rr``); threaded code retires
+#: 2.1-4.1 fuel/us and aot 25-63, so compiled code saves 0.22-0.44 us per
+#: fuel unit; break-even is 56-73 fuel per static instruction, rounded up
+#: to a power of two.  (``rr``: 63 k fuel, about 20 dense calls; a cold
+#: variant living 5 calls burns ~5 k and never gets there.)
 PROMOTE_FUEL_PER_INSTR = 128
 
 
@@ -183,7 +183,7 @@ class _CallMetrics:
         frames: int,
         call_depth: int,
         value_stack: int,
-        memory_pages: int | None,
+        memory_pages: int,
     ) -> None:
         """Record one finished call."""
         pending = self._pending
@@ -217,10 +217,7 @@ class _CallMetrics:
                 for value, count in Counter(calls[first::_CALL_FIELDS]).items():
                     if value is not None:
                         series.add_n(value, count)
-            for size in reversed(calls[6::_CALL_FIELDS]):
-                if size is not None:
-                    self.memory_pages.set(size)
-                    break
+            self.memory_pages.set(calls[-1])  # the last call's memory size
 
 
 class PluginHost:
@@ -254,12 +251,8 @@ class PluginHost:
         )
         self._required_exports = required_exports
         self._engine = engine
-        #: optional fault injector (``draw_plugin(site)``); explicit arg >
-        #: ``REPRO_CHAOS`` env (selectable like ``REPRO_WASM_ENGINE``) > off
-        if chaos is None and os.environ.get("REPRO_CHAOS"):
-            from repro.chaos.schedule import schedule_from_env
-
-            chaos = schedule_from_env(os.environ["REPRO_CHAOS"])
+        #: optional fault injector (``draw_plugin(site)``), e.g. a
+        #: :class:`~repro.chaos.schedule.FaultSchedule`; ``None`` is off
         self.chaos = chaos
         self.generation = 0
         self.instance: Instance | None = None
@@ -315,6 +308,8 @@ class PluginHost:
                 self._allowed_imports,
                 required_exports=self._required_exports,
             )
+        if not module.mems:  # the byte-buffer ABI needs it, sanitized or not
+            raise LinkError("plugin declares no linear memory (the ABI needs one)")
         return module
 
     def _instantiate(self, module: Module) -> bool:
@@ -682,11 +677,10 @@ class PluginHost:
             )
         if enabled:
             name = self.name
-            memory = instance.memory
             self._metrics.get(obs.registry, name).add(
                 outcome, elapsed_us, fuel_used,
                 stats.frames, stats.max_call_depth, stats.max_value_stack,
-                memory.size_pages if memory is not None else None,
+                instance.memory.size_pages,
             )
             attrs = {}
             if injection is not None:
@@ -739,8 +733,8 @@ class PluginHost:
             cut = 1 + injection.a % 500
             return cut if fuel is None else min(fuel, cut)
         if kind == "bitflip":
-            memory = self.instance.memory if self.instance is not None else None
-            if memory is not None and len(memory.data):
+            memory = self.instance.memory
+            if len(memory.data):
                 offset = injection.a % len(memory.data)
                 memory.data[offset] ^= 1 << (injection.b % 8)
         return fuel
@@ -824,8 +818,8 @@ class PluginHost:
     ) -> PluginCallResult:
         """Call again as recorded: the one re-issue step of every replay.
 
-        The recorded chaos injection (if any) fires exactly once and no
-        ambient chaos - not even ``REPRO_CHAOS`` - does; the recorded rt
+        The recorded chaos injection (if any) fires exactly once and the
+        host's own ``chaos`` schedule never does; the recorded rt
         decision re-applies its effective per-call fuel budget.  Raises
         like :meth:`call`.
         """
@@ -855,8 +849,8 @@ class PluginHost:
         (``attrs["rt"]``) are re-applied by :meth:`reissue`, so a
         chaos-provoked trap or fuel cut reproduces its trap code and fuel
         count, and a slot degraded by fuel-cut preemption replays
-        bit-exactly - including under ``REPRO_CHAOS`` deadline faults,
-        where both attachments compose.
+        bit-exactly - including under chaos deadline faults, where both
+        attachments compose.
         """
         if record.generation != self.generation:
             if OBS.enabled:
@@ -908,12 +902,12 @@ class PluginHost:
     @property
     def memory_pages(self) -> int:
         assert self.instance is not None
-        return self.instance.memory.size_pages if self.instance.memory else 0
+        return self.instance.memory.size_pages
 
     @property
     def memory_bytes(self) -> int:
         assert self.instance is not None
-        return self.instance.memory.size_bytes if self.instance.memory else 0
+        return self.instance.memory.size_bytes
 
 
 @dataclass

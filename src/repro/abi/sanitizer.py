@@ -50,10 +50,8 @@ class SanitizeReport:
 def sanitize_plugin(
     wasm_bytes: bytes,
     allowed_imports: frozenset[str] = ALLOWED_IMPORTS,
-    max_memory_pages: int = MAX_MEMORY_PAGES,
-    required_exports: dict | None = None,
 ) -> SanitizeReport:
-    """Decode, validate and policy-check a plugin binary.
+    """Decode, validate and policy-check a scheduler plugin binary.
 
     Raises :class:`SanitizerError` (or the decoder/validator errors, which
     are also policy failures) if the plugin may not be deployed.
@@ -63,13 +61,12 @@ def sanitize_plugin(
         module = load_module(wasm_bytes)
     except WasmError as exc:
         raise SanitizerError(f"plugin failed validation: {exc}") from exc
-    return check_module(module, allowed_imports, max_memory_pages, required_exports)
+    return check_module(module, allowed_imports)
 
 
 def check_module(
     module: Module,
     allowed_imports: frozenset[str] = ALLOWED_IMPORTS,
-    max_memory_pages: int = MAX_MEMORY_PAGES,
     required_exports: dict | None = None,
 ) -> SanitizeReport:
     """Policy-check a module that is already decoded and validated.
@@ -82,7 +79,7 @@ def check_module(
     report.n_exports = len(module.exports)
 
     _check_imports(module, allowed_imports, report)
-    _check_memory(module, max_memory_pages, report)
+    _check_memory(module, report)
     for table in module.tables:
         if table.minimum > MAX_TABLE_ELEMENTS:
             raise SanitizerError(
@@ -118,24 +115,24 @@ def _check_imports(
         report.imports_used.append(imp.name)
 
 
-def _check_memory(module: Module, max_pages: int, report: SanitizeReport) -> None:
+def _check_memory(module: Module, report: SanitizeReport) -> None:
     mems = module.mems + [i.desc for i in module.imported("mem")]
     if not mems:
         raise SanitizerError("plugin declares no linear memory")
     limits = mems[0]
     report.memory_min_pages = limits.minimum
     report.memory_max_pages = limits.maximum
-    if limits.minimum > max_pages:
+    if limits.minimum > MAX_MEMORY_PAGES:
         raise SanitizerError(
-            f"plugin requests {limits.minimum} pages minimum (> {max_pages})"
+            f"plugin requests {limits.minimum} pages minimum (> {MAX_MEMORY_PAGES})"
         )
     if limits.maximum is None:
         raise SanitizerError(
             "plugin memory has no maximum; unbounded growth is not deployable"
         )
-    if limits.maximum > max_pages:
+    if limits.maximum > MAX_MEMORY_PAGES:
         raise SanitizerError(
-            f"plugin memory maximum {limits.maximum} pages exceeds {max_pages}"
+            f"plugin memory maximum {limits.maximum} pages exceeds {MAX_MEMORY_PAGES}"
         )
 
 

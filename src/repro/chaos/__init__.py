@@ -19,7 +19,7 @@ from repro.chaos.schedule import (
     ChaosInjection,
     FaultSchedule,
     OneShotChaos,
-    schedule_from_env,
+    schedule_from_spec,
 )
 from repro.chaos.supervisor import (
     BreakerState,
@@ -43,7 +43,7 @@ __all__ = [
     "RetryPolicy",
     "SoakReport",
     "Supervisor",
-    "schedule_from_env",
+    "schedule_from_spec",
 ]
 
 

@@ -43,6 +43,19 @@ from repro.ric.wire import MSG_SLICE_KPI
 from repro.sched.inter import TargetRateInterSlice
 from repro.traffic.sources import FullBufferSource
 
+#: UEs attached to each of the three plugin-scheduled slices
+UES_PER_SLICE = 2
+#: successful plugin calls between two checkpoints of a slice
+CHECKPOINT_EVERY = 25
+#: slots a slice stays quarantined before the operator releases it
+RELEASE_AFTER = 20
+#: slots a released slice may stay silent before it is a violation
+RECOVERY_BOUND = 30
+#: slots between two KPM indications from the gNB
+KPM_PERIOD = 10
+#: fuel budget of one scheduler-plugin call
+PLUGIN_FUEL = 2_000_000
+
 
 @dataclass
 class SoakReport:
@@ -93,12 +106,6 @@ class ChaosRunner:
         slots: int = 10_000,
         engine: str | None = None,
         config: ChaosConfig | None = None,
-        ues_per_slice: int = 2,
-        checkpoint_every: int = 25,
-        release_after: int = 20,
-        recovery_bound: int = 30,
-        kpm_period: int = 10,
-        fuel: int = 2_000_000,
         rt=None,
     ):
         self.seed = seed
@@ -114,14 +121,6 @@ class ChaosRunner:
         if isinstance(rt, str):
             rt = RtPolicy.from_string(rt)
         self.rt = rt
-        self.ues_per_slice = ues_per_slice
-        self.checkpoint_every = checkpoint_every
-        #: slots a slice stays quarantined before the operator releases it
-        self.release_after = release_after
-        #: slots a released slice may stay silent before it is a violation
-        self.recovery_bound = recovery_bound
-        self.kpm_period = kpm_period
-        self.fuel = fuel
 
     # ----- system construction ---------------------------------------------
 
@@ -134,7 +133,7 @@ class ChaosRunner:
         fault_policy = FaultPolicy(quarantine_after=2, disconnect_after=10)
         gnb = GnbHost(
             fault_policy=fault_policy,
-            checkpoint_every=self.checkpoint_every,
+            checkpoint_every=CHECKPOINT_EVERY,
             rt=self.rt,
         )
         targets = {}
@@ -145,13 +144,13 @@ class ChaosRunner:
                 SchedulerPlugin.load(
                     plugin_wasm(name),
                     name=name,
-                    limits=HostLimits(fuel=self.fuel),
+                    limits=HostLimits(fuel=PLUGIN_FUEL),
                     engine=self.engine,
                     chaos=schedule,
                 )
             )
             targets[sid] = 5e6
-            for _ in range(self.ues_per_slice):
+            for _ in range(UES_PER_SLICE):
                 ue_id += 1
                 gnb.attach_ue(
                     UeContext(ue_id, sid, FixedMcsChannel(28), FullBufferSource())
@@ -181,7 +180,7 @@ class ChaosRunner:
             engine=self.engine,
             chaos=schedule,
         )
-        ric.connect("gnb", period_slots=self.kpm_period)
+        ric.connect("gnb", period_slots=KPM_PERIOD)
         return gnb, node, ric, (ric_endpoint, gnb_endpoint)
 
     # ----- the soak loop ----------------------------------------------------
@@ -215,14 +214,14 @@ class ChaosRunner:
                         f"slot={slot} slice={sid} not scheduled"
                     )
 
-            ops.step(gnb, slot, self.release_after)
+            ops.step(gnb, slot, RELEASE_AFTER)
 
             # invariant 3: a released slice must respond within the bound -
             # either a success clears its probation counter or the ladder
             # re-escalates it (both handled by the step above); staying
             # silent is the violation
             for sid, at in sorted(ops.released_at.items()):
-                if slot - at > self.recovery_bound:
+                if slot - at > RECOVERY_BOUND:
                     report.violations.append(
                         f"slot={slot} slice={sid} silent for "
                         f"{slot - at} slots after release"

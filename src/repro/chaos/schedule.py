@@ -189,10 +189,10 @@ class FaultSchedule:
 class OneShotChaos:
     """Replays exactly one recorded injection (or none), then goes quiet.
 
-    Used by :meth:`repro.abi.host.PluginHost.replay` to re-provoke a
+    Used by :meth:`repro.abi.host.PluginHost.reissue` to re-provoke a
     chaos-injected fault captured in the flight recorder - and, with
-    ``injection=None``, to pin replay clones to *no* chaos even when
-    ``REPRO_CHAOS`` is set in the environment.
+    ``injection=None``, to pin a re-issued call to *no* chaos even on a
+    host built with a fault schedule of its own.
     """
 
     def __init__(self, injection: ChaosInjection | None):
@@ -203,8 +203,8 @@ class OneShotChaos:
         return injection
 
 
-def schedule_from_env(spec: str) -> FaultSchedule:
-    """Parse ``REPRO_CHAOS``: ``"seed=42,trap=0.01,drop=0.02,..."``.
+def schedule_from_spec(spec: str) -> FaultSchedule:
+    """Parse a chaos spec: ``"seed=42,trap=0.01,drop=0.02,..."``.
 
     A bare seed with no rates enables the default soak mix; naming any
     rate switches to an explicit config where unnamed rates are zero.
@@ -224,7 +224,7 @@ def schedule_from_env(spec: str) -> FaultSchedule:
             rates[key] = float(value)
         else:
             raise ValueError(
-                f"REPRO_CHAOS: unknown key {key!r} "
+                f"chaos spec: unknown key {key!r} "
                 f"(expected seed or one of {', '.join(sorted(valid - {'seed'}))})"
             )
     if rates:

@@ -25,6 +25,7 @@ import random
 from dataclasses import dataclass
 
 from repro.chaos.schedule import _derive
+from repro.netio.bus import NetworkError
 from repro.obs import OBS
 
 
@@ -177,8 +178,9 @@ class Supervisor:
         self.gave_up = 0
         self.rejected = 0
 
-    def tick(self, dt: float = 1.0) -> None:
-        self.now += dt
+    def tick(self) -> None:
+        """Advance the virtual clock by one slot."""
+        self.now += 1.0
 
     def breaker(self, peer: str) -> CircuitBreaker:
         return self._peer(peer).breaker
@@ -234,6 +236,20 @@ class Supervisor:
         self._observe(peer, self.policy.max_attempts, backoff_total, ok=False)
         assert last_error is not None
         raise last_error
+
+    def send(self, peer: str, channel, dest: str, message) -> bool:
+        """``channel.send(dest, message)`` under ``peer``'s breaker, retried
+        on transport errors.  Returns whether it went out: False when the
+        breaker was open or every retry failed - losing one message must
+        not take the sending loop down with it."""
+        try:
+            self.call(
+                peer, channel.send, dest, message,
+                retry_on=(NetworkError, OSError),
+            )
+        except (CircuitOpenError, NetworkError, OSError):
+            return False
+        return True
 
     def _observe(self, peer: str, attempts: int, backoff: float, ok: bool) -> None:
         if not OBS.enabled:

@@ -447,12 +447,9 @@ def _cmd_chaos(args) -> int:
 def _cmd_rt(args) -> int:
     """Run an rt stress scenario and report admission + deadline behavior."""
     import json
-    from dataclasses import replace
 
     from repro import obs
     from repro.obs.attribution import attribute_slots
-    from repro.rt.dispatcher import RtPolicy
-    from repro.rt.lanes import parse_lanes
     from repro.rt.scenarios import (
         baseline_comparison,
         run_scenario,
@@ -461,21 +458,7 @@ def _cmd_rt(args) -> int:
     )
 
     try:
-        policy = scenario_policy(args.scenario)
-        updates: dict = {}
-        if args.budget_us is not None:
-            updates["budget_us"] = args.budget_us
-        if args.fuel_per_us is not None:
-            updates["fuel_per_us"] = args.fuel_per_us
-        if args.lanes is not None:
-            updates["lanes"] = parse_lanes(args.lanes)
-        if args.admission is not None:
-            updates["admission"] = args.admission == "on"
-        if args.no_enforce:
-            updates["enforce"] = False
-        if args.policy is not None:
-            policy = RtPolicy.from_string(args.policy)
-        policy = replace(policy, **updates)
+        policy = scenario_policy(args.scenario).override(args.policy)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -973,31 +956,11 @@ def main(argv: list[str] | None = None) -> int:
         help="run length (default: the scenario's, e.g. flash_crowd=300)",
     )
     p.add_argument(
-        "--budget-us", type=float, default=None,
-        help="slot-time budget for plugin work per cell and slot",
-    )
-    p.add_argument(
-        "--fuel-per-us", type=float, default=None,
-        help="pinned fuel<->time exchange rate (policy, not measurement)",
-    )
-    p.add_argument(
-        "--lanes", metavar="SPEC", default=None,
-        help='priority lanes, e.g. "sla:50;normal:30;be:20" '
-        '("!" pins a lane non-sheddable; "sla" always is)',
-    )
-    p.add_argument(
-        "--admission", choices=["on", "off"], default=None,
-        help="p99-driven admission control (default: on)",
-    )
-    p.add_argument(
-        "--no-enforce", action="store_true",
-        help="observe-only baseline: plan budgets and count misses "
-        "but never cut or shed",
-    )
-    p.add_argument(
         "--policy", metavar="SPEC", default=None,
-        help="full RtPolicy string (overrides the scenario default; "
-        "individual flags still apply on top)",
+        help='RtPolicy fields to change on top of the scenario\'s policy, '
+        'e.g. "budget_us=400,lanes=sla:60;be:40,admission=off" '
+        '(lanes: "!" pins a lane non-sheddable, "sla" always is; '
+        '"enforce=off" is the observe-only baseline)',
     )
     p.add_argument(
         "--baseline", action="store_true",
@@ -1080,7 +1043,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument(
         "--chaos",
         metavar="SPEC",
-        help="REPRO_CHAOS-style fault spec, e.g. seed=1,trap=0.01",
+        help="chaos fault spec, e.g. seed=1,trap=0.01 (bare seed: the soak mix)",
     )
     p.add_argument(
         "--sweep",

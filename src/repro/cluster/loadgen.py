@@ -1,4 +1,4 @@
-"""The cluster load generator: sweep cells x UEs x workers.
+"""The cluster load generator: sweep cells x workers.
 
 Drives :func:`~repro.cluster.coordinator.run_cluster` over a grid of
 configurations derived from one base spec, checking on the way that the
@@ -23,11 +23,11 @@ METRO_CELLS = 64
 METRO_UES = 256
 
 
-def metro_spec(
-    workers: int = 4,
-    slots: int = 200,
-    mode: str = "proc",
-) -> ClusterSpec:
+#: worker processes of a metro run
+METRO_WORKERS = 4
+
+
+def metro_spec(slots: int = 200) -> ClusterSpec:
     """The 64-cell "metro" spec: the largest supported deployment shape.
 
     Comes with a generous deadline so CI-class machines finish.  Digest
@@ -35,11 +35,11 @@ def metro_spec(
     agree with ``workers=1``.
     """
     return ClusterSpec(
-        workers=workers,
+        workers=METRO_WORKERS,
         cells=METRO_CELLS,
         ues=METRO_UES,
         slots=slots,
-        mode=mode,
+        mode="proc",
         timeout_s=1800.0,
     )
 
@@ -48,50 +48,36 @@ def sweep_specs(
     base: ClusterSpec,
     workers: Sequence[int] = (1, 2, 4),
     cells: Sequence[int] | None = None,
-    ues: Sequence[int] | None = None,
 ) -> Iterator[ClusterSpec]:
-    """Yield the cells x UEs x workers grid around ``base``.
+    """Yield the cells x workers grid around ``base``.
 
-    ``None`` for an axis keeps the base value; worker counts larger than
+    ``None`` for ``cells`` keeps the base value; worker counts larger than
     the cell count are skipped (an idle worker measures nothing).
     """
     for n_cells in cells if cells is not None else (base.cells,):
-        for n_ues in ues if ues is not None else (base.ues,):
-            for n_workers in workers:
-                if n_workers > n_cells:
-                    continue
-                yield replace(
-                    base, workers=n_workers, cells=n_cells, ues=n_ues
-                )
+        for n_workers in workers:
+            if n_workers > n_cells:
+                continue
+            yield replace(base, workers=n_workers, cells=n_cells)
 
 
 def run_sweep(
     base: ClusterSpec,
     workers: Sequence[int] = (1, 2, 4),
-    cells: Sequence[int] | None = None,
-    ues: Sequence[int] | None = None,
-    check_invariance: bool = True,
-    progress=None,
 ) -> list[ClusterReport]:
-    """Run the whole grid; optionally verify worker-count invariance.
+    """Run ``base`` at each worker count and verify worker-count invariance.
 
-    With ``check_invariance`` every (cells, ues) group must produce the
-    same scheduled-bytes and fault-log digests at every worker count -
-    a mismatch raises :class:`ClusterError`, because it means sharding
+    Every run must produce the same scheduled-bytes and fault-log digests
+    - a mismatch raises :class:`ClusterError`, because it means sharding
     changed the physics.
     """
     reports: list[ClusterReport] = []
-    digests: dict[tuple[int, int], tuple[str, str, int]] = {}
-    for spec in sweep_specs(base, workers=workers, cells=cells, ues=ues):
-        if progress is not None:
-            progress(spec)
+    expected = None
+    for spec in sweep_specs(base, workers=workers):
         report = run_cluster(spec)
         reports.append(report)
-        if not check_invariance:
-            continue
-        group = (spec.cells, spec.ues)
         observed = (report.bytes_digest, report.fault_digest, report.delivered_bytes)
-        expected = digests.setdefault(group, observed)
+        expected = expected or observed
         if observed != expected:
             raise ClusterError(
                 f"aggregate results changed with the worker count at "

@@ -42,7 +42,7 @@ class ClusterSpec:
     slots: int = 400
     seed: int = 0
     engine: str | None = None  # Wasm engine (None = REPRO_WASM_ENGINE)
-    chaos: str | None = None  # REPRO_CHAOS-style spec, e.g. "seed=1,trap=0.01"
+    chaos: str | None = None  # chaos spec, e.g. "seed=1,trap=0.01"
     kpm_period: int = 10
     #: worker flush cadence in slots - indications queue in the bounded
     #: uplink between flushes

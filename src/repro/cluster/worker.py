@@ -45,7 +45,7 @@ import time
 from typing import Any
 
 from repro import obs
-from repro.chaos.schedule import schedule_from_env
+from repro.chaos.schedule import schedule_from_spec
 from repro.cluster.shard import (
     CellShard,
     build_cell,
@@ -106,7 +106,7 @@ def run_worker(
     service = f"worker{worker_id}"
     tracer.service = service
     engine = resolve_engine(spec.engine)
-    schedule = schedule_from_env(spec.chaos) if spec.chaos else None
+    schedule = schedule_from_spec(spec.chaos) if spec.chaos else None
     profile = vendors.vendor_b()
     sender = BatchSender(
         endpoint, COORD, max_queue=spec.queue_limit, max_batch=spec.max_batch

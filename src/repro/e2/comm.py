@@ -81,13 +81,11 @@ _ADAPT_MAGIC = 0x5741524E
 class WasmFieldAdapter:
     """The SI's field-width adapter, hosted as a sandboxed Wasm plugin."""
 
-    def __init__(self, wasm_bytes: bytes | None = None):
-        if wasm_bytes is None:
-            from repro.plugins import plugin_wasm
+    def __init__(self):
+        from repro.plugins import plugin_wasm
 
-            wasm_bytes = plugin_wasm("adapt_fields")
         self.host = PluginHost(
-            wasm_bytes,
+            plugin_wasm("adapt_fields"),
             name="adapt_fields",
             output_record_bytes=8,
             allowed_imports=frozenset({"log"}),
@@ -134,13 +132,11 @@ class MessageGuard:
     the host process.
     """
 
-    def __init__(self, wasm_bytes: bytes | None = None):
-        if wasm_bytes is None:
-            from repro.plugins import plugin_wasm
+    def __init__(self):
+        from repro.plugins import plugin_wasm
 
-            wasm_bytes = plugin_wasm("guard_pbwire")
         self.host = PluginHost(
-            wasm_bytes,
+            plugin_wasm("guard_pbwire"),
             name="guard",
             output_record_bytes=8,
             allowed_imports=frozenset({"log"}),
@@ -174,10 +170,9 @@ class MessageGuard:
 class GuardedChannel(CommChannel):
     """A channel whose inbound path is screened by a :class:`MessageGuard`."""
 
-    def __init__(self, endpoint: Endpoint, profile: VendorProfile,
-                 guard: MessageGuard | None = None):
+    def __init__(self, endpoint: Endpoint, profile: VendorProfile):
         super().__init__(endpoint, profile)
-        self.guard = guard or MessageGuard()
+        self.guard = MessageGuard()
 
     def _decode(self, payload: bytes) -> dict[str, Any] | None:
         if not self.guard.check(payload):

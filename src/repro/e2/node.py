@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.chaos.supervisor import CircuitOpenError, Supervisor
+from repro.chaos.supervisor import Supervisor
 from repro.e2 import messages
 from repro.e2.comm import CommChannel
 from repro.gnb.host import GnbHost
-from repro.netio.bus import NetworkError
 from repro.obs import OBS
 from repro.sched.inter import TargetRateInterSlice
 
@@ -59,33 +58,24 @@ class E2NodeAgent:
         if self.supervisor is None:
             self.channel.send(dest, message)
             return True
-        try:
-            self.supervisor.call(
-                f"ric:{dest}",
-                self.channel.send,
-                dest,
-                message,
-                retry_on=(NetworkError, OSError),
-            )
+        if self.supervisor.send(f"ric:{dest}", self.channel, dest, message):
             return True
-        except (CircuitOpenError, NetworkError, OSError):
-            self.sends_abandoned += 1
-            if OBS.enabled:
-                OBS.registry.counter(
-                    "waran_e2node_sends_abandoned_total",
-                    "E2-node sends dropped after retries were exhausted or "
-                    "the RIC breaker was open",
-                ).inc(node=self.node_id, dest=dest)
-            return False
+        self.sends_abandoned += 1
+        if OBS.enabled:
+            OBS.registry.counter(
+                "waran_e2node_sends_abandoned_total",
+                "E2-node sends dropped after retries were exhausted or "
+                "the RIC breaker was open",
+            ).inc(node=self.node_id, dest=dest)
+        return False
 
     def local_subscribe(
         self,
         subscription_id: int,
         subscriber: str,
         period_slots: int,
-        service_model: str = messages.SM_KPM,
     ) -> None:
-        """Install a subscription without the wire handshake.
+        """Install a KPM subscription without the wire handshake.
 
         Cluster shards are pre-subscribed by their spec: the coordinator
         knows every cell's reporting period up front, so the worker skips
@@ -95,7 +85,7 @@ class E2NodeAgent:
         if period_slots <= 0:
             raise messages.E2MessageError("report period must be positive")
         self.subscriptions[subscription_id] = _Subscription(
-            subscription_id, subscriber, service_model, period_slots
+            subscription_id, subscriber, messages.SM_KPM, period_slots
         )
 
     # ----- control-plane message handling ------------------------------------

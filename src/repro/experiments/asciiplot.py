@@ -15,7 +15,6 @@ def render_series(
     width: int = 72,
     height: int = 16,
     y_label: str = "",
-    x_label: str = "t (s)",
 ) -> str:
     """Render labelled (t, v) series onto one shared-axis char canvas."""
     points = [(t, v) for s in series.values() for t, v in s]
@@ -62,6 +61,5 @@ def render_series(
         f"{_GLYPHS[i % len(_GLYPHS)]} = {label}"
         for i, label in enumerate(series)
     )
-    if x_label:
-        xticks += f"  {x_label}"
+    xticks += "  t (s)"
     return "\n".join(lines + [axis, xticks, legend])

@@ -29,6 +29,8 @@ from repro.traffic import CbrSource, FullBufferSource
 UE_MCS = {1: 20, 2: 24, 3: 28}
 TARGET_BPS = 22e6
 PHASES = ("mt", "pf", "rr")
+#: time constant of the gNB's long-term (PF) rate average, in slots
+PF_TIME_CONSTANT_SLOTS = 20_000
 
 
 @dataclass
@@ -60,15 +62,13 @@ class Fig5bResult:
         return checks
 
 
-def run_fig5b(
-    phase_duration_s: float = 8.0, pf_time_constant_slots: int = 20_000
-) -> Fig5bResult:
+def run_fig5b(phase_duration_s: float = 8.0) -> Fig5bResult:
     # One MVNO holding the whole carrier; each UE is an iperf3-style CBR
     # stream at the 22 Mb/s target.  The *cell* capacity (not a slice cap)
     # is the contended resource, as in the paper's single-MVNO setup.
     gnb = GnbHost(
         inter_slice=None,
-        pf_time_constant_slots=pf_time_constant_slots,
+        pf_time_constant_slots=PF_TIME_CONSTANT_SLOTS,
     )
     runtime = gnb.add_slice(SliceRuntime(1, "mvno"))
     runtime.use_plugin(SchedulerPlugin.load(plugin_wasm("mt"), name="mt"))

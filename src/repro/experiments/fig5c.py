@@ -23,19 +23,21 @@ from repro.sched import TargetRateInterSlice, make_intra_scheduler
 from repro.sched.intra import IntraSliceScheduler
 from repro.traffic import FullBufferSource
 
+#: bytes leaked per call, as ``leaky.wc`` leaks them
+LEAK_BYTES = 4096
+
 
 class NativeLeakyScheduler(IntraSliceScheduler):
     """The same leak, compiled into the host: mallocs every call, never frees."""
 
     name = "native-leaky"
 
-    def __init__(self, heap: UnsafeHeap, leak_bytes: int = 4096):
+    def __init__(self, heap: UnsafeHeap):
         self._inner = make_intra_scheduler("rr")
         self.heap = heap
-        self.leak_bytes = leak_bytes
 
     def schedule(self, allocated_prbs, ues, slot):
-        self.heap.malloc(self.leak_bytes)  # the bug
+        self.heap.malloc(LEAK_BYTES)  # the bug
         return self._inner.schedule(allocated_prbs, ues, slot)
 
 

@@ -73,7 +73,7 @@ def _default_args(params) -> tuple:
     return tuple(0 if p in (ValType.I32, ValType.I64) else 0.0 for p in params)
 
 
-def classify_bytes(wasm: bytes, fuel: int = MUTANT_FUEL) -> str:
+def classify_bytes(wasm: bytes) -> str:
     """Classify an arbitrary byte string's journey through the runtime.
 
     Returns one of ``"decode-error"``, ``"validation-error"``,
@@ -115,7 +115,7 @@ def classify_bytes(wasm: bytes, fuel: int = MUTANT_FUEL) -> str:
         if export.kind == "func"
     ]
     try:
-        result = differential(wasm, calls, fuel=fuel)
+        result = differential(wasm, calls, fuel=MUTANT_FUEL)
     except WasmError:
         # e.g. LinkError from an out-of-bounds data segment: fine, but it
         # must not depend on the engine — differential() records that case

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.fuzz.corpus import CorpusCase, expected_outcomes, save_case
-from repro.fuzz.gen import GenConfig, GeneratorError, ModuleGen
+from repro.fuzz.gen import GeneratorError, ModuleGen
 from repro.fuzz.mutate import MutationCrash, classify_bytes, mutate_bytes
 from repro.fuzz.oracle import DEFAULT_FUEL, differential
 from repro.fuzz.shrink import shrink
@@ -106,7 +106,6 @@ def run_campaign(
     time_box: float | None = None,
     corpus_dir: str | None = None,
     do_shrink: bool = True,
-    config: GenConfig | None = None,
     seed_modules: list[bytes] | None = None,
 ) -> FuzzReport:
     """Run ``budget`` seeded iterations (or until ``time_box`` seconds pass).
@@ -137,7 +136,7 @@ def run_campaign(
         report.executed += 1
         rng = _iteration_rng(seed, i)
         try:
-            generated = ModuleGen(rng, config).generate()
+            generated = ModuleGen(rng).generate()
         except GeneratorError as exc:
             digest.update(f"{i}:genbug".encode())
             report.failures.append(

@@ -1,4 +1,8 @@
-"""The slot-synchronous gNB MAC with plugin-backed slice scheduling."""
+"""The slot-synchronous gNB MAC with plugin-backed slice scheduling.
+
+The PHY under it is HARQ-less (DESIGN.md): every granted transport block
+delivers its bytes in the slot it was granted.
+"""
 
 from __future__ import annotations
 
@@ -140,7 +144,6 @@ class GnbHost:
         inter_slice: InterSliceScheduler | None = None,
         fault_policy: FaultPolicy | None = None,
         pf_time_constant_slots: int = 100,
-        error_model=None,
         checkpoint_every: int = 0,
         rt: DeadlineDispatcher | RtPolicy | None = None,
     ):
@@ -160,9 +163,6 @@ class GnbHost:
         #: (0 disables; the chaos runner turns this on so a quarantined
         #: slice can recover by restoring known-good state)
         self.checkpoint_every = checkpoint_every
-        #: optional :class:`repro.phy.bler.LinkErrorModel`; errored TBs
-        #: deliver nothing and the bytes stay queued (HARQ-by-RLC retry)
-        self.error_model = error_model
         self.slices: dict[int, SliceRuntime] = {}
         self.ues: dict[int, UeContext] = {}
         self.slot = 0
@@ -277,10 +277,6 @@ class GnbHost:
             for grant in grants:
                 ue = self.ues[grant.ue_id]
                 tbs_bytes = transport_block_size_bits(grant.prbs, ue.current_mcs) // 8
-                if self.error_model is not None and not self.error_model.transmit(
-                    ue.current_mcs, ue.current_cqi
-                ):
-                    tbs_bytes = 0  # TB lost; bytes stay queued for retx
                 delivered = ue.buffer.drain(tbs_bytes)
                 self.total_delivered_bytes += delivered
                 if OBS.enabled and delivered:

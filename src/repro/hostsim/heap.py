@@ -112,10 +112,10 @@ class UnsafeHeap:
         """``*(int *)NULL`` - immediate segfault."""
         return self.load32(_NULL)
 
-    def out_of_bounds_write(self, addr: int, count: int, stride: int = 4) -> None:
-        """Walk an array far past its end until the page boundary kills us."""
+    def out_of_bounds_write(self, addr: int, count: int) -> None:
+        """Walk an i32 array far past its end until the page boundary kills us."""
         for i in range(count):
-            self.store32(addr + i * stride, i)
+            self.store32(addr + i * 4, i)
 
     def double_free_then_use(self) -> None:
         """free(p); free(p); then reuse - the glibc fastbin-dup scenario.

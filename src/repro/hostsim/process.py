@@ -57,9 +57,6 @@ class HostMemoryModel:
     def attach_plugin_memory(self, memory) -> None:
         self._plugin_memories.append(memory)
 
-    def detach_plugin_memory(self, memory) -> None:
-        self._plugin_memories = [m for m in self._plugin_memories if m is not memory]
-
     @property
     def rss_bytes(self) -> int:
         return (

@@ -7,7 +7,7 @@ ad-hoc ``perf_counter`` timing each of them used to hand-roll:
 - :mod:`repro.obs.registry` - process-wide **metrics** (counters, gauges,
   exactly-mergeable bucket histograms with p50/p99; bound handles for
   hot sites) with JSON and Prometheus exposition;
-- :mod:`repro.obs.tracing` - **spans** (context manager + decorator,
+- :mod:`repro.obs.tracing` - **spans** (``with tracer.span(...)``,
   parent/child nesting) over the hot path: ``plugin.call`` with
   encode/invoke/decode children, ``gnb.step`` per slot, RIC xApp
   dispatch, ``wacc.compile``;
@@ -63,25 +63,18 @@ from repro.obs.tracing import (
     TraceContext,
     Tracer,
     render_span_tree,
-    traced,
 )
 
 
 class Observability:
     """The four telemetry primitives plus one master enable switch."""
 
-    def __init__(
-        self,
-        enabled: bool = False,
-        span_capacity: int = 4096,
-        flight_capacity: int = 256,
-        event_capacity: int = 4096,
-    ):
+    def __init__(self, enabled: bool = False):
         self.enabled = enabled
         self.registry = MetricsRegistry()
-        self.tracer = Tracer(capacity=span_capacity, enabled=enabled)
-        self.flight = FlightRecorder(capacity=flight_capacity)
-        self.events = EventLog(capacity=event_capacity)
+        self.tracer = Tracer(enabled=enabled)
+        self.flight = FlightRecorder()
+        self.events = EventLog()
 
     def enable(self) -> None:
         self.enabled = True
@@ -140,7 +133,6 @@ __all__ = [
     "Span",
     "TraceContext",
     "NULL_SPAN",
-    "traced",
     "render_span_tree",
     "FlightRecorder",
     "CallRecord",

@@ -84,7 +84,7 @@ class Metric:
     kind = "untyped"
     _new_child: Callable[[], object]
 
-    def __init__(self, name: str, help: str = ""):
+    def __init__(self, name: str, help: str):
         self.name = name
         self.help = help
         self._children: dict[LabelKey, object] = {}

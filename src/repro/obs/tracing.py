@@ -3,10 +3,8 @@
 A :class:`Span` is a named, monotonic-clock interval with attributes and a
 parent link; spans opened while another span is active become its children,
 so one slot produces a tree (``worker.slot`` → ``gnb.step`` →
-``plugin.call``).  The API is the usual pair:
-
-- context manager: ``with tracer.span("plugin.call", plugin="pf"): ...``
-- decorator: ``@traced("wacc.compile")``
+``plugin.call``).  A span is opened with a context manager:
+``with tracer.span("plugin.call", plugin="pf"): ...``.
 
 Since the cluster PR, spans also carry **distributed trace context**:
 
@@ -454,25 +452,3 @@ def render_span_tree(span_docs: list[dict[str, Any]]) -> str:
 
     walk(None, 0)
     return "\n".join(lines)
-
-
-def traced(name: str | None = None, tracer: Tracer | None = None):
-    """Decorator form: time every call of the wrapped function as a span."""
-
-    def decorate(fn):
-        span_name = name or fn.__qualname__
-
-        def wrapper(*args, **kwargs):
-            from repro.obs import OBS
-
-            t = tracer if tracer is not None else OBS.tracer
-            with t.span(span_name):
-                return fn(*args, **kwargs)
-
-        wrapper.__name__ = fn.__name__
-        wrapper.__qualname__ = fn.__qualname__
-        wrapper.__doc__ = fn.__doc__
-        wrapper.__wrapped__ = fn
-        return wrapper
-
-    return decorate

@@ -60,9 +60,8 @@ class A1Endpoint:
 class NonRtRic:
     """The non-RT RIC side: rApps create/delete policies toward near-RT RICs."""
 
-    def __init__(self, endpoint: Endpoint, name: str = "non-rt-ric"):
+    def __init__(self, endpoint: Endpoint):
         self.a1 = A1Endpoint(endpoint)
-        self.name = name
         self._policy_ids = itertools.count(1)
         self.policies: dict[int, A1Policy] = {}
         self.acks: list[dict[str, Any]] = []

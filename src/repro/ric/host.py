@@ -10,7 +10,6 @@ from typing import Any
 from repro.abi.host import HostLimits, PluginError, PluginHost
 from repro.chaos.supervisor import CircuitOpenError, Supervisor
 from repro.e2 import messages
-from repro.netio.bus import NetworkError
 from repro.obs import OBS, BoundMetrics, MetricsRegistry
 from repro.e2.comm import CommChannel
 from repro.ric import wire
@@ -26,6 +25,9 @@ XAPP_ALLOWED_IMPORTS = frozenset(
 
 #: parameter ids for the ``get_param`` host function
 PARAM_STEERING_HYSTERESIS = 1
+
+#: fuel budget of one xApp call
+XAPP_FUEL = 5_000_000
 
 XAPP_REQUIRED_EXPORTS = {
     "alloc": ((I32,), (I32,)),
@@ -142,7 +144,6 @@ class NearRtRic:
         name: str,
         wasm_bytes: bytes,
         msg_types: tuple[int, ...],
-        fuel: int | None = 5_000_000,
         engine: str | None = None,
         chaos=None,
     ) -> XappRuntime:
@@ -156,7 +157,7 @@ class NearRtRic:
         host = PluginHost(
             wasm_bytes,
             name=name,
-            limits=HostLimits(fuel=fuel),
+            limits=HostLimits(fuel=XAPP_FUEL),
             output_record_bytes=wire.XAPP_ACTION_BYTES,
             allowed_imports=XAPP_ALLOWED_IMPORTS,
             required_exports=XAPP_REQUIRED_EXPORTS,
@@ -176,9 +177,6 @@ class NearRtRic:
             raise ValueError(f"no xApp named {name!r}")
         return runtime.host.swap(wasm_bytes)
 
-    def unload_xapp(self, name: str) -> None:
-        self.xapps.pop(name, None)
-
     # ----- E2 session management -----------------------------------------------
 
     def _send(self, dest: str, message: dict[str, Any]) -> bool:
@@ -191,24 +189,16 @@ class NearRtRic:
         if self.supervisor is None:
             self.channel.send(dest, message)
             return True
-        try:
-            self.supervisor.call(
-                f"e2:{dest}",
-                self.channel.send,
-                dest,
-                message,
-                retry_on=(NetworkError, OSError),
-            )
+        if self.supervisor.send(f"e2:{dest}", self.channel, dest, message):
             return True
-        except (CircuitOpenError, NetworkError, OSError):
-            self.sends_abandoned += 1
-            if OBS.enabled:
-                OBS.registry.counter(
-                    "waran_ric_sends_abandoned_total",
-                    "E2 sends dropped after retries were exhausted or the "
-                    "peer breaker was open",
-                ).inc(dest=dest)
-            return False
+        self.sends_abandoned += 1
+        if OBS.enabled:
+            OBS.registry.counter(
+                "waran_ric_sends_abandoned_total",
+                "E2 sends dropped after retries were exhausted or the "
+                "peer breaker was open",
+            ).inc(dest=dest)
+        return False
 
     def connect(self, node_dest: str, period_slots: int = 100) -> int:
         """E2 setup + KPM subscription toward one node endpoint."""

@@ -13,34 +13,39 @@ from repro.ric.wire import (
     XappAction,
 )
 
+#: A3 hysteresis in CQI steps (``xapp_ts.wc``'s default)
+TS_HYSTERESIS = 2
+
+#: ``xapp_sla.wc``'s thresholds: boost a slice's quota to ``SLA_BOOST`` x
+#: its SLA below ``SLA_LOW`` x SLA, reset it to the SLA above ``SLA_HIGH`` x
+SLA_LOW = 0.9
+SLA_HIGH = 1.1
+SLA_BOOST = 1.2
+
 
 def native_traffic_steering(
     records: list[tuple[int, int, int, int, float, float]],
-    hysteresis: int = 2,
 ) -> list[XappAction]:
     """A3-style handover decisions over ``MSG_UE_MEAS`` records."""
     actions = []
     for ue_id, serving_cqi, neighbor, neighbor_cqi, _avg, _buf in records:
-        if neighbor > 0 and neighbor_cqi >= serving_cqi + hysteresis:
+        if neighbor > 0 and neighbor_cqi >= serving_cqi + TS_HYSTERESIS:
             actions.append(XappAction(ACTION_HANDOVER, ue_id, neighbor))
     return actions
 
 
 def native_sla_assurance(
     records: list[tuple[int, int, int, int, float, float]],
-    low: float = 0.9,
-    high: float = 1.1,
-    boost: float = 1.2,
 ) -> list[XappAction]:
     """Quota adjustments over ``MSG_SLICE_KPI`` records."""
     actions = []
     for slice_id, _b, _c, _d, measured, sla in records:
         if sla <= 0.0:
             continue
-        if measured < sla * low:
+        if measured < sla * SLA_LOW:
             actions.append(
-                XappAction(ACTION_SET_SLICE_QUOTA, slice_id, int(sla * boost))
+                XappAction(ACTION_SET_SLICE_QUOTA, slice_id, int(sla * SLA_BOOST))
             )
-        elif measured > sla * high:
+        elif measured > sla * SLA_HIGH:
             actions.append(XappAction(ACTION_SET_SLICE_QUOTA, slice_id, int(sla)))
     return actions

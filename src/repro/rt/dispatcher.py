@@ -81,14 +81,18 @@ class RtPolicy:
 
     @classmethod
     def from_string(cls, text: str) -> "RtPolicy":
-        """Parse ``"budget_us=800,lanes=sla:50;be:50,admission=off"``.
+        """Parse ``"budget_us=800,lanes=sla:50;be:50,admission=off"``:
+        the defaults with the named fields replaced (:meth:`override`)."""
+        return cls().override(text)
+
+    def override(self, text: str) -> "RtPolicy":
+        """This policy with the ``k=v`` entries of ``text`` replaced.
 
         The lane list uses ``;`` between lanes so ``,`` can separate the
         policy fields; unknown keys and unrecognised booleans raise.
         """
-        policy = cls()
         if not text or text in ("on", "default"):
-            return policy
+            return self
         updates: dict = {}
         for part in (p for p in text.split(",") if p):
             key, sep, value = part.partition("=")
@@ -114,7 +118,7 @@ class RtPolicy:
                 updates[key] = parse_lanes(value)
             else:
                 raise ValueError(f"unknown rt policy key {key!r}")
-        return replace(policy, **updates)
+        return replace(self, **updates)
 
 
 def _bind_observed_rate(reg: MetricsRegistry):
@@ -138,6 +142,10 @@ def _bind_slot_miss(reg: MetricsRegistry):
     ).labels()
 
 
+#: weight of the newest sample in :class:`FuelCalibrator`'s EWMA
+CALIBRATOR_ALPHA = 0.05
+
+
 class FuelCalibrator:
     """Observes the wall-clock fuel/us rate; reporting only, never policy.
 
@@ -148,8 +156,7 @@ class FuelCalibrator:
     feeds live decisions: wall time is not reproducible, fuel is.
     """
 
-    def __init__(self, alpha: float = 0.05):
-        self.alpha = alpha
+    def __init__(self):
         self.rate: float | None = None
         self.samples = 0
         self._rate_gauge = BoundMetrics(_bind_observed_rate)
@@ -161,7 +168,7 @@ class FuelCalibrator:
         self.rate = (
             sample
             if self.rate is None
-            else (1 - self.alpha) * self.rate + self.alpha * sample
+            else (1 - CALIBRATOR_ALPHA) * self.rate + CALIBRATOR_ALPHA * sample
         )
         self.samples += 1
         if OBS.enabled:

@@ -38,6 +38,7 @@ from repro.gnb.host import GnbHost, SliceRuntime, UeContext
 from repro.rt.dispatcher import RtPolicy
 from repro.sched.inter import TargetRateInterSlice
 from repro.traffic.sources import BurstSource, CbrSource, DownlinkBuffer
+from repro.wasm.threaded import resolve_engine
 
 SCENARIOS = ("flash_crowd", "handover", "mixed_sla")
 
@@ -54,6 +55,9 @@ HOG_BUFFER_BYTES = 32768
 
 #: handover dwell: a mobile UE stays this many slots before hopping
 HANDOVER_DWELL_SLOTS = 40
+
+#: slots a quarantined slice waits before the operator releases it
+RELEASE_AFTER = 60
 
 _MIXED_PLUGINS = ("rr", "pf", "mt")
 _MIXED_LANES = ("sla", "normal", "be")
@@ -330,7 +334,6 @@ def run_scenario(
     slots: int | None = None,
     policy: RtPolicy | None = None,
     engine: str | None = None,
-    release_after: int = 60,
 ) -> ScenarioReport:
     """Run one scenario standalone and return its deterministic report."""
     policy = policy or scenario_policy(name)
@@ -351,7 +354,7 @@ def run_scenario(
             if cell.stepper is not None:
                 cell.stepper.step(slot)
             cell.gnb.step()
-            cell.ops.step(cell.gnb, slot, release_after)
+            cell.ops.step(cell.gnb, slot, RELEASE_AFTER)
     for cell in cells:
         cell.gnb.finish_meters()
 
@@ -433,7 +436,7 @@ def build_report(
         name=name,
         seed=seed,
         slots=slots,
-        engine=engine or "interp",
+        engine=resolve_engine(engine),
         policy=policy.to_string(),
         counters=counters,
         quarantines=quarantines,

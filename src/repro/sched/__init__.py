@@ -17,7 +17,7 @@ Inter-slice policies in :mod:`repro.sched.inter`: fixed share, target rate
 strict priority.
 """
 
-from repro.sched.types import SliceConfig, UeGrant, UeSchedInfo, validate_grants
+from repro.sched.types import UeGrant, UeSchedInfo, validate_grants
 from repro.sched.intra import (
     IntraSliceScheduler,
     MaximumThroughputScheduler,
@@ -35,7 +35,6 @@ from repro.sched.inter import (
 __all__ = [
     "UeSchedInfo",
     "UeGrant",
-    "SliceConfig",
     "validate_grants",
     "IntraSliceScheduler",
     "RoundRobinScheduler",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -36,18 +36,6 @@ class UeGrant:
 
     ue_id: int
     prbs: int
-
-
-@dataclass
-class SliceConfig:
-    """Static configuration of one slice (MVNO)."""
-
-    slice_id: int
-    name: str
-    target_rate_bps: float | None = None  # None = best effort
-    scheduler: str = "rr"  # for native slices: 'rr' | 'pf' | 'mt'
-    priority: int = 0
-    params: dict = field(default_factory=dict)
 
 
 class GrantValidationError(ValueError):

@@ -29,6 +29,6 @@ compile to single Wasm load/store instructions - and therefore inherit the
 sandbox's bounds checking.
 """
 
-from repro.wacc.compiler import CompiledPlugin, WaccError, compile_module, compile_source
+from repro.wacc.compiler import WaccError, compile_module, compile_source
 
-__all__ = ["compile_source", "compile_module", "WaccError", "CompiledPlugin"]
+__all__ = ["compile_source", "compile_module", "WaccError"]

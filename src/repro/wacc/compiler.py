@@ -551,15 +551,6 @@ def _const_init(glob: ast.GlobalDecl, valtype: ValType) -> tuple[Instr, ...]:
     )
 
 
-@dataclass
-class CompiledPlugin:
-    """The result of compiling WACC source: module + binary bytes."""
-
-    module: Module
-    wasm: bytes
-    source: str
-
-
 def compile_module(source: str, optimize: bool = True) -> Module:
     """Compile WACC source to a Wasm :class:`Module`.
 

@@ -1435,11 +1435,10 @@ class AotCode:
 
     __slots__ = (
         "run", "local_defaults", "max_stack", "result_arity", "facts",
-        "_module", "_code", "_functype", "_name", "_leaf", "_written",
+        "_module", "_code", "_functype", "_leaf", "_written",
     )
 
-    def __init__(self, module: Module, code: Code, functype: FuncType,
-                 name: str = "fn"):
+    def __init__(self, module: Module, code: Code, functype: FuncType):
         self.facts = body_facts(code)
         self.run = None
         self.local_defaults = local_defaults(code)
@@ -1448,7 +1447,6 @@ class AotCode:
         self._module = module
         self._code = code
         self._functype = functype
-        self._name = name
         self._leaf = None
         self._written = None
 
@@ -1503,7 +1501,7 @@ class AotCode:
             for type_index, ft in emitter.sigs.items():
                 ns[f"_sig{type_index}"] = ft
             ns.update(emitter.consts)
-            exec(compile(source, f"<aot:{acode._name}>", "exec"), ns)
+            exec(compile(source, "<aot:fn>", "exec"), ns)
             built[acode] = ns, emitter.callees
             todo.extend(emitter.callees.values())
         for ns, callees in built.values():
@@ -1519,10 +1517,9 @@ class AotCode:
         return self._emit()[0]
 
 
-def compile_aot(module: Module, code: Code, functype: FuncType,
-                name: str = "fn") -> AotCode:
+def compile_aot(module: Module, code: Code, functype: FuncType) -> AotCode:
     """Lower one validated function body; it compiles on first use."""
-    return AotCode(module, code, functype, name)
+    return AotCode(module, code, functype)
 
 
 def aot_for(module: Module, code: Code, functype: FuncType):

@@ -174,12 +174,10 @@ class TestOneReissuePath:
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("case", sorted(REISSUE_CASES))
-    def test_host_replay_and_corpus_replay_agree(self, engine, case, monkeypatch):
+    def test_host_replay_and_corpus_replay_agree(self, engine, case):
         rates, call_kwargs, outcome = REISSUE_CASES[case]
         host, record, corpus = _capture_one(engine, rates, call_kwargs)
         assert record.outcome == outcome
-        # ambient chaos must not leak into either replay
-        monkeypatch.setenv("REPRO_CHAOS", "seed=1,trap=1.0")
         try:
             via_host = host.replay(record)
         except PluginError as exc:
@@ -187,7 +185,15 @@ class TestOneReissuePath:
         (stream,) = corpus.streams
         (call,) = stream.calls
         via_corpus = replay_call(make_stream_host(corpus, stream, engine), call)
+        # a live host's own schedule must not leak into a re-issue: only
+        # the recorded injection (if any) fires
+        chaotic = PluginHost(
+            plugin_wasm("rr"), name="rr", engine=engine,
+            chaos=FaultSchedule(ChaosConfig(seed=1, trap=1.0)),
+        )
+        via_live = replay_call(chaotic, call)
         assert call.matches(via_host) and call.matches(via_corpus)
+        assert call.matches(via_live)
         assert (via_host.outcome, via_host.output, via_host.fuel_used) == (
             record.outcome, record.output_bytes, record.fuel_used
         )

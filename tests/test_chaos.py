@@ -18,7 +18,7 @@ from repro.chaos.schedule import (
     ChaosInjection,
     FaultSchedule,
     OneShotChaos,
-    schedule_from_env,
+    schedule_from_spec,
 )
 from repro.chaos.transport import ChaosEndpoint
 from repro.experiments.fig5d import make_ues
@@ -87,26 +87,19 @@ class TestFaultSchedule:
 
 class TestScheduleFromEnv:
     def test_bare_seed_enables_soak_mix(self):
-        schedule = schedule_from_env("seed=42")
+        schedule = schedule_from_spec("seed=42")
         assert schedule.seed == 42
         assert schedule.config == ChaosConfig.soak(42)
 
     def test_explicit_rates(self):
-        schedule = schedule_from_env("seed=7,trap=0.5,drop=0.25")
+        schedule = schedule_from_spec("seed=7,trap=0.5,drop=0.25")
         assert schedule.config.trap == 0.5
         assert schedule.config.drop == 0.25
         assert schedule.config.fuel_cut == 0.0  # unnamed rates stay zero
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown key"):
-            schedule_from_env("seed=1,explode=0.5")
-
-    def test_env_hookup_on_plugin_host(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS", "seed=3,trap=1.0")
-        host = PluginHost(plugin_wasm("rr"), name="rr")
-        assert host.chaos is not None
-        with pytest.raises(PluginError, match="injected trap"):
-            host.call(sched_payload())
+            schedule_from_spec("seed=1,explode=0.5")
 
 
 class TestPluginInjection:
@@ -263,14 +256,15 @@ class TestChaosReplay:
         assert replay_record.outcome == "fuel"
         assert replay_record.fuel_used == record.fuel_used
 
-    def test_replay_of_clean_record_stays_clean_under_env_chaos(self, monkeypatch):
-        """A no-chaos capture must replay without chaos even if REPRO_CHAOS
-        is set when the replay clone is constructed."""
+    def test_replay_of_clean_record_stays_clean_under_env_chaos(self):
+        """A no-chaos capture re-issued on a host whose own schedule traps
+        every call runs clean: only the recorded injection ever fires."""
         host = PluginHost(plugin_wasm("rr"), name="rr")
         result = host.call(sched_payload())
         record = obs.OBS.flight.records()[-1]
-        monkeypatch.setenv("REPRO_CHAOS", "seed=1,trap=1.0")
-        replayed = host.replay(record)
+        chaotic = host_with(ChaosConfig(seed=1, trap=1.0))
+        assert chaotic.replay(record).output == result.output
+        replayed = chaotic.reissue(record.input_bytes, record.entry, None, None)
         assert replayed.output == result.output
 
     def test_one_shot_chaos_fires_once(self):

@@ -526,6 +526,19 @@ class TestRefusalsAreEvents:
                 PluginHost(bad, name="same")
             assert str(hosted.value) == str(direct.value)
 
+    def test_unsanitized_binary_without_memory_is_refused(self):
+        """Every payload crosses the byte-buffer ABI through linear memory:
+        a binary without one is a refused load even unsanitized, not an
+        ``AttributeError`` out of its first call."""
+        no_memory = assemble("""(module
+          (func (export "alloc") (param i32) (result i32) (i32.const 8))
+          (func (export "run") (param i32 i32) (result i32) (i32.const 0)))""")
+        with pytest.raises(PluginError, match="no linear memory") as refused:
+            PluginHost(no_memory, name="fresh", sanitize=False)
+        assert refused.value.kind == "load"
+        (event,) = self._refusals("fresh")
+        assert event["ok"] is False
+
 
 class TestTheTableIsObservable:
     @pytest.fixture(autouse=True)

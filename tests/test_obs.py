@@ -9,7 +9,7 @@ from repro.abi import SchedulerPlugin
 from repro.abi.host import HostLimits, PluginCallResult, PluginError, PluginHost
 from repro.obs import OBS, Observability
 from repro.obs.registry import MetricsRegistry
-from repro.obs.tracing import NULL_SPAN, Tracer, traced
+from repro.obs.tracing import NULL_SPAN, Tracer
 from repro.plugins import plugin_wasm
 from repro.sched import UeSchedInfo
 from repro.wasm import Instance, decode_module
@@ -200,14 +200,6 @@ class TestTracer:
         lines = tree.splitlines()
         assert lines[0].startswith("outer")
         assert lines[1].startswith("  inner")
-
-    def test_traced_decorator(self, telemetry):
-        @traced("my.op")
-        def double(x):
-            return 2 * x
-
-        assert double(21) == 42
-        assert any(s.name == "my.op" for s in telemetry.tracer.finished())
 
 
 # ---------------------------------------------------------------------------

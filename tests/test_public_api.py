@@ -58,7 +58,7 @@ class TestExports:
 #: option the tests, the oracle and the ledger have to cover: a new knob
 #: needs two existing callers that want different values (else it is a
 #: constant), and then a line here.
-ENV_ALLOWED = {"REPRO_WASM_ENGINE", "REPRO_CHAOS", "REPRO_TEST_WORKER_DIE"}
+ENV_ALLOWED = {"REPRO_WASM_ENGINE", "REPRO_TEST_WORKER_DIE"}
 
 
 def _env_reads(tree: ast.AST):
@@ -94,7 +94,139 @@ def _tree_env_reads(root: Path) -> set[tuple[str, str | None]]:
     }
 
 
+#: defaulted parameters in ``src/repro`` that stay settable although no
+#: call site passes them: physical-model constants an experiment varies.
+#: Any other default nobody sets is a constant with extra steps - make it
+#: one (or, if the scan cannot see its caller, make the parameter required).
+OPTION_ALLOWED = {
+    ("channel/models.py", "PathLossFadingChannel", "tx_power_dbm"),
+    ("channel/models.py", "PathLossFadingChannel", "noise_dbm"),
+    ("channel/models.py", "PathLossFadingChannel", "path_loss_exponent"),
+    ("channel/models.py", "PathLossFadingChannel", "ref_loss_db"),
+    ("channel/models.py", "PathLossFadingChannel", "rho"),
+    ("core5g/amf.py", "Amf.establish_session", "qos_5qi"),
+    ("sched/intra.py", "ProportionalFairScheduler", "beta"),
+}
+
+#: where a call that passes an option may live
+OPTION_CALLERS = ("src", "benchmarks", "examples", "tests")
+
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _defaulted(file: str, qualname: str, callee: str, fn, bound: int):
+    """``(file, qualname, callee, param, position)`` per defaulted parameter
+    of ``fn``; ``position`` is the index of the positional argument that
+    fills it at a ``callee(...)`` call (``bound`` leading parameters are
+    bound already: ``self``), ``None`` for a keyword-only one."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for index, arg in enumerate(positional[first:], first):
+        yield file, qualname, callee, arg.arg, index - bound
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield file, qualname, callee, arg.arg, None
+
+
+def _options(root: Path):
+    """Every defaulted parameter of a public module-level function, and of
+    a public class's ``__init__`` (called as the class) and public methods;
+    nested closures are not options of the module."""
+    for path in sorted(root.rglob("*.py")):
+        file = path.relative_to(root).as_posix()
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, _FUNCS) and not node.name.startswith("_"):
+                yield from _defaulted(file, node.name, node.name, node, 0)
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            for item in node.body:
+                if not isinstance(item, _FUNCS):
+                    continue
+                static = any(
+                    getattr(d, "id", None) == "staticmethod"
+                    for d in item.decorator_list
+                )
+                if item.name == "__init__":
+                    yield from _defaulted(file, node.name, node.name, item, 1)
+                elif not item.name.startswith("_"):
+                    qualname = f"{node.name}.{item.name}"
+                    yield from _defaulted(
+                        file, qualname, item.name, item, 0 if static else 1
+                    )
+
+
+def _call_sites(roots: list[Path]) -> dict[str, tuple[int, set, bool]]:
+    """Per called name (``f(...)`` / ``x.f(...)``): the most positional
+    arguments any call passes, every keyword passed, and whether any call
+    unpacks ``*args`` / ``**kwargs`` (which may set anything)."""
+    sites: dict[str, tuple[int, set, bool]] = {}
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+                most, keywords, unpacks = sites.get(name, (0, set(), False))
+                keywords |= {k.arg for k in node.keywords}
+                unpacks = unpacks or None in keywords or any(
+                    isinstance(a, ast.Starred) for a in node.args
+                )
+                sites[name] = (max(most, len(node.args)), keywords, unpacks)
+    return sites
+
+
+def _unset_options(root: Path, callers: list[Path]) -> set[tuple[str, str, str]]:
+    """``(file, callable, param)`` for every option under ``root`` that no
+    call under ``callers`` to a callable of the same name ever passes."""
+    sites = _call_sites(callers)
+    unset = set()
+    for file, qualname, callee, param, position in _options(root):
+        most, keywords, unpacks = sites.get(callee, (0, set(), False))
+        passed = param in keywords or (position is not None and position < most)
+        if not (passed or unpacks):
+            unset.add((file, qualname, param))
+    return unset
+
+
 class TestOptionSurface:
+    def test_every_option_has_a_caller(self):
+        import repro
+
+        unset = _unset_options(
+            Path(repro.__file__).parent, [ROOT / d for d in OPTION_CALLERS]
+        )
+        stray = sorted(unset - OPTION_ALLOWED)
+        assert not stray, f"defaulted parameters nothing passes: {stray}"
+        assert unset == OPTION_ALLOWED, "stale allow-list"
+
+    def test_the_guard_sees_an_unset_option(self, tmp_path):
+        (tmp_path / "lib.py").write_text(
+            "def plan(cells, slots=10, mode='proc'):\n"
+            "    return cells, slots, mode\n"
+            "def spread(*cells, weight=1.0):\n"
+            "    return cells, weight\n"
+            "class Host:\n"
+            "    def __init__(self, name, fuel=100):\n"
+            "        def closure(depth=0):\n"
+            "            return depth\n"
+            "        self.fuel = fuel\n"
+            "    def tick(self, dt=1.0):\n"
+            "        return dt\n"
+            "    def _private(self, x=0):\n"
+            "        return x\n"
+        )
+        (tmp_path / "use.py").write_text(
+            "from lib import Host, plan, spread\n"
+            "plan(4, 20)\n"
+            "spread(**{'weight': 2.0})\n"
+            "Host('a', fuel=5).tick()\n"
+        )
+        assert _unset_options(tmp_path, [tmp_path]) == {
+            ("lib.py", "plan", "mode"),
+            ("lib.py", "Host.tick", "dt"),
+        }
+
     def test_src_reads_only_allow_listed_environment_variables(self):
         import repro
 

@@ -150,13 +150,28 @@ class TestRtCli:
 
         code = main(
             ["rt", "--scenario", "flash_crowd", "--slots", "120",
-             "--budget-us", "400", "--lanes", "sla:60;be:40",
+             "--policy", "budget_us=400,lanes=sla:60;be:40",
              "--verify-determinism"]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "verdict" in out
         assert "byte-identical" in out
+        # the keys apply on top of the scenario's policy: the same run as
+        # the scenario policy with only those two fields changed
+        digest = "a7c64aa3eb5ea24532b3e08dd631b5d8f72716db7d54d19d779c3f8ee9fba7c3"
+        assert f"digest: {digest}" in out
+
+    @pytest.mark.parametrize("env", [None, "legacy"])
+    def test_report_names_the_engine_that_ran(self, monkeypatch, env):
+        from repro.wasm.threaded import resolve_engine
+
+        if env is None:
+            monkeypatch.delenv("REPRO_WASM_ENGINE", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_WASM_ENGINE", env)
+        report = run_scenario("handover", seed=0, slots=5)
+        assert report.engine == resolve_engine(None) == (env or "aot")
 
     def test_rt_rejects_bad_policy(self, capsys):
         from repro.cli import main

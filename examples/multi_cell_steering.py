@@ -10,6 +10,11 @@ Then the operator pushes an A1 steering policy that raises the A3
 hysteresis so high that a second, marginal UE is *not* moved - showing
 the SMO tuning a running Wasm xApp without redeploying anything.
 
+Last, the SMO's slow loop closes over the fast one: the RIC publishes
+slice KPIs on a pub/sub broker, an rApp (:class:`SlaPlannerRApp`) reads
+them, re-plans the tenant's SLA and pushes it over A1, and the SLA
+assurance xApp moves both cells' quotas to it.
+
 Run: python examples/multi_cell_steering.py
 """
 
@@ -17,9 +22,11 @@ from repro.abi import SchedulerPlugin
 from repro.channel import FixedMcsChannel
 from repro.e2 import vendors
 from repro.gnb import GnbHost, SliceRuntime, UeContext
+from repro.netio.pubsub import Broker, PubSubClient
 from repro.plugins import plugin_wasm
-from repro.ric import MSG_UE_MEAS
-from repro.ric.a1 import NonRtRic, POLICY_STEERING
+from repro.ric import MSG_SLICE_KPI, MSG_UE_MEAS
+from repro.ric.a1 import A1Endpoint, NonRtRic, POLICY_STEERING
+from repro.ric.rapps import KPI_TOPIC, SlaPlannerRApp
 from repro.ric.steering import TwoCellTopology
 from repro.sched import TargetRateInterSlice
 from repro.traffic import FullBufferSource
@@ -36,10 +43,7 @@ def main() -> None:
     topo = TwoCellTopology(make_cell(), make_cell(), vendors.vendor_a())
     topo.ric.load_xapp("ts", plugin_wasm("xapp_ts"), (MSG_UE_MEAS,))
     # attach A1 so the SMO can steer the steering
-    a1_ep = topo.network.endpoint("ric-a1")
-    from repro.ric.a1 import A1Endpoint, A1PolicyStore  # noqa: F401
-
-    topo.ric.a1 = A1Endpoint(a1_ep)
+    topo.ric.a1 = A1Endpoint(topo.network.endpoint("ric-a1"))
     nonrt = NonRtRic(topo.network.endpoint("smo"))
     topo.connect(period_slots=50)
 
@@ -81,6 +85,30 @@ def main() -> None:
         print(f"slot {event.slot}: RIC steered UE {event.ue_id} "
               f"cell {event.source_cell} -> cell {event.target_cell}")
     print(f"UE 2 served by cell 2 now: {2 in topo.cells[2].ues}")
+
+    print("\nSMO slow loop: RIC slice KPIs -> pub/sub -> SLA-planner rApp -> A1")
+    topo.attach(UeContext(3, 1, FixedMcsChannel(20), FullBufferSource()), 1)
+    print("UE 3 (full buffer) attached to cell 1: the tenant saturates both cells")
+    broker = Broker(topo.network.endpoint("broker"))
+    topo.ric.kpi_publisher = PubSubClient(topo.network.endpoint("ric-pub"), "broker")
+    topo.ric.load_xapp("sla", plugin_wasm("xapp_sla"), (MSG_SLICE_KPI,))
+    rapp_feed = PubSubClient(topo.network.endpoint("rapp"), "broker")
+    rapp_feed.subscribe(KPI_TOPIC)
+    broker.step()
+    rapp = SlaPlannerRApp(nonrt, rapp_feed, "ric-a1")
+    rapp.set_initial_sla(1, 8e6)
+    for slot in range(2000):
+        topo.step()
+        if slot % 50 == 0:
+            broker.step()
+            rapp.step_once()
+    plan = " -> ".join(f"{sla / 1e6:.1f}" for _sid, sla in rapp.policies_sent)
+    quotas = ", ".join(
+        f"cell {cell_id} {gnb.inter_slice.targets_bps[1] / 1e6:.1f}"
+        for cell_id, gnb in topo.cells.items()
+    )
+    print(f"rApp re-planned the tenant SLA (Mb/s): {plan}")
+    print(f"SLA xApp quotas now (Mb/s): {quotas}")
 
 
 if __name__ == "__main__":

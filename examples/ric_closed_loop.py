@@ -10,7 +10,9 @@ The RIC hosts two xApps as Wasm plugins:
   handovers when a neighbour cell's CQI is better.
 
 Everything crossing the wire is encoded in the vendor's dialect (vendor B:
-protobuf wire format + AES-CTR encryption).
+protobuf wire format + AES-CTR encryption).  Half-way through, the
+operator redeploys the SLA xApp with ``NearRtRic.swap_xapp`` (§5C): the
+RIC, the E2 session and the quota the loop reached all stay up.
 
 Run: python examples/ric_closed_loop.py
 """
@@ -67,6 +69,10 @@ def main() -> None:
         print("running the closed loop over TCP (AES-encrypted pbwire)...\n")
 
         for second in range(4):
+            if second == 2:
+                generation = ric.swap_xapp("sla", plugin_wasm("xapp_sla"))
+                print(f"  swapped the SLA xApp in place: generation {generation}, "
+                      f"no RIC restart, E2 session kept")
             for _ in range(1000):
                 gnb.step()
                 node.step()

@@ -904,11 +904,6 @@ class PluginHost:
         assert self.instance is not None
         return self.instance.memory.size_pages
 
-    @property
-    def memory_bytes(self) -> int:
-        assert self.instance is not None
-        return self.instance.memory.size_bytes
-
 
 @dataclass
 class SchedulerCall:

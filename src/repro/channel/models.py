@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import math
 import random
 from abc import ABC, abstractmethod
 
-from repro.phy.mcs import MCS_TABLE_1, cqi_to_mcs, sinr_db_to_cqi
+from repro.phy.mcs import MCS_TABLE_1, cqi_to_mcs
 
 
 class ChannelModel(ABC):
@@ -73,49 +72,3 @@ class MarkovCqiChannel(ChannelModel):
                 delta = 1 if self._rng.random() < 0.5 else -1
                 self.cqi = min(max(self.cqi + delta, self.lo), self.hi)
         return self.cqi
-
-
-class PathLossFadingChannel(ChannelModel):
-    """Log-distance path loss + shadowing + Rayleigh fast fading.
-
-    SINR_dB = tx_power - PL(d) - noise + fading, mapped to CQI through the
-    link-abstraction thresholds.  Shadowing is drawn once (per UE
-    placement); Rayleigh fading is redrawn per slot with first-order
-    autocorrelation ``rho`` to model Doppler.
-    """
-
-    def __init__(
-        self,
-        distance_m: float,
-        tx_power_dbm: float = 46.0,
-        noise_dbm: float = -96.0,
-        path_loss_exponent: float = 3.5,
-        ref_loss_db: float = 38.0,
-        shadowing_std_db: float = 6.0,
-        rho: float = 0.9,
-        seed: int | None = None,
-    ):
-        if distance_m <= 0:
-            raise ValueError("distance must be positive")
-        if not 0.0 <= rho < 1.0:
-            raise ValueError("rho must be in [0, 1)")
-        self._rng = random.Random(seed)
-        self.distance_m = distance_m
-        path_loss_db = ref_loss_db + 10 * path_loss_exponent * math.log10(distance_m)
-        shadowing = self._rng.gauss(0.0, shadowing_std_db)
-        self.mean_sinr_db = tx_power_dbm - path_loss_db - noise_dbm - shadowing
-        self.rho = rho
-        self._fading_db = 0.0
-        self._last_slot = -1
-        self.last_sinr_db = self.mean_sinr_db
-
-    def step(self, slot: int) -> int:
-        if slot != self._last_slot:
-            self._last_slot = slot
-            # AR(1) evolution of a Rayleigh-ish fading term in dB
-            innovation = self._rng.gauss(0.0, 3.0)
-            self._fading_db = self.rho * self._fading_db + math.sqrt(
-                1 - self.rho**2
-            ) * innovation
-            self.last_sinr_db = self.mean_sinr_db + self._fading_db
-        return sinr_db_to_cqi(self.last_sinr_db)

@@ -30,7 +30,7 @@ def _cmd_compile(args) -> int:
 
     source = open(args.source, encoding="utf-8").read()
     try:
-        raw = compile_source(source, optimize=not args.no_opt)
+        raw = compile_source(source)
     except WaccError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -309,10 +309,9 @@ def _cmd_scale(args) -> int:
 
     try:
         if args.sweep:
-            workers = sorted({int(w) for w in args.sweep.split(",")})
             print(f"{'workers':>7s} {'slots/s':>9s} {'cell-slots/s':>12s} "
                   f"{'p50 us':>8s} {'p99 us':>8s}  digest")
-            reports = run_sweep(spec, workers=workers)
+            reports = run_sweep(spec, workers=args.sweep)
             for report in reports:
                 print(f"{report.spec.workers:7d} {report.slot_rate:9.1f} "
                       f"{report.cell_slot_rate:12.1f} "
@@ -588,11 +587,9 @@ def _cmd_record(args) -> int:
             slots=args.slots,
             engine=args.engine,
             rt=args.rt,
-            phase_duration_s=args.phase_duration,
             workers=args.workers,
             cells=args.cells,
             ues=args.ues,
-            mode=args.cluster_mode,
         )
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -602,9 +599,7 @@ def _cmd_record(args) -> int:
         f"{len(corpus.streams)} streams, {len(corpus.modules)} modules"
     )
     if args.reduce:
-        corpus, report = reduce_corpus(
-            corpus, max_per_class=args.max_per_class, engine=args.engine
-        )
+        corpus, report = reduce_corpus(corpus, engine=args.engine)
         print(report.summary())
     out = args.output or f"{args.workload}-seed{args.seed}.wrc"
     size = save_corpus(out, corpus)
@@ -633,8 +628,6 @@ def _cmd_reduce(args) -> int:
         return 1
     reduced, report = reduce_corpus(
         corpus,
-        max_per_class=args.max_per_class,
-        shrink_modules=not args.no_shrink_modules,
         max_checks=args.max_checks,
         engine=args.engine,
     )
@@ -781,10 +774,8 @@ def _cmd_fuzz(args) -> int:
         args.seed,
         args.budget,
         mutate_ratio=args.mutate_ratio,
-        fuel=args.fuel,
         time_box=args.time_box,
         corpus_dir=args.corpus_dir,
-        do_shrink=not args.no_shrink,
         seed_modules=seed_modules,
     )
     if args.json:
@@ -811,6 +802,22 @@ def _cmd_fuzz(args) -> int:
         print("no divergences, no crashes" if report.ok
               else f"{len(report.failures)} failure(s)")
     return 0 if report.ok else 1
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of a count: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _worker_counts(text: str) -> list[int]:
+    """argparse type of ``--sweep``: distinct worker counts, ascending."""
+    return sorted({_positive_int(w) for w in text.split(",")})
 
 
 def _cluster_shape_parser() -> argparse.ArgumentParser:
@@ -857,7 +864,6 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("compile", help="compile WACC source to Wasm")
     p.add_argument("source")
     p.add_argument("-o", "--output")
-    p.add_argument("--no-opt", action="store_true", help="disable inlining")
     p.set_defaults(fn=_cmd_compile)
 
     p = sub.add_parser("wat", help="assemble WAT text to Wasm")
@@ -899,7 +905,7 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=_cmd_fig5c)
 
     p = sub.add_parser("fig5d", help="plugin execution time experiment")
-    p.add_argument("--calls", type=int, default=1000)
+    p.add_argument("--calls", type=_positive_int, default=1000)
     p.set_defaults(fn=_cmd_fig5d)
 
     p = sub.add_parser("safety", help="memory-safety comparison table")
@@ -952,7 +958,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
-        "--slots", type=int, default=None,
+        "--slots", type=_positive_int, default=None,
         help="run length (default: the scenario's, e.g. flash_crowd=300)",
     )
     p.add_argument(
@@ -1047,6 +1053,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p.add_argument(
         "--sweep",
+        type=_worker_counts,
         metavar="W1,W2,...",
         help="sweep worker counts (e.g. 1,2,4) and verify digest invariance",
     )
@@ -1136,12 +1143,8 @@ def main(argv: list[str] | None = None) -> int:
                    help="stop early after this many seconds")
     p.add_argument("--mutate-ratio", type=float, default=0.3,
                    help="fraction of iterations that mutate instead of run")
-    p.add_argument("--fuel", type=int, default=25_000,
-                   help="per-call instruction budget")
     p.add_argument("--corpus-dir", metavar="DIR",
                    help="write shrunk reproducers for failures here")
-    p.add_argument("--no-shrink", action="store_true",
-                   help="save failing cases without minimizing them")
     p.add_argument("--replay", metavar="PATH",
                    help="replay a corpus case file or directory and exit")
     p.add_argument("--seed-corpus", metavar="PATH",
@@ -1172,21 +1175,14 @@ def main(argv: list[str] | None = None) -> int:
                    help="override the workload's slot count")
     p.add_argument("--rt", metavar="POLICY",
                    help="rt dispatch policy string ('on' for defaults)")
-    p.add_argument("--phase-duration", type=float, default=0.4,
-                   metavar="SECONDS", help="fig5b phase length")
     p.add_argument("--workers", type=int, default=2,
                    help="cluster workload: worker count")
     p.add_argument("--cells", type=int, default=4,
                    help="cluster workload: cell count")
     p.add_argument("--ues", type=int, default=8,
                    help="cluster workload: total UE population")
-    p.add_argument("--cluster-mode", choices=["inline", "proc"],
-                   default="inline",
-                   help="cluster workload: worker execution mode")
     p.add_argument("--reduce", action="store_true",
                    help="reduce the corpus inline before saving")
-    p.add_argument("--max-per-class", type=int, default=3,
-                   help="representatives kept per call class when reducing")
     p.add_argument("-o", "--output", metavar="FILE",
                    help="corpus path (default <workload>-seed<N>.wrc)")
     p.set_defaults(fn=_cmd_record)
@@ -1202,10 +1198,6 @@ def main(argv: list[str] | None = None) -> int:
         "machinery under a bit-exact replay predicate.",
     )
     p.add_argument("corpus", help=".wrc corpus to reduce")
-    p.add_argument("--max-per-class", type=int, default=3,
-                   help="representatives kept per call class")
-    p.add_argument("--no-shrink-modules", action="store_true",
-                   help="skip the module-body shrinking pass")
     p.add_argument("--max-checks", type=int, default=120,
                    help="shrinker predicate evaluations per module")
     p.add_argument("-o", "--output", metavar="FILE",

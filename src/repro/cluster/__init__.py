@@ -28,7 +28,7 @@ from repro.cluster.coordinator import (
     WorkerFailed,
     run_cluster,
 )
-from repro.cluster.loadgen import metro_spec, run_sweep, sweep_specs
+from repro.cluster.loadgen import run_sweep, sweep_specs
 from repro.cluster.shard import CellShard, build_cell
 from repro.cluster.spec import ClusterSpec, cell_name, stable_seed
 from repro.cluster.worker import run_worker
@@ -42,7 +42,6 @@ __all__ = [
     "WorkerFailed",
     "build_cell",
     "cell_name",
-    "metro_spec",
     "run_cluster",
     "run_sweep",
     "run_worker",

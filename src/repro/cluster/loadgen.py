@@ -17,33 +17,6 @@ from repro.cluster.coordinator import ClusterError, ClusterReport, run_cluster
 from repro.cluster.spec import ClusterSpec
 
 
-#: the metro deployment target: one worker pool scheduling a city's
-#: worth of cells.  The scale-out roadmap grows sweeps toward this.
-METRO_CELLS = 64
-METRO_UES = 256
-
-
-#: worker processes of a metro run
-METRO_WORKERS = 4
-
-
-def metro_spec(slots: int = 200) -> ClusterSpec:
-    """The 64-cell "metro" spec: the largest supported deployment shape.
-
-    Comes with a generous deadline so CI-class machines finish.  Digest
-    invariance applies unchanged: a metro run at any worker count must
-    agree with ``workers=1``.
-    """
-    return ClusterSpec(
-        workers=METRO_WORKERS,
-        cells=METRO_CELLS,
-        ues=METRO_UES,
-        slots=slots,
-        mode="proc",
-        timeout_s=1800.0,
-    )
-
-
 def sweep_specs(
     base: ClusterSpec,
     workers: Sequence[int] = (1, 2, 4),

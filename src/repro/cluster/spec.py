@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import asdict, dataclass, fields
+from typing import ClassVar
 
 #: the coordinator's well-known endpoint name
 COORD = "coord"
@@ -53,7 +54,7 @@ class ClusterSpec:
     fuel: int = 2_000_000
     #: slots a quarantined slice waits before the worker's operator loop
     #: releases it (chaos runs only)
-    release_after: int = 20
+    release_after: ClassVar[int] = 20
     checkpoint_every: int = 25
     #: "proc" = worker processes over TCP loopback, "inline" = same process
     mode: str = "proc"

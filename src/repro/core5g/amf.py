@@ -33,7 +33,6 @@ class UeRecord:
     ue_id: int
     imsi: str
     snssai: Snssai
-    registered: bool = True
 
 
 @dataclass
@@ -84,15 +83,6 @@ class Amf:
         admission.ue_ids.add(ue_id)
         return record
 
-    def deregister(self, ue_id: int) -> None:
-        record = self._ues.pop(ue_id, None)
-        if record is None:
-            raise AdmissionError(f"unknown UE {ue_id}")
-        del self._by_imsi[record.imsi]
-        self._slices[record.snssai].ue_ids.discard(ue_id)
-        for sid in [s for s, sess in self._sessions.items() if sess.ue_id == ue_id]:
-            del self._sessions[sid]
-
     def establish_session(self, ue_id: int, qos_5qi: int = 9) -> PduSession:
         record = self._ues.get(ue_id)
         if record is None:
@@ -101,16 +91,8 @@ class Amf:
         self._sessions[session.session_id] = session
         return session
 
-    def slice_members(self, snssai: Snssai) -> list[int]:
-        admission = self._slices.get(snssai)
-        return sorted(admission.ue_ids) if admission else []
-
     def ue(self, ue_id: int) -> UeRecord:
         try:
             return self._ues[ue_id]
         except KeyError:
             raise AdmissionError(f"unknown UE {ue_id}") from None
-
-    @property
-    def n_registered(self) -> int:
-        return len(self._ues)

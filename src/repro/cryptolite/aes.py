@@ -1,7 +1,8 @@
 """AES-128 per FIPS-197, pure Python.
 
-Implements the forward and inverse cipher over 16-byte blocks, plus a CTR
-mode stream wrapper.  The S-box is generated from the algebraic definition
+Implements the forward cipher over 16-byte blocks, plus the CTR mode
+stream wrapper that is all the communication plugins need (CTR decrypts
+by encrypting the same counter stream).  The S-box is generated from the algebraic definition
 (multiplicative inverse in GF(2^8) followed by the affine map) rather than
 pasted as a magic table, and the test suite pins the FIPS-197 Appendix C
 known-answer vectors.
@@ -32,7 +33,7 @@ def _gmul(a: int, b: int) -> int:
     return result
 
 
-def _build_sbox() -> tuple[bytes, bytes]:
+def _build_sbox() -> bytes:
     # multiplicative inverses via exponentiation (a^254 = a^-1 in GF(2^8))
     def inverse(a: int) -> int:
         if a == 0:
@@ -57,13 +58,10 @@ def _build_sbox() -> tuple[bytes, bytes]:
             x = ((x << 1) | (x >> 7)) & 0xFF
             b ^= x
         sbox[value] = b ^ 0x63
-    inv_sbox = bytearray(256)
-    for i, s in enumerate(sbox):
-        inv_sbox[s] = i
-    return bytes(sbox), bytes(inv_sbox)
+    return bytes(sbox)
 
 
-_SBOX, _INV_SBOX = _build_sbox()
+_SBOX = _build_sbox()
 _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
 
 
@@ -93,9 +91,9 @@ def _add_round_key(state: list[int], rk: list[int]) -> None:
         state[i] ^= rk[i]
 
 
-def _sub_bytes(state: list[int], box: bytes) -> None:
+def _sub_bytes(state: list[int]) -> None:
     for i in range(16):
-        state[i] = box[state[i]]
+        state[i] = _SBOX[state[i]]
 
 
 # state layout: column-major, state[r + 4c] is row r column c
@@ -109,14 +107,6 @@ def _shift_rows(state: list[int]) -> None:
             state[r + 4 * c] = row[c]
 
 
-def _inv_shift_rows(state: list[int]) -> None:
-    for r in range(1, 4):
-        row = [state[r + 4 * c] for c in range(4)]
-        row = row[-r:] + row[:-r]
-        for c in range(4):
-            state[r + 4 * c] = row[c]
-
-
 def _mix_columns(state: list[int]) -> None:
     for c in range(4):
         col = state[4 * c : 4 * c + 4]
@@ -124,23 +114,6 @@ def _mix_columns(state: list[int]) -> None:
         state[4 * c + 1] = col[0] ^ _gmul(col[1], 2) ^ _gmul(col[2], 3) ^ col[3]
         state[4 * c + 2] = col[0] ^ col[1] ^ _gmul(col[2], 2) ^ _gmul(col[3], 3)
         state[4 * c + 3] = _gmul(col[0], 3) ^ col[1] ^ col[2] ^ _gmul(col[3], 2)
-
-
-def _inv_mix_columns(state: list[int]) -> None:
-    for c in range(4):
-        col = state[4 * c : 4 * c + 4]
-        state[4 * c + 0] = (
-            _gmul(col[0], 14) ^ _gmul(col[1], 11) ^ _gmul(col[2], 13) ^ _gmul(col[3], 9)
-        )
-        state[4 * c + 1] = (
-            _gmul(col[0], 9) ^ _gmul(col[1], 14) ^ _gmul(col[2], 11) ^ _gmul(col[3], 13)
-        )
-        state[4 * c + 2] = (
-            _gmul(col[0], 13) ^ _gmul(col[1], 9) ^ _gmul(col[2], 14) ^ _gmul(col[3], 11)
-        )
-        state[4 * c + 3] = (
-            _gmul(col[0], 11) ^ _gmul(col[1], 13) ^ _gmul(col[2], 9) ^ _gmul(col[3], 14)
-        )
 
 
 def aes128_encrypt_block(key: bytes, block: bytes) -> bytes:
@@ -151,31 +124,13 @@ def aes128_encrypt_block(key: bytes, block: bytes) -> bytes:
     state = list(block)
     _add_round_key(state, round_keys[0])
     for r in range(1, _NR):
-        _sub_bytes(state, _SBOX)
+        _sub_bytes(state)
         _shift_rows(state)
         _mix_columns(state)
         _add_round_key(state, round_keys[r])
-    _sub_bytes(state, _SBOX)
+    _sub_bytes(state)
     _shift_rows(state)
     _add_round_key(state, round_keys[_NR])
-    return bytes(state)
-
-
-def aes128_decrypt_block(key: bytes, block: bytes) -> bytes:
-    """Decrypt one 16-byte block."""
-    if len(block) != 16:
-        raise ValueError("block must be 16 bytes")
-    round_keys = _expand_key(key)
-    state = list(block)
-    _add_round_key(state, round_keys[_NR])
-    for r in range(_NR - 1, 0, -1):
-        _inv_shift_rows(state)
-        _sub_bytes(state, _INV_SBOX)
-        _add_round_key(state, round_keys[r])
-        _inv_mix_columns(state)
-    _inv_shift_rows(state)
-    _sub_bytes(state, _INV_SBOX)
-    _add_round_key(state, round_keys[0])
     return bytes(state)
 
 

@@ -99,18 +99,6 @@ class RsaKeyPair:
             raise ValueError("bad padding: no separator") from None
         return block[sep + 1 :]
 
-    # ----- signatures (sign with d, verify with e) -----------------------------
-
-    def sign_digest(self, digest: bytes) -> bytes:
-        k = self.byte_length
-        if len(digest) > k - 1:
-            raise ValueError("digest too long")
-        return self.decrypt_int(int.from_bytes(digest, "big")).to_bytes(k, "big")
-
-    def verify_digest(self, digest: bytes, signature: bytes) -> bool:
-        recovered = self.encrypt_int(int.from_bytes(signature, "big"))
-        return recovered == int.from_bytes(digest, "big")
-
 
 def generate_keypair(bits: int = 1024, seed: int | None = None) -> RsaKeyPair:
     """Generate an RSA key pair with an ``bits``-bit modulus."""

@@ -75,10 +75,6 @@ class VendorProfile:
     aes_key: bytes | None = None
     _nonce_counter: int = field(default=0, repr=False)
 
-    @property
-    def power_max(self) -> int:
-        return (1 << self.power_bits) - 1
-
     def encode(self, message: dict[str, Any]) -> bytes:
         payload = self.codec.encode(message)
         if self.aes_key is not None:

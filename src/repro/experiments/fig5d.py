@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.abi import SchedulerPlugin
+from repro.metrics import sample_quantile
 from repro.plugins import plugin_wasm
 from repro.sched import UeSchedInfo
 
@@ -44,7 +46,7 @@ class Cell:
 @dataclass
 class Fig5dResult:
     cells: list[Cell]
-    slot_duration_us: float = SLOT_DURATION_US
+    slot_duration_us: ClassVar[float] = SLOT_DURATION_US
 
     def all_within_deadline(self) -> bool:
         return all(c.p99_us < self.slot_duration_us for c in self.cells)
@@ -92,19 +94,11 @@ def measure_plugin(
     return Cell(
         plugin_name,
         n_ues,
-        _quantile(samples, 0.5),
-        _quantile(samples, 0.99),
+        sample_quantile(samples, 0.5),
+        sample_quantile(samples, 0.99),
         sum(samples) / calls,
         calls,
     )
-
-
-def _quantile(ordered: list[float], q: float) -> float:
-    """Exact quantile of a sorted sample (linear interpolation)."""
-    rank = q * (len(ordered) - 1)
-    low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
-    return ordered[low] + (ordered[high] - ordered[low]) * (rank - low)
 
 
 def run_fig5d(

@@ -85,7 +85,7 @@ class CorpusCase:
     wat: str | None = None  # original text, kept for readability
 
 
-def expected_outcomes(wasm: bytes, calls: CallPlan, fuel: int = DEFAULT_FUEL) -> list:
+def expected_outcomes(wasm: bytes, calls: CallPlan) -> list:
     """Compute a case's ``expect`` list under the legacy (reference) engine.
 
     Values are raw (decoded) Python values; :func:`save_case` JSON-encodes
@@ -95,7 +95,7 @@ def expected_outcomes(wasm: bytes, calls: CallPlan, fuel: int = DEFAULT_FUEL) ->
     expect = []
     for name, args in calls:
         try:
-            value = instance.call(name, *args, fuel=fuel)
+            value = instance.call(name, *args, fuel=DEFAULT_FUEL)
             expect.append(["ok", value])
         except Trap as trap:
             expect.append(["trap", trap.code])

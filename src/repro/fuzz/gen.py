@@ -143,6 +143,18 @@ _F_POOL = (0.0, -0.0, 1.0, -1.5, 2.5, 1e10, -1e-3, math.inf, -math.inf,
            math.nan)
 
 
+#: shape of every generated module beyond the :class:`GenConfig` knobs
+MAX_PARAMS = 3
+MAX_LOCALS = 4
+MAX_STMTS = 5
+MAX_DEPTH = 3
+MAX_GLOBALS = 3
+MIN_CALLS = 2
+#: probability a module has a funcref table / a data segment
+TABLE_PROB = 0.5
+DATA_PROB = 0.5
+
+
 class GeneratorError(AssertionError):
     """The generator produced an invalid module — a bug in the fuzzer."""
 
@@ -152,19 +164,11 @@ class GenConfig:
     """Size/shape knobs for one generated module."""
 
     max_funcs: int = 4
-    max_params: int = 3
-    max_locals: int = 4
-    max_stmts: int = 5
-    max_depth: int = 3
-    max_globals: int = 3
-    min_calls: int = 2
     max_calls: int = 5
     #: probability a memory address expression is left unmasked (may trap)
     p_wild_addr: float = 0.08
     #: probability a call_indirect selector is a masked expression
     p_wild_select: float = 0.3
-    table_prob: float = 0.5
-    data_prob: float = 0.5
 
 
 @dataclass
@@ -333,7 +337,7 @@ class ModuleGen:
 
     def stmts(self, ctx: _FuncCtx, depth: int, count: int | None = None) -> list[Instr]:
         rng = self.rng
-        n = rng.randrange(1, self.cfg.max_stmts + 1) if count is None else count
+        n = rng.randrange(1, MAX_STMTS + 1) if count is None else count
         out: list[Instr] = []
         for _ in range(n):
             out += self._stmt(ctx, depth)
@@ -456,7 +460,7 @@ class ModuleGen:
         self._funcsigs: list[FuncType] = []  # all planned signatures
         self._table_funcs: list[int] = []
 
-        for _ in range(rng.randrange(cfg.max_globals + 1)):
+        for _ in range(rng.randrange(MAX_GLOBALS + 1)):
             t = rng.choice(ALL_TYPES)
             mutable = rng.random() < 0.8
             self._globals.append(
@@ -470,12 +474,12 @@ class ModuleGen:
         for _ in range(n_funcs):
             params = tuple(
                 rng.choice(ALL_TYPES)
-                for _ in range(rng.randrange(cfg.max_params + 1))
+                for _ in range(rng.randrange(MAX_PARAMS + 1))
             )
             results = (rng.choice(ALL_TYPES),) if rng.random() < 0.8 else ()
             self._funcsigs.append(FuncType(params, results))
 
-        has_table = rng.random() < cfg.table_prob and n_funcs > 0
+        has_table = rng.random() < TABLE_PROB and n_funcs > 0
         if has_table:
             self._table_funcs = list(range(n_funcs))
 
@@ -484,12 +488,12 @@ class ModuleGen:
         for i, ft in enumerate(self._funcsigs):
             # while generating func i, direct calls may target funcs < i only
             self._callable = self._funcsigs[:i]
-            n_locals = rng.randrange(1, cfg.max_locals + 1)
+            n_locals = rng.randrange(1, MAX_LOCALS + 1)
             locals_ = (I32,) + tuple(
                 rng.choice(ALL_TYPES) for _ in range(n_locals - 1)
             )
             ctx = _FuncCtx(ft.params, locals_)
-            body = self.stmts(ctx, cfg.max_depth)
+            body = self.stmts(ctx, MAX_DEPTH)
             if ft.results:
                 result_t = ft.results[0]
                 if rng.random() < 0.2:
@@ -500,7 +504,7 @@ class ModuleGen:
                     ctx.label_depth -= 1
                     body += (cond + [(op.IF, None)] + val
                              + [(op.RETURN, None), (op.END, None)])
-                body += self.expr(ctx, result_t, cfg.max_depth)
+                body += self.expr(ctx, result_t, MAX_DEPTH)
             body.append((op.END, None))
             codes.append(Code(tuple(locals_), tuple(body)))
             func_type_indices.append(self._type_index(ft))
@@ -523,7 +527,7 @@ class ModuleGen:
                 ElemSegment(0, ((op.I32_CONST, 0), (op.END, None)),
                             tuple(range(n_funcs)))
             ]
-        if rng.random() < cfg.data_prob:
+        if rng.random() < DATA_PROB:
             payload = bytes(rng.randrange(256) for _ in range(rng.randrange(1, 33)))
             mod.datas = [
                 DataSegment(0, ((op.I32_CONST, rng.randrange(64)), (op.END, None)),
@@ -536,7 +540,7 @@ class ModuleGen:
             raise GeneratorError(f"generated module fails validation: {exc}") from exc
         wasm = encode_module(mod)
 
-        n_calls = rng.randrange(cfg.min_calls, cfg.max_calls + 1)
+        n_calls = rng.randrange(MIN_CALLS, cfg.max_calls + 1)
         calls = []
         for _ in range(n_calls):
             idx = rng.randrange(n_funcs)

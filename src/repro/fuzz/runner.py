@@ -20,7 +20,7 @@ from pathlib import Path
 from repro.fuzz.corpus import CorpusCase, expected_outcomes, save_case
 from repro.fuzz.gen import GeneratorError, ModuleGen
 from repro.fuzz.mutate import MutationCrash, classify_bytes, mutate_bytes
-from repro.fuzz.oracle import DEFAULT_FUEL, differential
+from repro.fuzz.oracle import differential
 from repro.fuzz.shrink import shrink
 from repro.wasm.traps import WasmError
 
@@ -102,7 +102,6 @@ def run_campaign(
     budget: int,
     *,
     mutate_ratio: float = 0.3,
-    fuel: int = DEFAULT_FUEL,
     time_box: float | None = None,
     corpus_dir: str | None = None,
     do_shrink: bool = True,
@@ -162,7 +161,6 @@ def run_campaign(
                     wasm=mutant,
                     mode="classify",
                     note=f"mutation crash: {exc}",
-                    fuel=fuel,
                 )
                 path = _write_reproducer(corpus_dir, case, seed, i)
                 report.failures.append(
@@ -185,7 +183,6 @@ def run_campaign(
                                 wasm=mutant,
                                 mode="classify",
                                 note="engine divergence on mutated module",
-                                fuel=fuel,
                             ),
                             seed,
                             i,
@@ -196,7 +193,7 @@ def run_campaign(
 
         report.generated += 1
         try:
-            result = differential(generated.wasm, generated.calls, fuel=fuel)
+            result = differential(generated.wasm, generated.calls)
         except Exception as exc:  # noqa: BLE001 - host crash on a valid module
             digest.update(f"{i}:gen:{module_sha}:crash".encode())
             case = CorpusCase(
@@ -206,7 +203,6 @@ def run_campaign(
                 mode="classify",
                 note=f"host crash on generated module: "
                 f"{type(exc).__name__}: {exc}",
-                fuel=fuel,
             )
             path = _write_reproducer(corpus_dir, case, seed, i)
             report.failures.append(
@@ -231,15 +227,13 @@ def run_campaign(
 
             def still_diverges(candidate_wasm, candidate_calls):
                 try:
-                    return not differential(
-                        candidate_wasm, candidate_calls, fuel=fuel
-                    ).ok
+                    return not differential(candidate_wasm, candidate_calls).ok
                 except WasmError:
                     return False
 
             wasm, calls = shrink(wasm, calls, still_diverges)
         try:
-            expect = expected_outcomes(wasm, calls, fuel=fuel)
+            expect = expected_outcomes(wasm, calls)
         except WasmError:
             expect = []
         case = CorpusCase(
@@ -247,7 +241,6 @@ def run_campaign(
             wasm=wasm,
             calls=calls,
             expect=expect,
-            fuel=fuel,
             note=f"engine divergence: {result.reason}",
         )
         path = _write_reproducer(corpus_dir, case, seed, i)

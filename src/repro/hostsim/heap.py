@@ -42,10 +42,6 @@ class UnsafeHeap:
     # ----- accounting ------------------------------------------------------
 
     @property
-    def allocated_bytes(self) -> int:
-        return sum(self._allocated.values())
-
-    @property
     def brk_bytes(self) -> int:
         """High-water mark: what the OS sees as the process heap size."""
         return self._brk

@@ -4,6 +4,7 @@
 keeps count/sum/mean/stddev/min/max: O(1) integer-increment adds, any
 quantile within 3.2% of exact, and shards that merge exactly - the
 distribution behind every :mod:`repro.obs` histogram series.
+:func:`sample_quantile` is the exact quantile of a kept sample list.
 """
 
 from __future__ import annotations
@@ -18,6 +19,17 @@ _MANTISSA_SCALE = float(2 << _SUB_BITS)  # frexp mantissa [0.5, 1) -> [16, 32)
 #: (the smallest, 2**-1074, has exponent -1073); zero is bucket 0 and a
 #: negative value mirrors its magnitude, so index order is value order
 _BIAS = (1 << 15) - (1 << _SUB_BITS)
+
+
+def sample_quantile(sorted_values: list[float], q: float) -> float:
+    """The nearest-rank ``q`` quantile of an ascending sample list: the
+    smallest sample with at least a ``q`` share of the samples at or
+    below it, so always one of the samples (0.0 for no samples)."""
+    if not sorted_values:
+        return 0.0
+    # round() absorbs float error in q * n (0.07 * 100 = 7.000000000000001)
+    rank = math.ceil(round(q * len(sorted_values), 9))
+    return sorted_values[min(max(rank, 1), len(sorted_values)) - 1]
 
 
 def bucket_index(value: float) -> int:

@@ -80,28 +80,3 @@ class TimeSeries:
         if not selected:
             raise ValueError(f"no samples in [{t0}, {t1})")
         return sum(selected) / len(selected)
-
-    def last(self) -> float:
-        if not self.values:
-            raise ValueError("empty series")
-        return self.values[-1]
-
-    def downsample(self, bucket_s: float) -> "TimeSeries":
-        """Average into fixed buckets; returns a new series."""
-        if bucket_s <= 0:
-            raise ValueError("bucket must be positive")
-        out = TimeSeries(self.label)
-        if not self.times:
-            return out
-        bucket_start = self.times[0]
-        acc: list[float] = []
-        for t, v in zip(self.times, self.values):
-            while t >= bucket_start + bucket_s:
-                if acc:
-                    out.record(bucket_start + bucket_s / 2, sum(acc) / len(acc))
-                acc = []
-                bucket_start += bucket_s
-            acc.append(v)
-        if acc:
-            out.record(bucket_start + bucket_s / 2, sum(acc) / len(acc))
-        return out

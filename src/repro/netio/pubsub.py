@@ -10,7 +10,6 @@ endpoints as everything else.
 Wire format (JSON header + raw payload, length-prefixed inside the frame):
 
 - subscribe:  ``{"op": "sub", "topic": t}``
-- unsubscribe: ``{"op": "unsub", "topic": t}``
 - publish:    ``{"op": "pub", "topic": t}`` + payload
 - delivery to subscribers: ``{"op": "msg", "topic": t, "seq": n}`` + payload
 """
@@ -91,8 +90,6 @@ class Broker:
                         source,
                         _pack({"op": "msg", "topic": topic, "seq": seq}, retained),
                     )
-            elif op == "unsub":
-                self._subscribers.get(topic, set()).discard(source)
             elif op == "pub":
                 self._seq += 1
                 self.published += 1
@@ -113,9 +110,6 @@ class PubSubClient:
 
     def subscribe(self, topic: str) -> None:
         self.endpoint.send(self.broker_name, _pack({"op": "sub", "topic": topic}))
-
-    def unsubscribe(self, topic: str) -> None:
-        self.endpoint.send(self.broker_name, _pack({"op": "unsub", "topic": topic}))
 
     def publish(self, topic: str, payload: bytes) -> None:
         self.endpoint.send(

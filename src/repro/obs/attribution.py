@@ -31,13 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-
-def _quantile(sorted_values: list[float], q: float) -> float:
-    """Exact quantile by rank over an already-sorted sample list."""
-    if not sorted_values:
-        return 0.0
-    index = min(len(sorted_values) - 1, int(q * len(sorted_values)))
-    return sorted_values[index]
+from repro.metrics import sample_quantile
 
 
 @dataclass
@@ -63,8 +57,8 @@ class SegmentStats:
             "count": self.count,
             "total_us": round(self.total_us, 1),
             "mean_us": round(self.total_us / self.count, 2) if self.count else 0.0,
-            "p50_us": round(_quantile(samples, 0.50), 2),
-            "p99_us": round(_quantile(samples, 0.99), 2),
+            "p50_us": round(sample_quantile(samples, 0.50), 2),
+            "p99_us": round(sample_quantile(samples, 0.99), 2),
             "pct_of_slot_time": round(
                 100.0 * self.total_us / slot_total_us, 2
             ) if slot_total_us else 0.0,
@@ -179,7 +173,7 @@ def attribute_slots(
 
     deadline_misses: list[dict] = []
     worst: dict | None = None
-    p99_cut = _quantile(slot_samples, 0.99)
+    p99_cut = sample_quantile(slot_samples, 0.99)
     p99_slot_doc: dict | None = None
 
     for slot in slots:
@@ -277,8 +271,8 @@ def attribute_slots(
     doc: dict[str, Any] = {
         "slot_span": slot_name,
         "slot_count": len(slots),
-        "slot_p50_us": round(_quantile(slot_samples, 0.50), 1),
-        "slot_p99_us": round(_quantile(slot_samples, 0.99), 1),
+        "slot_p50_us": round(sample_quantile(slot_samples, 0.50), 1),
+        "slot_p99_us": round(sample_quantile(slot_samples, 0.99), 1),
         "slot_total_us": round(slot_total, 1),
         "budget_us": budget_us,
         "segments": segment_rows,

@@ -64,10 +64,6 @@ class EventLog:
             return list(self._events)
         return [e for e in self._events if e.kind == kind]
 
-    def last(self, n: int = 1) -> list[Event]:
-        events = list(self._events)
-        return events[-n:]
-
     def reset(self) -> None:
         self._events.clear()
 

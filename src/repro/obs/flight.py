@@ -137,9 +137,6 @@ class FlightRecorder:
         """All retained records, oldest first."""
         return [self._built(call) for call in list(self._calls)]
 
-    def last(self, n: int = 1) -> list[CallRecord]:
-        return [self._built(call) for call in list(self._calls)[-n:]]
-
     def find(
         self, plugin: str | None = None, outcome: str | None = None
     ) -> list[CallRecord]:

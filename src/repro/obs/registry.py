@@ -70,9 +70,6 @@ class GaugeChild:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
 
 def _nothing_pending() -> None:
     pass
@@ -172,9 +169,6 @@ class Gauge(Metric):
 
     def inc(self, amount: float = 1.0, **labels: str) -> None:
         self._child(labels).inc(amount)
-
-    def dec(self, amount: float = 1.0, **labels: str) -> None:
-        self._child(labels).dec(amount)
 
     def value(self, **labels: str) -> float:
         self._fold()

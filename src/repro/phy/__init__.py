@@ -22,7 +22,6 @@ from repro.phy.mcs import (
     CqiEntry,
     McsEntry,
     cqi_to_mcs,
-    sinr_db_to_cqi,
 )
 from repro.phy.tbs import transport_block_size_bits
 
@@ -34,6 +33,5 @@ __all__ = [
     "McsEntry",
     "CqiEntry",
     "cqi_to_mcs",
-    "sinr_db_to_cqi",
     "transport_block_size_bits",
 ]

@@ -4,13 +4,11 @@
 which is what a 10 MHz srsRAN deployment uses by default.  ``CQI_TABLE_1``
 is CQI table 1 (Table 5.2.2.1-2).  ``cqi_to_mcs`` picks the highest MCS
 whose spectral efficiency does not exceed the CQI's - the standard link
-adaptation rule.  ``sinr_db_to_cqi`` is the link abstraction: SINR
-thresholds at ~10% BLER from common link-level curves.
+adaptation rule.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 
@@ -145,17 +143,6 @@ CQI_TABLE_2: list[CqiEntry] = [
 
 MCS_TABLES = {1: MCS_TABLE_1, 2: MCS_TABLE_2}
 CQI_TABLES = {1: CQI_TABLE_1, 2: CQI_TABLE_2}
-
-#: SINR (dB) thresholds for CQI 1..15 at ~10% BLER (link abstraction).
-SINR_THRESHOLDS_DB = [
-    -6.7, -4.7, -2.3, 0.2, 2.4, 4.3, 5.9, 8.1, 10.3, 11.7, 14.1, 16.3,
-    18.7, 21.0, 22.7,
-]
-
-
-def sinr_db_to_cqi(sinr_db: float) -> int:
-    """Map SINR to CQI 0..15 (0 = below the lowest usable threshold)."""
-    return bisect_right(SINR_THRESHOLDS_DB, sinr_db)
 
 
 def _highest_mcs(cqi: int, table: int) -> int:

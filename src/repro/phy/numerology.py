@@ -44,9 +44,6 @@ N_RB_TABLE: dict[tuple[int, int], int] = {
 #: subcarriers per PRB (38.211)
 SUBCARRIERS_PER_PRB = 12
 
-#: OFDM symbols per slot with normal cyclic prefix
-SYMBOLS_PER_SLOT = 14
-
 
 @dataclass(frozen=True)
 class Numerology:
@@ -70,28 +67,17 @@ class Numerology:
     def slot_duration_us(self) -> float:
         return 1000.0 / (1 << self.mu)
 
-    @property
-    def slots_per_frame(self) -> int:
-        """Slots per 10 ms radio frame."""
-        return 10 * (1 << self.mu)
-
-    @property
-    def slots_per_second(self) -> int:
-        return 1000 * (1 << self.mu)
-
 
 @dataclass(frozen=True)
 class CarrierConfig:
-    """One FDD downlink carrier: band label, bandwidth, numerology.
+    """One FDD downlink carrier: bandwidth and numerology.
 
-    Defaults reproduce the paper's testbed: band n3, 10 MHz, 15 kHz SCS.
+    Defaults reproduce the paper's testbed carrier in band n3: 10 MHz,
+    15 kHz SCS.
     """
 
-    band: str = "n3"
     bandwidth_mhz: int = 10
     numerology: Numerology = Numerology(0)
-    #: PDSCH overhead symbols per slot (control + DMRS), used by TBS calc
-    overhead_symbols: int = 2
 
     def __post_init__(self):
         key = (self.numerology.scs_khz, self.bandwidth_mhz)
@@ -109,10 +95,6 @@ class CarrierConfig:
     @property
     def slot_duration_s(self) -> float:
         return self.numerology.slot_duration_s
-
-    @property
-    def data_symbols_per_slot(self) -> int:
-        return SYMBOLS_PER_SLOT - self.overhead_symbols
 
 
 #: the paper's testbed carrier

@@ -1,6 +1,6 @@
 """Transport block size determination (3GPP 38.214 §5.1.3.2).
 
-Given PRB count, MCS and layer count, computes the number of information
+Given PRB count and MCS (one layer), computes the number of information
 bits one slot can carry.  This is the function that turns scheduler grants
 into throughput, so it is implemented to the spec:
 
@@ -33,30 +33,23 @@ TBS_TABLE: list[int] = [
 #: cap on usable resource elements per PRB (38.214 step 1)
 _MAX_RE_PER_PRB = 156
 
+#: PDSCH symbols of a slot a grant spans (control symbols excluded)
+N_SYMBOLS = 12
+#: DMRS resource elements per PRB; there is no further overhead and one
+#: spatial layer
+DMRS_RE_PER_PRB = 12
 
-def resource_elements(
-    n_prb: int,
-    n_symbols: int = 12,
-    dmrs_re_per_prb: int = 12,
-    overhead_re_per_prb: int = 0,
-) -> int:
-    """Step 1: usable REs. ``n_symbols`` excludes control symbols."""
+
+def resource_elements(n_prb: int) -> int:
+    """Step 1: usable REs of ``n_prb`` PRBs."""
     if n_prb <= 0:
         return 0
-    re_per_prb = 12 * n_symbols - dmrs_re_per_prb - overhead_re_per_prb
-    return min(_MAX_RE_PER_PRB, max(re_per_prb, 0)) * n_prb
+    re_per_prb = 12 * N_SYMBOLS - DMRS_RE_PER_PRB
+    return min(_MAX_RE_PER_PRB, re_per_prb) * n_prb
 
 
 @lru_cache(maxsize=1 << 16)
-def transport_block_size_bits(
-    n_prb: int,
-    mcs: int,
-    layers: int = 1,
-    n_symbols: int = 12,
-    dmrs_re_per_prb: int = 12,
-    overhead_re_per_prb: int = 0,
-    mcs_table: int = 1,
-) -> int:
+def transport_block_size_bits(n_prb: int, mcs: int, mcs_table: int = 1) -> int:
     """TBS in bits for a grant of ``n_prb`` PRBs at MCS ``mcs``.
 
     Returns 0 for an empty grant.  Memoized: TBS is a pure function of its
@@ -68,8 +61,7 @@ def transport_block_size_bits(
     if n_prb < 0:
         raise ValueError(f"negative PRB count {n_prb}")
     entry = mcs_entry(mcs, table=mcs_table)
-    n_re = resource_elements(n_prb, n_symbols, dmrs_re_per_prb, overhead_re_per_prb)
-    n_info = n_re * entry.code_rate * entry.qm * layers
+    n_info = resource_elements(n_prb) * entry.code_rate * entry.qm
     if n_info <= 0:
         return 0
 
@@ -90,13 +82,3 @@ def transport_block_size_bits(
         c = math.ceil((n_info_q + 24) / 8424)
         return 8 * c * math.ceil((n_info_q + 24) / (8 * c)) - 24
     return 8 * math.ceil((n_info_q + 24) / 8) - 24
-
-
-def slot_capacity_bytes(n_prb: int, mcs: int, **kwargs) -> int:
-    """Convenience: deliverable payload bytes in one slot."""
-    return transport_block_size_bits(n_prb, mcs, **kwargs) // 8
-
-
-def peak_rate_bps(n_prb: int, mcs: int, slot_duration_s: float, **kwargs) -> float:
-    """Sustained bit rate when granted ``n_prb`` PRBs every slot."""
-    return transport_block_size_bits(n_prb, mcs, **kwargs) / slot_duration_s

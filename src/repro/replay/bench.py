@@ -36,6 +36,7 @@ from typing import Any
 
 from repro.abi.host import HostLimits, PluginCallResult, PluginError, PluginHost
 from repro.abi.hostfuncs import make_env
+from repro.metrics import sample_quantile
 from repro.replay.corpus import ReplayCall, ReplayCorpus, ReplayStream
 from repro.wasm.decoder import decode_module
 from repro.wasm.instance import HostFunc
@@ -135,13 +136,6 @@ def replay_call(host: PluginHost, call: ReplayCall) -> PluginCallResult:
         return host.reissue(call.input_bytes, call.entry, call.chaos, call.rt)
     except PluginError as exc:
         return exc.result
-
-
-def _quantile(sorted_values: list[float], q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    index = min(len(sorted_values) - 1, int(q * (len(sorted_values) - 1) + 0.5))
-    return sorted_values[index]
 
 
 @dataclass
@@ -308,6 +302,6 @@ def replay_corpus(
             elapsed_sorted = sorted(elapsed)
             result.total_us = sum(elapsed)
             result.mean_us = result.total_us / len(elapsed)
-            result.p50_us = _quantile(elapsed_sorted, 0.50)
-            result.p99_us = _quantile(elapsed_sorted, 0.99)
+            result.p50_us = sample_quantile(elapsed_sorted, 0.50)
+            result.p99_us = sample_quantile(elapsed_sorted, 0.99)
     return report

@@ -107,13 +107,16 @@ def _assemble(
     return corpus
 
 
+#: seconds per phase of a recorded ``fig5b`` run (it has three phases)
+FIG5B_PHASE_S = 0.4
+
+
 def record_workload(
     workload: str,
     seed: int = 0,
     slots: int | None = None,
     engine: str | None = None,
     rt: str | None = None,
-    phase_duration_s: float = 0.4,
     workers: int = 2,
     cells: int = 4,
     ues: int = 8,
@@ -124,7 +127,6 @@ def record_workload(
     ``rt`` is an :class:`repro.rt.RtPolicy` string (``"on"`` for the
     defaults): for the chaos soak it composes rt dispatch with the
     faults, for the rt scenarios it overrides the scenario policy.
-    ``phase_duration_s`` applies to ``fig5b`` only (three phases);
     ``workers``/``cells``/``ues``/``mode`` apply to ``cluster`` only.
     """
     if workload not in RECORDABLE_WORKLOADS:
@@ -175,7 +177,7 @@ def record_workload(
     prev_flight = bundle.flight
     prev_enabled = bundle.enabled
     if workload == "fig5b":
-        est_calls = int(3 * phase_duration_s / 1e-3) + 1024
+        est_calls = int(3 * FIG5B_PHASE_S / 1e-3) + 1024
     else:
         est_calls = (slots or 10_000) * 24 + 4096
     recorder = FlightRecorder(capacity=est_calls, capture=True)
@@ -193,8 +195,8 @@ def record_workload(
         elif workload == "fig5b":
             from repro.experiments import run_fig5b
 
-            run_fig5b(phase_duration_s=phase_duration_s)
-            meta.update(phase_duration_s=phase_duration_s)
+            run_fig5b(phase_duration_s=FIG5B_PHASE_S)
+            meta.update(phase_duration_s=FIG5B_PHASE_S)
         else:
             from repro.rt.dispatcher import RtPolicy
             from repro.rt.scenarios import (

@@ -107,10 +107,12 @@ def _exact_key(call: ReplayCall) -> tuple:
     )
 
 
-def _sample_stream(
-    stream: ReplayStream, max_per_class: int
-) -> list[ReplayCall]:
-    """Exact-dedup then keep the first ``max_per_class`` of each class."""
+#: calls kept per behaviour class of a stream
+MAX_PER_CLASS = 3
+
+
+def _sample_stream(stream: ReplayStream) -> list[ReplayCall]:
+    """Exact-dedup then keep the first ``MAX_PER_CLASS`` of each class."""
     seen: set[tuple] = set()
     per_class: dict[tuple, int] = {}
     kept: list[ReplayCall] = []
@@ -120,7 +122,7 @@ def _sample_stream(
             continue
         seen.add(exact)
         cls = _call_class(call)
-        if per_class.get(cls, 0) >= max_per_class:
+        if per_class.get(cls, 0) >= MAX_PER_CLASS:
             continue
         per_class[cls] = per_class.get(cls, 0) + 1
         # private copy: verification below may rebase expectations
@@ -180,7 +182,6 @@ def _replays_faithfully(
 
 def reduce_corpus(
     corpus: ReplayCorpus,
-    max_per_class: int = 3,
     shrink_modules: bool = True,
     max_checks: int = 120,
     engine: str | None = None,
@@ -205,7 +206,7 @@ def reduce_corpus(
             fuel_limit=stream.fuel_limit,
             output_record_bytes=stream.output_record_bytes,
             max_output_bytes=stream.max_output_bytes,
-            calls=_sample_stream(stream, max_per_class),
+            calls=_sample_stream(stream),
         )
         sampled.calls = _verify_stream(reduced, sampled, engine, report)
         if sampled.calls:

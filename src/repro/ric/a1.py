@@ -84,10 +84,6 @@ class NonRtRic:
         )
         return policy_id
 
-    def delete_policy(self, dest: str, policy_id: int) -> None:
-        self.policies.pop(policy_id, None)
-        self.a1.send(dest, {"msg": "a1_policy_delete", "policy_id": policy_id})
-
     def poll_acks(self) -> None:
         for _source, message in self.a1.poll():
             if message.get("msg") == "a1_policy_ack":

@@ -19,6 +19,15 @@ from repro.ric.a1 import NonRtRic, POLICY_SLICE_SLA
 #: pub/sub topic the near-RT RIC publishes slice KPIs on
 KPI_TOPIC = "kpi.slice"
 
+#: smoothed utilization (measured / SLA) at or above which the SLA grows
+UPSCALE_AT = 0.9
+#: ... and at or below which it shrinks
+DOWNSCALE_AT = 0.4
+#: factor one re-plan multiplies (or divides) the SLA by
+SLA_STEP = 1.25
+#: the SLA a downscale never goes below
+MIN_SLA_BPS = 1e6
+
 
 @dataclass
 class _SliceStats:
@@ -32,9 +41,9 @@ class SlaPlannerRApp:
     """Adaptive SLA planning from long-term utilization.
 
     Policy: if a slice's smoothed utilization (measured / SLA) stays above
-    ``upscale_at``, raise the SLA by ``step`` (capacity willing); if it
-    stays below ``downscale_at``, lower it - reclaiming capacity from idle
-    tenants.  Re-planning happens at most every ``min_samples`` KPI
+    ``UPSCALE_AT``, raise the SLA by ``SLA_STEP`` (up to ``max_sla_bps``);
+    if it stays below ``DOWNSCALE_AT``, lower it - reclaiming capacity
+    from idle tenants.  Re-planning happens at most every ``min_samples`` KPI
     reports, keeping this loop an order of magnitude slower than the
     near-RT one.
     """
@@ -42,10 +51,6 @@ class SlaPlannerRApp:
     nonrt: NonRtRic
     subscriber: PubSubClient
     ric_a1_dest: str
-    upscale_at: float = 0.9
-    downscale_at: float = 0.4
-    step: float = 1.25
-    min_sla_bps: float = 1e6
     max_sla_bps: float = 25e6
     min_samples: int = 3
     alpha: float = 0.5
@@ -81,10 +86,10 @@ class SlaPlannerRApp:
         stats.samples += 1
         if stats.samples < self.min_samples:
             return
-        if stats.utilization_ewma >= self.upscale_at:
-            new_sla = min(stats.sla_bps * self.step, self.max_sla_bps)
-        elif stats.utilization_ewma <= self.downscale_at:
-            new_sla = max(stats.sla_bps / self.step, self.min_sla_bps)
+        if stats.utilization_ewma >= UPSCALE_AT:
+            new_sla = min(stats.sla_bps * SLA_STEP, self.max_sla_bps)
+        elif stats.utilization_ewma <= DOWNSCALE_AT:
+            new_sla = max(stats.sla_bps / SLA_STEP, MIN_SLA_BPS)
         else:
             return
         if abs(new_sla - stats.sla_bps) / stats.sla_bps < 0.01:

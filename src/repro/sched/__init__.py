@@ -12,9 +12,8 @@ Intra-slice schedulers come in two flavours with the same interface:
   Proportional Fair, Maximum Throughput) - the baselines;
 - Wasm plugins hosted via :mod:`repro.abi` - the WA-RAN way.
 
-Inter-slice policies in :mod:`repro.sched.inter`: fixed share, target rate
-(token bucket, the paper's "MVNOs with target cumulative DL rates"), and
-strict priority.
+The inter-slice policy in :mod:`repro.sched.inter` is target rate (token
+bucket, the paper's "MVNOs with target cumulative DL rates").
 """
 
 from repro.sched.types import UeGrant, UeSchedInfo, validate_grants
@@ -25,12 +24,7 @@ from repro.sched.intra import (
     RoundRobinScheduler,
     make_intra_scheduler,
 )
-from repro.sched.inter import (
-    FixedShareInterSlice,
-    InterSliceScheduler,
-    PriorityInterSlice,
-    TargetRateInterSlice,
-)
+from repro.sched.inter import InterSliceScheduler, TargetRateInterSlice
 
 __all__ = [
     "UeSchedInfo",
@@ -42,7 +36,5 @@ __all__ = [
     "MaximumThroughputScheduler",
     "make_intra_scheduler",
     "InterSliceScheduler",
-    "FixedShareInterSlice",
     "TargetRateInterSlice",
-    "PriorityInterSlice",
 ]

@@ -44,35 +44,6 @@ def _demand_prbs(ues: list[UeSchedInfo], cap_bytes: float | None = None) -> int:
     return total
 
 
-class FixedShareInterSlice(InterSliceScheduler):
-    """Static percentage split, largest-remainder rounded."""
-
-    def __init__(self, shares: dict[int, float], work_conserving: bool = True):
-        total = sum(shares.values())
-        if total <= 0:
-            raise ValueError("shares must sum to a positive value")
-        if any(s < 0 for s in shares.values()):
-            raise ValueError("shares must be non-negative")
-        self.shares = {sid: s / total for sid, s in shares.items()}
-        self.work_conserving = work_conserving
-
-    def allocate(self, total_prbs, slice_ues, slot):
-        exact = {sid: self.shares.get(sid, 0.0) * total_prbs for sid in slice_ues}
-        alloc = {sid: int(v) for sid, v in exact.items()}
-        leftover = total_prbs - sum(alloc.values())
-        remainders = sorted(
-            slice_ues, key=lambda sid: exact[sid] - alloc[sid], reverse=True
-        )
-        for sid in remainders:
-            if leftover <= 0:
-                break
-            alloc[sid] += 1
-            leftover -= 1
-        if self.work_conserving:
-            alloc = _reclaim_idle(alloc, slice_ues)
-        return alloc
-
-
 class TargetRateInterSlice(InterSliceScheduler):
     """Token-bucket enforcement of per-slice target rates.
 
@@ -154,47 +125,3 @@ class TargetRateInterSlice(InterSliceScheduler):
             self.tokens_bytes[slice_id] = max(
                 floor, self.tokens_bytes[slice_id] - nbytes
             )
-
-
-class PriorityInterSlice(InterSliceScheduler):
-    """Strict priority: higher priority slices take what they need first."""
-
-    def __init__(self, priorities: dict[int, int]):
-        self.priorities = dict(priorities)
-
-    def allocate(self, total_prbs, slice_ues, slot):
-        alloc = {sid: 0 for sid in slice_ues}
-        remaining = total_prbs
-        ordered = sorted(
-            slice_ues, key=lambda sid: (-self.priorities.get(sid, 0), sid)
-        )
-        for sid in ordered:
-            if remaining <= 0:
-                break
-            need = _demand_prbs(slice_ues[sid])
-            take = min(need, remaining)
-            alloc[sid] = take
-            remaining -= take
-        return alloc
-
-
-def _reclaim_idle(
-    alloc: dict[int, int], slice_ues: dict[int, list[UeSchedInfo]]
-) -> dict[int, int]:
-    """Move PRBs from slices with no demand to backlogged slices."""
-    out = dict(alloc)
-    spare = 0
-    demand: dict[int, int] = {}
-    for sid, ues in slice_ues.items():
-        demand[sid] = _demand_prbs(ues)
-        if demand[sid] < out.get(sid, 0):
-            spare += out[sid] - demand[sid]
-            out[sid] = demand[sid]
-    for sid in sorted(out, key=lambda s: demand[s] - out[s], reverse=True):
-        if spare <= 0:
-            break
-        extra = min(demand[sid] - out[sid], spare)
-        if extra > 0:
-            out[sid] += extra
-            spare -= extra
-    return out

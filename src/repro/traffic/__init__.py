@@ -6,8 +6,6 @@ traffic source decides how much data is available.  This package provides:
 
 - :class:`FullBufferSource` - infinite backlog (classic full-buffer model);
 - :class:`CbrSource` - constant bit rate, the iperf3-UDP analog;
-- :class:`PoissonSource` - Poisson packet arrivals;
-- :class:`OnOffSource` - bursty exponential ON/OFF traffic;
 - :class:`DownlinkBuffer` - the per-UE gNB-side queue the scheduler reads
   buffer status from.
 """
@@ -16,8 +14,6 @@ from repro.traffic.sources import (
     CbrSource,
     DownlinkBuffer,
     FullBufferSource,
-    OnOffSource,
-    PoissonSource,
     TrafficSource,
 )
 
@@ -25,7 +21,5 @@ __all__ = [
     "TrafficSource",
     "FullBufferSource",
     "CbrSource",
-    "PoissonSource",
-    "OnOffSource",
     "DownlinkBuffer",
 ]

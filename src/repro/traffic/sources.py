@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 from abc import ABC, abstractmethod
 
 
@@ -42,10 +41,10 @@ class BurstSource(TrafficSource):
     """CBR with a deterministic flash-crowd window.
 
     Arrives at ``base_bps`` outside ``[start_s, end_s)`` and at
-    ``burst_bps`` inside it.  Unlike :class:`OnOffSource` there is no RNG
-    at all - the burst window is part of the scenario spec - so runs are
-    byte-identical across processes and worker counts (the rt stress
-    scenarios depend on that for their digest invariance).
+    ``burst_bps`` inside it.  There is no RNG at all - the burst window
+    is part of the scenario spec - so runs are byte-identical across
+    processes and worker counts (the rt stress scenarios depend on that
+    for their digest invariance).
     """
 
     def __init__(
@@ -72,78 +71,6 @@ class BurstSource(TrafficSource):
         exact = (
             self.base_bps * base_time + self.burst_bps * burst_overlap
         ) / 8 + self._carry
-        whole = int(exact)
-        self._carry = exact - whole
-        return whole
-
-
-class PoissonSource(TrafficSource):
-    """Poisson packet arrivals of fixed size."""
-
-    def __init__(self, mean_rate_bps: float, packet_bytes: int = 1200, seed: int | None = None):
-        if packet_bytes <= 0:
-            raise ValueError("packet size must be positive")
-        self.packets_per_s = mean_rate_bps / (8 * packet_bytes)
-        self.packet_bytes = packet_bytes
-        self._rng = random.Random(seed)
-        self._next_arrival = 0.0
-        self._initialised = False
-
-    def arrivals(self, now_s: float, dt_s: float) -> int:
-        if not self._initialised:
-            self._initialised = True
-            self._next_arrival = now_s + self._draw()
-        count = 0
-        end = now_s + dt_s
-        while self._next_arrival < end:
-            count += 1
-            self._next_arrival += self._draw()
-        return count * self.packet_bytes
-
-    def _draw(self) -> float:
-        if self.packets_per_s <= 0:
-            return float("inf")
-        return self._rng.expovariate(self.packets_per_s)
-
-
-class OnOffSource(TrafficSource):
-    """Exponential ON/OFF bursts: CBR at ``rate_bps`` while ON, silent OFF."""
-
-    def __init__(
-        self,
-        rate_bps: float,
-        mean_on_s: float = 1.0,
-        mean_off_s: float = 1.0,
-        seed: int | None = None,
-    ):
-        if mean_on_s <= 0 or mean_off_s <= 0:
-            raise ValueError("mean ON/OFF durations must be positive")
-        self.rate_bps = rate_bps
-        self.mean_on_s = mean_on_s
-        self.mean_off_s = mean_off_s
-        self._rng = random.Random(seed)
-        self._on = True
-        self._phase_ends = 0.0
-        self._carry = 0.0
-        self._initialised = False
-
-    def arrivals(self, now_s: float, dt_s: float) -> int:
-        if not self._initialised:
-            self._initialised = True
-            self._phase_ends = now_s + self._rng.expovariate(1 / self.mean_on_s)
-        total = 0.0
-        t = now_s
-        end = now_s + dt_s
-        while t < end:
-            segment_end = min(end, self._phase_ends)
-            if self._on:
-                total += self.rate_bps * (segment_end - t) / 8
-            t = segment_end
-            if t >= self._phase_ends:
-                self._on = not self._on
-                mean = self.mean_on_s if self._on else self.mean_off_s
-                self._phase_ends = t + self._rng.expovariate(1 / mean)
-        exact = total + self._carry
         whole = int(exact)
         self._carry = exact - whole
         return whole
@@ -181,7 +108,3 @@ class DownlinkBuffer:
         self.occupancy_bytes -= delivered
         self.delivered_bytes += delivered
         return delivered
-
-    @property
-    def has_data(self) -> bool:
-        return self.occupancy_bytes > 0

@@ -342,9 +342,6 @@ class Instance:
 
     # ------------------------------------------------------------------
 
-    def export_names(self) -> list[str]:
-        return sorted(self._exports)
-
     def get_export(self, name: str):
         """Return the runtime object behind an export (func handle, memory...)."""
         export = self._exports.get(name)

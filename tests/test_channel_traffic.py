@@ -2,14 +2,8 @@
 
 import pytest
 
-from repro.channel import FixedMcsChannel, MarkovCqiChannel, PathLossFadingChannel
-from repro.traffic import (
-    CbrSource,
-    DownlinkBuffer,
-    FullBufferSource,
-    OnOffSource,
-    PoissonSource,
-)
+from repro.channel import FixedMcsChannel, MarkovCqiChannel
+from repro.traffic import CbrSource, DownlinkBuffer, FullBufferSource
 
 
 class TestFixedMcsChannel:
@@ -54,31 +48,6 @@ class TestMarkovCqiChannel:
             MarkovCqiChannel(lo=10, hi=5)
 
 
-class TestPathLossChannel:
-    def test_closer_is_better(self):
-        near = PathLossFadingChannel(distance_m=20, seed=1, shadowing_std_db=0)
-        far = PathLossFadingChannel(distance_m=2000, seed=1, shadowing_std_db=0)
-        near_cqi = sum(near.step(s) for s in range(200)) / 200
-        far_cqi = sum(far.step(s) for s in range(200)) / 200
-        assert near_cqi > far_cqi
-
-    def test_cqi_in_range(self):
-        ch = PathLossFadingChannel(distance_m=300, seed=5)
-        assert all(0 <= ch.step(s) <= 15 for s in range(500))
-
-    def test_bad_distance(self):
-        with pytest.raises(ValueError):
-            PathLossFadingChannel(distance_m=0)
-
-    def test_fading_varies(self):
-        ch = PathLossFadingChannel(distance_m=100, seed=9)
-        sinrs = set()
-        for s in range(100):
-            ch.step(s)
-            sinrs.add(round(ch.last_sinr_db, 3))
-        assert len(sinrs) > 10
-
-
 class TestTrafficSources:
     def test_full_buffer_never_dry(self):
         src = FullBufferSource()
@@ -102,25 +71,6 @@ class TestTrafficSources:
         with pytest.raises(ValueError):
             CbrSource(-1)
 
-    def test_poisson_mean_rate(self):
-        src = PoissonSource(8e6, packet_bytes=1000, seed=4)
-        total = sum(src.arrivals(i * 1e-3, 1e-3) for i in range(20_000))
-        assert total == pytest.approx(20e6 / 8 * 8, rel=0.05)  # ~2.0 MB in 20 s...
-
-    def test_poisson_zero_rate(self):
-        src = PoissonSource(0.0, seed=1)
-        assert sum(src.arrivals(i * 1e-3, 1e-3) for i in range(100)) == 0
-
-    def test_onoff_duty_cycle(self):
-        src = OnOffSource(8e6, mean_on_s=0.5, mean_off_s=0.5, seed=8)
-        total = sum(src.arrivals(i * 1e-3, 1e-3) for i in range(60_000))
-        # ~50% duty cycle of 1 MB/s over 60 s -> ~30 MB
-        assert total == pytest.approx(30e6, rel=0.25)
-
-    def test_onoff_bad_params(self):
-        with pytest.raises(ValueError):
-            OnOffSource(1e6, mean_on_s=0)
-
 
 class TestDownlinkBuffer:
     def test_enqueue_drain(self):
@@ -142,12 +92,6 @@ class TestDownlinkBuffer:
         buf.enqueue(1500)
         assert buf.occupancy_bytes == 1000
         assert buf.dropped_bytes == 500
-
-    def test_has_data(self):
-        buf = DownlinkBuffer()
-        assert not buf.has_data
-        buf.enqueue(1)
-        assert buf.has_data
 
     def test_negative_rejected(self):
         buf = DownlinkBuffer()

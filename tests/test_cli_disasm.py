@@ -82,6 +82,23 @@ class TestCli:
         assert main(["disasm", str(binary)]) == 0
         assert "(module" in capsys.readouterr().out
 
+    def test_disasm_threaded_lists_the_lowering(self, tmp_path, capsys):
+        """``--threaded`` prints one header per function - its instruction
+        and superinstruction counts - over the lowered slots."""
+        binary = tmp_path / "rr.wasm"
+        binary.write_bytes(plugin_wasm("rr"))
+        assert main(["disasm", "--threaded", str(binary)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        module = decode_module(plugin_wasm("rr"))
+        headers = [l for l in lines if l.startswith("func ")]
+        assert len(headers) == len(module.codes)
+        run = module.export_map()["run"].index
+        assert any(
+            l.startswith(f'func {run} (export "run"): ') for l in headers
+        )
+        assert all(" superinstructions covering " in l for l in headers)
+        assert len(lines) > len(headers)
+
     def test_disasm_aot_shows_the_call_boundary(self, tmp_path, capsys):
         """Each compiled function names the leaves it inlines, the callees
         it calls directly, the imports it calls as host functions and the
@@ -120,6 +137,23 @@ class TestCli:
         compiled = [l for l in lines if l.startswith("func ") and ", compiled" in l]
         assert len(compiled) == len(module.codes)
         assert sum(l.startswith("  ;; inlined: ") for l in lines) == len(compiled)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scale", "--sweep", "1,,2"],
+            ["scale", "--sweep", "0,2"],
+            ["fig5d", "--calls", "0"],
+            ["rt", "--slots", "0"],
+        ],
+    )
+    def test_bad_counts_are_usage_errors(self, argv, capsys):
+        """A count from the command line is checked before anything runs:
+        argparse's usage error (exit 2) naming the flag, no traceback."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"error: argument {argv[1]}: " in capsys.readouterr().err
 
     def test_plugins_command(self, capsys):
         assert main(["plugins"]) == 0

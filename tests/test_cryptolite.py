@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.cryptolite import (
     AesCtr,
-    aes128_decrypt_block,
     aes128_encrypt_block,
     generate_keypair,
 )
@@ -21,7 +20,6 @@ class TestAesKnownAnswers:
         plaintext = bytes.fromhex("00112233445566778899aabbccddeeff")
         expected = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
         assert aes128_encrypt_block(key, plaintext) == expected
-        assert aes128_decrypt_block(key, expected) == plaintext
 
     def test_fips197_appendix_b(self):
         """FIPS-197 Appendix B worked example."""
@@ -30,16 +28,18 @@ class TestAesKnownAnswers:
         expected = bytes.fromhex("3925841d02dc09fbdc118597196a0b32")
         assert aes128_encrypt_block(key, plaintext) == expected
 
+    @given(st.binary(min_size=16, max_size=16), st.binary(min_size=1, max_size=64))
+    @settings(max_examples=20, deadline=None)
+    def test_encrypt_decrypt_roundtrip(self, key, data):
+        """CTR decrypts by encrypting the same counter stream again."""
+        ctr = AesCtr(key, b"n" * 8)
+        assert ctr.decrypt(ctr.encrypt(data)) == data
+
     def test_block_size_enforced(self):
         with pytest.raises(ValueError):
             aes128_encrypt_block(b"k" * 16, b"short")
         with pytest.raises(ValueError):
             aes128_encrypt_block(b"short", b"p" * 16)
-
-    @given(st.binary(min_size=16, max_size=16), st.binary(min_size=16, max_size=16))
-    @settings(max_examples=20, deadline=None)
-    def test_encrypt_decrypt_roundtrip(self, key, block):
-        assert aes128_decrypt_block(key, aes128_encrypt_block(key, block)) == block
 
 
 class TestAesCtr:
@@ -92,12 +92,6 @@ class TestRsa:
     def test_message_too_long_rejected(self, keypair):
         with pytest.raises(ValueError, match="too long"):
             keypair.encrypt(b"x" * keypair.byte_length)
-
-    def test_signature_verify(self, keypair):
-        digest = b"\x12" * 20
-        sig = keypair.sign_digest(digest)
-        assert keypair.verify_digest(digest, sig)
-        assert not keypair.verify_digest(b"\x13" * 20, sig)
 
     def test_deterministic_keygen(self):
         a = generate_keypair(bits=256, seed=42)

@@ -369,7 +369,7 @@ class TestReplacedInstancesDieAtOnce:
         try:
             host = PluginHost(plugin_wasm("rr"), name="rr-gc")
             host.call(SMALL)
-            (record,) = OBS.flight.last(1)
+            record = OBS.flight.records()[-1]
             clones = []
             original = PluginHost.reissue
 

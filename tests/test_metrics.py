@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.metrics import LogHistogram, RateMeter, TimeSeries
+from repro.metrics import LogHistogram, RateMeter, TimeSeries, sample_quantile
 from repro.metrics.accumulators import bucket_bounds, bucket_index
 
 #: a bucket's midpoint is within 1/32 of every value the bucket holds
@@ -308,6 +308,31 @@ class TestLogHistogram:
             bad.quantile(0.99)
 
 
+class TestSampleQuantile:
+    """Nearest rank: the smallest sample with at least a ``q`` share of
+    the samples at or below it - always a sample, never an interpolation."""
+
+    def test_one_sample(self):
+        assert [sample_quantile([7.0], q) for q in (0.0, 0.5, 0.99, 1.0)] == [7.0] * 4
+
+    def test_two_samples(self):
+        ordered = [1.0, 3.0]
+        assert sample_quantile(ordered, 0.0) == 1.0
+        assert sample_quantile(ordered, 0.5) == 1.0
+        assert sample_quantile(ordered, 0.51) == 3.0
+        assert sample_quantile(ordered, 0.99) == 3.0
+
+    def test_hundred_samples(self):
+        ordered = [float(v) for v in range(1, 101)]
+        assert sample_quantile(ordered, 0.5) == 50.0
+        assert sample_quantile(ordered, 0.99) == 99.0
+        assert sample_quantile(ordered, 0.07) == 7.0  # 0.07 * 100 > 7 in floats
+        assert sample_quantile(ordered, 1.0) == 100.0
+
+    def test_no_samples(self):
+        assert sample_quantile([], 0.99) == 0.0
+
+
 class TestRateMeter:
     def test_constant_rate(self):
         meter = RateMeter(window_s=1.0)
@@ -390,7 +415,7 @@ class TestTimeSeries:
         for i in range(10):
             ts.record(i * 0.1, float(i))
         assert ts.mean_between(0.0, 0.5) == pytest.approx(2.0)
-        assert ts.last() == 9.0
+        assert ts.values[-1] == 9.0
         assert len(ts) == 10
 
     def test_mean_of_empty_interval_raises(self):
@@ -398,12 +423,3 @@ class TestTimeSeries:
         ts.record(1.0, 1.0)
         with pytest.raises(ValueError):
             ts.mean_between(5.0, 6.0)
-
-    def test_downsample(self):
-        ts = TimeSeries()
-        for i in range(100):
-            ts.record(i * 0.01, 1.0 if i < 50 else 3.0)
-        ds = ts.downsample(0.5)
-        assert len(ds) == 2
-        assert ds.values[0] == pytest.approx(1.0)
-        assert ds.values[1] == pytest.approx(3.0)

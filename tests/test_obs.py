@@ -59,7 +59,7 @@ class TestRegistry:
         g = reg.gauge("pages")
         g.set(4)
         g.inc()
-        g.dec(2)
+        g.inc(-2)
         assert g.value() == 3
 
     def test_histogram_snapshot(self):
@@ -323,7 +323,7 @@ class TestPluginHostTelemetry:
         fuel = reg.histogram("waran_plugin_fuel_used").snapshot(plugin="pf")
         assert fuel["count"] == 1 and fuel["sum"] > 0
         # fuel burns 1 per retired instruction: one series carries both
-        (rec,) = telemetry.flight.last(1)
+        rec = telemetry.flight.records()[-1]
         assert rec.fuel_used == fuel["sum"]
         assert reg.get("waran_plugin_instructions") is None
         frames = reg.histogram("waran_wasm_frames").snapshot(plugin="pf")
@@ -365,7 +365,7 @@ class TestPluginHostTelemetry:
     def test_flight_record_captures_call(self, telemetry):
         plugin = SchedulerPlugin.load(plugin_wasm("mt"), name="mt")
         call = plugin.schedule(52, _ues(), slot=7)
-        (rec,) = telemetry.flight.last(1)
+        rec = telemetry.flight.records()[-1]
         assert rec.plugin == "mt" and rec.entry == "run"
         assert rec.outcome == "ok" and rec.generation == 0
         assert rec.output_bytes is not None
@@ -389,14 +389,14 @@ class TestPluginHostTelemetry:
         # fresh instance
         plugin = SchedulerPlugin.load(plugin_wasm("mt"), name="mt")
         plugin.schedule(52, _ues(), slot=0)
-        (rec,) = telemetry.flight.last(1)
+        rec = telemetry.flight.records()[-1]
         result = plugin.host.call(rec.input_bytes, entry=rec.entry)
         assert result.output == rec.output_bytes
 
     def test_replay_of_stateful_plugin_needs_fresh_instance(self, telemetry):
         plugin = SchedulerPlugin.load(plugin_wasm("rr"), name="rr")
         plugin.schedule(52, _ues(), slot=0)
-        (rec,) = telemetry.flight.last(1)
+        rec = telemetry.flight.records()[-1]
         plugin.schedule(52, _ues(), slot=1)  # advances rr's internal state
         assert plugin.host.replay(rec).output == rec.output_bytes
 
@@ -423,7 +423,7 @@ class TestPluginHostTelemetry:
             )
             == 1
         )
-        (rec,) = telemetry.flight.last(1)
+        rec = telemetry.flight.records()[-1]
         assert rec.outcome == "deadline"
 
 

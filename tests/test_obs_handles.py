@@ -209,7 +209,7 @@ class TestPluginHostHandles:
         assert _calls(reg, "tight", "deadline") == 1
         assert _calls(reg, "tight", "ok") == 1
         assert reg.histogram("waran_plugin_fuel_used").count(plugin="tight") == 2
-        (rec,) = telemetry.flight.last(1)
+        rec = telemetry.flight.records()[-1]
         assert rec.outcome == "deadline" and rec.attrs["rt"]["fuel"] == 25
 
 

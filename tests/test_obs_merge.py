@@ -228,11 +228,48 @@ class TestMergeCli:
                      "--format", "prom", "-o", str(out)]) == 0
         assert 'waran_x_total{worker="0"} 1' in out.read_text()
 
+    def test_obs_merge_gauge_mode(self, tmp_path, capsys):
+        """``--gauge-mode NAME=MODE`` overrides how one gauge merges."""
+        from repro.cli import main
+
+        paths = []
+        for worker, value in (("0", 5), ("1", 3)):
+            path = tmp_path / f"w{worker}.json"
+            path.write_text(json.dumps(snap(lambda r: r.gauge("g").set(value))))
+            paths.append(str(path))
+
+        def merged_value(*flags):
+            assert main(["obs", "merge", *paths, *flags]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            return [e["value"] for e in doc["g"]["series"]]
+
+        assert merged_value() == [8]
+        assert merged_value("--gauge-mode", "g=max") == [5]
+        assert merged_value("--gauge-mode", "g=last") == [3]
+        assert main(["obs", "merge", *paths, "--gauge-mode", "g"]) == 1
+        assert "NAME=MODE" in capsys.readouterr().err
+
     def test_obs_merge_missing_file(self, tmp_path, capsys):
         from repro.cli import main
 
         assert main(["obs", "merge", str(tmp_path / "nope.json")]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_obs_top_lists_the_hottest_spans(self, capsys):
+        """``repro obs --top N``: a header, then at most N span names by
+        total time, most expensive first."""
+        from repro.cli import main
+
+        assert main(["obs", "--calls", "3", "--top", "5"]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header.split() == ["span", "count", "total", "ms", "max", "us"]
+        assert 1 <= len(rows) <= 5
+        totals = [float(row.split()[2]) for row in rows]
+        assert totals == sorted(totals, reverse=True)
+        assert "plugin.call" in {row.split()[0] for row in rows}
+
+        assert main(["obs", "--calls", "3", "--top", "1"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
 
     def test_obs_demo_still_works(self, capsys):
         """The merge subcommand must not break the bare obs demo."""

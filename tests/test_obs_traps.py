@@ -97,7 +97,7 @@ def test_trap_kind_produces_structured_event(telemetry, trap_code):
     assert event.fields["entry"] == "run"
 
     # the failed call is also in the flight recorder with the same outcome
-    (rec,) = telemetry.flight.last(1)
+    rec = telemetry.flight.records()[-1]
     assert rec.outcome == expected_kind
     assert rec.output_bytes is None
 
@@ -162,7 +162,7 @@ def test_error_carries_the_call_result(telemetry, engine, case):
     assert result.outcome == info.value.kind == kind
     assert result.output is None and result.elapsed_us > 0
     # the flight record is a copy of the same report
-    (rec,) = telemetry.flight.last(1)
+    rec = telemetry.flight.records()[-1]
     assert (rec.outcome, rec.output_bytes, rec.fuel_used, rec.elapsed_us) == (
         result.outcome, result.output, result.fuel_used, result.elapsed_us
     )

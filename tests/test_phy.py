@@ -10,10 +10,8 @@ from repro.phy import (
     CarrierConfig,
     Numerology,
     cqi_to_mcs,
-    sinr_db_to_cqi,
     transport_block_size_bits,
 )
-from repro.phy.tbs import peak_rate_bps, slot_capacity_bytes
 
 
 class TestNumerology:
@@ -21,14 +19,11 @@ class TestNumerology:
         n = Numerology(0)
         assert n.scs_khz == 15
         assert n.slot_duration_us == 1000.0
-        assert n.slots_per_frame == 10
-        assert n.slots_per_second == 1000
 
     def test_mu1(self):
         n = Numerology(1)
         assert n.scs_khz == 30
         assert n.slot_duration_us == 500.0
-        assert n.slots_per_frame == 20
 
     def test_bad_mu(self):
         with pytest.raises(ValueError):
@@ -121,15 +116,6 @@ class TestMcsTables:
             assert got == expect, table
             assert got == [by_rule(cqi, table) for cqi in range(16)], table
 
-    def test_sinr_mapping(self):
-        assert sinr_db_to_cqi(-10.0) == 0
-        assert sinr_db_to_cqi(0.0) == 3
-        assert sinr_db_to_cqi(30.0) == 15
-
-    @given(st.floats(-20, 40))
-    def test_sinr_mapping_monotone(self, sinr):
-        assert sinr_db_to_cqi(sinr) <= sinr_db_to_cqi(sinr + 1.0)
-
 
 class TestTbs:
     def test_zero_prbs(self):
@@ -171,16 +157,13 @@ class TestTbs:
     def test_full_carrier_peak_rate_plausible(self):
         """52 PRB @ MCS 28 should give roughly 25-30 Mb/s (the shape the
         paper's 10 MHz cell exhibits: MVNO targets up to 15 Mb/s fit)."""
-        rate = peak_rate_bps(52, 28, 1e-3)
+        rate = transport_block_size_bits(52, 28) / 1e-3
         assert 20e6 < rate < 40e6
 
     def test_mcs20_vs_mcs28_ratio(self):
         r20 = transport_block_size_bits(52, 20)
         r28 = transport_block_size_bits(52, 28)
         assert 0.5 < r20 / r28 < 0.75  # 567/948 ~ 0.60
-
-    def test_slot_capacity_bytes(self):
-        assert slot_capacity_bytes(10, 10) == transport_block_size_bits(10, 10) // 8
 
     @given(st.integers(1, 270), st.integers(0, 28))
     def test_tbs_positive_and_bounded(self, prbs, mcs):

@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import io
 import json
+import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -95,15 +98,10 @@ def _tree_env_reads(root: Path) -> set[tuple[str, str | None]]:
 
 
 #: defaulted parameters in ``src/repro`` that stay settable although no
-#: call site passes them: physical-model constants an experiment varies.
+#: call site passes them: physical-model constants of the MAC and the core.
 #: Any other default nobody sets is a constant with extra steps - make it
 #: one (or, if the scan cannot see its caller, make the parameter required).
 OPTION_ALLOWED = {
-    ("channel/models.py", "PathLossFadingChannel", "tx_power_dbm"),
-    ("channel/models.py", "PathLossFadingChannel", "noise_dbm"),
-    ("channel/models.py", "PathLossFadingChannel", "path_loss_exponent"),
-    ("channel/models.py", "PathLossFadingChannel", "ref_loss_db"),
-    ("channel/models.py", "PathLossFadingChannel", "rho"),
     ("core5g/amf.py", "Amf.establish_session", "qos_5qi"),
     ("sched/intra.py", "ProportionalFairScheduler", "beta"),
 }
@@ -115,24 +113,59 @@ _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _defaulted(file: str, qualname: str, callee: str, fn, bound: int):
-    """``(file, qualname, callee, param, position)`` per defaulted parameter
-    of ``fn``; ``position`` is the index of the positional argument that
-    fills it at a ``callee(...)`` call (``bound`` leading parameters are
-    bound already: ``self``), ``None`` for a keyword-only one."""
+    """``(file, qualname, callee, param, position, False)`` per defaulted
+    parameter of ``fn``; ``position`` is the index of the positional
+    argument that fills it at a ``callee(...)`` call (``bound`` leading
+    parameters are bound already: ``self``), ``None`` for a keyword-only
+    one."""
     args = fn.args
     positional = args.posonlyargs + args.args
     first = len(positional) - len(args.defaults)
     for index, arg in enumerate(positional[first:], first):
-        yield file, qualname, callee, arg.arg, index - bound
+        yield file, qualname, callee, arg.arg, index - bound, False
     for arg, default in zip(args.kwonlyargs, args.kw_defaults):
         if default is not None:
-            yield file, qualname, callee, arg.arg, None
+            yield file, qualname, callee, arg.arg, None, False
+
+
+def _name_of(node) -> str | None:
+    """``f`` for ``f`` / ``x.f``, and for a call of either."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return getattr(node, "attr", None) or getattr(node, "id", None)
+
+
+def _config_fields(file: str, cls: ast.ClassDef):
+    """``(file, class, class, field, position, True)`` per public field of
+    a ``@dataclass`` with a plain default.  A ``default_factory`` field is
+    state, not an option; a ``ClassVar`` or ``init=False`` field is not a
+    constructor parameter at all."""
+    if not any(_name_of(d) == "dataclass" for d in cls.decorator_list):
+        return
+    position = 0
+    for item in cls.body:
+        if not isinstance(item, ast.AnnAssign) or "ClassVar" in ast.unparse(
+            item.annotation
+        ):
+            continue
+        value = item.value
+        if isinstance(value, ast.Call) and _name_of(value) == "field":
+            keywords = {k.arg for k in value.keywords}
+            if "init" in keywords:
+                continue
+            plain = "default" in keywords
+        else:
+            plain = value is not None
+        name = item.target.id
+        if plain and not name.startswith("_"):
+            yield file, cls.name, cls.name, name, position, True
+        position += 1
 
 
 def _options(root: Path):
     """Every defaulted parameter of a public module-level function, and of
-    a public class's ``__init__`` (called as the class) and public methods;
-    nested closures are not options of the module."""
+    a public class's ``__init__`` (called as the class) and public methods,
+    and every defaulted field of a public dataclass (its constructor's
+    parameters); nested closures are not options of the module."""
     for path in sorted(root.rglob("*.py")):
         file = path.relative_to(root).as_posix()
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -140,6 +173,7 @@ def _options(root: Path):
                 yield from _defaulted(file, node.name, node.name, node, 0)
             if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
                 continue
+            yield from _config_fields(file, node)
             for item in node.body:
                 if not isinstance(item, _FUNCS):
                     continue
@@ -156,34 +190,51 @@ def _options(root: Path):
                     )
 
 
-def _call_sites(roots: list[Path]) -> dict[str, tuple[int, set, bool]]:
+def _call_sites(roots: list[Path]) -> tuple[dict[str, tuple[int, set, bool]], set]:
     """Per called name (``f(...)`` / ``x.f(...)``): the most positional
     arguments any call passes, every keyword passed, and whether any call
-    unpacks ``*args`` / ``**kwargs`` (which may set anything)."""
+    unpacks ``*args`` / ``**kwargs`` (which may set anything); and every
+    attribute name some code stores to (``x.f = ...``).  A call whose
+    first argument names a function (``benchmark(f, 7, shrink=False)``,
+    ``pool.submit(f, x)``) also counts as a call of that function with
+    the arguments after it."""
     sites: dict[str, tuple[int, set, bool]] = {}
+    stored = set()
+
+    def record(name, args, keywords):
+        most, passed, unpacks = sites.get(name, (0, set(), False))
+        passed |= {k.arg for k in keywords}
+        unpacks = unpacks or None in passed or any(
+            isinstance(a, ast.Starred) for a in args
+        )
+        sites[name] = (max(most, len(args)), passed, unpacks)
+
     for root in roots:
         for path in sorted(root.rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                    stored.add(node.attr)
                 if not isinstance(node, ast.Call):
                     continue
-                name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
-                most, keywords, unpacks = sites.get(name, (0, set(), False))
-                keywords |= {k.arg for k in node.keywords}
-                unpacks = unpacks or None in keywords or any(
-                    isinstance(a, ast.Starred) for a in node.args
-                )
-                sites[name] = (max(most, len(node.args)), keywords, unpacks)
-    return sites
+                record(_name_of(node), node.args, node.keywords)
+                if node.args and isinstance(node.args[0], (ast.Name, ast.Attribute)):
+                    record(_name_of(node.args[0]), node.args[1:], node.keywords)
+    return sites, stored
 
 
 def _unset_options(root: Path, callers: list[Path]) -> set[tuple[str, str, str]]:
     """``(file, callable, param)`` for every option under ``root`` that no
-    call under ``callers`` to a callable of the same name ever passes."""
-    sites = _call_sites(callers)
+    call under ``callers`` to a callable of the same name ever passes.  A
+    dataclass field also counts as set when a ``replace(...)`` passes it
+    or some code stores to it."""
+    sites, stored = _call_sites(callers)
+    replaced = sites.get("replace", (0, set(), False))[1]
     unset = set()
-    for file, qualname, callee, param, position in _options(root):
+    for file, qualname, callee, param, position, field in _options(root):
         most, keywords, unpacks = sites.get(callee, (0, set(), False))
         passed = param in keywords or (position is not None and position < most)
+        if field:
+            passed = passed or param in replaced or param in stored
         if not (passed or unpacks):
             unset.add((file, qualname, param))
     return unset
@@ -206,6 +257,8 @@ class TestOptionSurface:
             "    return cells, slots, mode\n"
             "def spread(*cells, weight=1.0):\n"
             "    return cells, weight\n"
+            "def warm(n, rounds=3):\n"
+            "    return n * rounds\n"
             "class Host:\n"
             "    def __init__(self, name, fuel=100):\n"
             "        def closure(depth=0):\n"
@@ -221,10 +274,43 @@ class TestOptionSurface:
             "plan(4, 20)\n"
             "spread(**{'weight': 2.0})\n"
             "Host('a', fuel=5).tick()\n"
+            "timed(warm, 1, rounds=5)\n"
         )
         assert _unset_options(tmp_path, [tmp_path]) == {
             ("lib.py", "plan", "mode"),
             ("lib.py", "Host.tick", "dt"),
+        }
+
+    def test_the_guard_sees_an_unset_config_field(self, tmp_path):
+        (tmp_path / "spec.py").write_text(
+            "from dataclasses import dataclass, field, replace\n"
+            "from typing import ClassVar\n"
+            "@dataclass\n"
+            "class Spec:\n"
+            "    cells: int\n"
+            "    slots: int = 10\n"
+            "    seed: int = 0\n"
+            "    mode: str = 'proc'\n"
+            "    fuel: int = field(default=100)\n"
+            "    depth: int = 3\n"
+            "    timeout: float = 1.0\n"
+            "    log: list = field(default_factory=list)\n"
+            "    tags: list = field(repr=False)\n"
+            "    _cache: dict = field(default=None)\n"
+            "    limit: ClassVar[int] = 20\n"
+            "class Plain:\n"
+            "    size: int = 4\n"
+        )
+        (tmp_path / "use.py").write_text(
+            "from spec import Spec, replace\n"
+            "s = Spec(4, 20)\n"
+            "s = replace(s, mode='inline')\n"
+            "s.depth = 5\n"
+        )
+        assert _unset_options(tmp_path, [tmp_path]) == {
+            ("spec.py", "Spec", "seed"),
+            ("spec.py", "Spec", "fuel"),
+            ("spec.py", "Spec", "timeout"),
         }
 
     def test_src_reads_only_allow_listed_environment_variables(self):
@@ -242,6 +328,225 @@ class TestOptionSurface:
         assert list(benchmarks.glob("bench_*.py")), benchmarks
         reads = _tree_env_reads(benchmarks)
         assert not reads, f"benchmarks/ reads the environment: {sorted(reads, key=str)}"
+
+
+#: public callables in ``src/repro`` with no caller outside the tests:
+#: each is the reference a test holds the real code path against.
+#: Anything else only a test reaches goes, or gets a real caller.
+CALLABLE_ALLOWED = {
+    ("abi/wire.py", "unpack_sched_input"):
+        "reference decoder of the scheduler input the plugins parse in Wasm",
+    ("codecs/pbwire.py", "PbMessage.walk_decode"):
+        "reference walker the lowered pbwire decoder must match",
+    ("codecs/bitadapt.py", "FieldSpec.max_value"):
+        "reference for the Wasm field adapter's range check",
+    ("codecs/bitadapt.py", "narrow"):
+        "reference for the Wasm field adapter's narrowing",
+    ("codecs/bitadapt.py", "adapt_message"):
+        "reference for the Wasm field adapter",
+    ("ric/xapps.py", "native_traffic_steering"):
+        "native twin the Wasm traffic-steering xApp is compared against",
+    ("ric/xapps.py", "native_sla_assurance"):
+        "native twin the Wasm SLA-assurance xApp is compared against",
+}
+
+#: where a reference to a callable counts as a caller (tests do not)
+CALLABLE_CALLERS = ("src", "benchmarks", "examples")
+
+WORKFLOWS = ROOT / ".github" / "workflows"
+
+
+def _callables(root: Path):
+    """``(file, qualname, name, first_line, last_line)`` per public
+    module-level function or class under ``root`` and per public method
+    or property of a public class; dunders are not public."""
+    for path in sorted(root.rglob("*.py")):
+        file = path.relative_to(root).as_posix()
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (*_FUNCS, ast.ClassDef)):
+                continue
+            if node.name.startswith("_"):
+                continue
+            members = [node]
+            if isinstance(node, ast.ClassDef):
+                members += [
+                    item for item in node.body
+                    if isinstance(item, _FUNCS) and not item.name.startswith("_")
+                ]
+            for item in members:
+                qualname = item.name if item is node else f"{node.name}.{item.name}"
+                first = min([item.lineno] + [d.lineno for d in item.decorator_list])
+                yield file, qualname, item.name, first, item.end_lineno
+
+
+def _references(roots: list[Path]) -> dict[str, list[tuple[Path, int]]]:
+    """Per name, where an ``ast.Name`` / ``ast.Attribute`` mentions it.
+    Import statements and ``__all__`` strings are not references."""
+    refs: dict[str, list[tuple[Path, int]]] = {}
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, (ast.Name, ast.Attribute)):
+                    refs.setdefault(_name_of(node), []).append(
+                        (path.resolve(), node.lineno)
+                    )
+    return refs
+
+
+def _workflow_words(workflows: Path) -> set[str]:
+    return {
+        word
+        for path in sorted(workflows.glob("*.yml"))
+        for word in re.findall(r"\w+", path.read_text(encoding="utf-8"))
+    }
+
+
+def _uncalled(root: Path, callers: list[Path], workflows: Path) -> set[tuple[str, str]]:
+    """``(file, qualname)`` for every public callable under ``root`` that
+    nothing under ``callers`` references outside its own definition, and
+    no workflow names."""
+    refs = _references(callers)
+    words = _workflow_words(workflows)
+    uncalled = set()
+    for file, qualname, name, first, last in _callables(root):
+        here = (root / file).resolve()
+        called = any(
+            path != here or not first <= line <= last
+            for path, line in refs.get(name, ())
+        )
+        if not (called or name in words):
+            uncalled.add((file, qualname))
+    return uncalled
+
+
+def _cli_flags(cli: Path) -> list[tuple[str, ...]]:
+    """The option strings of each ``add_argument`` call in ``cli``."""
+    flags = []
+    for node in ast.walk(ast.parse(cli.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and _name_of(node) == "add_argument":
+            strings = tuple(
+                a.value for a in node.args
+                if isinstance(a, ast.Constant) and str(a.value).startswith("-")
+            )
+            if strings:  # a positional argument has no flag to pass
+                flags.append(strings)
+    return flags
+
+
+_FLAG = re.compile(r"(?<![\w-])-{1,2}[A-Za-z][\w-]*")
+
+
+def _flag_tokens(roots: list[Path], workflows: Path) -> set[str]:
+    """Every ``-x`` / ``--flag`` word inside a string literal of a Python
+    file under ``roots`` (comments do not count), or anywhere in a
+    workflow."""
+    texts = [path.read_text(encoding="utf-8") for path in sorted(workflows.glob("*.yml"))]
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            source = io.StringIO(path.read_text(encoding="utf-8"))
+            texts.extend(
+                token.string
+                for token in tokenize.generate_tokens(source.readline)
+                if token.type in (tokenize.STRING, getattr(tokenize, "FSTRING_MIDDLE", -1))
+            )
+    return {flag for text in texts for flag in _FLAG.findall(text)}
+
+
+def _unpassed_flags(cli: Path, roots: list[Path], workflows: Path) -> list[tuple[str, ...]]:
+    tokens = _flag_tokens(roots, workflows)
+    return sorted({flags for flags in _cli_flags(cli) if not set(flags) & tokens})
+
+
+#: where passing a ``repro`` flag counts as a caller
+CLI_CALLERS = ("tests", "benchmarks", "examples")
+
+
+class TestCallableSurface:
+    def test_every_callable_has_a_caller(self):
+        import repro
+
+        uncalled = _uncalled(
+            Path(repro.__file__).parent,
+            [ROOT / d for d in CALLABLE_CALLERS],
+            WORKFLOWS,
+        )
+        stray = sorted(uncalled - set(CALLABLE_ALLOWED))
+        assert not stray, f"public callables only tests reach: {stray}"
+        assert uncalled == set(CALLABLE_ALLOWED), "stale allow-list"
+
+    def test_the_guard_sees_an_uncalled_callable(self, tmp_path):
+        src, tests, workflows = (tmp_path / d for d in ("src", "tests", "wf"))
+        for d in (src, tests, workflows):
+            d.mkdir()
+        (src / "__init__.py").write_text(
+            "from lib import Host, helper, orphan\n"
+            "__all__ = ['Host', 'helper', 'orphan']\n"
+        )
+        (src / "lib.py").write_text(
+            "def helper():\n"
+            "    return 1\n"
+            "def orphan():\n"
+            "    return orphan()\n"
+            "def soak():\n"
+            "    return 2\n"
+            "class Host:\n"
+            "    def __init__(self):\n"
+            "        self.n = helper()\n"
+            "    def run(self):\n"
+            "        return self.n\n"
+            "    def drain(self):\n"
+            "        return 0\n"
+            "    @property\n"
+            "    def size(self):\n"
+            "        return 0\n"
+            "    def _private(self):\n"
+            "        return 0\n"
+        )
+        (src / "use.py").write_text("from lib import Host\nHost().run()\n")
+        (tests / "test_lib.py").write_text(
+            "from lib import Host, orphan\nHost().drain()\nHost().size\norphan()\n"
+        )
+        (workflows / "ci.yml").write_text("run: python -c 'import lib; lib.soak()'\n")
+        assert _uncalled(src, [src], workflows) == {
+            ("lib.py", "orphan"),
+            ("lib.py", "Host.drain"),
+            ("lib.py", "Host.size"),
+        }
+
+
+class TestCliFlagSurface:
+    def test_every_cli_flag_has_a_caller(self):
+        import repro
+
+        unpassed = _unpassed_flags(
+            Path(repro.__file__).parent / "cli.py",
+            [ROOT / d for d in CLI_CALLERS],
+            WORKFLOWS,
+        )
+        assert not unpassed, f"repro flags nothing passes: {unpassed}"
+
+    def test_the_guard_sees_an_unpassed_flag(self, tmp_path):
+        (tmp_path / "wf").mkdir()
+        (tmp_path / "wf" / "ci.yml").write_text("run: repro scale --workers=4\n")
+        (tmp_path / "cli.py").write_text(
+            "import argparse\n"
+            "p = argparse.ArgumentParser()\n"
+            "p.add_argument('source')\n"
+            "p.add_argument('-o', '--output')\n"
+            "p.add_argument('--workers', type=int)\n"
+            "p.add_argument('--spare-knob', type=int)\n"
+            "p.add_argument('--no-frobnicate', action='store_true')\n"
+            "p.add_argument('--frobnicate-all', action='store_true')\n"
+        )
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "test_cli.py").write_text(
+            "# --spare-knob is not passed by a comment\n"
+            "main(['x.wc', '-o', 'x.wasm'])\n"
+            "run(f'repro --frobnicate-all {x}')\n"
+        )
+        assert _unpassed_flags(
+            tmp_path / "cli.py", [tmp_path / "tests"], tmp_path / "wf"
+        ) == [("--no-frobnicate",), ("--spare-knob",)]
 
 
 #: the files under ``src/repro`` that may call ``decode_module`` or
@@ -383,7 +688,7 @@ class TestOneRecorderOwner:
         )
         (tmp_path / "replay" / "reads_only.py").write_text(
             "def last(bundle):\n"
-            "    return bundle.flight.last(1)\n"
+            "    return bundle.flight.records()[-1]\n"
         )
         assert _flight_assigners(tmp_path) == {"replay/bench.py"}
 
@@ -463,6 +768,67 @@ class TestLedgerEngines:
         plugin = SchedulerPlugin.load(plugin_wasm("rr"), engine=engine)
         ues = [UeSchedInfo(1, 28, 15, 100_000, 5e6)]
         assert plugin.schedule(52, ues, slot=0).grants
+
+
+#: the documents whose backticked names must exist
+DOCS = ("DESIGN.md", "README.md", "EXPERIMENTS.md", "docs/*.md")
+_DOTTED = re.compile(r"(?<![\w.])repro(?:\.\w+)+")
+_TREE_PATH = re.compile(r"(?<![\w./-])(?:benchmarks|src|tests|examples|docs)/[\w./*-]*")
+
+
+def _resolves(dotted: str) -> bool:
+    """``repro.a.b.c`` imports as a module prefix plus attributes."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def _stale_doc_names(root: Path) -> list[tuple[str, str]]:
+    """``(doc, name)`` per backticked ``repro.…`` name that does not
+    resolve and per backticked tree path that does not exist; what a run
+    writes under an ``out/`` directory is exempt."""
+    stale = []
+    for doc in sorted({p for pattern in DOCS for p in root.glob(pattern)}):
+        for span in re.findall(r"`([^`\n]+)`", doc.read_text(encoding="utf-8")):
+            name = doc.relative_to(root).as_posix()
+            stale += [(name, d) for d in _DOTTED.findall(span) if not _resolves(d)]
+            for path in _TREE_PATH.findall(span):
+                path = path.rstrip(".")
+                exists = any(root.glob(path)) if "*" in path else (root / path).exists()
+                if not (exists or "out/" in path):
+                    stale.append((name, path))
+    return stale
+
+
+class TestDocs:
+    def test_docs_name_only_what_exists(self):
+        stale = _stale_doc_names(ROOT)
+        assert not stale, f"docs name what does not exist: {stale}"
+
+    def test_the_guard_sees_a_stale_name(self, tmp_path):
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "test_x.py").write_text("")
+        (tmp_path / "DESIGN.md").write_text(
+            "`repro.metrics.LogHistogram` and `repro.metrics.reservoir`,\n"
+            "`repro.ran` in `tests/test_x.py`, `tests/test_*.py`,\n"
+            "`benchmarks/bench_gone.py` and `benchmarks/out/run.json`.\n"
+        )
+        (tmp_path / "docs" / "X.md").write_text("`repro.wasm.load_module(raw)`\n")
+        assert _stale_doc_names(tmp_path) == [
+            ("DESIGN.md", "repro.metrics.reservoir"),
+            ("DESIGN.md", "repro.ran"),
+            ("DESIGN.md", "benchmarks/bench_gone.py"),
+        ]
 
 
 class TestReadmeQuickstart:

@@ -35,16 +35,6 @@ class TestBroker:
         assert a.poll() == []
         assert [p for _t, _s, p in b.poll()] == [b"x"]
 
-    def test_unsubscribe(self):
-        _net, broker, a, b = make()
-        a.subscribe("t")
-        broker.step()
-        a.unsubscribe("t")
-        broker.step()
-        b.publish("t", b"x")
-        broker.step()
-        assert a.poll() == []
-
     def test_sequence_numbers_monotone(self):
         _net, broker, a, b = make()
         a.subscribe("t")
@@ -151,33 +141,6 @@ class TestRetainedDelivery:
         b.publish("t", b"live2")
         broker.step()
         assert [p for _t, _s, p in a.poll()] == [b"live2"]
-
-
-class TestUnsubscribeWhileQueued:
-    def test_pub_before_unsub_still_delivered(self):
-        """Broker input is FIFO: messages queued before the unsub land."""
-        _net, broker, a, b = make()
-        a.subscribe("t")
-        broker.step()
-        b.publish("t", b"before")
-        a.unsubscribe("t")  # queued after the publish
-        broker.step()  # one step processes both, in order
-        assert [p for _t, _s, p in a.poll()] == [b"before"]
-
-    def test_unsub_before_pub_not_delivered(self):
-        _net, broker, a, b = make()
-        a.subscribe("t")
-        broker.step()
-        a.unsubscribe("t")
-        b.publish("t", b"after")  # queued after the unsub
-        broker.step()
-        assert a.poll() == []
-
-    def test_unsub_of_never_subscribed_topic_is_noop(self):
-        _net, broker, a, b = make()
-        a.unsubscribe("ghost")
-        broker.step()  # must not raise or create topic state
-        assert broker._subscribers.get("ghost") in (None, set())
 
 
 class TestDeadSubscriberEviction:

@@ -5,9 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sched import (
-    FixedShareInterSlice,
     MaximumThroughputScheduler,
-    PriorityInterSlice,
     ProportionalFairScheduler,
     RoundRobinScheduler,
     TargetRateInterSlice,
@@ -142,32 +140,6 @@ class TestIntraSchedulers:
         assert sched.metric(b) > sched.metric(a)
 
 
-class TestFixedShareInter:
-    def test_split(self):
-        inter = FixedShareInterSlice({1: 0.5, 2: 0.5}, work_conserving=False)
-        alloc = inter.allocate(52, {1: [full(1)], 2: [full(2)]}, 0)
-        assert alloc == {1: 26, 2: 26}
-
-    def test_uneven_split_rounds(self):
-        inter = FixedShareInterSlice({1: 2, 2: 1}, work_conserving=False)
-        alloc = inter.allocate(52, {1: [full(1)], 2: [full(2)]}, 0)
-        assert sum(alloc.values()) == 52
-        assert alloc[1] in (34, 35)
-
-    def test_work_conserving_reclaims_idle(self):
-        inter = FixedShareInterSlice({1: 0.5, 2: 0.5})
-        empty = [UeSchedInfo(2, 15, 9, 0, 0.0)]
-        alloc = inter.allocate(52, {1: [full(1)], 2: empty}, 0)
-        assert alloc[1] == 52
-        assert alloc[2] == 0
-
-    def test_bad_shares(self):
-        with pytest.raises(ValueError):
-            FixedShareInterSlice({1: 0.0})
-        with pytest.raises(ValueError):
-            FixedShareInterSlice({1: -1, 2: 2})
-
-
 class TestTargetRateInter:
     def test_rates_capped_at_target(self):
         """Non-work-conserving: a slice never gets more than its tokens."""
@@ -209,18 +181,3 @@ class TestTargetRateInter:
     def test_negative_target_rejected(self):
         with pytest.raises(ValueError):
             TargetRateInterSlice({1: -5})
-
-
-class TestPriorityInter:
-    def test_high_priority_first(self):
-        inter = PriorityInterSlice({1: 0, 2: 10})
-        alloc = inter.allocate(52, {1: [full(1)], 2: [full(2)]}, 0)
-        assert alloc[2] == 52
-        assert alloc[1] == 0
-
-    def test_leftover_flows_down(self):
-        inter = PriorityInterSlice({1: 0, 2: 10})
-        small = [UeSchedInfo(2, 28, 15, 500, 0.0)]
-        alloc = inter.allocate(52, {1: [full(1)], 2: small}, 0)
-        assert alloc[2] <= 6
-        assert alloc[1] >= 46

@@ -17,11 +17,7 @@ import random
 import pytest
 
 from repro.phy.tbs import transport_block_size_bits
-from repro.sched.inter import (
-    FixedShareInterSlice,
-    PriorityInterSlice,
-    TargetRateInterSlice,
-)
+from repro.sched.inter import TargetRateInterSlice
 from repro.sched.intra import (
     DEMAND_CAP_PRBS,
     make_intra_scheduler,
@@ -177,18 +173,6 @@ class TestInterSliceCapacity:
             sid: random_ues(rng, rng.randint(0, 6)) for sid in range(n_slices)
         }
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_fixed_share_never_overallocates(self, seed):
-        rng = random.Random(seed)
-        sched = FixedShareInterSlice({0: 0.5, 1: 0.3, 2: 0.2})
-        for slot in range(20):
-            slice_ues = self._random_slice_ues(rng)
-            total = rng.randint(1, 100)
-            alloc = sched.allocate(total, slice_ues, slot)
-            assert sum(alloc.values()) <= total
-            assert all(v >= 0 for v in alloc.values())
-            assert set(alloc) <= set(slice_ues)
-
     @pytest.mark.parametrize("work_conserving", [False, True])
     @pytest.mark.parametrize("seed", range(5))
     def test_target_rate_never_overallocates(self, seed, work_conserving):
@@ -206,21 +190,3 @@ class TestInterSliceCapacity:
                 sched.notify_delivery(
                     sid, transport_block_size_bits(prbs, 10) // 8 if prbs else 0
                 )
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_priority_never_overallocates_and_respects_order(self, seed):
-        rng = random.Random(seed)
-        sched = PriorityInterSlice({0: 2, 1: 1, 2: 0})
-        for slot in range(20):
-            slice_ues = self._random_slice_ues(rng)
-            total = rng.randint(1, 60)
-            alloc = sched.allocate(total, slice_ues, slot)
-            assert sum(alloc.values()) <= total
-            assert all(v >= 0 for v in alloc.values())
-
-    def test_priority_highest_takes_what_it_needs_first(self):
-        heavy = [UeSchedInfo(0, 10, 8, 10**6, 1e6)]
-        light = [UeSchedInfo(1, 10, 8, 10**6, 1e6)]
-        sched = PriorityInterSlice({0: 1, 1: 2})
-        alloc = sched.allocate(10, {0: heavy, 1: light}, 0)
-        assert alloc[1] == 10 and alloc[0] == 0

@@ -165,7 +165,7 @@ class TestHeatPolicy:
         host.chaos = OneShotChaos(ChaosInjection(kind, "rr-inj", 2))
         with pytest.raises(PluginError):
             host.call(SMALL)
-        (record,) = OBS.flight.last(1)
+        record = OBS.flight.records()[-1]
         assert record.outcome != "ok" and record.fuel_used is None
         assert fuel_series.count(plugin="rr-inj") == 1
         assert codecache.heat(module) == heat

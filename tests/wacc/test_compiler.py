@@ -263,7 +263,7 @@ class TestFunctionsAndGlobals:
             export fn f(x: i32) -> i32 { return square(x) + square(x + 1); }
         """)
         assert inst.call("f", 3) == 9 + 16
-        assert "square" not in inst.export_names()
+        assert "square" not in inst.exports()
 
     def test_recursion(self):
         inst = build("""

@@ -35,7 +35,7 @@ class TestValidity:
         validate_module(module)
         for engine in ("legacy", "threaded", "aot"):
             instance = Instance(module, store=Store(), engine=engine)
-            assert instance.export_names()
+            assert instance.exports()
 
     def test_exports_cover_every_function(self):
         gm = gen(3)

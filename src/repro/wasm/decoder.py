@@ -34,6 +34,14 @@ MAX_PAGES = 1 << 16
 _EXPORT_KINDS = {0: "func", 1: "table", 2: "mem", 3: "global"}
 
 
+def _u32(data: bytes, pos: int, end: int) -> tuple[int, int]:
+    """An unsigned LEB128 u32 at ``pos``: a one-byte one read in line,
+    anything else by :func:`leb128.decode_u` with its bounds and messages."""
+    if pos < end and data[pos] < 0x80:
+        return data[pos], pos + 1
+    return leb128.decode_u(data, pos, 32, end)
+
+
 class _Reader:
     """Cursor over a byte buffer with bounds-checked primitive reads."""
 
@@ -60,22 +68,8 @@ class _Reader:
         return b
 
     def u32(self) -> int:
-        value, self.pos = leb128.decode_u(self.data, self.pos, 32, self.end)
+        value, self.pos = _u32(self.data, self.pos, self.end)
         return value
-
-    def s32(self) -> int:
-        value, self.pos = leb128.decode_s(self.data, self.pos, 32, self.end)
-        return value
-
-    def s64(self) -> int:
-        value, self.pos = leb128.decode_s(self.data, self.pos, 64, self.end)
-        return value
-
-    def f32(self) -> float:
-        return struct.unpack("<f", self.bytes(4))[0]
-
-    def f64(self) -> float:
-        return struct.unpack("<d", self.bytes(8))[0]
 
     def name(self) -> str:
         length = self.u32()
@@ -88,6 +82,9 @@ class _Reader:
     def valtype(self) -> ValType:
         return ValType.from_byte(self.byte())
 
+    def valtypes(self) -> tuple[ValType, ...]:
+        return tuple([self.valtype() for _ in range(self.u32())])
+
     def limits(self) -> Limits:
         flag = self.byte()
         if flag == 0x00:
@@ -96,70 +93,114 @@ class _Reader:
             return Limits(self.u32(), self.u32())
         raise DecodeError(f"invalid limits flag 0x{flag:02x}")
 
-    def blocktype(self) -> ValType | None:
-        byte = self.byte()
-        if byte == EMPTY_BLOCK:
-            return None
-        return ValType.from_byte(byte)
+    def expr(self) -> tuple[Instr, ...]:
+        instrs, self.pos = _read_expr(self.data, self.pos, self.end)
+        return instrs
 
 
-def _read_instr(r: _Reader) -> Instr:
-    op = r.byte()
-    info = opcodes.OP_TABLE.get(op)
-    if info is None:
-        raise DecodeError(f"unknown opcode 0x{op:02x}")
-    imm = info.imm
-    if imm == "none":
-        return (op, None)
-    if imm == "block":
-        return (op, r.blocktype())
-    if imm in ("label", "func", "local", "global"):
-        return (op, r.u32())
-    if imm == "br_table":
-        count = r.u32()
-        targets = tuple(r.u32() for _ in range(count))
-        return (op, (targets, r.u32()))
-    if imm == "call_ind":
-        type_index = r.u32()
-        table = r.byte()
-        if table != 0x00:
-            raise DecodeError("call_indirect reserved byte must be zero")
-        return (op, type_index)
-    if imm == "mem":
-        return (op, (r.u32(), r.u32()))
-    if imm == "mem_misc":
-        if r.byte() != 0x00:
-            raise DecodeError("memory.size/grow reserved byte must be zero")
-        return (op, None)
-    if imm == "i32":
-        return (op, r.s32())
-    if imm == "i64":
-        return (op, r.s64())
-    if imm == "f32":
-        return (op, r.f32())
-    if imm == "f64":
-        return (op, r.f64())
-    raise AssertionError(f"unhandled immediate kind {imm!r}")
+# How each opcode's immediate is read (the kinds of ``opcodes``, label /
+# func / local / global all a u32): a small int per opcode, 255 for one the
+# table does not know.
+(_NONE, _U32, _S32, _MEM, _BLOCK, _S64, _F32, _F64, _BR_TABLE, _CALL_IND,
+ _MEM_MISC) = range(11)
+_KIND_OF = {"none": _NONE, "label": _U32, "func": _U32, "local": _U32,
+            "global": _U32, "i32": _S32, "mem": _MEM, "block": _BLOCK,
+            "i64": _S64, "f32": _F32, "f64": _F64, "br_table": _BR_TABLE,
+            "call_ind": _CALL_IND, "mem_misc": _MEM_MISC}
+_IMM_KIND = bytes(_KIND_OF[opcodes.OP_TABLE[code].imm] if code in opcodes.OP_TABLE
+                  else 255 for code in range(256))
+#: the one ``(opcode, None)`` of each opcode without immediates
+_PLAIN = [(code, None) for code in range(256)]
+_UNPACK_F32 = struct.Struct("<f").unpack_from
+_UNPACK_F64 = struct.Struct("<d").unpack_from
 
 
-def _read_expr(r: _Reader) -> tuple[Instr, ...]:
-    """Read instructions up to and including the matching outer ``end``.
-
-    Used for full function bodies and for constant initializer expressions;
-    tracks block nesting so inner ``end`` opcodes don't terminate early.
-    """
+def _read_expr(data: bytes, pos: int, end: int) -> tuple[tuple[Instr, ...], int]:
+    """Read a function body or constant expression: instructions from
+    ``pos`` up to and including the matching outer ``end``, reading no byte
+    at or past ``end``; returns them and the position after.  Dispatch is
+    on each opcode's immediate kind; a one-byte LEB128 is read in line, a
+    longer one by :mod:`leb128`, which holds the bounds and the messages."""
     out: list[Instr] = []
+    append = out.append
+    imm_kind, plain, end_op = _IMM_KIND, _PLAIN, opcodes.END
     depth = 0
-    while True:
-        instr = _read_instr(r)
-        out.append(instr)
-        op = instr[0]
-        if op in (opcodes.BLOCK, opcodes.LOOP, opcodes.IF):
+    while pos < end:
+        op = data[pos]
+        pos += 1
+        kind = imm_kind[op]
+        if kind == _NONE:
+            append(plain[op])
+            if op == end_op:
+                if not depth:
+                    return tuple(out), pos
+                depth -= 1
+        elif kind == _U32:
+            if pos < end and data[pos] < 0x80:
+                append((op, data[pos]))
+                pos += 1
+            else:
+                imm, pos = leb128.decode_u(data, pos, 32, end)
+                append((op, imm))
+        elif kind == _S32:
+            if pos < end and data[pos] < 0x80:
+                byte = data[pos]
+                append((op, byte - 0x80 if byte & 0x40 else byte))
+                pos += 1
+            else:
+                imm, pos = leb128.decode_s(data, pos, 32, end)
+                append((op, imm))
+        elif kind == _MEM:
+            if pos + 1 < end and data[pos] < 0x80 and data[pos + 1] < 0x80:
+                append((op, (data[pos], data[pos + 1])))
+                pos += 2
+            else:
+                align, pos = _u32(data, pos, end)
+                offset, pos = _u32(data, pos, end)
+                append((op, (align, offset)))
+        elif kind == _BLOCK:
+            if pos >= end:
+                raise DecodeError("unexpected end of section or function")
+            byte = data[pos]
+            pos += 1
+            append((op, None if byte == EMPTY_BLOCK else ValType.from_byte(byte)))
             depth += 1
-        elif op == opcodes.END:
-            if depth == 0:
-                return tuple(out)
-            depth -= 1
+        elif kind == _S64:
+            imm, pos = leb128.decode_s(data, pos, 64, end)
+            append((op, imm))
+        elif kind == _F32 or kind == _F64:
+            size = 4 if kind == _F32 else 8
+            if pos + size > end:
+                raise DecodeError("unexpected end of section or function")
+            unpack = _UNPACK_F32 if kind == _F32 else _UNPACK_F64
+            append((op, unpack(data, pos)[0]))
+            pos += size
+        elif kind == _BR_TABLE:
+            count, pos = _u32(data, pos, end)
+            targets = []
+            for _ in range(count):
+                target, pos = _u32(data, pos, end)
+                targets.append(target)
+            default, pos = _u32(data, pos, end)
+            append((op, (tuple(targets), default)))
+        elif kind == _CALL_IND:
+            type_index, pos = _u32(data, pos, end)
+            if pos >= end:
+                raise DecodeError("unexpected end of section or function")
+            if data[pos] != 0x00:
+                raise DecodeError("call_indirect reserved byte must be zero")
+            pos += 1
+            append((op, type_index))
+        elif kind == _MEM_MISC:
+            if pos >= end:
+                raise DecodeError("unexpected end of section or function")
+            if data[pos] != 0x00:
+                raise DecodeError("memory.size/grow reserved byte must be zero")
+            pos += 1
+            append(plain[op])
+        else:
+            raise DecodeError(f"unknown opcode 0x{op:02x}")
+    raise DecodeError("unexpected end of section or function")
 
 
 def _decode_type_section(r: _Reader, mod: Module) -> None:
@@ -167,8 +208,8 @@ def _decode_type_section(r: _Reader, mod: Module) -> None:
         form = r.byte()
         if form != 0x60:
             raise DecodeError(f"invalid functype form 0x{form:02x}")
-        params = tuple(r.valtype() for _ in range(r.u32()))
-        results = tuple(r.valtype() for _ in range(r.u32()))
+        params = r.valtypes()
+        results = r.valtypes()
         if len(results) > 1:
             raise DecodeError("multi-value results not supported (MVP)")
         mod.types.append(FuncType(params, results))
@@ -207,7 +248,7 @@ def _decode_global_section(r: _Reader, mod: Module) -> None:
         mut = r.byte()
         if mut not in (0, 1):
             raise DecodeError(f"invalid global mutability 0x{mut:02x}")
-        init = _read_expr(r)
+        init = r.expr()
         mod.globals.append(Global(GlobalType(valtype, bool(mut)), init))
 
 
@@ -229,27 +270,31 @@ def _decode_elem_section(r: _Reader, mod: Module) -> None:
         table_index = r.u32()
         if table_index != 0:
             raise DecodeError("only table 0 supported (MVP)")
-        offset = _read_expr(r)
+        offset = r.expr()
         funcs = tuple(r.u32() for _ in range(r.u32()))
         mod.elems.append(ElemSegment(table_index, offset, funcs))
 
 
 def _decode_code_section(r: _Reader, mod: Module) -> None:
+    data = r.data
     for _ in range(r.u32()):
         body_size = r.u32()
-        body_end = r.pos + body_size
+        pos, body_end = r.pos, r.pos + body_size
         if body_end > r.end:
             raise DecodeError("function body overruns section")
-        sub = _Reader(r.data, r.pos, body_end)
         locals_: list[ValType] = []
-        for _ in range(sub.u32()):
-            count = sub.u32()
-            valtype = sub.valtype()
+        groups, pos = _u32(data, pos, body_end)
+        for _ in range(groups):
+            count, pos = _u32(data, pos, body_end)
+            if pos >= body_end:
+                raise DecodeError("unexpected end of section or function")
+            valtype = ValType.from_byte(data[pos])
+            pos += 1
             if len(locals_) + count > 50_000:
                 raise DecodeError("too many locals")
             locals_.extend([valtype] * count)
-        body = _read_expr(sub)
-        if not sub.eof():
+        body, pos = _read_expr(data, pos, body_end)
+        if pos < body_end:
             raise DecodeError("junk after function body end")
         r.pos = body_end
         mod.codes.append(Code(tuple(locals_), body))
@@ -260,7 +305,7 @@ def _decode_data_section(r: _Reader, mod: Module) -> None:
         mem_index = r.u32()
         if mem_index != 0:
             raise DecodeError("only memory 0 supported (MVP)")
-        offset = _read_expr(r)
+        offset = r.expr()
         payload = r.bytes(r.u32())
         mod.datas.append(DataSegment(mem_index, offset, payload))
 
@@ -292,9 +337,9 @@ def decode_module(data: bytes, content_hash: str | None = None) -> Module:
         payload_end = r.pos + size
         if payload_end > len(data):
             raise DecodeError("section size overruns module")
-        sub = _Reader(data, r.pos, payload_end)
+        r.end = payload_end  # until the payload has been read
         if section_id == 0:
-            mod.customs.append((sub.name(), sub.bytes(payload_end - sub.pos)))
+            mod.customs.append((r.name(), r.bytes(payload_end - r.pos)))
         else:
             if section_id <= last_id:
                 raise DecodeError(
@@ -304,38 +349,38 @@ def decode_module(data: bytes, content_hash: str | None = None) -> Module:
                 raise DecodeError(f"unknown section id {section_id}")
             last_id = section_id
             if section_id == 1:
-                _decode_type_section(sub, mod)
+                _decode_type_section(r, mod)
             elif section_id == 2:
-                _decode_import_section(sub, mod)
+                _decode_import_section(r, mod)
             elif section_id == 3:
-                for _ in range(sub.u32()):
-                    mod.funcs.append(sub.u32())
+                for _ in range(r.u32()):
+                    mod.funcs.append(r.u32())
                 num_funcs_declared = len(mod.funcs)
             elif section_id == 4:
-                for _ in range(sub.u32()):
-                    if sub.byte() != FUNCREF:
+                for _ in range(r.u32()):
+                    if r.byte() != FUNCREF:
                         raise DecodeError("table must be funcref")
-                    mod.tables.append(sub.limits())
+                    mod.tables.append(r.limits())
             elif section_id == 5:
-                for _ in range(sub.u32()):
-                    limits = sub.limits()
+                for _ in range(r.u32()):
+                    limits = r.limits()
                     limits.validate(MAX_PAGES, "memory")
                     mod.mems.append(limits)
             elif section_id == 6:
-                _decode_global_section(sub, mod)
+                _decode_global_section(r, mod)
             elif section_id == 7:
-                _decode_export_section(sub, mod)
+                _decode_export_section(r, mod)
             elif section_id == 8:
-                mod.start = sub.u32()
+                mod.start = r.u32()
             elif section_id == 9:
-                _decode_elem_section(sub, mod)
+                _decode_elem_section(r, mod)
             elif section_id == 10:
-                _decode_code_section(sub, mod)
+                _decode_code_section(r, mod)
             elif section_id == 11:
-                _decode_data_section(sub, mod)
-            if not sub.eof():
+                _decode_data_section(r, mod)
+            if not r.eof():
                 raise DecodeError(f"section {section_id} has trailing bytes")
-        r.pos = payload_end
+        r.pos, r.end = payload_end, len(data)
 
     if len(mod.codes) != num_funcs_declared:
         raise DecodeError(

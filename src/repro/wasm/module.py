@@ -113,14 +113,6 @@ class Module:
     def num_imported_globals(self) -> int:
         return len(self.imported("global"))
 
-    @property
-    def num_imported_mems(self) -> int:
-        return len(self.imported("mem"))
-
-    @property
-    def num_imported_tables(self) -> int:
-        return len(self.imported("table"))
-
     def func_type(self, func_index: int) -> FuncType:
         """Resolve the signature of a function in the module index space."""
         n_imp = self.num_imported_funcs

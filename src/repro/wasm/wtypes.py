@@ -22,10 +22,13 @@ class ValType(IntEnum):
 
     @classmethod
     def from_byte(cls, byte: int) -> "ValType":
-        try:
-            return cls(byte)
-        except ValueError:
-            raise DecodeError(f"invalid value type byte 0x{byte:02x}") from None
+        valtype = _VALTYPE_OF.get(byte)
+        if valtype is None:
+            raise DecodeError(f"invalid value type byte 0x{byte:02x}")
+        return valtype
+
+
+_VALTYPE_OF = {vt.value: vt for vt in ValType}
 
 
 #: binary encoding of an empty block type

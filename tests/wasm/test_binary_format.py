@@ -127,11 +127,13 @@ class TestLinearDecode:
     of the module up to it: a copy per read made decoding quadratic in
     module size, on untrusted input."""
 
-    #: one body, ``i32.const 1; drop`` N times, then a data section: the
-    #: code section ends before the module does
+    #: one body, ``i32.const 1000; drop`` N times, then a data section:
+    #: the code section ends before the module does.  1000 takes two LEB
+    #: bytes, so every one goes through ``leb128`` (a one-byte LEB is read
+    #: in line)
     @staticmethod
     def module(n: int) -> bytes:
-        body = b"\x00" + b"\x41\x01\x1a" * n + b"\x0b"
+        body = b"\x00" + b"\x41\xe8\x07\x1a" * n + b"\x0b"
         code = b"\x01" + leb128.encode_u(len(body)) + body
         data = b"\x01\x00\x41\x00\x0b\x01x"  # one byte at offset 0
         return (
@@ -156,7 +158,26 @@ class TestLinearDecode:
             monkeypatch.setattr(leb128, name, recording)
         mod = decode_module(raw)
         assert len(mod.codes[0].body) == 101 and mod.datas[0].payload == b"x"
+        assert mod.codes[0].body[0] == (0x41, 1000)
         assert len(seen) > 50 and all(data is raw for data in seen)
+
+    def test_one_byte_lebs_read_in_line_equal_leb128(self):
+        """Every single-byte LEB, as a u32 (``local.get``) and as an s32
+        (``i32.const``) immediate, decodes to what ``leb128`` makes of it."""
+        body = b"\x00" + b"".join(
+            bytes((0x20, b, 0x41, b, 0x1A, 0x1A)) for b in range(128)
+        ) + b"\x0b"
+        code = b"\x01" + leb128.encode_u(len(body)) + body
+        raw = (
+            b"\x00asm\x01\x00\x00\x00" + b"\x01\x04\x01\x60\x00\x00"
+            + b"\x03\x02\x01\x00" + b"\x0a" + leb128.encode_u(len(code)) + code
+        )
+        instrs = decode_module(raw).codes[0].body
+        for b in range(128):
+            local_get, i32_const = instrs[4 * b], instrs[4 * b + 1]
+            assert local_get == (0x20, leb128.decode_u(bytes((b,)), 0)[0])
+            assert i32_const == (0x41, leb128.decode_s(bytes((b,)), 0)[0])
+        assert instrs[0x40 * 4 + 1] == (0x41, -64) and instrs[0x7F * 4 + 1] == (0x41, -1)
 
     def test_leb_cut_by_body_end_is_refused(self):
         """``i32.const`` whose LEB's last byte is the body's: the next

@@ -78,6 +78,15 @@ def test_else_and_if_landings():
     assert facts.targets == {4, 5}
 
 
+def test_the_stack_scan_is_clamped_at_zero():
+    """Dead code may pop what the linear scan never pushed: the scan stops
+    at zero there, so what is pushed after it still counts."""
+    source = """(module (func (export "f")
+        unreachable i32.add drop i32.const 1 i32.const 2 drop drop))"""
+    module = load_module(assemble(source))
+    assert body_facts(module.codes[0]).max_stack == 2
+
+
 def test_instructions_after_the_function_end_are_rejected():
     module = decode_module(assemble('(module (func (export "f")))'))
     (code,) = module.codes

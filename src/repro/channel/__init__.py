@@ -1,7 +1,8 @@
 """Per-UE radio channel models.
 
-Each model produces a CQI per slot; link adaptation (CQI -> MCS) happens in
-the MAC.  Two models cover the experiments:
+Each model reports a CQI per slot together with its link-adapted MCS
+(:meth:`ChannelModel.report`, one call per UE per slot).  Two models cover
+the experiments:
 
 - :class:`FixedMcsChannel` - pins the UE at one MCS, as the live-swap
   experiment (Fig. 5b) does with its MCS-20/24/28 UEs;

@@ -7,24 +7,32 @@ from abc import ABC, abstractmethod
 
 from repro.phy.mcs import MCS_TABLE_1, cqi_to_mcs
 
+#: link adaptation (``cqi_to_mcs``) per CQI 0..15
+_MCS_OF_CQI = tuple(cqi_to_mcs(cqi) for cqi in range(16))
+
 
 class ChannelModel(ABC):
     """Produces the channel state a UE reports each slot."""
 
     @abstractmethod
+    def report(self, slot: int) -> tuple[int, int]:
+        """Advance to ``slot`` and return the reported ``(CQI, MCS)``: the
+        CQI (0..15) and its link-adapted MCS, read once per UE per slot."""
+
     def step(self, slot: int) -> int:
         """Advance to ``slot`` and return the reported CQI (0..15)."""
+        return self.report(slot)[0]
 
     def mcs(self, slot: int) -> int:
-        """Convenience: CQI for this slot mapped through link adaptation."""
-        return cqi_to_mcs(self.step(slot))
+        """Advance to ``slot`` and return the link-adapted MCS."""
+        return self.report(slot)[1]
 
 
 class FixedMcsChannel(ChannelModel):
     """A channel pinned to a fixed MCS (per Fig. 5b's controlled setup).
 
     Reports the smallest CQI whose link adaptation yields the target MCS,
-    and overrides :meth:`mcs` to return the exact target.
+    together with the exact target.
     """
 
     def __init__(self, mcs: int):
@@ -35,11 +43,8 @@ class FixedMcsChannel(ChannelModel):
             (cqi for cqi in range(1, 16) if cqi_to_mcs(cqi) >= mcs), 15
         )
 
-    def step(self, slot: int) -> int:
-        return self._cqi
-
-    def mcs(self, slot: int) -> int:
-        return self._mcs
+    def report(self, slot: int) -> tuple[int, int]:
+        return self._cqi, self._mcs
 
 
 class MarkovCqiChannel(ChannelModel):
@@ -64,11 +69,12 @@ class MarkovCqiChannel(ChannelModel):
         self._rng = random.Random(seed)
         self._last_slot = -1
 
-    def step(self, slot: int) -> int:
+    def report(self, slot: int) -> tuple[int, int]:
         # advance once per distinct slot (idempotent within a slot)
         if slot != self._last_slot:
             self._last_slot = slot
             if self._rng.random() < self.p_step:
                 delta = 1 if self._rng.random() < 0.5 else -1
                 self.cqi = min(max(self.cqi + delta, self.lo), self.hi)
-        return self.cqi
+        cqi = self.cqi  # within lo..hi, a subrange of 0..15
+        return cqi, _MCS_OF_CQI[cqi]

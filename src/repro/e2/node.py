@@ -10,7 +10,7 @@ transmit power, and handover execution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.chaos.supervisor import Supervisor
@@ -28,6 +28,9 @@ class _Subscription:
     service_model: str
     period_slots: int
     last_report_slot: int = -1
+    #: per slice, the delivered-bytes total at this subscription's last
+    #: report: each subscription's rate is its own delta over its own period
+    slice_bytes: dict[int, int] = field(default_factory=dict)
 
 
 class E2NodeAgent:
@@ -51,7 +54,6 @@ class E2NodeAgent:
         self.tx_power: int | None = None
         self.cqi_table: int = 1
         self.controls_applied: list[dict[str, Any]] = []
-        self._last_slice_bytes: dict[int, int] = {}
 
     def _send(self, dest: str, message: dict[str, Any]) -> bool:
         """Supervised send: a dead RIC link must not crash the node agent."""
@@ -182,8 +184,8 @@ class E2NodeAgent:
         period_s = sub.period_slots * self.gnb.carrier.slot_duration_s
         for sid, runtime in self.gnb.slices.items():
             total = runtime.meter.total_bytes
-            delta = total - self._last_slice_bytes.get(sid, 0)
-            self._last_slice_bytes[sid] = total
+            delta = total - sub.slice_bytes.get(sid, 0)
+            sub.slice_bytes[sid] = total
             target = 0.0
             inter = self.gnb.inter_slice
             if isinstance(inter, TargetRateInterSlice):

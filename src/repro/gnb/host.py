@@ -44,6 +44,9 @@ class UeContext:
     #: feeds the E2 KPM reports the traffic-steering xApp consumes
     neighbor_cell: int = 0
     neighbor_channel: ChannelModel | None = None
+    #: bytes the current slot's grant delivered; the slot's PF pass folds
+    #: it into ``avg_tput_bps`` and clears it
+    slot_delivered_bytes: int = field(default=0, init=False)
 
     def neighbor_cqi(self, slot: int) -> int:
         return self.neighbor_channel.step(slot) if self.neighbor_channel else 0
@@ -158,6 +161,10 @@ class GnbHost:
                 rt, slot_us=self.carrier.slot_duration_s * 1e6
             )
         self.rt = rt
+        if pf_time_constant_slots < 1:
+            raise ValueError(
+                f"pf_time_constant_slots must be >= 1, got {pf_time_constant_slots}"
+            )
         self.pf_time_constant_slots = pf_time_constant_slots
         #: take a plugin checkpoint every N successful scheduling calls
         #: (0 disables; the chaos runner turns this on so a quarantined
@@ -207,44 +214,45 @@ class GnbHost:
         return executed
 
     def _step_slot(self) -> dict[int, list[UeGrant]]:
+        slot = self.slot
         slot_dt = self.carrier.slot_duration_s
         now = self.now_s
+        ues = self.ues
 
-        # 1. traffic arrives into DL buffers; channels evolve
-        for ue in self.ues.values():
-            ue.buffer.enqueue(ue.traffic.arrivals(now, slot_dt))
-            ue.current_cqi = ue.channel.step(self.slot)
-            ue.current_mcs = ue.channel.mcs(self.slot)
-
-        # 2. snapshot scheduler inputs per slice
+        # 1. one pass over the UE table, in attach order: traffic arrives
+        # into the DL buffer, the channel reports, and every UE of a
+        # connected slice gets its scheduler row
         slice_ues: dict[int, list[UeSchedInfo]] = {
             sid: [] for sid in self.slices
             if not self.fault_policy.is_disconnected(sid)
         }
-        for ue in self.ues.values():
-            if ue.slice_id in slice_ues:
-                slice_ues[ue.slice_id].append(
+        rows_of = slice_ues.get
+        for ue in ues.values():
+            buffer = ue.buffer
+            buffer.enqueue(ue.traffic.arrivals(now, slot_dt))
+            cqi, mcs = ue.channel.report(slot)
+            ue.current_cqi = cqi
+            ue.current_mcs = mcs
+            rows = rows_of(ue.slice_id)
+            if rows is not None:
+                rows.append(
                     UeSchedInfo(
-                        ue.ue_id,
-                        ue.current_mcs,
-                        ue.current_cqi,
-                        ue.buffer.occupancy_bytes,
-                        ue.avg_tput_bps,
+                        ue.ue_id, mcs, cqi, buffer.occupancy_bytes, ue.avg_tput_bps
                     )
                 )
 
-        # 3. inter-slice allocation
+        # 2. inter-slice allocation
         if self.inter_slice is not None:
             allocation = self.inter_slice.allocate(
-                self.carrier.n_prb, slice_ues, self.slot
+                self.carrier.n_prb, slice_ues, slot
             )
         else:
             # single-slice (or equal-split) fallback
             n = max(len(slice_ues), 1)
             allocation = {sid: self.carrier.n_prb // n for sid in slice_ues}
 
-        # 4. intra-slice scheduling (rt: lanes planned, budgets assigned,
-        # SLA-priority dispatch order), 5. grant execution
+        # 3. intra-slice scheduling (rt: lanes planned, budgets assigned,
+        # SLA-priority dispatch order), 4. grant execution
         rt_decisions: dict[int, RtDecision] = {}
         order = list(slice_ues.keys())
         if self.rt is not None:
@@ -260,50 +268,59 @@ class GnbHost:
                     requests.append(
                         RtRequest(sid, runtime.plugin.name, runtime.lane)
                     )
-            decisions = self.rt.plan_slot(self.slot, requests)
+            decisions = self.rt.plan_slot(slot, requests)
             rt_decisions = {d.sid: d for d in decisions}
             rank = {d.sid: i for i, d in enumerate(decisions)}
             order.sort(
                 key=lambda sid: (0, rank[sid]) if sid in rank else (1, sid)
             )
+        notify = (
+            self.inter_slice.notify_delivery
+            if self.inter_slice is not None
+            else None
+        )
         executed: dict[int, list[UeGrant]] = {}
-        served: set[int] = set()
         for sid in order:
-            ues = slice_ues[sid]
-            prbs = allocation.get(sid, 0)
-            grants = self._schedule_slice(sid, prbs, ues, rt_decisions.get(sid))
+            grants = self._schedule_slice(
+                sid, allocation.get(sid, 0), slice_ues[sid], rt_decisions.get(sid)
+            )
             executed[sid] = grants
-            runtime = self.slices[sid]
+            if not grants:
+                continue
+            slice_bytes = 0
             for grant in grants:
-                ue = self.ues[grant.ue_id]
-                tbs_bytes = transport_block_size_bits(grant.prbs, ue.current_mcs) // 8
-                delivered = ue.buffer.drain(tbs_bytes)
-                self.total_delivered_bytes += delivered
-                if OBS.enabled and delivered:
-                    runtime._delivered_series.get(
-                        OBS.registry, runtime.name
-                    ).inc(delivered)
+                ue = ues[grant.ue_id]
+                delivered = ue.buffer.drain(
+                    transport_block_size_bits(grant.prbs, ue.current_mcs) // 8
+                )
+                slice_bytes += delivered
                 ue.meter.add(now, delivered)
-                runtime.meter.add(now, delivered)
-                if self.inter_slice is not None:
-                    self.inter_slice.notify_delivery(sid, delivered)
-                self._update_avg(ue, delivered, slot_dt)
-                served.add(grant.ue_id)
+                if notify is not None:
+                    # per grant: the debt floor clamps per call
+                    notify(sid, delivered)
+                ue.slot_delivered_bytes = delivered
+            runtime = self.slices[sid]
+            runtime.meter.add(now, slice_bytes)
+            self.total_delivered_bytes += slice_bytes
+            if OBS.enabled and slice_bytes:
+                runtime._delivered_series.get(OBS.registry, runtime.name).inc(
+                    slice_bytes
+                )
 
-        # 6. PF long-term average decays for unserved UEs
-        for ue in self.ues.values():
-            if ue.ue_id not in served:
-                self._update_avg(ue, 0, slot_dt)
+        # 5. PF long-term average: served UEs move toward this slot's rate,
+        # the rest decay toward zero
+        alpha = 1.0 / self.pf_time_constant_slots
+        keep = 1 - alpha
+        for ue in ues.values():
+            ue.avg_tput_bps = keep * ue.avg_tput_bps + alpha * (
+                ue.slot_delivered_bytes * 8 / slot_dt
+            )
+            ue.slot_delivered_bytes = 0
 
         if self.rt is not None:
-            self.rt.settle(self.slot)
+            self.rt.settle(slot)
         self.slot += 1
         return executed
-
-    def _update_avg(self, ue: UeContext, delivered_bytes: int, slot_dt: float) -> None:
-        alpha = 1.0 / self.pf_time_constant_slots
-        instant_bps = delivered_bytes * 8 / slot_dt
-        ue.avg_tput_bps = (1 - alpha) * ue.avg_tput_bps + alpha * instant_bps
 
     def _schedule_slice(
         self,

@@ -24,7 +24,8 @@ class RateMeter:
 
     def add(self, now_s: float, nbytes: int) -> None:
         """Record ``nbytes`` delivered at simulation time ``now_s``."""
-        self._roll(now_s)
+        if now_s >= self._window_start + self.window_s:
+            self._roll(now_s)
         self._window_bytes += nbytes
         self.total_bytes += nbytes
 

@@ -14,8 +14,10 @@ into throughput, so it is implemented to the spec:
 
 from __future__ import annotations
 
-import math
+from array import array
+from bisect import bisect_left
 from functools import lru_cache
+from math import ceil, floor, log2
 
 from repro.phy.mcs import mcs_entry
 
@@ -40,12 +42,8 @@ N_SYMBOLS = 12
 DMRS_RE_PER_PRB = 12
 
 
-def resource_elements(n_prb: int) -> int:
-    """Step 1: usable REs of ``n_prb`` PRBs."""
-    if n_prb <= 0:
-        return 0
-    re_per_prb = 12 * N_SYMBOLS - DMRS_RE_PER_PRB
-    return min(_MAX_RE_PER_PRB, re_per_prb) * n_prb
+#: step 1: usable REs per PRB
+_RE_PER_PRB = min(_MAX_RE_PER_PRB, 12 * N_SYMBOLS - DMRS_RE_PER_PRB)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -61,24 +59,51 @@ def transport_block_size_bits(n_prb: int, mcs: int, mcs_table: int = 1) -> int:
     if n_prb < 0:
         raise ValueError(f"negative PRB count {n_prb}")
     entry = mcs_entry(mcs, table=mcs_table)
-    n_info = resource_elements(n_prb) * entry.code_rate * entry.qm
+    return _tbs_bits(n_prb, entry.code_rate, entry.qm)
+
+
+#: PRB counts a TBS row covers: 0..ROW_PRBS
+ROW_PRBS = 512
+
+
+class _Rows(dict):
+    """MCS (table 1) -> its TBS row, built on the MCS's first lookup."""
+
+    def __missing__(self, mcs: int) -> array:
+        entry = mcs_entry(mcs)  # an MCS outside the table raises ValueError
+        rate, qm = entry.code_rate, entry.qm
+        row = self[mcs] = array(
+            "I", [0] + [_tbs_bits(n, rate, qm) for n in range(1, ROW_PRBS + 1)]
+        )
+        return row
+
+
+#: ``TBS_ROWS[mcs][n] == transport_block_size_bits(n, mcs)`` for n in
+#: 0..ROW_PRBS: one 2 KB ``array('I')`` per MCS, filled by the same steps
+#: without touching that function's memo.  A lookup of a built row is one
+#: dict probe, which is what a scheduler's per-UE search needs.
+TBS_ROWS = _Rows()
+
+
+def _tbs_bits(n_prb: int, code_rate: float, qm: int) -> int:
+    """Steps 2-4 for ``n_prb`` > 0 PRBs (``floor`` / ``ceil`` of a float
+    are ints)."""
+    n_info = _RE_PER_PRB * n_prb * code_rate * qm
     if n_info <= 0:
         return 0
 
     if n_info <= 3824:
-        n = max(3, int(math.floor(math.log2(n_info))) - 6)
-        n_info_q = max((1 << n) * int(math.floor(n_info / (1 << n))), 24)
-        for tbs in TBS_TABLE:
-            if tbs >= n_info_q:
-                return tbs
-        return TBS_TABLE[-1]
+        n = max(3, floor(log2(n_info)) - 6)
+        n_info_q = max((1 << n) * floor(n_info / (1 << n)), 24)
+        # the smallest table entry >= n_info_q (the table is ascending)
+        return TBS_TABLE[min(bisect_left(TBS_TABLE, n_info_q), len(TBS_TABLE) - 1)]
 
-    n = int(math.floor(math.log2(n_info - 24))) - 5
+    n = floor(log2(n_info - 24)) - 5
     n_info_q = max(3840, (1 << n) * round((n_info - 24) / (1 << n)))
-    if entry.code_rate <= 0.25:
-        c = math.ceil((n_info_q + 24) / 3816)
-        return 8 * c * math.ceil((n_info_q + 24) / (8 * c)) - 24
+    if code_rate <= 0.25:
+        c = ceil((n_info_q + 24) / 3816)
+        return 8 * c * ceil((n_info_q + 24) / (8 * c)) - 24
     if n_info_q > 8424:
-        c = math.ceil((n_info_q + 24) / 8424)
-        return 8 * c * math.ceil((n_info_q + 24) / (8 * c)) - 24
-    return 8 * math.ceil((n_info_q + 24) / 8) - 24
+        c = ceil((n_info_q + 24) / 8424)
+        return 8 * c * ceil((n_info_q + 24) / (8 * c)) - 24
+    return 8 * ceil((n_info_q + 24) / 8) - 24

@@ -8,9 +8,12 @@ token buckets and optional work-conserving redistribution of unused PRBs.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from operator import attrgetter
 
 from repro.sched.intra import prbs_for_bytes
 from repro.sched.types import UeSchedInfo
+
+_MCS = attrgetter("mcs")
 
 
 class InterSliceScheduler(ABC):
@@ -33,7 +36,8 @@ def _demand_prbs(ues: list[UeSchedInfo], cap_bytes: float | None = None) -> int:
     """PRBs a slice could usefully consume this slot."""
     total = 0
     budget = cap_bytes
-    for ue in sorted(ues, key=lambda u: -u.mcs):
+    # best MCS first; the sort is stable, so ties keep the slice's row order
+    for ue in sorted(ues, key=_MCS, reverse=True):
         nbytes = ue.buffer_bytes
         if budget is not None:
             nbytes = min(nbytes, int(budget))
@@ -116,12 +120,12 @@ class TargetRateInterSlice(InterSliceScheduler):
         return alloc
 
     def notify_delivery(self, slice_id: int, nbytes: int) -> None:
-        if slice_id in self.tokens_bytes:
+        tokens = self.tokens_bytes.get(slice_id)
+        if tokens is not None:
             # Debt is allowed (down to one burst's worth): PRB granularity
             # rounds each slot's delivery up, and without debt the slice
             # would systematically overshoot its purchased rate.
             target = self.targets_bps.get(slice_id, 0.0)
             floor = -target * self.slot_duration_s * self.burst_slots / 8
-            self.tokens_bytes[slice_id] = max(
-                floor, self.tokens_bytes[slice_id] - nbytes
-            )
+            tokens -= nbytes
+            self.tokens_bytes[slice_id] = tokens if tokens > floor else floor

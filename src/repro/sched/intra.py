@@ -9,40 +9,30 @@ tested against (plugin output must equal native output on identical input).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from bisect import bisect_left
+from operator import attrgetter
 
-from repro.phy.tbs import transport_block_size_bits
+from repro.phy.tbs import ROW_PRBS, TBS_ROWS
 from repro.sched.types import UeGrant, UeSchedInfo
 
-_PRB_GRANULARITY = 1
-
-
 #: demand is capped here: no real carrier exceeds 275 PRBs, so "needs more
-#: than 512" and "needs 512" are indistinguishable to every caller.
-DEMAND_CAP_PRBS = 512
+#: than 512" and "needs 512" are indistinguishable to every caller.  A
+#: TBS row covers exactly 0..cap.
+DEMAND_CAP_PRBS = ROW_PRBS
 
 
 def prbs_for_bytes(nbytes: int, mcs: int) -> int:
     """PRBs needed to move ``nbytes`` at ``mcs`` in one slot (ceil search).
 
-    TBS is not linear in PRBs, so walk up from the one-PRB-TBS estimate.
-    Demand beyond :data:`DEMAND_CAP_PRBS` saturates (callers always
-    ``min()`` against the slice share anyway), which also bounds the walk.
+    The minimal n in 1..cap with ``tbs(n) >= bits``, by binary search on
+    the MCS's TBS row: ``bisect_left`` takes the same lo/hi/mid steps as
+    the plugin prelude's search, so outputs match exactly.  TBS is
+    monotone in n, so demand beyond :data:`DEMAND_CAP_PRBS` saturates at
+    the cap (callers always ``min()`` against the slice share anyway).
     """
     if nbytes <= 0:
         return 0
-    bits = nbytes * 8
-    if transport_block_size_bits(DEMAND_CAP_PRBS, mcs) < bits:
-        return DEMAND_CAP_PRBS
-    # binary search for the minimal n with tbs(n) >= bits; the plugin
-    # prelude implements the identical search, so outputs match exactly
-    lo, hi = 1, DEMAND_CAP_PRBS
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if transport_block_size_bits(mid, mcs) < bits:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+    return bisect_left(TBS_ROWS[mcs], nbytes * 8, 1, DEMAND_CAP_PRBS)
 
 
 class IntraSliceScheduler(ABC):
@@ -73,23 +63,31 @@ class RoundRobinScheduler(IntraSliceScheduler):
     def schedule(
         self, allocated_prbs: int, ues: list[UeSchedInfo], slot: int
     ) -> list[UeGrant]:
-        eligible = [ue for ue in ues if ue.buffer_bytes > 0]
+        eligible = _backlogged(ues)
         if not eligible or allocated_prbs <= 0:
             return []
-        eligible.sort(key=lambda ue: ue.ue_id)
         n = len(eligible)
         base = allocated_prbs // n
         remainder = allocated_prbs % n
         start = self._pointer % n
         self._pointer += 1
-        grants = []
+        need = [prbs_for_bytes(ue.buffer_bytes, ue.mcs) for ue in eligible]
+        granted: dict[int, int] = {}  # ue_id -> PRBs, in grant order
         for offset in range(n):
-            ue = eligible[(start + offset) % n]
-            extra = 1 if offset < remainder else 0
-            prbs = min(base + extra, prbs_for_bytes(ue.buffer_bytes, ue.mcs))
+            i = (start + offset) % n
+            prbs = min(base + (1 if offset < remainder else 0), need[i])
             if prbs > 0:
-                grants.append(UeGrant(ue.ue_id, prbs))
-        return _redistribute_leftover(grants, allocated_prbs, eligible)
+                granted[eligible[i].ue_id] = prbs
+        # PRBs freed by buffer-limited UEs go to UEs that can still use them
+        leftover = allocated_prbs - sum(granted.values())
+        for i, ue in enumerate(eligible):
+            if leftover <= 0:
+                break
+            extra = min(need[i] - granted.get(ue.ue_id, 0), leftover)
+            if extra > 0:
+                granted[ue.ue_id] = granted.get(ue.ue_id, 0) + extra
+                leftover -= extra
+        return [UeGrant(ue_id, prbs) for ue_id, prbs in granted.items()]
 
 
 class ProportionalFairScheduler(IntraSliceScheduler):
@@ -110,29 +108,19 @@ class ProportionalFairScheduler(IntraSliceScheduler):
         self.beta = beta
 
     def metric(self, ue: UeSchedInfo) -> float:
-        inst_rate = transport_block_size_bits(1, ue.mcs) * 1000.0  # bps per PRB
+        inst_rate = TBS_ROWS[ue.mcs][1] * 1000.0  # bps per PRB
         avg = max(ue.avg_tput_bps, 1.0)
         return (inst_rate**self.alpha) / (avg**self.beta)
 
     def schedule(
         self, allocated_prbs: int, ues: list[UeSchedInfo], slot: int
     ) -> list[UeGrant]:
-        eligible = [ue for ue in ues if ue.buffer_bytes > 0]
+        eligible = _backlogged(ues)
         if not eligible or allocated_prbs <= 0:
             return []
-        # highest metric first; stable tie-break on ue_id for determinism
-        ranked = sorted(eligible, key=lambda ue: (-self.metric(ue), ue.ue_id))
-        grants = []
-        remaining = allocated_prbs
-        for ue in ranked:
-            if remaining <= 0:
-                break
-            need = prbs_for_bytes(ue.buffer_bytes, ue.mcs)
-            prbs = min(need, remaining)
-            if prbs > 0:
-                grants.append(UeGrant(ue.ue_id, prbs))
-                remaining -= prbs
-        return grants
+        # highest metric first; the sort is stable, so ties keep ue_id order
+        eligible.sort(key=self.metric, reverse=True)
+        return _greedy(eligible, allocated_prbs)
 
 
 class MaximumThroughputScheduler(IntraSliceScheduler):
@@ -147,44 +135,36 @@ class MaximumThroughputScheduler(IntraSliceScheduler):
     def schedule(
         self, allocated_prbs: int, ues: list[UeSchedInfo], slot: int
     ) -> list[UeGrant]:
-        eligible = [ue for ue in ues if ue.buffer_bytes > 0]
+        eligible = _backlogged(ues)
         if not eligible or allocated_prbs <= 0:
             return []
-        ranked = sorted(eligible, key=lambda ue: (-ue.mcs, ue.ue_id))
-        grants = []
-        remaining = allocated_prbs
-        for ue in ranked:
-            if remaining <= 0:
-                break
-            need = prbs_for_bytes(ue.buffer_bytes, ue.mcs)
-            prbs = min(need, remaining)
-            if prbs > 0:
-                grants.append(UeGrant(ue.ue_id, prbs))
-                remaining -= prbs
-        return grants
+        # best MCS first; the sort is stable, so ties keep ue_id order
+        eligible.sort(key=_MCS, reverse=True)
+        return _greedy(eligible, allocated_prbs)
 
 
-def _redistribute_leftover(
-    grants: list[UeGrant], allocated_prbs: int, eligible: list[UeSchedInfo]
-) -> list[UeGrant]:
-    """Hand PRBs freed by buffer-limited UEs to UEs that can still use them."""
-    used = sum(g.prbs for g in grants)
-    leftover = allocated_prbs - used
-    if leftover <= 0:
-        return grants
-    by_id = {g.ue_id: g.prbs for g in grants}
-    need = {
-        ue.ue_id: prbs_for_bytes(ue.buffer_bytes, ue.mcs) - by_id.get(ue.ue_id, 0)
-        for ue in eligible
-    }
-    for ue in eligible:
-        if leftover <= 0:
+_UE_ID = attrgetter("ue_id")
+_MCS = attrgetter("mcs")
+
+
+def _backlogged(ues: list[UeSchedInfo]) -> list[UeSchedInfo]:
+    """The UEs with buffered data, in ``ue_id`` order."""
+    return sorted([ue for ue in ues if ue.buffer_bytes > 0], key=_UE_ID)
+
+
+def _greedy(ranked: list[UeSchedInfo], allocated_prbs: int) -> list[UeGrant]:
+    """Serve ``ranked`` in order, each UE up to its demand, until the share
+    runs out."""
+    grants = []
+    remaining = allocated_prbs
+    for ue in ranked:
+        if remaining <= 0:
             break
-        extra = min(need[ue.ue_id], leftover)
-        if extra > 0:
-            by_id[ue.ue_id] = by_id.get(ue.ue_id, 0) + extra
-            leftover -= extra
-    return [UeGrant(ue_id, prbs) for ue_id, prbs in by_id.items() if prbs > 0]
+        prbs = min(prbs_for_bytes(ue.buffer_bytes, ue.mcs), remaining)
+        if prbs > 0:
+            grants.append(UeGrant(ue.ue_id, prbs))
+            remaining -= prbs
+    return grants
 
 
 _REGISTRY = {

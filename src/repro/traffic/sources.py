@@ -96,15 +96,17 @@ class DownlinkBuffer:
         if nbytes < 0:
             raise ValueError("cannot enqueue negative bytes")
         space = self.capacity_bytes - self.occupancy_bytes
-        accepted = min(nbytes, space)
-        self.occupancy_bytes += accepted
-        self.dropped_bytes += nbytes - accepted
+        if nbytes <= space:
+            self.occupancy_bytes += nbytes
+        else:
+            self.occupancy_bytes += space
+            self.dropped_bytes += nbytes - space
 
     def drain(self, nbytes: int) -> int:
         """Remove up to ``nbytes``; returns the bytes actually delivered."""
         if nbytes < 0:
             raise ValueError("cannot drain negative bytes")
-        delivered = min(nbytes, self.occupancy_bytes)
+        delivered = nbytes if nbytes < self.occupancy_bytes else self.occupancy_bytes
         self.occupancy_bytes -= delivered
         self.delivered_bytes += delivered
         return delivered

@@ -234,6 +234,33 @@ class TestE2NodeAgent:
         nack = [a for a in ric.acks if a["request_id"] == 43]
         assert nack and not nack[0]["success"]
 
+    def test_each_subscription_measures_its_own_period(self):
+        """Two subscriptions on one node: a report's ``measured_bps`` is
+        the bytes delivered since *that* subscription's last report, over
+        its own period - summed, each one accounts for every byte."""
+        _, gnb, node, _ric = build_network()
+        periods = {1: 10, 2: 25}
+        for sub_id, period in periods.items():
+            node.local_subscribe(sub_id, "ric", period)
+        reports = {sub_id: [] for sub_id in periods}
+        node.channel.send = lambda dest, message: reports[
+            message["subscription_id"]
+        ].append((message, sum(r.meter.total_bytes for r in gnb.slices.values())))
+        for _ in range(100):
+            gnb.step()
+            node.step()
+        slot_s = gnb.carrier.slot_duration_s
+        for sub_id, period in periods.items():
+            assert len(reports[sub_id]) == 100 // period
+            measured_bits = sum(
+                r["measured_bps"] * period * slot_s
+                for message, _ in reports[sub_id]
+                for r in message["slice_reports"]
+            )
+            delivered_bytes = reports[sub_id][-1][1]
+            assert delivered_bytes > 0
+            assert measured_bits == pytest.approx(delivered_bytes * 8, rel=1e-9)
+
     def test_handover_detaches_ue(self):
         _, gnb, node, ric = build_network()
         ric.connect("gnb1")

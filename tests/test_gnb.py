@@ -202,6 +202,26 @@ class TestPfAveraging:
         assert gnb.ues[1].avg_tput_bps <= max(peak, 1e4)
 
 
+    @pytest.mark.parametrize("slots", [0, -1, -100])
+    def test_time_constant_below_one_slot_refused(self, slots):
+        # 0 divided by zero inside the first slot; a negative constant gave
+        # a negative weight and an average that grew without bound
+        with pytest.raises(ValueError, match="pf_time_constant_slots"):
+            make_gnb({1: 10e6}, pf_time_constant_slots=slots)
+
+    def test_one_slot_time_constant_is_the_last_slot_rate(self):
+        gnb = make_gnb({1: 10e6}, pf_time_constant_slots=1)
+        add_slice(gnb, 1, "a", native="rr")
+        ue = add_ue(gnb, 1, 1)
+        rates = []
+        for _ in range(20):
+            before = ue.buffer.delivered_bytes
+            gnb.step()
+            rates.append((ue.buffer.delivered_bytes - before) * 8 / 1e-3)
+            assert ue.avg_tput_bps == rates[-1]
+        assert max(rates) > 0
+
+
 class TestOtherNumerologies:
     """The stack is numerology-agnostic: mu=1 halves the slot duration."""
 

@@ -45,15 +45,30 @@ class TestPrbsForBytes:
     def test_zero_bytes_zero_prbs(self):
         assert prbs_for_bytes(0, 10) == 0
 
-    @pytest.mark.parametrize("mcs", [0, 5, 14, 28])
+    @pytest.mark.parametrize("mcs", range(29))
     def test_result_is_minimal_sufficient(self, mcs):
-        for nbytes in (1, 17, 400, 12_000):
+        # every TBS boundary: the bytes one to 512 PRBs carry, one byte
+        # either side, and demand past the cap.  TBS is monotone in the
+        # PRB count, so this pins the search's answer exactly
+        tbs = [transport_block_size_bits(n, mcs) for n in range(DEMAND_CAP_PRBS + 1)]
+        assert all(a <= b for a, b in zip(tbs, tbs[1:]))
+        sizes = {tbs[DEMAND_CAP_PRBS] // 8 + 1, 10**9}
+        for n in range(1, DEMAND_CAP_PRBS + 1):
+            sizes.update((tbs[n] // 8 - 1, tbs[n] // 8, tbs[n] // 8 + 1))
+        for nbytes in sorted(sizes):
             n = prbs_for_bytes(nbytes, mcs)
-            if n >= DEMAND_CAP_PRBS:
-                continue
-            assert transport_block_size_bits(n, mcs) >= nbytes * 8
-            if n > 1:
-                assert transport_block_size_bits(n - 1, mcs) < nbytes * 8
+            if nbytes <= 0:
+                assert n == 0
+            elif tbs[DEMAND_CAP_PRBS] < nbytes * 8:
+                assert n == DEMAND_CAP_PRBS
+            else:
+                assert tbs[n] >= nbytes * 8
+                assert n == 1 or tbs[n - 1] < nbytes * 8
+
+    @pytest.mark.parametrize("mcs", [-1, 29])
+    def test_out_of_range_mcs_raises(self, mcs):
+        with pytest.raises(ValueError, match="MCS index"):
+            prbs_for_bytes(100, mcs)
 
     def test_monotonic_in_bytes(self):
         prev = 0

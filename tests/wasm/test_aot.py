@@ -962,7 +962,7 @@ def test_plugin_host_checkpoint_restore_under_aot(monkeypatch):
     plugin.schedule(52, ues, 2)
     plugin.host.restore(snap)
     after = plugin.schedule(52, ues, 1).grants
-    assert [g.__dict__ for g in after] == [g.__dict__ for g in before]
+    assert after == before
 
 
 # ---------------------------------------------------------------------------

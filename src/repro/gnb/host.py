@@ -49,6 +49,8 @@ class UeContext:
     slot_delivered_bytes: int = field(default=0, init=False)
 
     def neighbor_cqi(self, slot: int) -> int:
+        """The neighbour's CQI at ``slot``; the gNB walks the neighbour
+        channel every slot, as it walks the serving one."""
         return self.neighbor_channel.step(slot) if self.neighbor_channel else 0
 
 
@@ -220,8 +222,9 @@ class GnbHost:
         ues = self.ues
 
         # 1. one pass over the UE table, in attach order: traffic arrives
-        # into the DL buffer, the channel reports, and every UE of a
-        # connected slice gets its scheduler row
+        # into the DL buffer, the serving and the neighbour channel walk
+        # (both once per slot, so a handover swaps like for like), and
+        # every UE of a connected slice gets its scheduler row
         slice_ues: dict[int, list[UeSchedInfo]] = {
             sid: [] for sid in self.slices
             if not self.fault_policy.is_disconnected(sid)
@@ -233,6 +236,8 @@ class GnbHost:
             cqi, mcs = ue.channel.report(slot)
             ue.current_cqi = cqi
             ue.current_mcs = mcs
+            if ue.neighbor_channel is not None:
+                ue.neighbor_channel.report(slot)
             rows = rows_of(ue.slice_id)
             if rows is not None:
                 rows.append(

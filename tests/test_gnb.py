@@ -3,9 +3,13 @@
 import pytest
 
 from repro.abi import SchedulerPlugin
-from repro.channel import FixedMcsChannel
+from repro.channel import FixedMcsChannel, MarkovCqiChannel
+from repro.e2 import vendors
+from repro.e2.comm import CommChannel
+from repro.e2.node import E2NodeAgent
 from repro.gnb import FaultPolicy, GnbHost, SliceRuntime, UeContext
 from repro.gnb.fault import FaultAction
+from repro.netio.bus import InProcNetwork
 from repro.plugins import plugin_wasm
 from repro.sched import TargetRateInterSlice, make_intra_scheduler
 from repro.traffic import CbrSource, FullBufferSource
@@ -245,3 +249,38 @@ class TestOtherNumerologies:
         gnb = GnbHost(carrier=carrier, inter_slice=TargetRateInterSlice({}, 5e-4))
         gnb.step()
         assert gnb.now_s == pytest.approx(5e-4)
+
+
+class _CountedWalk(MarkovCqiChannel):
+    """A Markov channel that counts the slots it walked."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.walked = 0
+
+    def report(self, slot):
+        self.walked += slot != self._last_slot
+        return super().report(slot)
+
+
+class TestNeighbourChannel:
+    def test_the_neighbour_walks_every_slot_like_the_serving_channel(self):
+        net = InProcNetwork()
+        net.endpoint("ric")
+        gnb = make_gnb({1: 10e6})
+        add_slice(gnb, 1, "a", native="pf")
+        serving = _CountedWalk(initial_cqi=8, p_step=1.0, seed=1)
+        neighbour = _CountedWalk(initial_cqi=8, p_step=1.0, seed=2)
+        gnb.attach_ue(
+            UeContext(1, 1, serving, FullBufferSource(),
+                      neighbor_cell=2, neighbor_channel=neighbour)
+        )
+        node = E2NodeAgent(
+            gnb, CommChannel(net.endpoint("gnb"), vendors.vendor_b()), "gnb"
+        )
+        node.local_subscribe(7, "ric", 10)  # a KPM report every 10 slots
+        for _ in range(100):
+            gnb.step()
+            node.step()
+        assert serving.walked == 100
+        assert neighbour.walked == 100

@@ -11,7 +11,9 @@ fails here, not only in a CI job.
   per-UE and per-slice delivery state, the fault logs, the executed
   grants and every scheduler input (the ABI bytes a plugin receives);
 - E2: the sha256 of every encoded KPM indication from a 48-UE plugin
-  cell and a 24-UE native cell over 200 slots;
+  cell and a 24-UE native cell over 200 slots (re-taken once, when the
+  neighbour channel began to walk every slot instead of once per KPM
+  report: only its ``neighbor_cqi`` moved);
 - steering: a two-cell run whose handover attaches a UE behind higher
   ``ue_id``s, so the attach order of ``gnb.ues`` is pinned.
 """
@@ -56,8 +58,8 @@ CLUSTER_PINS = {
 }
 
 INDICATION_PINS = {
-    "plugin48": "2c224955ec91cab4644a44155b475f9a488b99e2874f398ca2d0019068b7d47f",
-    "native24": "6e13ac31fc28cc6ea22fcf632e52e6386210ae1918e8c67a48822d805ecabb09",
+    "plugin48": "8e47c474e4fffedb39699b39ec2af1f671c39bb1ca8aceea8c3df0d157df8a23",
+    "native24": "f7fca8d56bd7c9fae94bee3f7f28291de016496c02d3b43832136c08b072356c",
 }
 
 STEERING_PIN = "b3b547675dd57d92a747b1ca4fe6b91a2f9c7c3d4c0f7bb62b7567f8f491b725"

@@ -39,6 +39,7 @@ from repro.wasm import Instance, Module, codecache, load_module
 from repro.wasm.aot import own_frames
 from repro.wasm.instance import HostFunc, InstanceState, Store
 from repro.wasm.interpreter import ExecStats
+from repro.wasm.memory import PAGE_SIZE
 from repro.wasm.threaded import resolve_engine
 from repro.wasm.traps import LinkError, Trap, WasmError
 
@@ -118,8 +119,38 @@ class HostLimits:
 #: calls a plugin's series take in before the call that fills the batch
 #: folds it (every registry read folds it too)
 CALL_BATCH = 256
-#: values one call appends to its batch (see :meth:`_CallMetrics.add`)
+#: values one call appends to its batch: outcome, elapsed_us, fuel_used,
+#: frames, call depth, value stack, memory pages
 _CALL_FIELDS = 7
+_BATCH_VALUES = CALL_BATCH * _CALL_FIELDS
+
+
+def _call_span(facts, children_us) -> tuple:
+    """The ``plugin.call`` span's attrs, status and phases, built on read
+    from the call's record: ``(plugin, entry, outcome, start_ns,
+    encoded_ns, invoked_ns, end_ns)``.  Spans opened inside the call are
+    its children in the tree, not phases."""
+    plugin, entry, outcome, start, encoded, invoked, end = facts
+    # a phase the call never finished runs to the end of the span: the
+    # time up to a trap is booked under the phase it cut short
+    encoded = encoded or end
+    invoked = invoked or end
+    return (
+        {"plugin": plugin, "entry": entry, "outcome": outcome},
+        "ok" if outcome == "ok" else "error",
+        {
+            "plugin.encode": (encoded - start) / 1000.0,
+            "plugin.invoke": (invoked - encoded) / 1000.0,
+            "plugin.decode": (end - invoked) / 1000.0,
+        },
+    )
+
+
+def _escaped_call_span(facts, children_us) -> tuple:
+    """The ``plugin.call`` span of a call an exception left unreported
+    (what a ``with`` span records): ``(plugin, entry, error)``."""
+    plugin, entry, error = facts
+    return {"plugin": plugin, "entry": entry, "error": error}, "error", None
 
 
 def _bind_call_metrics(reg: MetricsRegistry, plugin: str) -> "_CallMetrics":
@@ -132,7 +163,8 @@ class _CallMetrics:
 
     Every host of that name in that registry shares the one batch, so the
     calls fold in the order they were made.  A call is one ``extend`` of
-    its values onto a flat list (:meth:`add`: no object the cycle
+    its :data:`_CALL_FIELDS` values onto the flat list ``_pending``
+    (:meth:`PluginHost.call` does it in line: no object the cycle
     collector tracks outlives the call); :meth:`fold` runs when the batch
     is full and on every registry read (:meth:`MetricsRegistry.batch`).
     Integer series fold grouped by value through the exact
@@ -174,25 +206,6 @@ class _CallMetrics:
         ).labels(plugin=plugin)
         self._pending: list = []
         self._lock = threading.Lock()
-
-    def add(
-        self,
-        outcome: str,
-        elapsed_us: float,
-        fuel_used: int | None,
-        frames: int,
-        call_depth: int,
-        value_stack: int,
-        memory_pages: int,
-    ) -> None:
-        """Record one finished call."""
-        pending = self._pending
-        pending.extend(
-            (outcome, elapsed_us, fuel_used, frames, call_depth, value_stack,
-             memory_pages)
-        )
-        if len(pending) >= CALL_BATCH * _CALL_FIELDS:
-            self.fold()
 
     def fold(self) -> None:
         """Apply the pending calls to the series (thread-safe)."""
@@ -639,12 +652,8 @@ class PluginHost:
             if traced:  # the span a `with` block records for what it lets by
                 tracer.record(
                     self._span, "plugin.call", start, time.perf_counter_ns(),
-                    {
-                        "plugin": self.name,
-                        "entry": entry,
-                        "error": f"{type(exc).__name__}: {exc}",
-                    },
-                    "error",
+                    _escaped_call_span,
+                    (self.name, entry, f"{type(exc).__name__}: {exc}"),
                 )
             raise
         end_ns = time.perf_counter_ns()
@@ -661,28 +670,23 @@ class PluginHost:
         outcome = "ok" if error is None else error.kind
         result = PluginCallResult(output, elapsed_us, fuel_used, outcome, trap_code)
         if traced:
-            # a phase the call never finished runs to the end of the span:
-            # the time up to a trap is booked under the phase it cut short
-            encoded_ns = encoded_ns or end_ns
-            invoked_ns = invoked_ns or end_ns
             tracer.record(
-                self._span, "plugin.call", start, end_ns,
-                {"plugin": self.name, "entry": entry, "outcome": outcome},
-                "ok" if error is None else "error",
-                {
-                    "plugin.encode": (encoded_ns - start) / 1000.0,
-                    "plugin.invoke": (invoked_ns - encoded_ns) / 1000.0,
-                    "plugin.decode": (end_ns - invoked_ns) / 1000.0,
-                },
+                self._span, "plugin.call", start, end_ns, _call_span,
+                (self.name, entry, outcome, start, encoded_ns, invoked_ns, end_ns),
             )
         if enabled:
+            # one record per consumer, each a tuple of what the call
+            # already has; series, span and flight record are built on read
             name = self.name
-            self._metrics.get(obs.registry, name).add(
-                outcome, elapsed_us, fuel_used,
-                stats.frames, stats.max_call_depth, stats.max_value_stack,
-                instance.memory.size_pages,
-            )
-            attrs = {}
+            calls = self._metrics.get(obs.registry, name)
+            pending = calls._pending
+            pending.extend((
+                outcome, elapsed_us, fuel_used, stats.frames,
+                stats.max_call_depth, stats.max_value_stack,
+                len(instance.memory.data) // PAGE_SIZE,
+            ))
+            if len(pending) >= _BATCH_VALUES:
+                calls.fold()
             if injection is not None:
                 obs.registry.counter(
                     "waran_chaos_injections_total",
@@ -695,19 +699,16 @@ class PluginHost:
                     index=injection.index,
                     outcome=outcome,
                 )
-                attrs["chaos"] = injection.to_json()
-            if rt is not None or budgeted:
-                attrs["rt"] = rt_doc = dict(rt) if rt is not None else {}
-                if budgeted:
-                    # record the *effective* enforced budget so replay
-                    # reproduces the fuel-cut preemption bit-exactly
-                    rt_doc["fuel"] = fuel
             if pre is not None:
-                attrs["pre"] = pre
                 obs.flight.register_module(self.module_sha, self.wasm_bytes)
             obs.flight.record(
                 name, entry, self.generation, input_bytes, result,
-                str(error) if error is not None else "", attrs, self.module_sha,
+                str(error) if error is not None else "", self.module_sha,
+                injection, rt,
+                # the *effective* enforced budget, so replay reproduces
+                # the fuel-cut preemption bit-exactly
+                fuel if budgeted else None,
+                pre,
             )
             if error is not None:
                 fields = {"entry": entry, "detail": str(error)}

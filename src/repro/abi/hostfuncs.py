@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.phy.tbs import transport_block_size_bits
+from repro.phy.tbs import ROW_PRBS, TBS_ROWS, transport_block_size_bits
 from repro.wasm.instance import HostFunc
 from repro.wasm.wtypes import FuncType, ValType
 
@@ -34,8 +34,12 @@ def make_env(
     """
 
     def tbs_bits(caller, prbs: int, mcs: int) -> int:
+        if not 0 <= mcs <= 28:
+            return 0
+        if prbs <= ROW_PRBS:  # every grant a carrier can make: the MCS's row
+            return TBS_ROWS[mcs][prbs]
         # Wasm hands over unsigned i32s: a negative count arrives >= 2**31
-        if prbs >= 1 << 31 or not 0 <= mcs <= 28:
+        if prbs >= 1 << 31:
             return 0
         # cap so a buggy plugin cannot make the host chew huge numbers
         return transport_block_size_bits(min(prbs, 1024), mcs)

@@ -6,6 +6,8 @@ delivers its bytes in the slot it was granted.
 
 from __future__ import annotations
 
+import threading
+import time
 from dataclasses import dataclass, field
 
 from repro.abi.host import PluginError, SchedulerPlugin
@@ -13,6 +15,8 @@ from repro.channel.models import ChannelModel
 from repro.gnb.fault import FaultAction, FaultPolicy
 from repro.metrics import LogHistogram, RateMeter
 from repro.obs import OBS, BoundMetrics, MetricsRegistry
+from repro.obs.registry import HandlesBy
+from repro.obs.tracing import SpanMark
 from repro.phy.numerology import CarrierConfig
 from repro.phy.tbs import transport_block_size_bits
 from repro.rt.dispatcher import DeadlineDispatcher, RtDecision, RtPolicy, RtRequest
@@ -54,19 +58,6 @@ class UeContext:
         return self.neighbor_channel.step(slot) if self.neighbor_channel else 0
 
 
-def _bind_slice_exec(reg: MetricsRegistry, slice_name: str):
-    return reg.histogram(
-        "waran_gnb_slice_exec_us",
-        "per-slot plugin scheduling time by slice (us)",
-    ).labels(slice=slice_name)
-
-
-def _bind_slice_delivered(reg: MetricsRegistry, slice_name: str):
-    return reg.counter(
-        "waran_gnb_delivered_bytes_total", "bytes delivered to UEs by slice"
-    ).labels(slice=slice_name)
-
-
 def _bind_slice_deadline_miss(reg: MetricsRegistry, slice_name: str):
     return reg.counter(
         "waran_gnb_deadline_miss_total",
@@ -74,8 +65,107 @@ def _bind_slice_deadline_miss(reg: MetricsRegistry, slice_name: str):
     ).labels(slice=slice_name)
 
 
-def _bind_slots_total(reg: MetricsRegistry):
-    return reg.counter("waran_gnb_slots_total", "slots scheduled").labels()
+#: slots the gNB series take in before the slot that fills the batch
+#: folds it (every registry read folds it too)
+_SLOT_BATCH = 256
+
+
+def _bind_slot_metrics(reg: MetricsRegistry) -> "_SlotMetrics":
+    return reg.batch(_SlotMetrics, lambda: _SlotMetrics(reg))
+
+
+class _SlotMetrics:
+    """The per-slot series of every gNB in one registry - slots stepped,
+    plugin scheduling time and bytes delivered per slice - and the
+    samples recorded for them but not folded in yet.
+
+    One batch per registry, not per gNB: two gNBs may report under the
+    same slice label, and a float series must take its samples in the
+    order they were made.  Recording is one ``append`` onto a list:
+    ``exec_us[slice]`` (us), ``delivered[slice]`` (bytes), ``slots``
+    (one ``None`` per slot); :meth:`fold` runs when :data:`_SLOT_BATCH`
+    slots are pending and on every registry read.  A series opens on the
+    fold of its first sample - a native slice never opens an exec series,
+    an idle one never a delivered one - and reads as if every sample had
+    been applied on arrival: time samples in arrival order through the
+    exact :meth:`LogHistogram.extend`, byte and slot counts (integers)
+    summed.
+    """
+
+    __slots__ = ("exec_us", "delivered", "slots", "_series", "_lock")
+
+    def __init__(self, reg: MetricsRegistry):
+        self.exec_us: dict[str, list] = _PerSlice()
+        self.delivered: dict[str, list] = _PerSlice()
+        self.slots: list = []
+        self._series = (
+            HandlesBy(
+                lambda name: reg.histogram(
+                    "waran_gnb_slice_exec_us",
+                    "per-slot plugin scheduling time by slice (us)",
+                ).labels(slice=name)
+            ),
+            HandlesBy(
+                lambda name: reg.counter(
+                    "waran_gnb_delivered_bytes_total",
+                    "bytes delivered to UEs by slice",
+                ).labels(slice=name)
+            ),
+            HandlesBy(
+                lambda _: reg.counter(
+                    "waran_gnb_slots_total", "slots scheduled"
+                ).labels()
+            ),
+        )
+        self._lock = threading.Lock()
+
+    def fold(self) -> None:
+        """Apply the pending samples to the series (thread-safe)."""
+        with self._lock:
+            exec_series, delivered_series, slots_series = self._series
+            for name, pending in list(self.exec_us.items()):
+                samples = _take(pending)
+                if samples:
+                    exec_series[name].extend(samples)
+            for name, pending in list(self.delivered.items()):
+                samples = _take(pending)
+                if samples:
+                    delivered_series[name].inc(sum(samples))
+            slots = len(_take(self.slots))
+            if slots:
+                slots_series[None].inc(slots)
+
+
+class _PerSlice(dict):
+    """Pending samples by slice name, a list made on a name's first use."""
+
+    __slots__ = ()
+
+    def __missing__(self, name: str) -> list:
+        pending = self[name] = []
+        return pending
+
+
+def _take(pending: list) -> list:
+    """Everything ``pending`` holds, taken off it: a sample appended
+    meanwhile (one ``append``; a recording thread takes no lock) stays
+    behind for the next fold."""
+    n = len(pending)
+    taken = pending[:n]
+    del pending[:n]
+    return taken
+
+
+def _step_span(slot: int, children_us) -> tuple:
+    """The ``gnb.step`` span's attrs, status and children, built on read."""
+    return {"slot": slot}, "ok", children_us
+
+
+def _escaped_step_span(facts, children_us) -> tuple:
+    """The ``gnb.step`` span of a slot an exception cut short (what a
+    ``with`` span records): ``(slot, error)``."""
+    slot, error = facts
+    return {"slot": slot, "error": error}, "error", children_us
 
 
 class SliceRuntime:
@@ -102,13 +192,13 @@ class SliceRuntime:
         self.plugin: SchedulerPlugin | None = None
         self.native: IntraSliceScheduler | None = None
         self.meter = RateMeter()
-        #: plugin scheduling time per slot (us), telemetry on or off
-        self.exec_us = LogHistogram()
-        # the registry series bind separately: a native slice never opens
-        # an exec series, an idle one never opens a delivered one, one
-        # that never overruns the slot never opens a deadline-miss one
-        self._exec_series = BoundMetrics(_bind_slice_exec)
-        self._delivered_series = BoundMetrics(_bind_slice_delivered)
+        # plugin scheduling time per slot, telemetry on or off: one append
+        # per call, folded into the histogram when read (or when full)
+        self._exec_us = LogHistogram()
+        self._exec_pending: list[float] = []
+        # a slice that never overruns the slot never opens a deadline-miss
+        # series (its exec and delivered samples go through the gNB's
+        # slot batch)
         self._deadline_miss_series = BoundMetrics(_bind_slice_deadline_miss)
         #: last known-good plugin state (taken on the success path when the
         #: gNB's ``checkpoint_every`` cadence is enabled)
@@ -116,6 +206,18 @@ class SliceRuntime:
         self.successes = 0
         self.checkpoints_taken = 0
         self.restores = 0
+
+    @property
+    def exec_us(self) -> LogHistogram:
+        """Plugin scheduling time per slot (us), telemetry on or off."""
+        self._fold_exec()
+        return self._exec_us
+
+    def _fold_exec(self) -> None:
+        pending = self._exec_pending
+        if pending:
+            self._exec_us.extend(pending)
+            pending.clear()
 
     def use_plugin(self, plugin: SchedulerPlugin) -> None:
         self.plugin = plugin
@@ -176,7 +278,12 @@ class GnbHost:
         self.ues: dict[int, UeContext] = {}
         self.slot = 0
         self.total_delivered_bytes = 0
-        self._slots_total = BoundMetrics(_bind_slots_total)
+        #: a plugin call longer than this overran the slot
+        self._slot_us = self.carrier.slot_duration_s * 1e6
+        # what telemetry needs per slot, allocated once: the slot batch
+        # and the gnb.step span's ids
+        self._slot_metrics = BoundMetrics(_bind_slot_metrics)
+        self._span = SpanMark()
 
     # ----- topology -------------------------------------------------------------
 
@@ -208,14 +315,41 @@ class GnbHost:
             self.step()
 
     def step(self) -> dict[int, list[UeGrant]]:
-        """Advance one slot; returns the executed grants per slice."""
-        with OBS.tracer.span("gnb.step", slot=self.slot):
-            executed = self._step_slot()
-        if OBS.enabled:
-            self._slots_total.get(OBS.registry).inc()
+        """Advance one slot; returns the executed grants per slice.
+
+        With telemetry on, the slot leaves one ``gnb.step`` span (a
+        :class:`SpanMark` timed by the slot's own clock reads, its
+        ``Span`` built on read) and its samples in the registry's slot
+        batch.
+        """
+        batch = self._slot_metrics.get(OBS.registry) if OBS.enabled else None
+        tracer = OBS.tracer
+        if not tracer.enabled:
+            executed = self._step_slot(batch)
+        else:
+            slot = self.slot
+            mark = self._span
+            tracer.begin(mark)
+            start = time.perf_counter_ns()
+            try:
+                executed = self._step_slot(batch)
+            except BaseException as exc:
+                tracer.record(
+                    mark, "gnb.step", start, time.perf_counter_ns(),
+                    _escaped_step_span, (slot, f"{type(exc).__name__}: {exc}"),
+                )
+                raise
+            tracer.record(
+                mark, "gnb.step", start, time.perf_counter_ns(), _step_span, slot
+            )
+        if batch is not None:
+            slots = batch.slots
+            slots.append(None)
+            if len(slots) >= _SLOT_BATCH:
+                batch.fold()
         return executed
 
-    def _step_slot(self) -> dict[int, list[UeGrant]]:
+    def _step_slot(self, batch: _SlotMetrics | None) -> dict[int, list[UeGrant]]:
         slot = self.slot
         slot_dt = self.carrier.slot_duration_s
         now = self.now_s
@@ -287,7 +421,8 @@ class GnbHost:
         executed: dict[int, list[UeGrant]] = {}
         for sid in order:
             grants = self._schedule_slice(
-                sid, allocation.get(sid, 0), slice_ues[sid], rt_decisions.get(sid)
+                sid, allocation.get(sid, 0), slice_ues[sid], rt_decisions.get(sid),
+                batch,
             )
             executed[sid] = grants
             if not grants:
@@ -307,10 +442,8 @@ class GnbHost:
             runtime = self.slices[sid]
             runtime.meter.add(now, slice_bytes)
             self.total_delivered_bytes += slice_bytes
-            if OBS.enabled and slice_bytes:
-                runtime._delivered_series.get(OBS.registry, runtime.name).inc(
-                    slice_bytes
-                )
+            if batch is not None and slice_bytes:
+                batch.delivered[runtime.name].append(slice_bytes)
 
         # 5. PF long-term average: served UEs move toward this slot's rate,
         # the rest decay toward zero
@@ -332,7 +465,8 @@ class GnbHost:
         sid: int,
         prbs: int,
         ues: list[UeSchedInfo],
-        decision: RtDecision | None = None,
+        decision: RtDecision | None,
+        batch: _SlotMetrics | None,
     ) -> list[UeGrant]:
         runtime = self.slices[sid]
         if prbs <= 0 or not ues:
@@ -387,19 +521,20 @@ class GnbHost:
                 if runtime.successes % self.checkpoint_every == 0:
                     runtime.last_checkpoint = runtime.plugin.host.checkpoint()
                     runtime.checkpoints_taken += 1
-            runtime.exec_us.add(call.elapsed_us)
-            if OBS.enabled:
-                runtime._exec_series.get(OBS.registry, runtime.name).observe(
-                    call.elapsed_us
-                )
-                slot_us = self.carrier.slot_duration_s * 1e6
-                if call.elapsed_us > slot_us:
+            elapsed_us = call.elapsed_us
+            pending = runtime._exec_pending
+            pending.append(elapsed_us)
+            if len(pending) >= _SLOT_BATCH:
+                runtime._fold_exec()
+            if batch is not None:
+                batch.exec_us[runtime.name].append(elapsed_us)
+                if elapsed_us > self._slot_us:
                     OBS.events.emit(
                         "gnb.deadline_miss",
                         source=runtime.name,
                         slot=self.slot,
-                        elapsed_us=call.elapsed_us,
-                        slot_us=slot_us,
+                        elapsed_us=elapsed_us,
+                        slot_us=self._slot_us,
                     )
                     runtime._deadline_miss_series.get(
                         OBS.registry, runtime.name

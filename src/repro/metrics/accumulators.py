@@ -10,6 +10,11 @@ distribution behind every :mod:`repro.obs` histogram series.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
+from collections import Counter
+from functools import reduce
+from operator import add, mul
 
 #: sub-buckets per octave: bucket width is 1/16 of its octave's base, so
 #: a bucket's midpoint is within 1/32 = 3.125% of any value it holds
@@ -19,6 +24,15 @@ _MANTISSA_SCALE = float(2 << _SUB_BITS)  # frexp mantissa [0.5, 1) -> [16, 32)
 #: (the smallest, 2**-1074, has exponent -1073); zero is bucket 0 and a
 #: negative value mirrors its magnitude, so index order is value order
 _BIAS = (1 << 15) - (1 << _SUB_BITS)
+#: a positive normal double's top 16 bits are ``biased_exponent << 4 |
+#: top 4 mantissa bits``; ``frexp`` gives ``exponent = biased - 1022`` and
+#: ``int(mantissa * 32) = 16 + top 4 bits``, so its bucket is those 16
+#: bits plus this
+_TOP_TO_INDEX = (1 << _SUB_BITS) - (1022 << _SUB_BITS) + _BIAS
+#: which unsigned short of a native ``array("d")`` item holds them
+_TOP_HALFWORD = 3 if sys.byteorder == "little" else 0
+_MIN_NORMAL = sys.float_info.min
+_MAX_NORMAL = sys.float_info.max
 
 
 def sample_quantile(sorted_values: list[float], q: float) -> float:
@@ -124,8 +138,36 @@ class LogHistogram:
         self.buckets[index] = self.buckets.get(index, 0) + n
 
     def extend(self, values) -> None:
-        for value in values:
-            self.add(value)
+        """:meth:`add` of each value in turn, bit for bit.
+
+        The sums are the same float additions in the same order (``reduce``
+        adds left to right).  When every value is a positive normal double
+        its bucket is read off its top 16 bits - sign, exponent and the
+        four mantissa bits ``frexp`` would give - and counted in C; any
+        other batch takes the :meth:`add` loop.
+        """
+        values = list(values)
+        if not values:
+            return
+        minimum, maximum = min(values), max(values)
+        total = reduce(add, values, self.total)
+        # (a NaN anywhere makes the total NaN: add() refuses it)
+        if not (_MIN_NORMAL <= minimum and maximum <= _MAX_NORMAL and total == total):
+            for value in values:
+                self.add(value)
+            return
+        self.count += len(values)
+        self.total = total
+        self.sumsq = reduce(add, map(mul, values, values), self.sumsq)
+        if minimum < self.minimum:
+            self.minimum = minimum
+        if maximum > self.maximum:
+            self.maximum = maximum
+        buckets = self.buckets
+        tops = memoryview(array("d", values)).cast("B").cast("H")[_TOP_HALFWORD::4]
+        for top, n in Counter(tops).items():
+            index = top + _TOP_TO_INDEX
+            buckets[index] = buckets.get(index, 0) + n
 
     def merge(self, other: "LogHistogram") -> None:
         """Fold ``other`` into this histogram (exact: counts add)."""

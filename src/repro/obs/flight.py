@@ -6,10 +6,10 @@ through :class:`repro.abi.host.PluginHost` can be captured as a
 (one unit per retired instruction), and the outcome (``ok`` or the fault
 kind).  The recorder keeps the last N calls in a ring buffer, cheap
 enough to leave on in production: recording one is a tuple of references
-(the call's own result among them), and the ``CallRecord`` is built when
-it is read; ``PluginHost.replay(record)``
-re-executes a captured call against a fresh instance for deterministic
-debugging.
+(the call's own result, chaos injection and rt decision among them), and
+the ``CallRecord`` - its ``attrs`` included - is built when it is read;
+``PluginHost.replay(record)`` re-executes a captured call against a fresh
+instance for deterministic debugging.
 """
 
 from __future__ import annotations
@@ -88,8 +88,9 @@ class FlightRecorder:
         self.capture = capture
         #: module binaries seen while capturing, keyed by sha256 hex
         self.modules: dict[str, bytes] = {}
-        #: ``(seq, plugin, entry, generation, input, result, error, attrs,
-        #: module_sha)`` per call; the :class:`CallRecord` is built on read
+        #: ``(seq, plugin, entry, generation, input, result, error,
+        #: module_sha, chaos, rt, budget, pre)`` per call; the
+        #: :class:`CallRecord` is built on read
         self._calls: deque[tuple] = deque(maxlen=capacity)
         self._seq = itertools.count(1)
 
@@ -106,28 +107,49 @@ class FlightRecorder:
         input_bytes: bytes,
         result,
         error: str = "",
-        attrs: dict[str, Any] | None = None,
         module_sha: str = "",
+        chaos=None,
+        rt: dict | None = None,
+        budget: int | None = None,
+        pre: dict | None = None,
     ) -> None:
         """Append one call; ``result`` is its
         :class:`~repro.abi.host.PluginCallResult`, kept by reference (a
-        mutable ``input_bytes`` is copied)."""
+        mutable ``input_bytes`` is copied).
+
+        The record's ``attrs`` are built on read from the rest: the chaos
+        injection that fired (``chaos``), the rt decision document
+        (``rt``) with the effective per-call fuel budget (``budget``) and,
+        in corpus-capture mode, the pre-call state (``pre``).
+        """
         if type(input_bytes) is not bytes:
             input_bytes = bytes(input_bytes)
         self._calls.append((
             next(self._seq), plugin, entry, generation, input_bytes, result,
-            error, attrs, module_sha,
+            error, module_sha, chaos, rt, budget, pre,
         ))
 
     @staticmethod
     def _built(call: tuple) -> CallRecord:
-        seq, plugin, entry, generation, input_bytes, result, error, attrs, sha = call
+        (
+            seq, plugin, entry, generation, input_bytes, result, error, sha,
+            chaos, rt, budget, pre,
+        ) = call
+        attrs: dict[str, Any] = {}
+        if chaos is not None:
+            attrs["chaos"] = chaos.to_json()
+        if rt is not None or budget is not None:
+            attrs["rt"] = rt_doc = dict(rt) if rt is not None else {}
+            if budget is not None:
+                rt_doc["fuel"] = budget
+        if pre is not None:
+            attrs["pre"] = pre
         output = result.output
         return CallRecord(
             seq, plugin, entry, generation, input_bytes,
             bytes(output) if output is not None else None,
             result.outcome, result.elapsed_us, result.fuel_used,
-            error, attrs if attrs is not None else {}, sha,
+            error, attrs, sha,
         )
 
     def __len__(self) -> int:

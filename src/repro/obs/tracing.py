@@ -33,14 +33,15 @@ Cost model: when the tracer is disabled, :meth:`Tracer.span` returns a
 shared null span - one method call and one branch, no allocation, no clock
 read - so instrumented hot paths stay within noise of uninstrumented code.
 An enabled ``with`` span costs a :class:`Span` object, its attrs dict and
-two clock reads.  The one span on every plugin call costs less: the host
-already reads the clock at the call's edges, so it opens a reused
-:class:`SpanMark` (:meth:`Tracer.begin`: ids and a stack slot, so spans
-opened inside the call still parent under it) and hands its own reads to
-:meth:`Tracer.record`, which keeps the finished span as one tuple.  The
-``Span`` object is built only when the span is read.  Finished spans land
-in a bounded ring buffer (oldest evicted) and can be exported as a
-JSON-friendly list or an indented text tree.
+two clock reads.  The spans on every slot (``gnb.step``) and every plugin
+call (``plugin.call``) cost less: their owner already reads the clock at
+the edges, so it opens a reused :class:`SpanMark` (:meth:`Tracer.begin`:
+ids and a stack slot, so spans opened inside still parent under it) and
+hands its own reads and facts to :meth:`Tracer.record`, which keeps the
+finished span as one tuple.  The ``Span`` - its attrs, status and
+``children_us`` included - is built from that tuple only when the span is
+read.  Finished spans land in a bounded ring buffer (oldest evicted) and
+can be exported as a JSON-friendly list or an indented text tree.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 
 class _NullSpan:
@@ -251,6 +252,11 @@ class SpanMark:
     context = Span.context
 
 
+#: ``build(facts, children_us) -> (attrs, status, children_us)``: how a
+#: :meth:`Tracer.record` caller's facts become the span's fields on read
+SpanBuild = Callable[[Any, "dict[str, float] | None"], tuple]
+
+
 class Tracer:
     """Owns the thread-local active-span stacks and the finished ring buffer.
 
@@ -258,6 +264,11 @@ class Tracer:
     plain tuples (:meth:`record`); every read - :meth:`finished`,
     :meth:`to_json`, :meth:`drain_finished` - builds the ``Span`` of a
     tuple, so readers never see the difference.
+
+    Span ids are one counter that starts at this process's prefix: 31
+    random bits (xor'd with the pid, so spawn'd children never share a
+    prefix) above 32 counter bits, so merged collections from several
+    processes stitch without collisions and taking an id is one ``next``.
     """
 
     def __init__(
@@ -267,20 +278,15 @@ class Tracer:
         #: which process/component this tracer reports for; the cluster
         #: sets it to ``coord`` / ``worker<N>`` before running
         self.service = service
-        # span ids must be unique *across processes* so merged collections
-        # stitch without collisions: 31 random high bits (xor'd with the
-        # pid, so spawn'd children never share a prefix) over a counter
-        self._id_hi = (
-            int.from_bytes(os.urandom(4), "big") ^ os.getpid()
-        ) & 0x7FFF_FFFF
-        self._ids = itertools.count(1)
+        prefix = (int.from_bytes(os.urandom(4), "big") ^ os.getpid()) & 0x7FFF_FFFF
+        self._ids = itertools.count((prefix << 32) | 1)
         self._tls = threading.local()
         self._finished: deque[Span | tuple] = deque(maxlen=capacity)
 
     # ----- identity ---------------------------------------------------------
 
     def _next_id(self) -> int:
-        return (self._id_hi << 32) | (next(self._ids) & 0xFFFF_FFFF)
+        return next(self._ids)
 
     def _stack(self) -> _SpanStack:
         stack = getattr(self._tls, "stack", None)
@@ -316,16 +322,21 @@ class Tracer:
     def begin(self, mark: SpanMark) -> None:
         """Open ``mark`` on this thread: fresh ids, allocated as a
         :class:`Span` would allocate them, and a place on the stack."""
-        stack = mark._stack = self._stack()
-        mark.span_id = self._next_id()
+        try:
+            stack = self._tls.stack
+        except AttributeError:
+            stack = self._stack()
+        ids = self._ids
+        mark.span_id = next(ids)
         if stack:
             top = stack[-1]
             mark.trace_id = top.trace_id
             mark.parent_id = top.span_id
         else:
-            mark.trace_id = self._next_id()
+            mark.trace_id = next(ids)
             mark.parent_id = None
         mark.children_us = None
+        mark._stack = stack
         stack.append(mark)
 
     def record(
@@ -334,30 +345,35 @@ class Tracer:
         name: str,
         start_ns: int,
         end_ns: int,
-        attrs: dict[str, Any],
-        status: str = "ok",
-        children_us: dict[str, float] | None = None,
+        build: SpanBuild,
+        facts: Any,
     ) -> None:
         """Finish the span ``mark`` opened, from its owner's clock reads.
 
         What a ``with`` span does at exit, minus the clock read: off the
         stack, its duration onto the parent's ``children_us``, and into the
-        ring - as a tuple, the :class:`Span` is built when it is read.
+        ring - as a tuple.  Nothing else is built: ``build(facts,
+        children_us)`` makes the span's attrs, status and ``children_us``
+        when it is read (``children_us`` is what spans finished inside
+        this one booked on the mark).
         """
         stack = mark._stack
         if stack and stack[-1] is mark:
             stack.pop()
         parent_id = mark.parent_id
-        if stack and stack[-1].span_id == parent_id:
+        if stack:
             parent = stack[-1]
-            if parent.children_us is None:
-                parent.children_us = {}
-            parent.children_us[name] = (
-                parent.children_us.get(name, 0.0) + (end_ns - start_ns) / 1000.0
-            )
+            if parent.span_id == parent_id:
+                children = parent.children_us
+                if children is None:
+                    parent.children_us = {name: (end_ns - start_ns) / 1000.0}
+                else:
+                    children[name] = (
+                        children.get(name, 0.0) + (end_ns - start_ns) / 1000.0
+                    )
         self._finished.append((
-            name, mark.trace_id, mark.span_id, parent_id, attrs,
-            start_ns, end_ns, status, stack.thread_id, children_us,
+            name, mark.trace_id, mark.span_id, parent_id, start_ns, end_ns,
+            stack.thread_id, mark.children_us, build, facts,
         ))
 
     def _built(self, item: "Span | tuple") -> Span:
@@ -365,10 +381,10 @@ class Tracer:
             return item
         span = Span.__new__(Span)
         (
-            span.name, span.trace_id, span.span_id, span.parent_id, span.attrs,
-            span.start_ns, span.end_ns, span.status, span.thread_id,
-            span.children_us,
+            span.name, span.trace_id, span.span_id, span.parent_id,
+            span.start_ns, span.end_ns, span.thread_id, children, build, facts,
         ) = item
+        span.attrs, span.status, span.children_us = build(facts, children)
         span.tracer = self
         span._stack = None
         return span

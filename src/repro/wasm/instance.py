@@ -366,25 +366,44 @@ class Instance:
         store's fuel budget for this call.  Returns a single value, or
         ``None`` for void functions.  Integer results are returned in
         *signed* interpretation (the natural embedding for Python callers).
+
+        A compiled (aot) body is entered right here, as
+        :func:`~repro.wasm.aot.execute_aot` would enter it; anything else
+        goes through :meth:`_enter` and :meth:`invoke_index`.
         """
         export = self._exports.get(name)
         if export is None or export.kind != "func":
             raise LinkError(f"no exported function named {name!r}")
+        store = self.store
         if fuel != "unset":
-            self.store.fuel = fuel
-        functype = self.funcs[export.index].functype
-        if len(args) != len(functype.params):
-            raise TypeError(
-                f"{name} expects {len(functype.params)} args, got {len(args)}"
-            )
-        stack = [
-            _normalize_arg(a, vt) for a, vt in zip(args, functype.params)
-        ]
-        results = self._enter(export.index, stack)
-        if not functype.results:
-            return None
-        value = results[0]
-        rt = functype.results[0]
+            store.fuel = fuel
+        func = self.funcs[export.index]
+        functype = func.functype
+        params = functype.params
+        if len(args) != len(params):
+            raise TypeError(f"{name} expects {len(params)} args, got {len(args)}")
+        args = [_normalize_arg(a, vt) for a, vt in zip(args, params)]
+        results = functype.results
+        body = getattr(func, "prepared", None)  # an exported import has none
+        if body.__class__ is AotCode:
+            run = body.run or body.compile()
+            unlimited = store.fuel is None  # see _enter
+            if unlimited:
+                store.fuel = UNLIMITED_FUEL
+            try:
+                if not results:
+                    store.fuel = run(self, store, 0, store.fuel, *args)
+                    return None
+                store.fuel, value = run(self, store, 0, store.fuel, *args)
+            finally:
+                if unlimited:
+                    store.fuel = None
+        else:
+            returned = self._enter(export.index, args)
+            if not results:
+                return None
+            value = returned[0]
+        rt = results[0]
         if rt == ValType.I32:
             return value - (1 << 32) if value & 0x80000000 else value
         if rt == ValType.I64:

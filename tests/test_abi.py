@@ -369,3 +369,20 @@ class TestTbsBitsHostFunction:
         assert inst.call("tbs", 24, 10) == transport_block_size_bits(24, 10)
         assert inst.call("tbs", 24, -1) == 0
         assert inst.call("tbs", 24, 29) == 0
+
+    def test_the_host_function_is_the_memoized_function(self):
+        """Counts a row covers read ``TBS_ROWS``, larger ones the memoized
+        function under the 1024 cap: the same bits either way."""
+        from repro.abi.hostfuncs import make_env
+        from repro.phy.tbs import transport_block_size_bits
+
+        tbs_bits = make_env()["tbs_bits"].fn
+        for mcs in range(-1, 30):
+            for prbs in range(1101):
+                expected = (
+                    transport_block_size_bits(min(prbs, 1024), mcs)
+                    if 0 <= mcs <= 28 else 0
+                )
+                assert tbs_bits(None, prbs, mcs) == expected, (prbs, mcs)
+            for prbs in (1 << 31, (1 << 31) + 7, (1 << 32) - 1):
+                assert tbs_bits(None, prbs, mcs) == 0

@@ -307,6 +307,32 @@ class TestLogHistogram:
         with pytest.raises(ValueError):
             bad.quantile(0.99)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_extend_is_one_add_per_value_to_the_bit(self, seed):
+        """The batched fold path: sums in the same order, buckets off the
+        top 16 bits of each double - and zeros, negatives, subnormals,
+        ints and the largest double through the per-value loop."""
+        rng = random.Random(seed)
+        odd = [0.0, -2.5, 5e-324, 1e-310, 7, 2.2250738585072014e-308,
+               sys.float_info.max]
+        batches = []
+        for _ in range(8):
+            n = rng.randrange(0, 300)
+            if rng.random() < 0.7:
+                scale = 2.0 ** rng.randrange(-60, 60)
+                batch = [rng.expovariate(1.0) * scale + 1e-300 for _ in range(n)]
+            else:
+                batch = [rng.choice(odd) for _ in range(n)]
+            batches.append(batch)
+        one, grouped = LogHistogram(), LogHistogram()
+        for batch in batches:
+            for value in batch:
+                one.add(value)
+            grouped.extend(batch)
+        assert grouped.buckets == one.buckets
+        for field in ("count", "total", "sumsq", "minimum", "maximum"):
+            assert repr(getattr(grouped, field)) == repr(getattr(one, field)), field
+
 
 class TestSampleQuantile:
     """Nearest rank: the smallest sample with at least a ``q`` share of

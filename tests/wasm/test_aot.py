@@ -662,9 +662,9 @@ CALL_PATH_BOUNDS = {"rr": 150, "pf": 90, "mt": 20}
 def test_promoted_call_path_is_short_and_exact(name):
     """A deterministic guard on the compiled call path, counted with
     ``sys.setprofile`` (no timing): the same Wasm frames and fuel as the
-    legacy engine, ``Instance.invoke_index`` entered once (the entry
-    call), and few Python calls: leaves are inlined, imports are direct
-    host calls, division is in line."""
+    legacy engine, ``Instance.invoke_index`` never entered (``Instance.call``
+    enters a compiled body itself), and few Python calls: leaves are
+    inlined, imports are direct host calls, division is in line."""
     import sys
 
     from repro.abi import wire
@@ -700,7 +700,7 @@ def test_promoted_call_path_is_short_and_exact(name):
     legacy_frames, legacy_fuel, _counts = one_call("legacy")
     frames, fuel, counts = one_call("aot")
     assert (frames, fuel) == (legacy_frames, legacy_fuel)
-    assert counts["invoke_index"] == 1
+    assert counts["invoke_index"] == 0
     assert counts["calls"] < CALL_PATH_BOUNDS[name], counts
 
 

@@ -39,7 +39,6 @@ from repro.wasm import Instance, Module, codecache, load_module
 from repro.wasm.aot import own_frames
 from repro.wasm.instance import HostFunc, InstanceState, Store
 from repro.wasm.interpreter import ExecStats
-from repro.wasm.memory import PAGE_SIZE
 from repro.wasm.threaded import resolve_engine
 from repro.wasm.traps import LinkError, Trap, WasmError
 
@@ -683,7 +682,7 @@ class PluginHost:
             pending.extend((
                 outcome, elapsed_us, fuel_used, stats.frames,
                 stats.max_call_depth, stats.max_value_stack,
-                len(instance.memory.data) // PAGE_SIZE,
+                instance.memory.size_pages,
             ))
             if len(pending) >= _BATCH_VALUES:
                 calls.fold()

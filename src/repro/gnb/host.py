@@ -66,7 +66,8 @@ def _bind_slice_deadline_miss(reg: MetricsRegistry, slice_name: str):
 
 
 #: slots the gNB series take in before the slot that fills the batch
-#: folds it (every registry read folds it too)
+#: folds it (every registry read folds it too); also the samples a
+#: slice's ``exec_us`` keeps pending
 _SLOT_BATCH = 256
 
 

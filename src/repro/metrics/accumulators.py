@@ -151,7 +151,8 @@ class LogHistogram:
             return
         minimum, maximum = min(values), max(values)
         total = reduce(add, values, self.total)
-        # (a NaN anywhere makes the total NaN: add() refuses it)
+        # a NaN anywhere makes the total NaN, and the add loop fails on it
+        # as add() always has
         if not (_MIN_NORMAL <= minimum and maximum <= _MAX_NORMAL and total == total):
             for value in values:
                 self.add(value)

@@ -36,7 +36,7 @@ def make_env(
     def tbs_bits(caller, prbs: int, mcs: int) -> int:
         if not 0 <= mcs <= 28:
             return 0
-        if prbs <= ROW_PRBS:  # every grant a carrier can make: the MCS's row
+        if 0 <= prbs <= ROW_PRBS:  # every grant a carrier can make: the MCS's row
             return TBS_ROWS[mcs][prbs]
         # Wasm hands over unsigned i32s: a negative count arrives >= 2**31
         if prbs >= 1 << 31:

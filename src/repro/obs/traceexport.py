@@ -26,8 +26,8 @@ comparing timestamps between pids.
 :func:`trace_digest` hashes the *structure* of a collection (service,
 span name, parent name, stable attributes - never ids or timings), so two
 runs of the same deterministic workload digest identically even though
-every span id and duration differs; the ``trace-smoke`` CI job holds the
-cluster to exactly that.
+every span id and duration differs; ``tests/test_pins.py`` pins the
+inline cluster trace's digest by value.
 """
 
 from __future__ import annotations

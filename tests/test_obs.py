@@ -1,5 +1,6 @@
 """Unified telemetry: registry, spans, flight recorder, events, CLI."""
 
+import gc
 import json
 
 import pytest
@@ -311,7 +312,13 @@ class TestPluginHostTelemetry:
 
     def test_guilty_segment_of_a_dense_call_is_invoke(self, telemetry):
         plugin = SchedulerPlugin.load(plugin_wasm("pf"), name="pf")
-        plugin.schedule(52, _ues(48), slot=0)
+        was_enabled = gc.isenabled()
+        gc.disable()  # a collection landing in plugin.encode would own the call
+        try:
+            plugin.schedule(52, _ues(48), slot=0)
+        finally:
+            if was_enabled:
+                gc.enable()
         root = telemetry.tracer.finished()[-1]
         assert root.name == "plugin.call"
         assert root.guilty_segment()[0] == "plugin.invoke"

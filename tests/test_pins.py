@@ -1,54 +1,149 @@
-"""The gNB slot loop pinned by value.
+"""Every digest the repo pins by value, in one table.
 
-Every constant here was computed on the slot loop that walked the UE
-table three times per slot.  A change to ``GnbHost._step_slot`` (or to
-the channel, scheduler or E2 code it calls) that moves one delivered
-byte, one fault-log line, one scheduler input or one E2 indication byte
-fails here, not only in a CI job.
+``PINS`` maps a row to the engines it runs under (every engine when the
+document it digests names none), the function that computes it and its
+digest.  Each row runs at the size of the command that prints it: ``repro
+rt --scenario NAME [--policy]``, ``repro chaos --seed 42 --slots 500
+--log``, ``repro trace --mode inline --slots 100 --digest-only`` in a
+fresh process, ``repro scale --workers 2 --cells 4 --slots 60 --mode inline``,
+and the ``slow`` row, ``repro fuzz --seed 0 --budget 500``, whose oracle
+runs every engine itself.  The values read the same on CPython 3.10,
+3.11 and 3.12.  The same-bytes check of a change is this module, run on
+the parent and on the change (``-m slow`` for the fuzz row)::
 
-- rt scenarios: ``run_scenario(name, 0, slots=120)`` digests;
-- a 4-cell cluster shard with plugin and native slices under chaos:
-  per-UE and per-slice delivery state, the fault logs, the executed
-  grants and every scheduler input (the ABI bytes a plugin receives);
-- E2: the sha256 of every encoded KPM indication from a 48-UE plugin
-  cell and a 24-UE native cell over 200 slots (re-taken once, when the
-  neighbour channel began to walk every slot instead of once per KPM
-  report: only its ``neighbor_cqi`` moved);
-- steering: a two-cell run whose handover attaches a UE behind higher
-  ``ue_id``s, so the attach order of ``gnb.ues`` is pinned.
+    PYTHONPATH=src python -m pytest -q tests/test_pins.py
+
+Below the table, the gNB slot loop is pinned on state no command prints,
+with constants taken on the loop that walked the UE table three times:
+a 4-cell chaos shard with plugin and native slices (per-UE and per-slice
+delivery state, fault logs, executed grants and every scheduler input as
+ABI bytes); the sha256 of every KPM indication from a 48-UE plugin and a
+24-UE native cell over 200 slots (re-taken once, when the neighbour
+channel began to walk every slot: only its ``neighbor_cqi`` moved); and
+a steering handover that attaches a UE behind higher ``ue_id``s.
+Re-pinning means editing a digest here, in a change that says so.
 """
 
 from __future__ import annotations
 
 import hashlib
+from functools import partial
 
 import pytest
 
 from repro.abi import SchedulerPlugin
 from repro.abi.wire import pack_sched_input
 from repro.channel import FixedMcsChannel, MarkovCqiChannel
+from repro.chaos import ChaosRunner
 from repro.chaos.schedule import schedule_from_spec
+from repro.cluster import run_cluster
 from repro.cluster.shard import build_cell, render_cell_log, step_operator_loop
 from repro.cluster.spec import ClusterSpec
 from repro.e2 import vendors
 from repro.e2.comm import CommChannel
 from repro.e2.node import E2NodeAgent
+from repro.fuzz import run_campaign
 from repro.gnb import GnbHost, SliceRuntime, UeContext
 from repro.netio.batching import BatchSender
 from repro.netio.bus import InProcNetwork
 from repro.plugins import SCHEDULER_PLUGINS, plugin_wasm
 from repro.ric import MSG_UE_MEAS
 from repro.ric.steering import TwoCellTopology
-from repro.rt.scenarios import run_scenario
+from repro.rt.scenarios import run_scenario, scenario_policy
 from repro.sched import TargetRateInterSlice
 from repro.sched.intra import make_intra_scheduler
 from repro.traffic import CbrSource, FullBufferSource
+from repro.wasm import codecache, instance
+from repro.wasm.threaded import ENGINES
 
-SCENARIO_DIGESTS = {
-    "flash_crowd": "56a8b7307ffa6ba126babdc0a195b34cda97bec516c135d069c041b6d3b0a187",
-    "handover": "7e2a28f9c9e8e02e91d8d6ef8d0349c24212b8cafab2eda3def449a640dba29a",
-    "mixed_sla": "cb0407cc5aa7a81c4ca488de34fb1e5ad2beca20956c3a7a1221681a256632cf",
+
+def rt_digest(name: str, engine: str, policy: str = "") -> str:
+    policy = scenario_policy(name).override(policy)
+    return run_scenario(name, 0, policy=policy, engine=engine).digest
+
+
+def chaos_digest(engine: str, header: bool = True) -> str:
+    log = ChaosRunner(seed=42, slots=500, engine=engine).run().log
+    return hashlib.sha256((log if header else log.split("\n", 1)[1]).encode()).hexdigest()
+
+
+def cold_cluster(engine: str, **shape):
+    """An inline cluster run with no compiled body or plugin binary kept
+    from earlier runs: it promotes and compiles as a fresh process does."""
+    codecache.clear()
+    plugin_wasm.cache_clear()
+    return run_cluster(ClusterSpec(workers=2, cells=4, engine=engine, mode="inline", **shape))
+
+
+def scale_digests(engine: str) -> str:
+    report = cold_cluster(engine, slots=60)
+    # only aot tiers up: its hosts start on threaded code
+    promoted = report.metrics.get("waran_plugin_promotions_total", {"series": []})
+    assert (sum(s["value"] for s in promoted["series"]) > 0) == (engine == "aot")
+    return report.bytes_digest + report.fault_digest
+
+
+def trace_digest(engine: str) -> str:
+    return cold_cluster(engine, slots=100, trace=True).trace_digest
+
+
+def fuzz_digest(_engine: str) -> str:
+    report = run_campaign(0, 500)
+    assert report.failures == [], report.failures
+    return report.digest
+
+
+#: row -> (engines, compute(engine), digest)
+PINS = {
+    "rt_flash_crowd": (ENGINES, partial(rt_digest, "flash_crowd"),
+                       "7cefbc23fe6e870084813e33c5686d570a7b7b7961f4c49ab998b0960718c6da"),
+    "rt_handover": (ENGINES, partial(rt_digest, "handover"),
+                    "e99169af4524c2654b3175bd0ff6f6afec4d0af6fcb8f3c3f7edf1fc4f9e5ea7"),
+    "rt_mixed_sla": (ENGINES, partial(rt_digest, "mixed_sla"),
+                     "4399cda39749960894fe8dd0a78be2aca6567b4adb0397604401f40bce125b5a"),
+    "rt_mixed_sla_lanes": (ENGINES, partial(rt_digest, "mixed_sla", policy="lanes=gold!:60;be:40"),
+                           "0be9e8de857f01fc4077a2081b40d14a468b99abac734904e88f17ab594c3573"),
+    "chaos_log": (("aot",), chaos_digest,
+                  "97ad7369bd5938ba5673ff4fabcd9b94acf5a03de723b17584c025a74810d039"),
+    "chaos_log_body": (ENGINES, partial(chaos_digest, header=False),
+                       "7091fe6f326be0a428b742cf5b850979c11bd70a9d11f7a1073e4f7d895f6782"),
+    "trace_inline": (ENGINES, trace_digest,
+                     "f0ef83b3cf7f09f21c2c190c402e0c5f73673cd173ae4570adfd654c83422200"),
+    "scale_inline": (ENGINES, scale_digests,
+                     "4c2f0b1789c5aba8f0989bff53c0285e13889201b400048955ccee72a0864e8b"  # bytes
+                     "57b805729abe1cb6cb2a1884035aedaa27f07246534000d49da3326ce98e5e19"),  # faults
+    "fuzz_campaign": (("aot",), fuzz_digest,
+                      "61256a69a413413a78cf84527f050a251c0934eeff9d924f2884cf73a95977e2"),
 }
+
+
+@pytest.mark.parametrize("row, engine", [
+    pytest.param(row, engine, id=f"{row}-{engine}",
+                 marks=[pytest.mark.slow] if row == "fuzz_campaign" else [])
+    for row, (engines, _, _) in PINS.items()
+    for engine in engines
+])
+def test_pin(row, engine):
+    _, compute, digest = PINS[row]
+    assert compute(engine) == digest
+
+
+def test_a_legacy_fuel_miscount_fails_only_legacy(monkeypatch):
+    """One more fuel per legacy frame (a ``call`` that costs 2) moves a
+    row that folds fuel under legacy and under no other engine.  Legacy,
+    because aot hosts run threaded code until they promote: a threaded
+    miscount would move the aot rows too."""
+    execute = instance.execute
+
+    def miscounted(store, *args):
+        store.fuel -= 1
+        return execute(store, *args)
+
+    monkeypatch.setattr(instance, "execute", miscounted)
+    _, compute, digest = PINS["rt_flash_crowd"]
+    assert compute("legacy") != digest
+    assert compute("threaded") == compute("aot") == digest
+
 
 CLUSTER_PINS = {
     "bytes": "1619e686b9b03706731a83c3554237f617941f737c7b5196e248cb34a25f10d1",
@@ -93,11 +188,6 @@ def _record_inputs(scheduler, sink: list) -> None:
         return inner(prbs, ues, slot, *args, **kwargs)
 
     scheduler.schedule = schedule
-
-
-@pytest.mark.parametrize("name", sorted(SCENARIO_DIGESTS))
-def test_rt_scenario_digest(name):
-    assert run_scenario(name, 0, slots=120).digest == SCENARIO_DIGESTS[name]
 
 
 def cluster_digests() -> dict[str, str]:

@@ -4,8 +4,8 @@ The tentpole acceptance criteria for the rt layer, run as regular tests:
 a flash crowd with a hostile fuel-hog plugin shows a >=10x deadline-miss
 reduction with enforcement on, SLA-lane plugins are never shed, the hog
 is quarantined and then re-admitted after probation, and every scenario
-is deterministically reproducible (identical digests across runs and -
-slow-marked - across all three engines).
+is deterministically reproducible (identical digests across runs;
+``tests/test_pins.py`` pins each digest by value under every engine).
 """
 
 from dataclasses import replace
@@ -178,16 +178,3 @@ class TestRtCli:
 
         assert main(["rt", "--policy", "bogus=1"]) == 1
         assert "error" in capsys.readouterr().err
-
-
-@pytest.mark.slow
-class TestEngineMatrix:
-    """Fuel metering is engine-identical, so the digests must be too."""
-
-    @pytest.mark.parametrize("name", SCENARIOS)
-    def test_digest_identical_across_engines(self, name):
-        digests = {
-            engine: run_scenario(name, seed=0, engine=engine).digest
-            for engine in ("legacy", "threaded", "aot")
-        }
-        assert len(set(digests.values())) == 1, digests

@@ -1,8 +1,9 @@
 """The within-run gates, in one table.
 
 A gate is a ratio taken inside one run, with a fixed bound: the runner's
-speed cancels.  Seven rows read a ledger selftest document, the last two
-time themselves here.  Prints one line per gate, exits 1 if one fails::
+speed cancels (a sub-microsecond or sub-slot budget is bounded as is).
+Eight rows read a ledger selftest document, the last five time
+themselves here.  Prints one line per gate, exits 1 if one fails::
 
     python -m benchmarks.ledger --selftest
     python -m benchmarks.gates benchmarks/ledger/out/selftest.json
@@ -57,6 +58,11 @@ GATES = (
          ("hot_swap",), median, -inf, 1 / 8,
          "hash + policy + instantiate, ~35x under a cold swap; 3.1x when every "
          "swap still decoded and validated"),
+    Gate("a warm swap leaves half the slot free", "swap_warm_p50_us", None,
+         ("hot_swap",), median, -inf, 500,
+         "Fig. 5b's live swap between binaries the process has run: the median "
+         "warm swap must leave half of a 1000 us slot to the scheduling pass "
+         "after it.  5 selftests, 2 cores: 49-76"),
     Gate("the ledger still reads live lowering counters", "wasm.codecache_hit_ratio",
          None, ("hot_swap",), median, 0.25, 0.75,
          "from repro.wasm.codecache.stats(): warm swaps hit, cold ones miss; 0 or "
@@ -102,6 +108,25 @@ GATES = (
          "with a per-instruction reader object, string dispatch and an OpInfo "
          "read plus one pop call per operand; 2.96-3.89 reading per-opcode rows "
          "with one-byte LEB128s in line and fixed-shape rows in one slice compare"),
+    Gate("a disabled span site is one branch", "span_disabled_site_us", None,
+         ("telemetry",), median, -inf, 2.0,
+         "tracer.span() on a disabled tracer, median of five 10k-site loops: "
+         "1 us a site with x2 headroom, or every untraced run pays for the "
+         "instrumented hot path.  2 cores: 0.26-0.53"),
+    Gate("a traced cluster run costs at most twice a plain one",
+         "cluster_traced_over_plain", None, ("telemetry",), median, -inf, 2.0,
+         "wall of a trace=True inline run (2 workers x 4 cells x 8 UEs x 60 "
+         "slots) over the same run untraced, median of 5 alternated pairs after "
+         "one untimed run a side: span shipping, stitching and attribution.  "
+         "2 cores: 1.55-1.65 over 5 runs; 0.34 with the plain run the process's "
+         "first, 1.7-2.1 with only the plain side warmed"),
+    Gate("a promoted plugin call's telemetry stays on budget", "call_obs_on_over_off",
+         None, ("telemetry",), median, -inf, 1.40,
+         "promoted rr, 3 UEs, obs on over obs off, median of 9 alternated "
+         "200-call rounds: a 0.20 budget with x2 headroom.  2 cores: 1.14-1.30 "
+         "(1.22-1.25 over 5 runs of this table; 1.30-1.35 when first measured "
+         "with one record per call built on read), 1.64-1.65 when each call "
+         "built its span, flight record and six observations on the spot"),
 )
 
 
@@ -114,7 +139,7 @@ def document_rows(doc: dict) -> dict[str, dict[str, float]]:
 
 
 def timed_rows() -> dict[str, dict[str, float]]:
-    """The rows of the last two gates, timed here with gc off."""
+    """The rows of the last five gates, timed here with gc off."""
     from repro.plugins import plugin_wasm
     from repro.wasm import decode_module, validate_module
     from repro.wasm.interpreter import prepared_for
@@ -153,10 +178,82 @@ def timed_rows() -> dict[str, dict[str, float]]:
                 check = min(check, mid - start)
                 lower = min(lower, time.perf_counter() - mid)
             rows[kind] = {"decode_validate_us": check * 1e6, "legacy_lowering_us": lower * 1e6}
+        rows["telemetry"] = telemetry_rows()
     finally:
         gc.enable()
     rows["decode"] = {"decode_us_per_instr_24k": best[8192], "decode_us_per_instr_384k": best[131072]}
     return rows
+
+
+def alternated(timed: Callable[[bool], float], pairs: int) -> float:
+    """Median of ``timed(True) / timed(False)`` over ``pairs`` pairs,
+    alternating which side goes first so a drifting host hits both alike."""
+    ratios = []
+    for r in range(pairs):
+        first = bool(r % 2)
+        t = {first: timed(first)}
+        t[not first] = timed(not first)
+        ratios.append(t[True] / t[False])
+    return median(ratios)
+
+
+def telemetry_rows() -> dict[str, float]:
+    """What telemetry costs on for one promoted plugin call, off at a
+    span site, and when tracing a cluster run; both sides of each timed
+    in this process."""
+    from dataclasses import replace
+
+    from repro import obs
+    from repro.abi import wire
+    from repro.abi.host import PluginHost
+    from repro.cluster import ClusterSpec, run_cluster
+    from repro.obs.tracing import Tracer
+    from repro.plugins import plugin_wasm
+    from repro.sched import UeSchedInfo
+
+    payload = wire.pack_sched_input(
+        0, 52, [UeSchedInfo(i + 1, 20, 12, 50_000, 1e6) for i in range(3)]
+    )
+    hosts = {on: PluginHost(plugin_wasm("rr"), name=f"overhead-{on}") for on in (False, True)}
+    for host in hosts.values():
+        host.promote()  # the compiled call every slot makes
+
+    def calls(on: bool) -> float:
+        (obs.enable if on else obs.disable)()
+        start = time.perf_counter()
+        for _ in range(200):
+            hosts[on].call(payload)
+        return time.perf_counter() - start
+
+    was_enabled = obs.OBS.enabled
+    try:
+        calls(False), calls(True)  # scratch allocation and handle binding, untimed
+        call_ratio = alternated(calls, 9)
+    finally:
+        (obs.enable if was_enabled else obs.disable)()
+
+    tracer, sites = Tracer(enabled=False), 10_000
+    loops = []
+    for _ in range(5):
+        start = time.perf_counter()
+        for _ in range(sites):
+            with tracer.span("site"):
+                pass
+        loops.append((time.perf_counter() - start) / sites * 1e6)
+
+    spec = ClusterSpec(workers=2, cells=4, ues=8, slots=60, seed=7, mode="inline")
+
+    def wall(traced: bool) -> float:
+        start = time.perf_counter()
+        run_cluster(replace(spec, trace=traced))
+        return time.perf_counter() - start
+
+    wall(False), wall(True)  # plugin loads and the first trace, untimed
+    return {
+        "span_disabled_site_us": median(loops),
+        "cluster_traced_over_plain": alternated(wall, 5),
+        "call_obs_on_over_off": call_ratio,
+    }
 
 
 def failed(table: dict[str, dict[str, float]]) -> list[str]:

@@ -6,12 +6,13 @@ Usage (``python -m repro <command>``)::
     python -m repro sanitize plugin.wasm               # deployment check
     python -m repro disasm plugin.wasm                 # inspect a binary
     python -m repro plugins                            # list shipped plugins
-    python -m repro fig5a [--duration 10]              # run an experiment
-    python -m repro fig5b | fig5c | fig5d | safety
+    python -m repro fig5a [--duration 10]              # run an experiment; exit 1
+    python -m repro fig5b | fig5c | fig5d | safety     # if a shape check fails
     python -m repro obs [--format json|prom]           # telemetry demo dump
     python -m repro obs merge w0.json w1.json          # merge metric snapshots
     python -m repro chaos --seed 42 --slots 10000      # fault-injection soak
     python -m repro scale --workers 4 --cells 8        # multi-process scale-out
+    python -m repro scale --sweep 1,2,4 --json BENCH_cluster.json  # scaling doc
     python -m repro fuzz --seed 0 --budget 500         # differential fuzzing
     python -m repro fuzz --replay tests/wasm/corpus    # replay the corpus
     python -m repro record --workload chaos -o s.wrc   # capture a soak
@@ -105,6 +106,14 @@ def _cmd_plugins(args) -> int:
     return 0
 
 
+def _shape_exit(result) -> int:
+    """Print a figure result's shape checks; exit 1 if one fails."""
+    checks = result.shape_holds()
+    for check, ok in checks.items():
+        print(f"  [{'ok' if ok else 'FAIL'}] {check}")
+    return 0 if all(checks.values()) else 1
+
+
 def _cmd_fig5a(args) -> int:
     from repro.experiments import run_fig5a
 
@@ -112,8 +121,7 @@ def _cmd_fig5a(args) -> int:
     print(f"{'MVNO':12s} {'target':>8s} {'achieved':>9s} {'ratio':>6s}")
     for name, target, achieved, ratio in result.rows():
         print(f"{name:12s} {target:6.1f}Mb {achieved:7.2f}Mb {ratio:6.3f}")
-    print("all targets met" if result.all_targets_met() else "TARGETS MISSED")
-    return 0 if result.all_targets_met() else 1
+    return _shape_exit(result)
 
 
 def _cmd_fig5b(args) -> int:
@@ -133,10 +141,7 @@ def _cmd_fig5b(args) -> int:
     for phase, means in result.phase_means.items():
         print(f"  {phase.upper():3s}: " + "  ".join(
             f"UE{u}={means[u]:5.2f}" for u in sorted(means)))
-    checks = result.shape_holds()
-    for check, ok in checks.items():
-        print(f"  [{'ok' if ok else 'FAIL'}] {check}")
-    return 0 if all(checks.values()) else 1
+    return _shape_exit(result)
 
 
 def _cmd_fig5c(args) -> int:
@@ -155,8 +160,7 @@ def _cmd_fig5c(args) -> int:
         result.plugin_series, result.native_series
     ):
         print(f"  t={t:5.1f}s  plugin={plugin_mib:6.2f}  native={native_mib:7.2f}")
-    ok = result.plugin_is_bounded() and result.native_grows_linearly()
-    return 0 if ok else 1
+    return _shape_exit(result)
 
 
 def _cmd_fig5d(args) -> int:
@@ -167,9 +171,8 @@ def _cmd_fig5d(args) -> int:
     for plugin, n_ues, p50, p99, mean in result.rows():
         print(f"{plugin:6s} {n_ues:4d} {p50:8.1f} {p99:8.1f} {mean:8.1f}")
     print(f"slot duration: {result.slot_duration_us:.0f} us; "
-          f"grows with UEs: {result.grows_with_ues()}; "
           f"every p99 inside the slot: {result.all_within_deadline()}")
-    return 0
+    return _shape_exit(result)
 
 
 def _cmd_obs(args) -> int:
@@ -286,6 +289,7 @@ def _cmd_scale(args) -> int:
     import json
 
     from repro.cluster import ClusterError, ClusterSpec, run_cluster, run_sweep
+    from repro.cluster import sweep_document
 
     spec = ClusterSpec(
         workers=args.workers,
@@ -319,8 +323,14 @@ def _cmd_scale(args) -> int:
                       f"{report.bytes_digest[:12]}")
             print("aggregate digests invariant across worker counts")
             report = reports[-1]
+            if args.json:
+                doc = sweep_document(spec, reports)
+                print(f"speedup x{doc['speedup_1_to_max']:.2f}, p99 ratio x"
+                      f"{doc['p99_ratio_max_vs_1']:.2f}; traced p99 dominant: "
+                      f"{doc['attribution'].get('dominant')}")
         else:
             report = run_cluster(spec)
+            doc = report.to_json()
             print(report.summary())
             if args.verify_determinism:
                 again = run_cluster(spec)
@@ -337,7 +347,8 @@ def _cmd_scale(args) -> int:
         return 1
     if args.json:
         with open(args.json, "w", encoding="utf-8") as f:
-            json.dump(report.to_json(), f, indent=2)
+            json.dump(doc, f, indent=2, sort_keys=True)
+            f.write("\n")
         print(f"report -> {args.json}")
     if args.metrics:
         from repro.obs import snapshot_to_prometheus
@@ -572,8 +583,7 @@ def _cmd_safety(args) -> int:
               f"host alive: {row.plugin_host_alive}")
         print(f"{'':12s} native: {row.native_outcome:24s} "
               f"process alive: {row.native_process_alive}")
-    ok = result.sandbox_always_survives() and result.native_always_dies()
-    return 0 if ok else 1
+    return _shape_exit(result)
 
 
 def _cmd_record(args) -> int:
@@ -1062,7 +1072,7 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="run twice and require byte-identical aggregate digests",
     )
-    p.add_argument("--json", metavar="PATH", help="write the full report")
+    p.add_argument("--json", metavar="PATH", help="write the report (with --sweep, the sweep's)")
     p.add_argument(
         "--metrics",
         action="store_true",

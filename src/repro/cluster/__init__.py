@@ -15,8 +15,9 @@ Sharding never changes the physics: each cell is a pure function of
 ``(spec, cell_id)``, so aggregate scheduled-bytes and fault-log digests
 are byte-identical across runs *and* across worker counts (see
 ``docs/SCALING.md``).  Entry points: ``repro scale`` on the CLI,
-:func:`run_cluster` and :func:`run_sweep` from code, and
-``benchmarks/bench_cluster.py`` for the scaling figure.
+:func:`run_cluster` and :func:`run_sweep` from code; ``repro scale
+--sweep 1,2,4 --json BENCH_cluster.json`` writes the scaling figure
+(:func:`sweep_document`).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from repro.cluster.coordinator import (
     WorkerFailed,
     run_cluster,
 )
-from repro.cluster.loadgen import run_sweep, sweep_specs
+from repro.cluster.loadgen import run_sweep, sweep_document, sweep_specs
 from repro.cluster.shard import CellShard, build_cell
 from repro.cluster.spec import ClusterSpec, cell_name, stable_seed
 from repro.cluster.worker import run_worker
@@ -44,6 +45,7 @@ __all__ = [
     "cell_name",
     "run_cluster",
     "run_sweep",
+    "sweep_document",
     "run_worker",
     "stable_seed",
     "sweep_specs",

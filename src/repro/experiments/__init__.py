@@ -1,7 +1,9 @@
 """Experiment drivers: one module per paper figure/table.
 
 Each driver builds its scenario from the public API, runs it, and returns
-a result object with the same series/rows the paper plots:
+a result object with the same series/rows the paper plots; the result's
+``shape_holds()`` states the figure's claims as named booleans, which
+``repro figN`` exits on and ``tests/test_experiments.py`` asserts:
 
 - :mod:`repro.experiments.fig5a` - MVNO co-existence (Fig. 5a)
 - :mod:`repro.experiments.fig5b` - live scheduler swap (Fig. 5b)
@@ -9,7 +11,6 @@ a result object with the same series/rows the paper plots:
 - :mod:`repro.experiments.fig5d` - plugin execution time (Fig. 5d)
 - :mod:`repro.experiments.safety` - the §5D memory-safety comparison
 
-The benchmarks in ``benchmarks/`` are thin wrappers over these drivers;
 ``EXPERIMENTS.md`` records paper-vs-measured for each.
 """
 

@@ -20,7 +20,7 @@ from repro.abi import SchedulerPlugin
 from repro.channel import FixedMcsChannel
 from repro.gnb import GnbHost, SliceRuntime, UeContext
 from repro.plugins import plugin_wasm
-from repro.sched import TargetRateInterSlice
+from repro.sched import TargetRateInterSlice, UeSchedInfo
 from repro.traffic import FullBufferSource
 
 #: (slice_id, name, plugin, target_bps, [(ue_id, mcs), ...])
@@ -52,6 +52,18 @@ class Fig5aResult:
 
     def all_targets_met(self, tolerance: float = 0.15) -> bool:
         return all(abs(ratio - 1.0) <= tolerance for *_x, ratio in self.rows())
+
+    def shape_holds(self) -> dict[str, bool]:
+        """The claims of Fig. 5a and the §5B feasibility row."""
+        inter = TargetRateInterSlice(self.targets_bps, slot_duration_s=1e-3)
+        # one full-buffer MCS-28 UE per slice asks for more than the carrier
+        demand = {s: [UeSchedInfo(s * 10, 28, 15, 1_000_000, 0.0)] for s in self.targets_bps}
+        return {
+            # every MVNO achieves its target, simultaneously
+            "all_targets_met": self.all_targets_met(),
+            # the targets fit the 52-PRB carrier
+            "targets_fit_carrier": sum(inter.allocate(52, demand, 1).values()) <= 52,
+        }
 
 
 def build_gnb(mvnos=None) -> GnbHost:

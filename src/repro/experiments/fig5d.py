@@ -7,8 +7,9 @@ against the 1000 us slot duration.
 
 Expected shape: p99 under the slot duration for every plugin and UE
 count (:meth:`Fig5dResult.all_within_deadline`); time grows with the
-number of UEs.  Absolute numbers here are those of Wasm compiled to Python
-source (the default ``aot`` engine, reached by tier-up), not a native
+number of UEs (:meth:`Fig5dResult.shape_holds`).  Absolute numbers here
+are those of Wasm compiled to Python source (the default ``aot`` engine,
+reached by tier-up), not a native
 JIT's: the claim holds with less slack than the paper's, and only for
 the plugin call - EXPERIMENTS.md has the table and what a whole slot
 costs.
@@ -51,15 +52,21 @@ class Fig5dResult:
     def all_within_deadline(self) -> bool:
         return all(c.p99_us < self.slot_duration_us for c in self.cells)
 
-    def grows_with_ues(self) -> bool:
+    def shape_holds(self) -> dict[str, bool]:
+        """The load-robust half of Fig. 5d: OS preemption on a loaded host
+        puts outliers into p99, so p99 is reported, not checked."""
         by_plugin: dict[str, list[Cell]] = {}
-        for cell in self.cells:
+        for cell in sorted(self.cells, key=lambda c: c.n_ues):
             by_plugin.setdefault(cell.plugin, []).append(cell)
-        for cells in by_plugin.values():
-            cells.sort(key=lambda c: c.n_ues)
-            if not cells[0].p50_us <= cells[-1].p50_us:
-                return False
-        return True
+        slot, busiest = self.slot_duration_us, max(c.n_ues for c in self.cells)
+        return {
+            "grows_with_ues": all(c[0].p50_us <= c[-1].p50_us for c in by_plugin.values()),
+            "p50_inside_slot": all(c.p50_us < slot for c in self.cells),
+            # the default engine leaves half the slot free at the most UEs
+            "p50_at_most_ues_under_half_slot": all(
+                c.p50_us < slot / 2 for c in self.cells if c.n_ues == busiest
+            ),
+        }
 
     def rows(self) -> list[tuple[str, int, float, float, float]]:
         return [
@@ -87,6 +94,9 @@ def measure_plugin(
     """Time one plugin configuration over ``calls`` invocations."""
     plugin = SchedulerPlugin.load(plugin_wasm(plugin_name), name=plugin_name)
     plugin.host.limits.fuel = PLUGIN_FUEL
+    # time the tier a running scheduler is on: heat is per binary, so a
+    # binary's first configuration would sample threaded calls unpromoted
+    plugin.host.promote()
     ues = make_ues(n_ues)
     samples = sorted(
         plugin.schedule(52, ues, slot).elapsed_us for slot in range(calls)

@@ -43,11 +43,12 @@ class Row:
 class SafetyResult:
     rows: list[Row]
 
-    def sandbox_always_survives(self) -> bool:
-        return all(r.plugin_host_alive for r in self.rows)
-
-    def native_always_dies(self) -> bool:
-        return all(not r.native_process_alive for r in self.rows)
+    def shape_holds(self) -> dict[str, bool]:
+        """The claims of the §5D table, as checkable booleans."""
+        return {
+            "sandbox_always_survives": all(r.plugin_host_alive for r in self.rows),
+            "native_always_dies": all(not r.native_process_alive for r in self.rows),
+        }
 
 
 def _run_in_plugin(fault: str) -> tuple[str, bool]:

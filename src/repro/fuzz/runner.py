@@ -104,7 +104,6 @@ def run_campaign(
     mutate_ratio: float = 0.3,
     time_box: float | None = None,
     corpus_dir: str | None = None,
-    do_shrink: bool = True,
     seed_modules: list[bytes] | None = None,
 ) -> FuzzReport:
     """Run ``budget`` seeded iterations (or until ``time_box`` seconds pass).
@@ -223,15 +222,14 @@ def run_campaign(
 
         # a real divergence: shrink it, save it, record it
         wasm, calls = generated.wasm, generated.calls
-        if do_shrink:
 
-            def still_diverges(candidate_wasm, candidate_calls):
-                try:
-                    return not differential(candidate_wasm, candidate_calls).ok
-                except WasmError:
-                    return False
+        def still_diverges(candidate_wasm, candidate_calls):
+            try:
+                return not differential(candidate_wasm, candidate_calls).ok
+            except WasmError:
+                return False
 
-            wasm, calls = shrink(wasm, calls, still_diverges)
+        wasm, calls = shrink(wasm, calls, still_diverges)
         try:
             expect = expected_outcomes(wasm, calls)
         except WasmError:

@@ -1,13 +1,15 @@
-"""Tier-1 chaos soak: a short ChaosRunner run must hold every invariant.
+"""Chaos soak: a ChaosRunner run must hold every invariant.
 
-The full 10k-slot soak lives in ``benchmarks/bench_chaos_soak.py``; this
-keeps a ~400-slot version in the default test run so the invariants are
-exercised on every commit, under every engine.
+A ~400-slot run on a hotter-than-soak mix is tier-1, so the invariants
+are exercised on every commit, under every engine.  The full soak - 10k
+slots of the default mix per engine, and a 2k-slot same-seed pair - is
+marked ``slow`` (the nightly ``pytest -m slow`` job).
 """
 
 import pytest
 
 from repro.chaos import ChaosConfig, ChaosRunner
+from repro.wasm.threaded import ENGINES
 
 SEED = 42
 SLOTS = 400
@@ -54,3 +56,22 @@ class TestSoakInvariants:
         first = ChaosRunner(seed=1, slots=100, engine=engine).run()
         second = ChaosRunner(seed=2, slots=100, engine=engine).run()
         assert first.log != second.log
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("engine", ENGINES)
+class TestFullSoak:
+    def test_10k_slots_hold_every_invariant(self, engine):
+        report = ChaosRunner(seed=SEED, slots=10_000, engine=engine).run()
+        assert report.violations == [], report.violations[:5]
+        # the schedule exercised every layer
+        assert report.faults > 0
+        assert report.releases > 0 and report.recoveries > 0
+        assert any(k in report.injection_counts for k in ("drop", "fail", "corrupt"))
+
+    def test_same_seed_same_log(self, engine):
+        first = ChaosRunner(seed=SEED, slots=2_000, engine=engine).run()
+        second = ChaosRunner(seed=SEED, slots=2_000, engine=engine).run()
+        assert first.ok and second.ok
+        assert first.log == second.log
+        assert first.digest == second.digest

@@ -162,7 +162,7 @@ class TestCli:
 
     def test_fig5a_command_quick(self, capsys):
         assert main(["fig5a", "--duration", "1.0"]) == 0
-        assert "all targets met" in capsys.readouterr().out
+        assert "[ok] all_targets_met" in capsys.readouterr().out
 
     def test_fig5d_command_quick(self, capsys):
         assert main(["fig5d", "--calls", "20"]) == 0

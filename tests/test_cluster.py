@@ -279,17 +279,28 @@ class TestScaleCli:
         assert doc["delivered_bytes"] > 0
         assert "cluster workers=2" in capsys.readouterr().out
 
-    def test_scale_sweep_and_metrics(self, capsys):
+    def test_scale_sweep_and_metrics(self, tmp_path, capsys):
         from repro.cli import main
 
+        out = tmp_path / "BENCH_cluster.json"
         code = main(
             ["scale", "--cells", "2", "--ues", "4", "--slots", "30",
-             "--mode", "inline", "--sweep", "1,2", "--metrics"]
+             "--mode", "inline", "--sweep", "1,2", "--metrics", "--json", str(out)]
         )
         assert code == 0
-        out = capsys.readouterr().out
-        assert "invariant across worker counts" in out
-        assert "waran_cluster_slot_us" in out
+        text = capsys.readouterr().out
+        assert "invariant across worker counts" in text
+        assert "waran_cluster_slot_us" in text
+        # the sweep document: one row per worker count, one traced run
+        doc = json.loads(out.read_text())
+        assert doc["schema"] == "waran-bench-cluster/4"
+        assert set(doc) == {
+            "schema", "spec", "worker_counts", "cpu_count", "rows",
+            "speedup_1_to_max", "p99_ratio_max_vs_1", "bytes_digest",
+            "fault_digest", "attribution", "trace_digest",
+        }
+        assert [row["workers"] for row in doc["rows"]] == doc["worker_counts"] == [1, 2]
+        assert doc["attribution"]["dominant"] and doc["trace_digest"]
 
     def test_scale_rejects_bad_spec(self, capsys):
         from repro.cli import main

@@ -1,12 +1,20 @@
 """Quick-run tests of every experiment driver (short durations).
 
-The benches run the full-length versions; these keep the drivers covered
-in the ordinary test suite and pin their shape criteria.
+Each result's ``shape_holds()`` states its figure's claims once;
+``repro fig5a|fig5b|fig5c|fig5d|safety`` exits on it at full length
+(CI runs them), and these assert the same checks at short length and
+that the CLI fails when one of them does.
 """
 
 import pytest
 
+from repro.cli import main
 from repro.experiments import (
+    Fig5aResult,
+    Fig5bResult,
+    Fig5cResult,
+    Fig5dResult,
+    SafetyResult,
     run_fig5a,
     run_fig5b,
     run_fig5c,
@@ -21,7 +29,8 @@ class TestFig5a:
         return run_fig5a(duration_s=2.0)
 
     def test_all_targets_met(self, result):
-        assert result.all_targets_met(tolerance=0.15)
+        """Every target met, and the targets fit the carrier (§5B)."""
+        assert result.shape_holds() == {"all_targets_met": True, "targets_fit_carrier": True}
 
     def test_rows_structure(self, result):
         rows = result.rows()
@@ -60,16 +69,16 @@ class TestFig5b:
 class TestFig5c:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_fig5c(duration_s=4.0, sample_dt_s=0.5)
+        return run_fig5c(duration_s=6.0, sample_dt_s=0.5)
 
     def test_plugin_bounded(self, result):
-        assert result.plugin_is_bounded(cap_mib=8.0)
+        assert result.shape_holds()["plugin_bounded"]
 
     def test_native_linear(self, result):
-        assert result.native_grows_linearly()
+        assert result.shape_holds()["native_grows_linearly"]
 
     def test_contrast(self, result):
-        assert result.final_native_mib() > result.final_plugin_mib()
+        assert result.shape_holds()["native_over_4x_plugin"]
 
 
 class TestFig5d:
@@ -78,7 +87,11 @@ class TestFig5d:
         return run_fig5d(calls=60, ue_counts=(1, 10), plugins=("mt", "pf"))
 
     def test_grows_with_ues(self, result):
-        assert result.grows_with_ues()
+        assert result.shape_holds()["grows_with_ues"]
+
+    def test_p50_leaves_the_slot_free(self, result):
+        checks = result.shape_holds()
+        assert checks["p50_inside_slot"] and checks["p50_at_most_ues_under_half_slot"], checks
 
     def test_cells_complete(self, result):
         assert len(result.cells) == 4
@@ -90,8 +103,26 @@ class TestFig5d:
 class TestSafety:
     def test_table(self):
         result = run_safety_table()
-        assert result.sandbox_always_survives()
-        assert result.native_always_dies()
+        assert result.shape_holds() == {
+            "sandbox_always_survives": True, "native_always_dies": True,
+        }
         assert {r.fault for r in result.rows} == {
             "null_deref", "oob_access", "double_free",
         }
+
+
+@pytest.mark.parametrize(
+    "argv, result_type",
+    [
+        (["fig5a", "--duration", "0.2"], Fig5aResult),
+        (["fig5b", "--duration", "1"], Fig5bResult),
+        (["fig5c", "--duration", "0.5"], Fig5cResult),
+        (["fig5d", "--calls", "3"], Fig5dResult),
+        (["safety"], SafetyResult),
+    ],
+    ids=lambda value: value[0] if isinstance(value, list) else None,
+)
+def test_the_cli_exits_on_a_failed_shape_check(argv, result_type, monkeypatch, capsys):
+    monkeypatch.setattr(result_type, "shape_holds", lambda self: {"ok": True, "planted": False})
+    assert main(argv) == 1
+    assert "[FAIL] planted" in capsys.readouterr().out

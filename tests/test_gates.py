@@ -1,9 +1,10 @@
 """The gate table fails when it should: a planted selftest document.
 
 The document below, cut to the rows the gates read, and ``TIMED``, the
-rows the last two gates time in process, pass every gate.  Pushing one
+rows the last five gates time in process, pass every gate.  Pushing one
 gate's numerator past its bound in every workload it reads must fail
-that gate and no other.
+that gate and no other, except a gate that bounds the same row another
+way (a warm swap is bounded as such and against a cold one).
 """
 
 import copy
@@ -38,6 +39,8 @@ TIMED = {
     "rr": {"decode_validate_us": 700.0, "legacy_lowering_us": 205.0},
     "pf": {"decode_validate_us": 760.0, "legacy_lowering_us": 240.0},
     "mt": {"decode_validate_us": 810.0, "legacy_lowering_us": 262.0},
+    "telemetry": {"span_disabled_site_us": 0.35, "cluster_traced_over_plain": 1.62,
+                  "call_obs_on_over_off": 1.22},
 }
 
 
@@ -62,4 +65,6 @@ def test_nothing_planted_passes_every_gate():
 
 @pytest.mark.parametrize("gate", GATES, ids=lambda gate: gate.name.replace(" ", "_"))
 def test_a_planted_row_fails_its_gate_alone(gate):
-    assert failed(table(gate)) == [gate.name]
+    same_row = {g.name for g in GATES if g.numerator == gate.numerator}
+    failures = failed(table(gate))
+    assert gate.name in failures and set(failures) <= same_row, failures

@@ -45,6 +45,7 @@ class TestBasicOperation:
         gnb.finish_meters()
         rate = gnb.slices[1].meter.average_bps(2.0)
         assert rate == pytest.approx(5e6, rel=0.1)
+        assert not gnb.fault_policy.events  # a healthy plugin never falls back
 
     def test_native_and_plugin_slices_coexist(self):
         gnb = make_gnb({1: 3e6, 2: 3e6})

@@ -325,7 +325,8 @@ class TestOptionSurface:
         """A bench measures the tree it is given; a bound that an
         environment variable can widen or switch off gates nothing."""
         benchmarks = ROOT / "benchmarks"
-        assert list(benchmarks.glob("bench_*.py")), benchmarks
+        assert (benchmarks / "gates.py").exists(), benchmarks
+        assert list(benchmarks.glob("ledger/*.py")), benchmarks
         reads = _tree_env_reads(benchmarks)
         assert not reads, f"benchmarks/ reads the environment: {sorted(reads, key=str)}"
 

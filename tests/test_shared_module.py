@@ -12,7 +12,10 @@ change lives in its instance.  Two families:
   equals a fresh decode of its bytes, field for field;
 - **the module is the whole record**: lowered bodies and heat hang off
   it and go when it goes; a dump lowers code but binds no instance, so it
-  never makes a binary look compiled.
+  never makes a binary look compiled;
+- **a live swap reuses it**: Fig. 5b's swaps between binaries the process
+  has loaded decode nothing; a never-seen binary is one module miss.  (Their timing is a gate row: ``hot_swap``
+  ``swap_warm_p50_us`` in ``benchmarks/gates.py``.)
 """
 
 import dataclasses
@@ -30,6 +33,7 @@ from repro.experiments.fig5d import make_ues
 from repro.obs import OBS
 from repro.plugins import available_plugins, plugin_wasm
 from repro.wasm import codecache, decode_module, load_module
+from repro.wasm.leb128 import encode_u
 from repro.wasm.aot import dump_aot
 from repro.wasm.disasm import disassemble
 from repro.wasm.threaded import dump_threaded
@@ -264,3 +268,31 @@ class TestTheModuleIsTheWholeRecord:
         finally:
             obs.reset()
             obs.disable()
+
+
+class TestFig5bSwaps:
+    @pytest.fixture(autouse=True)
+    def telemetry(self):
+        obs.enable()  # the table counts its lookups into the registry
+        obs.reset()
+        yield
+        obs.reset()
+        obs.disable()
+
+    def test_warm_swaps_decode_nothing_and_cold_ones_miss_once(self):
+        """(Their code-cache hit rate per tier is
+        ``tests/wasm/test_aot.py::test_fig5b_hot_swap_keeps_hit_rate``.)"""
+        binaries = [plugin_wasm(kind) for kind in ("pf", "rr", "mt")]
+        host = PluginHost(binaries[2], name="mvno")
+        for wasm in binaries[:2]:
+            host.swap(wasm)  # every binary seen once
+        seen = codecache.stats()["module_misses"]
+        for index in range(90):
+            host.swap(binaries[index % 3])
+        assert codecache.stats()["module_misses"] == seen
+        for index in range(30):
+            # same code plus a custom section: a content hash never seen
+            name = f"fig5b.{index}".encode()
+            section = encode_u(len(name)) + name
+            host.swap(binaries[index % 3] + b"\x00" + encode_u(len(section)) + section)
+        assert codecache.stats()["module_misses"] == seen + 30

@@ -2,7 +2,7 @@
 
 A gate is a ratio taken inside one run, with a fixed bound: the runner's
 speed cancels (a sub-microsecond or sub-slot budget is bounded as is).
-Eight rows read a ledger selftest document, the last five time
+Seven rows read a ledger selftest document, the last six time
 themselves here.  Prints one line per gate, exits 1 if one fails::
 
     python -m benchmarks.ledger --selftest
@@ -84,12 +84,6 @@ GATES = (
          "land on different host speeds.  2-core selftests: dense_cell alone read "
          "8.6-14.6 with fuel checked per batch and 7.7-16.3 checked only where "
          "effects are (13 / 15 runs); the median 9.2-10.4 and 11.3-13.3 (6 each)"),
-    Gate("a cold threaded load is one static pass", "wasm.load_cold_us.threaded",
-         "wasm.load_cold_us.legacy", (), median, -inf, 2.1,
-         "the median over the six workloads, as a full collection lands in "
-         "whichever probe crosses the gc threshold.  6 selftests a side, 2 cores: "
-         "2.35-2.73 when threaded and aot lowering re-analysed each body and built "
-         "the legacy lowering too; 1.66-1.72 lowering from the validator's facts"),
     Gate("plugin-call telemetry stays cheap", "obs.slot_overhead_ratio", None,
          ("sparse_metro",), median, -inf, 1.32,
          "the loop timed with telemetry on and off.  11 alternated selftests a "
@@ -108,6 +102,16 @@ GATES = (
          "with a per-instruction reader object, string dispatch and an OpInfo "
          "read plus one pop call per operand; 2.96-3.89 reading per-opcode rows "
          "with one-byte LEB128s in line and fixed-shape rows in one slice compare"),
+    Gate("a cold threaded load is one static pass", "threaded_load_us",
+         "legacy_load_us", PLUGINS, median, -inf, 2.1,
+         "load_module + Instance of a never-seen binary (a cold_variant), the "
+         "aot engine's cold start on threaded code over the same with the legacy "
+         "lowering; per plugin the median of nine a side, alternated, gc off; the "
+         "median of rr / pf / mt.  In the ledger selftest (SchedulerPlugin.load, "
+         "the median over six workloads), 2 cores: 2.35-2.73 when threaded and "
+         "aot lowering re-analysed each body and built the legacy lowering too; "
+         "1.41-2.11 lowering from the validator's facts.  Timed here: 1.49-1.64 "
+         "(7 runs)"),
     Gate("a disabled span site is one branch", "span_disabled_site_us", None,
          ("telemetry",), median, -inf, 2.0,
          "tracer.span() on a disabled tracer, median of five 10k-site loops: "
@@ -139,9 +143,11 @@ def document_rows(doc: dict) -> dict[str, dict[str, float]]:
 
 
 def timed_rows() -> dict[str, dict[str, float]]:
-    """The rows of the last five gates, timed here with gc off."""
+    """The rows of the last six gates, timed here with gc off."""
+    from benchmarks.ledger.workloads import cold_variant
+    from repro.abi.hostfuncs import make_env
     from repro.plugins import plugin_wasm
-    from repro.wasm import decode_module, validate_module
+    from repro.wasm import Instance, decode_module, load_module, validate_module
     from repro.wasm.interpreter import prepared_for
     from repro.wasm.leb128 import encode_u
 
@@ -177,7 +183,18 @@ def timed_rows() -> dict[str, dict[str, float]]:
                     prepared_for(code)
                 check = min(check, mid - start)
                 lower = min(lower, time.perf_counter() - mid)
-            rows[kind] = {"decode_validate_us": check * 1e6, "legacy_lowering_us": lower * 1e6}
+            loads = {"threaded": [], "legacy": []}
+            for i in range(9):
+                for lowering in sorted(loads, reverse=bool(i % 2)):
+                    wasm, env = cold_variant(raw, "gate", f"{lowering}.{i}"), make_env()
+                    start = time.perf_counter()
+                    Instance(load_module(wasm), {"env": env}, validate=False, engine=lowering)
+                    loads[lowering].append(time.perf_counter() - start)
+            rows[kind] = {
+                "decode_validate_us": check * 1e6, "legacy_lowering_us": lower * 1e6,
+                "threaded_load_us": median(loads["threaded"]) * 1e6,
+                "legacy_load_us": median(loads["legacy"]) * 1e6,
+            }
         rows["telemetry"] = telemetry_rows()
     finally:
         gc.enable()

@@ -140,7 +140,7 @@ def codec_rows() -> list[tuple]:
 
 def make_gnb(plugin_name: str, quarantine_after: int) -> GnbHost:
     gnb = GnbHost(
-        inter_slice=TargetRateInterSlice({1: 5e6}, slot_duration_s=1e-3),
+        inter_slice=TargetRateInterSlice({1: 5e6}),
         fault_policy=FaultPolicy(quarantine_after=quarantine_after),
     )
     runtime = gnb.add_slice(SliceRuntime(1, "mvno"))

@@ -37,7 +37,7 @@ def main() -> None:
 
     # --- gNB with the two-level scheduler -------------------------------------
     targets = {sid: rate for sid, _n, _p, rate, _s in MVNOS}
-    gnb = GnbHost(inter_slice=TargetRateInterSlice(targets, slot_duration_s=1e-3))
+    gnb = GnbHost(inter_slice=TargetRateInterSlice(targets))
 
     for sid, name, plugin_name, rate, subscribers in MVNOS:
         runtime = gnb.add_slice(SliceRuntime(sid, name))

@@ -36,7 +36,7 @@ def main() -> None:
     try:
         # --- gNB side -------------------------------------------------------
         gnb = GnbHost(
-            inter_slice=TargetRateInterSlice({1: 2e6}, slot_duration_s=1e-3)
+            inter_slice=TargetRateInterSlice({1: 2e6})
         )
         runtime = gnb.add_slice(SliceRuntime(1, "tenant"))
         runtime.use_plugin(SchedulerPlugin.load(plugin_wasm("pf"), name="pf"))

@@ -155,9 +155,7 @@ class ChaosRunner:
                 gnb.attach_ue(
                     UeContext(ue_id, sid, FixedMcsChannel(28), FullBufferSource())
                 )
-        gnb.inter_slice = TargetRateInterSlice(
-            targets, slot_duration_s=gnb.carrier.slot_duration_s
-        )
+        gnb.inter_slice = TargetRateInterSlice(targets)
 
         net = InProcNetwork()
         vendor = vendors.vendor_b()
@@ -169,7 +167,7 @@ class ChaosRunner:
         )
         node = E2NodeAgent(
             gnb,
-            GuardedChannel(gnb_endpoint, vendor),
+            GuardedChannel(gnb_endpoint, vendor, engine=self.engine),
             "gnb",
             supervisor=Supervisor(seed=self.seed + 2),
         )

@@ -96,9 +96,7 @@ def build_cell(
             )
         )
         targets[sid] = SLICE_TARGET_BPS
-    gnb.inter_slice = TargetRateInterSlice(
-        targets, slot_duration_s=gnb.carrier.slot_duration_s
-    )
+    gnb.inter_slice = TargetRateInterSlice(targets)
 
     n_slices = len(targets)
     for i in range(spec.ues_for_cell(cell_id)):

@@ -132,7 +132,7 @@ class MessageGuard:
     the host process.
     """
 
-    def __init__(self):
+    def __init__(self, engine: str | None = None):
         from repro.plugins import plugin_wasm
 
         self.host = PluginHost(
@@ -140,6 +140,7 @@ class MessageGuard:
             name="guard",
             output_record_bytes=8,
             allowed_imports=frozenset({"log"}),
+            engine=engine,
         )
         self.accepted = 0
         self.rejected = 0
@@ -170,9 +171,9 @@ class MessageGuard:
 class GuardedChannel(CommChannel):
     """A channel whose inbound path is screened by a :class:`MessageGuard`."""
 
-    def __init__(self, endpoint: Endpoint, profile: VendorProfile):
+    def __init__(self, endpoint: Endpoint, profile: VendorProfile, engine: str | None = None):
         super().__init__(endpoint, profile)
-        self.guard = MessageGuard()
+        self.guard = MessageGuard(engine=engine)
 
     def _decode(self, payload: bytes) -> dict[str, Any] | None:
         if not self.guard.check(payload):

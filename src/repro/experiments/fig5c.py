@@ -70,7 +70,7 @@ class Fig5cResult:
 
 def _build_gnb() -> GnbHost:
     gnb = GnbHost(
-        inter_slice=TargetRateInterSlice({1: 5e6}, slot_duration_s=1e-3)
+        inter_slice=TargetRateInterSlice({1: 5e6})
     )
     gnb.add_slice(SliceRuntime(1, "mvno"))
     gnb.attach_ue(UeContext(1, 1, FixedMcsChannel(28), FullBufferSource()))
@@ -78,12 +78,11 @@ def _build_gnb() -> GnbHost:
 
 
 def run_fig5c(duration_s: float = 20.0, sample_dt_s: float = 0.5) -> Fig5cResult:
-    slot_dt = 1e-3
-    n_slots = int(duration_s / slot_dt)
-    sample_every = int(sample_dt_s / slot_dt)
-
     # --- variant 1: the leak lives inside a Wasm plugin ----------------------
     gnb_p = _build_gnb()
+    slot_dt = gnb_p.carrier.slot_duration_s
+    n_slots = int(duration_s / slot_dt)
+    sample_every = int(sample_dt_s / slot_dt)
     plugin = SchedulerPlugin.load(plugin_wasm("leaky"), name="leaky")
     gnb_p.slices[1].use_plugin(plugin)
     model_p = HostMemoryModel(baseline_bytes=256 << 20)

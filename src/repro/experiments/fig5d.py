@@ -23,10 +23,10 @@ from typing import ClassVar
 
 from repro.abi import SchedulerPlugin
 from repro.metrics import sample_quantile
+from repro.phy.numerology import PAPER_CARRIER
 from repro.plugins import plugin_wasm
 from repro.sched import UeSchedInfo
 
-SLOT_DURATION_US = 1000.0
 UE_COUNTS = (1, 10, 20)
 PLUGINS = ("mt", "rr", "pf")
 #: per-call fuel budget: far above any configuration's need, so no call
@@ -47,7 +47,7 @@ class Cell:
 @dataclass
 class Fig5dResult:
     cells: list[Cell]
-    slot_duration_us: ClassVar[float] = SLOT_DURATION_US
+    slot_duration_us: ClassVar[float] = PAPER_CARRIER.numerology.slot_duration_us
 
     def all_within_deadline(self) -> bool:
         return all(c.p99_us < self.slot_duration_us for c in self.cells)

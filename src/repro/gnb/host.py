@@ -384,7 +384,7 @@ class GnbHost:
         # 2. inter-slice allocation
         if self.inter_slice is not None:
             allocation = self.inter_slice.allocate(
-                self.carrier.n_prb, slice_ues, slot
+                self.carrier.n_prb, slice_ues, slot_dt
             )
         else:
             # single-slice (or equal-split) fallback
@@ -438,7 +438,7 @@ class GnbHost:
                 ue.meter.add(now, delivered)
                 if notify is not None:
                     # per grant: the debt floor clamps per call
-                    notify(sid, delivered)
+                    notify(sid, delivered, slot_dt)
                 ue.slot_delivered_bytes = delivered
             runtime = self.slices[sid]
             runtime.meter.add(now, slice_bytes)

@@ -63,7 +63,7 @@ class RtPolicy:
     probation_slots: int = 120
     probe_successes: int = 2
 
-    def slot_budget_fuel(self, slot_us: float = 1000.0) -> int:
+    def slot_budget_fuel(self, slot_us: float) -> int:
         return int((self.budget_us or slot_us) * self.fuel_per_us)
 
     def to_string(self) -> str:
@@ -237,7 +237,7 @@ class RtCounters:
 class DeadlineDispatcher:
     """Per-slot budget planning + admission + post-call accounting."""
 
-    def __init__(self, policy: RtPolicy, slot_us: float = 1000.0):
+    def __init__(self, policy: RtPolicy, slot_us: float):
         self.policy = policy
         self.slot_us = slot_us
         self.slot_budget_fuel = policy.slot_budget_fuel(slot_us)

@@ -248,9 +248,7 @@ def build_scenario_gnb(
                 )
             )
             ue_index += 1
-    gnb.inter_slice = TargetRateInterSlice(
-        targets, slot_duration_s=gnb.carrier.slot_duration_s
-    )
+    gnb.inter_slice = TargetRateInterSlice(targets)
 
     stepper = None
     if scenario == "handover":
@@ -285,8 +283,8 @@ class ScenarioReport:
     The log (and hence the digest) deliberately excludes the engine and
     any wall-clock value: fuel metering is engine-identical, so the same
     (scenario, seed, slots, policy) must digest identically under the
-    interpreter, the threaded engine, and the AOT tier - CI compares
-    exactly that.
+    interpreter and the AOT engine (threaded cold tier included) - CI
+    compares exactly that.
     """
 
     name: str

@@ -17,18 +17,19 @@ _MCS = attrgetter("mcs")
 
 
 class InterSliceScheduler(ABC):
-    """Allocates PRBs to slices each slot."""
+    """Allocates PRBs to slices each slot of ``slot_s`` seconds, the
+    carrier's slot length, which the gNB passes in."""
 
     @abstractmethod
     def allocate(
         self,
         total_prbs: int,
         slice_ues: dict[int, list[UeSchedInfo]],
-        slot: int,
+        slot_s: float,
     ) -> dict[int, int]:
         """Return {slice_id: prbs}; sum must not exceed ``total_prbs``."""
 
-    def notify_delivery(self, slice_id: int, nbytes: int) -> None:
+    def notify_delivery(self, slice_id: int, nbytes: int, slot_s: float) -> None:
         """Feedback hook: bytes actually delivered for a slice this slot."""
 
 
@@ -51,7 +52,7 @@ def _demand_prbs(ues: list[UeSchedInfo], cap_bytes: float | None = None) -> int:
 class TargetRateInterSlice(InterSliceScheduler):
     """Token-bucket enforcement of per-slice target rates.
 
-    Each slice accrues ``target_rate_bps * slot`` worth of byte tokens
+    Each slice accrues ``target_rate_bps * slot_s`` worth of byte tokens
     (capped at ``burst_slots`` slots of burst).  A slot's PRBs go first to
     slices with tokens *and* buffered data, proportionally to their token
     deficit; leftover PRBs are redistributed to backlogged slices if
@@ -62,25 +63,22 @@ class TargetRateInterSlice(InterSliceScheduler):
     def __init__(
         self,
         targets_bps: dict[int, float],
-        slot_duration_s: float = 1e-3,
         burst_slots: int = 50,
         work_conserving: bool = False,
     ):
         if any(t < 0 for t in targets_bps.values()):
             raise ValueError("target rates must be non-negative")
         self.targets_bps = dict(targets_bps)
-        self.slot_duration_s = slot_duration_s
         self.burst_slots = burst_slots
         self.work_conserving = work_conserving
         self.tokens_bytes: dict[int, float] = {sid: 0.0 for sid in targets_bps}
 
-    def allocate(self, total_prbs, slice_ues, slot):
+    def allocate(self, total_prbs, slice_ues, slot_s):
         # accrue tokens
         for sid, target in self.targets_bps.items():
-            cap = target * self.slot_duration_s * self.burst_slots / 8
+            cap = target * slot_s * self.burst_slots / 8
             self.tokens_bytes[sid] = min(
-                self.tokens_bytes.get(sid, 0.0)
-                + target * self.slot_duration_s / 8,
+                self.tokens_bytes.get(sid, 0.0) + target * slot_s / 8,
                 cap,
             )
         desired: dict[int, int] = {}
@@ -119,13 +117,13 @@ class TargetRateInterSlice(InterSliceScheduler):
                     spare -= extra
         return alloc
 
-    def notify_delivery(self, slice_id: int, nbytes: int) -> None:
+    def notify_delivery(self, slice_id: int, nbytes: int, slot_s: float) -> None:
         tokens = self.tokens_bytes.get(slice_id)
         if tokens is not None:
             # Debt is allowed (down to one burst's worth): PRB granularity
             # rounds each slot's delivery up, and without debt the slice
             # would systematically overshoot its purchased rate.
             target = self.targets_bps.get(slice_id, 0.0)
-            floor = -target * self.slot_duration_s * self.burst_slots / 8
+            floor = -target * slot_s * self.burst_slots / 8
             tokens -= nbytes
             self.tokens_bytes[slice_id] = tokens if tokens > floor else floor

@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 
 from repro.cli import main
+from repro.wasm.threaded import ENGINES
 
 STARTER = str(Path(__file__).parent / "corpus" / "rt_flash_crowd.wrc")
 STARTER_DIR = str(Path(__file__).parent / "corpus")
@@ -39,7 +40,7 @@ class TestRecordReduceReplayBench:
         assert "fidelity: bit-identical" in out
         doc = json.loads(bench_json.read_text())
         assert doc["schema"] == "waran-bench-replay/1"
-        assert set(doc["engines"]) == {"legacy", "threaded", "aot"}
+        assert set(doc["engines"]) == set(ENGINES)
         for engine_doc in doc["engines"].values():
             assert engine_doc["fidelity_ok"] is True
 
@@ -56,8 +57,10 @@ class TestRecordReduceReplayBench:
         assert "bit-identical" in capsys.readouterr().out
 
     def test_replay_bench_rejects_unknown_engine(self, capsys):
-        assert main(["replay-bench", STARTER, "--engines", "warp"]) == 1
-        assert "unknown engine" in capsys.readouterr().err
+        # threaded code is the aot engine's cold tier, not an engine
+        for name in ("warp", "threaded"):
+            assert main(["replay-bench", STARTER, "--engines", name]) == 1
+            assert "unknown engine" in capsys.readouterr().err
 
     def test_reduce_rejects_garbage_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.wrc"

@@ -106,7 +106,7 @@ class TestA1DrivenSlaLoop:
         the architecture intends.
         """
         net = InProcNetwork()
-        gnb = GnbHost(inter_slice=TargetRateInterSlice({1: 2e6}, slot_duration_s=1e-3))
+        gnb = GnbHost(inter_slice=TargetRateInterSlice({1: 2e6}))
         runtime = gnb.add_slice(SliceRuntime(1, "tenant"))
         runtime.use_plugin(SchedulerPlugin.load(plugin_wasm("rr"), name="rr"))
         gnb.attach_ue(UeContext(1, 1, FixedMcsChannel(28), FullBufferSource()))
@@ -132,7 +132,7 @@ class TestA1DrivenSlaLoop:
 
     def test_policy_update_moves_the_loop(self):
         net = InProcNetwork()
-        gnb = GnbHost(inter_slice=TargetRateInterSlice({1: 2e6}, slot_duration_s=1e-3))
+        gnb = GnbHost(inter_slice=TargetRateInterSlice({1: 2e6}))
         runtime = gnb.add_slice(SliceRuntime(1, "tenant"))
         runtime.use_plugin(SchedulerPlugin.load(plugin_wasm("rr"), name="rr"))
         gnb.attach_ue(UeContext(1, 1, FixedMcsChannel(28), FullBufferSource()))

@@ -9,6 +9,7 @@ marked ``slow`` (the nightly ``pytest -m slow`` job).
 import pytest
 
 from repro.chaos import ChaosConfig, ChaosRunner
+from repro.e2.comm import MessageGuard
 from repro.wasm.threaded import ENGINES
 
 SEED = 42
@@ -31,7 +32,7 @@ HOT = ChaosConfig(
 )
 
 
-@pytest.mark.parametrize("engine", ["legacy", "threaded", "aot"])
+@pytest.mark.parametrize("engine", ENGINES)
 class TestSoakInvariants:
     def test_invariants_hold(self, engine):
         report = ChaosRunner(
@@ -56,6 +57,24 @@ class TestSoakInvariants:
         first = ChaosRunner(seed=1, slots=100, engine=engine).run()
         second = ChaosRunner(seed=2, slots=100, engine=engine).run()
         assert first.log != second.log
+
+
+def test_the_run_engine_reaches_the_message_guard(monkeypatch):
+    """Every plugin host of a soak, the E2 message guard's too, runs the
+    runner's engine, not whatever ``REPRO_WASM_ENGINE`` names."""
+    guards = []
+    init = MessageGuard.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        guards.append(self)
+
+    monkeypatch.setattr(MessageGuard, "__init__", spy)
+    monkeypatch.setenv("REPRO_WASM_ENGINE", "bogus")
+    report = ChaosRunner(seed=SEED, slots=100, engine="legacy", config=HOT).run()
+    assert report.violations == [] and report.engine == "legacy"
+    assert [guard.host.tier for guard in guards] == ["legacy"]
+    assert guards[0].accepted > 0
 
 
 @pytest.mark.slow

@@ -178,7 +178,7 @@ class TestWasmFieldAdapter:
 def build_network(period_slots=100, vendor=None, net=None):
     vendor = vendor or vendors.vendor_a()
     net = net or InProcNetwork()
-    inter = TargetRateInterSlice({1: 5e6}, slot_duration_s=1e-3)
+    inter = TargetRateInterSlice({1: 5e6})
     gnb = GnbHost(inter_slice=inter)
     runtime = gnb.add_slice(SliceRuntime(1, "mvno"))
     runtime.use_plugin(SchedulerPlugin.load(plugin_wasm("rr"), name="rr"))

@@ -16,7 +16,7 @@ from repro.traffic import CbrSource, FullBufferSource
 
 
 def make_gnb(targets=None, **kwargs):
-    inter = TargetRateInterSlice(targets or {}, slot_duration_s=1e-3)
+    inter = TargetRateInterSlice(targets or {})
     return GnbHost(inter_slice=inter, **kwargs)
 
 
@@ -235,7 +235,7 @@ class TestOtherNumerologies:
 
         carrier = CarrierConfig(bandwidth_mhz=20, numerology=Numerology(1))
         assert carrier.n_prb == 51
-        inter = TargetRateInterSlice({1: 5e6}, slot_duration_s=carrier.slot_duration_s)
+        inter = TargetRateInterSlice({1: 5e6})
         gnb = GnbHost(carrier=carrier, inter_slice=inter)
         add_slice(gnb, 1, "a", plugin_name="rr")
         add_ue(gnb, 1, 1)
@@ -247,9 +247,30 @@ class TestOtherNumerologies:
         from repro.phy import CarrierConfig, Numerology
 
         carrier = CarrierConfig(bandwidth_mhz=20, numerology=Numerology(1))
-        gnb = GnbHost(carrier=carrier, inter_slice=TargetRateInterSlice({}, 5e-4))
+        gnb = GnbHost(carrier=carrier, inter_slice=TargetRateInterSlice({}))
         gnb.step()
         assert gnb.now_s == pytest.approx(5e-4)
+
+    def test_mu1_token_buckets_and_rt_budget_use_the_500us_slot(self):
+        """The slot length has one home, the carrier: at mu=1 a token
+        bucket accrues, caps and floors on 500 us slots, and an rt budget
+        of "the whole slot" is 500 us of fuel."""
+        from repro.phy import CarrierConfig, Numerology
+        from repro.rt import RtPolicy
+
+        carrier = CarrierConfig(bandwidth_mhz=20, numerology=Numerology(1))
+        inter = TargetRateInterSlice({1: 8e6}, burst_slots=50)
+        policy = RtPolicy(budget_us=0.0, fuel_per_us=50.0)
+        gnb = GnbHost(carrier=carrier, inter_slice=inter, rt=policy)
+        add_slice(gnb, 1, "a", native="rr")  # no UE: tokens accrue, none drain
+        assert gnb.rt.slot_us == 500.0
+        assert gnb.rt.slot_budget_fuel == 25_000
+        gnb.step()
+        assert inter.tokens_bytes[1] == pytest.approx(8e6 * 500e-6 / 8)
+        gnb.run(100)  # past the 50-slot burst cap
+        assert inter.tokens_bytes[1] == pytest.approx(50 * 8e6 * 500e-6 / 8)
+        inter.notify_delivery(1, 10**9, carrier.slot_duration_s)
+        assert inter.tokens_bytes[1] == pytest.approx(-50 * 8e6 * 500e-6 / 8)
 
 
 class _CountedWalk(MarkovCqiChannel):

@@ -220,7 +220,7 @@ def _sched_payload():
 
 
 def _gnb():
-    gnb = GnbHost(inter_slice=TargetRateInterSlice({1: 5e6}, slot_duration_s=1e-3))
+    gnb = GnbHost(inter_slice=TargetRateInterSlice({1: 5e6}))
     runtime = gnb.add_slice(SliceRuntime(1, "mvno1"))
     runtime.use_plugin(SchedulerPlugin.load(plugin_wasm("rr"), name="rr"))
     gnb.attach_ue(UeContext(1, 1, FixedMcsChannel(28), FullBufferSource()))

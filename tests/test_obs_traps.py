@@ -13,6 +13,7 @@ from repro import obs
 from repro.abi.host import PluginError, PluginHost
 from repro.chaos.schedule import ChaosInjection, OneShotChaos
 from repro.obs import OBS
+from repro.wasm.threaded import ENGINES, LOWERINGS
 from repro.wasm.wat import assemble
 
 HEADER = '(func (export "alloc") (param i32) (result i32) (i32.const 1024))'
@@ -146,12 +147,12 @@ FAULT_CASES = {
 }
 
 
-@pytest.mark.parametrize("engine", ["legacy", "threaded", "aot"])
+@pytest.mark.parametrize("tier", LOWERINGS)
 @pytest.mark.parametrize("case", sorted(FAULT_CASES))
-def test_error_carries_the_call_result(telemetry, engine, case):
+def test_error_carries_the_call_result(telemetry, host_on, tier, case):
     source, limit, chaos, budget, kind, ran_wasm = FAULT_CASES[case]
-    host = PluginHost(
-        assemble(source), name=f"bad-{case}", sanitize=False, engine=engine,
+    host = host_on(
+        tier, assemble(source), name=f"bad-{case}", sanitize=False,
         chaos=_injected(chaos) if chaos else None,
     )
     if limit is not None:
@@ -213,6 +214,7 @@ def _recursion_outcome(engine, promote):
     )
     if promote:
         host.promote()
+    tier = host.tier
 
     def call():
         with pytest.raises(PluginError) as info:
@@ -226,7 +228,7 @@ def _recursion_outcome(engine, promote):
     assert result.elapsed_us > 0
     # the host is usable for the next call
     assert host.call(b"\x00" * 8, entry="ok").outcome == "ok"
-    return result.fuel_used
+    return tier, result.fuel_used
 
 
 def test_unbounded_recursion_from_a_deep_host_is_a_stack_trap():
@@ -235,15 +237,18 @@ def test_unbounded_recursion_from_a_deep_host_is_a_stack_trap():
     CPython's recursion limit is hit before the Wasm one (legacy, at two,
     and compiled code, at one, reach the Wasm limit first): same
     ``stack`` trap, same fuel (the outermost frame's, at its call site)
-    under every engine, cold tier and compiled."""
+    on every lowering: legacy, the aot engine's threaded cold tier, and
+    compiled."""
     from repro.wasm import codecache
 
     codecache.clear()  # engine "aot" starts on threaded code
-    fuel_used = {
+    outcomes = {
         (engine, promote): _recursion_outcome(engine, promote)
-        for engine in ("legacy", "threaded", "aot")
+        for engine in ENGINES
         for promote in (False, True)
     }
+    assert {tier for tier, _fuel in outcomes.values()} == set(LOWERINGS)
+    fuel_used = {key: fuel for key, (_tier, fuel) in outcomes.items()}
     assert len(set(fuel_used.values())) == 1, fuel_used
     # `alloc` (const, end) + `run` up to its call site (local.get, call)
     assert fuel_used["aot", True] == 4
@@ -266,8 +271,12 @@ PROBE_DEPTH = """(module
       (else (call $probe)))))"""
 
 
+PYTHON_FRAMES_PER_WASM_FRAME = {"legacy": 2, "threaded": 3, "aot": 1}
+
+
 @pytest.mark.parametrize(
-    "engine, per_wasm_frame", [("legacy", 2), ("threaded", 3), ("aot", 1)]
+    "engine, per_wasm_frame",
+    [(tier, PYTHON_FRAMES_PER_WASM_FRAME[tier]) for tier in LOWERINGS],
 )
 def test_python_frames_per_wasm_frame(engine, per_wasm_frame):
     """The recursion headroom above rests on this: a host import probes
@@ -308,18 +317,17 @@ DEEP_START = f"""(module (memory 1) {HEADER}
   (start $start))"""
 
 
-def test_restore_from_a_deep_host_is_a_load_error_not_a_recursion_error():
+def test_restore_from_a_deep_host_is_a_load_error_not_a_recursion_error(host_on):
     """``restore`` re-runs ``start``: 200 threaded Wasm frames at three
     Python frames each fit under a shallow embedder and not under a deep one, which is a
     refused load (as ``PluginHost(...)`` / ``swap`` report it) that leaves
     the live instance serving."""
-    host = PluginHost(
-        assemble(DEEP_START), name="deep-start", sanitize=False, engine="threaded"
-    )
+    host = host_on("threaded", assemble(DEEP_START), name="deep-start", sanitize=False)
     snapshot = host.checkpoint()
     for frames in (0, 300):
         _from_deep_in_the_host(frames, lambda: host.restore(snapshot))
     live = host.instance
+    assert host.tier == "threaded"  # a restore re-instantiates on the cold tier
 
     def restore():
         with pytest.raises(PluginError) as info:

@@ -7,7 +7,7 @@ rt --scenario NAME [--policy]``, ``repro chaos --seed 42 --slots 500
 --log``, ``repro trace --mode inline --slots 100 --digest-only`` in a
 fresh process, ``repro scale --workers 2 --cells 4 --slots 60 --mode inline``,
 and the ``slow`` row, ``repro fuzz --seed 0 --budget 500``, whose oracle
-runs every engine itself.  The values read the same on CPython 3.10,
+runs every lowering itself.  The values read the same on CPython 3.10,
 3.11 and 3.12.  The same-bytes check of a change is this module, run on
 the parent and on the change (``-m slow`` for the fuzz row)::
 
@@ -77,7 +77,7 @@ def cold_cluster(engine: str, **shape):
 
 def scale_digests(engine: str) -> str:
     report = cold_cluster(engine, slots=60)
-    # only aot tiers up: its hosts start on threaded code
+    # only aot tiers up: its hosts start on their threaded cold tier
     promoted = report.metrics.get("waran_plugin_promotions_total", {"series": []})
     assert (sum(s["value"] for s in promoted["series"]) > 0) == (engine == "aot")
     return report.bytes_digest + report.fault_digest
@@ -130,8 +130,8 @@ def test_pin(row, engine):
 
 def test_a_legacy_fuel_miscount_fails_only_legacy(monkeypatch):
     """One more fuel per legacy frame (a ``call`` that costs 2) moves a
-    row that folds fuel under legacy and under no other engine.  Legacy,
-    because aot hosts run threaded code until they promote: a threaded
+    row that folds fuel under legacy and not under aot.  Legacy, because
+    aot hosts run their threaded cold tier until they promote: a threaded
     miscount would move the aot rows too."""
     execute = instance.execute
 
@@ -142,7 +142,7 @@ def test_a_legacy_fuel_miscount_fails_only_legacy(monkeypatch):
     monkeypatch.setattr(instance, "execute", miscounted)
     _, compute, digest = PINS["rt_flash_crowd"]
     assert compute("legacy") != digest
-    assert compute("threaded") == compute("aot") == digest
+    assert compute("aot") == digest
 
 
 CLUSTER_PINS = {
@@ -248,7 +248,7 @@ def _indication_cell(n_ues: int, native: bool) -> GnbHost:
         else:
             runtime.use_plugin(SchedulerPlugin.load(plugin_wasm(kind), name=kind))
         targets[sid] = 12e6
-    gnb.inter_slice = TargetRateInterSlice(targets, slot_duration_s=1e-3)
+    gnb.inter_slice = TargetRateInterSlice(targets)
     for i in range(n_ues):
         gnb.attach_ue(
             UeContext(
@@ -295,7 +295,7 @@ def test_e2_indications_pinned():
 def steering_digest() -> str:
     def cell() -> GnbHost:
         gnb = GnbHost(
-            inter_slice=TargetRateInterSlice({1: 10e6}, slot_duration_s=1e-3)
+            inter_slice=TargetRateInterSlice({1: 10e6})
         )
         runtime = gnb.add_slice(SliceRuntime(1, "tenant"))
         runtime.use_native(make_intra_scheduler("pf"))

@@ -102,7 +102,7 @@ class TestFullSmoLoop:
         net = InProcNetwork()
         broker = Broker(net.endpoint("broker"))
 
-        gnb = GnbHost(inter_slice=TargetRateInterSlice({1: 4e6}, slot_duration_s=1e-3))
+        gnb = GnbHost(inter_slice=TargetRateInterSlice({1: 4e6}))
         runtime = gnb.add_slice(SliceRuntime(1, "tenant"))
         runtime.use_plugin(SchedulerPlugin.load(plugin_wasm("rr"), name="rr"))
         gnb.attach_ue(UeContext(1, 1, FixedMcsChannel(28), FullBufferSource()))

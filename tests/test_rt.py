@@ -17,6 +17,7 @@ from repro.abi.host import HostLimits, PluginError, PluginHost
 from repro.chaos.schedule import ChaosConfig, FaultSchedule
 from repro.experiments.fig5d import make_ues
 from repro.plugins import plugin_wasm
+from repro.wasm.threaded import LOWERINGS
 from repro.rt import (
     DEFAULT_LANES,
     DeadlineDispatcher,
@@ -132,7 +133,7 @@ class TestRtPolicy:
             RtPolicy.from_string(f"budget_us=400,{key}={value}")
 
     def test_slot_budget_fuel(self):
-        assert RtPolicy(budget_us=400.0, fuel_per_us=50.0).slot_budget_fuel() == 20_000
+        assert RtPolicy(budget_us=400.0, fuel_per_us=50.0).slot_budget_fuel(1000.0) == 20_000
         # budget_us=0 means the whole slot
         assert RtPolicy(budget_us=0.0, fuel_per_us=50.0).slot_budget_fuel(500.0) == 25_000
 
@@ -373,9 +374,9 @@ class TestFlightRecordReplay:
         assert record.outcome == "deadline"
         assert record.attrs["rt"] == {"lane": "be", "verdict": "admit", "fuel": 300}
 
-    @pytest.mark.parametrize("engine", ["legacy", "threaded", "aot"])
-    def test_degraded_call_replays_bit_exactly(self, engine):
-        host = PluginHost(plugin_wasm("rr"), name="rr", engine=engine)
+    @pytest.mark.parametrize("tier", LOWERINGS)
+    def test_degraded_call_replays_bit_exactly(self, host_on, tier):
+        host = host_on(tier, plugin_wasm("rr"), name="rr")
         with pytest.raises(PluginError) as original:
             host.call(
                 sched_payload(), fuel=300,

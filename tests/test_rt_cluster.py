@@ -15,6 +15,7 @@ import pytest
 
 from repro import obs
 from repro.cluster import ClusterSpec, WorkerFailed, run_cluster
+from repro.wasm.threaded import ENGINES
 
 #: two flash-crowd cells, inline: small enough for CI, long enough to
 #: cross the burst window and the hog's quarantine
@@ -111,10 +112,10 @@ class TestWorkerFailFast:
 
 @pytest.mark.slow
 class TestEngineMatrixCluster:
-    @pytest.mark.parametrize("engine", ["legacy", "threaded", "aot"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_scenario_digest_per_engine(self, engine):
         report = run_cluster(replace(RT_SPEC, engine=engine))
-        baseline = run_cluster(replace(RT_SPEC, engine="threaded"))
+        baseline = run_cluster(replace(RT_SPEC, engine="legacy"))
         # physics, faults and rt decisions are engine-identical, and the
         # cell log no longer names the engine: the digests match outright
         assert report.bytes_digest == baseline.bytes_digest

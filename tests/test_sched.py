@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.phy.numerology import PAPER_CARRIER
 from repro.sched import (
     MaximumThroughputScheduler,
     ProportionalFairScheduler,
@@ -140,33 +141,37 @@ class TestIntraSchedulers:
         assert sched.metric(b) > sched.metric(a)
 
 
+#: the slot length a gNB passes its inter-slice scheduler: the paper's carrier's
+SLOT_S = PAPER_CARRIER.slot_duration_s
+
+
 class TestTargetRateInter:
     def test_rates_capped_at_target(self):
         """Non-work-conserving: a slice never gets more than its tokens."""
-        inter = TargetRateInterSlice({1: 3e6}, slot_duration_s=1e-3)
+        inter = TargetRateInterSlice({1: 3e6})
         delivered = 0
         from repro.phy.tbs import transport_block_size_bits
 
-        for slot in range(2000):
-            alloc = inter.allocate(52, {1: [full(1, mcs=28)]}, slot)
+        for _ in range(2000):
+            alloc = inter.allocate(52, {1: [full(1, mcs=28)]}, SLOT_S)
             nbytes = transport_block_size_bits(alloc.get(1, 0), 28) // 8
-            inter.notify_delivery(1, nbytes)
+            inter.notify_delivery(1, nbytes, SLOT_S)
             delivered += nbytes
         rate = delivered * 8 / 2.0
         assert rate == pytest.approx(3e6, rel=0.1)
 
     def test_competing_slices_scale_down(self):
-        inter = TargetRateInterSlice({1: 50e6, 2: 50e6}, slot_duration_s=1e-3)
+        inter = TargetRateInterSlice({1: 50e6, 2: 50e6})
         slice_ues = {1: [full(1, mcs=28)], 2: [full(2, mcs=28)]}
-        for slot in range(60):
-            alloc = inter.allocate(52, slice_ues, slot)
+        for _ in range(60):
+            alloc = inter.allocate(52, slice_ues, SLOT_S)
             assert sum(alloc.values()) <= 52
         # both saturated and symmetric
         assert abs(alloc[1] - alloc[2]) <= 1
 
     def test_no_demand_no_allocation(self):
         inter = TargetRateInterSlice({1: 10e6})
-        alloc = inter.allocate(52, {1: [UeSchedInfo(1, 15, 9, 0, 0.0)]}, 0)
+        alloc = inter.allocate(52, {1: [UeSchedInfo(1, 15, 9, 0, 0.0)]}, SLOT_S)
         assert alloc[1] == 0
 
     def test_work_conserving_redistributes(self):
@@ -174,8 +179,8 @@ class TestTargetRateInter:
             {1: 1e6, 2: 1e6}, work_conserving=True, burst_slots=1
         )
         slice_ues = {1: [full(1)], 2: [UeSchedInfo(2, 15, 9, 0, 0.0)]}
-        for slot in range(10):
-            alloc = inter.allocate(52, slice_ues, slot)
+        for _ in range(10):
+            alloc = inter.allocate(52, slice_ues, SLOT_S)
         assert alloc[1] == 52  # slice 1 absorbs everything
 
     def test_negative_target_rejected(self):

@@ -16,6 +16,7 @@ import random
 
 import pytest
 
+from repro.phy.numerology import PAPER_CARRIER
 from repro.phy.tbs import transport_block_size_bits
 from repro.sched.inter import TargetRateInterSlice
 from repro.sched.intra import (
@@ -195,13 +196,14 @@ class TestInterSliceCapacity:
         sched = TargetRateInterSlice(
             {0: 3e6, 1: 12e6, 2: 15e6}, work_conserving=work_conserving
         )
-        for slot in range(50):
+        slot_s = PAPER_CARRIER.slot_duration_s
+        for _ in range(50):
             slice_ues = self._random_slice_ues(rng)
             total = rng.randint(1, 100)
-            alloc = sched.allocate(total, slice_ues, slot)
+            alloc = sched.allocate(total, slice_ues, slot_s)
             assert sum(alloc.values()) <= total
             assert all(v >= 0 for v in alloc.values())
             for sid, prbs in alloc.items():
                 sched.notify_delivery(
-                    sid, transport_block_size_bits(prbs, 10) // 8 if prbs else 0
+                    sid, transport_block_size_bits(prbs, 10) // 8 if prbs else 0, slot_s
                 )

@@ -20,7 +20,7 @@ from repro.traffic import FullBufferSource
 
 
 def make_cell() -> GnbHost:
-    gnb = GnbHost(inter_slice=TargetRateInterSlice({1: 10e6}, slot_duration_s=1e-3))
+    gnb = GnbHost(inter_slice=TargetRateInterSlice({1: 10e6}))
     runtime = gnb.add_slice(SliceRuntime(1, "tenant"))
     runtime.use_plugin(SchedulerPlugin.load(plugin_wasm("rr"), name="rr"))
     return gnb

@@ -111,7 +111,7 @@ GATES = (
          "the median over six workloads), 2 cores: 2.35-2.73 when threaded and "
          "aot lowering re-analysed each body and built the legacy lowering too; "
          "1.41-2.11 lowering from the validator's facts.  Timed here: 1.49-1.64 "
-         "(7 runs)"),
+         "(12 runs)"),
     Gate("a disabled span site is one branch", "span_disabled_site_us", None,
          ("telemetry",), median, -inf, 2.0,
          "tracer.span() on a disabled tracer, median of five 10k-site loops: "

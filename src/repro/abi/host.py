@@ -251,8 +251,8 @@ class PluginHost:
     ):
         self.name = name
         self.limits = limits or HostLimits()
-        #: True while an ``engine="aot"`` host still runs its threaded cold
-        #: tier (see :meth:`promote`); legacy hosts: never
+        #: True while an ``engine="aot"`` host still runs threaded code
+        #: (see :meth:`promote`); explicit threaded/legacy hosts: never
         self._warming = False
         self._sanitize = sanitize
         self._extra_hostfuncs = extra_hostfuncs
@@ -367,8 +367,7 @@ class PluginHost:
 
     @property
     def tier(self) -> str:
-        """The lowering the live instance runs: ``legacy``, or on an aot
-        host ``threaded`` (its cold tier) until it promotes, then ``aot``."""
+        """The engine the live instance is running on right now."""
         assert self.instance is not None
         return self.instance.engine
 
@@ -379,7 +378,7 @@ class PluginHost:
         heat crosses the threshold (or another instance of the same bytes
         already paid for the compile); differential and replay harnesses
         call it up front to pin the compiled tier.  Idempotent, and a
-        no-op on a legacy host.
+        no-op on hosts whose engine is explicitly threaded or legacy.
         Bodies are compiled once per module - they are shared by every
         instance of it - and only those that run as their own frame: a
         leaf its callers inline is not compiled unless something calls it

@@ -735,7 +735,7 @@ def _cmd_fuzz(args) -> int:
 
     from repro.fuzz import check_case, load_case, run_campaign
     from repro.fuzz.corpus import corpus_paths
-    from repro.wasm.threaded import DEFAULT_ENGINE, LOWERINGS
+    from repro.wasm.threaded import DEFAULT_ENGINE, ENGINES
 
     if args.replay:
         import os
@@ -751,7 +751,7 @@ def _cmd_fuzz(args) -> int:
         problems: list[str] = []
         for path in paths:
             case = load_case(path)
-            engines = LOWERINGS if case.mode == "diff" else (DEFAULT_ENGINE,)
+            engines = ENGINES if case.mode == "diff" else (DEFAULT_ENGINE,)
             for engine in engines:
                 problems.extend(
                     f"[{engine}] {p}" for p in check_case(case, engine)
@@ -1138,8 +1138,8 @@ def main(argv: list[str] | None = None) -> int:
         "fuzz",
         help="generative differential fuzzing of the Wasm engines",
         description="Generates seeded arbitrary-but-valid Wasm modules and "
-        "runs each under the legacy, threaded and aot lowerings plus "
-        "cross-lowering checkpoint/restore round trips, requiring identical "
+        "runs each under the legacy, threaded and aot engines plus "
+        "cross-engine checkpoint/restore round trips, requiring identical "
         "results, trap "
         "codes, fuel and exec stats; a fraction of iterations corrupt the "
         "binary instead and assert the decoder/validator reject it cleanly. "

@@ -171,7 +171,9 @@ class MessageGuard:
 class GuardedChannel(CommChannel):
     """A channel whose inbound path is screened by a :class:`MessageGuard`."""
 
-    def __init__(self, endpoint: Endpoint, profile: VendorProfile, engine: str | None = None):
+    def __init__(
+        self, endpoint: Endpoint, profile: VendorProfile, engine: str | None = None
+    ):
         super().__init__(endpoint, profile)
         self.guard = MessageGuard(engine=engine)
 

@@ -1,7 +1,7 @@
 """Generative Wasm fuzzing and differential conformance (``repro.fuzz``).
 
 The paper's safety claims (§5D) rest on the Wasm runtime faithfully
-implementing MVP semantics, and the repo carries three lowerings (legacy,
+implementing MVP semantics, and the repo carries three engines (legacy,
 threaded, aot) plus checkpoint/restore and in-place tier-up that must
 agree instruction-for-instruction.  This package is the machinery that keeps
 them honest beyond the hand-written plugin suite:
@@ -11,9 +11,9 @@ them honest beyond the hand-written plugin suite:
   br_table, calls, call_indirect, i32/i64/f32/f64 arithmetic) plus a call
   plan of interesting arguments;
 - :mod:`repro.fuzz.oracle` — the differential oracle: every module is
-  decoded once and run through ten legs - the three lowerings, a tier-up
+  decoded once and run through ten legs - the three engines, a tier-up
   from threaded to aot mid-plan, and six ``capture_state()`` /
-  ``restore_state()`` round trips within and across lowerings - asserting
+  ``restore_state()`` round trips within and across engines - asserting
   identical results, trap codes, fuel and ExecStats;
 - :mod:`repro.fuzz.mutate` — corrupts valid binaries to exercise the
   decoder/validator error paths: arbitrary bytes must be *classified*

@@ -14,7 +14,7 @@ Each case is one JSON file under ``tests/wasm/corpus/``:
 }
 ```
 
-``diff`` cases run the call plan under **every** lowering and compare each
+``diff`` cases run the call plan under **every** engine and compare each
 outcome against ``expect`` (values use strict JSON: non-finite floats are
 the strings ``"nan"``/``"inf"``/``"-inf"``; a ``"nan"`` expectation only
 checks NaN-ness).  ``classify`` cases (saved from mutation-crash findings)
@@ -147,7 +147,7 @@ def save_case(path: str | Path, case: CorpusCase) -> None:
 
 
 def check_case(case: CorpusCase, engine: str) -> list[str]:
-    """Replay one case under one lowering; return mismatch descriptions."""
+    """Replay one case under one engine; return mismatch descriptions."""
     if case.mode == "classify":
         from repro.fuzz.mutate import classify_bytes
 

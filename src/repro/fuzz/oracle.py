@@ -1,16 +1,16 @@
 """The differential conformance oracle.
 
-Every fuzz case runs through a three-way differential over the lowerings
-whose legs must agree observation-for-observation:
+Every fuzz case runs through a three-way engine differential whose legs
+must agree observation-for-observation:
 
-1. the **legacy** interpreter, full call plan;
-2. **threaded** code (the aot engine's cold tier), full call plan;
-3. **aot** code (the generated-Python tier), full call plan;
+1. the **legacy** engine, full call plan;
+2. the **threaded** engine, full call plan;
+3. the **aot** engine (generated-Python tier), full call plan;
 4. **checkpoint/restore**: the threaded and aot runs capture
    :class:`~repro.wasm.instance.InstanceState` mid-plan; fresh instances
    restore it and re-run the tail — the tail outcomes must match the
    uninterrupted run;
-5. **cross-lowering restore**: snapshots cross the lowering boundary in both
+5. **cross-engine restore**: snapshots cross the engine boundary in both
    directions along the ladder (legacy→threaded, threaded→legacy,
    aot→threaded, legacy→aot) and the tail is re-run;
 6. **tier-up**: a threaded instance runs to the split, is rebound to aot

@@ -16,7 +16,7 @@ Wasm benchmark corpus:
   module bodies with the fuzzer's minimiser while the corpus keeps
   reproducing its expectations;
 - :mod:`repro.replay.bench` - execute a corpus standalone (no gNB, RIC
-  or cluster) under either engine, checking outputs, traps
+  or cluster) under any of the three engines, checking outputs, traps
   and fuel bit-identically against the recording and reporting timing
   + fuel statistics - the perf gate's *real-workload* source.
 

@@ -2,7 +2,7 @@
 
 The harness rebuilds one :class:`~repro.abi.host.PluginHost` per call
 stream - no gNB, RIC or cluster anywhere - and re-executes every
-recorded call under either engine.  Faithfulness is checked
+recorded call under any of the three engines.  Faithfulness is checked
 bit-exactly: outcome kind, output bytes and fuel count must equal the
 corpus expectations (fuel is 1 per executed instruction, so the check is
 engine-independent by construction).

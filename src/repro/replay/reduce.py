@@ -20,7 +20,7 @@ Reduction happens on two axes, Wasm-R3 style:
    construction.
 
 The output corpus carries its own (re-verified) expectations, so
-``repro replay-bench`` runs bit-identically under both engines.
+``repro replay-bench`` runs bit-identically under all three engines.
 """
 
 from __future__ import annotations

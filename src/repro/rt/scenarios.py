@@ -283,8 +283,8 @@ class ScenarioReport:
     The log (and hence the digest) deliberately excludes the engine and
     any wall-clock value: fuel metering is engine-identical, so the same
     (scenario, seed, slots, policy) must digest identically under the
-    interpreter and the AOT engine (threaded cold tier included) - CI
-    compares exactly that.
+    interpreter, the threaded engine, and the AOT tier - CI compares
+    exactly that.
     """
 
     name: str

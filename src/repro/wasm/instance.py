@@ -22,7 +22,7 @@ from repro.wasm.interpreter import MASK32, MASK64, PreparedCode, execute, f32_ro
 from repro.wasm.interpreter import prepared_for
 from repro.wasm.memory import Memory
 from repro.wasm.module import Module
-from repro.wasm.threaded import LOWERINGS, ThreadedCode, execute_threaded, resolve_engine
+from repro.wasm.threaded import ThreadedCode, execute_threaded, resolve_engine
 from repro.wasm.threaded import threaded_for
 from repro.wasm.traps import LinkError, Trap
 from repro.wasm.validator import validate_module
@@ -222,10 +222,10 @@ class Instance:
         if validate:
             validate_module(module)
         self.module = module
-        #: which lowering runs this instance's functions: an explicit
-        #: ``LOWERINGS`` name > ``REPRO_WASM_ENGINE`` env > ``DEFAULT_ENGINE``
+        #: which engine compiles and runs this instance's functions:
+        #: explicit arg > ``REPRO_WASM_ENGINE`` env > ``DEFAULT_ENGINE``
         #: (:meth:`retier` changes it on a live instance)
-        self.engine = resolve_engine(engine, LOWERINGS)
+        self.engine = resolve_engine(engine)
         self.store = store if store is not None else Store()
         imports = imports or {}
 
@@ -301,7 +301,7 @@ class Instance:
         two calls is semantically invisible: no state moves, nothing on
         a stack needs replacing.
         """
-        engine = resolve_engine(engine, LOWERINGS)
+        engine = resolve_engine(engine)
         bodies = compiled_bodies(self.module, engine)
         own = self.funcs[self.module.num_imported_funcs:]
         for func, body in zip(own, bodies):

@@ -34,12 +34,13 @@ covers a group whose interior is a branch target, and an instruction that
 can trap is only fused in the *final* position of its group so the fuel
 charged at trap time matches the legacy engine to the unit.
 
-Engine selection: ``REPRO_WASM_ENGINE=legacy|aot`` (default
-:data:`DEFAULT_ENGINE`) or an explicit ``engine=``.  Threaded code is no
-engine a run picks: the plugin host (:class:`repro.abi.host.PluginHost`)
-reads ``aot`` as "threaded until the binary has earned its compile", and
-only :class:`~repro.wasm.instance.Instance` names it, as one of
-:data:`LOWERINGS`, for differential testing.
+Engine selection: ``REPRO_WASM_ENGINE=legacy|threaded|aot`` (default
+:data:`DEFAULT_ENGINE`), overridable per
+:class:`~repro.wasm.instance.Instance` via its ``engine=`` argument for
+differential testing.  At this layer every engine is pure; the plugin
+host (:class:`repro.abi.host.PluginHost`) reads ``aot`` as "threaded
+until the binary has earned its compile" - threaded code is the cold
+tier of the default engine.
 """
 
 from __future__ import annotations
@@ -66,22 +67,17 @@ from repro.wasm.wtypes import FuncType, ValType
 # engine selection
 # ---------------------------------------------------------------------------
 
-#: the engines a run may pick; ``LOWERINGS`` adds the aot engine's
-#: threaded cold tier
-ENGINES = ("legacy", "aot")
-LOWERINGS = ("legacy", "threaded", "aot")
+ENGINES = ("threaded", "legacy", "aot")
 DEFAULT_ENGINE = "aot"
 
 
-def resolve_engine(engine: str | None = None, names: tuple[str, ...] = ENGINES) -> str:
-    """Resolve the engine name: explicit arg (one of ``names``; ``Instance``
-    passes :data:`LOWERINGS`) > ``REPRO_WASM_ENGINE`` > default."""
-    if not engine:
-        engine, names = os.environ.get("REPRO_WASM_ENGINE") or DEFAULT_ENGINE, ENGINES
-    name = engine.strip().lower()
-    if name not in names:
+def resolve_engine(engine: str | None = None) -> str:
+    """Resolve the engine name: explicit arg > ``REPRO_WASM_ENGINE`` > default."""
+    name = engine or os.environ.get("REPRO_WASM_ENGINE") or DEFAULT_ENGINE
+    name = name.strip().lower()
+    if name not in ENGINES:
         raise ValueError(
-            f"unknown wasm engine {name!r} (expected one of {', '.join(names)})"
+            f"unknown wasm engine {name!r} (expected one of {', '.join(ENGINES)})"
         )
     return name
 

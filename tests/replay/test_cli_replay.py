@@ -5,7 +5,6 @@ import json
 from pathlib import Path
 
 from repro.cli import main
-from repro.wasm.threaded import ENGINES
 
 STARTER = str(Path(__file__).parent / "corpus" / "rt_flash_crowd.wrc")
 STARTER_DIR = str(Path(__file__).parent / "corpus")
@@ -40,7 +39,7 @@ class TestRecordReduceReplayBench:
         assert "fidelity: bit-identical" in out
         doc = json.loads(bench_json.read_text())
         assert doc["schema"] == "waran-bench-replay/1"
-        assert set(doc["engines"]) == set(ENGINES)
+        assert set(doc["engines"]) == {"legacy", "threaded", "aot"}
         for engine_doc in doc["engines"].values():
             assert engine_doc["fidelity_ok"] is True
 
@@ -57,10 +56,8 @@ class TestRecordReduceReplayBench:
         assert "bit-identical" in capsys.readouterr().out
 
     def test_replay_bench_rejects_unknown_engine(self, capsys):
-        # threaded code is the aot engine's cold tier, not an engine
-        for name in ("warp", "threaded"):
-            assert main(["replay-bench", STARTER, "--engines", name]) == 1
-            assert "unknown engine" in capsys.readouterr().err
+        assert main(["replay-bench", STARTER, "--engines", "warp"]) == 1
+        assert "unknown engine" in capsys.readouterr().err
 
     def test_reduce_rejects_garbage_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.wrc"

@@ -11,7 +11,7 @@ stream key.  Pinned here:
   hosted it, and records which run it came from (``source_digest``);
 - recording is deterministic, and - the scale-out invariant again -
   byte-identical across worker counts and across inline/proc modes;
-- the corpus replays bit-identically under both engines, before
+- the corpus replays bit-identically under all three engines, before
   and after reduction.
 """
 

@@ -4,7 +4,7 @@ Acceptance contract pinned here:
 
 - recording the chaos soak and the rt flash-crowd scenario and replaying
   the corpus standalone reproduces every recorded outcome, output byte
-  and fuel count **bit-identically under both engines**;
+  and fuel count **bit-identically under all three engines**;
 - recording is itself deterministic (same workload+seed -> same bytes);
 - reduction shrinks the serialised corpus by at least 2x while the
   fidelity contract keeps holding;
@@ -16,7 +16,7 @@ import pytest
 
 from repro import obs
 from repro.abi import wire
-from repro.abi.host import PluginError
+from repro.abi.host import PluginError, PluginHost
 from repro.chaos.schedule import ChaosConfig, FaultSchedule
 from repro.experiments.fig5d import make_ues
 from repro.obs import OBS
@@ -29,7 +29,7 @@ from repro.replay import (
 )
 from repro.replay.bench import make_stream_host, replay_call
 from repro.replay.record import build_corpus
-from repro.wasm.threaded import ENGINES, LOWERINGS
+from repro.wasm.threaded import ENGINES
 
 CHAOS_SLOTS = 200
 FLASH_SLOTS = 40
@@ -146,16 +146,15 @@ REISSUE_CASES = {
 }
 
 
-def _capture_one(make_host, rates, call_kwargs):
-    """One call on a fresh rr host (``make_host(chaos)``) under corpus
-    capture: the host, its flight record and the one-call corpus built
-    from that record."""
+def _capture_one(engine, rates, call_kwargs):
+    """One call on a fresh rr host under corpus capture: the host, its
+    flight record and the one-call corpus built from that record."""
     chaos = FaultSchedule(ChaosConfig(seed=9, **rates)) if rates else None
     obs.enable()
     obs.reset()
     OBS.flight.capture = True
     try:
-        host = make_host(chaos)
+        host = PluginHost(plugin_wasm("rr"), name="rr", engine=engine, chaos=chaos)
         try:
             host.call(PAYLOAD, **call_kwargs)
         except PluginError:
@@ -173,15 +172,11 @@ class TestOneReissuePath:
     """``PluginHost.replay(record)`` and the corpus replayer re-issue a
     recorded call through the same step, so they cannot disagree."""
 
-    @pytest.mark.parametrize("tier", LOWERINGS)
+    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("case", sorted(REISSUE_CASES))
-    def test_host_replay_and_corpus_replay_agree(self, host_on, tier, case):
+    def test_host_replay_and_corpus_replay_agree(self, engine, case):
         rates, call_kwargs, outcome = REISSUE_CASES[case]
-
-        def rr_host(chaos):
-            return host_on(tier, plugin_wasm("rr"), name="rr", chaos=chaos)
-
-        host, record, corpus = _capture_one(rr_host, rates, call_kwargs)
+        host, record, corpus = _capture_one(engine, rates, call_kwargs)
         assert record.outcome == outcome
         try:
             via_host = host.replay(record)
@@ -189,12 +184,13 @@ class TestOneReissuePath:
             via_host = exc.result
         (stream,) = corpus.streams
         (call,) = stream.calls
-        # the corpus replayer picks an engine: aot's stream host promotes
-        engine = "legacy" if tier == "legacy" else "aot"
         via_corpus = replay_call(make_stream_host(corpus, stream, engine), call)
         # a live host's own schedule must not leak into a re-issue: only
         # the recorded injection (if any) fires
-        chaotic = rr_host(FaultSchedule(ChaosConfig(seed=1, trap=1.0)))
+        chaotic = PluginHost(
+            plugin_wasm("rr"), name="rr", engine=engine,
+            chaos=FaultSchedule(ChaosConfig(seed=1, trap=1.0)),
+        )
         via_live = replay_call(chaotic, call)
         assert call.matches(via_host) and call.matches(via_corpus)
         assert call.matches(via_live)

@@ -4,7 +4,7 @@
 the rt flash-crowd scenario and a 2-worker cluster sweep, committed so
 CI (and the replay
 benchmark) can exercise the full replay path without re-recording.
-Every corpus must replay bit-identically under both engines and
+Every corpus must replay bit-identically under all three engines and
 re-serialise to the exact committed bytes.
 """
 

@@ -20,7 +20,6 @@ from repro.abi.sanitizer import SanitizerError
 from repro.abi.wire import WireError
 from repro.sched.types import UeGrant, UeSchedInfo
 from repro.wacc import compile_source
-from repro.wasm.threaded import LOWERINGS
 
 ue_strategy = st.builds(
     UeSchedInfo,
@@ -344,12 +343,12 @@ TBS_PROBE = """(module
 
 
 class TestTbsBitsHostFunction:
-    @pytest.mark.parametrize("engine", LOWERINGS)
+    @pytest.mark.parametrize("engine", ["legacy", "threaded", "aot"])
     def test_negative_and_out_of_range_arguments_get_no_bits(self, engine):
         """Wasm hands ``tbs_bits`` unsigned i32s: a negative PRB count
         arrives as ``2**32 - n`` and must get 0 bits, not the 1024-PRB
-        cap's TBS; the same through every lowering (under aot an import
-        is a direct host call)."""
+        cap's TBS; the same through every engine (under aot an import is
+        a direct host call)."""
         from repro.abi.hostfuncs import make_env
         from repro.phy.tbs import transport_block_size_bits
         from repro.wasm import Instance, decode_module

@@ -24,7 +24,6 @@ from repro.chaos.transport import ChaosEndpoint
 from repro.experiments.fig5d import make_ues
 from repro.netio import InProcNetwork, NetworkError
 from repro.plugins import plugin_wasm
-from repro.wasm.threaded import LOWERINGS
 
 
 def sched_payload(slot: int = 0, prbs: int = 20, n_ues: int = 3) -> bytes:
@@ -224,10 +223,9 @@ class TestChaosReplay:
         obs.reset()
         obs.disable()
 
-    @pytest.mark.parametrize("tier", LOWERINGS)
-    def test_injected_trap_replays_with_same_code(self, host_on, tier):
-        host = host_on(tier, plugin_wasm("rr"), name="rr",
-                       chaos=FaultSchedule(ChaosConfig(seed=9, trap=1.0)))
+    @pytest.mark.parametrize("engine", ["legacy", "threaded", "aot"])
+    def test_injected_trap_replays_with_same_code(self, engine):
+        host = host_with(ChaosConfig(seed=9, trap=1.0), engine=engine)
         with pytest.raises(PluginError) as original:
             host.call(sched_payload())
         record = obs.OBS.flight.records()[-1]
@@ -241,10 +239,9 @@ class TestChaosReplay:
         assert replay_record.outcome == record.outcome == "trap"
         assert replay_record.attrs["chaos"] == record.attrs["chaos"]
 
-    @pytest.mark.parametrize("tier", LOWERINGS)
-    def test_injected_fuel_cut_replays_with_same_fuel_count(self, host_on, tier):
-        host = host_on(tier, plugin_wasm("rr"), name="rr",
-                       chaos=FaultSchedule(ChaosConfig(seed=9, fuel_cut=1.0)))
+    @pytest.mark.parametrize("engine", ["legacy", "threaded", "aot"])
+    def test_injected_fuel_cut_replays_with_same_fuel_count(self, engine):
+        host = host_with(ChaosConfig(seed=9, fuel_cut=1.0), engine=engine)
         with pytest.raises(PluginError) as original:
             host.call(sched_payload())
         assert original.value.kind == "fuel"

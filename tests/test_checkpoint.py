@@ -2,7 +2,7 @@
 
 The acceptance bar: a restored instance produces identical outputs, fuel
 counts and ExecStats to an uninterrupted one, for every scheduler plugin
-in the differential suite, on every lowering - plus the gNB wiring that
+in the differential suite, under every engine - plus the gNB wiring that
 uses checkpoints on the quarantine/release path.
 """
 
@@ -16,7 +16,8 @@ from repro.experiments.fig5d import make_ues
 from repro.gnb import FaultPolicy, GnbHost, SliceRuntime, UeContext
 from repro.plugins import SCHEDULER_PLUGINS, plugin_wasm
 from repro.traffic import FullBufferSource
-from repro.wasm.threaded import LOWERINGS
+
+ENGINES = ["legacy", "threaded", "aot"]
 
 
 def observe(host: PluginHost, slots) -> list[tuple]:
@@ -48,12 +49,12 @@ class TestRoundTrip:
         obs.reset()
         obs.disable()
 
-    @pytest.mark.parametrize("tier", LOWERINGS)
+    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("name", SCHEDULER_PLUGINS)
-    def test_restored_matches_uninterrupted(self, host_on, name, tier):
+    def test_restored_matches_uninterrupted(self, name, engine):
         wasm = plugin_wasm(name)
-        interrupted = host_on(tier, wasm, name=name)
-        control = host_on(tier, wasm, name=name)
+        interrupted = PluginHost(wasm, name=name, engine=engine)
+        control = PluginHost(wasm, name=name, engine=engine)
 
         # identical warm-up accumulates identical internal state (PF
         # averages, RR cursors...)
@@ -71,11 +72,11 @@ class TestRoundTrip:
         # fuel and ExecStats must be identical call for call
         assert observe(interrupted, range(10, 30)) == observe(control, range(10, 30))
 
-    @pytest.mark.parametrize("tier", LOWERINGS)
-    def test_checkpoint_survives_divergent_scratch_growth(self, host_on, tier):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_checkpoint_survives_divergent_scratch_growth(self, engine):
         wasm = plugin_wasm("pf")
-        interrupted = host_on(tier, wasm, name="pf")
-        control = host_on(tier, wasm, name="pf")
+        interrupted = PluginHost(wasm, name="pf", engine=engine)
+        control = PluginHost(wasm, name="pf", engine=engine)
         warmup = [wire.pack_sched_input(s, 20, make_ues(2)) for s in range(5)]
         for payload in warmup:
             interrupted.call(payload)

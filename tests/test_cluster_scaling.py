@@ -4,7 +4,7 @@ The paper's scale-out claim only holds if *how* you run the sweep -
 worker count, Wasm engine tier, worker processes over TCP vs inline -
 never changes *what* the sweep computes.  These tests pin that
 invariance: byte-identical scheduled-bytes and fault-log digests across
-1/2/4 workers, across inline/tcp, and across both engines.
+1/2/4 workers, across inline/tcp, and across all three engines.
 """
 
 from dataclasses import replace
@@ -76,7 +76,7 @@ class TestEngineInvariance:
             engine: _digests(run_cluster(replace(BASE, engine=engine)))
             for engine in ENGINES
         }
-        assert results["legacy"] == results["aot"]
+        assert results["legacy"] == results["threaded"] == results["aot"]
 
 
 class TestTransportInvariance:

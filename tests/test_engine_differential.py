@@ -1,18 +1,16 @@
-"""Differential testing: every bundled plugin under every Wasm lowering.
+"""Differential testing: every bundled plugin under every Wasm engine.
 
 Each ``.wc`` plugin in ``src/repro/plugins/`` is loaded once per engine
-(``legacy``, ``aot``) and driven through the full :class:`PluginHost`
-byte-buffer path with identical inputs.  The lowerings must agree on
-*everything* observable: output bytes, error kind, spec trap code, fuel
-consumed, and :class:`ExecStats` counters.
+(``legacy``, ``threaded``, ``aot``) and driven through the full
+:class:`PluginHost` byte-buffer path with identical inputs.  The engines
+must agree on *everything* observable: output bytes, error kind, spec
+trap code, fuel consumed, and :class:`ExecStats` counters.
 
 This is the acceptance gate for the compiled tiers being bit-identical
 in semantics, not just "close enough".  At the host layer ``aot`` is a
 tier a binary earns by burning fuel, so the aot leg pins it with
-``host.promote()`` up front, and a second sweep starts an aot host on
-its threaded cold tier and promotes after every possible call index
-(never, at the last): threaded code must match legacy, and a promotion
-between two calls must be invisible.
+``host.promote()`` up front, and a second sweep promotes after every
+possible call index: a promotion between two calls must be invisible.
 """
 
 import pytest
@@ -89,8 +87,6 @@ def observe(
     entry = "on_indication" if name.startswith("xapp") else "run"
     trace = []
     for i, payload in enumerate(payloads):
-        if engine == "aot" and i == 0 < promote_after:
-            assert host.tier == "threaded"  # a cold codecache: the cold tier
         if engine == "aot" and i == promote_after:
             host.promote()
             # the leg must not silently degrade to threaded code
@@ -127,9 +123,12 @@ def payloads_for() -> list[bytes]:
 def test_plugin_identical_across_engines(name):
     payloads = payloads_for()
     legacy = observe(name, "legacy", payloads)
-    trace = observe(name, "aot", payloads)
-    for i, (expect, got) in enumerate(zip(legacy, trace)):
-        assert got == expect, f"{name} payload#{i}: aot {got} != legacy {expect}"
+    for engine in ("threaded", "aot"):
+        trace = observe(name, engine, payloads)
+        for i, (expect, got) in enumerate(zip(legacy, trace)):
+            assert got == expect, (
+                f"{name} payload#{i}: {engine} {got} != legacy {expect}"
+            )
     # sanity: the suite saw at least one successful call or a real fault,
     # never silent no-ops
     assert any(t[0] in ("ok", "trap", "fuel", "abi") for t in legacy)
@@ -137,9 +136,8 @@ def test_plugin_identical_across_engines(name):
 
 @pytest.mark.parametrize("name", sorted(available_plugins()))
 def test_promotion_is_invisible(name):
-    """Start on threaded code and promote after call k, for every k (the
-    last k never promotes by hand): same bytes, error kind, trap code,
-    fuel and ExecStats as the legacy trace."""
+    """Promote after call k, for every k: same bytes, error kind, trap
+    code, fuel and ExecStats as the legacy trace."""
     payloads = payloads_for()
     legacy = observe(name, "legacy", payloads, fuel=SWEEP_FUEL)
     for k in range(len(payloads) + 1):

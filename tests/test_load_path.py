@@ -53,7 +53,6 @@ from repro.wasm import (
 )
 from repro.wasm.instance import compiled_bodies
 from repro.wasm.memory import Memory
-from repro.wasm.threaded import LOWERINGS
 from repro.wasm.wat import assemble
 from repro.wasm.wtypes import FuncType, ValType
 
@@ -404,17 +403,14 @@ class TestStartRunsUnderFuel:
     LIMITS = HostLimits(fuel=10_000)
 
     @staticmethod
-    def _engine_for(tier: str, wasm: bytes) -> str:
-        """The engine whose host runs ``wasm``'s ``start`` on ``tier``: on
-        the cold cache an aot host starts on its threaded cold tier."""
-        if tier == "aot":
+    def _pin_tier(engine: str, wasm: bytes) -> None:
+        if engine == "aot":
             # its module bound to aot bodies: the host starts it compiled
             compiled_bodies(load_module(wasm), "aot")
-        return "legacy" if tier == "legacy" else "aot"
 
-    @pytest.mark.parametrize("tier", LOWERINGS)
-    def test_spinning_start_is_refused_within_budget(self, tier):
-        engine = self._engine_for(tier, SPINNING_START)
+    @pytest.mark.parametrize("engine", ["legacy", "threaded", "aot"])
+    def test_spinning_start_is_refused_within_budget(self, engine):
+        self._pin_tier(engine, SPINNING_START)
         logged = []
         with pytest.raises(PluginError, match="cannot load plugin spin") as info:
             PluginHost(
@@ -429,7 +425,7 @@ class TestStartRunsUnderFuel:
         # every iteration burns fuel, so it got nowhere near the loop bound
         assert 0 < len(logged) < self.LIMITS.fuel
 
-    @pytest.mark.parametrize("tier", LOWERINGS)
+    @pytest.mark.parametrize("engine", ["legacy", "threaded", "aot"])
     @pytest.mark.parametrize(
         "bad",
         [
@@ -437,8 +433,8 @@ class TestStartRunsUnderFuel:
             pytest.param(TRAPPING_START, id="trapping"),
         ],
     )
-    def test_swap_to_a_bad_start_keeps_the_old_plugin(self, tier, bad):
-        engine = self._engine_for(tier, bad)
+    def test_swap_to_a_bad_start_keeps_the_old_plugin(self, engine, bad):
+        self._pin_tier(engine, bad)
         host = PluginHost(
             plugin_wasm("rr"), name="rr-live", limits=self.LIMITS, engine=engine
         )

@@ -13,7 +13,6 @@ from repro import obs
 from repro.abi.host import PluginError, PluginHost
 from repro.chaos.schedule import ChaosInjection, OneShotChaos
 from repro.obs import OBS
-from repro.wasm.threaded import ENGINES, LOWERINGS
 from repro.wasm.wat import assemble
 
 HEADER = '(func (export "alloc") (param i32) (result i32) (i32.const 1024))'
@@ -147,12 +146,12 @@ FAULT_CASES = {
 }
 
 
-@pytest.mark.parametrize("tier", LOWERINGS)
+@pytest.mark.parametrize("engine", ["legacy", "threaded", "aot"])
 @pytest.mark.parametrize("case", sorted(FAULT_CASES))
-def test_error_carries_the_call_result(telemetry, host_on, tier, case):
+def test_error_carries_the_call_result(telemetry, engine, case):
     source, limit, chaos, budget, kind, ran_wasm = FAULT_CASES[case]
-    host = host_on(
-        tier, assemble(source), name=f"bad-{case}", sanitize=False,
+    host = PluginHost(
+        assemble(source), name=f"bad-{case}", sanitize=False, engine=engine,
         chaos=_injected(chaos) if chaos else None,
     )
     if limit is not None:
@@ -214,7 +213,6 @@ def _recursion_outcome(engine, promote):
     )
     if promote:
         host.promote()
-    tier = host.tier
 
     def call():
         with pytest.raises(PluginError) as info:
@@ -228,7 +226,7 @@ def _recursion_outcome(engine, promote):
     assert result.elapsed_us > 0
     # the host is usable for the next call
     assert host.call(b"\x00" * 8, entry="ok").outcome == "ok"
-    return tier, result.fuel_used
+    return result.fuel_used
 
 
 def test_unbounded_recursion_from_a_deep_host_is_a_stack_trap():
@@ -237,18 +235,15 @@ def test_unbounded_recursion_from_a_deep_host_is_a_stack_trap():
     CPython's recursion limit is hit before the Wasm one (legacy, at two,
     and compiled code, at one, reach the Wasm limit first): same
     ``stack`` trap, same fuel (the outermost frame's, at its call site)
-    on every lowering: legacy, the aot engine's threaded cold tier, and
-    compiled."""
+    under every engine, cold tier and compiled."""
     from repro.wasm import codecache
 
     codecache.clear()  # engine "aot" starts on threaded code
-    outcomes = {
+    fuel_used = {
         (engine, promote): _recursion_outcome(engine, promote)
-        for engine in ENGINES
+        for engine in ("legacy", "threaded", "aot")
         for promote in (False, True)
     }
-    assert {tier for tier, _fuel in outcomes.values()} == set(LOWERINGS)
-    fuel_used = {key: fuel for key, (_tier, fuel) in outcomes.items()}
     assert len(set(fuel_used.values())) == 1, fuel_used
     # `alloc` (const, end) + `run` up to its call site (local.get, call)
     assert fuel_used["aot", True] == 4
@@ -271,12 +266,8 @@ PROBE_DEPTH = """(module
       (else (call $probe)))))"""
 
 
-PYTHON_FRAMES_PER_WASM_FRAME = {"legacy": 2, "threaded": 3, "aot": 1}
-
-
 @pytest.mark.parametrize(
-    "engine, per_wasm_frame",
-    [(tier, PYTHON_FRAMES_PER_WASM_FRAME[tier]) for tier in LOWERINGS],
+    "engine, per_wasm_frame", [("legacy", 2), ("threaded", 3), ("aot", 1)]
 )
 def test_python_frames_per_wasm_frame(engine, per_wasm_frame):
     """The recursion headroom above rests on this: a host import probes
@@ -317,17 +308,18 @@ DEEP_START = f"""(module (memory 1) {HEADER}
   (start $start))"""
 
 
-def test_restore_from_a_deep_host_is_a_load_error_not_a_recursion_error(host_on):
+def test_restore_from_a_deep_host_is_a_load_error_not_a_recursion_error():
     """``restore`` re-runs ``start``: 200 threaded Wasm frames at three
     Python frames each fit under a shallow embedder and not under a deep one, which is a
     refused load (as ``PluginHost(...)`` / ``swap`` report it) that leaves
     the live instance serving."""
-    host = host_on("threaded", assemble(DEEP_START), name="deep-start", sanitize=False)
+    host = PluginHost(
+        assemble(DEEP_START), name="deep-start", sanitize=False, engine="threaded"
+    )
     snapshot = host.checkpoint()
     for frames in (0, 300):
         _from_deep_in_the_host(frames, lambda: host.restore(snapshot))
     live = host.instance
-    assert host.tier == "threaded"  # a restore re-instantiates on the cold tier
 
     def restore():
         with pytest.raises(PluginError) as info:

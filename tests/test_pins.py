@@ -7,7 +7,7 @@ rt --scenario NAME [--policy]``, ``repro chaos --seed 42 --slots 500
 --log``, ``repro trace --mode inline --slots 100 --digest-only`` in a
 fresh process, ``repro scale --workers 2 --cells 4 --slots 60 --mode inline``,
 and the ``slow`` row, ``repro fuzz --seed 0 --budget 500``, whose oracle
-runs every lowering itself.  The values read the same on CPython 3.10,
+runs every engine itself.  The values read the same on CPython 3.10,
 3.11 and 3.12.  The same-bytes check of a change is this module, run on
 the parent and on the change (``-m slow`` for the fuzz row)::
 
@@ -77,7 +77,7 @@ def cold_cluster(engine: str, **shape):
 
 def scale_digests(engine: str) -> str:
     report = cold_cluster(engine, slots=60)
-    # only aot tiers up: its hosts start on their threaded cold tier
+    # only aot tiers up: its hosts start on threaded code
     promoted = report.metrics.get("waran_plugin_promotions_total", {"series": []})
     assert (sum(s["value"] for s in promoted["series"]) > 0) == (engine == "aot")
     return report.bytes_digest + report.fault_digest
@@ -130,8 +130,8 @@ def test_pin(row, engine):
 
 def test_a_legacy_fuel_miscount_fails_only_legacy(monkeypatch):
     """One more fuel per legacy frame (a ``call`` that costs 2) moves a
-    row that folds fuel under legacy and not under aot.  Legacy, because
-    aot hosts run their threaded cold tier until they promote: a threaded
+    row that folds fuel under legacy and under no other engine.  Legacy,
+    because aot hosts run threaded code until they promote: a threaded
     miscount would move the aot rows too."""
     execute = instance.execute
 
@@ -142,7 +142,7 @@ def test_a_legacy_fuel_miscount_fails_only_legacy(monkeypatch):
     monkeypatch.setattr(instance, "execute", miscounted)
     _, compute, digest = PINS["rt_flash_crowd"]
     assert compute("legacy") != digest
-    assert compute("aot") == digest
+    assert compute("threaded") == compute("aot") == digest
 
 
 CLUSTER_PINS = {

@@ -770,10 +770,9 @@ def _ledger_engines() -> list[str]:
 
 
 class TestLedgerEngines:
-    """A lowering goes only after the benchmark stops measuring it: each
-    per-engine row names a lowering a scheduler still runs on - an engine
-    a run can pick, or the aot engine's threaded cold tier, whose rows the
-    ledger no longer fills (they read 0 until the benchmark drops them)."""
+    """An engine goes only after the benchmark stops measuring it: a
+    per-engine row whose engine is gone would fail the ledger as failed
+    operations, so it fails tier-1 first."""
 
     def test_the_benchmark_names_engines(self):
         assert "aot" in _ledger_engines()
@@ -783,19 +782,11 @@ class TestLedgerEngines:
         from repro.abi import SchedulerPlugin
         from repro.plugins import plugin_wasm
         from repro.sched import UeSchedInfo
-        from repro.wasm import codecache
-        from repro.wasm.threaded import ENGINES, LOWERINGS, resolve_engine
+        from repro.wasm.threaded import ENGINES, resolve_engine
 
-        assert engine in LOWERINGS
-        if engine not in ENGINES:  # the cold tier: an unseen binary's start
-            codecache.clear()
-        plugin = SchedulerPlugin.load(
-            plugin_wasm("rr"), engine=engine if engine in ENGINES else "aot"
-        )
-        if engine in ENGINES:
-            assert resolve_engine(engine) == engine
-            plugin.host.promote()
-        assert plugin.host.tier == engine
+        assert engine in ENGINES
+        assert resolve_engine(engine) == engine
+        plugin = SchedulerPlugin.load(plugin_wasm("rr"), engine=engine)
         ues = [UeSchedInfo(1, 28, 15, 100_000, 5e6)]
         assert plugin.schedule(52, ues, slot=0).grants
 

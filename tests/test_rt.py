@@ -17,7 +17,6 @@ from repro.abi.host import HostLimits, PluginError, PluginHost
 from repro.chaos.schedule import ChaosConfig, FaultSchedule
 from repro.experiments.fig5d import make_ues
 from repro.plugins import plugin_wasm
-from repro.wasm.threaded import LOWERINGS
 from repro.rt import (
     DEFAULT_LANES,
     DeadlineDispatcher,
@@ -374,9 +373,9 @@ class TestFlightRecordReplay:
         assert record.outcome == "deadline"
         assert record.attrs["rt"] == {"lane": "be", "verdict": "admit", "fuel": 300}
 
-    @pytest.mark.parametrize("tier", LOWERINGS)
-    def test_degraded_call_replays_bit_exactly(self, host_on, tier):
-        host = host_on(tier, plugin_wasm("rr"), name="rr")
+    @pytest.mark.parametrize("engine", ["legacy", "threaded", "aot"])
+    def test_degraded_call_replays_bit_exactly(self, engine):
+        host = PluginHost(plugin_wasm("rr"), name="rr", engine=engine)
         with pytest.raises(PluginError) as original:
             host.call(
                 sched_payload(), fuel=300,

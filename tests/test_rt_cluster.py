@@ -15,7 +15,6 @@ import pytest
 
 from repro import obs
 from repro.cluster import ClusterSpec, WorkerFailed, run_cluster
-from repro.wasm.threaded import ENGINES
 
 #: two flash-crowd cells, inline: small enough for CI, long enough to
 #: cross the burst window and the hog's quarantine
@@ -112,10 +111,10 @@ class TestWorkerFailFast:
 
 @pytest.mark.slow
 class TestEngineMatrixCluster:
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ["legacy", "threaded", "aot"])
     def test_scenario_digest_per_engine(self, engine):
         report = run_cluster(replace(RT_SPEC, engine=engine))
-        baseline = run_cluster(replace(RT_SPEC, engine="legacy"))
+        baseline = run_cluster(replace(RT_SPEC, engine="threaded"))
         # physics, faults and rt decisions are engine-identical, and the
         # cell log no longer names the engine: the digests match outright
         assert report.bytes_digest == baseline.bytes_digest

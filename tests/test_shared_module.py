@@ -36,7 +36,7 @@ from repro.wasm import codecache, decode_module, load_module
 from repro.wasm.leb128 import encode_u
 from repro.wasm.aot import dump_aot
 from repro.wasm.disasm import disassemble
-from repro.wasm.threaded import LOWERINGS, dump_threaded
+from repro.wasm.threaded import dump_threaded
 from repro.wasm.wat import assemble
 
 SMALL = wire.pack_sched_input(1, 52, make_ues(2))
@@ -82,11 +82,8 @@ def _record(host: PluginHost) -> tuple[int, int]:
 
 
 class TestIndependentState:
-    @pytest.mark.parametrize("tier", LOWERINGS)
-    def test_two_hosts_one_module(self, tier):
-        # threaded is the aot engine's cold tier: the aot host that never
-        # promotes; the aot leg promotes one host of the two
-        engine = "legacy" if tier == "legacy" else "aot"
+    @pytest.mark.parametrize("engine", ["legacy", "threaded", "aot"])
+    def test_two_hosts_one_module(self, engine):
         a = PluginHost(STATEFUL, name="a", engine=engine)
         b = PluginHost(STATEFUL, name="b", engine=engine)
         assert a.instance.module is b.instance.module
@@ -108,7 +105,6 @@ class TestIndependentState:
         # promote: a tier is a host's own
         if engine == "aot":
             assert (a.tier, b.tier) == ("threaded", "threaded")
-        if tier == "aot":
             a.promote()
             assert (a.tier, b.tier) == ("aot", "threaded")
         assert _record(a) == (4, 22)

@@ -38,7 +38,7 @@ from repro.wasm import Instance, codecache, decode_module, load_module, validate
 from repro.wasm.aot import AotCode
 from repro.wasm.instance import compiled_bodies
 from repro.wasm.leb128 import encode_u
-from repro.wasm.threaded import DEFAULT_ENGINE, ENGINES, ThreadedCode
+from repro.wasm.threaded import ThreadedCode
 from repro.wasm.wat import assemble
 
 DENSE = [wire.pack_sched_input(slot, 52, make_ues(24)) for slot in range(40)]
@@ -309,7 +309,7 @@ class TestHeatPolicy:
         assert all(b.run is not None for b in frames)
         assert all(b.run is None for b in leaves)
 
-    @pytest.mark.parametrize("engine", [e for e in ENGINES if e != DEFAULT_ENGINE])
+    @pytest.mark.parametrize("engine", ["threaded", "legacy"])
     def test_explicit_baseline_engines_never_promote(self, engine):
         host = PluginHost(plugin_wasm("rr"), name=f"rr-{engine}", engine=engine)
         for payload in DENSE:
@@ -380,10 +380,10 @@ class TestHeatPolicy:
             assert cold.tier == "aot", stage
 
     def test_env_engine_is_honoured(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WASM_ENGINE", "legacy")
+        monkeypatch.setenv("REPRO_WASM_ENGINE", "threaded")
         host = PluginHost(plugin_wasm("rr"), name="rr-env")
         host.promote()
-        assert host.tier == "legacy"
+        assert host.tier == "threaded"
 
     def test_wasm_layer_aot_is_still_eager(self):
         raw = assemble(

@@ -39,7 +39,7 @@ from repro.wasm.codecache import clear as cache_clear
 from repro.wasm.codecache import stats as cache_stats
 from repro.wasm.instance import compiled_bodies
 from repro.wasm.interpreter import ExecStats, PreparedCode
-from repro.wasm.threaded import ENGINES, LOWERINGS, resolve_engine
+from repro.wasm.threaded import ENGINES, resolve_engine
 from repro.wasm.traps import MemoryOutOfBounds, Trap
 from repro.wasm.wtypes import FuncType, ValType
 from repro.wasm.wat import assemble
@@ -52,7 +52,7 @@ def three(source, imports=None, max_call_depth=300):
             decode_module(raw), imports=imports, engine=e,
             store=Store(max_call_depth=max_call_depth),
         )
-        for e in LOWERINGS
+        for e in ("legacy", "threaded", "aot")
     )
 
 
@@ -153,7 +153,7 @@ def test_call_indirect_trap_codes_match():
 
 
 def test_fuel_identity_at_every_budget():
-    """Exhaustive sweep: all three lowerings cut off at the same instruction."""
+    """Exhaustive sweep: all three engines cut off at the same instruction."""
     # find the full cost first, then try every budget below it
     full = assert_identical(LOOP_SUM, "sum", 10, fuel=10_000)
     assert full[0] == "ok"
@@ -222,10 +222,10 @@ def test_deep_function_keeps_legacy_body_between_compiled_siblings():
 
 
 def sweep_budgets(case):
-    """Replay a corpus case under all three lowerings at every fuel budget
+    """Replay a corpus case under all three engines at every fuel budget
     from 0 to the clean cost of each call: outcome, trap code, fuel left
     at the trap and ExecStats must equal legacy's; then every oracle leg."""
-    engines = LOWERINGS
+    engines = ("legacy", "threaded", "aot")
     instances = [Instance(decode_module(case.wasm), engine=e) for e in engines]
 
     def run_all(name, args, fuel, snaps=None):
@@ -330,7 +330,7 @@ def test_identical_exec_stats_vs_both_engines():
 def test_oob_trap_fields_match_legacy_and_grow_in_callee_moves_the_limit():
     case = load_case(CORPUS / "memory-grow-in-callee.json")
     traps = []
-    for engine in ENGINES:
+    for engine in ("legacy", "aot"):
         inst = Instance(decode_module(case.wasm), engine=engine)
         with pytest.raises(MemoryOutOfBounds) as info:
             inst.call("f0", 65533)  # straddles the limit
@@ -763,7 +763,7 @@ def test_shipped_plugin_run_matches_legacy_at_every_budget(name):
     payload = wire.pack_sched_input(3, 52, make_ues(4))
     hosts = [
         PluginHost(plugin_wasm(name), name=f"sweep-{name}-{e}", engine=e)
-        for e in ENGINES
+        for e in ("legacy", "aot")
     ]
     hosts[1].promote()
     assert hosts[1].tier == "aot"
@@ -908,8 +908,7 @@ def test_generated_source_checks_only_where_effects_are(name):
 
 
 def test_engines_tuple_contains_aot():
-    assert "aot" in ENGINES and "threaded" not in ENGINES
-    assert set(ENGINES) < set(LOWERINGS)
+    assert ENGINES == ("threaded", "legacy", "aot")
 
 
 def test_resolve_engine_aot_env(monkeypatch):
@@ -1096,15 +1095,13 @@ def test_codecache_lru_eviction_and_counters(monkeypatch):
         cache_clear()
 
 
-@pytest.mark.parametrize("engine", [t for t in LOWERINGS if t != "legacy"])
+@pytest.mark.parametrize("engine", ["threaded", "aot"])
 def test_fig5b_hot_swap_keeps_hit_rate(engine):
-    """Fig-5b-style hot swaps stay >=90% cache hits per tier of the aot
-    engine: its threaded cold tier until the binaries are promoted, then
-    compiled code."""
+    """Satellite 3: Fig-5b-style hot swaps stay >=90% cache hits per tier."""
     from repro.abi import SchedulerPlugin
     from repro.plugins import plugin_wasm
 
-    os.environ["REPRO_WASM_ENGINE"] = "aot"
+    os.environ["REPRO_WASM_ENGINE"] = engine
     cache_clear()
     obs.enable()
     try:

@@ -10,7 +10,7 @@ from repro.wasm import interpreter
 from repro.wasm import opcodes as op
 from repro.wasm.instance import compiled_bodies
 from repro.wasm.module import Code
-from repro.wasm.threaded import LOWERINGS
+from repro.wasm.threaded import ENGINES
 from repro.wasm.traps import ValidationError
 from repro.wasm.validator import body_facts
 from repro.wasm.wat import assemble
@@ -22,7 +22,7 @@ INVALID = assemble(
 )
 
 
-@pytest.mark.parametrize("engine", LOWERINGS)
+@pytest.mark.parametrize("engine", ENGINES)
 def test_an_unvalidated_body_is_refused_not_lowered(engine):
     module = load_module(INVALID, validate=False)
     with pytest.raises(ValidationError, match="not been validated"):
@@ -95,11 +95,10 @@ def test_instructions_after_the_function_end_are_rejected():
         validate_module(module)
 
 
-@pytest.mark.parametrize("engine", [t for t in LOWERINGS if t != "legacy"])
+@pytest.mark.parametrize("engine", ["threaded", "aot"])
 def test_compiled_tiers_build_no_legacy_lowering(engine, monkeypatch):
     """The compiled tiers take the stack bound and local defaults from the
-    facts, so an aot host's cold start on threaded code - and its
-    promotion - never lowers for legacy."""
+    facts, so instantiating - and promoting - never lowers for legacy."""
     built = []
     real = interpreter.PreparedCode.__init__
 
@@ -110,10 +109,10 @@ def test_compiled_tiers_build_no_legacy_lowering(engine, monkeypatch):
     monkeypatch.setattr(interpreter.PreparedCode, "__init__", spy)
     codecache.clear()
     try:
-        host = PluginHost(plugin_wasm("rr"), name=f"facts-{engine}", engine="aot")
+        host = PluginHost(plugin_wasm("rr"), name=f"facts-{engine}", engine=engine)
         if engine == "aot":
             host.promote()
-        assert host.tier == engine and built == []
+        assert built == []
         # the spy sees the legacy lowering when there is one
         module = host.instance.module
         compiled_bodies(module, "legacy")

@@ -1,8 +1,8 @@
-"""Replay every corpus reproducer under every lowering.
+"""Replay every corpus reproducer under every engine.
 
 The corpus under ``tests/wasm/corpus/`` is the fuzzer's long-term memory:
 each JSON file is a minimized module plus a call plan and the outcomes the
-legacy (reference) engine produced when the case was saved.  Any lowering
+legacy (reference) engine produced when the case was saved.  Any engine
 change that shifts an outcome — a value, a trap code — fails here first.
 """
 
@@ -12,7 +12,7 @@ import pytest
 
 from repro.fuzz.corpus import check_case, corpus_paths, load_case
 from repro.wasm import decode_module, encode_module
-from repro.wasm.threaded import LOWERINGS
+from repro.wasm.threaded import ENGINES
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 CASES = corpus_paths(CORPUS_DIR)
@@ -22,7 +22,7 @@ def test_corpus_is_seeded():
     assert len(CASES) >= 20, "corpus should ship with ~20 seed cases"
 
 
-@pytest.mark.parametrize("engine", LOWERINGS)
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("path", CASES, ids=lambda p: p.stem)
 def test_replay(path, engine):
     case = load_case(path)

@@ -4,7 +4,7 @@ The generator is the foundation the differential oracle stands on — if it
 ever emits an invalid module, every downstream "the engines agree" claim
 is vacuous for the inputs that matter.  These tests pin down:
 
-- every generated module validates AND instantiates under every lowering;
+- every generated module validates AND instantiates under every engine;
 - generation is a pure function of the seed;
 - generated binaries survive ``decode -> encode`` byte-identically (the
   encoder/decoder round-trip property, satellite of the fuzz PR);
@@ -18,7 +18,6 @@ import pytest
 from repro.fuzz.gen import GenConfig, ModuleGen
 from repro.fuzz.runner import _iteration_rng
 from repro.wasm import Instance, Store, decode_module, encode_module, validate_module
-from repro.wasm.threaded import LOWERINGS
 from repro.wasm.wtypes import ValType
 
 N_SEEDS = 40
@@ -34,7 +33,7 @@ class TestValidity:
         gm = gen(seed)
         module = decode_module(gm.wasm)
         validate_module(module)
-        for engine in LOWERINGS:
+        for engine in ("legacy", "threaded", "aot"):
             instance = Instance(module, store=Store(), engine=engine)
             assert instance.exports()
 

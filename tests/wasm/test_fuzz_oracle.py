@@ -15,7 +15,6 @@ from repro.fuzz.gen import ModuleGen
 from repro.fuzz.oracle import canon_state, canon_value, differential, run_trace
 from repro.fuzz.runner import _iteration_rng, run_campaign
 from repro.wasm import Instance, Store, decode_module
-from repro.wasm.threaded import LOWERINGS
 from repro.wasm.wat import assemble
 
 N_SEEDS = 30
@@ -73,7 +72,7 @@ class TestDifferential:
         assert result.ok and len(result.legs) >= 4
         assert decodes == [gm.wasm]
         split = len(gm.calls) // 2
-        for engine in LOWERINGS:
+        for engine in ("legacy", "threaded", "aot"):
             solo = run_trace(decode_module(gm.wasm), gm.calls, engine, capture_at=split)
             shared = result.legs[engine]
             assert (solo.outcomes, solo.final) == (shared.outcomes, shared.final)

@@ -23,7 +23,7 @@ from repro.plugins import FAULT_PLUGINS, SCHEDULER_PLUGINS, plugin_wasm
 from repro.wasm import HostFunc, Instance, Store, decode_module
 from repro.wasm.instance import UNLIMITED_FUEL
 from repro.wasm.interpreter import ExecStats
-from repro.wasm.threaded import LOWERINGS
+from repro.wasm.threaded import ENGINES
 from repro.wasm.traps import Trap
 from repro.wasm.wat import assemble
 from repro.wasm.wtypes import FuncType, ValType
@@ -52,7 +52,7 @@ def observe(inst: Instance, name: str, args, fuel) -> tuple:
     )
 
 
-@pytest.mark.parametrize("engine", LOWERINGS)
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("plugin", PLUGINS)
 def test_plugin_call_without_budget_matches_a_large_budget(plugin, engine):
     wasm = plugin_wasm(plugin)
@@ -72,7 +72,7 @@ def test_plugin_call_without_budget_matches_a_large_budget(plugin, engine):
     assert expect[0] == ("trap" if plugin in TRAPPING else "ok")
 
 
-@pytest.mark.parametrize("engine", LOWERINGS)
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("path", CORPUS, ids=[p.stem for p in CORPUS])
 def test_corpus_call_without_budget_matches_a_large_budget(path, engine):
     case = load_case(path)
@@ -100,7 +100,7 @@ CALLBACK = """(module
     (i32.add (call $peek (local.get 0)) (i32.const 1))))"""
 
 
-@pytest.mark.parametrize("engine", LOWERINGS)
+@pytest.mark.parametrize("engine", ENGINES)
 def test_no_budget_reads_none_after_return_trap_and_host_callback(engine):
     seen = []
 

@@ -1,5 +1,4 @@
-"""Unit tests for the threaded-code lowering (repro.wasm.threaded), the
-aot engine's cold tier.
+"""Unit tests for the threaded-code engine (repro.wasm.threaded).
 
 The differential suite in ``tests/test_engine_differential.py`` checks
 whole plugins through the host; these tests pin the compiler itself:
@@ -25,7 +24,6 @@ from repro.wasm.instance import compiled_bodies
 from repro.wasm.interpreter import BINOPS, UNOPS, ExecStats
 from repro.wasm.threaded import (
     DEFAULT_ENGINE,
-    LOWERINGS,
     ThreadedCode,
     dump_threaded,
     resolve_engine,
@@ -338,7 +336,7 @@ def test_i64_load_roundtrips_full_width():
     source = """(module (memory 1)
         (func (export "put") (param i64) (i64.store (i32.const 0) (local.get 0)))
         (func (export "get") (result i64) (i64.load (i32.const 0))))"""
-    for engine in LOWERINGS:
+    for engine in ("legacy", "threaded", "aot"):
         inst = Instance(decode_module(assemble(source)), engine=engine)
         inst.call("put", 0x1122334455667788)
         assert inst.call("get") == 0x1122334455667788, engine
@@ -349,7 +347,7 @@ def test_i64_load_roundtrips_full_width():
 def test_exec_stats_identical_across_engines():
     source = FUEL_SWEEP_MODULES[2]
     results = {}
-    for engine in LOWERINGS:
+    for engine in ("legacy", "threaded", "aot"):
         inst = Instance(decode_module(assemble(source)), engine=engine)
         inst.store.stats = ExecStats()
         inst.call("f", 4)
@@ -369,36 +367,9 @@ def test_resolve_engine_precedence(monkeypatch):
     assert resolve_engine() == DEFAULT_ENGINE
     monkeypatch.setenv("REPRO_WASM_ENGINE", "legacy")
     assert resolve_engine() == "legacy"
-    assert resolve_engine("aot") == "aot"  # explicit arg wins
-    for name in ("jit", "threaded"):
-        with pytest.raises(ValueError, match="unknown wasm engine"):
-            resolve_engine(name)
-    # only the Instance level names a lowering, and only explicitly
-    assert resolve_engine("threaded", LOWERINGS) == "threaded"
-    assert resolve_engine(None, LOWERINGS) == "legacy"
-    with pytest.raises(ValueError, match="unknown wasm engine"):
-        resolve_engine("jit", LOWERINGS)
-
-
-def test_threaded_is_no_engine_a_run_can_pick(monkeypatch):
-    """Threaded code is the aot engine's cold tier: no environment value,
-    host argument or CLI flag selects it."""
-    from repro.abi.host import PluginHost
-    from repro.cli import main
-
-    raw = plugin_wasm("rr")
-    with pytest.raises(ValueError, match="unknown wasm engine 'threaded'"):
-        PluginHost(raw, engine="threaded")
-    with pytest.raises(SystemExit) as info:
-        main(["rt", "--engine", "threaded"])
-    assert info.value.code == 2
-    monkeypatch.setenv("REPRO_WASM_ENGINE", "threaded")
-    with pytest.raises(ValueError, match="unknown wasm engine 'threaded'"):
-        resolve_engine()
-    with pytest.raises(ValueError, match="unknown wasm engine 'threaded'"):
-        PluginHost(raw)
-    with pytest.raises(ValueError, match="unknown wasm engine 'threaded'"):
-        Instance(load_module(raw))
+    assert resolve_engine("threaded") == "threaded"  # explicit arg wins
+    with pytest.raises(ValueError):
+        resolve_engine("jit")
 
 
 def test_instance_uses_selected_engine():

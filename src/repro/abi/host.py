@@ -40,7 +40,7 @@ from repro.wasm.aot import own_frames
 from repro.wasm.instance import HostFunc, InstanceState, Store
 from repro.wasm.interpreter import ExecStats
 from repro.wasm.threaded import resolve_engine
-from repro.wasm.traps import LinkError, Trap, WasmError
+from repro.wasm.traps import LinkError, MemoryOutOfBounds, Trap, WasmError
 
 #: Tier-up threshold: a module is compiled to aot bodies once its
 #: instances have burnt this much fuel per static instruction.  Derived,
@@ -53,6 +53,8 @@ from repro.wasm.traps import LinkError, Trap, WasmError
 #: to a power of two.  (``rr``: 63 k fuel, about 20 dense calls; a cold
 #: variant living 5 calls burns ~5 k and never gets there.)
 PROMOTE_FUEL_PER_INSTR = 128
+
+_U32 = struct.Struct("<I")
 
 
 class PluginError(RuntimeError):
@@ -599,11 +601,16 @@ class PluginHost:
             # `alloc` is only consulted on the first call and when
             # the input outgrows the scratch capacity - it never
             # shrinks, so back-to-back calls reuse one region
+            # the live instance's bound entries (dropped with it, and by a
+            # promotion's retier): lengths and pointers are i32 already
+            entries = instance.entries
             in_len = len(input_bytes)
             if self._scratch_ptr is not None and in_len <= self._scratch_cap:
                 in_ptr = self._scratch_ptr
             else:
-                in_ptr = instance.call("alloc", in_len)
+                in_ptr = (entries.get("alloc") or instance.entry("alloc"))(
+                    instance, in_len
+                )
                 if in_ptr is None or in_ptr < 0:
                     raise PluginError(
                         f"{self.name}: alloc returned bad pointer {in_ptr}",
@@ -614,7 +621,9 @@ class PluginHost:
                 self.scratch_allocs += 1
             instance.memory.write(in_ptr, input_bytes)
             encoded_ns = time.perf_counter_ns()
-            out_ptr = instance.call(entry, in_ptr, in_len)
+            out_ptr = (entries.get(entry) or instance.entry(entry))(
+                instance, in_ptr, in_len
+            )
             invoked_ns = time.perf_counter_ns()
             output = self._read_output(out_ptr)
         except PluginError as exc:
@@ -878,13 +887,14 @@ class PluginHost:
         )
 
     def _read_output(self, out_ptr) -> bytes:
-        instance = self.instance
-        assert instance is not None
+        """The output record block at ``out_ptr``: checked, then copied once."""
         if out_ptr is None or out_ptr < 0:
             raise PluginError(f"{self.name}: run returned bad pointer {out_ptr}", "abi")
-        if out_ptr + 4 > len(instance.memory.data):
+        data = self.instance.memory.data
+        size = len(data)
+        if out_ptr + 4 > size:
             raise PluginError(f"{self.name}: output pointer out of bounds", "abi")
-        (count,) = struct.unpack_from("<I", instance.memory.data, out_ptr)
+        (count,) = _U32.unpack_from(data, out_ptr)
         if count > 10_000:
             raise PluginError(f"{self.name}: implausible record count {count}", "abi")
         length = 4 + count * self.output_record_bytes
@@ -892,10 +902,11 @@ class PluginHost:
             raise PluginError(
                 f"{self.name}: output {length} bytes exceeds limit", "abi"
             )
-        try:
-            return instance.memory.read(out_ptr, length)
-        except Trap as exc:
-            raise PluginError(f"{self.name}: output out of bounds: {exc}", "abi") from exc
+        end = out_ptr + length
+        if end > size:
+            oob = MemoryOutOfBounds(out_ptr, length, size)
+            raise PluginError(f"{self.name}: output out of bounds: {oob}", "abi") from oob
+        return bytes(data[out_ptr:end])
 
     # ----- diagnostics -----------------------------------------------------------
 

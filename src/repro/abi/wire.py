@@ -29,8 +29,7 @@ Output::
 from __future__ import annotations
 
 import struct
-from functools import lru_cache
-from itertools import starmap
+from functools import lru_cache, partial
 from operator import attrgetter
 
 from repro.sched.types import UeGrant, UeSchedInfo
@@ -50,6 +49,9 @@ class WireError(ValueError):
 _COUNT = struct.Struct("<I")
 _GRANT = struct.Struct("<II")
 _BY_UE_ID = attrgetter("ue_id")
+#: a grant from its unpacked ``(ue_id, prbs)`` pair, built in C:
+#: ``UeGrant(*pair)`` runs the named tuple's Python ``__new__`` per grant
+_grant = partial(tuple.__new__, UeGrant)
 
 
 @lru_cache(maxsize=64)
@@ -104,4 +106,4 @@ def unpack_grants(data: bytes) -> list[UeGrant]:
     expected = 4 + count * GRANT_STRIDE
     if len(data) < expected:
         raise WireError(f"output truncated: {len(data)} < {expected}")
-    return list(starmap(UeGrant, _GRANT.iter_unpack(data[4:expected])))
+    return list(map(_grant, _GRANT.iter_unpack(data[4:expected])))

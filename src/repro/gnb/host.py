@@ -473,48 +473,44 @@ class GnbHost:
         if prbs <= 0 or not ues:
             return []
 
-        use_plugin = (
+        # a decision exists only under an rt dispatcher, and one that does
+        # not dispatch sends the slice to its native fallback this slot
+        slot = self.slot
+        policy = self.fault_policy
+        if (
             runtime.plugin is not None
-            and not self.fault_policy.is_quarantined(sid)
-        )
-        if use_plugin and decision is not None and not decision.dispatches:
-            # rt degradation: rejected / quarantined / shed this slot - the
-            # native fallback serves the slice, the plugin is not called
-            use_plugin = False
-        if use_plugin:
-            fuel = None
-            rt_attrs = None
+            and not policy.is_quarantined(sid)
+            and (decision is None or decision.dispatches)
+        ):
+            fuel = rt_attrs = None
             if decision is not None and decision.fuel_budget is not None:
                 fuel = decision.fuel_budget
                 rt_attrs = decision.to_attrs()
             try:
-                call = runtime.plugin.schedule(
-                    prbs, ues, self.slot, fuel=fuel, rt=rt_attrs
-                )
+                call = runtime.plugin.schedule(prbs, ues, slot, fuel=fuel, rt=rt_attrs)
                 validate_grants(call.grants, prbs, ues)
             except (PluginError, GrantValidationError) as exc:
                 kind = exc.kind if isinstance(exc, PluginError) else "grants"
-                if self.rt is not None and decision is not None:
+                if decision is not None:
                     self.rt.observe_call(
                         decision,
-                        self.slot,
+                        slot,
                         fuel_used=None,
                         elapsed_us=0.0,
                         overrun=kind == "deadline",
                     )
-                action = self.fault_policy.record_fault(
-                    self.slot, sid, kind, str(exc)
-                )
+                action = policy.record_fault(slot, sid, kind, str(exc))
                 if action == FaultAction.DISCONNECT:
                     return []
-                return runtime.default.schedule(prbs, ues, self.slot)
-            self.fault_policy.record_success(sid)
-            if self.rt is not None and decision is not None:
+                return runtime.default.schedule(prbs, ues, slot)
+            policy.record_success(sid)
+            elapsed_us = call.elapsed_us
+            if decision is not None:
                 self.rt.observe_call(
                     decision,
-                    self.slot,
+                    slot,
                     fuel_used=call.fuel_used,
-                    elapsed_us=call.elapsed_us,
+                    elapsed_us=elapsed_us,
                     overrun=False,
                 )
             if self.checkpoint_every:
@@ -522,7 +518,6 @@ class GnbHost:
                 if runtime.successes % self.checkpoint_every == 0:
                     runtime.last_checkpoint = runtime.plugin.host.checkpoint()
                     runtime.checkpoints_taken += 1
-            elapsed_us = call.elapsed_us
             pending = runtime._exec_pending
             pending.append(elapsed_us)
             if len(pending) >= _SLOT_BATCH:
@@ -533,7 +528,7 @@ class GnbHost:
                     OBS.events.emit(
                         "gnb.deadline_miss",
                         source=runtime.name,
-                        slot=self.slot,
+                        slot=slot,
                         elapsed_us=elapsed_us,
                         slot_us=self._slot_us,
                     )
@@ -543,7 +538,7 @@ class GnbHost:
             return call.grants
 
         scheduler = runtime.native or runtime.default
-        grants = scheduler.schedule(prbs, ues, self.slot)
+        grants = scheduler.schedule(prbs, ues, slot)
         validate_grants(grants, prbs, ues)  # natives must obey the same contract
         return grants
 

@@ -1561,9 +1561,10 @@ def execute_aot(store, instance, acode: AotCode, args: list,
                 result_arity: int, depth: int):
     """Enter one AOT-compiled function from outside compiled code.
 
-    The adapter behind ``Instance.invoke_index`` - an export, a
-    ``call_indirect``, a threaded or legacy caller; a compiled caller of
-    the same module calls the function directly or inlines it.  The
+    The adapter behind ``Instance.invoke_index`` - a ``call_indirect``,
+    a threaded or legacy caller; a compiled caller of the same module
+    calls the function directly or inlines it, and a Python caller enters
+    an export through its bound ``Instance.entry``.  The
     depth limit, the stats and the trap-time ``store.fuel`` are the
     generated function's own business, so the contract (arguments,
     results, traps, fuel, stats) stays identical to

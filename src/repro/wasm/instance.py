@@ -31,6 +31,8 @@ from repro.wasm.wtypes import FuncType, GlobalType, Limits, ValType
 #: the budget a ``Store(fuel=None)`` entry runs on: every engine meters,
 #: and at one instruction per nanosecond this lasts ~290 years
 UNLIMITED_FUEL = sys.maxsize
+#: result types an entry returns in signed interpretation, by width
+_INT_BITS = {ValType.I32: 32, ValType.I64: 64}
 
 
 class Store:
@@ -287,6 +289,9 @@ class Instance:
             self.memory.write(offset, seg.payload)
 
         self._exports = module.export_map()
+        #: export name -> its bound entry (:meth:`entry`), bound on first
+        #: use and dropped by :meth:`retier`
+        self.entries: dict[str, Callable] = {}
 
         if module.start is not None:
             self._enter(module.start, [])
@@ -307,6 +312,7 @@ class Instance:
         for func, body in zip(own, bodies):
             func.prepared = body
         self.engine = engine
+        self.entries.clear()
         return bodies
 
     # ----- state snapshot (checkpoint/restore) -------------------------
@@ -349,7 +355,7 @@ class Instance:
             raise LinkError(f"no export named {name!r}")
         if export.kind == "func":
             index = export.index
-            return ExportedFunc(self.funcs[index].functype, index, self)
+            return ExportedFunc(self.funcs[index].functype, index, self, name)
         if export.kind == "mem":
             return self.memory
         if export.kind == "table":
@@ -366,57 +372,80 @@ class Instance:
         store's fuel budget for this call.  Returns a single value, or
         ``None`` for void functions.  Integer results are returned in
         *signed* interpretation (the natural embedding for Python callers).
-
-        A compiled (aot) body is entered right here, as
-        :func:`~repro.wasm.aot.execute_aot` would enter it; anything else
-        goes through :meth:`_enter` and :meth:`invoke_index`.
+        The arguments are masked / rounded to their types, then handed to
+        the function's bound :meth:`entry`.
         """
+        enter = self.entries.get(name) or self.entry(name)
+        if fuel != "unset":
+            self.store.fuel = fuel
+        params = enter.functype.params
+        if len(args) != len(params):
+            raise TypeError(f"{name} expects {len(params)} args, got {len(args)}")
+        return enter(self, *[_normalize_arg(a, vt) for a, vt in zip(args, params)])
+
+    def entry(self, name: str) -> Callable:
+        """The bound entry of exported function ``name``, the one way a
+        Python caller enters it: ``entry(self, *args)`` runs it at depth 0
+        on the store's fuel with arguments already of their types and
+        returns what :meth:`call` returns.
+
+        Bound on first use and kept until :meth:`retier`: a compiled (aot)
+        body is entered as ``run(inst, store, 0, fuel, *args)``, anything
+        else through :meth:`_enter`.  ``entry.functype`` is the export's
+        type.  The instance is an argument, not a captured variable, so
+        :attr:`entries` makes no reference cycle: a dropped instance is
+        freed at once.
+        """
+        enter = self.entries.get(name)
+        if enter is not None:
+            return enter
         export = self._exports.get(name)
         if export is None or export.kind != "func":
             raise LinkError(f"no exported function named {name!r}")
-        store = self.store
-        if fuel != "unset":
-            store.fuel = fuel
-        func = self.funcs[export.index]
-        functype = func.functype
-        params = functype.params
-        if len(args) != len(params):
-            raise TypeError(f"{name} expects {len(params)} args, got {len(args)}")
-        args = [_normalize_arg(a, vt) for a, vt in zip(args, params)]
-        results = functype.results
+        index = export.index
+        func = self.funcs[index]
+        results = func.functype.results
+        bits = 0 if not results else _INT_BITS.get(results[0], 0)
+        sign, wrap = (1 << bits - 1, 1 << bits) if bits else (0, 0)
         body = getattr(func, "prepared", None)  # an exported import has none
         if body.__class__ is AotCode:
             run = body.run or body.compile()
-            unlimited = store.fuel is None  # see _enter
-            if unlimited:
-                store.fuel = UNLIMITED_FUEL
-            try:
-                if not results:
-                    store.fuel = run(self, store, 0, store.fuel, *args)
-                    return None
-                store.fuel, value = run(self, store, 0, store.fuel, *args)
-            finally:
+
+            def enter(inst, *args):
+                store = inst.store
+                fuel = store.fuel
+                unlimited = fuel is None  # see _enter
                 if unlimited:
-                    store.fuel = None
+                    fuel = UNLIMITED_FUEL
+                try:
+                    if not results:
+                        store.fuel = run(inst, store, 0, fuel, *args)
+                        return None
+                    store.fuel, value = run(inst, store, 0, fuel, *args)
+                finally:
+                    if unlimited:
+                        store.fuel = None
+                return value - wrap if sign and value & sign else value
         else:
-            returned = self._enter(export.index, args)
-            if not results:
-                return None
-            value = returned[0]
-        rt = results[0]
-        if rt == ValType.I32:
-            return value - (1 << 32) if value & 0x80000000 else value
-        if rt == ValType.I64:
-            return value - (1 << 64) if value & (1 << 63) else value
-        return value
+
+            def enter(inst, *args):
+                returned = inst._enter(index, list(args))
+                if not results:
+                    return None
+                value = returned[0]
+                return value - wrap if sign and value & sign else value
+
+        enter.functype = func.functype
+        self.entries[name] = enter
+        return enter
 
     def _enter(self, func_index: int, stack: list) -> Sequence:
-        """Enter Wasm from Python at depth 0: :meth:`call`, an
-        :class:`ExportedFunc` and the start function.
+        """Enter Wasm from Python at depth 0: the start function and the
+        :meth:`entry` of any export that is not compiled code.
 
-        The one place an absent budget is handled: the engines always
-        meter, so a store with ``fuel is None`` runs the entry on
-        :data:`UNLIMITED_FUEL` and reads ``None`` again however it ends.
+        The engines always meter, so a store with ``fuel is None`` runs
+        the entry on :data:`UNLIMITED_FUEL` and reads ``None`` again
+        however it ends (a compiled entry does the same).
         """
         store = self.store
         if store.fuel is not None:
@@ -457,15 +486,17 @@ class Instance:
 
 @dataclass
 class ExportedFunc:
-    """Python-callable handle to an exported function."""
+    """Python-callable handle to an exported function: its instance's
+    bound :meth:`~Instance.entry`, with the arguments normalised."""
 
     functype: FuncType
     index: int
     instance: Instance
+    name: str
 
     def __call__(self, *args):
-        stack = [
-            _normalize_arg(a, vt) for a, vt in zip(args, self.functype.params)
-        ]
-        results = self.instance._enter(self.index, stack)
-        return results[0] if self.functype.results else None
+        instance = self.instance
+        return instance.entry(self.name)(
+            instance,
+            *[_normalize_arg(a, vt) for a, vt in zip(args, self.functype.params)],
+        )

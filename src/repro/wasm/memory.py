@@ -50,12 +50,18 @@ class Memory:
     # ----- raw byte access (used by hosts and the ABI layer) ---------------
 
     def read(self, addr: int, size: int) -> bytes:
-        self._check(addr, size)
-        return bytes(self.data[addr : addr + size])
+        data = self.data
+        end = addr + size
+        if addr < 0 or end > len(data):
+            raise MemoryOutOfBounds(addr, size, len(data))
+        return bytes(data[addr:end])
 
     def write(self, addr: int, payload: bytes) -> None:
-        self._check(addr, len(payload))
-        self.data[addr : addr + len(payload)] = payload
+        data = self.data
+        end = addr + len(payload)
+        if addr < 0 or end > len(data):
+            raise MemoryOutOfBounds(addr, len(payload), len(data))
+        data[addr:end] = payload
 
     # ----- typed loads (return Python ints / floats) -----------------------
 

@@ -17,6 +17,7 @@ import struct
 import threading
 import time
 from abc import ABC, abstractmethod
+from functools import partial
 
 from repro.netio.framing import read_frame, write_frame
 from repro.obs import OBS, BoundMetrics, MetricsRegistry
@@ -24,6 +25,20 @@ from repro.obs import OBS, BoundMetrics, MetricsRegistry
 
 class NetworkError(RuntimeError):
     """Endpoint resolution or delivery failure."""
+
+
+def recv_exact(conn: socket.socket, n: int) -> bytearray:
+    """The next ``n`` bytes of ``conn``, received into one buffer of that
+    size (linear in ``n``); ``ConnectionError`` if the peer closes first."""
+    buf = bytearray(n)
+    view = memoryview(buf)
+    got = 0
+    while got < n:
+        k = conn.recv_into(view[got:])
+        if not k:
+            raise ConnectionError("peer closed")
+        got += k
+    return buf
 
 
 class Endpoint(ABC):
@@ -172,18 +187,9 @@ class _TcpEndpoint(_QueuedEndpoint):
             ).start()
 
     def _reader_loop(self, conn: socket.socket) -> None:
-        def recv_exact(n: int) -> bytes:
-            buf = b""
-            while len(buf) < n:
-                chunk = conn.recv(n - len(buf))
-                if not chunk:
-                    raise ConnectionError("peer closed")
-                buf += chunk
-            return buf
-
         try:
             while True:
-                source, payload = read_frame(recv_exact)
+                source, payload = read_frame(partial(recv_exact, conn))
                 if OBS.enabled:
                     frames, nbytes = self._recv_series.get(OBS.registry)
                     frames.inc()

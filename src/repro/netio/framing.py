@@ -26,7 +26,9 @@ def write_frame(source: str, payload: bytes) -> bytes:
 
 
 def read_frame(recv_exact) -> tuple[str, bytes]:
-    """Read one frame using ``recv_exact(n) -> bytes`` (raises on EOF)."""
+    """Read one frame using ``recv_exact(n)``, which returns ``n`` bytes
+    (a ``bytes`` or ``bytearray``) or raises on EOF; the payload is
+    ``bytes``, copied once."""
     (length,) = struct.unpack("<I", recv_exact(4))
     if length > MAX_FRAME:
         raise FrameError(f"frame too large: {length}")
@@ -37,4 +39,4 @@ def read_frame(recv_exact) -> tuple[str, bytes]:
     if 2 + src_len > len(body):
         raise FrameError("source name overruns frame")
     source = body[2 : 2 + src_len].decode("utf-8")
-    return source, body[2 + src_len :]
+    return source, bytes(memoryview(body)[2 + src_len :])

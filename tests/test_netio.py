@@ -1,5 +1,11 @@
 """Transport tests: framing, in-proc and TCP networks."""
 
+import random
+import socket
+import struct
+import time
+from functools import partial
+
 import pytest
 
 from repro.netio import (
@@ -10,6 +16,7 @@ from repro.netio import (
     read_frame,
     write_frame,
 )
+from repro.netio.bus import recv_exact
 
 
 class TestFraming:
@@ -153,6 +160,37 @@ class TestTcpNetwork:
                 a.send("ghost", b"x")
         finally:
             net.close()
+
+    def test_an_8_mib_frame_arrives_byte_identical(self):
+        """A frame far larger than one ``recv``: read into one buffer."""
+        payload = random.Random(8).randbytes(8 << 20)
+        with TcpNetwork() as net:
+            a = net.endpoint("a")
+            b = net.endpoint("b")
+            a.send("b", payload)
+            source, got = b.recv(timeout=30.0)
+            assert source == "a" and type(got) is bytes and got == payload
+
+    def test_a_peer_closing_mid_frame_ends_the_reader(self):
+        """The header promises 100 bytes, 3 arrive, then EOF."""
+        partial_frame = struct.pack("<I", 100) + b"\x01\x00x"
+        left, right = socket.socketpair()
+        with right:
+            with left:
+                left.sendall(partial_frame)
+            with pytest.raises(ConnectionError):
+                read_frame(partial(recv_exact, right))
+        with TcpNetwork() as net:
+            b = net.endpoint("b")
+            with socket.create_connection(("127.0.0.1", b.port)) as raw:
+                raw.sendall(partial_frame)
+            a = net.endpoint("a")
+            a.send("b", b"after")  # accepted after the torn connection
+            assert b.recv(timeout=5.0) == ("a", b"after")
+            deadline = time.monotonic() + 5.0
+            while len(b._conns) > 1:  # the torn one's reader drops it
+                assert time.monotonic() < deadline, "a reader outlived its peer"
+                time.sleep(0.01)
 
 
 def _open_fds() -> int:

@@ -162,11 +162,15 @@ def trace_digest(span_docs: list[dict[str, Any]]) -> str:
     nest, and their stable attributes.  The digest therefore folds the
     sorted multiset of ``(service, name, parent-name, status, attrs)``
     lines, where float-valued attributes (timings smuggled into attrs)
-    are excluded.
+    are excluded.  So are ``wacc.compile`` spans, which the exported trace
+    keeps: they record a miss in a process-wide memo of compiled plugins,
+    which a run may or may not find filled, not the traced workload.
     """
     names = {doc["span_id"]: doc["name"] for doc in span_docs}
     lines = []
     for doc in span_docs:
+        if doc["name"] == "wacc.compile":
+            continue
         parent = names.get(doc.get("parent_id"), "")
         attrs = ",".join(
             f"{k}={v}"

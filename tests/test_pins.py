@@ -108,7 +108,7 @@ PINS = {
     "chaos_log_body": (ENGINES, partial(chaos_digest, header=False),
                        "7091fe6f326be0a428b742cf5b850979c11bd70a9d11f7a1073e4f7d895f6782"),
     "trace_inline": (ENGINES, trace_digest,
-                     "f0ef83b3cf7f09f21c2c190c402e0c5f73673cd173ae4570adfd654c83422200"),
+                     "5064e56f07b78027d49c987a8c493f0589c047c5670c4c8525fa186b50504139"),
     "scale_inline": (ENGINES, scale_digests,
                      "4c2f0b1789c5aba8f0989bff53c0285e13889201b400048955ccee72a0864e8b"  # bytes
                      "57b805729abe1cb6cb2a1884035aedaa27f07246534000d49da3326ce98e5e19"),  # faults

@@ -8,7 +8,8 @@ import pytest
 from repro import obs
 from repro.cli import main
 from repro.cluster import ClusterSpec, run_cluster
-from repro.obs.traceexport import chrome_trace, validate_chrome_trace
+from repro.obs.traceexport import chrome_trace, trace_digest, validate_chrome_trace
+from repro.plugins import plugin_wasm
 
 #: small enough for CI, big enough for several KPM/flush periods
 TRACED = ClusterSpec(
@@ -97,6 +98,23 @@ class TestInlineTracedRun:
         d1 = run_cluster(TRACED).trace_digest
         d2 = run_cluster(TRACED).trace_digest
         assert d1 and d1 == d2
+
+    def test_digest_ignores_the_compile_memo(self):
+        """A run that compiles its plugins (a ``wacc.compile`` span each)
+        and one that finds them compiled trace the same workload."""
+        plugin_wasm.cache_clear()
+        compiled = run_cluster(TRACED)
+        reused = run_cluster(TRACED)
+        names = [[d["name"] for d in r.spans].count("wacc.compile") for r in (compiled, reused)]
+        assert names[0] > 0 == names[1]  # the export keeps the spans
+        assert compiled.trace_digest == reused.trace_digest
+
+    def test_digest_sees_a_missing_plugin_call(self):
+        spans = run_cluster(TRACED).spans
+        calls = [i for i, d in enumerate(spans) if d["name"] == "plugin.call"]
+        assert calls
+        dropped = spans[: calls[-1]] + spans[calls[-1] + 1 :]
+        assert trace_digest(dropped) != trace_digest(spans)
 
     def test_chrome_export_validates(self):
         report = run_cluster(TRACED)

@@ -54,8 +54,6 @@ from repro.wasm.traps import LinkError, MemoryOutOfBounds, Trap, WasmError
 #: variant living 5 calls burns ~5 k and never gets there.)
 PROMOTE_FUEL_PER_INSTR = 128
 
-_U32 = struct.Struct("<I")
-
 
 class PluginError(RuntimeError):
     """The plugin misbehaved: trapped, broke the ABI, or overran limits."""
@@ -601,16 +599,11 @@ class PluginHost:
             # `alloc` is only consulted on the first call and when
             # the input outgrows the scratch capacity - it never
             # shrinks, so back-to-back calls reuse one region
-            # the live instance's bound entries (dropped with it, and by a
-            # promotion's retier): lengths and pointers are i32 already
-            entries = instance.entries
             in_len = len(input_bytes)
             if self._scratch_ptr is not None and in_len <= self._scratch_cap:
                 in_ptr = self._scratch_ptr
             else:
-                in_ptr = (entries.get("alloc") or instance.entry("alloc"))(
-                    instance, in_len
-                )
+                in_ptr = instance.entry("alloc")(instance, in_len)
                 if in_ptr is None or in_ptr < 0:
                     raise PluginError(
                         f"{self.name}: alloc returned bad pointer {in_ptr}",
@@ -621,9 +614,8 @@ class PluginHost:
                 self.scratch_allocs += 1
             instance.memory.write(in_ptr, input_bytes)
             encoded_ns = time.perf_counter_ns()
-            out_ptr = (entries.get(entry) or instance.entry(entry))(
-                instance, in_ptr, in_len
-            )
+            # the live instance's bound entry: both arguments are i32 already
+            out_ptr = instance.entry(entry)(instance, in_ptr, in_len)
             invoked_ns = time.perf_counter_ns()
             output = self._read_output(out_ptr)
         except PluginError as exc:
@@ -894,7 +886,7 @@ class PluginHost:
         size = len(data)
         if out_ptr + 4 > size:
             raise PluginError(f"{self.name}: output pointer out of bounds", "abi")
-        (count,) = _U32.unpack_from(data, out_ptr)
+        (count,) = struct.unpack_from("<I", data, out_ptr)
         if count > 10_000:
             raise PluginError(f"{self.name}: implausible record count {count}", "abi")
         length = 4 + count * self.output_record_bytes

@@ -26,9 +26,7 @@ def write_frame(source: str, payload: bytes) -> bytes:
 
 
 def read_frame(recv_exact) -> tuple[str, bytes]:
-    """Read one frame using ``recv_exact(n)``, which returns ``n`` bytes
-    (a ``bytes`` or ``bytearray``) or raises on EOF; the payload is
-    ``bytes``, copied once."""
+    """Read one frame using ``recv_exact(n) -> bytes | bytearray`` (raises on EOF)."""
     (length,) = struct.unpack("<I", recv_exact(4))
     if length > MAX_FRAME:
         raise FrameError(f"frame too large: {length}")

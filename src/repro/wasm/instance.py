@@ -31,8 +31,8 @@ from repro.wasm.wtypes import FuncType, GlobalType, Limits, ValType
 #: the budget a ``Store(fuel=None)`` entry runs on: every engine meters,
 #: and at one instruction per nanosecond this lasts ~290 years
 UNLIMITED_FUEL = sys.maxsize
-#: result types an entry returns in signed interpretation, by width
-_INT_BITS = {ValType.I32: 32, ValType.I64: 64}
+#: the sign bit of each result type an entry returns signed
+_SIGN_BIT = {ValType.I32: 1 << 31, ValType.I64: 1 << 63}
 
 
 class Store:
@@ -354,8 +354,7 @@ class Instance:
         if export is None:
             raise LinkError(f"no export named {name!r}")
         if export.kind == "func":
-            index = export.index
-            return ExportedFunc(self.funcs[index].functype, index, self, name)
+            return ExportedFunc(self.funcs[export.index].functype, self, name)
         if export.kind == "mem":
             return self.memory
         if export.kind == "table":
@@ -372,10 +371,9 @@ class Instance:
         store's fuel budget for this call.  Returns a single value, or
         ``None`` for void functions.  Integer results are returned in
         *signed* interpretation (the natural embedding for Python callers).
-        The arguments are masked / rounded to their types, then handed to
-        the function's bound :meth:`entry`.
+        Masks / rounds the arguments, then calls the export's :meth:`entry`.
         """
-        enter = self.entries.get(name) or self.entry(name)
+        enter = self.entry(name)
         if fuel != "unset":
             self.store.fuel = fuel
         params = enter.functype.params
@@ -386,15 +384,12 @@ class Instance:
     def entry(self, name: str) -> Callable:
         """The bound entry of exported function ``name``, the one way a
         Python caller enters it: ``entry(self, *args)`` runs it at depth 0
-        on the store's fuel with arguments already of their types and
-        returns what :meth:`call` returns.
-
-        Bound on first use and kept until :meth:`retier`: a compiled (aot)
-        body is entered as ``run(inst, store, 0, fuel, *args)``, anything
-        else through :meth:`_enter`.  ``entry.functype`` is the export's
-        type.  The instance is an argument, not a captured variable, so
-        :attr:`entries` makes no reference cycle: a dropped instance is
-        freed at once.
+        on the store's fuel, arguments already of their types, and returns
+        what :meth:`call` returns.  Bound on first use and kept until
+        :meth:`retier`: a compiled body is entered as ``run(inst, store, 0,
+        fuel, *args)``, anything else through :meth:`_enter`.  The instance
+        is an argument, not captured, so :attr:`entries` makes no reference
+        cycle: a dropped instance is freed at once.
         """
         enter = self.entries.get(name)
         if enter is not None:
@@ -405,8 +400,7 @@ class Instance:
         index = export.index
         func = self.funcs[index]
         results = func.functype.results
-        bits = 0 if not results else _INT_BITS.get(results[0], 0)
-        sign, wrap = (1 << bits - 1, 1 << bits) if bits else (0, 0)
+        sign = _SIGN_BIT.get(results[0], 0) if results else 0
         body = getattr(func, "prepared", None)  # an exported import has none
         if body.__class__ is AotCode:
             run = body.run or body.compile()
@@ -425,7 +419,7 @@ class Instance:
                 finally:
                     if unlimited:
                         store.fuel = None
-                return value - wrap if sign and value & sign else value
+                return value - (sign << 1) if sign and value & sign else value
         else:
 
             def enter(inst, *args):
@@ -433,7 +427,7 @@ class Instance:
                 if not results:
                     return None
                 value = returned[0]
-                return value - wrap if sign and value & sign else value
+                return value - (sign << 1) if sign and value & sign else value
 
         enter.functype = func.functype
         self.entries[name] = enter
@@ -490,7 +484,6 @@ class ExportedFunc:
     bound :meth:`~Instance.entry`, with the arguments normalised."""
 
     functype: FuncType
-    index: int
     instance: Instance
     name: str
 

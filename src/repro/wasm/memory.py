@@ -50,18 +50,14 @@ class Memory:
     # ----- raw byte access (used by hosts and the ABI layer) ---------------
 
     def read(self, addr: int, size: int) -> bytes:
-        data = self.data
-        end = addr + size
-        if addr < 0 or end > len(data):
-            raise MemoryOutOfBounds(addr, size, len(data))
-        return bytes(data[addr:end])
+        if addr < 0 or addr + size > len(self.data):
+            raise MemoryOutOfBounds(addr, size, len(self.data))
+        return bytes(self.data[addr : addr + size])
 
     def write(self, addr: int, payload: bytes) -> None:
-        data = self.data
-        end = addr + len(payload)
-        if addr < 0 or end > len(data):
-            raise MemoryOutOfBounds(addr, len(payload), len(data))
-        data[addr:end] = payload
+        if addr < 0 or addr + len(payload) > len(self.data):
+            raise MemoryOutOfBounds(addr, len(payload), len(self.data))
+        self.data[addr : addr + len(payload)] = payload
 
     # ----- typed loads (return Python ints / floats) -----------------------
 

@@ -278,10 +278,10 @@ def telemetry_rows() -> dict[str, float]:
     }
 
 
-def slot_ratio(pairs: int = 100, slots: int = 6) -> float:
+def slot_ratio() -> float:
     """``sparse_metro``'s slot loop with telemetry on over off: the median
-    of ``pairs`` alternated pairs of ``slots``-slot blocks of one cell set,
-    each block timed in this thread's CPU time."""
+    of 100 alternated pairs of 6-slot blocks of one cell set, each block
+    timed in this thread's CPU time."""
     from benchmarks.ledger.workloads import STEADY, WORKLOADS, make_phase
     from repro import obs
 
@@ -290,13 +290,13 @@ def slot_ratio(pairs: int = 100, slots: int = 6) -> float:
     def block(on: bool) -> float:
         (obs.enable if on else obs.disable)()
         start = time.thread_time_ns()
-        phase.block(slots)
+        phase.block(6)
         return time.thread_time_ns() - start
 
     was_enabled = obs.OBS.enabled
     try:
         block(False), block(True)  # promotions and handle binding, untimed
-        return alternated(block, pairs)
+        return alternated(block, 100)
     finally:
         (obs.enable if was_enabled else obs.disable)()
 

@@ -50,13 +50,11 @@ class Memory:
     # ----- raw byte access (used by hosts and the ABI layer) ---------------
 
     def read(self, addr: int, size: int) -> bytes:
-        if addr < 0 or addr + size > len(self.data):
-            raise MemoryOutOfBounds(addr, size, len(self.data))
+        self._check(addr, size)
         return bytes(self.data[addr : addr + size])
 
     def write(self, addr: int, payload: bytes) -> None:
-        if addr < 0 or addr + len(payload) > len(self.data):
-            raise MemoryOutOfBounds(addr, len(payload), len(self.data))
+        self._check(addr, len(payload))
         self.data[addr : addr + len(payload)] = payload
 
     # ----- typed loads (return Python ints / floats) -----------------------

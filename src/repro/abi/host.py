@@ -40,7 +40,7 @@ from repro.wasm.aot import own_frames
 from repro.wasm.instance import HostFunc, InstanceState, Store
 from repro.wasm.interpreter import ExecStats
 from repro.wasm.threaded import resolve_engine
-from repro.wasm.traps import LinkError, MemoryOutOfBounds, Trap, WasmError
+from repro.wasm.traps import LinkError, Trap, WasmError
 
 #: Tier-up threshold: a module is compiled to aot bodies once its
 #: instances have burnt this much fuel per static instruction.  Derived,
@@ -879,14 +879,12 @@ class PluginHost:
         )
 
     def _read_output(self, out_ptr) -> bytes:
-        """The output record block at ``out_ptr``: checked, then copied once."""
+        memory = self.instance.memory
         if out_ptr is None or out_ptr < 0:
             raise PluginError(f"{self.name}: run returned bad pointer {out_ptr}", "abi")
-        data = self.instance.memory.data
-        size = len(data)
-        if out_ptr + 4 > size:
+        if out_ptr + 4 > len(memory.data):
             raise PluginError(f"{self.name}: output pointer out of bounds", "abi")
-        (count,) = struct.unpack_from("<I", data, out_ptr)
+        (count,) = struct.unpack_from("<I", memory.data, out_ptr)
         if count > 10_000:
             raise PluginError(f"{self.name}: implausible record count {count}", "abi")
         length = 4 + count * self.output_record_bytes
@@ -894,11 +892,10 @@ class PluginHost:
             raise PluginError(
                 f"{self.name}: output {length} bytes exceeds limit", "abi"
             )
-        end = out_ptr + length
-        if end > size:
-            oob = MemoryOutOfBounds(out_ptr, length, size)
-            raise PluginError(f"{self.name}: output out of bounds: {oob}", "abi") from oob
-        return bytes(data[out_ptr:end])
+        try:
+            return memory.read(out_ptr, length)
+        except Trap as exc:
+            raise PluginError(f"{self.name}: output out of bounds: {exc}", "abi") from exc
 
     # ----- diagnostics -----------------------------------------------------------
 

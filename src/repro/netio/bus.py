@@ -27,14 +27,21 @@ class NetworkError(RuntimeError):
     """Endpoint resolution or delivery failure."""
 
 
+#: How far a frame's buffer grows past the bytes already received: a peer
+#: that sends a header and stalls holds this much, not the declared length.
+RECV_AHEAD = 1 << 20
+
+
 def recv_exact(conn: socket.socket, n: int) -> bytearray:
-    """The next ``n`` bytes of ``conn``, received into one buffer of that
-    size (linear in ``n``); ``ConnectionError`` if the peer closes first."""
-    buf = bytearray(n)
-    view = memoryview(buf)
-    got = 0
+    """The next ``n`` bytes of ``conn``, received with ``recv_into`` into one
+    buffer grown :data:`RECV_AHEAD` bytes at a time (linear in ``n``);
+    ``ConnectionError`` if the peer closes first."""
+    buf, got = bytearray(), 0
     while got < n:
-        k = conn.recv_into(view[got:])
+        if got == len(buf):
+            buf += bytes(min(n - got, RECV_AHEAD))
+        with memoryview(buf) as view:
+            k = conn.recv_into(view[got:])
         if not k:
             raise ConnectionError("peer closed")
         got += k

@@ -16,7 +16,7 @@ from repro.netio import (
     read_frame,
     write_frame,
 )
-from repro.netio.bus import recv_exact
+from repro.netio.bus import RECV_AHEAD, recv_exact
 
 
 class TestFraming:
@@ -191,6 +191,29 @@ class TestTcpNetwork:
             while len(b._conns) > 1:  # the torn one's reader drops it
                 assert time.monotonic() < deadline, "a reader outlived its peer"
                 time.sleep(0.01)
+
+    def test_the_buffer_grows_with_the_bytes_received(self):
+        """A header that declares 16 MiB buys no more than ``RECV_AHEAD``
+        of buffer until the bytes arrive."""
+        payload = random.Random(3).randbytes(3 * RECV_AHEAD + 5)
+        offered = []
+
+        class Trickle:  # a peer that sends at most 64 KiB per recv
+            sent = 0
+
+            def recv_into(self, view):
+                offered.append(len(view))
+                k = min(len(view), 1 << 16, len(payload) - self.sent)
+                view[:k] = payload[self.sent : self.sent + k]
+                self.sent += k
+                return k
+
+        assert recv_exact(Trickle(), len(payload)) == payload
+        assert max(offered) == RECV_AHEAD
+        offered.clear()
+        with pytest.raises(ConnectionError):
+            recv_exact(Trickle(), 16 << 20)
+        assert max(offered) == RECV_AHEAD
 
 
 def _open_fds() -> int:

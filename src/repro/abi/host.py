@@ -23,15 +23,13 @@ state, run the plugin, unpack and validate the grants.
 from __future__ import annotations
 
 import struct
-import threading
 import time
-from collections import Counter
 from dataclasses import dataclass
 
 from repro.abi import wire
 from repro.abi.hostfuncs import ALLOWED_IMPORTS, make_env
 from repro.abi.sanitizer import SanitizerError, check_module
-from repro.obs import OBS, BoundMetrics, MetricsRegistry
+from repro.obs import OBS
 from repro.obs.flight import CallRecord
 from repro.obs.tracing import SpanMark
 from repro.sched.types import UeGrant, UeSchedInfo
@@ -115,34 +113,9 @@ class HostLimits:
     max_output_bytes: int = 1 << 16
 
 
-#: calls a plugin's series take in before the call that fills the batch
-#: folds it (every registry read folds it too)
+#: calls the call log holds before the one that fills it hands them to
+#: the readers (every read pulls it too)
 CALL_BATCH = 256
-#: values one call appends to its batch: outcome, elapsed_us, fuel_used,
-#: frames, call depth, value stack, memory pages
-_CALL_FIELDS = 7
-_BATCH_VALUES = CALL_BATCH * _CALL_FIELDS
-
-
-def _call_span(facts, children_us) -> tuple:
-    """The ``plugin.call`` span's attrs, status and phases, built on read
-    from the call's record: ``(plugin, entry, outcome, start_ns,
-    encoded_ns, invoked_ns, end_ns)``.  Spans opened inside the call are
-    its children in the tree, not phases."""
-    plugin, entry, outcome, start, encoded, invoked, end = facts
-    # a phase the call never finished runs to the end of the span: the
-    # time up to a trap is booked under the phase it cut short
-    encoded = encoded or end
-    invoked = invoked or end
-    return (
-        {"plugin": plugin, "entry": entry, "outcome": outcome},
-        "ok" if outcome == "ok" else "error",
-        {
-            "plugin.encode": (encoded - start) / 1000.0,
-            "plugin.invoke": (invoked - encoded) / 1000.0,
-            "plugin.decode": (end - invoked) / 1000.0,
-        },
-    )
 
 
 def _escaped_call_span(facts, children_us) -> tuple:
@@ -150,86 +123,6 @@ def _escaped_call_span(facts, children_us) -> tuple:
     (what a ``with`` span records): ``(plugin, entry, error)``."""
     plugin, entry, error = facts
     return {"plugin": plugin, "entry": entry, "error": error}, "error", None
-
-
-def _bind_call_metrics(reg: MetricsRegistry, plugin: str) -> "_CallMetrics":
-    return reg.batch((_CallMetrics, plugin), lambda: _CallMetrics(reg, plugin))
-
-
-class _CallMetrics:
-    """The per-call series of one plugin name in one registry, and the
-    calls recorded for them but not folded in yet.
-
-    Every host of that name in that registry shares the one batch, so the
-    calls fold in the order they were made.  A call is one ``extend`` of
-    its :data:`_CALL_FIELDS` values onto the flat list ``_pending``
-    (:meth:`PluginHost.call` does it in line: no object the cycle
-    collector tracks outlives the call); :meth:`fold` runs when the batch
-    is full and on every registry read (:meth:`MetricsRegistry.batch`).
-    Integer series fold grouped by value through the exact
-    :meth:`LogHistogram.add_n`; ``call_us`` floats are added one at a time
-    in arrival order - so a read sees what observing every call on arrival
-    would have left.
-    """
-
-    __slots__ = (
-        "calls", "call_us", "fuel_used", "frames",
-        "call_depth_peak", "value_stack_peak", "memory_pages",
-        "_pending", "_lock",
-    )
-
-    def __init__(self, reg: MetricsRegistry, plugin: str):
-        self.calls = reg.counter(
-            "waran_plugin_calls_total", "plugin invocations by outcome"
-        ).labels_by("outcome", plugin=plugin)
-        self.call_us = reg.histogram(
-            "waran_plugin_call_us", "end-to-end plugin call time (us)"
-        ).labels(plugin=plugin)
-        # fuel is decremented exactly once per executed instruction, so
-        # this is also the instructions-retired count
-        self.fuel_used = reg.histogram(
-            "waran_plugin_fuel_used", "fuel consumed per call"
-        ).labels(plugin=plugin)
-        self.frames = reg.histogram(
-            "waran_wasm_frames", "function frames entered per call"
-        ).labels(plugin=plugin)
-        self.call_depth_peak = reg.histogram(
-            "waran_wasm_call_depth_peak", "peak call depth per call"
-        ).labels(plugin=plugin)
-        self.value_stack_peak = reg.histogram(
-            "waran_wasm_value_stack_peak",
-            "peak operand-stack height per call (static bound)",
-        ).labels(plugin=plugin)
-        self.memory_pages = reg.gauge(
-            "waran_plugin_memory_pages", "linear memory size (64KiB pages)"
-        ).labels(plugin=plugin)
-        self._pending: list = []
-        self._lock = threading.Lock()
-
-    def fold(self) -> None:
-        """Apply the pending calls to the series (thread-safe)."""
-        with self._lock:
-            pending = self._pending
-            n = len(pending)
-            if not n:
-                return
-            # slice, then delete that slice: a call added meanwhile (one
-            # extend; a recording thread takes no lock) sits behind it, kept
-            calls = pending[:n]
-            del pending[:n]
-            self.call_us.extend(calls[1::_CALL_FIELDS])
-            for outcome, count in Counter(calls[0::_CALL_FIELDS]).items():
-                self.calls[outcome].inc(count)
-            for series, first in (
-                (self.fuel_used, 2),
-                (self.frames, 3),
-                (self.call_depth_peak, 4),
-                (self.value_stack_peak, 5),
-            ):
-                for value, count in Counter(calls[first::_CALL_FIELDS]).items():
-                    if value is not None:
-                        series.add_n(value, count)
-            self.memory_pages.set(calls[-1])  # the last call's memory size
 
 
 class PluginHost:
@@ -271,9 +164,8 @@ class PluginHost:
         #: number of times the host had to call the plugin's ``alloc``
         #: (first call, scratch growth, or after a swap/load)
         self.scratch_allocs = 0
-        # what telemetry needs per call, allocated once: the series, the
-        # frame counters (zeroed per call) and the plugin.call span's ids
-        self._metrics = BoundMetrics(_bind_call_metrics)
+        # what telemetry needs per call, allocated once: the frame
+        # counters (zeroed per call) and the plugin.call span's ids
         self._stats = ExecStats()
         self._span = SpanMark()
         self._load(wasm_bytes)
@@ -363,6 +255,11 @@ class PluginHost:
         self._scratch_cap = 0
         return warm
 
+    def _lifecycle(self, event: str, total: str, help: str, **fields) -> None:
+        """A lifecycle step's event and its per-plugin counter."""
+        OBS.events.emit(event, source=self.name, **fields)
+        OBS.registry.counter(total, help).inc(plugin=self.name)
+
     # ----- tier-up -----------------------------------------------------------
 
     @property
@@ -394,18 +291,12 @@ class PluginHost:
         self._warming = False
         if OBS.enabled:
             promote_us = (time.perf_counter_ns() - start) / 1000.0
-            OBS.events.emit(
-                "plugin.promote",
-                source=self.name,
-                module_sha=self.module_sha,
-                heat=codecache.heat(instance.module),
-                static_instrs=self._static_instrs,
-                compile_us=promote_us,
-            )
-            OBS.registry.counter(
-                "waran_plugin_promotions_total",
+            self._lifecycle(
+                "plugin.promote", "waran_plugin_promotions_total",
                 "live instances switched from threaded to compiled code",
-            ).inc(plugin=self.name)
+                module_sha=self.module_sha, heat=codecache.heat(instance.module),
+                static_instrs=self._static_instrs, compile_us=promote_us,
+            )
             OBS.registry.histogram(
                 "waran_wasm_promote_us",
                 "time to compile (or fetch) aot bodies and rebind an instance (us)",
@@ -439,16 +330,10 @@ class PluginHost:
         warm = self._load(wasm_bytes)
         self.generation += 1
         if OBS.enabled:
-            OBS.events.emit(
-                "plugin.swap",
-                source=self.name,
-                generation=self.generation,
-                size_bytes=len(wasm_bytes),
-                warm=warm,
+            self._lifecycle(
+                "plugin.swap", "waran_plugin_swaps_total", "hot swaps performed",
+                generation=self.generation, size_bytes=len(wasm_bytes), warm=warm,
             )
-            OBS.registry.counter(
-                "waran_plugin_swaps_total", "hot swaps performed"
-            ).inc(plugin=self.name)
         return self.generation
 
     # ----- checkpoint / restore ----------------------------------------------
@@ -468,15 +353,11 @@ class PluginHost:
             scratch_cap=self._scratch_cap,
         )
         if OBS.enabled:
-            OBS.events.emit(
-                "plugin.checkpoint",
-                source=self.name,
-                generation=self.generation,
+            self._lifecycle(
+                "plugin.checkpoint", "waran_plugin_checkpoints_total",
+                "checkpoints taken", generation=self.generation,
                 memory_pages=snapshot.memory_pages,
             )
-            OBS.registry.counter(
-                "waran_plugin_checkpoints_total", "checkpoints taken"
-            ).inc(plugin=self.name)
         return snapshot
 
     def restore(self, snapshot: PluginCheckpoint) -> None:
@@ -505,15 +386,11 @@ class PluginHost:
         self._scratch_ptr = snapshot.scratch_ptr
         self._scratch_cap = snapshot.scratch_cap
         if OBS.enabled:
-            OBS.events.emit(
-                "plugin.restore",
-                source=self.name,
-                generation=self.generation,
+            self._lifecycle(
+                "plugin.restore", "waran_plugin_restores_total",
+                "checkpoint restores", generation=self.generation,
                 memory_pages=snapshot.memory_pages,
             )
-            OBS.registry.counter(
-                "waran_plugin_restores_total", "checkpoint restores"
-            ).inc(plugin=self.name)
 
     # ----- invocation -----------------------------------------------------------
 
@@ -540,15 +417,14 @@ class PluginHost:
         (budget, lane, verdict) attached to the flight record so
         :meth:`replay` reproduces degraded slots bit-exactly.
 
-        When telemetry is enabled (:func:`repro.obs.enable`) every call
-        emits one ``plugin.call`` span whose ``children_us`` split the
-        round trip into ``plugin.encode`` / ``plugin.invoke`` /
-        ``plugin.decode``, feeds the metrics registry (latency, fuel,
-        instruction and interpreter counters), appends a replayable record
-        to the flight recorder, and logs a structured event for every fault.
-        The span, the series and the flight record each take one record of
-        references built from the call's own clock reads; the ``Span``,
-        the folded series and the ``CallRecord`` are produced when read.
+        With telemetry on (:func:`repro.obs.enable`) a call writes one
+        record of what it has to the call log (:mod:`repro.obs.calls`),
+        from which the ``plugin.call`` span (``children_us``: the
+        ``plugin.encode`` / ``plugin.invoke`` / ``plugin.decode`` phases),
+        the registry's series and the flight recorder's ``CallRecord`` are
+        built when read; a fault also logs an event.  While Wasm runs the
+        span is on the tracer's stack, so a span a host function opens
+        parents under it.
         """
         instance = self.instance
         assert instance is not None
@@ -571,10 +447,14 @@ class PluginHost:
                 fuel = self._apply_chaos_pre(injection, fuel)
         # off means off: a call made with telemetry disabled detaches the
         # frame accounting an earlier telemetry-on call attached
-        stats = None
+        stats = mark = None
         if enabled:
             stats = self._stats
             stats.frames = stats.max_call_depth = stats.max_value_stack = 0
+            tracer = obs.tracer
+            if tracer.enabled:
+                mark = self._span
+                tracer.begin(mark)
         instance.store.stats = stats
         error: PluginError | None = None
         trap_code: str | None = None
@@ -583,10 +463,6 @@ class PluginHost:
         # so there is no fuel reading and nothing to charge to heat
         ran_wasm = False
         encoded_ns = invoked_ns = 0
-        tracer = obs.tracer
-        traced = tracer.enabled
-        if traced:
-            tracer.begin(self._span)
         start = time.perf_counter_ns()
         try:
             if injection is not None:
@@ -649,15 +525,14 @@ class PluginHost:
                 )
             error.__cause__ = exc
         except BaseException as exc:
-            if traced:  # the span a `with` block records for what it lets by
+            if mark is not None:  # the span a `with` block records for what it lets by
                 tracer.record(
-                    self._span, "plugin.call", start, time.perf_counter_ns(),
+                    mark, "plugin.call", start, time.perf_counter_ns(),
                     _escaped_call_span,
                     (self.name, entry, f"{type(exc).__name__}: {exc}"),
                 )
             raise
         end_ns = time.perf_counter_ns()
-        elapsed_us = (end_ns - start) / 1000.0
         fuel_used = None
         if ran_wasm and fuel is not None:
             fuel_used = fuel - instance.store.fuel
@@ -668,25 +543,36 @@ class PluginHost:
             )
             output = None
         outcome = "ok" if error is None else error.kind
+        elapsed_us = (end_ns - start) / 1000.0
         result = PluginCallResult(output, elapsed_us, fuel_used, outcome, trap_code)
-        if traced:
-            tracer.record(
-                self._span, "plugin.call", start, end_ns, _call_span,
-                (self.name, entry, outcome, start, encoded_ns, invoked_ns, end_ns),
-            )
         if enabled:
-            # one record per consumer, each a tuple of what the call
-            # already has; series, span and flight record are built on read
             name = self.name
-            calls = self._metrics.get(obs.registry, name)
-            pending = calls._pending
-            pending.extend((
-                outcome, elapsed_us, fuel_used, stats.frames,
-                stats.max_call_depth, stats.max_value_stack,
-                instance.memory.size_pages,
+            if type(input_bytes) is not bytes:
+                input_bytes = bytes(input_bytes)
+            detail = "" if error is None else str(error)
+            if pre is not None:
+                obs.flight.register_module(self.module_sha, self.wasm_bytes)
+            if mark is None:
+                trace_id = span_id = parent_id = thread_id = position = None
+            else:
+                position = tracer.close(mark, "plugin.call", elapsed_us)
+                trace_id, span_id = mark.trace_id, mark.span_id
+                parent_id, thread_id = mark.parent_id, mark._stack.thread_id
+            # the call's one record, at repro.obs.calls' field positions
+            calls = obs.calls
+            calls.append((
+                result, name, entry, self.generation, self.module_sha,
+                input_bytes, detail, injection, rt,
+                # the *effective* enforced budget, so replay reproduces
+                # the fuel-cut preemption bit-exactly
+                fuel if budgeted else None,
+                pre, outcome, elapsed_us, fuel_used,
+                stats.frames, stats.max_call_depth, stats.max_value_stack,
+                len(instance.memory.data), start, encoded_ns, invoked_ns, end_ns,
+                trace_id, span_id, parent_id, thread_id, position,
             ))
-            if len(pending) >= _BATCH_VALUES:
-                calls.fold()
+            if len(calls) >= CALL_BATCH:
+                obs.fold_calls()
             if injection is not None:
                 obs.registry.counter(
                     "waran_chaos_injections_total",
@@ -699,19 +585,8 @@ class PluginHost:
                     index=injection.index,
                     outcome=outcome,
                 )
-            if pre is not None:
-                obs.flight.register_module(self.module_sha, self.wasm_bytes)
-            obs.flight.record(
-                name, entry, self.generation, input_bytes, result,
-                str(error) if error is not None else "", self.module_sha,
-                injection, rt,
-                # the *effective* enforced budget, so replay reproduces
-                # the fuel-cut preemption bit-exactly
-                fuel if budgeted else None,
-                pre,
-            )
             if error is not None:
-                fields = {"entry": entry, "detail": str(error)}
+                fields = {"entry": entry, "detail": detail}
                 if trap_code is not None:
                     fields["trap_code"] = trap_code
                 obs.events.emit(f"plugin.{error.kind}", source=name, **fields)

@@ -65,9 +65,11 @@ def _bind_slice_deadline_miss(reg: MetricsRegistry, slice_name: str):
     ).labels(slice=slice_name)
 
 
-#: slots the gNB series take in before the slot that fills the batch
-#: folds it (every registry read folds it too); also the samples a
-#: slice's ``exec_us`` keeps pending
+#: samples one slice series takes in before the sample that fills it
+#: folds the batch (every registry read folds it too); also the samples a
+#: slice's ``exec_us`` keeps pending.  The slot count folds it every
+#: ``16 * _SLOT_BATCH`` slots, so a fold applies about this many samples
+#: per series however many gNBs share the registry.
 _SLOT_BATCH = 256
 
 
@@ -84,8 +86,9 @@ class _SlotMetrics:
     same slice label, and a float series must take its samples in the
     order they were made.  Recording is one ``append`` onto a list:
     ``exec_us[slice]`` (us), ``delivered[slice]`` (bytes), ``slots``
-    (one ``None`` per slot); :meth:`fold` runs when :data:`_SLOT_BATCH`
-    slots are pending and on every registry read.  A series opens on the
+    (one ``None`` per slot); :meth:`fold` runs when one slice series has
+    :data:`_SLOT_BATCH` samples pending, every ``16 * _SLOT_BATCH``
+    slots and on every registry read.  A series opens on the
     fold of its first sample - a native slice never opens an exec series,
     an idle one never a delivered one - and reads as if every sample had
     been applied on arrival: time samples in arrival order through the
@@ -346,7 +349,7 @@ class GnbHost:
         if batch is not None:
             slots = batch.slots
             slots.append(None)
-            if len(slots) >= _SLOT_BATCH:
+            if len(slots) >= 16 * _SLOT_BATCH:
                 batch.fold()
         return executed
 
@@ -444,7 +447,10 @@ class GnbHost:
             runtime.meter.add(now, slice_bytes)
             self.total_delivered_bytes += slice_bytes
             if batch is not None and slice_bytes:
-                batch.delivered[runtime.name].append(slice_bytes)
+                pending = batch.delivered[runtime.name]
+                pending.append(slice_bytes)
+                if len(pending) >= _SLOT_BATCH:
+                    batch.fold()
 
         # 5. PF long-term average: served UEs move toward this slot's rate,
         # the rest decay toward zero
@@ -523,7 +529,10 @@ class GnbHost:
             if len(pending) >= _SLOT_BATCH:
                 runtime._fold_exec()
             if batch is not None:
-                batch.exec_us[runtime.name].append(elapsed_us)
+                pending = batch.exec_us[runtime.name]
+                pending.append(elapsed_us)
+                if len(pending) >= _SLOT_BATCH:
+                    batch.fold()
                 if elapsed_us > self._slot_us:
                     OBS.events.emit(
                         "gnb.deadline_miss",

@@ -16,6 +16,10 @@ ad-hoc ``perf_counter`` timing each of them used to hand-roll:
 - :mod:`repro.obs.events` - the structured **event log**: traps (with
   spec trap codes), deadline misses, hot swaps, fault escalation.
 
+A telemetry-on plugin call makes one record (:mod:`repro.obs.calls`) in
+the call log, :attr:`Observability.calls`, that the registry, tracer and
+flight recorder take, in order, when it is full and before they read.
+
 Everything hangs off one :class:`Observability` bundle; the module-level
 :data:`OBS` is the process default.  Telemetry is **off by default** and
 costs one branch per instrumented site when off::
@@ -33,7 +37,10 @@ sections as JSON or Prometheus text.
 
 from __future__ import annotations
 
+import threading
+
 from repro.obs.attribution import AttributionReport, attribute_slots
+from repro.obs.calls import CallSeries
 from repro.obs.events import Event, EventLog
 from repro.obs.flight import CallRecord, FlightRecorder
 from repro.obs.merge import (
@@ -66,15 +73,50 @@ from repro.obs.tracing import (
 )
 
 
+class _Reader:
+    """A call-log reader of :class:`Observability`: assigning one hands the
+    outgoing reader what was logged while it was installed and makes the
+    new one pull the log; reading it is a plain attribute read."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __set__(self, bundle: "Observability", reader) -> None:
+        if self.name in bundle.__dict__:
+            bundle.fold_calls()
+            bundle.__dict__[self.name]._log = None
+        reader._log = bundle.fold_calls
+        bundle.__dict__[self.name] = reader
+
+
 class Observability:
-    """The four telemetry primitives plus one master enable switch."""
+    """The four telemetry primitives, the call log and one master switch."""
+
+    registry = _Reader()
+    tracer = _Reader()
+    flight = _Reader()
 
     def __init__(self, enabled: bool = False):
         self.enabled = enabled
+        #: the call log: the records the readers have not taken yet
+        self.calls: list[tuple] = []
+        self._lock = threading.Lock()
         self.registry = MetricsRegistry()
         self.tracer = Tracer(enabled=enabled)
         self.flight = FlightRecorder()
         self.events = EventLog()
+
+    def fold_calls(self) -> None:
+        """Hand the logged calls to the readers (thread-safe: a call
+        logged meanwhile waits for the next fold)."""
+        with self._lock:
+            records = self.calls[:]
+            if records:
+                del self.calls[:len(records)]
+                reg = self.registry
+                reg.batch(CallSeries, lambda: CallSeries(reg)).take(records)
+                self.flight._take(records)
+                self.tracer._take(records)
 
     def enable(self) -> None:
         self.enabled = True
@@ -86,6 +128,8 @@ class Observability:
 
     def reset(self) -> None:
         """Drop all recorded telemetry (the enabled flag is untouched)."""
+        with self._lock:
+            self.calls.clear()
         self.registry.reset()
         self.tracer.reset()
         self.flight.reset()

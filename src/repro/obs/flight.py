@@ -4,20 +4,24 @@ In the spirit of Wasm-R3 (record-reduce-replay, PAPERS.md): every call
 through :class:`repro.abi.host.PluginHost` can be captured as a
 :class:`CallRecord` - entry point, exact input bytes, output bytes, fuel
 (one unit per retired instruction), and the outcome (``ok`` or the fault
-kind).  The recorder keeps the last N calls in a ring buffer, cheap
-enough to leave on in production: recording one is a tuple of references
-(the call's own result, chaos injection and rt decision among them), and
-the ``CallRecord`` - its ``attrs`` included - is built when it is read;
-``PluginHost.replay(record)`` re-executes a captured call against a fresh
-instance for deterministic debugging.
+kind).  The recorder keeps the last N calls, cheap enough to leave on in
+production: its ring is the last N records of the call log
+(:mod:`repro.obs.calls`), and the ``CallRecord`` - its ``attrs``
+included - is built when it is read; ``PluginHost.replay(record)``
+re-executes a captured call against a fresh instance for deterministic
+debugging.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
+
+from repro.obs.calls import (
+    BUDGET, CHAOS, ENTRY, ERROR, GENERATION, INPUT, MODULE_SHA, PLUGIN, PRE,
+    RESULT, RT,
+)
 
 
 @dataclass(slots=True)
@@ -88,88 +92,59 @@ class FlightRecorder:
         self.capture = capture
         #: module binaries seen while capturing, keyed by sha256 hex
         self.modules: dict[str, bytes] = {}
-        #: ``(seq, plugin, entry, generation, input, result, error,
-        #: module_sha, chaos, rt, budget, pre)`` per call; the
-        #: :class:`CallRecord` is built on read
+        #: the last ``capacity`` call-log records taken, and how many were
+        #: taken in all (the newest one's ``seq``)
         self._calls: deque[tuple] = deque(maxlen=capacity)
-        self._seq = itertools.count(1)
+        self._taken = 0
+        #: pulls the call log this recorder reads (set by its bundle)
+        self._log: Callable[[], None] | None = None
 
     def register_module(self, sha: str, wasm_bytes: bytes) -> None:
         """Remember a module binary so a corpus can embed it."""
         if sha not in self.modules:
             self.modules[sha] = bytes(wasm_bytes)
 
-    def record(
-        self,
-        plugin: str,
-        entry: str,
-        generation: int,
-        input_bytes: bytes,
-        result,
-        error: str = "",
-        module_sha: str = "",
-        chaos=None,
-        rt: dict | None = None,
-        budget: int | None = None,
-        pre: dict | None = None,
-    ) -> None:
-        """Append one call; ``result`` is its
-        :class:`~repro.abi.host.PluginCallResult`, kept by reference (a
-        mutable ``input_bytes`` is copied).
+    def _take(self, records: list[tuple]) -> None:
+        self._calls.extend(records)
+        self._taken += len(records)
 
-        The record's ``attrs`` are built on read from the rest: the chaos
-        injection that fired (``chaos``), the rt decision document
-        (``rt``) with the effective per-call fuel budget (``budget``) and,
-        in corpus-capture mode, the pre-call state (``pre``).
-        """
-        if type(input_bytes) is not bytes:
-            input_bytes = bytes(input_bytes)
-        self._calls.append((
-            next(self._seq), plugin, entry, generation, input_bytes, result,
-            error, module_sha, chaos, rt, budget, pre,
-        ))
+    def _pull(self) -> list[tuple]:
+        if self._log is not None:
+            self._log()
+        return list(self._calls)
 
     @staticmethod
-    def _built(call: tuple) -> CallRecord:
-        (
-            seq, plugin, entry, generation, input_bytes, result, error, sha,
-            chaos, rt, budget, pre,
-        ) = call
+    def _built(seq: int, call: tuple) -> CallRecord:
+        result = call[RESULT]
         attrs: dict[str, Any] = {}
-        if chaos is not None:
-            attrs["chaos"] = chaos.to_json()
+        if call[CHAOS] is not None:
+            attrs["chaos"] = call[CHAOS].to_json()
+        rt, budget = call[RT], call[BUDGET]
         if rt is not None or budget is not None:
             attrs["rt"] = rt_doc = dict(rt) if rt is not None else {}
             if budget is not None:
                 rt_doc["fuel"] = budget
-        if pre is not None:
-            attrs["pre"] = pre
+        if call[PRE] is not None:
+            attrs["pre"] = call[PRE]
         output = result.output
         return CallRecord(
-            seq, plugin, entry, generation, input_bytes,
+            seq, call[PLUGIN], call[ENTRY], call[GENERATION], call[INPUT],
             bytes(output) if output is not None else None,
             result.outcome, result.elapsed_us, result.fuel_used,
-            error, attrs, sha,
+            call[ERROR], attrs, call[MODULE_SHA],
         )
 
     def __len__(self) -> int:
-        return len(self._calls)
+        return len(self._pull())
 
     def records(self) -> list[CallRecord]:
         """All retained records, oldest first."""
-        return [self._built(call) for call in list(self._calls)]
-
-    def find(
-        self, plugin: str | None = None, outcome: str | None = None
-    ) -> list[CallRecord]:
-        return [
-            rec
-            for rec in self.records()
-            if (plugin is None or rec.plugin == plugin)
-            and (outcome is None or rec.outcome == outcome)
-        ]
+        calls = self._pull()
+        first = self._taken - len(calls) + 1
+        return [self._built(first + i, call) for i, call in enumerate(calls)]
 
     def reset(self) -> None:
+        self._pull()
         self._calls.clear()
         self.modules.clear()
 

@@ -16,10 +16,11 @@ child once - ``handle = family.labels(plugin="pf")`` - and then calls
 name, help or label resolution per observation (``family.labels_by(...)``
 when one label's value varies per observation); :class:`BoundMetrics`
 keeps such handles valid across :meth:`MetricsRegistry.reset` and
-registry swaps.  The hottest site of all, the plugin call, does not even
-observe: it appends one sample to a batch (:meth:`MetricsRegistry.batch`)
-that the registry folds into the series on every read, so a reader never
-sees the difference.  Exposition is available as a JSON-friendly dict
+registry swaps.  The hottest sites do not even observe: a slot appends its
+samples to a batch (:meth:`MetricsRegistry.batch`) and a plugin call its
+record to the call log (:mod:`repro.obs.calls`), and the registry folds
+both into the series on every read, so a reader never sees the
+difference.  Exposition is available as a JSON-friendly dict
 (:meth:`MetricsRegistry.to_json`) and as the Prometheus text format
 (:meth:`MetricsRegistry.to_prometheus`, histograms rendered as summaries
 with ``quantile`` labels).
@@ -214,6 +215,8 @@ class MetricsRegistry:
         #: bumped by :meth:`reset`: a handle bound under an older epoch
         #: points at a dropped family and must be rebound
         self.epoch = 0
+        #: pulls the call log this registry reads (set by its bundle)
+        self._log: Callable[[], None] | None = None
 
     # ----- registration ----------------------------------------------------
 
@@ -247,7 +250,10 @@ class MetricsRegistry:
         return pending
 
     def fold(self) -> None:
-        """Apply every batch's pending samples to its series."""
+        """Apply the call log and every batch's pending samples to their
+        series."""
+        if self._log is not None:
+            self._log()
         for pending in list(self._batches.values()):
             pending.fold()
 
@@ -269,6 +275,8 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         """Drop every family and every pending sample with it."""
+        if self._log is not None:
+            self._log()
         self._metrics.clear()
         self._batches.clear()
         self.epoch += 1

@@ -37,11 +37,13 @@ two clock reads.  The spans on every slot (``gnb.step``) and every plugin
 call (``plugin.call``) cost less: their owner already reads the clock at
 the edges, so it opens a reused :class:`SpanMark` (:meth:`Tracer.begin`:
 ids and a stack slot, so spans opened inside still parent under it) and
-hands its own reads and facts to :meth:`Tracer.record`, which keeps the
-finished span as one tuple.  The ``Span`` - its attrs, status and
-``children_us`` included - is built from that tuple only when the span is
-read.  Finished spans land in a bounded ring buffer (oldest evicted) and
-can be exported as a JSON-friendly list or an indented text tree.
+closes it with its own reads (:meth:`Tracer.close`).  A slot's span then
+goes into the ring as one tuple (:meth:`Tracer.record`); a plugin call's
+is its call-log record (:mod:`repro.obs.calls`), which the tracer takes
+from the log.  The ``Span`` - attrs, status and ``children_us`` included
+- is built only when it is read.  Finished spans land in a bounded ring
+buffer (oldest evicted) and can be exported as a JSON-friendly list or
+an indented text tree.
 """
 
 from __future__ import annotations
@@ -51,8 +53,11 @@ import os
 import threading
 import time
 from collections import deque
+from operator import itemgetter
 from dataclasses import dataclass
 from typing import Any, Callable
+
+from repro.obs.calls import POSITION, SPAN_FIELDS, SPAN_ID
 
 
 class _NullSpan:
@@ -204,17 +209,10 @@ class Span:
         if exc_type is not None:
             self.status = "error"
             self.attrs.setdefault("error", f"{exc_type.__name__}: {exc}")
-        stack = self._stack
-        if stack and stack[-1] is self:
-            stack.pop()
-        if stack and stack[-1].span_id == self.parent_id:
-            parent = stack[-1]
-            if parent.children_us is None:
-                parent.children_us = {}
-            parent.children_us[self.name] = (
-                parent.children_us.get(self.name, 0.0) + self.elapsed_us
-            )
-        self.tracer._finished.append(self)
+        tracer = self.tracer
+        tracer.close(self, self.name, self.elapsed_us)
+        tracer._finished.append(self)
+        tracer._appended += 1
         return False
 
     def to_json(self) -> dict[str, Any]:
@@ -241,9 +239,8 @@ class SpanMark:
     """The identity of a span its owner times with its own clock reads.
 
     :meth:`Tracer.begin` gives the mark fresh ids and puts it on the
-    thread's active stack, so any span opened before :meth:`Tracer.record`
-    parents under it exactly as under a live :class:`Span`; ``record``
-    takes it off and keeps the finished span as a plain record.  An owner
+    thread's active stack, so any span opened before :meth:`Tracer.close`
+    parents under it exactly as under a live :class:`Span`.  An owner
     that is never re-entered keeps one mark and reuses it.
     """
 
@@ -252,17 +249,14 @@ class SpanMark:
     context = Span.context
 
 
-#: ``build(facts, children_us) -> (attrs, status, children_us)``: how a
-#: :meth:`Tracer.record` caller's facts become the span's fields on read
-SpanBuild = Callable[[Any, "dict[str, float] | None"], tuple]
-
-
 class Tracer:
     """Owns the thread-local active-span stacks and the finished ring buffer.
 
-    The ring holds :class:`Span` objects (``with tracer.span(...)``) and
-    plain tuples (:meth:`record`); every read - :meth:`finished`,
-    :meth:`to_json`, :meth:`drain_finished` - builds the ``Span`` of a
+    The ring holds :class:`Span` objects (``with tracer.span(...)``),
+    plain tuples (:meth:`record`) and the span fields of the traced
+    plugin calls taken from the call log, each put among the spans by its
+    position.  Every read - :meth:`finished`, :meth:`to_json`,
+    :meth:`drain_finished` - pulls the log and builds the ``Span`` of each
     tuple, so readers never see the difference.
 
     Span ids are one counter that starts at this process's prefix: 31
@@ -282,6 +276,10 @@ class Tracer:
         self._ids = itertools.count((prefix << 32) | 1)
         self._tls = threading.local()
         self._finished: deque[Span | tuple] = deque(maxlen=capacity)
+        #: spans this tracer finished: the next one's position
+        self._appended = 0
+        #: pulls the call log this tracer reads (set by its bundle)
+        self._log: Callable[[], None] | None = None
 
     # ----- identity ---------------------------------------------------------
 
@@ -339,54 +337,97 @@ class Tracer:
         mark._stack = stack
         stack.append(mark)
 
+    def close(self, mark: "SpanMark | Span", name: str, elapsed_us: float) -> int:
+        """Take a span off the stack and book its duration on the parent's
+        ``children_us``; returns its position, the spans finished before
+        it."""
+        stack = mark._stack
+        if stack and stack[-1] is mark:
+            stack.pop()
+        if stack and stack[-1].span_id == mark.parent_id:
+            parent = stack[-1]
+            children = parent.children_us
+            if children is None:
+                parent.children_us = {name: elapsed_us}
+            else:
+                children[name] = children.get(name, 0.0) + elapsed_us
+        return self._appended
+
     def record(
         self,
         mark: SpanMark,
         name: str,
         start_ns: int,
         end_ns: int,
-        build: SpanBuild,
+        build: Callable[[Any, dict | None], tuple],
         facts: Any,
     ) -> None:
-        """Finish the span ``mark`` opened, from its owner's clock reads.
-
-        What a ``with`` span does at exit, minus the clock read: off the
-        stack, its duration onto the parent's ``children_us``, and into the
-        ring - as a tuple.  Nothing else is built: ``build(facts,
-        children_us)`` makes the span's attrs, status and ``children_us``
-        when it is read (``children_us`` is what spans finished inside
-        this one booked on the mark).
-        """
-        stack = mark._stack
-        if stack and stack[-1] is mark:
-            stack.pop()
-        parent_id = mark.parent_id
-        if stack:
-            parent = stack[-1]
-            if parent.span_id == parent_id:
-                children = parent.children_us
-                if children is None:
-                    parent.children_us = {name: (end_ns - start_ns) / 1000.0}
-                else:
-                    children[name] = (
-                        children.get(name, 0.0) + (end_ns - start_ns) / 1000.0
-                    )
+        """Finish the span ``mark`` opened, from its owner's clock reads:
+        :meth:`close` it and keep it in the ring as one tuple.
+        ``build(facts, children_us)`` makes its attrs, status and
+        ``children_us`` when it is read (``children_us`` is what spans
+        finished inside this one booked on the mark)."""
+        self.close(mark, name, (end_ns - start_ns) / 1000.0)
         self._finished.append((
-            name, mark.trace_id, mark.span_id, parent_id, start_ns, end_ns,
-            stack.thread_id, mark.children_us, build, facts,
+            name, mark.trace_id, mark.span_id, mark.parent_id, start_ns, end_ns,
+            mark._stack.thread_id, mark.children_us, build, facts,
         ))
+        self._appended += 1
+
+    def _take(self, records: list[tuple]) -> None:
+        """Put the traced calls' span fields into the ring in finish order:
+        the spans that finished after the first of them come off its end
+        and go back in among them."""
+        if None in map(itemgetter(SPAN_ID), records):  # made with tracing off
+            records = [r for r in records if r[SPAN_ID] is not None]
+        if not records:
+            return
+        ring = self._finished
+        later = [ring.pop() for _ in range(
+            min(len(ring), self._appended - records[0][POSITION])
+        )]
+        later.reverse()
+        first, i = self._appended - len(later), 0  # later[0]'s position
+        for fields in map(SPAN_FIELDS, records):
+            while i < len(later) and first + i < fields[0]:
+                ring.append(later[i])
+                i += 1
+            ring.append(fields)
+        ring.extend(later[i:])
 
     def _built(self, item: "Span | tuple") -> Span:
         if type(item) is not tuple:
             return item
         span = Span.__new__(Span)
-        (
-            span.name, span.trace_id, span.span_id, span.parent_id,
-            span.start_ns, span.end_ns, span.thread_id, children, build, facts,
-        ) = item
-        span.attrs, span.status, span.children_us = build(facts, children)
         span.tracer = self
         span._stack = None
+        if type(item[0]) is str:  # Tracer.record's
+            (
+                span.name, span.trace_id, span.span_id, span.parent_id,
+                span.start_ns, span.end_ns, span.thread_id, children, build,
+                facts,
+            ) = item
+            span.attrs, span.status, span.children_us = build(facts, children)
+            return span
+        # a traced call's span fields: a phase the call never finished runs
+        # to the end of the span (a trap's time is booked under the phase
+        # it cut short); spans opened inside the call are its children in
+        # the tree, not phases
+        (
+            _, plugin, entry, outcome, start, encoded, invoked, end,
+            span.trace_id, span.span_id, span.parent_id, span.thread_id,
+        ) = item
+        encoded = encoded or end
+        invoked = invoked or end
+        span.name = "plugin.call"
+        span.start_ns, span.end_ns = start, end
+        span.attrs = {"plugin": plugin, "entry": entry, "outcome": outcome}
+        span.status = "ok" if outcome == "ok" else "error"
+        span.children_us = {
+            "plugin.encode": (encoded - start) / 1000.0,
+            "plugin.invoke": (invoked - encoded) / 1000.0,
+            "plugin.decode": (end - invoked) / 1000.0,
+        }
         return span
 
     def resize(self, capacity: int) -> None:
@@ -405,6 +446,8 @@ class Tracer:
         thread must not corrupt that thread's nesting; its spans simply
         re-root in the fresh buffer.
         """
+        if self._log is not None:
+            self._log()
         stack = getattr(self._tls, "stack", None)
         if stack:
             stack.clear()
@@ -412,6 +455,8 @@ class Tracer:
 
     def finished(self) -> list[Span]:
         """Finished spans, oldest first."""
+        if self._log is not None:
+            self._log()
         return [self._built(item) for item in list(self._finished)]
 
     def drain_finished(self) -> list[dict[str, Any]]:
@@ -422,6 +467,8 @@ class Tracer:
         ring buffer never evicts and the final result message stays
         small.  Spans still open keep accumulating as usual.
         """
+        if self._log is not None:
+            self._log()
         out: list[dict[str, Any]] = []
         while True:
             try:

@@ -9,6 +9,7 @@ that the CLI fails when one of them does.
 import pytest
 
 from repro.cli import main
+from repro.experiments.fig5d import Cell
 from repro.experiments import (
     Fig5aResult,
     Fig5bResult,
@@ -98,6 +99,17 @@ class TestFig5d:
         for cell in result.cells:
             assert cell.p50_us > 0
             assert cell.p99_us >= cell.p50_us
+
+    def test_a_p99_over_the_slot_fails_only_its_check(self):
+        slot = Fig5dResult.slot_duration_us
+        cells = [
+            Cell(plugin, n, p50_us=40.0 * n, p99_us=80.0 * n, mean_us=50.0 * n, calls=9)
+            for plugin in ("mt", "pf") for n in (1, 10)
+        ]
+        assert all(Fig5dResult(cells).shape_holds().values())
+        cells[1].p99_us = slot * 1.01
+        checks = Fig5dResult(cells).shape_holds()
+        assert {check for check, ok in checks.items() if not ok} == {"p99_inside_slot"}
 
 
 class TestSafety:

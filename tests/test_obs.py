@@ -6,8 +6,8 @@ import json
 import pytest
 
 from repro import obs
-from repro.abi import SchedulerPlugin
-from repro.abi.host import HostLimits, PluginCallResult, PluginError, PluginHost
+from repro.abi import SchedulerPlugin, wire
+from repro.abi.host import HostLimits, PluginError, PluginHost
 from repro.obs import OBS, Observability
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import NULL_SPAN, Tracer
@@ -217,15 +217,22 @@ class TestBundle:
         bundle.disable()
         assert not bundle.enabled and not bundle.tracer.enabled
 
-    def test_reset_clears_all_but_keeps_enabled(self):
+    def test_reset_clears_all_but_keeps_enabled(self, monkeypatch):
         bundle = Observability(enabled=True)
         bundle.registry.counter("c").inc()
         with bundle.tracer.span("s"):
             pass
         bundle.events.emit("e")
-        bundle.flight.record("p", "run", 0, b"", PluginCallResult(b"", 1.0, None))
+        monkeypatch.setattr("repro.abi.host.OBS", bundle)
+        host = PluginHost(plugin_wasm("rr"), name="p")
+        payload = wire.pack_sched_input(0, 52, _ues())
+        host.call(payload)
+        assert len(bundle.flight) == 1  # taken by the readers
+        host.call(payload)
+        assert len(bundle.calls) == 1  # still in the log
         bundle.reset()
         assert bundle.enabled
+        assert bundle.calls == []
         assert bundle.registry.to_json() == {}
         assert bundle.tracer.finished() == []
         assert len(bundle.events) == 0

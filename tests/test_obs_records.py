@@ -127,19 +127,19 @@ def _masked(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def _run_cell(monkeypatch, read_now) -> dict[int, str]:
-    """Run the cell on fresh telemetry and a fresh clock; after call ``i``
-    read everything when ``read_now(i)``.  Returns ``{i: document}``."""
+def _run(monkeypatch, after_call, tracer: Tracer, flight: FlightRecorder, slots: int):
+    """Run the cell for ``slots`` slots on fresh telemetry and a fresh
+    clock, calling ``after_call(i)`` after call ``i``; returns the number
+    of calls made."""
     for kind in ("rr", "pf", "mt"):
         plugin_wasm(kind)  # compiled (and traced) once per process
     codecache.clear()  # promotion at the same call on every run
     monkeypatch.setattr(OBS, "registry", MetricsRegistry())
-    monkeypatch.setattr(OBS, "tracer", Tracer(capacity=64, enabled=True))
-    monkeypatch.setattr(OBS, "flight", FlightRecorder(capacity=32))
+    monkeypatch.setattr(OBS, "tracer", tracer)
+    monkeypatch.setattr(OBS, "flight", flight)
     monkeypatch.setattr(OBS, "events", EventLog(capacity=64))
     monkeypatch.setattr(time, "perf_counter_ns", _Clock(seed=17))
     gnb = _cell()
-    reads: dict[int, str] = {}
     calls = 0
 
     def reading(call):
@@ -149,15 +149,30 @@ def _run_cell(monkeypatch, read_now) -> dict[int, str]:
                 return call(*args, **kwargs)
             finally:
                 calls += 1
-                if read_now(calls):
-                    reads[calls] = _masked(OBS.to_json())
+                after_call(calls)
 
         return wrapper
 
     for runtime in gnb.slices.values():
         host = runtime.plugin.host
         host.call = reading(host.call)
-    gnb.run(520)
+    gnb.run(slots)
+    return calls
+
+
+def _run_cell(monkeypatch, read_now) -> dict[int, str]:
+    """Run the cell on small rings; after call ``i`` read everything when
+    ``read_now(i)``.  Returns ``{i: document}``."""
+    reads: dict[int, str] = {}
+
+    def read(i):
+        if read_now(i):
+            reads[i] = _masked(OBS.to_json())
+
+    calls = _run(
+        monkeypatch, read, Tracer(capacity=64, enabled=True),
+        FlightRecorder(capacity=32), 520,
+    )
     reads[calls + 1] = _masked(OBS.to_json())
     return reads
 
@@ -182,6 +197,103 @@ def test_reads_at_random_points_see_what_reading_every_call_sees(
     }
     # the schedule really did fault, so every outcome path was recorded
     assert {dict(k)["outcome"] for k in outcomes} > {"ok"}
+
+
+def test_reads_after_both_rings_overflowed_see_what_an_eager_recorder_left(
+    telemetry, monkeypatch
+):
+    """The default rings, 4096 spans and 256 calls, overflowed several
+    times over between two reads: the tracer and the flight recorder still
+    hold what recording every span and call on arrival would have left,
+    and the series count every call.  The eager side drains every span and
+    reads every series after each call, so nothing it records waits."""
+    drained: list[dict] = []
+
+    def eager(i):
+        drained.extend(OBS.tracer.drain_finished())
+        OBS.registry.to_json()
+
+    calls = _run(monkeypatch, eager, Tracer(enabled=True), FlightRecorder(), 1600)
+    drained.extend(OBS.tracer.drain_finished())
+    assert len(drained) > OBS.tracer.capacity and calls > OBS.flight.capacity
+    expected = _masked({
+        "metrics": OBS.registry.to_json(),
+        "spans": drained[-OBS.tracer.capacity:],
+        "events": OBS.events.to_json(),
+        "flight": OBS.flight.to_json(),
+    })
+    assert _run(monkeypatch, lambda i: None, Tracer(enabled=True), FlightRecorder(), 1600) == calls
+    assert len(OBS.calls) == calls % CALL_BATCH  # the last ones wait in the log
+    doc = OBS.to_json()
+    assert len(doc["spans"]) == OBS.tracer.capacity
+    assert len(doc["flight"]) == OBS.flight.capacity
+    assert doc["flight"][-1]["seq"] == calls
+    assert sum(
+        series["value"]
+        for series in doc["metrics"]["waran_plugin_calls_total"]["series"]
+    ) == calls
+    assert _masked(doc) == expected
+
+
+def test_a_registry_read_needs_no_tracer(telemetry):
+    OBS.tracer.enabled = False
+    host = PluginHost(plugin_wasm("rr"), name="untraced")
+    for _ in range(3):
+        host.call(_payload())
+    reg = OBS.registry
+    assert _calls(reg, "untraced") == 3
+    for name in PER_CALL_HISTOGRAMS:
+        assert reg.histogram(name).count(plugin="untraced") == 3, name
+    assert OBS.tracer.finished() == []
+    assert [record.plugin for record in OBS.flight.records()] == ["untraced"] * 3
+
+
+def test_a_trace_read_with_flight_capture_on(telemetry, monkeypatch):
+    monkeypatch.setattr(OBS.flight, "capture", True)
+    host = PluginHost(plugin_wasm("pf"), name="captured")
+    with OBS.tracer.span("outer") as outer:
+        for _ in range(3):
+            host.call(_payload())
+    # the first read of anything is the tracer's: it pulls the log itself
+    *calls, root = OBS.tracer.finished()
+    assert root is outer
+    assert [span.name for span in calls] == ["plugin.call"] * 3
+    assert {span.parent_id for span in calls} == {outer.span_id}
+    assert outer.children_us == {
+        "plugin.call": sum(span.elapsed_us for span in calls)
+    }
+    assert all("pre" in record.attrs for record in OBS.flight.records())
+    assert host.module_sha in OBS.flight.modules
+
+
+def test_a_drain_mid_run_keeps_each_call_among_its_neighbours(telemetry):
+    gnb = GnbHost()
+    for sid, kind in enumerate(("rr", "mt"), start=1):
+        gnb.add_slice(SliceRuntime(sid, kind)).use_plugin(
+            SchedulerPlugin.load(plugin_wasm(kind), name=kind)
+        )
+        gnb.attach_ue(UeContext(sid, sid, FixedMcsChannel(12), FullBufferSource()))
+    tracer = OBS.tracer
+    with tracer.span("before"):
+        pass
+    gnb.step()
+    with tracer.span("between"):
+        pass
+    first = tracer.drain_finished()
+    gnb.step()
+    second = tracer.drain_finished()
+    assert [doc["name"] for doc in first] == [
+        "before", "plugin.call", "plugin.call", "gnb.step", "between"
+    ]
+    assert [doc["name"] for doc in second] == [
+        "plugin.call", "plugin.call", "gnb.step"
+    ]
+    for docs in (first, second):
+        step = next(doc for doc in docs if doc["name"] == "gnb.step")
+        calls = [doc for doc in docs if doc["name"] == "plugin.call"]
+        assert {doc["parent_id"] for doc in calls} == {step["span_id"]}
+        assert [doc["attrs"]["plugin"] for doc in calls] == ["rr", "mt"]
+    assert tracer.drain_finished() == []
 
 
 # ---------------------------------------------------------------------------

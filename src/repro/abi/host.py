@@ -113,8 +113,7 @@ class HostLimits:
     max_output_bytes: int = 1 << 16
 
 
-#: calls the call log holds before the one that fills it hands them to
-#: the readers (every read pulls it too)
+#: calls the call log takes before one hands them to the readers
 CALL_BATCH = 256
 
 
@@ -418,13 +417,11 @@ class PluginHost:
         :meth:`replay` reproduces degraded slots bit-exactly.
 
         With telemetry on (:func:`repro.obs.enable`) a call writes one
-        record of what it has to the call log (:mod:`repro.obs.calls`),
-        from which the ``plugin.call`` span (``children_us``: the
-        ``plugin.encode`` / ``plugin.invoke`` / ``plugin.decode`` phases),
-        the registry's series and the flight recorder's ``CallRecord`` are
-        built when read; a fault also logs an event.  While Wasm runs the
-        span is on the tracer's stack, so a span a host function opens
-        parents under it.
+        record of what it has to the call log (:mod:`repro.obs.flight`);
+        its ``plugin.call`` span (``children_us``: ``plugin.encode`` /
+        ``plugin.invoke`` / ``plugin.decode``), series and ``CallRecord``
+        are built from it when read, and a fault also logs an event.  While
+        Wasm runs, a span a host function opens parents under the call's.
         """
         instance = self.instance
         assert instance is not None
@@ -558,15 +555,15 @@ class PluginHost:
                 position = tracer.close(mark, "plugin.call", elapsed_us)
                 trace_id, span_id = mark.trace_id, mark.span_id
                 parent_id, thread_id = mark.parent_id, mark._stack.thread_id
-            # the call's one record, at repro.obs.calls' field positions
+            # the call's one record, at repro.obs.flight's field positions
             calls = obs.calls
             calls.append((
-                result, name, entry, self.generation, self.module_sha,
-                input_bytes, detail, injection, rt,
+                result, entry, self.generation, self.module_sha, input_bytes,
+                detail, injection, rt,
                 # the *effective* enforced budget, so replay reproduces
                 # the fuel-cut preemption bit-exactly
                 fuel if budgeted else None,
-                pre, outcome, elapsed_us, fuel_used,
+                pre, name, outcome, elapsed_us, fuel_used,
                 stats.frames, stats.max_call_depth, stats.max_value_stack,
                 len(instance.memory.data), start, encoded_ns, invoked_ns, end_ns,
                 trace_id, span_id, parent_id, thread_id, position,
@@ -575,15 +572,11 @@ class PluginHost:
                 obs.fold_calls()
             if injection is not None:
                 obs.registry.counter(
-                    "waran_chaos_injections_total",
-                    "chaos faults injected into plugin calls",
+                    "waran_chaos_injections_total", "chaos faults injected into plugin calls"
                 ).inc(plugin=name, kind=injection.kind)
                 obs.events.emit(
-                    "chaos.inject",
-                    source=name,
-                    fault_kind=injection.kind,
-                    index=injection.index,
-                    outcome=outcome,
+                    "chaos.inject", source=name, fault_kind=injection.kind,
+                    index=injection.index, outcome=outcome,
                 )
             if error is not None:
                 fields = {"entry": entry, "detail": detail}

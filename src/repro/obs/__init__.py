@@ -16,7 +16,7 @@ ad-hoc ``perf_counter`` timing each of them used to hand-roll:
 - :mod:`repro.obs.events` - the structured **event log**: traps (with
   spec trap codes), deadline misses, hot swaps, fault escalation.
 
-A telemetry-on plugin call makes one record (:mod:`repro.obs.calls`) in
+A telemetry-on plugin call makes one record (:mod:`repro.obs.flight`) in
 the call log, :attr:`Observability.calls`, that the registry, tracer and
 flight recorder take, in order, when it is full and before they read.
 
@@ -40,9 +40,8 @@ from __future__ import annotations
 import threading
 
 from repro.obs.attribution import AttributionReport, attribute_slots
-from repro.obs.calls import CallSeries
 from repro.obs.events import Event, EventLog
-from repro.obs.flight import CallRecord, FlightRecorder
+from repro.obs.flight import CallRecord, CallSeries, FlightRecorder
 from repro.obs.merge import (
     DEFAULT_GAUGE_MODES,
     MergeError,
@@ -54,6 +53,7 @@ from repro.obs.registry import (
     Counter,
     Gauge,
     Histogram,
+    LogReader,
     MetricsRegistry,
 )
 from repro.obs.traceexport import (
@@ -73,28 +73,8 @@ from repro.obs.tracing import (
 )
 
 
-class _Reader:
-    """A call-log reader of :class:`Observability`: assigning one hands the
-    outgoing reader what was logged while it was installed and makes the
-    new one pull the log; reading it is a plain attribute read."""
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __set__(self, bundle: "Observability", reader) -> None:
-        if self.name in bundle.__dict__:
-            bundle.fold_calls()
-            bundle.__dict__[self.name]._log = None
-        reader._log = bundle.fold_calls
-        bundle.__dict__[self.name] = reader
-
-
 class Observability:
     """The four telemetry primitives, the call log and one master switch."""
-
-    registry = _Reader()
-    tracer = _Reader()
-    flight = _Reader()
 
     def __init__(self, enabled: bool = False):
         self.enabled = enabled
@@ -105,6 +85,16 @@ class Observability:
         self.tracer = Tracer(enabled=enabled)
         self.flight = FlightRecorder()
         self.events = EventLog()
+
+    def __setattr__(self, name: str, value) -> None:
+        # a new registry, tracer or flight recorder: the outgoing one takes
+        # what was logged while it was installed, the new one pulls the log
+        if isinstance(value, LogReader):
+            if name in self.__dict__:
+                self.fold_calls()
+                self.__dict__[name]._log = None
+            value._log = self.fold_calls
+        object.__setattr__(self, name, value)
 
     def fold_calls(self) -> None:
         """Hand the logged calls to the readers (thread-safe: a call
@@ -128,8 +118,7 @@ class Observability:
 
     def reset(self) -> None:
         """Drop all recorded telemetry (the enabled flag is untouched)."""
-        with self._lock:
-            self.calls.clear()
+        self.fold_calls()
         self.registry.reset()
         self.tracer.reset()
         self.flight.reset()

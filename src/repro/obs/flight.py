@@ -1,26 +1,40 @@
-"""The plugin-call flight recorder.
+"""Plugin-call records, and what the telemetry readers make of them.
 
-In the spirit of Wasm-R3 (record-reduce-replay, PAPERS.md): every call
-through :class:`repro.abi.host.PluginHost` can be captured as a
-:class:`CallRecord` - entry point, exact input bytes, output bytes, fuel
-(one unit per retired instruction), and the outcome (``ok`` or the fault
-kind).  The recorder keeps the last N calls, cheap enough to leave on in
-production: its ring is the last N records of the call log
-(:mod:`repro.obs.calls`), and the ``CallRecord`` - its ``attrs``
-included - is built when it is read; ``PluginHost.replay(record)``
-re-executes a captured call against a fresh instance for deterministic
-debugging.
+A telemetry-on :meth:`repro.abi.host.PluginHost.call` appends one tuple
+(the field positions below) to the call log,
+:attr:`repro.obs.Observability.calls`.  :class:`CallSeries` folds it into
+the registry's series, the tracer builds ``plugin.call`` spans from its
+:data:`SPAN_FIELDS`, and the :class:`FlightRecorder` (after Wasm-R3,
+PAPERS.md) keeps the last N as replayable :class:`CallRecord` s, built
+when read, for ``PluginHost.replay(record)``.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import threading
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from operator import itemgetter
+from typing import Any
 
-from repro.obs.calls import (
-    BUDGET, CHAOS, ENTRY, ERROR, GENERATION, INPUT, MODULE_SHA, PLUGIN, PRE,
-    RESULT, RT,
+from repro.obs.registry import LogReader
+
+(
+    RESULT, ENTRY, GENERATION, MODULE_SHA, INPUT, ERROR, CHAOS, RT, BUDGET,
+    PRE, PLUGIN, OUTCOME, ELAPSED_US, FUEL_USED, FRAMES, CALL_DEPTH,
+    VALUE_STACK, MEMORY_BYTES, START_NS, ENCODED_NS, INVOKED_NS, END_NS,
+    TRACE_ID, SPAN_ID, PARENT_ID, THREAD_ID, POSITION,
+) = range(27)
+"""Field positions.  ``ERROR`` is the fault's message, ``CHAOS`` the
+injection that fired, ``RT`` / ``BUDGET`` the rt document and effective
+fuel budget, ``PRE`` the corpus-capture pre-call state, ``FRAMES`` ..
+``VALUE_STACK`` the call's ``ExecStats``; the span fields are ``None``
+with the tracer off, and ``POSITION`` counts the spans finished before."""
+
+#: what the tracer keeps of a traced call
+SPAN_FIELDS = itemgetter(
+    POSITION, TRACE_ID, SPAN_ID, PARENT_ID, START_NS, END_NS, THREAD_ID,
+    PLUGIN, ENTRY, OUTCOME, ENCODED_NS, INVOKED_NS,
 )
 
 
@@ -75,7 +89,7 @@ class CallRecord:
         }
 
 
-class FlightRecorder:
+class FlightRecorder(LogReader):
     """Bounded ring buffer of the most recent plugin calls.
 
     With :attr:`capture` set (corpus-capture mode, ``repro record``) the
@@ -96,8 +110,6 @@ class FlightRecorder:
         #: taken in all (the newest one's ``seq``)
         self._calls: deque[tuple] = deque(maxlen=capacity)
         self._taken = 0
-        #: pulls the call log this recorder reads (set by its bundle)
-        self._log: Callable[[], None] | None = None
 
     def register_module(self, sha: str, wasm_bytes: bytes) -> None:
         """Remember a module binary so a corpus can embed it."""
@@ -107,11 +119,6 @@ class FlightRecorder:
     def _take(self, records: list[tuple]) -> None:
         self._calls.extend(records)
         self._taken += len(records)
-
-    def _pull(self) -> list[tuple]:
-        if self._log is not None:
-            self._log()
-        return list(self._calls)
 
     @staticmethod
     def _built(seq: int, call: tuple) -> CallRecord:
@@ -135,13 +142,16 @@ class FlightRecorder:
         )
 
     def __len__(self) -> int:
-        return len(self._pull())
+        self._pull()
+        return len(self._calls)
 
     def records(self) -> list[CallRecord]:
         """All retained records, oldest first."""
-        calls = self._pull()
-        first = self._taken - len(calls) + 1
-        return [self._built(first + i, call) for i, call in enumerate(calls)]
+        self._pull()
+        calls = list(self._calls)
+        return [self._built(seq, call) for seq, call in enumerate(
+            calls, self._taken - len(calls) + 1
+        )]
 
     def reset(self) -> None:
         self._pull()
@@ -150,3 +160,70 @@ class FlightRecorder:
 
     def to_json(self, max_bytes: int = 256) -> list[dict[str, Any]]:
         return [rec.to_json(max_bytes=max_bytes) for rec in self.records()]
+
+
+#: calls a plugin's series keep pending (every read applies them)
+SERIES_BATCH = 256
+
+#: what a call adds to its plugin's series: plugin, outcome, time, fuel,
+#: frames, call depth, value stack, memory size
+_ROW = itemgetter(*range(PLUGIN, START_NS))
+_WIDTH = START_NS - PLUGIN
+_HISTOGRAMS = (
+    # fuel is decremented exactly once per executed instruction, so this
+    # is also the instructions-retired count
+    ("waran_plugin_fuel_used", "fuel consumed per call"),
+    ("waran_wasm_frames", "function frames entered per call"),
+    ("waran_wasm_call_depth_peak", "peak call depth per call"),
+    ("waran_wasm_value_stack_peak", "peak operand-stack height per call (static bound)"),
+)
+
+
+class CallSeries:
+    """A registry's per-plugin call series: its batch for the call log.
+
+    Taking calls lays each one's row flat on its plugin's list, in call
+    order; a list is applied when :data:`SERIES_BATCH` calls are on it and
+    on every registry read - integers grouped by value through the exact
+    ``add_n``, times in call order - so a read sees what observing every
+    call on arrival would have left.
+    """
+
+    def __init__(self, reg):
+        self._reg = reg
+        self._pending: defaultdict[str, list] = defaultdict(list)
+        self._lock = threading.Lock()
+
+    def take(self, records: list[tuple]) -> None:
+        with self._lock:
+            pending = self._pending
+            for row in map(_ROW, records):
+                values = pending[row[0]]
+                values += row
+                if len(values) >= SERIES_BATCH * _WIDTH:
+                    self._apply(row[0], values)
+
+    def fold(self) -> None:
+        """Apply every plugin's pending calls (thread-safe)."""
+        with self._lock:
+            for plugin, values in self._pending.items():
+                if values:
+                    self._apply(plugin, values)
+
+    def _apply(self, plugin: str, values: list) -> None:
+        reg = self._reg
+        reg.histogram(
+            "waran_plugin_call_us", "end-to-end plugin call time (us)"
+        ).labels(plugin=plugin).extend(values[2::_WIDTH])
+        calls = reg.counter("waran_plugin_calls_total", "plugin invocations by outcome")
+        for outcome, n in Counter(values[1::_WIDTH]).items():
+            calls.labels(plugin=plugin, outcome=outcome).inc(n)
+        for (name, help), first in zip(_HISTOGRAMS, range(3, 7)):
+            series = reg.histogram(name, help).labels(plugin=plugin)
+            for value, n in Counter(values[first::_WIDTH]).items():
+                if value is not None:
+                    series.add_n(value, n)
+        reg.gauge(
+            "waran_plugin_memory_pages", "linear memory size (64KiB pages)"
+        ).labels(plugin=plugin).set(values[-1] // 65536)
+        values.clear()

@@ -16,11 +16,10 @@ child once - ``handle = family.labels(plugin="pf")`` - and then calls
 name, help or label resolution per observation (``family.labels_by(...)``
 when one label's value varies per observation); :class:`BoundMetrics`
 keeps such handles valid across :meth:`MetricsRegistry.reset` and
-registry swaps.  The hottest sites do not even observe: a slot appends its
-samples to a batch (:meth:`MetricsRegistry.batch`) and a plugin call its
-record to the call log (:mod:`repro.obs.calls`), and the registry folds
-both into the series on every read, so a reader never sees the
-difference.  Exposition is available as a JSON-friendly dict
+registry swaps.  The hottest sites do not even observe: a slot appends
+samples to a batch (:meth:`MetricsRegistry.batch`), a plugin call its
+record to the call log, and every read folds both into the series first,
+so a reader never sees the difference.  Exposition is available as a JSON-friendly dict
 (:meth:`MetricsRegistry.to_json`) and as the Prometheus text format
 (:meth:`MetricsRegistry.to_prometheus`, histograms rendered as summaries
 with ``quantile`` labels).
@@ -199,7 +198,18 @@ class Histogram(Metric):
         return child.count if child is not None else 0
 
 
-class MetricsRegistry:
+class LogReader:
+    """A reader of a bundle's call log: while it is installed in
+    :class:`repro.obs.Observability`, ``_log`` hands it what was logged."""
+
+    _log: Callable[[], None] | None = None
+
+    def _pull(self) -> None:
+        if self._log is not None:
+            self._log()
+
+
+class MetricsRegistry(LogReader):
     """Owns every metric family; the exposition endpoint reads from here.
 
     Metrics are created lazily and idempotently: ``registry.counter(name)``
@@ -215,8 +225,6 @@ class MetricsRegistry:
         #: bumped by :meth:`reset`: a handle bound under an older epoch
         #: points at a dropped family and must be rebound
         self.epoch = 0
-        #: pulls the call log this registry reads (set by its bundle)
-        self._log: Callable[[], None] | None = None
 
     # ----- registration ----------------------------------------------------
 
@@ -252,8 +260,7 @@ class MetricsRegistry:
     def fold(self) -> None:
         """Apply the call log and every batch's pending samples to their
         series."""
-        if self._log is not None:
-            self._log()
+        self._pull()
         for pending in list(self._batches.values()):
             pending.fold()
 
@@ -275,8 +282,7 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         """Drop every family and every pending sample with it."""
-        if self._log is not None:
-            self._log()
+        self._pull()
         self._metrics.clear()
         self._batches.clear()
         self.epoch += 1

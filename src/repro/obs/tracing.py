@@ -37,13 +37,11 @@ two clock reads.  The spans on every slot (``gnb.step``) and every plugin
 call (``plugin.call``) cost less: their owner already reads the clock at
 the edges, so it opens a reused :class:`SpanMark` (:meth:`Tracer.begin`:
 ids and a stack slot, so spans opened inside still parent under it) and
-closes it with its own reads (:meth:`Tracer.close`).  A slot's span then
-goes into the ring as one tuple (:meth:`Tracer.record`); a plugin call's
-is its call-log record (:mod:`repro.obs.calls`), which the tracer takes
-from the log.  The ``Span`` - attrs, status and ``children_us`` included
-- is built only when it is read.  Finished spans land in a bounded ring
-buffer (oldest evicted) and can be exported as a JSON-friendly list or
-an indented text tree.
+closes it with its own reads (:meth:`Tracer.close`): a slot's span goes
+into the ring as one tuple (:meth:`Tracer.record`), a plugin call's is
+taken from the call log (:mod:`repro.obs.flight`).  The ``Span`` is
+built only when read.  Finished spans land in a bounded ring buffer
+(oldest evicted) and export as a JSON-friendly list or a text tree.
 """
 
 from __future__ import annotations
@@ -57,7 +55,8 @@ from operator import itemgetter
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.obs.calls import POSITION, SPAN_FIELDS, SPAN_ID
+from repro.obs.flight import POSITION, SPAN_FIELDS, SPAN_ID
+from repro.obs.registry import LogReader
 
 
 class _NullSpan:
@@ -249,15 +248,14 @@ class SpanMark:
     context = Span.context
 
 
-class Tracer:
+class Tracer(LogReader):
     """Owns the thread-local active-span stacks and the finished ring buffer.
 
     The ring holds :class:`Span` objects (``with tracer.span(...)``),
-    plain tuples (:meth:`record`) and the span fields of the traced
-    plugin calls taken from the call log, each put among the spans by its
-    position.  Every read - :meth:`finished`, :meth:`to_json`,
-    :meth:`drain_finished` - pulls the log and builds the ``Span`` of each
-    tuple, so readers never see the difference.
+    tuples (:meth:`record`) and traced calls' span fields from the call
+    log, put by their position; every read - :meth:`finished`,
+    :meth:`to_json`, :meth:`drain_finished` - pulls the log and builds the
+    ``Span`` of each tuple, so readers never see the difference.
 
     Span ids are one counter that starts at this process's prefix: 31
     random bits (xor'd with the pid, so spawn'd children never share a
@@ -278,8 +276,6 @@ class Tracer:
         self._finished: deque[Span | tuple] = deque(maxlen=capacity)
         #: spans this tracer finished: the next one's position
         self._appended = 0
-        #: pulls the call log this tracer reads (set by its bundle)
-        self._log: Callable[[], None] | None = None
 
     # ----- identity ---------------------------------------------------------
 
@@ -338,9 +334,8 @@ class Tracer:
         stack.append(mark)
 
     def close(self, mark: "SpanMark | Span", name: str, elapsed_us: float) -> int:
-        """Take a span off the stack and book its duration on the parent's
-        ``children_us``; returns its position, the spans finished before
-        it."""
+        """Take a span off the stack, book its time on the parent's
+        ``children_us``; returns its position (spans finished before it)."""
         stack = mark._stack
         if stack and stack[-1] is mark:
             stack.pop()
@@ -362,11 +357,9 @@ class Tracer:
         build: Callable[[Any, dict | None], tuple],
         facts: Any,
     ) -> None:
-        """Finish the span ``mark`` opened, from its owner's clock reads:
-        :meth:`close` it and keep it in the ring as one tuple.
-        ``build(facts, children_us)`` makes its attrs, status and
-        ``children_us`` when it is read (``children_us`` is what spans
-        finished inside this one booked on the mark)."""
+        """:meth:`close` the span ``mark`` opened and keep it in the ring
+        as one tuple: ``build(facts, children_us)`` makes its attrs, status
+        and ``children_us`` when it is read."""
         self.close(mark, name, (end_ns - start_ns) / 1000.0)
         self._finished.append((
             name, mark.trace_id, mark.span_id, mark.parent_id, start_ns, end_ns,
@@ -375,19 +368,16 @@ class Tracer:
         self._appended += 1
 
     def _take(self, records: list[tuple]) -> None:
-        """Put the traced calls' span fields into the ring in finish order:
-        the spans that finished after the first of them come off its end
-        and go back in among them."""
+        """Put traced calls into the ring in finish order: the spans that
+        finished after the first of them come off and go back among them."""
         if None in map(itemgetter(SPAN_ID), records):  # made with tracing off
             records = [r for r in records if r[SPAN_ID] is not None]
         if not records:
             return
         ring = self._finished
-        later = [ring.pop() for _ in range(
-            min(len(ring), self._appended - records[0][POSITION])
-        )]
-        later.reverse()
-        first, i = self._appended - len(later), 0  # later[0]'s position
+        n = min(len(ring), self._appended - records[0][POSITION])
+        later = [ring.pop() for _ in range(n)][::-1]
+        first, i = self._appended - n, 0  # later[0]'s position
         for fields in map(SPAN_FIELDS, records):
             while i < len(later) and first + i < fields[0]:
                 ring.append(later[i])
@@ -401,26 +391,21 @@ class Tracer:
         span = Span.__new__(Span)
         span.tracer = self
         span._stack = None
-        if type(item[0]) is str:  # Tracer.record's
-            (
-                span.name, span.trace_id, span.span_id, span.parent_id,
-                span.start_ns, span.end_ns, span.thread_id, children, build,
-                facts,
-            ) = item
+        (
+            name, span.trace_id, span.span_id, span.parent_id, start, end,
+            span.thread_id, *rest,
+        ) = item
+        span.start_ns, span.end_ns = start, end
+        if type(name) is str:  # Tracer.record's
+            span.name = name
+            children, build, facts = rest
             span.attrs, span.status, span.children_us = build(facts, children)
             return span
-        # a traced call's span fields: a phase the call never finished runs
-        # to the end of the span (a trap's time is booked under the phase
-        # it cut short); spans opened inside the call are its children in
-        # the tree, not phases
-        (
-            _, plugin, entry, outcome, start, encoded, invoked, end,
-            span.trace_id, span.span_id, span.parent_id, span.thread_id,
-        ) = item
-        encoded = encoded or end
-        invoked = invoked or end
+        # a traced call: a phase it never finished runs to the end of the
+        # span (a trap's time is booked under the phase it cut short)
+        plugin, entry, outcome, encoded, invoked = rest
+        encoded, invoked = encoded or end, invoked or end
         span.name = "plugin.call"
-        span.start_ns, span.end_ns = start, end
         span.attrs = {"plugin": plugin, "entry": entry, "outcome": outcome}
         span.status = "ok" if outcome == "ok" else "error"
         span.children_us = {
@@ -446,8 +431,7 @@ class Tracer:
         thread must not corrupt that thread's nesting; its spans simply
         re-root in the fresh buffer.
         """
-        if self._log is not None:
-            self._log()
+        self._pull()
         stack = getattr(self._tls, "stack", None)
         if stack:
             stack.clear()
@@ -455,8 +439,7 @@ class Tracer:
 
     def finished(self) -> list[Span]:
         """Finished spans, oldest first."""
-        if self._log is not None:
-            self._log()
+        self._pull()
         return [self._built(item) for item in list(self._finished)]
 
     def drain_finished(self) -> list[dict[str, Any]]:
@@ -467,8 +450,7 @@ class Tracer:
         ring buffer never evicts and the final result message stays
         small.  Spans still open keep accumulating as usual.
         """
-        if self._log is not None:
-            self._log()
+        self._pull()
         out: list[dict[str, Any]] = []
         while True:
             try:

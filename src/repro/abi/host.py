@@ -450,8 +450,24 @@ class PluginHost:
             stats.frames = stats.max_call_depth = stats.max_value_stack = 0
             tracer = obs.tracer
             if tracer.enabled:
+                # Tracer.begin and, below, the close of Tracer.record
+                # written out: a call per plugin call costs more than these
+                try:
+                    stack = tracer._tls.stack
+                except AttributeError:
+                    stack = tracer._stack()
                 mark = self._span
-                tracer.begin(mark)
+                mark.span_id = span_id = next(tracer._ids)
+                if stack:
+                    parent = stack[-1]
+                    mark.trace_id = trace_id = parent.trace_id
+                    mark.parent_id = parent_id = parent.span_id
+                else:
+                    mark.trace_id = trace_id = next(tracer._ids)
+                    mark.parent_id = parent_id = None
+                mark.children_us = None
+                mark._stack = stack
+                stack.append(mark)
         instance.store.stats = stats
         error: PluginError | None = None
         trap_code: str | None = None
@@ -547,14 +563,21 @@ class PluginHost:
             if type(input_bytes) is not bytes:
                 input_bytes = bytes(input_bytes)
             detail = "" if error is None else str(error)
-            if pre is not None:
-                obs.flight.register_module(self.module_sha, self.wasm_bytes)
             if mark is None:
                 trace_id = span_id = parent_id = thread_id = position = None
             else:
-                position = tracer.close(mark, "plugin.call", elapsed_us)
-                trace_id, span_id = mark.trace_id, mark.span_id
-                parent_id, thread_id = mark.parent_id, mark._stack.thread_id
+                thread_id, position = stack.thread_id, tracer._appended
+                if stack and stack[-1] is mark:
+                    stack.pop()
+                if stack and stack[-1].span_id == parent_id:
+                    parent = stack[-1]
+                    children = parent.children_us
+                    if children is None:
+                        parent.children_us = {"plugin.call": elapsed_us}
+                    else:
+                        children["plugin.call"] = (
+                            children.get("plugin.call", 0.0) + elapsed_us
+                        )
             # the call's one record, at repro.obs.flight's field positions
             calls = obs.calls
             calls.append((
@@ -565,7 +588,8 @@ class PluginHost:
                 fuel if budgeted else None,
                 pre, name, outcome, elapsed_us, fuel_used,
                 stats.frames, stats.max_call_depth, stats.max_value_stack,
-                len(instance.memory.data), start, encoded_ns, invoked_ns, end_ns,
+                len(instance.memory.data) >> 16, start, encoded_ns, invoked_ns,
+                end_ns,
                 trace_id, span_id, parent_id, thread_id, position,
             ))
             if len(calls) >= CALL_BATCH:
@@ -628,9 +652,11 @@ class PluginHost:
     # ----- corpus capture / standalone replay support ------------------------
 
     def _capture_precall(self, in_len: int) -> dict:
-        """The pre-call state document attached to corpus-capture records."""
+        """The pre-call state document attached to corpus-capture records
+        (the module binary goes to the flight recorder's corpus table)."""
         instance = self.instance
         assert instance is not None
+        OBS.flight.register_module(self.module_sha, self.wasm_bytes)
         return {
             "globals": [
                 [index, glob.value]

@@ -22,7 +22,7 @@ from repro.obs.registry import LogReader
 (
     RESULT, ENTRY, GENERATION, MODULE_SHA, INPUT, ERROR, CHAOS, RT, BUDGET,
     PRE, PLUGIN, OUTCOME, ELAPSED_US, FUEL_USED, FRAMES, CALL_DEPTH,
-    VALUE_STACK, MEMORY_BYTES, START_NS, ENCODED_NS, INVOKED_NS, END_NS,
+    VALUE_STACK, MEMORY_PAGES, START_NS, ENCODED_NS, INVOKED_NS, END_NS,
     TRACE_ID, SPAN_ID, PARENT_ID, THREAD_ID, POSITION,
 ) = range(27)
 """Field positions.  ``ERROR`` is the fault's message, ``CHAOS`` the
@@ -225,5 +225,5 @@ class CallSeries:
                     series.add_n(value, n)
         reg.gauge(
             "waran_plugin_memory_pages", "linear memory size (64KiB pages)"
-        ).labels(plugin=plugin).set(values[-1] // 65536)
+        ).labels(plugin=plugin).set(values[-1])
         values.clear()

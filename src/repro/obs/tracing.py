@@ -37,9 +37,9 @@ two clock reads.  The spans on every slot (``gnb.step``) and every plugin
 call (``plugin.call``) cost less: their owner already reads the clock at
 the edges, so it opens a reused :class:`SpanMark` (:meth:`Tracer.begin`:
 ids and a stack slot, so spans opened inside still parent under it) and
-closes it with its own reads (:meth:`Tracer.close`): a slot's span goes
-into the ring as one tuple (:meth:`Tracer.record`), a plugin call's is
-taken from the call log (:mod:`repro.obs.flight`).  The ``Span`` is
+closes it with its own reads: a slot's span goes into the ring as one
+tuple (:meth:`Tracer.record`), a plugin call's is taken from the call log
+(:mod:`repro.obs.flight`).  The ``Span`` is
 built only when read.  Finished spans land in a bounded ring buffer
 (oldest evicted) and export as a JSON-friendly list or a text tree.
 """
@@ -208,10 +208,18 @@ class Span:
         if exc_type is not None:
             self.status = "error"
             self.attrs.setdefault("error", f"{exc_type.__name__}: {exc}")
-        tracer = self.tracer
-        tracer.close(self, self.name, self.elapsed_us)
-        tracer._finished.append(self)
-        tracer._appended += 1
+        stack = self._stack
+        if stack and stack[-1] is self:
+            stack.pop()
+        if stack and stack[-1].span_id == self.parent_id:
+            parent = stack[-1]
+            if parent.children_us is None:
+                parent.children_us = {}
+            parent.children_us[self.name] = (
+                parent.children_us.get(self.name, 0.0) + self.elapsed_us
+            )
+        self.tracer._finished.append(self)
+        self.tracer._appended += 1
         return False
 
     def to_json(self) -> dict[str, Any]:
@@ -238,7 +246,7 @@ class SpanMark:
     """The identity of a span its owner times with its own clock reads.
 
     :meth:`Tracer.begin` gives the mark fresh ids and puts it on the
-    thread's active stack, so any span opened before :meth:`Tracer.close`
+    thread's active stack, so any span opened before its owner closes it
     parents under it exactly as under a live :class:`Span`.  An owner
     that is never re-entered keeps one mark and reuses it.
     """
@@ -333,21 +341,6 @@ class Tracer(LogReader):
         mark._stack = stack
         stack.append(mark)
 
-    def close(self, mark: "SpanMark | Span", name: str, elapsed_us: float) -> int:
-        """Take a span off the stack, book its time on the parent's
-        ``children_us``; returns its position (spans finished before it)."""
-        stack = mark._stack
-        if stack and stack[-1] is mark:
-            stack.pop()
-        if stack and stack[-1].span_id == mark.parent_id:
-            parent = stack[-1]
-            children = parent.children_us
-            if children is None:
-                parent.children_us = {name: elapsed_us}
-            else:
-                children[name] = children.get(name, 0.0) + elapsed_us
-        return self._appended
-
     def record(
         self,
         mark: SpanMark,
@@ -357,13 +350,24 @@ class Tracer(LogReader):
         build: Callable[[Any, dict | None], tuple],
         facts: Any,
     ) -> None:
-        """:meth:`close` the span ``mark`` opened and keep it in the ring
-        as one tuple: ``build(facts, children_us)`` makes its attrs, status
-        and ``children_us`` when it is read."""
-        self.close(mark, name, (end_ns - start_ns) / 1000.0)
+        """Finish the span ``mark`` opened, from its owner's clock reads: off
+        the stack, its duration onto the parent's ``children_us``, and into
+        the ring as one tuple.  ``build(facts, children_us)`` makes its
+        attrs, status and ``children_us`` when it is read."""
+        stack = mark._stack
+        if stack and stack[-1] is mark:
+            stack.pop()
+        parent_id = mark.parent_id
+        if stack and stack[-1].span_id == parent_id:
+            parent = stack[-1]
+            children = parent.children_us
+            if children is None:
+                parent.children_us = {name: (end_ns - start_ns) / 1000.0}
+            else:
+                children[name] = children.get(name, 0.0) + (end_ns - start_ns) / 1000.0
         self._finished.append((
-            name, mark.trace_id, mark.span_id, mark.parent_id, start_ns, end_ns,
-            mark._stack.thread_id, mark.children_us, build, facts,
+            name, mark.trace_id, mark.span_id, parent_id, start_ns, end_ns,
+            stack.thread_id, mark.children_us, build, facts,
         ))
         self._appended += 1
 

@@ -166,7 +166,7 @@ class FlightRecorder(LogReader):
 SERIES_BATCH = 256
 
 #: what a call adds to its plugin's series: plugin, outcome, time, fuel,
-#: frames, call depth, value stack, memory size
+#: frames, call depth, value stack, memory pages
 _ROW = itemgetter(*range(PLUGIN, START_NS))
 _WIDTH = START_NS - PLUGIN
 _HISTOGRAMS = (

@@ -19,10 +19,10 @@ keeps such handles valid across :meth:`MetricsRegistry.reset` and
 registry swaps.  The hottest sites do not even observe: a slot appends
 samples to a batch (:meth:`MetricsRegistry.batch`), a plugin call its
 record to the call log, and every read folds both into the series first,
-so a reader never sees the difference.  Exposition is available as a JSON-friendly dict
-(:meth:`MetricsRegistry.to_json`) and as the Prometheus text format
-(:meth:`MetricsRegistry.to_prometheus`, histograms rendered as summaries
-with ``quantile`` labels).
+so a reader never sees the difference.  Exposition is available as a
+JSON-friendly dict (:meth:`MetricsRegistry.to_json`) and as the
+Prometheus text format (:meth:`MetricsRegistry.to_prometheus`, histograms
+rendered as summaries with ``quantile`` labels).
 """
 
 from __future__ import annotations

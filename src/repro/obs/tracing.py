@@ -39,9 +39,10 @@ the edges, so it opens a reused :class:`SpanMark` (:meth:`Tracer.begin`:
 ids and a stack slot, so spans opened inside still parent under it) and
 closes it with its own reads: a slot's span goes into the ring as one
 tuple (:meth:`Tracer.record`), a plugin call's is taken from the call log
-(:mod:`repro.obs.flight`).  The ``Span`` is
-built only when read.  Finished spans land in a bounded ring buffer
-(oldest evicted) and export as a JSON-friendly list or a text tree.
+(:mod:`repro.obs.flight`).  The ``Span`` - its attrs, status and
+``children_us`` included - is built only when the span is read.
+Finished spans land in a bounded ring buffer (oldest evicted) and can be
+exported as a JSON-friendly list or an indented text tree.
 """
 
 from __future__ import annotations
@@ -256,6 +257,11 @@ class SpanMark:
     context = Span.context
 
 
+#: ``build(facts, children_us) -> (attrs, status, children_us)``: how a
+#: :meth:`Tracer.record` caller's facts become the span's fields on read
+SpanBuild = Callable[[Any, "dict[str, float] | None"], tuple]
+
+
 class Tracer(LogReader):
     """Owns the thread-local active-span stacks and the finished ring buffer.
 
@@ -347,24 +353,32 @@ class Tracer(LogReader):
         name: str,
         start_ns: int,
         end_ns: int,
-        build: Callable[[Any, dict | None], tuple],
+        build: SpanBuild,
         facts: Any,
     ) -> None:
-        """Finish the span ``mark`` opened, from its owner's clock reads: off
-        the stack, its duration onto the parent's ``children_us``, and into
-        the ring as one tuple.  ``build(facts, children_us)`` makes its
-        attrs, status and ``children_us`` when it is read."""
+        """Finish the span ``mark`` opened, from its owner's clock reads.
+
+        What a ``with`` span does at exit, minus the clock read: off the
+        stack, its duration onto the parent's ``children_us``, and into the
+        ring - as a tuple.  Nothing else is built: ``build(facts,
+        children_us)`` makes the span's attrs, status and ``children_us``
+        when it is read (``children_us`` is what spans finished inside
+        this one booked on the mark).
+        """
         stack = mark._stack
         if stack and stack[-1] is mark:
             stack.pop()
         parent_id = mark.parent_id
-        if stack and stack[-1].span_id == parent_id:
+        if stack:
             parent = stack[-1]
-            children = parent.children_us
-            if children is None:
-                parent.children_us = {name: (end_ns - start_ns) / 1000.0}
-            else:
-                children[name] = children.get(name, 0.0) + (end_ns - start_ns) / 1000.0
+            if parent.span_id == parent_id:
+                children = parent.children_us
+                if children is None:
+                    parent.children_us = {name: (end_ns - start_ns) / 1000.0}
+                else:
+                    children[name] = (
+                        children.get(name, 0.0) + (end_ns - start_ns) / 1000.0
+                    )
         self._finished.append((
             name, mark.trace_id, mark.span_id, parent_id, start_ns, end_ns,
             stack.thread_id, mark.children_us, build, facts,

@@ -65,14 +65,12 @@ def _bind_slice_deadline_miss(reg: MetricsRegistry, slice_name: str):
     ).labels(slice=slice_name)
 
 
-#: time samples one slice series takes in before the sample that fills
-#: it folds the batch (every registry read folds it too), so a fold
-#: extends each series by about this many however many gNBs share the
-#: registry; also the samples a slice's ``exec_us`` keeps pending
+#: samples one slice series takes in before the sample that fills it
+#: folds the batch (every registry read folds it too); also the samples a
+#: slice's ``exec_us`` keeps pending.  The slot count folds it every
+#: ``16 * _SLOT_BATCH`` slots, so a fold applies about this many samples
+#: per series however many gNBs share the registry.
 _SLOT_BATCH = 256
-#: byte samples of one series, and slots / 8 of all, the counts keep
-#: pending: summing them costs little, so they fold sooner
-_COUNT_BATCH = 32
 
 
 def _bind_slot_metrics(reg: MetricsRegistry) -> "_SlotMetrics":
@@ -88,10 +86,9 @@ class _SlotMetrics:
     same slice label, and a float series must take its samples in the
     order they were made.  Recording is one ``append`` onto a list:
     ``exec_us[slice]`` (us), ``delivered[slice]`` (bytes), ``slots``
-    (one ``None`` per slot); :meth:`fold` runs when one time series has
-    :data:`_SLOT_BATCH` samples pending and on every registry read, and
-    :meth:`fold_counts` when one byte series has :data:`_COUNT_BATCH` or
-    the slots ``8 * _COUNT_BATCH``.  A series opens on the
+    (one ``None`` per slot); :meth:`fold` runs when one slice series has
+    :data:`_SLOT_BATCH` samples pending, every ``16 * _SLOT_BATCH``
+    slots and on every registry read.  A series opens on the
     fold of its first sample - a native slice never opens an exec series,
     an idle one never a delivered one - and reads as if every sample had
     been applied on arrival: time samples in arrival order through the
@@ -129,26 +126,18 @@ class _SlotMetrics:
     def fold(self) -> None:
         """Apply the pending samples to the series (thread-safe)."""
         with self._lock:
+            exec_series, delivered_series, slots_series = self._series
             for name, pending in list(self.exec_us.items()):
                 samples = _take(pending)
                 if samples:
-                    self._series[0][name].extend(samples)
-            self._fold_counts()
-
-    def fold_counts(self) -> None:
-        """Apply the pending byte and slot counts (thread-safe)."""
-        with self._lock:
-            self._fold_counts()
-
-    def _fold_counts(self) -> None:
-        _, delivered_series, slots_series = self._series
-        for name, pending in list(self.delivered.items()):
-            samples = _take(pending)
-            if samples:
-                delivered_series[name].inc(sum(samples))
-        slots = len(_take(self.slots))
-        if slots:
-            slots_series[None].inc(slots)
+                    exec_series[name].extend(samples)
+            for name, pending in list(self.delivered.items()):
+                samples = _take(pending)
+                if samples:
+                    delivered_series[name].inc(sum(samples))
+            slots = len(_take(self.slots))
+            if slots:
+                slots_series[None].inc(slots)
 
 
 class _PerSlice(dict):
@@ -360,8 +349,8 @@ class GnbHost:
         if batch is not None:
             slots = batch.slots
             slots.append(None)
-            if len(slots) >= 8 * _COUNT_BATCH:
-                batch.fold_counts()
+            if len(slots) >= 16 * _SLOT_BATCH:
+                batch.fold()
         return executed
 
     def _step_slot(self, batch: _SlotMetrics | None) -> dict[int, list[UeGrant]]:
@@ -460,8 +449,8 @@ class GnbHost:
             if batch is not None and slice_bytes:
                 pending = batch.delivered[runtime.name]
                 pending.append(slice_bytes)
-                if len(pending) >= _COUNT_BATCH:
-                    batch.fold_counts()
+                if len(pending) >= _SLOT_BATCH:
+                    batch.fold()
 
         # 5. PF long-term average: served UEs move toward this slot's rate,
         # the rest decay toward zero

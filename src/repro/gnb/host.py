@@ -411,12 +411,12 @@ class GnbHost:
                     requests.append(
                         RtRequest(sid, runtime.plugin.name, runtime.lane)
                     )
-            decisions = self.rt.plan_slot(slot, requests)
-            rt_decisions = {d.sid: d for d in decisions}
-            rank = {d.sid: i for i, d in enumerate(decisions)}
-            order.sort(
-                key=lambda sid: (0, rank[sid]) if sid in rank else (1, sid)
-            )
+            # planned slices in dispatch order, then the rest by slice id
+            rt_decisions = {d.sid: d for d in self.rt.plan_slot(slot, requests)}
+            order = [
+                *rt_decisions,
+                *sorted(sid for sid in order if sid not in rt_decisions),
+            ]
         notify = (
             self.inter_slice.notify_delivery
             if self.inter_slice is not None
@@ -486,7 +486,7 @@ class GnbHost:
         if (
             runtime.plugin is not None
             and not policy.is_quarantined(sid)
-            and (decision is None or decision.dispatches)
+            and (decision is None or decision.verdict.dispatches)
         ):
             fuel = rt_attrs = None
             if decision is not None and decision.fuel_budget is not None:

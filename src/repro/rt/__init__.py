@@ -30,9 +30,9 @@ from repro.rt.dispatcher import (
 from repro.rt.lanes import (
     DEFAULT_LANES,
     LaneSpec,
+    LaneTable,
     format_lanes,
     parse_lanes,
-    plan_lanes,
 )
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "DeadlineDispatcher",
     "FuelCalibrator",
     "LaneSpec",
+    "LaneTable",
     "RtCounters",
     "RtDecision",
     "RtPolicy",
@@ -48,5 +49,4 @@ __all__ = [
     "Verdict",
     "format_lanes",
     "parse_lanes",
-    "plan_lanes",
 ]

@@ -26,6 +26,7 @@ metering, and worker counts.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -41,9 +42,10 @@ class Verdict(enum.Enum):
     QUARANTINE = "quarantine"  # circuit open: not dispatched until probation
     SHED = "shed"  # admitted but the lane planner ran out of budget
 
-    @property
-    def dispatches(self) -> bool:
-        return self in (Verdict.ADMIT, Verdict.PROBE, Verdict.DEMOTE)
+    def __init__(self, value: str):
+        #: whether the plugin runs this slot (a plain attribute: the slot
+        #: loop reads it per slice)
+        self.dispatches = value in ("admit", "probe", "demote")
 
 
 def _bind_verdicts(reg: MetricsRegistry, plugin: str):
@@ -81,13 +83,25 @@ class PluginAdmissionState:
         default_factory=lambda: BoundMetrics(_bind_fuel_p99),
         repr=False, compare=False,
     )
+    #: the window's samples in order, kept beside it
+    _ordered: list = field(default_factory=list, repr=False, compare=False)
 
     def fuel_p99(self) -> int | None:
         """p99 over the sample window (an exact order statistic)."""
-        if not self.window:
+        ordered = self._ordered
+        if not ordered:
             return None
-        ordered = sorted(self.window)
         return ordered[int(0.99 * (len(ordered) - 1))]
+
+    def add_sample(self, fuel: int) -> None:
+        """Keep one successful call's fuel in the window and its copy."""
+        window, ordered = self.window, self._ordered
+        if len(window) == window.maxlen:
+            if not window:
+                return  # a zero-length window keeps nothing
+            del ordered[bisect_left(ordered, window[0])]
+        window.append(fuel)
+        insort(ordered, fuel)
 
 
 class AdmissionController:
@@ -128,16 +142,19 @@ class AdmissionController:
     ) -> tuple[Verdict, str]:
         """The verdict for one dispatch request, given its planned budget."""
         st = self.state(key)
-        if not st.breaker.allow(slot):
-            return self._verdict(st, slot, Verdict.QUARANTINE, "circuit open")
-        if st.breaker.state is BreakerState.HALF_OPEN:
+        breaker = st.breaker
+        if breaker.state is not BreakerState.CLOSED:
+            if not breaker.allow(slot):
+                return self._verdict(st, slot, Verdict.QUARANTINE, "circuit open")
+            # not closed and allowed: half-open, so a probe
             return self._verdict(st, slot, Verdict.PROBE, "half-open probation")
-        if not self.policy.admission:
+        policy = self.policy
+        if not policy.admission:
             return self._verdict(st, slot, Verdict.ADMIT, "admission off")
         p99 = st.fuel_p99()
-        if p99 is None or len(st.window) < self.policy.min_samples:
+        if p99 is None or len(st.window) < policy.min_samples:
             return self._verdict(st, slot, Verdict.ADMIT, "warming up")
-        needed = int(p99 * self.policy.headroom)
+        needed = int(p99 * policy.headroom)
         if call_budget <= 0 or needed <= call_budget:
             return self._verdict(st, slot, Verdict.ADMIT, f"p99={p99}")
         if not sheddable:
@@ -173,10 +190,10 @@ class AdmissionController:
                 ).inc(plugin=key)
             return
         if fuel_used is not None:
-            st.window.append(int(fuel_used))
+            st.add_sample(int(fuel_used))
         was = st.breaker.state
         st.breaker.record_success(slot)
-        if was is BreakerState.HALF_OPEN and st.breaker.state is BreakerState.CLOSED:
+        if st.breaker.state is not was:  # a success moves half-open to closed only
             st.readmissions += 1
             self.events.append(f"slot={slot} plugin={key} readmitted")
             if OBS.enabled:
@@ -185,22 +202,23 @@ class AdmissionController:
     def _verdict(
         self, st: PluginAdmissionState, slot: int, verdict: Verdict, reason: str
     ) -> tuple[Verdict, str]:
-        if verdict.value != st.last_verdict:
-            st.last_verdict = verdict.value
+        value = verdict._value_  # the enum's own field: .value is a property
+        if value != st.last_verdict:
+            st.last_verdict = value
             self.events.append(
-                f"slot={slot} plugin={st.key} verdict={verdict.value} reason={reason}"
+                f"slot={slot} plugin={st.key} verdict={value} reason={reason}"
             )
             if OBS.enabled:
                 OBS.events.emit(
                     "rt.verdict",
                     source=st.key,
                     slot=slot,
-                    verdict=verdict.value,
+                    verdict=value,
                     reason=reason,
                 )
         if OBS.enabled:
             reg = OBS.registry
-            st._verdict_series.get(reg, st.key)[verdict.value].inc()
+            st._verdict_series.get(reg, st.key)[value].inc()
             p99 = st.fuel_p99()
             if p99 is not None:
                 st._fuel_p99_series.get(reg, st.key).set(p99)

@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
+from typing import NamedTuple
 
 from repro.obs import OBS, BoundMetrics, MetricsRegistry
 from repro.rt.admission import AdmissionController, Verdict
-from repro.rt.lanes import DEFAULT_LANES, LaneSpec, format_lanes, parse_lanes, plan_lanes
+from repro.rt.lanes import DEFAULT_LANES, LaneSpec, LaneTable, format_lanes, parse_lanes
 
 #: the spellings a boolean policy field accepts; anything else is an error,
 #: not a silent ``False``
@@ -179,13 +181,15 @@ class FuelCalibrator:
         return round(self.rate, 2) if self.samples >= 8 and self.rate else None
 
 
-@dataclass(frozen=True)
-class RtRequest:
+class RtRequest(NamedTuple):
     """One slice that wants to dispatch its plugin this slot."""
 
     sid: int
     key: str  # plugin name: admission identity + metric/event label
     lane: str
+
+
+_sid = itemgetter(0)
 
 
 @dataclass
@@ -198,10 +202,6 @@ class RtDecision:
     verdict: Verdict
     fuel_budget: int | None  # None = unbudgeted (observe-only mode)
     reason: str
-
-    @property
-    def dispatches(self) -> bool:
-        return self.verdict.dispatches
 
     def to_attrs(self) -> dict:
         """The flight-recorder attachment (budget, lane, verdict)."""
@@ -247,9 +247,8 @@ class DeadlineDispatcher:
         self._slot_fuel = 0
         self._degraded_series = BoundMetrics(_bind_degraded)
         self._slot_miss_series = BoundMetrics(_bind_slot_miss)
-        self._lane_of = {lane.name: lane for lane in policy.lanes}
-        self._floor_lane = min(
-            policy.lanes, key=lambda l: (-l.priority, l.name)
+        self._lanes = LaneTable(
+            self.slot_budget_fuel, policy.lanes, policy.min_call_fuel
         )
 
     @property
@@ -267,98 +266,92 @@ class DeadlineDispatcher:
     # ----- planning -----------------------------------------------------------
 
     def plan_slot(self, slot: int, requests: list[RtRequest]) -> list[RtDecision]:
-        """Decide every request: verdict + fuel budget, in dispatch order."""
-        self.counters.slots += 1
+        """Decide every request: verdict + fuel budget, in dispatch order
+        (lane priority first, then slice id)."""
+        counters = self.counters
+        counters.slots += 1
         self._slot_fuel = 0
         if not requests:
             return []
         if not self.policy.enforce:
             # observe-only: everything admits unbudgeted; misses still count
-            self.counters.dispatched += len(requests)
+            counters.dispatched += len(requests)
             return [
-                RtDecision(r.sid, r.key, r.lane, Verdict.ADMIT, None, "observe-only")
-                for r in requests
+                RtDecision(sid, key, lane, Verdict.ADMIT, None, "observe-only")
+                for sid, key, lane in requests
             ]
-        budget = self.slot_budget_fuel
-        ordered = sorted(
-            requests,
-            key=lambda r: (self._lane(r.lane).priority, r.sid),
-        )
+        table = self._lanes
+        groups: list[list] = [[] for _ in table.lanes]
+        for request in sorted(requests, key=_sid):
+            groups[table.index(request.lane)].append(request)
         # pass 1: provisional equal-split budgets drive admission verdicts
-        provisional = plan_lanes(
-            budget,
-            [(r.key, r.lane) for r in ordered],
-            self.policy.lanes,
-            self.policy.min_call_fuel,
-        )
-        verdicts: list[tuple[RtRequest, Verdict, str]] = []
-        for assign in provisional:
-            req = ordered[assign.index]
-            lane = self._lane(req.lane)
-            verdict, reason = self.admission.decide(
-                req.key,
-                slot,
-                assign.fuel or 0,
-                budget,
-                sheddable=lane.sheddable,
-            )
-            verdicts.append((req, verdict, reason))
-        # pass 2: re-plan with survivors only (rejected budget rolls over);
-        # demoted requests compete in the lowest-priority lane
-        survivors = [
-            (req, verdict, reason)
-            for req, verdict, reason in verdicts
-            if verdict.dispatches
-        ]
-        final = plan_lanes(
-            budget,
-            [
-                (
-                    req.key,
-                    self._floor_lane.name if verdict is Verdict.DEMOTE else req.lane,
-                )
-                for req, verdict, _ in survivors
-            ],
-            self.policy.lanes,
-            self.policy.min_call_fuel,
-        )
+        decide = self.admission.decide
+        budget = table.budget_fuel
         decisions: list[RtDecision] = []
-        planned: dict[int, RtDecision] = {}
-        for assign in final:
-            req, verdict, reason = survivors[assign.index]
-            if assign.fuel is None:
-                verdict, reason = Verdict.SHED, "lane budget exhausted"
-                lane = self._lane(req.lane)
-                self.counters.shed_by_lane[lane.name] = (
-                    self.counters.shed_by_lane.get(lane.name, 0) + 1
+        replan = False
+        split = table.split([len(members) for members in groups])
+        for lane, (fuel, admitted), members in zip(table.lanes, split, groups):
+            for pos, (sid, key, lane_name) in enumerate(members):
+                call_fuel = fuel if pos < admitted else None
+                verdict, reason = decide(
+                    key, slot, call_fuel or 0, budget, lane.sheddable
                 )
-                self.events.append(
-                    f"slot={slot} plugin={req.key} verdict=shed lane={lane.name}"
+                if verdict is Verdict.DEMOTE or not verdict.dispatches:
+                    replan = True
+                decisions.append(
+                    RtDecision(sid, key, lane_name, verdict, call_fuel, reason)
                 )
-                if OBS.enabled:
-                    OBS.events.emit(
-                        "rt.shed", source=req.key, slot=slot, lane=lane.name
+        # pass 2, only when a verdict changed the survivors: re-plan with
+        # them alone (rejected budget rolls over); demoted requests compete
+        # in the floor lane.  Otherwise pass 1's plan is the plan.
+        final = decisions
+        if replan:
+            groups = [[] for _ in table.lanes]
+            for decision in decisions:
+                verdict = decision.verdict
+                if verdict.dispatches:
+                    home = (
+                        table.floor if verdict is Verdict.DEMOTE
+                        else table.index(decision.lane)
                     )
-            planned[req.sid] = RtDecision(
-                req.sid, req.key, req.lane, verdict,
-                assign.fuel if verdict.dispatches else None, reason,
-            )
-        for req, verdict, reason in verdicts:
-            decision = planned.get(req.sid) or RtDecision(
-                req.sid, req.key, req.lane, verdict, None, reason
-            )
-            decisions.append(decision)
-            if decision.dispatches:
-                self.counters.dispatched += 1
+                    groups[home].append(decision)
+                else:
+                    decision.fuel_budget = None
+            split = table.split([len(members) for members in groups])
+            final = []
+            for (fuel, admitted), members in zip(split, groups):
+                for pos, decision in enumerate(members):
+                    decision.fuel_budget = fuel if pos < admitted else None
+                final += members
+        for decision in final:
+            if decision.fuel_budget is None:
+                self._shed(slot, decision)
+        for decision in decisions:
+            if decision.verdict.dispatches:
+                counters.dispatched += 1
             else:
-                self.counters.degraded += 1
+                counters.degraded += 1
                 if OBS.enabled:
                     self._degraded_series.get(OBS.registry)[
                         decision.key, decision.verdict.value
                     ].inc()
-        # dispatch order: lane priority first, then slice id
-        decisions.sort(key=lambda d: (self._lane(d.lane).priority, d.sid))
+        if table.tied:
+            decisions.sort(
+                key=lambda d: (table.lanes[table.index(d.lane)].priority, d.sid)
+            )
         return decisions
+
+    def _shed(self, slot: int, decision: RtDecision) -> None:
+        decision.verdict = Verdict.SHED
+        decision.reason = "lane budget exhausted"
+        lane = self._lanes.lanes[self._lanes.index(decision.lane)].name
+        shed = self.counters.shed_by_lane
+        shed[lane] = shed.get(lane, 0) + 1
+        self.events.append(
+            f"slot={slot} plugin={decision.key} verdict=shed lane={lane}"
+        )
+        if OBS.enabled:
+            OBS.events.emit("rt.shed", source=decision.key, slot=slot, lane=lane)
 
     # ----- accounting ----------------------------------------------------------
 
@@ -395,6 +388,3 @@ class DeadlineDispatcher:
                 self._slot_miss_series.get(OBS.registry).inc()
         self._slot_fuel = 0
         return missed
-
-    def _lane(self, name: str) -> LaneSpec:
-        return self._lane_of.get(name, self._floor_lane)

@@ -6,7 +6,7 @@ best-effort, ``normal`` between them); when the slot's fuel budget is
 scarce, higher-priority lanes are planned first and non-sheddable lanes
 are never the ones dropped.
 
-The planner (:func:`plan_lanes`) is a pure function of its arguments -
+The planner (:class:`LaneTable`) is a pure function of its arguments -
 no clocks, no RNG - so lane decisions are deterministic functions of
 (spec, seed, slot) as the cluster digest invariance requires.
 """
@@ -90,60 +90,64 @@ def format_lanes(lanes: tuple[LaneSpec, ...]) -> str:
     return ";".join(parts)
 
 
-@dataclass(frozen=True)
-class LaneAssignment:
-    """The planner's output for one request: a fuel budget or a shed."""
+class LaneTable:
+    """The lane plan of one dispatcher, built once from the slot's fuel
+    budget, its lanes and ``min_call_fuel``; per slot it only splits.
 
-    index: int  # position in the request list handed to plan_lanes
-    lane: str
-    fuel: int | None  # None = shed (no budget left for this call)
-
-
-def plan_lanes(
-    budget_fuel: int,
-    requests: list[tuple[str, str]],  # (key, lane) in dispatch-stable order
-    lanes: tuple[LaneSpec, ...],
-    min_call_fuel: int,
-) -> list[LaneAssignment]:
-    """Split ``budget_fuel`` across requests, priority lanes first.
-
-    Each lane gets its guaranteed share plus whatever higher-priority
-    lanes left unused; within a lane the budget is split equally.  When a
-    sheddable lane's equal split falls below ``min_call_fuel`` the lane
-    admits as many requests as still get ``min_call_fuel`` (in request
-    order) and sheds the rest.  Returned in lane-priority dispatch order.
+    ``lanes`` are in dispatch order (priority, then name) and ``quotas``
+    are their guaranteed shares of the budget.  :meth:`index` maps a lane
+    name to its position; an unknown name goes to the floor lane, the
+    last to dispatch.
     """
-    by_name = {lane.name: lane for lane in lanes}
-    fallback = min(lanes, key=lambda l: (-l.priority, l.name))
-    groups: dict[str, list[int]] = {lane.name: [] for lane in lanes}
-    for i, (_key, lane_name) in enumerate(requests):
-        groups[lane_name if lane_name in by_name else fallback.name].append(i)
 
-    total_share = sum(lane.share for lane in lanes) or 1.0
-    assignments: list[LaneAssignment] = []
-    remaining = max(0, budget_fuel)
-    unused = 0  # budget released by higher-priority lanes
-    for lane in sorted(lanes, key=lambda l: (l.priority, l.name)):
-        quota = int(budget_fuel * lane.share / total_share)
-        avail = min(remaining, quota + unused)
-        members = groups[lane.name]
-        if not members:
-            unused = avail
-            continue
-        used = 0
-        per_call = avail // len(members)
-        if per_call >= min_call_fuel or not lane.sheddable:
-            for i in members:
-                assignments.append(LaneAssignment(i, lane.name, per_call))
-            used = per_call * len(members)
-        else:
-            admit = avail // min_call_fuel if min_call_fuel > 0 else len(members)
-            for pos, i in enumerate(members):
-                if pos < admit:
-                    assignments.append(LaneAssignment(i, lane.name, min_call_fuel))
-                    used += min_call_fuel
-                else:
-                    assignments.append(LaneAssignment(i, lane.name, None))
-        unused = avail - used
-        remaining -= used
-    return assignments
+    def __init__(
+        self, budget_fuel: int, lanes: tuple[LaneSpec, ...], min_call_fuel: int
+    ):
+        self.budget_fuel = budget_fuel
+        self.min_call_fuel = min_call_fuel
+        self.lanes = sorted(lanes, key=lambda l: (l.priority, l.name))
+        total_share = sum(lane.share for lane in lanes) or 1.0
+        self.quotas = [
+            int(budget_fuel * lane.share / total_share) for lane in self.lanes
+        ]
+        self.floor = self.lanes.index(
+            min(lanes, key=lambda l: (-l.priority, l.name))
+        )
+        #: lanes share a priority: dispatch order is not table order alone
+        self.tied = len({lane.priority for lane in lanes}) < len(lanes)
+        self._index = {lane.name: i for i, lane in enumerate(self.lanes)}
+
+    def index(self, name: str) -> int:
+        return self._index.get(name, self.floor)
+
+    def split(self, counts: list[int]) -> list[tuple[int, int]]:
+        """Split the budget over ``counts[i]`` requests in lane ``i``.
+
+        Returns ``(fuel, admitted)`` per lane: the lane's first
+        ``admitted`` requests get ``fuel`` each and the rest are shed.
+        Each lane gets its quota plus whatever higher-priority lanes left
+        unused, split equally.  When a sheddable lane's equal split falls
+        below ``min_call_fuel`` the lane admits as many requests as still
+        get ``min_call_fuel`` and sheds the rest.
+        """
+        min_fuel = self.min_call_fuel
+        plan = []
+        remaining = max(0, self.budget_fuel)
+        unused = 0  # budget released by higher-priority lanes
+        for lane, quota, n in zip(self.lanes, self.quotas, counts):
+            avail = min(remaining, quota + unused)
+            if not n:
+                plan.append((0, 0))
+                unused = avail
+                continue
+            fuel = avail // n
+            admitted = n
+            if fuel < min_fuel and lane.sheddable:
+                fuel = min_fuel
+                if min_fuel > 0:
+                    admitted = max(0, min(n, avail // min_fuel))
+            plan.append((fuel, admitted))
+            used = fuel * admitted
+            unused = avail - used
+            remaining -= used
+        return plan

@@ -2,14 +2,20 @@
 
 Covers the pure planners (lane splits, policy string round-trips), the
 admission state machine (warm-up, demote, reject, quarantine, half-open
-probation, re-admission), the dispatcher's two-pass planning and miss
-ledger, and the plugin-host end of the contract: a call whose rt budget
-undercuts the host's own fuel limit traps with kind ``"deadline"`` at the
-cut, the decision rides the flight record, and replay reproduces the
-degraded call bit-exactly - including when chaos faults compose.
+probation, re-admission), the one-table planner against its two-pass
+reference, the miss ledger, and the plugin-host end of the contract: a
+call whose rt budget undercuts the host's own fuel limit traps with kind
+``"deadline"`` at the cut, the decision rides the flight record, and
+replay reproduces the degraded call bit-exactly - including when chaos
+faults compose.
 """
 
+import random
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as strat
 
 from repro import obs
 from repro.abi import wire
@@ -20,12 +26,13 @@ from repro.plugins import plugin_wasm
 from repro.rt import (
     DEFAULT_LANES,
     DeadlineDispatcher,
+    LaneTable,
+    RtDecision,
     RtPolicy,
     RtRequest,
     Verdict,
     format_lanes,
     parse_lanes,
-    plan_lanes,
 )
 
 
@@ -60,37 +67,24 @@ class TestLanes:
 
     def test_unused_higher_lane_budget_rolls_down(self):
         # nothing in sla or normal: be gets the whole budget
-        plan = plan_lanes(
-            10_000, [("x", "be"), ("y", "be")], DEFAULT_LANES, min_call_fuel=100
-        )
-        assert [a.fuel for a in plan] == [5000, 5000]
+        table = LaneTable(10_000, DEFAULT_LANES, min_call_fuel=100)
+        assert [lane.name for lane in table.lanes] == ["sla", "normal", "be"]
+        assert table.split([0, 0, 2]) == [(0, 0), (0, 0), (5000, 2)]
 
     def test_sheddable_lane_sheds_below_min_call_fuel(self):
         # 4 be requests into a 2000-fuel be allowance: only 2 get the floor
-        plan = plan_lanes(
-            2000,
-            [("a", "be"), ("b", "be"), ("c", "be"), ("d", "be")],
-            parse_lanes("be:100"),
-            min_call_fuel=1000,
-        )
-        fuels = [a.fuel for a in plan]
-        assert fuels == [1000, 1000, None, None]
+        table = LaneTable(2000, parse_lanes("be:100"), min_call_fuel=1000)
+        assert table.split([4]) == [(1000, 2)]
 
     def test_non_sheddable_lane_never_sheds(self):
         # the same scarcity on the sla lane dispatches everyone anyway
-        plan = plan_lanes(
-            2000,
-            [("a", "sla"), ("b", "sla"), ("c", "sla"), ("d", "sla")],
-            DEFAULT_LANES,
-            min_call_fuel=1000,
-        )
-        assert all(a.fuel is not None for a in plan)
+        table = LaneTable(2000, DEFAULT_LANES, min_call_fuel=1000)
+        assert table.split([4, 0, 0])[0] == (250, 4)
 
     def test_unknown_lane_falls_back_to_lowest_priority(self):
-        plan = plan_lanes(
-            10_000, [("x", "nonsense")], DEFAULT_LANES, min_call_fuel=100
-        )
-        assert plan[0].lane == "be"
+        table = LaneTable(10_000, DEFAULT_LANES, min_call_fuel=100)
+        assert table.lanes[table.index("nonsense")].name == "be"
+        assert table.index("nonsense") == table.floor == table.index("be")
 
 
 class TestRtPolicy:
@@ -150,7 +144,7 @@ def run_slots(dispatcher, requests, slots, fuel_for, start=0):
     """Drive the dispatcher: each dispatched call reports fuel_for(key, slot)."""
     for slot in range(start, start + slots):
         for decision in dispatcher.plan_slot(slot, requests):
-            if not decision.dispatches:
+            if not decision.verdict.dispatches:
                 continue
             fuel = fuel_for(decision.key, slot)
             overrun = (
@@ -223,7 +217,7 @@ class TestAdmission:
         base = dispatcher.counters.slots
         for slot in range(base, base + 20):
             for decision in dispatcher.plan_slot(slot, requests):
-                if decision.dispatches:
+                if decision.verdict.dispatches:
                     dispatcher.observe_call(
                         decision, slot, fuel_used=200, elapsed_us=1.0, overrun=False
                     )
@@ -239,6 +233,35 @@ class TestAdmission:
         for fuel in range(100, 116):
             dispatcher.admission.observe("rr", 0, fuel, overrun=False)
         assert st.fuel_p99() == sorted(st.window)[int(0.99 * 15)]
+        # the window's sorted copy through eviction at maxlen, duplicates,
+        # censored overruns and fuel_used=None, read after every observe;
+        # a window over 100 samples puts the p99 below its maximum
+        rng = random.Random(47)
+        for window in (0, 1, 16, 128):
+            admission = make_dispatcher(window=window).admission
+            st = admission.state("pf")
+            assert st.fuel_p99() is None
+            for slot in range(700):
+                fuel = rng.choice([rng.randrange(100, 9000), 700, 700, 8999, None])
+                admission.observe("pf", slot, fuel, overrun=rng.random() < 0.1)
+                samples = list(st.window)
+                assert st.fuel_p99() == (
+                    sorted(samples)[int(0.99 * (len(samples) - 1))]
+                    if samples else None
+                )
+            assert len(st.window) == window
+        # the gauge follows the registry: set again on the first decide
+        # after a reset, as before any sample was kept
+        obs.enable()
+        try:
+            for _ in range(2):
+                obs.reset()
+                admission.decide("pf", 700, 0, 20_000, True)
+                gauge = obs.OBS.registry.get("waran_rt_fuel_p99")
+                assert gauge.value(plugin="pf") == st.fuel_p99()
+        finally:
+            obs.reset()
+            obs.disable()
 
     def test_events_log_only_verdict_changes(self):
         dispatcher = make_dispatcher()
@@ -313,6 +336,212 @@ class TestDispatcher:
             decisions[0], 1, fuel_used=500, elapsed_us=5.0, overrun=False
         )
         assert dispatcher.settle(1) is False
+
+
+def reference_plan_lanes(budget_fuel, requests, lanes, min_call_fuel):
+    """The lane planner before the lane table: ``(index, fuel)`` per
+    ``(key, lane)`` request, lane by lane; fuel None = shed."""
+    by_name = {lane.name: lane for lane in lanes}
+    fallback = min(lanes, key=lambda l: (-l.priority, l.name))
+    groups = {lane.name: [] for lane in lanes}
+    for i, (_key, lane_name) in enumerate(requests):
+        groups[lane_name if lane_name in by_name else fallback.name].append(i)
+    total_share = sum(lane.share for lane in lanes) or 1.0
+    assignments = []
+    remaining = max(0, budget_fuel)
+    unused = 0
+    for lane in sorted(lanes, key=lambda l: (l.priority, l.name)):
+        quota = int(budget_fuel * lane.share / total_share)
+        avail = min(remaining, quota + unused)
+        members = groups[lane.name]
+        if not members:
+            unused = avail
+            continue
+        used = 0
+        per_call = avail // len(members)
+        if per_call >= min_call_fuel or not lane.sheddable:
+            assignments += [(i, per_call) for i in members]
+            used = per_call * len(members)
+        else:
+            admit = avail // min_call_fuel if min_call_fuel > 0 else len(members)
+            for pos, i in enumerate(members):
+                assignments.append((i, min_call_fuel if pos < admit else None))
+                used += min_call_fuel if pos < admit else 0
+        unused = avail - used
+        remaining -= used
+    return assignments
+
+
+def reference_plan_slot(dispatcher, slot, requests):
+    """``DeadlineDispatcher.plan_slot`` as two full lane passes, each
+    verdict and shed applied to the dispatcher's own state: the oracle of
+    the one-table planner."""
+    policy = dispatcher.policy
+    lane_of = {lane.name: lane for lane in policy.lanes}
+    floor = min(policy.lanes, key=lambda l: (-l.priority, l.name))
+
+    def lane(name):
+        return lane_of.get(name, floor)
+
+    counters = dispatcher.counters
+    counters.slots += 1
+    dispatcher._slot_fuel = 0
+    if not requests:
+        return []
+    budget = dispatcher.slot_budget_fuel
+    ordered = sorted(requests, key=lambda r: (lane(r.lane).priority, r.sid))
+    verdicts = []
+    for i, fuel in reference_plan_lanes(
+        budget, [(r.key, r.lane) for r in ordered], policy.lanes,
+        policy.min_call_fuel,
+    ):
+        req = ordered[i]
+        verdict, reason = dispatcher.admission.decide(
+            req.key, slot, fuel or 0, budget, lane(req.lane).sheddable
+        )
+        verdicts.append((req, verdict, reason))
+    survivors = [v for v in verdicts if v[1].dispatches]
+    planned = {}
+    for i, fuel in reference_plan_lanes(
+        budget,
+        [
+            (req.key, floor.name if verdict is Verdict.DEMOTE else req.lane)
+            for req, verdict, _ in survivors
+        ],
+        policy.lanes,
+        policy.min_call_fuel,
+    ):
+        req, verdict, reason = survivors[i]
+        if fuel is None:
+            verdict, reason = Verdict.SHED, "lane budget exhausted"
+            name = lane(req.lane).name
+            counters.shed_by_lane[name] = counters.shed_by_lane.get(name, 0) + 1
+            dispatcher.events.append(
+                f"slot={slot} plugin={req.key} verdict=shed lane={name}"
+            )
+        planned[req.sid] = RtDecision(
+            req.sid, req.key, req.lane, verdict,
+            fuel if verdict.dispatches else None, reason,
+        )
+    decisions = []
+    for req, verdict, reason in verdicts:
+        decision = planned.get(req.sid) or RtDecision(
+            req.sid, req.key, req.lane, verdict, None, reason
+        )
+        decisions.append(decision)
+        if decision.verdict.dispatches:
+            counters.dispatched += 1
+        else:
+            counters.degraded += 1
+    decisions.sort(key=lambda d: (lane(d.lane).priority, d.sid))
+    return decisions
+
+
+def plan_both_ways(policy, requests, fuels, slots):
+    """Drive the dispatcher and the two-pass reference through the same
+    slots and call outcomes; assert they agree, return the verdicts seen."""
+    one = DeadlineDispatcher(policy, slot_us=1000.0)
+    two = DeadlineDispatcher(policy, slot_us=1000.0)
+    seen = set()
+    for slot in range(slots):
+        planned = one.plan_slot(slot, requests)
+        assert planned == reference_plan_slot(two, slot, requests), slot
+        for decision in planned:
+            seen.add(decision.verdict)
+            if not decision.verdict.dispatches:
+                continue
+            history = fuels[decision.key]
+            fuel = history[slot % len(history)]
+            overrun = decision.fuel_budget is not None and fuel > decision.fuel_budget
+            for dispatcher in (one, two):
+                dispatcher.observe_call(
+                    decision, slot, fuel_used=None if overrun else fuel,
+                    elapsed_us=10.0, overrun=overrun,
+                )
+        assert one.settle(slot) == two.settle(slot)
+    assert one.counters.to_json() == two.counters.to_json()
+    assert one.events == two.events
+    return seen
+
+
+_LANE_NAMES = ("sla", "gold", "normal", "be", "bulk")
+_PLUGINS = ("rr", "pf", "mt", "hog", "p5")
+
+
+@strat.composite
+def rt_cases(draw):
+    names = draw(strat.lists(
+        strat.sampled_from(_LANE_NAMES), min_size=1, max_size=4, unique=True
+    ))
+    lanes = parse_lanes(";".join(
+        f"{name}{'!' if draw(strat.booleans()) else ''}:"
+        f"{draw(strat.integers(1, 100))}"
+        for name in names
+    ))
+    if draw(strat.booleans()):
+        # lanes sharing a priority, which parse_lanes never makes
+        lanes = tuple(replace(lane, priority=lane.priority // 2) for lane in lanes)
+    policy = RtPolicy(
+        budget_us=draw(strat.integers(5, 300)),
+        fuel_per_us=50.0,
+        lanes=lanes,
+        min_call_fuel=draw(strat.integers(100, 3000)),
+        min_samples=draw(strat.integers(1, 4)),
+        window=draw(strat.integers(0, 12)),
+        quarantine_after=draw(strat.integers(1, 3)),
+        probation_slots=draw(strat.integers(1, 8)),
+        probe_successes=draw(strat.integers(1, 2)),
+    )
+    n = draw(strat.integers(1, 12))
+    sids = draw(strat.lists(
+        strat.integers(1, 60), min_size=n, max_size=n, unique=True
+    ))
+    requests = [
+        RtRequest(
+            sid,
+            draw(strat.sampled_from(_PLUGINS)),
+            draw(strat.sampled_from([*names, "nonsense"])),
+        )
+        for sid in sids
+    ]
+    # a call's fuel as a share of the slot: a lone call near the whole
+    # slot succeeds and is then rejected, a runaway is cut
+    budget = policy.slot_budget_fuel(1000.0)
+    fuel = strat.sampled_from([0.01, 0.05, 0.2, 0.5, 0.9, 10**6]).map(
+        lambda share: int(budget * share)
+    )
+    fuels = {
+        key: draw(strat.lists(fuel, min_size=1, max_size=6)) for key in _PLUGINS
+    }
+    return policy, requests, fuels, draw(strat.integers(5, 40))
+
+
+class TestOnePassPlan:
+    """The one-table planner decides exactly as two full lane passes do."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rt_cases())
+    def test_one_pass_plan_equals_two_pass_plan(self, case):
+        plan_both_ways(*case)
+
+    def test_every_verdict_is_compared(self):
+        # a 3000-fuel slot: be's 1200 cannot give three calls the 500
+        # floor (shed); p5 overruns its cut (quarantine, then probe) and
+        # outgrows the slot (reject); three slices share mt, whose gold
+        # calls fit but whose p99 outgrows a be budget (demote)
+        policy = RtPolicy(
+            budget_us=60.0, fuel_per_us=50.0, lanes=parse_lanes("gold!:60;be:40"),
+            min_call_fuel=500, min_samples=2, window=8, quarantine_after=2,
+            probation_slots=3, probe_successes=1,
+        )
+        requests = [
+            RtRequest(1, "p5", "be"),
+            RtRequest(2, "mt", "gold"),
+            RtRequest(3, "mt", "nonsense"),
+            RtRequest(4, "mt", "be"),
+        ]
+        fuels = {"p5": [3000], "mt": [900]}
+        assert plan_both_ways(policy, requests, fuels, 40) == set(Verdict)
 
 
 class TestHostBudgetMapping:

@@ -283,7 +283,7 @@ class TestBreakerEdges:
 
         for slot in range(30):
             for decision in dispatcher.plan_slot(slot, requests):
-                if not decision.dispatches:
+                if not decision.verdict.dispatches:
                     continue
                 overrun = slot < hot_until
                 dispatcher.observe_call(

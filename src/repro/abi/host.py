@@ -117,6 +117,22 @@ class HostLimits:
 CALL_BATCH = 256
 
 
+def _call_span(plugin, entry, outcome, start, encoded, invoked, end, children_us):
+    """The ``plugin.call`` span of a call that closed: a phase it never
+    finished runs to the end of the span (a trap's time is booked under
+    the phase it cut short); spans opened inside are not its phases."""
+    encoded, invoked = encoded or end, invoked or end
+    return (
+        {"plugin": plugin, "entry": entry, "outcome": outcome},
+        "ok" if outcome == "ok" else "error",
+        {
+            "plugin.encode": (encoded - start) / 1000.0,
+            "plugin.invoke": (invoked - encoded) / 1000.0,
+            "plugin.decode": (end - invoked) / 1000.0,
+        },
+    )
+
+
 def _escaped_call_span(facts, children_us) -> tuple:
     """The ``plugin.call`` span of a call an exception left unreported
     (what a ``with`` span records): ``(plugin, entry, error)``."""
@@ -417,11 +433,13 @@ class PluginHost:
         :meth:`replay` reproduces degraded slots bit-exactly.
 
         With telemetry on (:func:`repro.obs.enable`) a call writes one
-        record of what it has to the call log (:mod:`repro.obs.flight`);
-        its ``plugin.call`` span (``children_us``: ``plugin.encode`` /
-        ``plugin.invoke`` / ``plugin.decode``), series and ``CallRecord``
-        are built from it when read, and a fault also logs an event.  While
-        Wasm runs, a span a host function opens parents under the call's.
+        record of what it has to the call log (:mod:`repro.obs.flight`),
+        its series and ``CallRecord`` built from it when read, and a fault
+        also logs an event.  With the tracer on, the call writes one tuple
+        to the tracer's ring when it closes: its ``plugin.call`` span
+        (``children_us``: ``plugin.encode`` / ``plugin.invoke`` /
+        ``plugin.decode``), built when read.  While Wasm runs, a span a
+        host function opens parents under the call's.
         """
         instance = self.instance
         assert instance is not None
@@ -563,10 +581,7 @@ class PluginHost:
             if type(input_bytes) is not bytes:
                 input_bytes = bytes(input_bytes)
             detail = "" if error is None else str(error)
-            if mark is None:
-                trace_id = span_id = parent_id = thread_id = position = None
-            else:
-                thread_id, position = stack.thread_id, tracer._appended
+            if mark is not None:
                 if stack and stack[-1] is mark:
                     stack.pop()
                 if stack and stack[-1].span_id == parent_id:
@@ -578,6 +593,12 @@ class PluginHost:
                         children["plugin.call"] = (
                             children.get("plugin.call", 0.0) + elapsed_us
                         )
+                # the span, in Tracer.record's format
+                tracer._finished.append((
+                    "plugin.call", trace_id, span_id, parent_id, start, end_ns,
+                    stack.thread_id, None, _call_span,
+                    name, entry, outcome, start, encoded_ns, invoked_ns, end_ns,
+                ))
             # the call's one record, at repro.obs.flight's field positions
             calls = obs.calls
             calls.append((
@@ -588,9 +609,7 @@ class PluginHost:
                 fuel if budgeted else None,
                 pre, name, outcome, elapsed_us, fuel_used,
                 stats.frames, stats.max_call_depth, stats.max_value_stack,
-                len(instance.memory.data) >> 16, start, encoded_ns, invoked_ns,
-                end_ns,
-                trace_id, span_id, parent_id, thread_id, position,
+                len(instance.memory.data) >> 16,
             ))
             if len(calls) >= CALL_BATCH:
                 obs.fold_calls()

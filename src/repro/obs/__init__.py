@@ -17,8 +17,9 @@ ad-hoc ``perf_counter`` timing each of them used to hand-roll:
   spec trap codes), deadline misses, hot swaps, fault escalation.
 
 A telemetry-on plugin call makes one record (:mod:`repro.obs.flight`) in
-the call log, :attr:`Observability.calls`, that the registry, tracer and
-flight recorder take, in order, when it is full and before they read.
+the call log, :attr:`Observability.calls`, that the registry and the
+flight recorder take, in order, when it is full and before they read; a
+traced call writes its span to the tracer's ring when it closes.
 
 Everything hangs off one :class:`Observability` bundle; the module-level
 :data:`OBS` is the process default.  Telemetry is **off by default** and
@@ -87,8 +88,8 @@ class Observability:
         self.events = EventLog()
 
     def __setattr__(self, name: str, value) -> None:
-        # a new registry, tracer or flight recorder: the outgoing one takes
-        # what was logged while it was installed, the new one pulls the log
+        # a new registry or flight recorder: the outgoing one takes what
+        # was logged while it was installed, the new one pulls the log
         if isinstance(value, LogReader):
             if name in self.__dict__:
                 self.fold_calls()
@@ -106,7 +107,6 @@ class Observability:
                 reg = self.registry
                 reg.batch(CallSeries, lambda: CallSeries(reg)).take(records)
                 self.flight._take(records)
-                self.tracer._take(records)
 
     def enable(self) -> None:
         self.enabled = True

@@ -2,11 +2,12 @@
 
 A telemetry-on :meth:`repro.abi.host.PluginHost.call` appends one tuple
 (the field positions below) to the call log,
-:attr:`repro.obs.Observability.calls`.  :class:`CallSeries` folds it into
-the registry's series, the tracer builds ``plugin.call`` spans from its
-:data:`SPAN_FIELDS`, and the :class:`FlightRecorder` (after Wasm-R3,
-PAPERS.md) keeps the last N as replayable :class:`CallRecord` s, built
-when read, for ``PluginHost.replay(record)``.
+:attr:`repro.obs.Observability.calls`.  Two readers take it:
+:class:`CallSeries` folds it into the registry's series, and the
+:class:`FlightRecorder` (after Wasm-R3, PAPERS.md) keeps the last N as
+replayable :class:`CallRecord` s, built when read, for
+``PluginHost.replay(record)``.  A traced call's span does not ride the
+log: the call writes it to the tracer's ring when it closes.
 """
 
 from __future__ import annotations
@@ -22,20 +23,12 @@ from repro.obs.registry import LogReader
 (
     RESULT, ENTRY, GENERATION, MODULE_SHA, INPUT, ERROR, CHAOS, RT, BUDGET,
     PRE, PLUGIN, OUTCOME, ELAPSED_US, FUEL_USED, FRAMES, CALL_DEPTH,
-    VALUE_STACK, MEMORY_PAGES, START_NS, ENCODED_NS, INVOKED_NS, END_NS,
-    TRACE_ID, SPAN_ID, PARENT_ID, THREAD_ID, POSITION,
-) = range(27)
+    VALUE_STACK, MEMORY_PAGES,
+) = range(18)
 """Field positions.  ``ERROR`` is the fault's message, ``CHAOS`` the
 injection that fired, ``RT`` / ``BUDGET`` the rt document and effective
 fuel budget, ``PRE`` the corpus-capture pre-call state, ``FRAMES`` ..
-``VALUE_STACK`` the call's ``ExecStats``; the span fields are ``None``
-with the tracer off, and ``POSITION`` counts the spans finished before."""
-
-#: what the tracer keeps of a traced call
-SPAN_FIELDS = itemgetter(
-    POSITION, TRACE_ID, SPAN_ID, PARENT_ID, START_NS, END_NS, THREAD_ID,
-    PLUGIN, ENTRY, OUTCOME, ENCODED_NS, INVOKED_NS,
-)
+``VALUE_STACK`` the call's ``ExecStats``."""
 
 
 @dataclass(slots=True)
@@ -165,10 +158,10 @@ class FlightRecorder(LogReader):
 #: calls a plugin's series keep pending (every read applies them)
 SERIES_BATCH = 256
 
-#: what a call adds to its plugin's series: plugin, outcome, time, fuel,
-#: frames, call depth, value stack, memory pages
-_ROW = itemgetter(*range(PLUGIN, START_NS))
-_WIDTH = START_NS - PLUGIN
+#: what a call adds to its plugin's series, the record's last fields:
+#: plugin, outcome, time, fuel, frames, call depth, value stack, memory pages
+_ROW = itemgetter(slice(PLUGIN, None))
+_WIDTH = MEMORY_PAGES + 1 - PLUGIN
 _HISTOGRAMS = (
     # fuel is decremented exactly once per executed instruction, so this
     # is also the instructions-retired count

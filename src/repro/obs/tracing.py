@@ -38,11 +38,12 @@ call (``plugin.call``) cost less: their owner already reads the clock at
 the edges, so it opens a reused :class:`SpanMark` (:meth:`Tracer.begin`:
 ids and a stack slot, so spans opened inside still parent under it) and
 closes it with its own reads: a slot's span goes into the ring as one
-tuple (:meth:`Tracer.record`), a plugin call's is taken from the call log
-(:mod:`repro.obs.flight`).  The ``Span`` - its attrs, status and
+tuple (:meth:`Tracer.record`), and a plugin call writes the same tuple
+itself when it closes.  The ``Span`` - its attrs, status and
 ``children_us`` included - is built only when the span is read.
-Finished spans land in a bounded ring buffer (oldest evicted) and can be
-exported as a JSON-friendly list or an indented text tree.
+Finished spans land in a bounded ring buffer (oldest evicted), in the
+order they finished, and can be exported as a JSON-friendly list or an
+indented text tree.
 """
 
 from __future__ import annotations
@@ -52,12 +53,8 @@ import os
 import threading
 import time
 from collections import deque
-from operator import itemgetter
 from dataclasses import dataclass
 from typing import Any, Callable
-
-from repro.obs.flight import POSITION, SPAN_FIELDS, SPAN_ID
-from repro.obs.registry import LogReader
 
 
 class _NullSpan:
@@ -220,7 +217,6 @@ class Span:
                 parent.children_us.get(self.name, 0.0) + self.elapsed_us
             )
         self.tracer._finished.append(self)
-        self.tracer._appended += 1
         return False
 
     def to_json(self) -> dict[str, Any]:
@@ -257,19 +253,22 @@ class SpanMark:
     context = Span.context
 
 
-#: ``build(facts, children_us) -> (attrs, status, children_us)``: how a
-#: :meth:`Tracer.record` caller's facts become the span's fields on read
-SpanBuild = Callable[[Any, "dict[str, float] | None"], tuple]
+#: ``build(*facts, children_us) -> (attrs, status, children_us)``: how the
+#: facts a span finished with become its fields on read
+SpanBuild = Callable[..., tuple]
 
 
-class Tracer(LogReader):
+class Tracer:
     """Owns the thread-local active-span stacks and the finished ring buffer.
 
-    The ring holds :class:`Span` objects (``with tracer.span(...)``),
-    tuples (:meth:`record`) and traced calls' span fields from the call
-    log, put by their position; every read - :meth:`finished`,
-    :meth:`to_json`, :meth:`drain_finished` - pulls the log and builds the
-    ``Span`` of each tuple, so readers never see the difference.
+    The ring holds :class:`Span` objects (``with tracer.span(...)``) and
+    tuples ``(name, trace_id, span_id, parent_id, start_ns, end_ns,
+    thread_id, children_us, build, *facts)``: :meth:`record` writes one
+    with a single fact, a traced plugin call writes its own at close.
+    Every producer appends when its span finishes, so the ring is in
+    finish order; every read - :meth:`finished`, :meth:`to_json`,
+    :meth:`drain_finished` - builds the ``Span`` of each tuple, so readers
+    never see the difference.
 
     Span ids are one counter that starts at this process's prefix: 31
     random bits (xor'd with the pid, so spawn'd children never share a
@@ -288,8 +287,6 @@ class Tracer(LogReader):
         self._ids = itertools.count((prefix << 32) | 1)
         self._tls = threading.local()
         self._finished: deque[Span | tuple] = deque(maxlen=capacity)
-        #: spans this tracer finished: the next one's position
-        self._appended = 0
 
     # ----- identity ---------------------------------------------------------
 
@@ -383,25 +380,6 @@ class Tracer(LogReader):
             name, mark.trace_id, mark.span_id, parent_id, start_ns, end_ns,
             stack.thread_id, mark.children_us, build, facts,
         ))
-        self._appended += 1
-
-    def _take(self, records: list[tuple]) -> None:
-        """Put traced calls into the ring in finish order: the spans that
-        finished after the first of them come off and go back among them."""
-        if None in map(itemgetter(SPAN_ID), records):  # made with tracing off
-            records = [r for r in records if r[SPAN_ID] is not None]
-        if not records:
-            return
-        ring = self._finished
-        n = min(len(ring), self._appended - records[0][POSITION])
-        later = [ring.pop() for _ in range(n)][::-1]
-        first, i = self._appended - n, 0  # later[0]'s position
-        for fields in map(SPAN_FIELDS, records):
-            while i < len(later) and first + i < fields[0]:
-                ring.append(later[i])
-                i += 1
-            ring.append(fields)
-        ring.extend(later[i:])
 
     def _built(self, item: "Span | tuple") -> Span:
         if type(item) is not tuple:
@@ -410,27 +388,10 @@ class Tracer(LogReader):
         span.tracer = self
         span._stack = None
         (
-            name, span.trace_id, span.span_id, span.parent_id, start, end,
-            span.thread_id, *rest,
+            span.name, span.trace_id, span.span_id, span.parent_id,
+            span.start_ns, span.end_ns, span.thread_id, children, build, *facts,
         ) = item
-        span.start_ns, span.end_ns = start, end
-        if type(name) is str:  # Tracer.record's
-            span.name = name
-            children, build, facts = rest
-            span.attrs, span.status, span.children_us = build(facts, children)
-            return span
-        # a traced call: a phase it never finished runs to the end of the
-        # span (a trap's time is booked under the phase it cut short)
-        plugin, entry, outcome, encoded, invoked = rest
-        encoded, invoked = encoded or end, invoked or end
-        span.name = "plugin.call"
-        span.attrs = {"plugin": plugin, "entry": entry, "outcome": outcome}
-        span.status = "ok" if outcome == "ok" else "error"
-        span.children_us = {
-            "plugin.encode": (encoded - start) / 1000.0,
-            "plugin.invoke": (invoked - encoded) / 1000.0,
-            "plugin.decode": (end - invoked) / 1000.0,
-        }
+        span.attrs, span.status, span.children_us = build(*facts, children)
         return span
 
     def resize(self, capacity: int) -> None:
@@ -449,7 +410,6 @@ class Tracer(LogReader):
         thread must not corrupt that thread's nesting; its spans simply
         re-root in the fresh buffer.
         """
-        self._pull()
         stack = getattr(self._tls, "stack", None)
         if stack:
             stack.clear()
@@ -457,7 +417,6 @@ class Tracer(LogReader):
 
     def finished(self) -> list[Span]:
         """Finished spans, oldest first."""
-        self._pull()
         return [self._built(item) for item in list(self._finished)]
 
     def drain_finished(self) -> list[dict[str, Any]]:
@@ -468,7 +427,6 @@ class Tracer(LogReader):
         ring buffer never evicts and the final result message stays
         small.  Spans still open keep accumulating as usual.
         """
-        self._pull()
         out: list[dict[str, Any]] = []
         while True:
             try:

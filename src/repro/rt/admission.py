@@ -139,7 +139,7 @@ class AdmissionController:
         call_budget: int,
         slot_budget: int,
         sheddable: bool,
-    ) -> tuple[Verdict, str]:
+    ) -> Verdict:
         """The verdict for one dispatch request, given its planned budget."""
         st = self.state(key)
         breaker = st.breaker
@@ -156,11 +156,11 @@ class AdmissionController:
             return self._verdict(st, slot, Verdict.ADMIT, "warming up")
         needed = int(p99 * policy.headroom)
         if call_budget <= 0 or needed <= call_budget:
-            return self._verdict(st, slot, Verdict.ADMIT, f"p99={p99}")
+            return self._verdict(st, slot, Verdict.ADMIT, "p99={}", p99)
         if not sheddable:
             # SLA lanes are never shed on scarcity; a genuinely misbehaving
             # SLA plugin still fuel-cuts and climbs the fault ladder
-            return self._verdict(st, slot, Verdict.ADMIT, f"sla p99={p99}")
+            return self._verdict(st, slot, Verdict.ADMIT, "sla p99={}", p99)
         if needed > slot_budget:
             st.rejects += 1
             st.breaker.record_failure(slot)  # rejects climb toward probation
@@ -168,10 +168,11 @@ class AdmissionController:
                 st.quarantines += 1
             return self._verdict(
                 st, slot, Verdict.REJECT,
-                f"p99={p99} exceeds slot budget {slot_budget}",
+                "p99={} exceeds slot budget {}", p99, slot_budget,
             )
         return self._verdict(
-            st, slot, Verdict.DEMOTE, f"p99={p99} exceeds lane budget {call_budget}"
+            st, slot, Verdict.DEMOTE,
+            "p99={} exceeds lane budget {}", p99, call_budget,
         )
 
     def observe(self, key: str, slot: int, fuel_used: int | None, overrun: bool) -> None:
@@ -200,11 +201,15 @@ class AdmissionController:
                 OBS.events.emit("rt.readmit", source=key, slot=slot)
 
     def _verdict(
-        self, st: PluginAdmissionState, slot: int, verdict: Verdict, reason: str
-    ) -> tuple[Verdict, str]:
+        self, st: PluginAdmissionState, slot: int, verdict: Verdict,
+        reason: str, *args,
+    ) -> Verdict:
+        """Count ``verdict``; on a change, audit it with ``reason``
+        formatted from ``args`` (the only place the text is read)."""
         value = verdict._value_  # the enum's own field: .value is a property
         if value != st.last_verdict:
             st.last_verdict = value
+            reason = reason.format(*args)
             self.events.append(
                 f"slot={slot} plugin={st.key} verdict={value} reason={reason}"
             )
@@ -222,4 +227,4 @@ class AdmissionController:
             p99 = st.fuel_p99()
             if p99 is not None:
                 st._fuel_p99_series.get(reg, st.key).set(p99)
-        return verdict, reason
+        return verdict

@@ -201,7 +201,6 @@ class RtDecision:
     lane: str
     verdict: Verdict
     fuel_budget: int | None  # None = unbudgeted (observe-only mode)
-    reason: str
 
     def to_attrs(self) -> dict:
         """The flight-recorder attachment (budget, lane, verdict)."""
@@ -277,7 +276,7 @@ class DeadlineDispatcher:
             # observe-only: everything admits unbudgeted; misses still count
             counters.dispatched += len(requests)
             return [
-                RtDecision(sid, key, lane, Verdict.ADMIT, None, "observe-only")
+                RtDecision(sid, key, lane, Verdict.ADMIT, None)
                 for sid, key, lane in requests
             ]
         table = self._lanes
@@ -293,13 +292,13 @@ class DeadlineDispatcher:
         for lane, (fuel, admitted), members in zip(table.lanes, split, groups):
             for pos, (sid, key, lane_name) in enumerate(members):
                 call_fuel = fuel if pos < admitted else None
-                verdict, reason = decide(
+                verdict = decide(
                     key, slot, call_fuel or 0, budget, lane.sheddable
                 )
                 if verdict is Verdict.DEMOTE or not verdict.dispatches:
                     replan = True
                 decisions.append(
-                    RtDecision(sid, key, lane_name, verdict, call_fuel, reason)
+                    RtDecision(sid, key, lane_name, verdict, call_fuel)
                 )
         # pass 2, only when a verdict changed the survivors: re-plan with
         # them alone (rejected budget rolls over); demoted requests compete
@@ -343,7 +342,6 @@ class DeadlineDispatcher:
 
     def _shed(self, slot: int, decision: RtDecision) -> None:
         decision.verdict = Verdict.SHED
-        decision.reason = "lane budget exhausted"
         lane = self._lanes.lanes[self._lanes.index(decision.lane)].name
         shed = self.counters.shed_by_lane
         shed[lane] = shed.get(lane, 0) + 1

@@ -2,12 +2,13 @@
 as if it had been observed on arrival.
 
 A telemetry-on ``PluginHost.call`` hands one record of references to the
-tracer (the ``Span`` is built when read), the flight recorder (the
-``CallRecord`` is built when read) and its plugin's batch of registry
-samples (folded when full and on every registry read).  These tests pin
-that no reader can tell: the JSON at any read point is the JSON an eager
-recorder would have produced, reads may race calls, a reset or registry
-swap keeps or drops pending samples as it does applied ones, and a span
+flight recorder (the ``CallRecord`` is built when read) and its plugin's
+batch of registry samples (folded when full and on every registry read),
+and, traced, writes its span to the tracer's ring when it closes (the
+``Span`` is built when read).  These tests pin that no reader can tell:
+the JSON at any read point is the JSON an eager recorder would have
+produced, reads may race calls, a reset or a registry or tracer swap
+keeps or drops pending samples as it does applied ones, and a span
 opened inside a call still parents under its ``plugin.call``.
 """
 
@@ -254,7 +255,7 @@ def test_a_trace_read_with_flight_capture_on(telemetry, monkeypatch):
     with OBS.tracer.span("outer") as outer:
         for _ in range(3):
             host.call(_payload())
-    # the first read of anything is the tracer's: it pulls the log itself
+    # the first read of anything is the tracer's: the calls wrote its ring
     *calls, root = OBS.tracer.finished()
     assert root is outer
     assert [span.name for span in calls] == ["plugin.call"] * 3
@@ -372,6 +373,44 @@ def test_a_swapped_out_registry_keeps_its_pending_calls(telemetry):
     assert _calls(OBS.registry, "mt") == 1
     assert _calls(orphan, "mt") == 7  # folded on this read, not lost
     assert orphan.histogram("waran_plugin_fuel_used").count(plugin="mt") == 7
+
+
+def test_a_swapped_out_tracer_keeps_the_calls_that_closed_under_it(
+    telemetry, monkeypatch
+):
+    """Each tracer holds the ``plugin.call`` spans of exactly the calls that
+    closed while it was installed - logged calls not yet folded included -
+    in finish order among its ``gnb.step`` spans."""
+    gnb = GnbHost()
+    for sid, kind in enumerate(("rr", "mt"), start=1):
+        gnb.add_slice(SliceRuntime(sid, kind)).use_plugin(
+            SchedulerPlugin.load(plugin_wasm(kind), name=kind)
+        )
+        gnb.attach_ue(UeContext(sid, sid, FixedMcsChannel(12), FullBufferSource()))
+    first, second = Tracer(enabled=True), Tracer(enabled=True)
+    monkeypatch.setattr(OBS, "tracer", first)
+    gnb.step()
+    gnb.step()
+    OBS.tracer = second
+    gnb.step()
+    OBS.tracer = first
+    gnb.step()
+    assert len(OBS.calls) == 8  # a tracer swap folds nothing
+    for tracer, slots in ((first, [0, 1, 3]), (second, [2])):
+        spans = tracer.finished()
+        assert [span.name for span in spans] == [
+            "plugin.call", "plugin.call", "gnb.step"
+        ] * len(slots)
+        steps = spans[2::3]
+        assert [step.attrs["slot"] for step in steps] == slots
+        for i, step in enumerate(steps):
+            calls = spans[3 * i:3 * i + 2]
+            assert [call.attrs["plugin"] for call in calls] == ["rr", "mt"]
+            assert {call.parent_id for call in calls} == {step.span_id}
+            assert all(
+                step.start_ns <= call.start_ns <= call.end_ns <= step.end_ns
+                for call in calls
+            )
 
 
 def test_lookups_and_binds_do_not_fold(telemetry):

@@ -163,7 +163,9 @@ class TestAdmission:
         dispatcher = make_dispatcher()
         decisions = dispatcher.plan_slot(0, [RtRequest(1, "rr", "normal")])
         assert decisions[0].verdict is Verdict.ADMIT
-        assert decisions[0].reason == "warming up"
+        assert dispatcher.events == [
+            "slot=0 plugin=rr verdict=admit reason=warming up"
+        ]
 
     def test_creeping_p99_demotes_past_the_lane_budget(self):
         # mt rides the be lane (4000-fuel split of the 20000 budget) and
@@ -396,24 +398,24 @@ def reference_plan_slot(dispatcher, slot, requests):
         policy.min_call_fuel,
     ):
         req = ordered[i]
-        verdict, reason = dispatcher.admission.decide(
+        verdict = dispatcher.admission.decide(
             req.key, slot, fuel or 0, budget, lane(req.lane).sheddable
         )
-        verdicts.append((req, verdict, reason))
+        verdicts.append((req, verdict))
     survivors = [v for v in verdicts if v[1].dispatches]
     planned = {}
     for i, fuel in reference_plan_lanes(
         budget,
         [
             (req.key, floor.name if verdict is Verdict.DEMOTE else req.lane)
-            for req, verdict, _ in survivors
+            for req, verdict in survivors
         ],
         policy.lanes,
         policy.min_call_fuel,
     ):
-        req, verdict, reason = survivors[i]
+        req, verdict = survivors[i]
         if fuel is None:
-            verdict, reason = Verdict.SHED, "lane budget exhausted"
+            verdict = Verdict.SHED
             name = lane(req.lane).name
             counters.shed_by_lane[name] = counters.shed_by_lane.get(name, 0) + 1
             dispatcher.events.append(
@@ -421,12 +423,12 @@ def reference_plan_slot(dispatcher, slot, requests):
             )
         planned[req.sid] = RtDecision(
             req.sid, req.key, req.lane, verdict,
-            fuel if verdict.dispatches else None, reason,
+            fuel if verdict.dispatches else None,
         )
     decisions = []
-    for req, verdict, reason in verdicts:
+    for req, verdict in verdicts:
         decision = planned.get(req.sid) or RtDecision(
-            req.sid, req.key, req.lane, verdict, None, reason
+            req.sid, req.key, req.lane, verdict, None
         )
         decisions.append(decision)
         if decision.verdict.dispatches:

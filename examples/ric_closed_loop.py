@@ -90,7 +90,7 @@ def main() -> None:
             print(f"t={second + 1}s: quota={quota / 1e6:5.2f} Mb/s, "
                   f"avg delivered={measured / 1e6:5.2f} Mb/s, "
                   f"indications={ric.indications_seen}, "
-                  f"controls={len(ric.controls_sent)}, acks={len(ric.acks)}")
+                  f"controls={ric.controls_sent.total}, acks={ric.acks.total}")
 
         print(f"\nxApp stats:")
         for name, xapp in ric.xapps.items():

@@ -299,6 +299,6 @@ class ChaosRunner:
         )
         lines.append(
             f"ric indications={ric.indications_seen} "
-            f"controls={len(ric.controls_sent)} acks={len(ric.acks)}"
+            f"controls={ric.controls_sent.total} acks={ric.acks.total}"
         )
         return "\n".join(lines) + "\n"

@@ -20,12 +20,14 @@ rides the frame header (:mod:`repro.netio.batching`), not the entries.
 from __future__ import annotations
 
 import struct
+import time
 from typing import Any, Iterator
 
 from repro.e2 import messages
 from repro.e2.vendors import VendorProfile
 from repro.netio.batching import BatchSender, unpack_batch
 from repro.obs import OBS
+from repro.obs.tracing import SpanMark
 
 _NODE_LEN = struct.Struct("<H")
 
@@ -57,6 +59,11 @@ def decode_batch_entry(entry: bytes) -> tuple[str, bytes]:
     return node, entry[end:]
 
 
+def _encode_span(node: str, children_us) -> tuple:
+    """The ``e2.encode`` span's attrs, status and children, built on read."""
+    return {"node": node}, "ok", children_us
+
+
 def iter_batch_frame(frame: bytes) -> Iterator[tuple[str, bytes]]:
     """Yield every ``(node, payload)`` in one received batch frame."""
     for entry in unpack_batch(frame):
@@ -74,7 +81,8 @@ class BatchedUplinkChannel:
     see exactly which cell's telemetry was shed.
 
     When tracing is live, the vendor encode is timed as an ``e2.encode``
-    span.
+    span: a reused :class:`~repro.obs.tracing.SpanMark`, its ``Span``
+    built on read.
 
     The uplink is one-directional by design (shared-nothing workers);
     ``poll`` always returns nothing.
@@ -87,6 +95,7 @@ class BatchedUplinkChannel:
         self.sent = 0
         self.dropped = 0
         self.decode_failures = 0  # CommChannel surface; nothing inbound
+        self._span = SpanMark()
 
     @property
     def name(self) -> str:
@@ -95,11 +104,23 @@ class BatchedUplinkChannel:
     def send(self, dest: str, message: dict[str, Any]) -> None:
         messages.validate_message(message)
         tracer = OBS.tracer
-        if tracer.enabled:
-            with tracer.span("e2.encode", node=self.source):
-                payload = self.profile.encode(message)
-        else:
+        if not tracer.enabled:
             payload = self.profile.encode(message)
+        else:
+            mark = self._span
+            tracer.begin(mark)
+            start = time.perf_counter_ns()
+            try:
+                payload = self.profile.encode(message)
+            except BaseException as exc:
+                tracer.record_error(
+                    mark, "e2.encode", start, {"node": self.source}, exc
+                )
+                raise
+            tracer.record(
+                mark, "e2.encode", start, time.perf_counter_ns(),
+                _encode_span, self.source,
+            )
         if self.sender.offer(encode_batch_entry(self.source, payload)):
             self.sent += 1
         else:

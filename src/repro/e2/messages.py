@@ -8,6 +8,7 @@ define the *semantic* layer both sides must agree on.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any
 
 MSG_SETUP_REQUEST = "e2_setup_request"
@@ -44,6 +45,23 @@ _ALL_ACTIONS = {
     ACTION_HANDOVER,
     ACTION_SET_CQI_TABLE,
 }
+
+
+#: how many of the newest messages a :class:`MessageLog` keeps
+LOG_TAIL = 256
+
+
+class MessageLog(deque):
+    """The newest :data:`LOG_TAIL` messages appended, for inspection, and
+    ``total``: how many were ever appended."""
+
+    def __init__(self) -> None:
+        super().__init__(maxlen=LOG_TAIL)
+        self.total = 0
+
+    def append(self, message: dict[str, Any]) -> None:
+        self.total += 1
+        super().append(message)
 
 
 class E2MessageError(ValueError):

@@ -53,7 +53,8 @@ class E2NodeAgent:
         self.subscriptions: dict[int, _Subscription] = {}
         self.tx_power: int | None = None
         self.cqi_table: int = 1
-        self.controls_applied: list[dict[str, Any]] = []
+        #: the newest controls applied; ``.total`` counts all
+        self.controls_applied = messages.MessageLog()
 
     def _send(self, dest: str, message: dict[str, Any]) -> bool:
         """Supervised send: a dead RIC link must not crash the node agent."""

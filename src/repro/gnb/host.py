@@ -165,13 +165,6 @@ def _step_span(slot: int, children_us) -> tuple:
     return {"slot": slot}, "ok", children_us
 
 
-def _escaped_step_span(facts, children_us) -> tuple:
-    """The ``gnb.step`` span of a slot an exception cut short (what a
-    ``with`` span records): ``(slot, error)``."""
-    slot, error = facts
-    return {"slot": slot, "error": error}, "error", children_us
-
-
 class SliceRuntime:
     """One slice (MVNO) attached to the gNB.
 
@@ -338,10 +331,7 @@ class GnbHost:
             try:
                 executed = self._step_slot(batch)
             except BaseException as exc:
-                tracer.record(
-                    mark, "gnb.step", start, time.perf_counter_ns(),
-                    _escaped_step_span, (slot, f"{type(exc).__name__}: {exc}"),
-                )
+                tracer.record_error(mark, "gnb.step", start, {"slot": slot}, exc)
                 raise
             tracer.record(
                 mark, "gnb.step", start, time.perf_counter_ns(), _step_span, slot

@@ -4,14 +4,17 @@
 raw SCTP...).  This package provides two interchangeable transports
 behind one endpoint interface so communication plugins can wrap either:
 
-- :class:`InProcNetwork` - zero-copy in-process queues (the default for
-  simulations and tests);
+- :class:`InProcNetwork` - in-process delivery: a send appends to the
+  peer endpoint's inbox, a ``deque`` (the default for simulations and
+  tests);
 - :class:`TcpNetwork` - real localhost TCP sockets with length-prefixed
   framing, for multi-process runs and anything that wants actual bytes
   on a wire.
 
 Both deliver ``(source, payload: bytes)`` datagram-style messages between
-named endpoints.
+named endpoints, into the same per-endpoint inbox (TCP reader threads
+append to it): a non-blocking ``recv`` or a ``drain`` takes no lock, only
+a ``recv`` that waits does.
 """
 
 from repro.netio.batching import (

@@ -52,7 +52,7 @@ from collections import deque
 from repro.netio.bus import Endpoint
 from repro.netio.framing import MAX_FRAME
 from repro.obs import OBS, BoundMetrics, MetricsRegistry
-from repro.obs.tracing import TraceContext
+from repro.obs.tracing import SpanMark, TraceContext
 
 RANGE_MAGIC = 0x33524257  # 'WBR3' little-endian
 _MAGIC_BYTES = RANGE_MAGIC.to_bytes(4, "little")
@@ -220,6 +220,13 @@ def _bind_queue_wait(reg: MetricsRegistry):
     ).labels()
 
 
+def _flush_span(facts, children_us) -> tuple:
+    """The ``uplink.flush`` span's attrs, status and children, built on
+    read: ``(dest, messages, bytes)``."""
+    dest, messages, nbytes = facts
+    return {"dest": dest, "messages": messages, "bytes": nbytes}, "ok", children_us
+
+
 class BatchSender:
     """A bounded, explicitly flushed batch queue toward one destination.
 
@@ -250,6 +257,7 @@ class BatchSender:
         self.messages_sent = 0
         self.bytes_sent = 0
         self._wait_series = BoundMetrics(_bind_queue_wait)
+        self._span = SpanMark()
 
     @property
     def queued(self) -> int:
@@ -286,11 +294,14 @@ class BatchSender:
 
         When tracing is live, the active span's context (the worker's
         slot span) is stamped into each frame header and the whole flush
-        is timed as an ``uplink.flush`` span; per-payload queue wait is
-        observed into ``waran_uplink_queue_wait_us``.
+        is timed as an ``uplink.flush`` span (a reused
+        :class:`~repro.obs.tracing.SpanMark`, its ``Span`` built on read);
+        per-payload queue wait is observed into
+        ``waran_uplink_queue_wait_us``.
         """
         tracer = OBS.tracer
-        ctx = tracer.current() if tracer.enabled else None
+        traced = tracer.enabled
+        ctx = tracer.current() if traced else None
         wait_hist = None
         if OBS.enabled and self._queue:
             wait_hist = self._wait_series.get(OBS.registry)
@@ -299,7 +310,11 @@ class BatchSender:
         blob_bytes = 0  # kept out of the span attr: blob size tracks
         # compressed float timings, which would make the structural
         # trace digest wobble run-to-run
-        with tracer.span("uplink.flush", dest=self.dest) as span:
+        if traced:
+            mark = self._span
+            tracer.begin(mark)
+            start = time.perf_counter_ns()
+        try:
             now = time.perf_counter_ns()
             blob = spans_blob
             while True:
@@ -334,9 +349,16 @@ class BatchSender:
                 blob = b""
                 if not self._queue:
                     break
-            span.set(
-                messages=flushed,
-                bytes=self.bytes_sent - bytes_before - blob_bytes,
+        except BaseException as exc:
+            if traced:
+                tracer.record_error(
+                    mark, "uplink.flush", start, {"dest": self.dest}, exc
+                )
+            raise
+        if traced:
+            tracer.record(
+                mark, "uplink.flush", start, time.perf_counter_ns(), _flush_span,
+                (self.dest, flushed, self.bytes_sent - bytes_before - blob_bytes),
             )
         return flushed
 

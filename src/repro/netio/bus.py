@@ -1,5 +1,9 @@
 """In-process and TCP-loopback message networks.
 
+Both endpoint kinds keep inbound messages in one inbox, a ``deque`` that
+in-process senders and TCP reader threads append to: a non-blocking
+``recv`` or a ``drain`` takes no lock; only a waiting ``recv`` does.
+
 The TCP endpoint is instrumented for latency attribution: every
 ``send`` is timed into the ``waran_net_send_us`` histogram and (when
 tracing is live) wrapped in a ``net.send`` span, so socket time shows up
@@ -11,12 +15,12 @@ reader thread has no meaningful parent on its thread-local span stack.
 
 from __future__ import annotations
 
-import queue
 import socket
 import struct
 import threading
 import time
 from abc import ABC, abstractmethod
+from collections import deque
 from functools import partial
 
 from repro.netio.framing import read_frame, write_frame
@@ -84,20 +88,44 @@ class Endpoint(ABC):
 
 
 class _QueuedEndpoint(Endpoint):
-    """An endpoint whose inbound messages wait in a local queue: in-proc
-    senders put into it directly, a TCP endpoint's reader threads do."""
+    """An endpoint whose inbound messages wait in its inbox: in-proc
+    senders append to it directly, a TCP endpoint's reader threads do."""
 
     def __init__(self, name: str):
         super().__init__(name)
-        self._queue: queue.Queue = queue.Queue()
+        self._inbox: deque[tuple[str, bytes]] = deque()
+        self._ready = threading.Condition()
+        self._waiting = 0  # receivers blocked in recv(timeout != 0)
+
+    def _put(self, item: tuple[str, bytes]) -> None:
+        self._inbox.append(item)
+        if self._waiting:
+            with self._ready:
+                self._ready.notify()
 
     def recv(self, timeout: float | None = 0.0) -> tuple[str, bytes] | None:
-        try:
+        inbox = self._inbox
+        if not inbox:
             if timeout == 0.0:
-                return self._queue.get_nowait()
-            return self._queue.get(timeout=timeout)
-        except queue.Empty:
+                return None
+            with self._ready:
+                # counted before wait_for looks again: a put it misses notifies
+                self._waiting += 1
+                try:
+                    self._ready.wait_for(inbox.__len__, timeout)
+                finally:
+                    self._waiting -= 1
+        try:
+            return inbox.popleft()
+        except IndexError:  # timed out, or another reader took it
             return None
+
+    def drain(self) -> list[tuple[str, bytes]]:
+        """Everything in the inbox now, in arrival order; what a reader
+        thread appends meanwhile waits for the next drain."""
+        inbox = self._inbox
+        popleft = inbox.popleft
+        return [popleft() for _ in range(len(inbox))]
 
 
 class _InProcEndpoint(_QueuedEndpoint):
@@ -109,7 +137,7 @@ class _InProcEndpoint(_QueuedEndpoint):
         target = self._network._endpoints.get(dest)
         if target is None:
             raise NetworkError(f"no endpoint named {dest!r}")
-        target._queue.put((self.name, bytes(payload)))
+        target._put((self.name, bytes(payload)))
 
     def close(self) -> None:
         """Unregister, so peers get ``NetworkError`` like on TCP."""
@@ -117,7 +145,8 @@ class _InProcEndpoint(_QueuedEndpoint):
 
 
 class InProcNetwork:
-    """Queue-backed network: deterministic and dependency-free."""
+    """In-process network: each endpoint's inbox is a deque its peers
+    append to; deterministic and dependency-free."""
 
     def __init__(self) -> None:
         self._endpoints: dict[str, _InProcEndpoint] = {}
@@ -201,7 +230,7 @@ class _TcpEndpoint(_QueuedEndpoint):
                     frames, nbytes = self._recv_series.get(OBS.registry)
                     frames.inc()
                     nbytes.inc(len(payload))
-                self._queue.put((source, payload))
+                self._put((source, payload))
         except (ConnectionError, OSError, ValueError):
             conn.close()
         finally:

@@ -258,6 +258,12 @@ class SpanMark:
 SpanBuild = Callable[..., tuple]
 
 
+def _escaped_span(facts, children_us) -> tuple:
+    """A span an exception left: ``(attrs, error)``."""
+    attrs, error = facts
+    return {**attrs, "error": error}, "error", children_us
+
+
 class Tracer:
     """Owns the thread-local active-span stacks and the finished ring buffer.
 
@@ -380,6 +386,17 @@ class Tracer:
             name, mark.trace_id, mark.span_id, parent_id, start_ns, end_ns,
             stack.thread_id, mark.children_us, build, facts,
         ))
+
+    def record_error(
+        self, mark: SpanMark, name: str, start_ns: int, attrs: dict, exc
+    ) -> None:
+        """Finish the span ``mark`` opened for the exception ``exc`` that
+        left it, as a ``with`` span records one: ``attrs`` plus ``error``,
+        status ``error``."""
+        self.record(
+            mark, name, start_ns, time.perf_counter_ns(), _escaped_span,
+            (attrs, f"{type(exc).__name__}: {exc}"),
+        )
 
     def _built(self, item: "Span | tuple") -> Span:
         if type(item) is not tuple:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
@@ -11,6 +12,7 @@ from repro.abi.host import HostLimits, PluginError, PluginHost
 from repro.chaos.supervisor import CircuitOpenError, Supervisor
 from repro.e2 import messages
 from repro.obs import OBS, BoundMetrics, MetricsRegistry
+from repro.obs.tracing import SpanMark
 from repro.e2.comm import CommChannel
 from repro.ric import wire
 from repro.wasm.instance import HostFunc
@@ -52,6 +54,13 @@ def _bind_indications(reg: MetricsRegistry):
         "waran_ric_indications_total",
         "KPM indications received, by originating node",
     ).labels_by("node")
+
+
+def _dispatch_span(facts, children_us) -> tuple:
+    """The ``ric.xapp.dispatch`` span's attrs, status and children, built
+    on read: ``(xapp, msg_type)``."""
+    xapp, msg_type = facts
+    return {"xapp": xapp, "msg_type": msg_type}, "ok", children_us
 
 
 @dataclass
@@ -109,10 +118,12 @@ class NearRtRic:
         #: per-node indication totals - the multi-node aggregation view a
         #: cluster coordinator reads after fan-in from many gNB shards
         self.indications_by_node: dict[str, int] = {}
-        self.controls_sent: list[dict[str, Any]] = []
-        self.acks: list[dict[str, Any]] = []
+        #: the newest controls sent and acks received; ``.total`` counts all
+        self.controls_sent = messages.MessageLog()
+        self.acks = messages.MessageLog()
         self.xapp_log: list[tuple[str, int, int]] = []
         self._indications_series = BoundMetrics(_bind_indications)
+        self._dispatch_mark = SpanMark()
 
     # ----- xApp hosting -----------------------------------------------------
 
@@ -278,53 +289,34 @@ class NearRtRic:
                 adjusted.append(record)
             inputs[wire.MSG_SLICE_KPI] = adjusted
         executed: list[wire.XappAction] = []
+        mark = self._dispatch_mark
         for runtime in self.xapps.values():
             for msg_type in runtime.msg_types:
-                records = inputs.get(msg_type, [])
-                payload = wire.pack_xapp_input(msg_type, records)
-
-                def dispatch(
-                    _host=runtime.host, _payload=payload
-                ) -> list[wire.XappAction]:
-                    result = _host.call(_payload, entry="on_indication")
-                    return wire.unpack_xapp_actions(result.output)
-
-                with OBS.tracer.span(
-                    "ric.xapp.dispatch", xapp=runtime.name, msg_type=msg_type
-                ):
+                payload = wire.pack_xapp_input(msg_type, inputs.get(msg_type, []))
+                # one ric.xapp.dispatch span per dispatch: a reused mark,
+                # its Span built on read; the xApp's plugin.call books
+                # under it, retries included
+                tracer = OBS.tracer
+                if not tracer.enabled:
+                    actions = self._dispatch(runtime, msg_type, payload)
+                else:
+                    tracer.begin(mark)
+                    start = time.perf_counter_ns()
                     try:
-                        if self.supervisor is not None:
-                            actions = self.supervisor.call(
-                                f"xapp:{runtime.name}",
-                                dispatch,
-                                retry_on=(PluginError, wire.XappWireError),
-                            )
-                        else:
-                            actions = dispatch()
-                    except CircuitOpenError:
-                        # the xApp's breaker is open: skip it until the
-                        # supervisor lets a half-open probe through
-                        self.xapp_dispatches_skipped += 1
-                        if OBS.enabled:
-                            OBS.registry.counter(
-                                "waran_ric_xapp_skipped_total",
-                                "xApp dispatches skipped by an open breaker",
-                            ).inc(xapp=runtime.name)
-                        continue
-                    except (PluginError, wire.XappWireError) as exc:
-                        runtime.faults += 1
-                        if OBS.enabled:
-                            OBS.registry.counter(
-                                "waran_ric_xapp_faults_total",
-                                "xApp dispatches that faulted",
-                            ).inc(xapp=runtime.name)
-                            OBS.events.emit(
-                                "ric.xapp_fault",
-                                source=runtime.name,
-                                msg_type=msg_type,
-                                detail=str(exc),
-                            )
-                        continue
+                        actions = self._dispatch(runtime, msg_type, payload)
+                    except BaseException as exc:
+                        tracer.record_error(
+                            mark, "ric.xapp.dispatch", start,
+                            {"xapp": runtime.name, "msg_type": msg_type}, exc,
+                        )
+                        raise
+                    tracer.record(
+                        mark, "ric.xapp.dispatch", start,
+                        time.perf_counter_ns(), _dispatch_span,
+                        (runtime.name, msg_type),
+                    )
+                if actions is None:
+                    continue
                 runtime.calls += 1
                 runtime.actions_emitted += len(actions)
                 if OBS.enabled:
@@ -338,6 +330,49 @@ class NearRtRic:
                     self._execute_action(source, action)
                     executed.append(action)
         return executed
+
+    def _dispatch(
+        self, runtime: XappRuntime, msg_type: int, payload: bytes
+    ) -> list[wire.XappAction] | None:
+        """One xApp call on ``payload``, supervised when a supervisor is
+        attached; None when an open breaker skipped it or it faulted (both
+        counted)."""
+
+        def dispatch() -> list[wire.XappAction]:
+            result = runtime.host.call(payload, entry="on_indication")
+            return wire.unpack_xapp_actions(result.output)
+
+        try:
+            if self.supervisor is None:
+                return dispatch()
+            return self.supervisor.call(
+                f"xapp:{runtime.name}",
+                dispatch,
+                retry_on=(PluginError, wire.XappWireError),
+            )
+        except CircuitOpenError:
+            # the xApp's breaker is open: skip it until the supervisor
+            # lets a half-open probe through
+            self.xapp_dispatches_skipped += 1
+            if OBS.enabled:
+                OBS.registry.counter(
+                    "waran_ric_xapp_skipped_total",
+                    "xApp dispatches skipped by an open breaker",
+                ).inc(xapp=runtime.name)
+        except (PluginError, wire.XappWireError) as exc:
+            runtime.faults += 1
+            if OBS.enabled:
+                OBS.registry.counter(
+                    "waran_ric_xapp_faults_total",
+                    "xApp dispatches that faulted",
+                ).inc(xapp=runtime.name)
+                OBS.events.emit(
+                    "ric.xapp_fault",
+                    source=runtime.name,
+                    msg_type=msg_type,
+                    detail=str(exc),
+                )
+        return None
 
     def _execute_action(self, node_dest: str, action: wire.XappAction) -> None:
         if action.kind == wire.ACTION_HANDOVER:

@@ -87,14 +87,12 @@ class TwoCellTopology:
     def _execute_handovers(self) -> None:
         """Move UEs whose handover controls were applied by a node agent."""
         for cell_id, node in self.nodes.items():
+            applied = node.controls_applied
             executed = [
-                c for c in node.controls_applied
-                if c["action"] == messages.ACTION_HANDOVER
+                c for c in applied if c["action"] == messages.ACTION_HANDOVER
             ]
-            node.controls_applied = [
-                c for c in node.controls_applied
-                if c["action"] != messages.ACTION_HANDOVER
-            ]
+            for control in executed:
+                applied.remove(control)
             for control in executed:
                 ue_id = control["target"]
                 target_cell = control["value"]

@@ -7,6 +7,9 @@ change semantics when they change ``--mode``.  Each test runs against
 both via the ``net`` fixture.
 """
 
+import threading
+import time
+
 import pytest
 
 from repro.netio import (
@@ -164,6 +167,80 @@ class TestPeerLifecycle:
             got.extend(p[0] for _, p in b.drain())
             time.sleep(0.01)
         assert got == list(range(10))
+
+
+class TestInbox:
+    """Each endpoint's inbox: one deque that senders (in-process) or reader
+    threads (TCP) append to, read without a lock unless a ``recv`` waits."""
+
+    @staticmethod
+    def _collect(endpoint, n: int) -> list[int]:
+        got: list[int] = []
+        deadline = time.monotonic() + 10.0
+        while len(got) < n and time.monotonic() < deadline:
+            got.extend(int.from_bytes(p, "little") for _, p in endpoint.drain())
+        return got
+
+    def test_fifo_across_interleaved_send_and_drain(self, net):
+        a = net.endpoint("a")
+        b = net.endpoint("b")
+        got, sent = [], 0
+        for burst in (1, 5, 2, 9, 3):
+            for _ in range(burst):
+                a.send("b", sent.to_bytes(4, "little"))
+                sent += 1
+            first = b.recv(timeout=5.0)  # interleave one recv per burst
+            got.append(int.from_bytes(first[1], "little"))
+            got.extend(self._collect(b, sent - len(got)))
+        assert got == list(range(sent))
+        assert b.drain() == [] and b.recv() is None
+
+    def test_drain_while_a_producer_thread_appends(self, net):
+        a = net.endpoint("a")
+        b = net.endpoint("b")
+        n = 2000
+
+        def produce():
+            for i in range(n):
+                a.send("b", i.to_bytes(4, "little"))
+
+        producer = threading.Thread(target=produce)
+        producer.start()
+        got = self._collect(b, n)
+        producer.join()
+        assert got == list(range(n))  # nothing lost, duplicated or reordered
+        assert b.recv(timeout=0.05) is None
+
+    def test_a_waiting_recv_wakes_on_a_put_from_another_thread(self, net):
+        a = net.endpoint("a")
+        b = net.endpoint("b")
+        got = []
+        receiver = threading.Thread(
+            target=lambda: got.append((b.recv(timeout=10.0), time.monotonic()))
+        )
+        receiver.start()
+        time.sleep(0.1)  # the receiver is waiting by now
+        assert not got
+        sent_at = time.monotonic()
+        a.send("b", b"wake")
+        receiver.join(timeout=10.0)
+        (item, woke_at), = got
+        assert item == ("a", b"wake")
+        assert woke_at - sent_at < 2.0  # woken by the put, not the timeout
+
+    def test_a_timed_out_recv_returns_none_after_waiting(self, net):
+        b = net.endpoint("b")
+        start = time.monotonic()
+        assert b.recv(timeout=0.2) is None
+        assert time.monotonic() - start >= 0.15
+        assert b.recv(timeout=0.0) is None
+
+    def test_sending_to_a_closed_endpoint_raises(self, net):
+        a = net.endpoint("a")
+        b = net.endpoint("b")
+        b.close()
+        with pytest.raises(NetworkError):
+            a.send("b", b"late")
 
 
 class TestNetworkShutdown:

@@ -507,3 +507,193 @@ def test_an_exception_a_call_lets_through_closes_its_span(telemetry):
     }
     assert OBS.tracer.current() is None
     assert len(OBS.flight) == 0  # as before: the call has no report
+
+
+# ---------------------------------------------------------------------------
+# the E2 uplink's per-message spans: marks that export what `with` spans did
+# ---------------------------------------------------------------------------
+
+#: sha256 of the masked trace :func:`_uplink_trace` leaves, taken when
+#: ``e2.encode``, ``ric.xapp.dispatch`` and ``uplink.flush`` were ``with``
+#: spans, each building a ``Span`` per message
+UPLINK_TRACE_SHA = "7e8f44a68c17f6d64416bb371ca9b83dca0bfdde338887acbb1aaf802b13bc23"
+UPLINK_SPANS_SHA = "937f43a4430daad137757ef769405de5cb9843db821345bcf3ea01c3ae3e0625"
+
+
+class _Broken:
+    """A vendor profile whose encoder has a bug."""
+
+    def encode(self, message):
+        raise ValueError("vendor bug")
+
+
+def _ranked(docs: list[dict]) -> list[dict]:
+    """Span docs with every id replaced by its rank among all the ids (so
+    the order ids were drawn in is kept, the per-process prefix is not)
+    and the thread left out."""
+    ids = sorted({
+        value for doc in docs
+        for value in (int(doc["trace_id"], 16), doc["span_id"], doc["parent_id"])
+        if value is not None
+    })
+    rank = {value: i for i, value in enumerate(ids)}
+    out = []
+    for doc in docs:
+        doc = dict(doc, thread_id=0, span_id=rank[doc["span_id"]])
+        doc["trace_id"] = rank[int(doc["trace_id"], 16)]
+        if doc["parent_id"] is not None:
+            doc["parent_id"] = rank[doc["parent_id"]]
+        out.append(doc)
+    return out
+
+
+def _uplink_trace(monkeypatch) -> list[dict]:
+    """Two native cells reporting KPM every slot through one batched
+    uplink, demultiplexed into a supervised RIC whose SLA xApp traps now
+    and then (so some dispatches retry and some give up), under a stepped
+    clock; then an encode, a flush and a dispatch that an exception
+    leaves.  Returns the exported trace, ids ranked."""
+    from repro.chaos.supervisor import Supervisor
+    from repro.channel import MarkovCqiChannel
+    from repro.e2 import messages, vendors
+    from repro.e2.batch import BatchedUplinkChannel, iter_batch_frame
+    from repro.e2.comm import CommChannel
+    from repro.e2.node import E2NodeAgent
+    from repro.netio import BatchSender, InProcNetwork, NetworkError
+    from repro.ric import wire as ric_wire
+    from repro.ric.host import NearRtRic
+    from repro.sched import make_intra_scheduler
+    from repro.sched.inter import TargetRateInterSlice
+    from repro.traffic import CbrSource
+
+    plugin_wasm("xapp_sla")
+    monkeypatch.setattr(OBS, "registry", MetricsRegistry())
+    monkeypatch.setattr(OBS, "tracer", Tracer(enabled=True))
+    monkeypatch.setattr(OBS, "flight", FlightRecorder())
+    monkeypatch.setattr(OBS, "events", EventLog(capacity=64))
+    monkeypatch.setattr(time, "perf_counter_ns", _Clock(seed=29))
+    tracer = OBS.tracer
+    net = InProcNetwork()
+    coord = net.endpoint("coord")
+    sender = BatchSender(net.endpoint("worker0"), "coord")
+    profile = vendors.vendor_b()
+    cells = []
+    for g in range(2):
+        gnb = GnbHost()
+        for sid, kind in enumerate(("rr", "pf"), start=1):
+            gnb.add_slice(SliceRuntime(sid, kind)).use_native(
+                make_intra_scheduler(kind)
+            )
+        gnb.inter_slice = TargetRateInterSlice({1: 8e6, 2: 8e6})
+        for i in range(4):
+            gnb.attach_ue(UeContext(
+                10 * g + i + 1, i % 2 + 1,
+                MarkovCqiChannel(initial_cqi=6 + i, p_step=0.3, seed=g * 7 + i),
+                CbrSource(rate_bps=(3 + i) * 1e6),
+            ))
+        name = f"cell{g}"
+        node = E2NodeAgent(gnb, BatchedUplinkChannel(name, profile, sender), name)
+        node.local_subscribe(g + 1, "coord", 1)
+        cells.append((name, gnb, node))
+    ingress = {name: net.endpoint(name) for name, _, _ in cells}
+    supervisor = Supervisor(seed=3)
+    ric = NearRtRic(
+        CommChannel(net.endpoint("ric"), profile), supervisor=supervisor
+    )
+    ric.load_xapp(
+        "sla", plugin_wasm("xapp_sla"), (ric_wire.MSG_SLICE_KPI,),
+        chaos=FaultSchedule(ChaosConfig(seed=11, trap=0.35)),
+    )
+    for g, (name, _, _) in enumerate(cells):
+        ric.register_node(name, subscription_id=g + 1)
+
+    def uplink(lo: int, hi: int) -> None:
+        with tracer.span("range", lo=lo):
+            sender.flush(slot_range=(lo, hi))
+        for _source, data in coord.drain():
+            for node, payload in iter_batch_frame(data):
+                ingress[node].send("ric", payload)
+        with tracer.span("ric"):
+            ric.step()
+        for endpoint in ingress.values():
+            endpoint.drain()
+
+    def cell_slots() -> None:
+        for name, gnb, node in cells:
+            with tracer.span("cell_slot", cell=name):
+                gnb.step()
+                node.step()
+
+    for slot in range(24):
+        cell_slots()
+        if slot % 3 == 2:
+            uplink(slot - 2, slot)
+    assert supervisor.retries and ric.xapps["sla"].faults
+    # an exception leaves each of the three spans
+    broken = BatchedUplinkChannel("cell9", _Broken(), sender)
+    with tracer.span("outer"), pytest.raises(ValueError):
+        broken.send("coord", messages.control_ack(1, True))
+    stray = BatchSender(net.endpoint("worker1"), "nowhere")
+    stray.offer(b"entry")
+    with tracer.span("outer"), pytest.raises(NetworkError):
+        stray.flush(slot_range=(24, 24))
+    cell_slots()
+
+    def buggy(raw):
+        raise RuntimeError("wire bug")
+
+    monkeypatch.setattr(ric_wire, "unpack_xapp_actions", buggy)
+    with pytest.raises(RuntimeError):
+        uplink(24, 24)
+    return _ranked(OBS.tracer.to_json())
+
+
+def _sha(docs) -> str:
+    import hashlib
+
+    text = json.dumps(docs, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_uplink_span_marks_export_what_with_spans_did(telemetry, monkeypatch):
+    """Names, attrs, ids in draw order, parents, times under the stepped
+    clock, ``children_us`` and ring order: the whole exported trace is the
+    one the ``with`` spans left, and so are the three spans' own docs."""
+    docs = _uplink_trace(monkeypatch)
+    marked = ("e2.encode", "ric.xapp.dispatch", "uplink.flush")
+    by_id = {doc["span_id"]: doc for doc in docs}
+    errors = [
+        doc for doc in docs
+        if doc["status"] == "error" and doc["name"] != "plugin.call"
+    ]
+    assert [(doc["name"], doc["attrs"]) for doc in errors] == [
+        ("e2.encode", {"node": "cell9", "error": "ValueError: vendor bug"}),
+        ("uplink.flush", {
+            "dest": "nowhere", "error": "NetworkError: no endpoint named 'nowhere'"
+        }),
+        ("ric.xapp.dispatch", {
+            "xapp": "sla", "msg_type": 2, "error": "RuntimeError: wire bug"
+        }),
+        ("ric", {"error": "RuntimeError: wire bug"}),
+    ]
+    for doc in docs:
+        parent = by_id.get(doc["parent_id"])
+        if doc["name"] == "e2.encode" and doc["status"] == "ok":
+            assert parent["name"] == "cell_slot"
+            assert "e2.encode" in parent["children_us"]
+        elif doc["name"] == "uplink.flush":
+            assert parent["name"] in ("range", "outer")
+            assert set(parent["children_us"]) == {"uplink.flush"}
+        elif doc["name"] == "ric.xapp.dispatch":
+            assert parent["name"] == "ric"
+            assert set(doc["children_us"]) == {"plugin.call"}
+    calls_under = {}
+    for doc in docs:
+        if doc["name"] == "plugin.call":
+            calls_under[doc["parent_id"]] = calls_under.get(doc["parent_id"], 0) + 1
+    assert {by_id[parent]["name"] for parent in calls_under} == {
+        "ric.xapp.dispatch"
+    }
+    assert max(calls_under.values()) > 1  # a retried dispatch
+    assert _sha([doc for doc in docs if doc["name"] in marked]) == UPLINK_SPANS_SHA
+    assert _sha(docs) == UPLINK_TRACE_SHA

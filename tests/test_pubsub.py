@@ -194,5 +194,5 @@ def deadline_poll(broker, recv):
     """Wait for one queued message to arrive at the broker (TCP latency)."""
     item = recv()
     if item is not None:
-        # put it back through the broker path by re-queuing
-        broker.endpoint._queue.put(item)  # type: ignore[attr-defined]
+        # put it back through the endpoint's own put path
+        broker.endpoint._put(item)  # type: ignore[attr-defined]

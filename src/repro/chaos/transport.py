@@ -103,3 +103,6 @@ class ChaosEndpoint(Endpoint):
 
     def recv(self, timeout: float | None = 0.0) -> tuple[str, bytes] | None:
         return self.inner.recv(timeout=timeout)
+
+    def drain(self) -> list[tuple[str, bytes]]:
+        return self.inner.drain()

@@ -47,16 +47,12 @@ _ALL_ACTIONS = {
 }
 
 
-#: how many of the newest messages a :class:`MessageLog` keeps
-LOG_TAIL = 256
-
-
 class MessageLog(deque):
-    """The newest :data:`LOG_TAIL` messages appended, for inspection, and
-    ``total``: how many were ever appended."""
+    """The newest 256 messages appended, for inspection, and ``total``:
+    how many were ever appended."""
 
     def __init__(self) -> None:
-        super().__init__(maxlen=LOG_TAIL)
+        super().__init__(maxlen=256)
         self.total = 0
 
     def append(self, message: dict[str, Any]) -> None:

@@ -4,17 +4,15 @@
 raw SCTP...).  This package provides two interchangeable transports
 behind one endpoint interface so communication plugins can wrap either:
 
-- :class:`InProcNetwork` - in-process delivery: a send appends to the
-  peer endpoint's inbox, a ``deque`` (the default for simulations and
-  tests);
+- :class:`InProcNetwork` - a send appends to the peer's inbox (the
+  default for simulations and tests);
 - :class:`TcpNetwork` - real localhost TCP sockets with length-prefixed
   framing, for multi-process runs and anything that wants actual bytes
   on a wire.
 
 Both deliver ``(source, payload: bytes)`` datagram-style messages between
-named endpoints, into the same per-endpoint inbox (TCP reader threads
-append to it): a non-blocking ``recv`` or a ``drain`` takes no lock, only
-a ``recv`` that waits does.
+named endpoints into a per-endpoint inbox that only a waiting ``recv``
+locks.
 """
 
 from repro.netio.batching import (

@@ -74,14 +74,9 @@ class Endpoint(ABC):
     def __exit__(self, *exc) -> None:
         self.close()
 
+    @abstractmethod
     def drain(self) -> list[tuple[str, bytes]]:
-        """All currently queued messages."""
-        out = []
-        while True:
-            item = self.recv(timeout=0.0)
-            if item is None:
-                return out
-            out.append(item)
+        """All currently queued messages, in arrival order."""
 
 
 # ---------------------------------------------------------------------------

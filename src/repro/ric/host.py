@@ -289,13 +289,10 @@ class NearRtRic:
                 adjusted.append(record)
             inputs[wire.MSG_SLICE_KPI] = adjusted
         executed: list[wire.XappAction] = []
-        mark = self._dispatch_mark
+        mark = self._dispatch_mark  # the xApp's plugin.calls book under it
         for runtime in self.xapps.values():
             for msg_type in runtime.msg_types:
                 payload = wire.pack_xapp_input(msg_type, inputs.get(msg_type, []))
-                # one ric.xapp.dispatch span per dispatch: a reused mark,
-                # its Span built on read; the xApp's plugin.call books
-                # under it, retries included
                 tracer = OBS.tracer
                 if not tracer.enabled:
                     actions = self._dispatch(runtime, msg_type, payload)

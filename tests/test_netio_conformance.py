@@ -7,6 +7,7 @@ change semantics when they change ``--mode``.  Each test runs against
 both via the ``net`` fixture.
 """
 
+import sys
 import threading
 import time
 
@@ -96,7 +97,9 @@ class TestDelivery:
     def test_recv_empty_returns_none(self, net):
         a = net.endpoint("a")
         assert a.recv() is None
-        assert a.recv(timeout=0.05) is None
+        start = time.monotonic()
+        assert a.recv(timeout=0.2) is None
+        assert time.monotonic() - start >= 0.15  # it waited for the timeout
 
 
 class TestNaming:
@@ -175,10 +178,16 @@ class TestInbox:
 
     @staticmethod
     def _collect(endpoint, n: int) -> list[int]:
+        """``n`` payloads as ints: wait for one, then drain the rest (a
+        reader that spun on ``drain`` would hold the interpreter lock
+        the TCP reader threads need)."""
         got: list[int] = []
         deadline = time.monotonic() + 10.0
         while len(got) < n and time.monotonic() < deadline:
-            got.extend(int.from_bytes(p, "little") for _, p in endpoint.drain())
+            item = endpoint.recv(timeout=0.5)
+            if item is not None:
+                got.append(int.from_bytes(item[1], "little"))
+                got.extend(int.from_bytes(p, "little") for _, p in endpoint.drain())
         return got
 
     def test_fifo_across_interleaved_send_and_drain(self, net):
@@ -191,7 +200,12 @@ class TestInbox:
                 sent += 1
             first = b.recv(timeout=5.0)  # interleave one recv per burst
             got.append(int.from_bytes(first[1], "little"))
-            got.extend(self._collect(b, sent - len(got)))
+            if isinstance(net, InProcNetwork):
+                # delivered on send, so one drain takes the rest
+                got.extend(int.from_bytes(p, "little") for _, p in b.drain())
+                assert len(got) == sent
+            else:
+                got.extend(self._collect(b, sent - len(got)))
         assert got == list(range(sent))
         assert b.drain() == [] and b.recv() is None
 
@@ -207,9 +221,49 @@ class TestInbox:
         producer = threading.Thread(target=produce)
         producer.start()
         got = self._collect(b, n)
-        producer.join()
+        producer.join(timeout=10.0)
+        assert not producer.is_alive()
         assert got == list(range(n))  # nothing lost, duplicated or reordered
         assert b.recv(timeout=0.05) is None
+
+    def test_many_producers_and_a_waiting_reader_under_fast_switching(self, net):
+        """More producer threads than cores, a reader alternating waiting
+        recvs and drains, and a thread switch every microsecond: every
+        message arrives once, each producer's in its send order."""
+        sink = net.endpoint("sink")
+        producers = [net.endpoint(f"p{k}") for k in range(4)]
+        n = 10000
+        got: dict[str, list[int]] = {p.name: [] for p in producers}
+
+        def produce(endpoint):
+            for i in range(n):
+                endpoint.send("sink", i.to_bytes(4, "little"))
+
+        def consume():
+            deadline = time.monotonic() + 30.0
+            while sum(map(len, got.values())) < 4 * n:
+                if time.monotonic() > deadline:
+                    return
+                item = sink.recv(timeout=0.01)
+                items = [item] + sink.drain() if item is not None else []
+                for source, payload in items:
+                    got[source].append(int.from_bytes(payload, "little"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=consume)] + [
+                threading.Thread(target=produce, args=(p,)) for p in producers
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=40.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(values == list(range(n)) for values in got.values())
+        assert sink.recv() is None
 
     def test_a_waiting_recv_wakes_on_a_put_from_another_thread(self, net):
         a = net.endpoint("a")
@@ -224,23 +278,10 @@ class TestInbox:
         sent_at = time.monotonic()
         a.send("b", b"wake")
         receiver.join(timeout=10.0)
+        assert not receiver.is_alive()
         (item, woke_at), = got
         assert item == ("a", b"wake")
         assert woke_at - sent_at < 2.0  # woken by the put, not the timeout
-
-    def test_a_timed_out_recv_returns_none_after_waiting(self, net):
-        b = net.endpoint("b")
-        start = time.monotonic()
-        assert b.recv(timeout=0.2) is None
-        assert time.monotonic() - start >= 0.15
-        assert b.recv(timeout=0.0) is None
-
-    def test_sending_to_a_closed_endpoint_raises(self, net):
-        a = net.endpoint("a")
-        b = net.endpoint("b")
-        b.close()
-        with pytest.raises(NetworkError):
-            a.send("b", b"late")
 
 
 class TestNetworkShutdown:

@@ -516,8 +516,8 @@ def test_an_exception_a_call_lets_through_closes_its_span(telemetry):
 #: sha256 of the masked trace :func:`_uplink_trace` leaves, taken when
 #: ``e2.encode``, ``ric.xapp.dispatch`` and ``uplink.flush`` were ``with``
 #: spans, each building a ``Span`` per message
-UPLINK_TRACE_SHA = "7e8f44a68c17f6d64416bb371ca9b83dca0bfdde338887acbb1aaf802b13bc23"
-UPLINK_SPANS_SHA = "937f43a4430daad137757ef769405de5cb9843db821345bcf3ea01c3ae3e0625"
+UPLINK_TRACE_SHA = "e16c8e4267cc6f0e7f49bc4d3b3d222cde8027d6de3a0de3065cc3cc22e8a1e8"
+UPLINK_SPANS_SHA = "584b108c3003944b6c83441266021e2d854b6d87acb8aa9d8017b3f47b16c2ff"
 
 
 class _Broken:
@@ -651,14 +651,15 @@ def _uplink_trace(monkeypatch) -> list[dict]:
 def _sha(docs) -> str:
     import hashlib
 
-    text = json.dumps(docs, sort_keys=True, separators=(",", ":"))
+    text = json.dumps(docs, separators=(",", ":"))  # key order counts
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_uplink_span_marks_export_what_with_spans_did(telemetry, monkeypatch):
-    """Names, attrs, ids in draw order, parents, times under the stepped
-    clock, ``children_us`` and ring order: the whole exported trace is the
-    one the ``with`` spans left, and so are the three spans' own docs."""
+    """Names, attrs (in order), ids in draw order, parents, times under the
+    stepped clock, ``children_us`` and ring order: the whole exported trace
+    is the one the ``with`` spans left, and so are the three spans' own
+    docs."""
     docs = _uplink_trace(monkeypatch)
     marked = ("e2.encode", "ric.xapp.dispatch", "uplink.flush")
     by_id = {doc["span_id"]: doc for doc in docs}

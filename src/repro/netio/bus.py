@@ -117,7 +117,9 @@ class _QueuedEndpoint(Endpoint):
 
     def drain(self) -> list[tuple[str, bytes]]:
         """Everything in the inbox now, in arrival order; what a reader
-        thread appends meanwhile waits for the next drain."""
+        thread appends meanwhile waits for the next drain.  One thread
+        reads an endpoint at a time (a second could empty it under this
+        one)."""
         inbox = self._inbox
         popleft = inbox.popleft
         return [popleft() for _ in range(len(inbox))]

@@ -42,13 +42,14 @@ from repro.wasm.traps import LinkError, Trap, WasmError
 
 #: Tier-up threshold: a module is compiled to aot bodies once its
 #: instances have burnt this much fuel per static instruction.  Derived,
-#: not tuned (rr / pf / mt on a 48-UE input, medians of 30, two runs on a
-#: 2-core host, CPython 3.11): ``promote()`` - emitting + ``compile()``-ing
-#: the bodies that run as their own frame - costs 16-27 us per static
-#: instruction (8.1-11.7 ms / 492 for ``rr``); threaded code retires
-#: 2.1-4.1 fuel/us and aot 25-63, so compiled code saves 0.22-0.44 us per
-#: fuel unit; break-even is 56-73 fuel per static instruction, rounded up
-#: to a power of two.  (``rr``: 63 k fuel, about 20 dense calls; a cold
+#: not tuned (rr / pf / mt on a 48-UE input, medians of 30, gc off, two
+#: runs on a 2-core host whose speed varied 2x between them, CPython
+#: 3.11): ``promote()`` - emitting + ``compile()``-ing the bodies that run
+#: as their own frame - costs 12-24 us per static instruction (5.9-10.5
+#: ms / 492 for ``rr``, 70 % of it ``compile()``); threaded code retires
+#: 2.2-5.1 fuel/us and aot 28-73, so compiled code saves 0.18-0.41 us per
+#: fuel unit; break-even is 57-95 fuel per static instruction (67-69 in
+#: the steadier run), rounded up to a power of two.  (``rr``: 63 k fuel, about 20 dense calls; a cold
 #: variant living 5 calls burns ~5 k and never gets there.)
 PROMOTE_FUEL_PER_INSTR = 128
 

@@ -1,7 +1,7 @@
 """AOT backend: function bodies compiled to generated Python source.
 
 The threaded engine (:mod:`repro.wasm.threaded`) removed opcode dispatch
-by pre-binding one closure per instruction slot; the hot loop still pays
+by pre-binding one handler per instruction slot; the hot loop still pays
 one Python call per slot.  This module climbs the next rung of the
 interpreter->AOT ladder: each function body is *translated to Python
 source* and ``compile()``d once, so a Wasm function becomes a single

@@ -111,6 +111,12 @@ _IMM_KIND = bytes(_KIND_OF[opcodes.OP_TABLE[code].imm] if code in opcodes.OP_TAB
                   else 255 for code in range(256))
 #: the one ``(opcode, None)`` of each opcode without immediates
 _PLAIN = [(code, None) for code in range(256)]
+#: the one ``(opcode, value)`` of each one-byte u32 / s32 immediate, per opcode
+_ONE_BYTE = [
+    tuple((code, b - 0x80 if kind == _S32 and b & 0x40 else b) for b in range(0x80))
+    if kind == _U32 or kind == _S32 else None
+    for code, kind in enumerate(_IMM_KIND)
+]
 _UNPACK_F32 = struct.Struct("<f").unpack_from
 _UNPACK_F64 = struct.Struct("<d").unpack_from
 
@@ -119,11 +125,12 @@ def _read_expr(data: bytes, pos: int, end: int) -> tuple[tuple[Instr, ...], int]
     """Read a function body or constant expression: instructions from
     ``pos`` up to and including the matching outer ``end``, reading no byte
     at or past ``end``; returns them and the position after.  Dispatch is
-    on each opcode's immediate kind; a one-byte LEB128 is read in line, a
+    on each opcode's immediate kind; a one-byte LEB128 is read in line (a
+    u32 / s32 one to the shared instruction tuple of ``_ONE_BYTE``), a
     longer one by :mod:`leb128`, which holds the bounds and the messages."""
     out: list[Instr] = []
     append = out.append
-    imm_kind, plain, end_op = _IMM_KIND, _PLAIN, opcodes.END
+    imm_kind, plain, one_byte, end_op = _IMM_KIND, _PLAIN, _ONE_BYTE, opcodes.END
     depth = 0
     while pos < end:
         op = data[pos]
@@ -135,20 +142,13 @@ def _read_expr(data: bytes, pos: int, end: int) -> tuple[tuple[Instr, ...], int]
                 if not depth:
                     return tuple(out), pos
                 depth -= 1
-        elif kind == _U32:
+        elif kind == _U32 or kind == _S32:
             if pos < end and data[pos] < 0x80:
-                append((op, data[pos]))
+                append(one_byte[op][data[pos]])
                 pos += 1
             else:
-                imm, pos = leb128.decode_u(data, pos, 32, end)
-                append((op, imm))
-        elif kind == _S32:
-            if pos < end and data[pos] < 0x80:
-                byte = data[pos]
-                append((op, byte - 0x80 if byte & 0x40 else byte))
-                pos += 1
-            else:
-                imm, pos = leb128.decode_s(data, pos, 32, end)
+                decode = leb128.decode_u if kind == _U32 else leb128.decode_s
+                imm, pos = decode(data, pos, 32, end)
                 append((op, imm))
         elif kind == _MEM:
             if pos + 1 < end and data[pos] < 0x80 and data[pos + 1] < 0x80:

@@ -1,15 +1,17 @@
-"""Threaded-code backend: function bodies compiled to pre-bound closures.
+"""Threaded-code backend: function bodies compiled to pre-bound handlers.
 
 The legacy interpreter (:mod:`repro.wasm.interpreter`) dispatches through
 a tag ``elif`` ladder and resolves branch label heights at run time.  This
 module is the wasm3-style alternative: a one-time per-function translation
-pass lowers each body into a flat array of Python closures, one per
+pass lowers each body into a flat array of Python functions, one per
 original instruction slot, where
 
 - every handler is pre-bound: immediates, numeric handler functions and
-  the *next pc* live in closure cells, so the hot loop is just
+  the *next pc* are positional defaults of the handler (``def run(stack,
+  locals_, frame, i=i, nxt=nxt)``), so the hot loop is just
   ``pc = slots[pc](stack, locals_, frame)`` - no opcode decode, no tag
-  compare chain;
+  compare chain - and a lowered slot is one function object with no
+  closure cells for the cycle collector to track;
 - all control flow is resolved at compile time: branch targets, the
   stack height to truncate to and the branch arity are facts the
   validator recorded on the body (:class:`~repro.wasm.validator.BodyFacts`:
@@ -83,7 +85,7 @@ def resolve_engine(engine: str | None = None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# closure emitters (one small factory per slot shape)
+# handler emitters (one small factory per slot shape)
 # ---------------------------------------------------------------------------
 
 
@@ -92,20 +94,20 @@ def _dead_slot(stack, locals_, frame):  # pragma: no cover - unreachable code
 
 
 def _e_nop(nxt):
-    def run(stack, locals_, frame):
+    def run(stack, locals_, frame, nxt=nxt):
         return nxt
     return run
 
 
 def _e_local_get(i, nxt):
-    def run(stack, locals_, frame):
+    def run(stack, locals_, frame, i=i, nxt=nxt):
         stack.append(locals_[i])
         return nxt
     return run
 
 
 def _e_local_get2(a, b, nxt):
-    def run(stack, locals_, frame):
+    def run(stack, locals_, frame, a=a, b=b, nxt=nxt):
         stack.append(locals_[a])
         stack.append(locals_[b])
         return nxt
@@ -113,35 +115,35 @@ def _e_local_get2(a, b, nxt):
 
 
 def _e_const(c, nxt):
-    def run(stack, locals_, frame):
+    def run(stack, locals_, frame, c=c, nxt=nxt):
         stack.append(c)
         return nxt
     return run
 
 
 def _e_local_set(i, nxt):
-    def run(stack, locals_, frame):
+    def run(stack, locals_, frame, i=i, nxt=nxt):
         locals_[i] = stack.pop()
         return nxt
     return run
 
 
 def _e_local_tee(i, nxt):
-    def run(stack, locals_, frame):
+    def run(stack, locals_, frame, i=i, nxt=nxt):
         locals_[i] = stack[-1]
         return nxt
     return run
 
 
 def _e_const_set(c, i, nxt):
-    def run(stack, locals_, frame):
+    def run(stack, locals_, frame, c=c, i=i, nxt=nxt):
         locals_[i] = c
         return nxt
     return run
 
 
 def _e_binop(f, nxt):
-    def run(stack, locals_, frame):
+    def run(stack, locals_, frame, f=f, nxt=nxt):
         b = stack.pop()
         stack[-1] = f(stack[-1], b)
         return nxt
@@ -149,49 +151,49 @@ def _e_binop(f, nxt):
 
 
 def _e_unop(f, nxt):
-    def run(stack, locals_, frame):
+    def run(stack, locals_, frame, f=f, nxt=nxt):
         stack[-1] = f(stack[-1])
         return nxt
     return run
 
 
 def _e_ll_binop(a, b, f, nxt):
-    def run(stack, locals_, frame):
+    def run(stack, locals_, frame, a=a, b=b, f=f, nxt=nxt):
         stack.append(f(locals_[a], locals_[b]))
         return nxt
     return run
 
 
 def _e_lc_binop(a, c, f, nxt):
-    def run(stack, locals_, frame):
+    def run(stack, locals_, frame, a=a, c=c, f=f, nxt=nxt):
         stack.append(f(locals_[a], c))
         return nxt
     return run
 
 
 def _e_c_binop(c, f, nxt):
-    def run(stack, locals_, frame):
+    def run(stack, locals_, frame, c=c, f=f, nxt=nxt):
         stack[-1] = f(stack[-1], c)
         return nxt
     return run
 
 
 def _e_ll_binop_set(a, b, f, d, nxt):
-    def run(stack, locals_, frame):
+    def run(stack, locals_, frame, a=a, b=b, f=f, d=d, nxt=nxt):
         locals_[d] = f(locals_[a], locals_[b])
         return nxt
     return run
 
 
 def _e_lc_binop_set(a, c, f, d, nxt):
-    def run(stack, locals_, frame):
+    def run(stack, locals_, frame, a=a, c=c, f=f, d=d, nxt=nxt):
         locals_[d] = f(locals_[a], c)
         return nxt
     return run
 
 
 def _e_ll_binop_br_if(a, b, f, t, nxt):
-    def run(stack, locals_, frame):
+    def run(stack, locals_, frame, a=a, b=b, f=f, t=t, nxt=nxt):
         if f(locals_[a], locals_[b]):
             return t
         return nxt
@@ -199,7 +201,7 @@ def _e_ll_binop_br_if(a, b, f, t, nxt):
 
 
 def _e_lc_binop_br_if(a, c, f, t, nxt):
-    def run(stack, locals_, frame):
+    def run(stack, locals_, frame, a=a, c=c, f=f, t=t, nxt=nxt):
         if f(locals_[a], c):
             return t
         return nxt
@@ -207,7 +209,7 @@ def _e_lc_binop_br_if(a, c, f, t, nxt):
 
 
 def _e_binop_br_if(f, t, nxt):
-    def run(stack, locals_, frame):
+    def run(stack, locals_, frame, f=f, t=t, nxt=nxt):
         b = stack.pop()
         if f(stack.pop(), b):
             return t
@@ -216,7 +218,7 @@ def _e_binop_br_if(f, t, nxt):
 
 
 def _e_unop_br_if(f, t, nxt):
-    def run(stack, locals_, frame):
+    def run(stack, locals_, frame, f=f, t=t, nxt=nxt):
         if f(stack.pop()):
             return t
         return nxt
@@ -227,21 +229,23 @@ def _e_unop_br_if(f, t, nxt):
 
 
 def _e_load_i(off, size, signed, mask, nxt):
-    def run(stack, locals_, frame):
+    def run(stack, locals_, frame, off=off, size=size, signed=signed, mask=mask, nxt=nxt):
         stack[-1] = frame.mem.load_int(stack[-1] + off, size, signed) & mask
         return nxt
     return run
 
 
 def _e_load_i_local(a, off, size, signed, mask, nxt):
-    def run(stack, locals_, frame):
+    def run(stack, locals_, frame, a=a, off=off, size=size, signed=signed, mask=mask,
+            nxt=nxt):
         stack.append(frame.mem.load_int(locals_[a] + off, size, signed) & mask)
         return nxt
     return run
 
 
 def _e_load_i_local_const(a, c, off, size, signed, mask, nxt):
-    def run(stack, locals_, frame):
+    def run(stack, locals_, frame, a=a, c=c, off=off, size=size, signed=signed,
+            mask=mask, nxt=nxt):
         addr = ((locals_[a] + c) & MASK32) + off
         stack.append(frame.mem.load_int(addr, size, signed) & mask)
         return nxt
@@ -249,35 +253,35 @@ def _e_load_i_local_const(a, c, off, size, signed, mask, nxt):
 
 
 def _e_load_f32(off, nxt):
-    def run(stack, locals_, frame):
+    def run(stack, locals_, frame, off=off, nxt=nxt):
         stack[-1] = frame.mem.load_f32(stack[-1] + off)
         return nxt
     return run
 
 
 def _e_load_f32_local(a, off, nxt):
-    def run(stack, locals_, frame):
+    def run(stack, locals_, frame, a=a, off=off, nxt=nxt):
         stack.append(frame.mem.load_f32(locals_[a] + off))
         return nxt
     return run
 
 
 def _e_load_f64(off, nxt):
-    def run(stack, locals_, frame):
+    def run(stack, locals_, frame, off=off, nxt=nxt):
         stack[-1] = frame.mem.load_f64(stack[-1] + off)
         return nxt
     return run
 
 
 def _e_load_f64_local(a, off, nxt):
-    def run(stack, locals_, frame):
+    def run(stack, locals_, frame, a=a, off=off, nxt=nxt):
         stack.append(frame.mem.load_f64(locals_[a] + off))
         return nxt
     return run
 
 
 def _e_store_i(off, size, nxt):
-    def run(stack, locals_, frame):
+    def run(stack, locals_, frame, off=off, size=size, nxt=nxt):
         value = stack.pop()
         frame.mem.store_int(stack.pop() + off, value, size)
         return nxt
@@ -285,7 +289,7 @@ def _e_store_i(off, size, nxt):
 
 
 def _e_store_f32(off, nxt):
-    def run(stack, locals_, frame):
+    def run(stack, locals_, frame, off=off, nxt=nxt):
         value = stack.pop()
         frame.mem.store_f32(stack.pop() + off, value)
         return nxt
@@ -293,7 +297,7 @@ def _e_store_f32(off, nxt):
 
 
 def _e_store_f64(off, nxt):
-    def run(stack, locals_, frame):
+    def run(stack, locals_, frame, off=off, nxt=nxt):
         value = stack.pop()
         frame.mem.store_f64(stack.pop() + off, value)
         return nxt
@@ -301,14 +305,14 @@ def _e_store_f64(off, nxt):
 
 
 def _e_memory_size(nxt):
-    def run(stack, locals_, frame):
+    def run(stack, locals_, frame, nxt=nxt):
         stack.append(frame.mem.size_pages)
         return nxt
     return run
 
 
 def _e_memory_grow(nxt):
-    def run(stack, locals_, frame):
+    def run(stack, locals_, frame, nxt=nxt):
         stack[-1] = frame.mem.grow(stack[-1]) & MASK32
         return nxt
     return run
@@ -318,28 +322,28 @@ def _e_memory_grow(nxt):
 
 
 def _e_global_get(i, nxt):
-    def run(stack, locals_, frame):
+    def run(stack, locals_, frame, i=i, nxt=nxt):
         stack.append(frame.globals[i].value)
         return nxt
     return run
 
 
 def _e_global_set(i, nxt):
-    def run(stack, locals_, frame):
+    def run(stack, locals_, frame, i=i, nxt=nxt):
         frame.globals[i].value = stack.pop()
         return nxt
     return run
 
 
 def _e_drop(nxt):
-    def run(stack, locals_, frame):
+    def run(stack, locals_, frame, nxt=nxt):
         stack.pop()
         return nxt
     return run
 
 
 def _e_select(nxt):
-    def run(stack, locals_, frame):
+    def run(stack, locals_, frame, nxt=nxt):
         cond = stack.pop()
         b = stack.pop()
         if not cond:
@@ -352,27 +356,27 @@ def _e_select(nxt):
 
 
 def _e_jump(t):
-    def run(stack, locals_, frame):
+    def run(stack, locals_, frame, t=t):
         return t
     return run
 
 
 def _e_br_trunc(t, h, arity):
     if arity:
-        def run(stack, locals_, frame):
+        def run(stack, locals_, frame, t=t, h=h):
             v = stack[-1]
             del stack[h:]
             stack.append(v)
             return t
     else:
-        def run(stack, locals_, frame):
+        def run(stack, locals_, frame, t=t, h=h):
             del stack[h:]
             return t
     return run
 
 
 def _e_br_if_fast(t, nxt):
-    def run(stack, locals_, frame):
+    def run(stack, locals_, frame, t=t, nxt=nxt):
         if stack.pop():
             return t
         return nxt
@@ -381,7 +385,7 @@ def _e_br_if_fast(t, nxt):
 
 def _e_br_if_trunc(t, h, arity, nxt):
     if arity:
-        def run(stack, locals_, frame):
+        def run(stack, locals_, frame, t=t, h=h, nxt=nxt):
             if stack.pop():
                 v = stack[-1]
                 del stack[h:]
@@ -389,7 +393,7 @@ def _e_br_if_trunc(t, h, arity, nxt):
                 return t
             return nxt
     else:
-        def run(stack, locals_, frame):
+        def run(stack, locals_, frame, t=t, h=h, nxt=nxt):
             if stack.pop():
                 del stack[h:]
                 return t
@@ -398,7 +402,7 @@ def _e_br_if_trunc(t, h, arity, nxt):
 
 
 def _e_if(false_target, nxt):
-    def run(stack, locals_, frame):
+    def run(stack, locals_, frame, false_target=false_target, nxt=nxt):
         if stack.pop():
             return nxt
         return false_target
@@ -406,9 +410,8 @@ def _e_if(false_target, nxt):
 
 
 def _e_br_table(resolved, default):
-    n_targets = len(resolved)
-
-    def run(stack, locals_, frame):
+    def run(stack, locals_, frame, resolved=resolved, default=default,
+            n_targets=len(resolved)):
         index = stack.pop()
         target, fixup = resolved[index] if index < n_targets else default
         if fixup is None:
@@ -429,7 +432,7 @@ def _e_unreachable(stack, locals_, frame):
 
 
 def _e_call(func_index, nxt):
-    def run(stack, locals_, frame):
+    def run(stack, locals_, frame, func_index=func_index, nxt=nxt):
         store = frame.store
         store.fuel = frame.fuel
         # a wasm call costs three Python frames here (this slot,
@@ -445,7 +448,7 @@ def _e_call(func_index, nxt):
 
 
 def _e_call_indirect(expected: FuncType, nxt):
-    def run(stack, locals_, frame):
+    def run(stack, locals_, frame, expected=expected, nxt=nxt):
         elem_index = stack.pop()
         instance = frame.instance
         table = instance.table
@@ -475,7 +478,7 @@ def _e_call_indirect(expected: FuncType, nxt):
 
 
 class ThreadedCode:
-    """One function body lowered to a flat closure array.
+    """One function body lowered to a flat handler array.
 
     ``slots[pc]`` executes the instruction(s) at ``pc`` and returns the
     next pc; ``costs[pc]`` is the fuel charge (== number of original
@@ -564,7 +567,7 @@ def _fast_target(branch, h):
 
 
 def _emit_plain(module, body, pc, n, heights, branches):
-    """Emit the single-instruction closure for the slot at pc."""
+    """Emit the single-instruction handler for the slot at pc."""
     opcode, imm = body[pc]
     nxt = pc + 1
 
@@ -632,7 +635,7 @@ def _emit_plain(module, body, pc, n, heights, branches):
             return (target, (dest_h, arity))
 
         return _e_br_table(
-            [_fixup(r) for r in resolved_targets], _fixup(resolved_default)
+            tuple(_fixup(r) for r in resolved_targets), _fixup(resolved_default)
         )
     if opcode == op.RETURN:
         return _e_jump(n)
@@ -660,7 +663,7 @@ def _emit_plain(module, body, pc, n, heights, branches):
 def _try_fuse(body, pc, room, heights, branches):
     """Match a superinstruction at pc covering 2..``room`` instructions.
 
-    Reads the candidate group once and returns ``(closure, length)``, or
+    Reads the candidate group once and returns ``(handler, length)``, or
     None when nothing matched.  Patterns are grouped by their leading
     pair; within a group the longest match wins.
     """
@@ -750,9 +753,10 @@ def threaded_for(module: Module, code: Code, functype: FuncType) -> ThreadedCode
 
 
 class _Frame:
-    """Per-call runtime state shared with the slot closures.
+    """Per-call runtime state shared with the slot handlers.
 
-    Compiled slots are instance-independent (that is what makes them
+    Compiled slots are instance-independent: a handler binds immediates,
+    numeric handler functions and pcs only (that is what makes them
     shareable through the cross-instance code cache); everything an
     instruction needs beyond the operand stack and locals arrives here.
     """

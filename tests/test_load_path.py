@@ -58,6 +58,45 @@ from repro.wasm.wtypes import FuncType, ValType
 
 SMALL = wire.pack_sched_input(1, 52, make_ues(2))
 
+#: tracked objects a cold load may leave per static instruction: decode,
+#: validate, threaded lowering and ``Instance`` leave 2.02 / 2.22 / 2.27
+#: for rr / pf / mt under CPython 3.11, and 4.09 / 4.25 / 4.29 when each
+#: slot handler kept its operands in closure cells and each one-byte
+#: immediate was a tuple of its own
+TRACKED_PER_INSTR = 3.0
+
+
+class TestColdLoadAllocations:
+    """A cold load leaves few objects for the cycle collector: every object
+    a kept module holds is walked by each full collection until the module
+    is evicted, and every allocation brings the next collection closer."""
+
+    @pytest.fixture(autouse=True)
+    def no_collector(self):
+        gc.collect()
+        gc.disable()
+        yield
+        gc.enable()
+
+    @pytest.mark.parametrize("kind", ["rr", "pf", "mt"])
+    def test_tracked_objects_per_static_instruction(self, kind):
+        # counted as live tracked objects, not by gc.get_count(): that
+        # one skips tuples served from CPython's free lists, so it reads
+        # low while earlier frees have left them full
+        raw = plugin_wasm(kind)
+        kept, counts = [], []
+        for _ in range(2):
+            env = make_env()
+            before = len(gc.get_objects())
+            module = decode_module(raw)
+            validate_module(module)
+            compiled_bodies(module, "threaded")
+            kept.append(Instance(module, {"env": env}, validate=False, engine="threaded"))
+            counts.append(len(gc.get_objects()) - before)
+        static_instrs = sum(len(code.body) for code in module.codes)
+        assert max(counts) / static_instrs <= TRACKED_PER_INSTR, (kind, counts, static_instrs)
+
+
 #: a conforming scheduler plugin whose ``start`` logs once per iteration
 #: of a long but *bounded* loop - with no budget it finishes (so a host that
 #: forgets the budget fails an assertion instead of hanging the suite)

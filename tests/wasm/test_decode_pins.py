@@ -25,6 +25,7 @@ from repro.fuzz.gen import ModuleGen
 from repro.fuzz.mutate import mutate_bytes
 from repro.plugins import available_plugins, plugin_wasm
 from repro.wasm import decode_module, encode_module, load_module, validate_module
+from repro.wasm import decoder
 from repro.wasm import opcodes as op
 from repro.wasm.traps import DecodeError, ValidationError
 from repro.wasm.validator import BodyFacts, body_facts
@@ -188,3 +189,27 @@ def test_a_decode_error_wins_over_a_validation_error():
         load_module(invalid)
     with pytest.raises(DecodeError, match="unknown section id 12"):
         load_module(invalid + b"\x0c\x00")
+
+
+def test_one_byte_immediates_are_shared_from_fixed_tables():
+    """A u32 / s32 immediate read from one byte decodes to the one
+    ``(opcode, value)`` tuple of a table built at import: two cold variants
+    of a scheduler decode to bodies equal by value that share those
+    tuples, and decoding does not grow the tables."""
+    sizes = [None if row is None else len(row) for row in decoder._ONE_BYTE]
+    assert len(sizes) == 256 and {n for n in sizes if n is not None} == {0x80}
+    for kind in ("rr", "pf", "mt"):
+        raw = plugin_wasm(kind)
+        first, second = (
+            decode_module(raw + b"\x00\x03\x02v" + salt) for salt in (b"1", b"2")
+        )
+        shared = 0
+        for a_code, b_code in zip(first.codes, second.codes, strict=True):
+            assert a_code.body == b_code.body
+            for a, b in zip(a_code.body, b_code.body):
+                row = decoder._ONE_BYTE[a[0]]
+                if row is not None and a in row:
+                    assert a is b, (kind, a)
+                    shared += 1
+        assert shared > 100
+    assert [None if row is None else len(row) for row in decoder._ONE_BYTE] == sizes

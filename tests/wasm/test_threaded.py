@@ -170,7 +170,7 @@ def test_fusion_skips_jump_targets():
 
 #: sha256 of :func:`lowering_fingerprint` over every shipped plugin and
 #: every ``tests/wasm/corpus`` module.  It moves only if some slot's
-#: emitter, a value it captured or a fuel cost moves; rewriting how the
+#: emitter, a value it bound or a fuel cost moves; rewriting how the
 #: matcher finds its groups must leave it where it is.
 LOWERING_SHA256 = "6650ba48ec245e85499f072feebcacf285d2233d3ac82dc2a106c113737047e0"
 
@@ -195,19 +195,26 @@ def _describe(value, handlers):
     return repr(value)
 
 
+def _bound(slot) -> list:
+    """The values a slot handler binds as positional defaults, in the
+    order of their names (the order ``co_freevars`` listed them in when
+    handlers captured them in closure cells)."""
+    defaults = slot.__defaults__ or ()
+    code = slot.__code__
+    names = code.co_varnames[code.co_argcount - len(defaults):code.co_argcount]
+    return [value for _, value in sorted(zip(names, defaults), key=lambda nv: nv[0])]
+
+
 def lowering_fingerprint(raw: bytes) -> list:
     """Per function: fuel costs, and per slot its emitter and the values
-    the emitted closure captured."""
+    the emitted handler bound."""
     handlers = _handler_names()
     out = []
     for tcode in compiled_bodies(load_module(raw), "threaded"):
         slots = tuple(
             (
                 slot.__qualname__,
-                tuple(
-                    _describe(cell.cell_contents, handlers)
-                    for cell in slot.__closure__ or ()
-                ),
+                tuple(_describe(value, handlers) for value in _bound(slot)),
             )
             for slot in tcode.slots
         )
@@ -215,17 +222,32 @@ def lowering_fingerprint(raw: bytes) -> list:
     return out
 
 
-def test_threaded_lowering_is_pinned():
+def _pinned_modules() -> list:
+    """``(kind, name, wasm)`` of every shipped plugin and diff-corpus module."""
     modules = [("plugin", name, plugin_wasm(name)) for name in available_plugins()]
     for path in corpus_paths(Path(__file__).parent / "corpus"):
         case = load_case(path)
         if case.mode == "diff":
             modules.append(("corpus", path.stem, case.wasm))
     assert len(modules) >= 40
+    return modules
+
+
+def test_threaded_lowering_is_pinned():
     digest = hashlib.sha256()
-    for kind, name, raw in modules:
+    for kind, name, raw in _pinned_modules():
         digest.update(repr((kind, name, lowering_fingerprint(raw))).encode())
     assert digest.hexdigest() == LOWERING_SHA256
+
+
+def test_slot_handlers_bind_by_value():
+    """A lowered slot is one function object: its operands are positional
+    defaults, never closure cells (a cell is one more object the cycle
+    collector tracks for as long as the module is kept)."""
+    for kind, name, raw in _pinned_modules():
+        for tcode in compiled_bodies(load_module(raw), "threaded"):
+            for pc, slot in enumerate(tcode.slots):
+                assert slot.__closure__ is None, (kind, name, pc, slot.__qualname__)
 
 
 # ---------------------------------------------------------------------------
